@@ -5,7 +5,8 @@
 // cross-benchmark gates in-process: the 10x incremental-edit speedup
 // floor, the 5x wheel-over-heap scheduling floor at 10^5 pending
 // timers, the 1.5x bytes-per-principal flatness ceiling from 10^3 to
-// 10^5 principals, and the sweep soundness contract (any nonzero
+// 10^5 principals, the 4x membership-proof cost ceiling from 2^10 to
+// 2^20 log leaves, and the sweep soundness contract (any nonzero
 // engine-disagreement counter is a hard failure), so CI cannot publish
 // numbers from a tree whose engines disagree or whose scaling story
 // has regressed.
@@ -132,15 +133,25 @@ func main() {
 	// fixed 1024-leaf tree the benchmarks build), so they always run:
 	// every snapshot from BENCH_pr10.json on records append, membership
 	// generation/verification, and consistency-verification ns/op.
+	// Membership generation at 1024 and 2^20 leaves gets its own fixed
+	// large iteration count: at well under a microsecond per proof, the
+	// default 100 iterations are too few for the growth gate below.
 	proof, err := runBenchmarks(
-		"BenchmarkAppend|BenchmarkProofGenerate|BenchmarkProofVerify|BenchmarkConsistencyVerify",
+		"^(BenchmarkAppend|BenchmarkProofVerify|BenchmarkConsistencyVerify)$",
 		*benchtime, "./internal/vlog")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtrend: vlog benchmarks: %v\n", err)
 		os.Exit(1)
 	}
-	for name, m := range proof {
-		current[name] = m
+	gen, err := runBenchmarks("^(BenchmarkProofGenerate|BenchmarkProofGenerateLarge)$", "100000x", "./internal/vlog")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtrend: vlog proof benchmarks: %v\n", err)
+		os.Exit(1)
+	}
+	for _, set := range []map[string]Metrics{proof, gen} {
+		for name, m := range set {
+			current[name] = m
+		}
 	}
 	trend := Trend{Baseline: baseline, Current: current, Delta: map[string]Delta{}}
 	for name, base := range baseline {
@@ -222,6 +233,26 @@ func main() {
 			ratio, bSmall, bLarge)
 		if ratio > 1.5 {
 			fmt.Fprintf(os.Stderr, "benchtrend: bytes-per-principal grew %.2fx from 10^3 to 10^5, above the 1.5x ceiling\n", ratio)
+			os.Exit(1)
+		}
+	}
+
+	// The proof-growth gate: a membership proof over 2^20 leaves may
+	// cost at most 4x one over 1024 leaves. Reading O(log n) stored
+	// subtree hashes gives about 2x; recomputing siblings from the
+	// leaves, O(n), gives about 1000x.
+	tree10, ok10 := current["BenchmarkProofGenerate"]
+	tree20, ok20 := current["BenchmarkProofGenerateLarge"]
+	if ok10 && ok20 {
+		if tree10.NsPerOp <= 0 {
+			fmt.Fprintln(os.Stderr, "benchtrend: 1024-leaf proof measured at 0 ns/op; sample too small")
+			os.Exit(1)
+		}
+		ratio := tree20.NsPerOp / tree10.NsPerOp
+		fmt.Printf("benchtrend: proof cost 2^10→2^20 leaves ratio %.2fx (%.0f → %.0f ns/op)\n",
+			ratio, tree10.NsPerOp, tree20.NsPerOp)
+		if ratio > 4 {
+			fmt.Fprintf(os.Stderr, "benchtrend: proof cost grew %.2fx from 2^10 to 2^20 leaves, above the 4x ceiling\n", ratio)
 			os.Exit(1)
 		}
 	}

@@ -95,6 +95,7 @@ func TestVerifyProofRejectsTamperedEnvelopes(t *testing.T) {
 		{"truncation", []string{writeDoc("trunc.json", honest[:len(honest)/2])}, vlog.ErrMalformedProof},
 		{"bit-flip", []string{writeDoc("flip.json", bytes.Replace(honest, []byte(`"index": 4`), []byte(`"index": 5`), 1))}, vlog.ErrProofInvalid},
 		{"trailing garbage", []string{writeDoc("trail.json", append(append([]byte(nil), honest...), '{', '}'))}, vlog.ErrMalformedProof},
+		{"stray closing brace", []string{writeDoc("brace.json", append(append([]byte(nil), honest...), '}'))}, vlog.ErrMalformedProof},
 		{"root mismatch", []string{"-root", strings.Repeat("0", 64), memPath}, vlog.ErrRootMismatch},
 		{"wrong pinned key", []string{"-pubkey", strings.Repeat("a", 64), memPath}, vlog.ErrBadSignature},
 		{"old-root mismatch", []string{"-old-root", strings.Repeat("0", 64), conPath}, vlog.ErrRootMismatch},

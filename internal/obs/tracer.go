@@ -279,17 +279,20 @@ func (s *JSONLSink) Emit(e Event) {
 type RingSink struct {
 	mu    sync.Mutex
 	buf   []Event
+	max   int
 	next  int
 	total int64
 }
 
 // NewRingSink builds a ring holding up to n records (n < 1 is treated
-// as 1).
+// as 1). The buffer grows with use rather than up front: trustd gives
+// every request its own ring, and most requests emit a handful of
+// records, not n.
 func NewRingSink(n int) *RingSink {
 	if n < 1 {
 		n = 1
 	}
-	return &RingSink{buf: make([]Event, 0, n)}
+	return &RingSink{max: n}
 }
 
 // Emit implements Sink.
@@ -297,12 +300,12 @@ func (s *RingSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total++
-	if len(s.buf) < cap(s.buf) {
+	if len(s.buf) < s.max {
 		s.buf = append(s.buf, e)
 		return
 	}
 	s.buf[s.next] = e
-	s.next = (s.next + 1) % cap(s.buf)
+	s.next = (s.next + 1) % s.max
 }
 
 // Events returns the retained records, oldest first.

@@ -13,6 +13,8 @@
 //   - Log is the append-only log: each record gets a domain-separated
 //     SHA-256 leaf hash (RFC 6962 style), a sequential hash-chain head,
 //     and a position under an incrementally maintained Merkle root.
+//     It stores every complete-subtree hash (about two hashes per
+//     leaf), so roots and proofs over any prefix cost O(log n).
 //     New is hash-only; NewRetaining also keeps record bytes so served
 //     proofs can carry them.
 //   - MembershipProof / VerifyMembership prove and check that one

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Proof kinds, the discriminator of an Envelope.
@@ -69,7 +70,9 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 	if err := dec.Decode(&e); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformedProof, err)
 	}
-	if dec.More() {
+	// More() is false before a stray closing bracket, so ask for the
+	// next token instead: only a clean end of input is accepted.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after the proof document", ErrMalformedProof)
 	}
 	if e.Kind != KindMembership && e.Kind != KindConsistency {

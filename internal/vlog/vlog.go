@@ -2,8 +2,10 @@ package vlog
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // HashSize is the byte length of every hash in the log (SHA-256).
@@ -17,7 +19,14 @@ type Hash [HashSize]byte
 
 // String renders the hash as lowercase hex, the wire form used in proof
 // envelopes and the X-Trustd-Log-Root header.
-func (h Hash) String() string { return fmt.Sprintf("%x", h[:]) }
+func (h Hash) String() string {
+	// Encoding into an array costs one allocation where
+	// hex.EncodeToString costs two; this runs on every anchor header and
+	// every hash of every served proof.
+	var buf [2 * HashSize]byte
+	hex.Encode(buf[:], h[:])
+	return string(buf[:])
+}
 
 // ParseHash parses the 64-hex-character form String renders. It fails
 // closed: anything but exactly 64 hex characters is rejected.
@@ -124,21 +133,23 @@ var (
 	ErrBadSignature = errors.New("vlog: bad root signature")
 )
 
-// Log is an append-only, hash-chained, Merkle-ized event log. Appends
-// are O(log n) amortized (an incremental subtree stack maintains the
-// current root); membership and consistency proofs over any historical
-// prefix are recomputed from the retained leaf hashes.
+// Log is an append-only, hash-chained, Merkle-ized event log. It keeps
+// every complete-subtree hash (the RFC 9162 / tlog-tiles layout), so an
+// append costs O(1) amortized hashes, and the root, any historical
+// root, and every membership or consistency proof read O(log n) stored
+// nodes plus at most O(log n) hashes along the tree's right spine. The
+// stored nodes cost about two hashes per leaf.
 //
 // A Log is not safe for concurrent use; owners (sim.Result, the
 // service) serialize access with their own locks.
 type Log struct {
-	leaves []Hash // leaf hash per entry, append-only
-	chain  []Hash // chain[i] = SHA-256(0x02 || chain[i-1] || leaves[i])
-	// stack holds the roots of the maximal complete subtrees covering
-	// the leaves so far — one entry per set bit of len(leaves), leftmost
-	// (largest) first — so Root() folds O(log n) hashes instead of
-	// recomputing the tree.
-	stack   []Hash
+	// tree[h][j] is the root of the complete subtree over leaves
+	// [j<<h, (j+1)<<h); tree[0] holds the leaf hashes. Level h+1 gains
+	// a node each time level h completes a pair.
+	tree [][]Hash
+	// head is the hash-chain head: SHA-256(0x02 || previous head ||
+	// leaf) over every append, the zero Hash for an empty log.
+	head    Hash
 	records [][]byte // retained record bytes, nil unless retaining
 	retain  bool
 }
@@ -158,41 +169,40 @@ func NewRetaining() *Log { return &Log{retain: true} }
 // the caller may reuse the buffer.
 func (l *Log) Append(record []byte) uint64 {
 	leaf := LeafHash(record)
-	i := uint64(len(l.leaves))
-	l.leaves = append(l.leaves, leaf)
-	prev := Hash{}
-	if i > 0 {
-		prev = l.chain[i-1]
-	}
-	l.chain = append(l.chain, chainHash(prev, leaf))
+	i := l.Size()
+	l.head = chainHash(l.head, leaf)
 	if l.retain {
 		l.records = append(l.records, append([]byte(nil), record...))
 	}
-	// Merge complete subtrees like a binary counter: each trailing
-	// complete pair collapses into its parent.
+	// Merge complete subtrees like a binary counter: each node that
+	// lands at an odd position completes a pair, whose parent is the
+	// next node one level up.
 	node := leaf
-	for n := i; n&1 == 1; n >>= 1 {
-		node = nodeHash(l.stack[len(l.stack)-1], node)
-		l.stack = l.stack[:len(l.stack)-1]
+	for h, j := 0, i; ; h, j = h+1, j>>1 {
+		if h == len(l.tree) {
+			l.tree = append(l.tree, nil)
+		}
+		l.tree[h] = append(l.tree[h], node)
+		if j&1 == 0 {
+			break
+		}
+		node = nodeHash(l.tree[h][j-1], node)
 	}
-	l.stack = append(l.stack, node)
 	return i
 }
 
 // Size reports the number of appended records.
-func (l *Log) Size() uint64 { return uint64(len(l.leaves)) }
+func (l *Log) Size() uint64 {
+	if len(l.tree) == 0 {
+		return 0
+	}
+	return uint64(len(l.tree[0]))
+}
 
 // Root returns the Merkle tree hash over everything appended so far
 // (the RFC 6962 MTH; SHA-256 of the empty string for an empty log).
 func (l *Log) Root() Hash {
-	if len(l.stack) == 0 {
-		return emptyRoot()
-	}
-	// Fold right-to-left: the smaller (righter) subtrees hash in first.
-	root := l.stack[len(l.stack)-1]
-	for i := len(l.stack) - 2; i >= 0; i-- {
-		root = nodeHash(l.stack[i], root)
-	}
+	root, _ := l.RootAt(l.Size())
 	return root
 }
 
@@ -206,7 +216,7 @@ func (l *Log) RootAt(n uint64) (Hash, error) {
 	if n == 0 {
 		return emptyRoot(), nil
 	}
-	return subtreeRoot(l.leaves[:n]), nil
+	return l.rangeRoot(0, n), nil
 }
 
 // ChainHead returns the sequential hash-chain head after the last
@@ -214,19 +224,14 @@ func (l *Log) RootAt(n uint64) (Hash, error) {
 // tamper-evidence primitive — any historical edit changes every later
 // head — while the Merkle tree is what makes *selective* verification
 // (one entry, or one prefix) possible without replaying the chain.
-func (l *Log) ChainHead() Hash {
-	if len(l.chain) == 0 {
-		return Hash{}
-	}
-	return l.chain[len(l.chain)-1]
-}
+func (l *Log) ChainHead() Hash { return l.head }
 
 // Leaf returns the leaf hash of entry i.
 func (l *Log) Leaf(i uint64) (Hash, error) {
 	if i >= l.Size() {
 		return Hash{}, fmt.Errorf("%w: leaf %d of a %d-entry log", ErrIndexOutOfRange, i, l.Size())
 	}
-	return l.leaves[i], nil
+	return l.tree[0][i], nil
 }
 
 // Record returns the retained record bytes of entry i. Only logs built
@@ -242,25 +247,26 @@ func (l *Log) Record(i uint64) ([]byte, error) {
 	return l.records[i], nil
 }
 
-// subtreeRoot computes the RFC 6962 MTH of the given leaves
-// recursively: split at the largest power of two strictly less than
-// the count.
-func subtreeRoot(leaves []Hash) Hash {
-	if len(leaves) == 1 {
-		return leaves[0]
+// rangeRoot returns the RFC 6962 MTH of leaves [lo, hi) (lo < hi ≤
+// Size). An aligned power-of-two range is one stored node; any other
+// range splits at the largest power of two strictly less than its
+// width, as the RFC's recursion does. Every range a root or proof asks
+// for is a node of that recursion, so its left half is always aligned
+// and only the right spine costs hashes.
+func (l *Log) rangeRoot(lo, hi uint64) Hash {
+	n := hi - lo
+	if n&(n-1) == 0 && lo&(n-1) == 0 {
+		h := bits.TrailingZeros64(n)
+		return l.tree[h][lo>>h]
 	}
-	k := splitPoint(uint64(len(leaves)))
-	return nodeHash(subtreeRoot(leaves[:k]), subtreeRoot(leaves[k:]))
+	k := splitPoint(n)
+	return nodeHash(l.rangeRoot(lo, lo+k), l.rangeRoot(lo+k, hi))
 }
 
 // splitPoint returns the largest power of two strictly less than n
 // (n ≥ 2).
 func splitPoint(n uint64) uint64 {
-	k := uint64(1)
-	for k<<1 < n {
-		k <<= 1
-	}
-	return k
+	return 1 << (bits.Len64(n-1) - 1)
 }
 
 // MembershipProof builds the audit path proving that entry i is in the
@@ -272,18 +278,20 @@ func (l *Log) MembershipProof(i, n uint64) ([]Hash, error) {
 		return nil, fmt.Errorf("%w: membership of entry %d in a tree of %d (log holds %d)",
 			ErrIndexOutOfRange, i, n, l.Size())
 	}
-	return auditPath(i, l.leaves[:n]), nil
+	return l.auditPath(i, 0, n, make([]Hash, 0, bits.Len64(n-1))), nil
 }
 
-func auditPath(m uint64, leaves []Hash) []Hash {
-	if len(leaves) == 1 {
-		return nil
+// auditPath appends to path the RFC 6962 PATH of entry lo+m within
+// leaves [lo, hi), deepest sibling first.
+func (l *Log) auditPath(m, lo, hi uint64, path []Hash) []Hash {
+	if hi-lo == 1 {
+		return path
 	}
-	k := splitPoint(uint64(len(leaves)))
+	k := splitPoint(hi - lo)
 	if m < k {
-		return append(auditPath(m, leaves[:k]), subtreeRoot(leaves[k:]))
+		return append(l.auditPath(m, lo, lo+k, path), l.rangeRoot(lo+k, hi))
 	}
-	return append(auditPath(m-k, leaves[k:]), subtreeRoot(leaves[:k]))
+	return append(l.auditPath(m-k, lo+k, hi, path), l.rangeRoot(lo, lo+k))
 }
 
 // ConsistencyProof builds the RFC 6962 proof that the tree of size n
@@ -298,25 +306,25 @@ func (l *Log) ConsistencyProof(m, n uint64) ([]Hash, error) {
 	if m == n {
 		return nil, nil
 	}
-	return subProof(m, l.leaves[:n], true), nil
+	return l.subProof(m, 0, n, true, make([]Hash, 0, bits.Len64(n-1)+1)), nil
 }
 
-// subProof is RFC 6962 §2.1.2's SUBPROOF: complete reports whether the
-// first m leaves form the complete subtree at this recursion level (in
-// which case its root is known to the verifier and omitted).
-func subProof(m uint64, leaves []Hash, complete bool) []Hash {
-	n := uint64(len(leaves))
-	if m == n {
+// subProof appends to proof RFC 6962 §2.1.2's SUBPROOF of the first m
+// leaves of [lo, hi): complete reports whether those m leaves form the
+// complete subtree at this recursion level (in which case its root is
+// known to the verifier and omitted).
+func (l *Log) subProof(m, lo, hi uint64, complete bool, proof []Hash) []Hash {
+	if m == hi-lo {
 		if complete {
-			return nil
+			return proof
 		}
-		return []Hash{subtreeRoot(leaves)}
+		return append(proof, l.rangeRoot(lo, hi))
 	}
-	k := splitPoint(n)
+	k := splitPoint(hi - lo)
 	if m <= k {
-		return append(subProof(m, leaves[:k], complete), subtreeRoot(leaves[k:]))
+		return append(l.subProof(m, lo, lo+k, complete, proof), l.rangeRoot(lo+k, hi))
 	}
-	return append(subProof(m-k, leaves[k:], false), subtreeRoot(leaves[:k]))
+	return append(l.subProof(m-k, lo+k, hi, false, proof), l.rangeRoot(lo, lo+k))
 }
 
 // VerifyMembership checks, offline, that a leaf hash sits at index i of

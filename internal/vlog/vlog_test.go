@@ -1,11 +1,16 @@
 package vlog
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,14 +33,69 @@ func buildLog(t testing.TB, n int, retaining bool) *Log {
 	return l
 }
 
-// The incremental root (subtree stack) must agree with the recursive
-// recomputation at every size, and RootAt(n) of a longer log must equal
-// Root() of a log truncated at n — the append-only property in hash
-// form.
+// subtreeRoot, auditPath and subProof are the reference implementation:
+// RFC 6962 §2.1's recursive MTH, PATH and SUBPROOF computed from the raw
+// leaf hashes, O(n) per call. The stored-node Log must reproduce them
+// byte for byte.
+
+// subtreeRoot computes the RFC 6962 MTH of the given leaves
+// recursively: split at the largest power of two strictly less than
+// the count.
+func subtreeRoot(leaves []Hash) Hash {
+	if len(leaves) == 1 {
+		return leaves[0]
+	}
+	k := splitPoint(uint64(len(leaves)))
+	return nodeHash(subtreeRoot(leaves[:k]), subtreeRoot(leaves[k:]))
+}
+
+// auditPath is RFC 6962 §2.1.1's PATH: the audit path of entry m.
+func auditPath(m uint64, leaves []Hash) []Hash {
+	if len(leaves) == 1 {
+		return nil
+	}
+	k := splitPoint(uint64(len(leaves)))
+	if m < k {
+		return append(auditPath(m, leaves[:k]), subtreeRoot(leaves[k:]))
+	}
+	return append(auditPath(m-k, leaves[k:]), subtreeRoot(leaves[:k]))
+}
+
+// subProof is RFC 6962 §2.1.2's SUBPROOF: complete reports whether the
+// first m leaves form the complete subtree at this recursion level (in
+// which case its root is known to the verifier and omitted).
+func subProof(m uint64, leaves []Hash, complete bool) []Hash {
+	n := uint64(len(leaves))
+	if m == n {
+		if complete {
+			return nil
+		}
+		return []Hash{subtreeRoot(leaves)}
+	}
+	k := splitPoint(n)
+	if m <= k {
+		return append(subProof(m, leaves[:k], complete), subtreeRoot(leaves[k:]))
+	}
+	return append(subProof(m-k, leaves[k:], false), subtreeRoot(leaves[:k]))
+}
+
+// oracleLeaves hashes record(0..n-1) independently of any Log.
+func oracleLeaves(n int) []Hash {
+	leaves := make([]Hash, n)
+	for i := range leaves {
+		leaves[i] = LeafHash(record(i))
+	}
+	return leaves
+}
+
+// The stored-node root must equal the recursive oracle at every size,
+// and RootAt(n) of a longer log must equal Root() of a log truncated at
+// n — the append-only property in hash form.
 func TestRootIncrementalMatchesRecursive(t *testing.T) {
 	t.Parallel()
 	const maxN = 130
 	full := buildLog(t, maxN, false)
+	leaves := oracleLeaves(maxN)
 	for n := 0; n <= maxN; n++ {
 		prefix := buildLog(t, n, false)
 		at, err := full.RootAt(uint64(n))
@@ -44,6 +104,14 @@ func TestRootIncrementalMatchesRecursive(t *testing.T) {
 		}
 		if at != prefix.Root() {
 			t.Fatalf("RootAt(%d) != prefix root", n)
+		}
+		if n > 0 && at != subtreeRoot(leaves[:n]) {
+			t.Fatalf("RootAt(%d) != recursive oracle", n)
+		}
+	}
+	for i, want := range leaves {
+		if got, _ := full.Leaf(uint64(i)); got != want {
+			t.Fatalf("Leaf(%d) != LeafHash(record(%d))", i, i)
 		}
 	}
 	if _, err := full.RootAt(maxN + 1); !errors.Is(err, ErrIndexOutOfRange) {
@@ -58,6 +126,56 @@ func TestRootIncrementalMatchesRecursive(t *testing.T) {
 	}
 }
 
+// Seeded random sizes up to 5000, including every 2^k−1, 2^k and 2^k+1
+// in range: RootAt and both proof kinds must equal the recursive oracle
+// byte for byte, where the stored-node code takes different shortcuts
+// at every level of an unbalanced tree.
+func TestProofsMatchOracleRandomized(t *testing.T) {
+	t.Parallel()
+	const maxN = 5000
+	l := buildLog(t, maxN, false)
+	leaves := oracleLeaves(maxN)
+	rng := rand.New(rand.NewSource(13))
+	sizes := []uint64{1, 2, maxN}
+	for p := uint64(4); p < maxN; p <<= 1 {
+		sizes = append(sizes, p-1, p, p+1)
+	}
+	for len(sizes) < 60 {
+		sizes = append(sizes, 1+uint64(rng.Intn(maxN)))
+	}
+	for _, n := range sizes {
+		root, err := l.RootAt(n)
+		if err != nil {
+			t.Fatalf("RootAt(%d): %v", n, err)
+		}
+		if root != subtreeRoot(leaves[:n]) {
+			t.Fatalf("RootAt(%d) != recursive oracle", n)
+		}
+		for _, i := range []uint64{0, n - 1, uint64(rng.Int63n(int64(n)))} {
+			path, err := l.MembershipProof(i, n)
+			if err != nil {
+				t.Fatalf("proof(%d, %d): %v", i, n, err)
+			}
+			if !slices.Equal(path, auditPath(i, leaves[:n])) {
+				t.Fatalf("proof(%d, %d) != recursive oracle", i, n)
+			}
+		}
+		for _, m := range []uint64{1, n, 1 + uint64(rng.Int63n(int64(n)))} {
+			path, err := l.ConsistencyProof(m, n)
+			if err != nil {
+				t.Fatalf("consistency(%d, %d): %v", m, n, err)
+			}
+			var want []Hash
+			if m < n {
+				want = subProof(m, leaves[:n], true)
+			}
+			if !slices.Equal(path, want) {
+				t.Fatalf("consistency(%d, %d) != recursive oracle", m, n)
+			}
+		}
+	}
+}
+
 // Every (index, size) pair must produce a verifying membership proof,
 // and every proof must fail against any other index, size, leaf, or a
 // perturbed path — exhaustively over tree sizes 1..=65.
@@ -65,6 +183,7 @@ func TestMembershipProofExhaustive(t *testing.T) {
 	t.Parallel()
 	const maxN = 65
 	l := buildLog(t, maxN, false)
+	leaves := oracleLeaves(maxN)
 	for n := uint64(1); n <= maxN; n++ {
 		root, err := l.RootAt(n)
 		if err != nil {
@@ -74,6 +193,9 @@ func TestMembershipProofExhaustive(t *testing.T) {
 			path, err := l.MembershipProof(i, n)
 			if err != nil {
 				t.Fatalf("proof(%d, %d): %v", i, n, err)
+			}
+			if !slices.Equal(path, auditPath(i, leaves[:n])) {
+				t.Fatalf("proof(%d, %d) != recursive oracle", i, n)
 			}
 			leaf, _ := l.Leaf(i)
 			if err := VerifyMembership(root, i, n, leaf, path); err != nil {
@@ -127,6 +249,7 @@ func TestConsistencyProofExhaustive(t *testing.T) {
 	t.Parallel()
 	const maxN = 65
 	l := buildLog(t, maxN, false)
+	leaves := oracleLeaves(maxN)
 	roots := make([]Hash, maxN+1)
 	for n := 0; n <= maxN; n++ {
 		roots[n], _ = l.RootAt(uint64(n))
@@ -136,6 +259,13 @@ func TestConsistencyProofExhaustive(t *testing.T) {
 			path, err := l.ConsistencyProof(m, n)
 			if err != nil {
 				t.Fatalf("consistency(%d, %d): %v", m, n, err)
+			}
+			var want []Hash
+			if m < n {
+				want = subProof(m, leaves[:n], true)
+			}
+			if !slices.Equal(path, want) {
+				t.Fatalf("consistency(%d, %d) != recursive oracle", m, n)
 			}
 			if err := VerifyConsistency(m, n, roots[m], roots[n], path); err != nil {
 				t.Fatalf("honest consistency(%d, %d) rejected: %v", m, n, err)
@@ -335,6 +465,19 @@ func TestEnvelopeRoundTripAndCorruptionCorpus(t *testing.T) {
 	if _, err := ParseEnvelope(append(append([]byte(nil), memJSON...), []byte("{}")...)); !errors.Is(err, ErrMalformedProof) {
 		t.Fatalf("trailing document: %v", err)
 	}
+	// A stray closing bracket leaves Decoder.More false, so only an
+	// explicit end-of-input check rejects these.
+	for _, stray := range []string{"}", "]"} {
+		if _, err := ParseEnvelope(append(append([]byte(nil), memJSON...), stray...)); !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("trailing %q: %v", stray, err)
+		}
+		if _, err := ParseEnvelope([]byte(`{"kind":"membership","path":[]}` + stray)); !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("minimal document with trailing %q: %v", stray, err)
+		}
+	}
+	if _, err := ParseEnvelope(append(append([]byte(nil), memJSON...), " \n\t"...)); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
 	if _, err := ParseEnvelope([]byte(`{"kind":"audit","path":[]}`)); !errors.Is(err, ErrMalformedProof) {
 		t.Fatalf("unknown kind: %v", err)
 	}
@@ -388,6 +531,46 @@ func TestParseHashFailClosed(t *testing.T) {
 	}
 }
 
+// A cached root signature must be the one signing afresh would give,
+// and a new (size, root) must never reuse it — also when goroutines
+// sharing one Signer interleave statements.
+func TestSignerReusesOnlyMatchingSignature(t *testing.T) {
+	t.Parallel()
+	signer, err := NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := buildLog(t, 9, false)
+	fresh := func(size uint64) string {
+		root, _ := l.RootAt(size)
+		return hex.EncodeToString(ed25519.Sign(signer.priv, RootStatement(size, root)))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				size := 1 + uint64(g+k)%l.Size()
+				e, err := NewConsistencyEnvelope(l, "test-log", 1, size, signer)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if e.Signature != fresh(size) {
+					t.Errorf("size %d: signature differs from a fresh one", size)
+					return
+				}
+				if err := e.Verify(); err != nil {
+					t.Errorf("size %d: %v", size, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // RootStatement binds the size: the same root at two sizes signs
 // differently.
 func TestRootStatementBindsSize(t *testing.T) {
@@ -399,7 +582,29 @@ func TestRootStatementBindsSize(t *testing.T) {
 }
 
 func BenchmarkProofGenerate(b *testing.B) {
-	l := buildLog(b, 1024, false)
+	benchProofGenerate(b, buildLog(b, 1024, false))
+}
+
+// largeLog is the 2^20-leaf log BenchmarkProofGenerateLarge proves
+// against, built once per process: go test calls a benchmark several
+// times while it ramps b.N.
+var largeLog = sync.OnceValue(func() *Log {
+	l := New()
+	for i := 0; i < 1<<20; i++ {
+		l.Append(record(i))
+	}
+	return l
+})
+
+// BenchmarkProofGenerateLarge is BenchmarkProofGenerate at 2^20 leaves.
+// Proof cost is O(log n), so it should sit near 2x the 1024-leaf
+// figure; cmd/benchtrend fails the run above 4x, which an O(n) proof
+// (about 1000x) cannot hide under.
+func BenchmarkProofGenerateLarge(b *testing.B) {
+	benchProofGenerate(b, largeLog())
+}
+
+func benchProofGenerate(b *testing.B, l *Log) {
 	n := l.Size()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,8 +5,8 @@
 // cross-benchmark gates in-process: the 10x incremental-edit speedup
 // floor, the 5x wheel-over-heap scheduling floor at 10^5 pending
 // timers, the 1.5x bytes-per-principal flatness ceiling from 10^3 to
-// 10^5 principals, the 4x membership-proof cost ceiling from 2^10 to
-// 2^20 log leaves, and the sweep soundness contract (any nonzero
+// 10^5 principals, the 4x proof cost ceilings from 2^10 to 2^20 and
+// from 10^3 to 10^6 log leaves, and the sweep soundness contract (any nonzero
 // engine-disagreement counter is a hard failure), so CI cannot publish
 // numbers from a tree whose engines disagree or whose scaling story
 // has regressed.
@@ -133,9 +133,10 @@ func main() {
 	// fixed 1024-leaf tree the benchmarks build), so they always run:
 	// every snapshot from BENCH_pr10.json on records append, membership
 	// generation/verification, and consistency-verification ns/op.
-	// Membership generation at 1024 and 2^20 leaves gets its own fixed
-	// large iteration count: at well under a microsecond per proof, the
-	// default 100 iterations are too few for the growth gate below.
+	// Proof generation, at 1024 and 2^20 leaves and at the unaligned
+	// 10^3 and 10^6, gets its own fixed large iteration count: at a few
+	// microseconds per proof or less, the default 100 iterations are too
+	// few for the growth gates below.
 	proof, err := runBenchmarks(
 		"^(BenchmarkAppend|BenchmarkProofVerify|BenchmarkConsistencyVerify)$",
 		*benchtime, "./internal/vlog")
@@ -143,7 +144,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtrend: vlog benchmarks: %v\n", err)
 		os.Exit(1)
 	}
-	gen, err := runBenchmarks("^(BenchmarkProofGenerate|BenchmarkProofGenerateLarge)$", "100000x", "./internal/vlog")
+	gen, err := runBenchmarks(
+		"^(BenchmarkProofGenerate|BenchmarkProofGenerateLarge|BenchmarkProofsUnaligned|BenchmarkProofsUnalignedLarge)$",
+		"100000x", "./internal/vlog")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtrend: vlog proof benchmarks: %v\n", err)
 		os.Exit(1)
@@ -237,25 +240,15 @@ func main() {
 		}
 	}
 
-	// The proof-growth gate: a membership proof over 2^20 leaves may
-	// cost at most 4x one over 1024 leaves. Reading O(log n) stored
+	// The proof-growth gates: proving against a tree 1000x larger may
+	// cost at most 4x as much, both for membership alone at the
+	// power-of-two sizes 2^10 and 2^20 and for a root, a membership and a
+	// consistency proof at the unaligned sizes 10^3 and 10^6, where the
+	// right spine is hashed rather than read. Reading O(log n) stored
 	// subtree hashes gives about 2x; recomputing siblings from the
 	// leaves, O(n), gives about 1000x.
-	tree10, ok10 := current["BenchmarkProofGenerate"]
-	tree20, ok20 := current["BenchmarkProofGenerateLarge"]
-	if ok10 && ok20 {
-		if tree10.NsPerOp <= 0 {
-			fmt.Fprintln(os.Stderr, "benchtrend: 1024-leaf proof measured at 0 ns/op; sample too small")
-			os.Exit(1)
-		}
-		ratio := tree20.NsPerOp / tree10.NsPerOp
-		fmt.Printf("benchtrend: proof cost 2^10→2^20 leaves ratio %.2fx (%.0f → %.0f ns/op)\n",
-			ratio, tree10.NsPerOp, tree20.NsPerOp)
-		if ratio > 4 {
-			fmt.Fprintf(os.Stderr, "benchtrend: proof cost grew %.2fx from 2^10 to 2^20 leaves, above the 4x ceiling\n", ratio)
-			os.Exit(1)
-		}
-	}
+	proofGrowthGate(current, "BenchmarkProofGenerate", "BenchmarkProofGenerateLarge", "2^10→2^20 leaves")
+	proofGrowthGate(current, "BenchmarkProofsUnaligned", "BenchmarkProofsUnalignedLarge", "10^3→10^6 leaves")
 
 	// Soundness re-check: the numbers above are meaningless if the
 	// engines disagree, so run a small sweep and fail on any violation.
@@ -265,6 +258,26 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchtrend: sweep soundness check passed (0 violations)")
+}
+
+// proofGrowthGate exits non-zero when the large benchmark costs more
+// than 4x the small one, whenever this run measured both.
+func proofGrowthGate(current map[string]Metrics, small, large, sizes string) {
+	s, okSmall := current[small]
+	l, okLarge := current[large]
+	if !okSmall || !okLarge {
+		return
+	}
+	if s.NsPerOp <= 0 {
+		fmt.Fprintf(os.Stderr, "benchtrend: %s measured at 0 ns/op; sample too small\n", small)
+		os.Exit(1)
+	}
+	ratio := l.NsPerOp / s.NsPerOp
+	fmt.Printf("benchtrend: proof cost %s ratio %.2fx (%.0f → %.0f ns/op)\n", sizes, ratio, s.NsPerOp, l.NsPerOp)
+	if ratio > 4 {
+		fmt.Fprintf(os.Stderr, "benchtrend: proof cost grew %.2fx from %s, above the 4x ceiling\n", ratio, sizes)
+		os.Exit(1)
+	}
 }
 
 // runCompare diffs the Current sections of two trend files, printing a

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 )
 
 // rootStatementPrefix domain-separates root signatures from anything
@@ -34,18 +33,6 @@ func RootStatement(size uint64, root Hash) []byte {
 type Signer struct {
 	priv ed25519.PrivateKey
 	pub  string // hex, cached
-	// last is the most recent (size, root) signature. Ed25519 signing
-	// is deterministic, so reusing it is byte-identical to signing
-	// again, and a log serving many proofs between appends signs each
-	// root once instead of once per proof.
-	last atomic.Pointer[signedRoot]
-}
-
-// signedRoot is one cached root signature, hex-encoded.
-type signedRoot struct {
-	size uint64
-	root Hash
-	sig  string
 }
 
 // NewSigner generates a fresh ed25519 signer.
@@ -67,12 +54,7 @@ func (s *Signer) sign(e *Envelope, size uint64, root Hash) {
 		return
 	}
 	e.PublicKey = s.pub
-	if c := s.last.Load(); c != nil && c.size == size && c.root == root {
-		e.Signature = c.sig
-		return
-	}
 	e.Signature = hex.EncodeToString(ed25519.Sign(s.priv, RootStatement(size, root)))
-	s.last.Store(&signedRoot{size: size, root: root, sig: e.Signature})
 }
 
 // verifySignature checks the envelope's embedded signature, when one is

@@ -1,10 +1,8 @@
 package vlog
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -531,46 +529,6 @@ func TestParseHashFailClosed(t *testing.T) {
 	}
 }
 
-// A cached root signature must be the one signing afresh would give,
-// and a new (size, root) must never reuse it — also when goroutines
-// sharing one Signer interleave statements.
-func TestSignerReusesOnlyMatchingSignature(t *testing.T) {
-	t.Parallel()
-	signer, err := NewSigner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := buildLog(t, 9, false)
-	fresh := func(size uint64) string {
-		root, _ := l.RootAt(size)
-		return hex.EncodeToString(ed25519.Sign(signer.priv, RootStatement(size, root)))
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				size := 1 + uint64(g+k)%l.Size()
-				e, err := NewConsistencyEnvelope(l, "test-log", 1, size, signer)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if e.Signature != fresh(size) {
-					t.Errorf("size %d: signature differs from a fresh one", size)
-					return
-				}
-				if err := e.Verify(); err != nil {
-					t.Errorf("size %d: %v", size, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // RootStatement binds the size: the same root at two sizes signs
 // differently.
 func TestRootStatementBindsSize(t *testing.T) {
@@ -604,12 +562,59 @@ func BenchmarkProofGenerateLarge(b *testing.B) {
 	benchProofGenerate(b, largeLog())
 }
 
+// BenchmarkProofsUnaligned times one audit at a tree size that is not
+// a power of two, 1000 leaves: the historical root RootAt(m), a
+// membership proof of entry m-1 and a consistency proof from m to n,
+// for m spread over the whole tree. At such sizes the right spine of
+// the tree has no stored node and is hashed on every call, so this is
+// the general case BenchmarkProofGenerate's power-of-two sizes skip.
+func BenchmarkProofsUnaligned(b *testing.B) {
+	benchProofsUnaligned(b, buildLog(b, 1024, false), 1000)
+}
+
+// BenchmarkProofsUnalignedLarge is BenchmarkProofsUnaligned at 10^6
+// leaves, the first 10^6 entries of the 2^20-leaf log. 1000 and 10^6
+// have 6 and 7 one bits, so their right spines are about as deep, and
+// the O(log n) cost should again sit near 2x; cmd/benchtrend fails the
+// run above 4x.
+func BenchmarkProofsUnalignedLarge(b *testing.B) {
+	benchProofsUnaligned(b, largeLog(), 1000000)
+}
+
+func benchProofsUnaligned(b *testing.B, l *Log, n uint64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A large prime stride visits old sizes across the whole tree
+		// rather than only its first b.N entries.
+		m := 1 + uint64(i)*104729%n
+		var err error
+		if rootSink, err = l.RootAt(m); err != nil {
+			b.Fatal(err)
+		}
+		if pathSink, err = l.MembershipProof(m-1, n); err != nil {
+			b.Fatal(err)
+		}
+		if pathSink, err = l.ConsistencyProof(m, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// rootSink and pathSink keep the benchmarks' results live, so the
+// compiler cannot drop the calls that produce them.
+var (
+	rootSink Hash
+	pathSink []Hash
+)
+
 func benchProofGenerate(b *testing.B, l *Log) {
 	n := l.Size()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.MembershipProof(uint64(i)%n, n); err != nil {
+		var err error
+		if pathSink, err = l.MembershipProof(uint64(i)%n, n); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,9 +41,10 @@
 //	                    5×suspect-after)
 //	-vnodes N           virtual nodes per member on the hash ring (default 64)
 //
-// In cluster mode each node gossips membership and cache-fill hints with
-// its peers over the service listener (/cluster/gossip), routes analyze
-// requests to the digest's ring owner, and partitions /v1/sweep across
+// In cluster mode each node gossips membership with its peers over the
+// service listener (/cluster/gossip), routes analyze requests to the
+// digest's ring owner (relaying the owner's log anchor, so a proxied
+// result is proven against the owner), and partitions /v1/sweep across
 // live members. Every node serves the full API; point clients (or
 // trustlb) at any of them.
 //

@@ -190,7 +190,6 @@ type driveConfig struct {
 type result struct {
 	sent, errors   int64
 	hits, misses   int64 // from X-Trustd-Cache: hit+coalesced / miss
-	peerFills      int64 // X-Trustd-Cache: peer
 	proxied, owned int64 // from X-Trustd-Cluster
 	elapsed        time.Duration
 	latencies      []time.Duration
@@ -277,8 +276,6 @@ func drive(ctx context.Context, cfg driveConfig) *result {
 				switch resp.cache {
 				case "hit", "coalesced":
 					r.hits++
-				case "peer":
-					r.peerFills++
 				case "miss":
 					r.misses++
 				}
@@ -308,7 +305,6 @@ func drive(ctx context.Context, cfg driveConfig) *result {
 		total.errors += r.errors
 		total.hits += r.hits
 		total.misses += r.misses
-		total.peerFills += r.peerFills
 		total.proxied += r.proxied
 		total.owned += r.owned
 		total.latencies = append(total.latencies, r.latencies...)
@@ -356,11 +352,11 @@ func (r *result) percentile(p float64) time.Duration {
 }
 
 func (r *result) hitPct() float64 {
-	classified := r.hits + r.misses + r.peerFills
+	classified := r.hits + r.misses
 	if classified == 0 {
 		return 0
 	}
-	return 100 * float64(r.hits+r.peerFills) / float64(classified)
+	return 100 * float64(r.hits) / float64(classified)
 }
 
 func (r *result) summary() string {
@@ -370,8 +366,8 @@ func (r *result) summary() string {
 		r.sent, r.elapsed.Seconds(), float64(ok)/r.elapsed.Seconds(), r.errors)
 	fmt.Fprintf(&b, "trustload: latency p50 %.2fms  p90 %.2fms  p99 %.2fms\n",
 		ms(r.percentile(0.50)), ms(r.percentile(0.90)), ms(r.percentile(0.99)))
-	fmt.Fprintf(&b, "trustload: cache %.1f%% warm (%d hit, %d peer, %d miss); cluster %d owner / %d proxied\n",
-		r.hitPct(), r.hits, r.peerFills, r.misses, r.owned, r.proxied)
+	fmt.Fprintf(&b, "trustload: cache %.1f%% warm (%d hit, %d miss); cluster %d owner / %d proxied\n",
+		r.hitPct(), r.hits, r.misses, r.owned, r.proxied)
 	if r.firstError != "" {
 		fmt.Fprintf(&b, "trustload: first error: %s\n", r.firstError)
 	}

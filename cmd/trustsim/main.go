@@ -55,7 +55,8 @@
 //
 //	-trace FILE    write a structured JSONL span/event trace
 //	-metrics FILE  write a metrics snapshot (counters, gauges, histograms)
-//	-metrics-addr  serve live metrics over HTTP (e.g. :8090/metrics)
+//	-metrics-addr  serve live metrics over HTTP (e.g. :8090/metrics; JSON,
+//	               or Prometheus text under Accept: text/plain)
 //	-progress      report sweep progress on stderr
 package main
 

@@ -1,8 +1,10 @@
 // Package cluster turns a set of trustd processes into one logical
 // analysis service: a consistent-hash ring routes each compiled-problem
 // digest to exactly one owner node, and a lightweight gossip layer
-// keeps every node's view of the membership — and of which peer holds
-// which cached result — converging without a coordinator.
+// keeps every node's view of the membership converging without a
+// coordinator. Gossip carries membership only: a cache miss always runs
+// the engines on the node that signs the result, and a proxied answer
+// is the owner's own, anchored in the owner's signed log.
 //
 // The package has two halves with a deliberate seam between them:
 //
@@ -16,29 +18,18 @@
 //
 //   - Node (gossip.go) is the mutable runtime: an incarnation-numbered
 //     membership table disseminated by HTTP push-pull rounds. Each
-//     round the node picks a random peer, POSTs its member table plus
-//     recent cache-fill announcements to /cluster/gossip, and merges
-//     the peer's table from the response. Liveness is age-based: every
-//     entry carries "milliseconds since somebody last heard from this
-//     node", the minimum age wins on merge, and each node locally
-//     derives alive → suspect → dead from its merged age against the
-//     configured thresholds. A member is dropped from the ring only
-//     when it goes dead, so a transient blip (suspect) does not
-//     reshuffle key ownership. Incarnations — stamped from the wall
-//     clock at process start — let a restarted process supersede its
-//     own stale entry immediately.
+//     round the node picks a random peer, POSTs its member table to
+//     /cluster/gossip, and merges the peer's table from the response.
+//     Liveness is age-based: every entry carries "milliseconds since
+//     somebody last heard from this node", the minimum age wins on
+//     merge, and each node locally derives alive → suspect → dead from
+//     its merged age against the configured thresholds. A member is
+//     dropped from the ring only when it goes dead, so a transient blip
+//     (suspect) does not reshuffle key ownership. Incarnations — stamped
+//     from the wall clock at process start — let a restarted process
+//     supersede its own stale entry immediately.
 //
-// Cache-fill announcements ride the same gossip messages: when a node
-// renders a result it announces (kind, key, origin); peers record the
-// hint and, on a local cache miss, fetch the rendered bodies from the
-// announcing node instead of re-running the engines. Evictions are
-// announced the same way and delete the hint, so the base-plan LRU
-// (the incremental-analysis diff targets) never advertises plans it
-// has already dropped. Hints are strictly an optimization: a stale
-// hint costs one failed fetch and the request falls through to a
-// normal engine run.
-//
-// Concurrency: the membership table, fill log and hint map are guarded
-// by one mutex; the ring is republished through an atomic pointer so
-// the per-request Owner lookup never takes the lock.
+// Concurrency: the membership table is guarded by one mutex; the ring
+// is republished through an atomic pointer so the per-request Owner
+// lookup never takes the lock.
 package cluster

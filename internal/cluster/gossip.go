@@ -59,9 +59,6 @@ type Config struct {
 	// DeadAfter is the silence age after which a member is dead and
 	// leaves the ring. Default 5*SuspectAfter.
 	DeadAfter time.Duration
-	// FillLog bounds the recent cache-fill announcement buffer carried
-	// on gossip messages. Default 256.
-	FillLog int
 	// Telemetry receives gossip round counters, the round-latency
 	// histogram and membership gauges. Nil disables.
 	Telemetry *obs.Telemetry
@@ -84,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = 5 * c.SuspectAfter
 	}
-	if c.FillLog <= 0 {
-		c.FillLog = 256
-	}
 	return c
 }
 
@@ -101,23 +95,6 @@ type member struct {
 	state       State
 }
 
-// fillKind distinguishes the two announced caches.
-const (
-	FillResult = "result" // rendered analysis bodies, fetchable via /cluster/fetch
-	FillBase   = "base"   // base plans for incremental analysis (not fetchable; eviction hygiene)
-)
-
-// Fill is one cache-fill (or eviction) announcement as carried on
-// gossip messages. Seq is a per-origin sequence number; receivers keep
-// a per-origin high-water mark so replayed announcements are idempotent.
-type Fill struct {
-	Origin string `json:"origin"`
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"`
-	Key    string `json:"key"`
-	Evict  bool   `json:"evict,omitempty"`
-}
-
 // memberInfo is the wire form of one member entry. AgeMS is the
 // sender's evidence age — milliseconds since the sender last heard the
 // member was alive — which gossips better than a timestamp (no clock
@@ -129,15 +106,16 @@ type memberInfo struct {
 	AgeMS       int64  `json:"age_ms"`
 }
 
-// syncMessage is one push-pull payload: the sender's full member table
-// plus its recent fill announcements. The response to a gossip POST is
-// the receiver's own syncMessage, so one round exchanges both views.
+// syncMessage is one push-pull payload: the sender's full member table.
+// The response to a gossip POST is the receiver's own syncMessage, so
+// one round exchanges both views. Unknown fields are ignored, so an
+// older peer that still sends a "fills" array merges membership as
+// usual.
 type syncMessage struct {
 	From        string       `json:"from"`
 	Incarnation uint64       `json:"incarnation"`
 	RingVersion uint64       `json:"ring_version"`
 	Members     []memberInfo `json:"members"`
-	Fills       []Fill       `json:"fills,omitempty"`
 }
 
 // Node is the gossip runtime of one cluster member. Create with
@@ -151,16 +129,11 @@ type Node struct {
 	mu      sync.Mutex
 	members map[string]*member
 	self    *member
-	seq     uint64            // our fill sequence
-	fills   []Fill            // recent announcements (ours + relayed), bounded
-	seen    map[string]uint64 // fill high-water mark per origin
-	hints   map[string]string // kind+"\x00"+key -> holder address
 	rng     *rand.Rand
 
 	client *http.Client
 
 	rounds, roundFailures *obs.Counter
-	fillsAccepted         *obs.Counter
 	roundSeconds          *obs.Histogram
 	liveGauge, ringGauge  *obs.Gauge
 	lastRoundMS           atomic.Int64
@@ -185,8 +158,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:     cfg,
 		members: map[string]*member{cfg.Self: self},
 		self:    self,
-		seen:    make(map[string]uint64),
-		hints:   make(map[string]string),
 		rng:     rand.New(rand.NewSource(now.UnixNano())),
 		client: &http.Client{
 			Timeout: maxDuration(2*time.Second, 3*cfg.Interval),
@@ -195,7 +166,6 @@ func NewNode(cfg Config) (*Node, error) {
 	reg := cfg.Telemetry.Reg()
 	n.rounds = reg.Counter("cluster.gossip.rounds")
 	n.roundFailures = reg.Counter("cluster.gossip.failures")
-	n.fillsAccepted = reg.Counter("cluster.fills.accepted")
 	n.roundSeconds = reg.Histogram("cluster.gossip.round_seconds", obs.DurationBuckets())
 	n.liveGauge = reg.Gauge("cluster.members.live")
 	n.ringGauge = reg.Gauge("cluster.ring.members")
@@ -327,7 +297,7 @@ func (n *Node) Sync(ctx context.Context, addr string) error {
 
 // Handler serves the gossip protocol for peers:
 //
-//	POST /cluster/gossip   push-pull membership + fill exchange
+//	POST /cluster/gossip   push-pull membership exchange
 //	GET  /cluster/members  the member table as JSON (diagnostics, CI)
 //
 // Mount it on the same listener the service uses; the advertised
@@ -360,7 +330,7 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// buildMessage snapshots the table and fill log for one exchange.
+// buildMessage snapshots the table for one exchange.
 func (n *Node) buildMessage() *syncMessage {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -370,7 +340,6 @@ func (n *Node) buildMessage() *syncMessage {
 		Incarnation: n.self.incarnation,
 		RingVersion: n.ring.Load().Version(),
 		Members:     make([]memberInfo, 0, len(n.members)),
-		Fills:       append([]Fill(nil), n.fills...),
 	}
 	for _, m := range n.members {
 		age := now.Sub(m.lastAlive).Milliseconds()
@@ -390,10 +359,7 @@ func (n *Node) buildMessage() *syncMessage {
 
 // merge folds a peer's message into the table: the sender itself is
 // direct alive evidence; per entry, a higher incarnation wins outright
-// and equal incarnations keep the freshest (lowest) evidence age. Fill
-// announcements update the hint map behind the per-origin high-water
-// mark, and accepted fills are re-queued for relay so they spread
-// beyond the announcing node's own exchanges.
+// and equal incarnations keep the freshest (lowest) evidence age.
 func (n *Node) merge(msg *syncMessage) {
 	now := time.Now()
 	n.mu.Lock()
@@ -417,7 +383,6 @@ func (n *Node) merge(msg *syncMessage) {
 		evidence := now.Add(-time.Duration(info.AgeMS) * time.Millisecond)
 		n.touchLocked(info.Addr, info.Incarnation, evidence, now)
 	}
-	n.mergeFillsLocked(msg.Fills)
 	n.deriveStatesLocked(now)
 	n.rebuildRingLocked()
 }
@@ -544,85 +509,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// AnnounceFill queues a cache-fill announcement: this node now holds
-// key (of the given kind) and peers may fetch it.
-func (n *Node) AnnounceFill(kind, key string) { n.announce(kind, key, false) }
-
-// AnnounceEvict queues an eviction: the entry left this node's cache
-// and peers must drop any hint pointing here.
-func (n *Node) AnnounceEvict(kind, key string) { n.announce(kind, key, true) }
-
-func (n *Node) announce(kind, key string, evict bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.seq++
-	n.appendFillLocked(Fill{Origin: n.cfg.Self, Seq: n.seq, Kind: kind, Key: key, Evict: evict})
-}
-
-// appendFillLocked pushes onto the bounded relay buffer.
-func (n *Node) appendFillLocked(f Fill) {
-	n.fills = append(n.fills, f)
-	if over := len(n.fills) - n.cfg.FillLog; over > 0 {
-		n.fills = append(n.fills[:0], n.fills[over:]...)
-	}
-}
-
-// mergeFillsLocked applies announcements from a peer message.
-func (n *Node) mergeFillsLocked(fills []Fill) {
-	for _, f := range fills {
-		if f.Origin == "" || f.Origin == n.cfg.Self {
-			continue
-		}
-		if n.seen[f.Origin] >= f.Seq {
-			continue
-		}
-		n.seen[f.Origin] = f.Seq
-		h := f.Kind + "\x00" + f.Key
-		if f.Evict {
-			if n.hints[h] == f.Origin {
-				delete(n.hints, h)
-			}
-		} else {
-			n.hints[h] = f.Origin
-		}
-		n.fillsAccepted.Inc()
-		n.appendFillLocked(f) // relay
-	}
-}
-
-// FillHolder reports which live peer announced holding key, if any.
-// Suspect and dead holders are not returned — a fetch would likely
-// hang on them.
-func (n *Node) FillHolder(kind, key string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	addr, ok := n.hints[kind+"\x00"+key]
-	if !ok || addr == n.cfg.Self {
-		return "", false
-	}
-	m, known := n.members[addr]
-	if !known || m.state != StateAlive {
-		return "", false
-	}
-	return addr, true
-}
-
-// DropHint removes a hint locally (called after a fetch found the
-// holder no longer has the entry, so the next miss goes straight to
-// the engines).
-func (n *Node) DropHint(kind, key string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.hints, kind+"\x00"+key)
-}
-
-// HintCount reports the resident hint-map size (stats).
-func (n *Node) HintCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.hints)
-}
-
 // MemberStatus is one member as reported by Status and /cluster/members.
 type MemberStatus struct {
 	Addr        string `json:"addr"`
@@ -639,7 +525,6 @@ type NodeStatus struct {
 	RingMembers int            `json:"ring_members"`
 	Live        int            `json:"live"`
 	Members     []MemberStatus `json:"members"`
-	Hints       int            `json:"hints"`
 	Rounds      int64          `json:"gossip_rounds"`
 	Failures    int64          `json:"gossip_failures"`
 	LastRoundMS int64          `json:"gossip_last_round_ms"`
@@ -656,7 +541,6 @@ func (n *Node) Status() NodeStatus {
 		Self:        n.cfg.Self,
 		RingVersion: fmt.Sprintf("%016x", ring.Version()),
 		RingMembers: ring.Len(),
-		Hints:       len(n.hints),
 		Rounds:      n.rounds.Value(),
 		Failures:    n.roundFailures.Value(),
 		LastRoundMS: n.lastRoundMS.Load(),

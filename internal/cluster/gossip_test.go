@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -82,42 +84,29 @@ func TestGossipConvergence(t *testing.T) {
 			t.Fatalf("owner disagreement for %v: %q %q %q", d, oa, ob, oc)
 		}
 	}
-}
 
-func TestGossipFillsPropagateAndRelay(t *testing.T) {
-	a := startNode(t, Config{})
-	b := startNode(t, Config{})
-	c := startNode(t, Config{})
-	ctx := context.Background()
-
-	a.node.AnnounceFill(FillResult, "deadbeef")
-	if err := b.node.Sync(ctx, a.node.Self()); err != nil {
+	// A peer running an older release still sends cache-fill
+	// announcements next to its member table; the fills are ignored and
+	// the membership merges as usual.
+	const legacy = `{"from":"127.0.0.1:1","incarnation":7,"ring_version":0,
+		"members":[{"addr":"127.0.0.1:1","incarnation":7,"state":"alive","age_ms":0}],
+		"fills":[{"origin":"127.0.0.1:1","seq":1,"kind":"result","key":"deadbeef"},
+		         {"origin":"127.0.0.1:1","seq":2,"kind":"base","key":"cafe","evict":true}]}`
+	resp, err := http.Post("http://"+c.node.Self()+"/cluster/gossip", "application/json", strings.NewReader(legacy))
+	if err != nil {
 		t.Fatal(err)
 	}
-	holder, ok := b.node.FillHolder(FillResult, "deadbeef")
-	if !ok || holder != a.node.Self() {
-		t.Fatalf("b's hint = %q, %v; want %q", holder, ok, a.node.Self())
+	var reply syncMessage
+	derr := json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || derr != nil {
+		t.Fatalf("legacy gossip message: status %d, decode %v", resp.StatusCode, derr)
 	}
-	// The kinds are separate namespaces.
-	if _, ok := b.node.FillHolder(FillBase, "deadbeef"); ok {
-		t.Fatal("result fill leaked into the base namespace")
+	if len(reply.Members) != 4 {
+		t.Fatalf("reply lists %d members after the legacy merge, want 4", len(reply.Members))
 	}
-	// Relay: c hears about a's fill from b, not from a.
-	if err := c.node.Sync(ctx, b.node.Self()); err != nil {
-		t.Fatal(err)
-	}
-	holder, ok = c.node.FillHolder(FillResult, "deadbeef")
-	if !ok || holder != a.node.Self() {
-		t.Fatalf("relayed hint = %q, %v; want %q", holder, ok, a.node.Self())
-	}
-
-	// Eviction invalidates everywhere it reaches.
-	a.node.AnnounceEvict(FillResult, "deadbeef")
-	if err := b.node.Sync(ctx, a.node.Self()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.node.FillHolder(FillResult, "deadbeef"); ok {
-		t.Fatal("hint survived the eviction announcement")
+	if st := c.node.Status(); st.Live != 4 || c.node.Ring().Len() != 4 {
+		t.Fatalf("legacy peer not merged: live %d, ring %d", st.Live, c.node.Ring().Len())
 	}
 }
 
@@ -157,13 +146,6 @@ func TestGossipSuspectThenDeadHealsRing(t *testing.T) {
 	}
 	if owner, ok := a.node.Owner([2]uint64{1, 2}); !ok || owner != a.node.Self() {
 		t.Fatalf("healed ring routes to %q, want self", owner)
-	}
-	// A fill hint pointing at the dead node is no longer served.
-	a.node.mu.Lock()
-	a.node.hints[FillResult+"\x00cafe"] = b.node.Self()
-	a.node.mu.Unlock()
-	if _, ok := a.node.FillHolder(FillResult, "cafe"); ok {
-		t.Fatal("FillHolder returned a dead member")
 	}
 }
 

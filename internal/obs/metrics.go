@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -281,49 +279,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return writeJSONIndent(w, s)
 }
 
-// Text renders the snapshot as sorted plain text, one metric per line —
-// the quick-look form for terminals and test failures.
-func (s Snapshot) Text() string {
-	var b strings.Builder
-	for _, name := range sortedKeys(s.Counters) {
-		fmt.Fprintf(&b, "counter   %-40s %d\n", name, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "gauge     %-40s %d\n", name, s.Gauges[name])
-	}
-	hnames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		h := s.Histograms[name]
-		fmt.Fprintf(&b, "histogram %-40s count=%d sum=%g", name, h.Count, h.Sum)
-		for i, n := range h.Counts {
-			if n == 0 {
-				continue
-			}
-			if i < len(h.Bounds) {
-				fmt.Fprintf(&b, " le(%g)=%d", h.Bounds[i], n)
-			} else {
-				fmt.Fprintf(&b, " inf=%d", n)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	rnames := make([]string, 0, len(s.Rollings))
-	for name := range s.Rollings {
-		rnames = append(rnames, name)
-	}
-	sort.Strings(rnames)
-	for _, name := range rnames {
-		r := s.Rollings[name]
-		fmt.Fprintf(&b, "rolling   %-40s window=%gs count=%d p50=%g p90=%g p99=%g\n",
-			name, r.WindowSeconds, r.Count, r.P50, r.P90, r.P99)
-	}
-	return b.String()
-}
-
 func sortedKeys(m map[string]int64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -334,8 +289,8 @@ func sortedKeys(m map[string]int64) []string {
 }
 
 // Handler serves the registry snapshot: JSON by default, Prometheus
-// exposition under content negotiation, legacy text at ?format=text —
-// MetricsHandler without a runtime collector. Safe on a nil registry.
+// exposition under content negotiation — MetricsHandler without a
+// runtime collector. Safe on a nil registry.
 func (r *Registry) Handler() http.Handler {
 	return MetricsHandler(r, nil)
 }

@@ -116,13 +116,6 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	if !strings.Contains(buf.String(), `"sweep.disagreements": 0`) {
 		t.Errorf("disagreement counter not grep-able in JSON:\n%s", buf.String())
 	}
-
-	text := r.Snapshot().Text()
-	for _, want := range []string{"counter", "search.memo.hits", "42", "histogram", "sweep.latency.random"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text snapshot missing %q:\n%s", want, text)
-		}
-	}
 }
 
 func TestHandler(t *testing.T) {
@@ -142,16 +135,5 @@ func TestHandler(t *testing.T) {
 	}
 	if s.Counters["c"] != 7 {
 		t.Errorf("served counter = %d", s.Counters["c"])
-	}
-
-	resp2, err := srv.Client().Get(srv.URL + "/metrics?format=text")
-	if err != nil {
-		t.Fatalf("GET text = %v", err)
-	}
-	defer resp2.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp2.Body)
-	if !strings.Contains(buf.String(), "counter") {
-		t.Errorf("text endpoint output:\n%s", buf.String())
 	}
 }

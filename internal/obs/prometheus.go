@@ -125,7 +125,6 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // wantsPrometheus is the content negotiation on /metrics: an explicit
 // ?format=prometheus, or an Accept header asking for text/plain (the
 // Prometheus scraper sends `text/plain; version=0.0.4`) or OpenMetrics.
-// The legacy human rendering stays reachable as ?format=text.
 func wantsPrometheus(req *http.Request) bool {
 	if req.URL.Query().Get("format") == "prometheus" {
 		return true
@@ -137,8 +136,7 @@ func wantsPrometheus(req *http.Request) bool {
 
 // MetricsHandler serves the registry snapshot with content negotiation:
 // JSON by default, Prometheus text exposition when the request asks for
-// it (see wantsPrometheus), and the legacy sorted-text quick-look form
-// at ?format=text. When rt is non-nil its sample is folded into every
+// it (see wantsPrometheus). When rt is non-nil its sample is folded into every
 // response — the "sampled on scrape" contract. Safe on a nil registry
 // and a nil runtime.
 func MetricsHandler(r *Registry, rt *Runtime) http.Handler {
@@ -148,16 +146,12 @@ func MetricsHandler(r *Registry, rt *Runtime) http.Handler {
 			sample := rt.Sample()
 			s.Runtime = &sample
 		}
-		switch {
-		case req.URL.Query().Get("format") == "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			io.WriteString(w, s.Text())
-		case wantsPrometheus(req):
+		if wantsPrometheus(req) {
 			w.Header().Set("Content-Type", PrometheusContentType)
 			s.WritePrometheus(w)
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			s.WriteJSON(w)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		s.WriteJSON(w)
 	})
 }

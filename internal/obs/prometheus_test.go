@@ -159,13 +159,6 @@ func TestMetricsHandlerContentNegotiation(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "service_cache_hits_total 42") {
 		t.Fatal("?format=prometheus did not render exposition")
 	}
-
-	// The legacy quick-look text stays reachable.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=text", nil))
-	if !strings.Contains(rec.Body.String(), "counter   service.cache.hits") {
-		t.Fatalf("?format=text lost the legacy rendering:\n%s", rec.Body.String())
-	}
 }
 
 func TestMetricsHandlerNilRegistry(t *testing.T) {

@@ -55,23 +55,21 @@ func (c *lru[V]) get(key [2]uint64) (V, bool) {
 }
 
 // put inserts or refreshes a value, evicting the least recently used
-// entry when full. It reports the evicted key, when any — the cluster
-// layer announces evictions so peers drop their stale fill hints.
-func (c *lru[V]) put(key [2]uint64, val V) (evictedKey [2]uint64, evicted bool) {
+// entry when full. It reports whether an entry was evicted.
+func (c *lru[V]) put(key [2]uint64, val V) (evicted bool) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
-		return [2]uint64{}, false
+		return false
 	}
 	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	if c.order.Len() <= c.max {
-		return [2]uint64{}, false
+		return false
 	}
 	oldest := c.order.Back()
 	c.order.Remove(oldest)
-	old := oldest.Value.(*lruEntry[V]).key
-	delete(c.entries, old)
-	return old, true
+	delete(c.entries, oldest.Value.(*lruEntry[V]).key)
+	return true
 }
 
 // len reports the number of cached values.

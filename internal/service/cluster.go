@@ -23,7 +23,9 @@ import (
 //	owner   — this node owns the problem digest on the ring (including
 //	          the degenerate single-member ring)
 //	proxied — this node forwarded the request to the owner and relayed
-//	          its response (X-Trustd-Cluster-Owner names it)
+//	          its response (X-Trustd-Cluster-Owner names it); the
+//	          relayed X-Trustd-Log-Root is the owner's anchor, so the
+//	          result's proof is fetched from the owner
 //	local   — served here without owning: either the request arrived
 //	          already forwarded (the hop guard allows exactly one hop,
 //	          so ring churn cannot bounce a request forever) or the
@@ -46,11 +48,6 @@ const (
 	clusterServedLocal   = "local"
 	clusterServedDistrib = "distributed"
 )
-
-// peerFetchTimeout bounds one cache-fill fetch from a peer. It is
-// deliberately tight: the fallback is just running the engines locally,
-// so a slow peer must not cost more than it could save.
-const peerFetchTimeout = 2 * time.Second
 
 // routeAnalyze decides where one analyze request runs. It returns true
 // when the response has already been written (the request was proxied
@@ -114,7 +111,7 @@ func (s *Service) proxyAnalyze(w http.ResponseWriter, r *http.Request, owner str
 		return false
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Trustd-Cache", "X-Trustd-Digest", "X-Trustd-Incremental", "Server-Timing"} {
+	for _, h := range []string{"Content-Type", "X-Trustd-Cache", "X-Trustd-Digest", "X-Trustd-Incremental", logRootHeader, "Server-Timing"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -124,83 +121,6 @@ func (s *Service) proxyAnalyze(w http.ResponseWriter, r *http.Request, owner str
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
-}
-
-// fetchResponse is the GET /cluster/fetch schema: the immutable
-// rendered bodies of one cached result, base64 in JSON.
-type fetchResponse struct {
-	Key  string `json:"key"`
-	JSON []byte `json:"json"`
-	Text []byte `json:"text"`
-}
-
-// handleClusterFetch serves one cached result to a peer whose miss
-// followed a gossip fill hint here. 404 means the entry was evicted
-// since the hint spread; the peer drops the hint and runs its engines.
-func (s *Service) handleClusterFetch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	raw := r.URL.Query().Get("key")
-	key, err := ParseDigest(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("key: %v", err))
-		return
-	}
-	s.mu.Lock()
-	c, ok := s.cache.get(key)
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "not cached here")
-		return
-	}
-	s.clusterFetchServed.Inc()
-	writeJSON(w, http.StatusOK, fetchResponse{Key: raw, JSON: c.json, Text: c.text})
-}
-
-// fetchPeerFill resolves a cache miss against the gossip tier: when a
-// live peer has announced a fill for key, fetch its rendered bodies
-// instead of running engines. Every failure path returns nil — hints
-// are an optimization and the engines are always a correct fallback.
-func (s *Service) fetchPeerFill(key [2]uint64) *cached {
-	if s.cluster == nil {
-		return nil
-	}
-	hex := FormatDigest(key)
-	addr, ok := s.cluster.FillHolder(cluster.FillResult, hex)
-	if !ok {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerFetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/cluster/fetch?key="+hex, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		s.clusterPeerFillMisses.Inc()
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		s.cluster.DropHint(cluster.FillResult, hex)
-		s.clusterPeerFillMisses.Inc()
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		s.clusterPeerFillMisses.Inc()
-		return nil
-	}
-	var body fetchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil || len(body.JSON) == 0 {
-		s.clusterPeerFillMisses.Inc()
-		return nil
-	}
-	s.clusterPeerFills.Inc()
-	return &cached{json: body.JSON, text: body.Text, at: time.Now()}
 }
 
 // distributeSweep partitions a sweep across the ring's live members:
@@ -301,15 +221,12 @@ func (s *Service) forwardSweepRange(ctx context.Context, addr string, req sweepR
 
 // clusterStats is the /v1/stats block present only in cluster mode:
 // the gossip node's membership snapshot plus the service-side routing
-// and cache-tier counters.
+// counters.
 type clusterStats struct {
 	cluster.NodeStatus
 	AnalyzeOwner        int64 `json:"analyze_owner"`
 	AnalyzeProxied      int64 `json:"analyze_proxied"`
 	AnalyzeLocal        int64 `json:"analyze_local"`
-	PeerFills           int64 `json:"peer_fills"`
-	PeerFillMisses      int64 `json:"peer_fill_misses"`
-	FetchServed         int64 `json:"fetch_served"`
 	SweepsDistributed   int64 `json:"sweeps_distributed"`
 	SweepRangeFallbacks int64 `json:"sweep_range_fallbacks"`
 }
@@ -323,9 +240,6 @@ func (s *Service) clusterStatsSnapshot() *clusterStats {
 		AnalyzeOwner:        s.clusterOwned.Value(),
 		AnalyzeProxied:      s.clusterProxied.Value(),
 		AnalyzeLocal:        s.clusterLocal.Value(),
-		PeerFills:           s.clusterPeerFills.Value(),
-		PeerFillMisses:      s.clusterPeerFillMisses.Value(),
-		FetchServed:         s.clusterFetchServed.Value(),
 		SweepsDistributed:   s.clusterSweepDistributed.Value(),
 		SweepRangeFallbacks: s.clusterSweepFallback.Value(),
 	}

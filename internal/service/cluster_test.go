@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"trustseq/internal/cluster"
-	"trustseq/internal/model"
 	"trustseq/internal/obs"
+	"trustseq/internal/vlog"
 )
 
 // clusterTestNode is one trustd-shaped process: a gossip node and a
@@ -68,19 +68,6 @@ func formCluster(t *testing.T, nodes ...*clusterTestNode) {
 	}
 }
 
-// syncAll runs one more full round, e.g. to spread fill announcements.
-func syncAll(t *testing.T, nodes ...*clusterTestNode) {
-	t.Helper()
-	ctx := context.Background()
-	for round := 0; round < 2; round++ {
-		for _, n := range nodes[1:] {
-			if err := n.node.Sync(ctx, nodes[0].addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 func postAnalyze(t *testing.T, addr, src string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/analyze", strings.NewReader(src))
@@ -105,7 +92,8 @@ func postAnalyze(t *testing.T, addr, src string, hdr map[string]string) (*http.R
 // TestClusterAnalyzeRouting: on a converged 3-node ring exactly one
 // node owns the problem digest; requests landing anywhere return the
 // same body, with X-Trustd-Cluster distinguishing the owner from the
-// proxies.
+// proxies. A proxied response carries the owner's headers, including
+// the log anchor, against which the owner's membership proof verifies.
 func TestClusterAnalyzeRouting(t *testing.T) {
 	a := startClusterNode(t, Options{})
 	b := startClusterNode(t, Options{})
@@ -113,8 +101,21 @@ func TestClusterAnalyzeRouting(t *testing.T) {
 	formCluster(t, a, b, c)
 	nodes := []*clusterTestNode{a, b, c}
 
+	// The owner answers first, so every proxied response must relay the
+	// same anchor: cache hits never grow the log.
+	ownerAddr, ok := a.node.Owner(ProblemDigest(mustLoad(t, feasibleSpec)))
+	if !ok {
+		t.Fatal("no owner on a 3-node ring")
+	}
+	for i, n := range nodes {
+		if n.addr == ownerAddr {
+			nodes[0], nodes[i] = nodes[i], nodes[0]
+		}
+	}
+
+	relayed := []string{"Content-Type", "X-Trustd-Cache", "X-Trustd-Digest", logRootHeader}
 	var owners, proxied int
-	var ownerAddr string
+	var ownerHdr http.Header
 	var bodies [][]byte
 	for _, n := range nodes {
 		resp, body := postAnalyze(t, n.addr, feasibleSpec, nil)
@@ -125,11 +126,22 @@ func TestClusterAnalyzeRouting(t *testing.T) {
 		switch cl := resp.Header.Get("X-Trustd-Cluster"); cl {
 		case "owner":
 			owners++
-			ownerAddr = n.addr
+			if n.addr != ownerAddr {
+				t.Fatalf("node %s answered as owner; the ring names %s", n.addr, ownerAddr)
+			}
+			ownerHdr = resp.Header
 		case "proxied":
 			proxied++
-			if resp.Header.Get("X-Trustd-Cluster-Owner") == "" {
-				t.Fatal("proxied response without X-Trustd-Cluster-Owner")
+			if got := resp.Header.Get("X-Trustd-Cluster-Owner"); got != ownerAddr {
+				t.Fatalf("proxied X-Trustd-Cluster-Owner = %q, want %q", got, ownerAddr)
+			}
+			for _, h := range relayed {
+				if resp.Header.Get(h) == "" {
+					t.Fatalf("proxied response from %s lacks %s", n.addr, h)
+				}
+				if h != "X-Trustd-Cache" && resp.Header.Get(h) != ownerHdr.Get(h) {
+					t.Fatalf("proxied %s = %q, owner's = %q", h, resp.Header.Get(h), ownerHdr.Get(h))
+				}
 			}
 		default:
 			t.Fatalf("node %s: X-Trustd-Cluster = %q", n.addr, cl)
@@ -137,6 +149,11 @@ func TestClusterAnalyzeRouting(t *testing.T) {
 	}
 	if owners != 1 || proxied != 2 {
 		t.Fatalf("owners = %d, proxied = %d; want 1 and 2", owners, proxied)
+	}
+	for _, h := range relayed {
+		if ownerHdr.Get(h) == "" {
+			t.Fatalf("owner response lacks %s", h)
+		}
 	}
 	for i := 1; i < len(bodies); i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
@@ -154,15 +171,39 @@ func TestClusterAnalyzeRouting(t *testing.T) {
 		}
 	}
 	// Second request through a proxy replays the owner's cache.
-	for _, n := range nodes {
-		if n.addr == ownerAddr {
-			continue
+	resp, _ := postAnalyze(t, nodes[1].addr, feasibleSpec, nil)
+	if got := resp.Header.Get("X-Trustd-Cache"); got != "hit" {
+		t.Fatalf("re-request through proxy: X-Trustd-Cache = %q, want hit", got)
+	}
+
+	// The relayed anchor is the owner's: a membership proof fetched from
+	// the owner verifies against it.
+	size, root := parseRootHeader(t, resp.Header.Get(logRootHeader))
+	pr, err := http.Get("http://" + ownerAddr + "/v1/proof/" + resp.Header.Get("X-Trustd-Digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := readAll(t, pr.Body)
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusOK {
+		t.Fatalf("owner proof fetch: status %d: %s", pr.StatusCode, doc)
+	}
+	e, err := vlog.ParseEnvelope(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := vlog.ParseHash(e.LeafHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := make([]vlog.Hash, len(e.Path))
+	for i, h := range e.Path {
+		if path[i], err = vlog.ParseHash(h); err != nil {
+			t.Fatal(err)
 		}
-		resp, _ := postAnalyze(t, n.addr, feasibleSpec, nil)
-		if got := resp.Header.Get("X-Trustd-Cache"); got != "hit" {
-			t.Fatalf("re-request through proxy: X-Trustd-Cache = %q, want hit", got)
-		}
-		break
+	}
+	if err := vlog.VerifyMembership(root, e.Index, size, leaf, path); err != nil {
+		t.Fatalf("owner's proof fails against the relayed anchor %d:%s: %v", size, root, err)
 	}
 }
 
@@ -197,85 +238,6 @@ func TestClusterHopGuardNoLoop(t *testing.T) {
 	if got := nonOwner.svc.CacheLen(); got != 1 {
 		t.Fatalf("non-owner cache holds %d entries, want 1", got)
 	}
-}
-
-// TestClusterPeerFill: a node that must compute a key it does not have
-// (hop-guarded arrival) first consults the gossip fill hints and
-// fetches the owner's rendered bodies instead of running engines —
-// X-Trustd-Cache: peer.
-func TestClusterPeerFill(t *testing.T) {
-	a := startClusterNode(t, Options{})
-	b := startClusterNode(t, Options{})
-	formCluster(t, a, b)
-
-	p := mustLoad(t, feasibleSpec)
-	owner, _ := a.node.Owner(ProblemDigest(p))
-	ownerNode, otherNode := a, b
-	if owner == b.addr {
-		ownerNode, otherNode = b, a
-	}
-
-	// Fill the owner's cache, then gossip the fill announcement out.
-	resp, body := postAnalyze(t, ownerNode.addr, feasibleSpec, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner analyze: status %d: %s", resp.StatusCode, body)
-	}
-	ownerBody := body
-	syncAll(t, a, b)
-
-	// A hop-guarded request forces the non-owner to serve locally; its
-	// miss should resolve via the peer fetch, byte-identically.
-	resp, body = postAnalyze(t, otherNode.addr, feasibleSpec,
-		map[string]string{"X-Trustd-Forwarded": "test-injector"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-fill analyze: status %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Trustd-Cache"); got != "peer" {
-		t.Fatalf("X-Trustd-Cache = %q, want peer", got)
-	}
-	if !bytes.Equal(body, ownerBody) {
-		t.Fatal("peer-fetched body differs from the owner's")
-	}
-	if got := otherNode.svc.clusterPeerFills.Value(); got != 1 {
-		t.Fatalf("peer_fills = %d, want 1", got)
-	}
-}
-
-// TestClusterFetchGone: a stale hint (the holder evicted the entry)
-// degrades to an engine run and drops the hint.
-func TestClusterFetchGone(t *testing.T) {
-	a := startClusterNode(t, Options{})
-	b := startClusterNode(t, Options{})
-	formCluster(t, a, b)
-
-	p := mustLoad(t, feasibleSpec)
-	key := FormatDigest(optionsKeyFor(p))
-	// Plant a hint at b claiming a holds the result, without filling a.
-	a.node.AnnounceFill(cluster.FillResult, key)
-	syncAll(t, a, b)
-
-	resp, body := postAnalyze(t, b.addr, feasibleSpec,
-		map[string]string{"X-Trustd-Forwarded": "test-injector"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	// The fetch 404s (a's cache is empty), so the engines ran: a plain
-	// miss, not a peer fill, and the bad hint is gone.
-	if got := resp.Header.Get("X-Trustd-Cache"); got != "miss" {
-		t.Fatalf("X-Trustd-Cache = %q, want miss", got)
-	}
-	if _, ok := b.node.FillHolder(cluster.FillResult, key); ok {
-		t.Fatal("stale hint survived the failed fetch")
-	}
-}
-
-// optionsKeyFor computes the request key for default options, mirroring
-// the analyze path's fingerprinting.
-func optionsKeyFor(p *model.Problem) [2]uint64 {
-	p.Compile()
-	h := newFP()
-	problemFingerprint(&h, p)
-	return optionsKey(h, AnalyzeOptions{})
 }
 
 // TestClusterDistributedSweepByteIdentical is the tentpole property at
@@ -410,36 +372,5 @@ func TestClusterSingleMemberServesEverythingAsOwner(t *testing.T) {
 	}
 	if sr.Cluster.RingMembers != 1 || sr.Cluster.AnalyzeOwner != 1 {
 		t.Fatalf("cluster stats = %+v, want 1 ring member and 1 owned analyze", sr.Cluster)
-	}
-}
-
-// TestClusterEvictionAnnouncesInvalidation: when the owner's cache
-// evicts an entry, peers that held a hint for it stop offering it.
-func TestClusterEvictionAnnouncesInvalidation(t *testing.T) {
-	// CacheEntries: 1 — the second distinct problem evicts the first.
-	a := startClusterNode(t, Options{CacheEntries: 1})
-	b := startClusterNode(t, Options{CacheEntries: 1})
-	formCluster(t, a, b)
-
-	resp, body := postAnalyze(t, a.addr, feasibleSpec,
-		map[string]string{"X-Trustd-Forwarded": "test-injector"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first analyze: status %d: %s", resp.StatusCode, body)
-	}
-	key := FormatDigest(optionsKeyFor(mustLoad(t, feasibleSpec)))
-	syncAll(t, a, b)
-	if holder, ok := b.node.FillHolder(cluster.FillResult, key); !ok || holder != a.addr {
-		t.Fatalf("b's hint = %q, %v; want %q", holder, ok, a.addr)
-	}
-
-	// A second problem through a's cache evicts the first fill.
-	resp, body = postAnalyze(t, a.addr, infeasibleSpec,
-		map[string]string{"X-Trustd-Forwarded": "test-injector"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second analyze: status %d: %s", resp.StatusCode, body)
-	}
-	syncAll(t, a, b)
-	if _, ok := b.node.FillHolder(cluster.FillResult, key); ok {
-		t.Fatal("hint survived the eviction announcement")
 	}
 }

@@ -34,7 +34,7 @@ const maxSweepN = 5000
 //	GET  /v1/proof/{digest}              membership proof for an analysis
 //	GET  /v1/proof/consistency?from=&to= append-only extension proof
 //	GET  /metrics        registry snapshot (JSON; Prometheus exposition
-//	                     under content negotiation; ?format=text)
+//	                     under content negotiation)
 //	GET  /healthz        liveness
 //
 // Every endpoint is wrapped in the obs HTTP middleware (latency
@@ -58,14 +58,13 @@ func (s *Service) Handler() http.Handler {
 	// recent-request table.
 	handle("/metrics", "metrics", obs.MetricsHandler(reg, s.runtime), false)
 	if s.cluster != nil {
-		// The gossip wire protocol and the peer cache-fetch share the
-		// service listener (one advertised address per node). They get
-		// metrics and identity but stay out of the request log — gossip
-		// fires every interval and would wash out real traffic.
+		// The gossip wire protocol shares the service listener (one
+		// advertised address per node). It gets metrics and identity but
+		// stays out of the request log — gossip fires every interval and
+		// would wash out real traffic.
 		ch := s.cluster.Handler()
 		handle("/cluster/gossip", "gossip", ch, false)
 		handle("/cluster/members", "members", ch, false)
-		handle("/cluster/fetch", "fetch", http.HandlerFunc(s.handleClusterFetch), false)
 	}
 	handle("/healthz", "healthz", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -73,10 +73,10 @@ type Options struct {
 	TraceEvents int
 	// Cluster, when non-nil, puts the service in cluster mode: the node's
 	// consistent-hash ring routes each analyze request to its owner
-	// (non-owners proxy, one hop max), gossip fill hints let a cache miss
-	// fetch a peer's rendered bodies before running engines, and
-	// /v1/sweep partitions across live members. Nil — the default — is
-	// single-node operation, byte-identical to previous releases.
+	// (non-owners proxy, one hop max), and /v1/sweep partitions across
+	// live members. A cache miss always runs the engines on the node that
+	// signs the result into its log. Nil — the default — is single-node
+	// operation, byte-identical to previous releases.
 	Cluster *cluster.Node
 }
 
@@ -222,8 +222,6 @@ type Service struct {
 	peerClient *http.Client
 
 	clusterOwned, clusterProxied, clusterLocal    *obs.Counter
-	clusterPeerFills, clusterPeerFillMisses       *obs.Counter
-	clusterFetchServed                            *obs.Counter
 	clusterSweepDistributed, clusterSweepFallback *obs.Counter
 
 	// testComputeHook, when set, runs at the top of every engine run.
@@ -241,9 +239,6 @@ type call struct {
 	// leader, before done closes) only for requests that named a base
 	// digest; coalesced followers replay the leader's disposition.
 	inc IncrementalDisposition
-	// peer reports that the leader satisfied the miss from a peer's
-	// cache instead of an engine run (written before done closes).
-	peer bool
 }
 
 // New constructs a Service.
@@ -277,9 +272,6 @@ func New(opts Options) *Service {
 		s.clusterOwned = reg.Counter("service.cluster.analyze.owner")
 		s.clusterProxied = reg.Counter("service.cluster.analyze.proxied")
 		s.clusterLocal = reg.Counter("service.cluster.analyze.local")
-		s.clusterPeerFills = reg.Counter("service.cluster.peer_fills")
-		s.clusterPeerFillMisses = reg.Counter("service.cluster.peer_fill_misses")
-		s.clusterFetchServed = reg.Counter("service.cluster.fetch_served")
 		s.clusterSweepDistributed = reg.Counter("service.cluster.sweeps_distributed")
 		s.clusterSweepFallback = reg.Counter("service.cluster.sweep_range_fallbacks")
 	}
@@ -294,9 +286,6 @@ const (
 	dispositionHit       cacheDisposition = "hit"
 	dispositionMiss      cacheDisposition = "miss"
 	dispositionCoalesced cacheDisposition = "coalesced"
-	// dispositionPeer: a miss that never ran engines because a gossip
-	// fill hint located the rendered bodies in a peer's cache.
-	dispositionPeer cacheDisposition = "peer"
 )
 
 // IncrementalDisposition labels how the incremental machinery handled
@@ -387,18 +376,6 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 	// stages are recorded even if the leader stops waiting, so the
 	// slow-request log still explains where the time went.
 	go func() {
-		// In cluster mode a gossip fill hint may place the rendered
-		// bodies in a peer's cache: fetching them is far cheaper than an
-		// engine run. Requests with a resident base plan skip the network
-		// — the local patch path is faster still. Failure of any kind
-		// just falls through to the engines.
-		if basePlan == nil {
-			if c := s.fetchPeerFill(key); c != nil {
-				fl.peer = true
-				s.publish(fl, key, digest, c, nil, nil)
-				return
-			}
-		}
 		s.sem <- struct{}{}
 		val, plan, patched, err := s.compute(p, opts, basePlan, rt)
 		<-s.sem
@@ -416,18 +393,9 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 	return s.await(ctx, fl, dispositionMiss)
 }
 
-// publish deposits a finished run (engine or peer-fetched) into the
-// caches, retires the in-flight entry, and releases the waiters. In
-// cluster mode it then announces the fills — and any evictions they
-// forced — to the gossip tier, outside the service lock (the node has
-// its own mutex; nothing there calls back into the service).
+// publish deposits a finished engine run into the caches, retires the
+// in-flight entry, and releases the waiters.
 func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *core.Plan, err error) {
-	type ann struct {
-		kind  string
-		key   [2]uint64
-		evict bool
-	}
-	var anns []ann
 	if err == nil {
 		// Sign the result into the verifiable log before it becomes
 		// visible: a client that reads a response can immediately demand
@@ -436,29 +404,13 @@ func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *co
 	}
 	s.mu.Lock()
 	if err == nil {
-		if old, ok := s.cache.put(key, val); ok {
+		if s.cache.put(key, val) {
 			s.cacheEvictions.Inc()
-			anns = append(anns, ann{cluster.FillResult, old, true})
 		}
-		anns = append(anns, ann{cluster.FillResult, key, false})
-		if plan != nil {
-			if old, ok := s.bases.put(digest, plan); ok {
-				anns = append(anns, ann{cluster.FillBase, old, true})
-			}
-			anns = append(anns, ann{cluster.FillBase, digest, false})
-		}
+		s.bases.put(digest, plan)
 	}
 	delete(s.flight, key)
 	s.mu.Unlock()
-	if s.cluster != nil {
-		for _, a := range anns {
-			if a.evict {
-				s.cluster.AnnounceEvict(a.kind, FormatDigest(a.key))
-			} else {
-				s.cluster.AnnounceFill(a.kind, FormatDigest(a.key))
-			}
-		}
-	}
 	fl.val, fl.err = val, err
 	close(fl.done)
 }
@@ -470,9 +422,6 @@ func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *co
 func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cached, cacheDisposition, IncrementalDisposition, error) {
 	select {
 	case <-fl.done:
-		if fl.peer && d == dispositionMiss {
-			d = dispositionPeer
-		}
 		return fl.val, d, fl.inc, fl.err
 	case <-ctx.Done():
 		s.timeouts.Inc()

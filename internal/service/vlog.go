@@ -21,8 +21,8 @@ const logRootHeader = "X-Trustd-Log-Root"
 // served proof envelopes.
 const analysisLogLabel = "trustd-analysis"
 
-// serviceLog is the daemon's verifiable analysis log: every computed
-// (or peer-fetched) analysis result is appended as one leaf, and the
+// serviceLog is the daemon's verifiable analysis log: every analysis
+// result this daemon computed is appended as one leaf, and the
 // /v1/proof endpoints serve membership and consistency proofs over it.
 // The log is per-process: it starts empty at daemon startup, is signed
 // by an ephemeral per-daemon key, and only ever grows — which is

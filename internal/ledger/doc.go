@@ -1,17 +1,17 @@
 // Package ledger tracks asset ownership during a simulated exchange: a
-// set of accounts holding money and documents, an append-only transfer
-// journal, and conservation auditing. The simulator refuses transfers
-// the payer cannot fund, so double-spends are structurally impossible.
+// set of accounts holding money and documents, and conservation
+// auditing. The simulator refuses transfers the payer cannot fund, so
+// double-spends are structurally impossible. The ledger keeps balances,
+// not history: a run's replayable record is the simulator's trace,
+// bound by its settlement-log root (see sim.ReplayBalancesVerified).
 //
 // # Key types
 //
 //   - Ledger is the account book; New seeds it from explicit holdings,
 //     ForProblem from a Problem's endowments and goods.
-//   - Transfer is one journal entry (who, what, when); the journal is
-//     append-only and replayable.
-//   - Balance returns defensive copies; CanPay pre-checks funding; the
-//     conservation audit asserts that total money and goods never change
-//     across any journal prefix (property-tested).
+//   - Transfer moves a bundle all or nothing; CanPay pre-checks funding;
+//     Balance returns defensive copies; Audit asserts that total money
+//     and goods equal the opening snapshot (property-tested).
 //
 // # Concurrency and ownership
 //

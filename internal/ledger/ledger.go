@@ -9,19 +9,6 @@ import (
 	"trustseq/internal/slab"
 )
 
-// Transfer is one journal entry.
-type Transfer struct {
-	Seq      int
-	From, To model.PartyID
-	Bundle   model.Bundle
-	Memo     string
-}
-
-// String renders the entry.
-func (t Transfer) String() string {
-	return fmt.Sprintf("#%d %s → %s: %s (%s)", t.Seq, t.From, t.To, t.Bundle, t.Memo)
-}
-
 // Ledger is the account book. Create with New.
 //
 // Internally the book is sharded by principal: party and item IDs are
@@ -29,14 +16,14 @@ func (t Transfer) String() string {
 // party slot, and item holdings live in a single packed (party, item)
 // count table. Memory per principal is therefore flat — one Money cell,
 // one small held-items list, and a fraction of two probe tables — and a
-// funded transfer at steady state allocates only its journal entry.
+// funded transfer between known accounts allocates only when it gives
+// an account its first unit of some item.
 type Ledger struct {
 	parties *slab.Index[model.PartyID]
 	items   *slab.Index[model.ItemID]
 	cash    []model.Money // by party slot
 	counts  *slab.Counts  // PairKey(party slot, item slot) → count
 	held    [][]int32     // by party slot: item slots ever credited
-	journal []Transfer
 
 	totalCash model.Money
 	openDocs  []int64 // by item slot: opening count, conservation target
@@ -154,9 +141,9 @@ func (l *Ledger) CanPay(id model.PartyID, b model.Bundle) bool {
 	return ok && l.contains(p, b)
 }
 
-// Transfer moves a bundle between accounts, journaling the entry. It
-// fails without mutation when the payer cannot fund it.
-func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle, memo string) error {
+// Transfer moves a bundle between accounts. It fails without mutation
+// when the payer cannot fund it.
+func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle) error {
 	if b.IsEmpty() {
 		return nil
 	}
@@ -181,15 +168,7 @@ func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle, memo string) e
 		l.counts.Add(slab.PairKey(src, i), -1)
 		l.credit(dst, i, 1)
 	}
-	l.journal = append(l.journal, Transfer{
-		Seq: len(l.journal), From: from, To: to, Bundle: b.Clone(), Memo: memo,
-	})
 	return nil
-}
-
-// Journal returns a copy of the transfer journal.
-func (l *Ledger) Journal() []Transfer {
-	return append([]Transfer(nil), l.journal...)
 }
 
 // Audit checks conservation: total money and per-document counts match

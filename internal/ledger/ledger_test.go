@@ -25,7 +25,7 @@ func holdingOf(cash model.Money, items ...model.ItemID) *model.Holding {
 func TestTransferAndBalance(t *testing.T) {
 	t.Parallel()
 	l := twoAccounts()
-	if err := l.Transfer("a", "b", model.Cash(30).With("d"), "test"); err != nil {
+	if err := l.Transfer("a", "b", model.Cash(30).With("d")); err != nil {
 		t.Fatalf("Transfer = %v", err)
 	}
 	if got := l.Balance("a"); got.Cash != 70 || got.Items["d"] != 0 {
@@ -37,40 +37,49 @@ func TestTransferAndBalance(t *testing.T) {
 	if err := l.Audit(); err != nil {
 		t.Errorf("Audit = %v", err)
 	}
-	j := l.Journal()
-	if len(j) != 1 || j[0].From != "a" || j[0].Memo != "test" {
-		t.Errorf("journal = %v", j)
-	}
-	if !strings.Contains(j[0].String(), "a → b") {
-		t.Errorf("journal entry = %q", j[0].String())
-	}
 }
 
 func TestTransferErrors(t *testing.T) {
 	t.Parallel()
 	l := twoAccounts()
-	if err := l.Transfer("a", "b", model.Cash(101), "overdraft"); err == nil {
+	if err := l.Transfer("a", "b", model.Cash(101)); err == nil {
 		t.Fatalf("overdraft accepted")
 	}
-	if err := l.Transfer("ghost", "b", model.Cash(1), "x"); err == nil {
+	if err := l.Transfer("ghost", "b", model.Cash(1)); err == nil {
 		t.Fatalf("unknown source accepted")
 	}
-	if err := l.Transfer("a", "ghost", model.Cash(1), "x"); err == nil {
+	if err := l.Transfer("a", "ghost", model.Cash(1)); err == nil {
 		t.Fatalf("unknown destination accepted")
 	}
 	// Failed transfers never mutate.
 	if got := l.Balance("a").Cash; got != 100 {
 		t.Errorf("a mutated to %v", got)
 	}
-	if len(l.Journal()) != 0 {
-		t.Errorf("journal non-empty after failures")
-	}
 	// Empty transfers are no-ops.
-	if err := l.Transfer("a", "b", model.Bundle{}, "empty"); err != nil {
+	if err := l.Transfer("a", "b", model.Bundle{}); err != nil {
 		t.Errorf("empty transfer = %v", err)
 	}
-	if len(l.Journal()) != 0 {
-		t.Errorf("empty transfer journaled")
+	if got := l.Balance("b").Cash; got != 50 {
+		t.Errorf("b mutated to %v", got)
+	}
+}
+
+// A funded transfer between accounts that already hold its items moves
+// counts in place: the simulator calls Transfer twice per delivered
+// transfer, so it must not allocate.
+func TestTransferZeroAlloc(t *testing.T) {
+	l := twoAccounts()
+	b := model.Cash(1).With("d")
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := l.Transfer("a", "b", b); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Transfer("b", "a", b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Transfer allocates %v allocs/op, want 0", avg)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestConservationProperty(t *testing.T) {
 			from := parties[int(mv)%2]
 			to := parties[(int(mv)+1)%2]
 			amount := model.Money(mv % 40)
-			_ = l.Transfer(from, to, model.Cash(amount), "prop")
+			_ = l.Transfer(from, to, model.Cash(amount))
 		}
 		return l.Audit() == nil
 	}

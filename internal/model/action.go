@@ -89,7 +89,8 @@ func (a Action) IsTransfer() bool {
 func (a Action) Asset() Bundle {
 	switch a.Kind {
 	case ActionGive:
-		return Goods(a.Item)
+		// One item is already normalized; skip Goods' copy and sort.
+		return Bundle{Items: []ItemID{a.Item}}
 	case ActionPay:
 		return Cash(a.Amount)
 	default:

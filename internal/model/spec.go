@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,16 +20,25 @@ func ReceiptActions(e Exchange) []Action {
 	return transferActions(e.Trusted, e.Principal, e.Gets)
 }
 
+// transferActions returns the pay action (if any), then one give per
+// item in item order, sorted in place in the one slice it allocates.
 func transferActions(from, to PartyID, b Bundle) []Action {
-	var out []Action
+	n := len(b.Items)
+	if b.Amount > 0 {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Action, 0, n)
 	if b.Amount > 0 {
 		out = append(out, Pay(from, to, b.Amount))
 	}
-	items := append([]ItemID(nil), b.Items...)
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, it := range items {
+	gives := len(out)
+	for _, it := range b.Items {
 		out = append(out, Give(from, to, it))
 	}
+	slices.SortFunc(out[gives:], func(x, y Action) int { return cmp.Compare(x.Item, y.Item) })
 	return out
 }
 

@@ -21,6 +21,33 @@ func TestDepositAndReceiptActions(t *testing.T) {
 	if len(dep) != 3 || dep[0] != Pay("b", "t", 5) || dep[1] != Give("b", "t", "x") || dep[2] != Give("b", "t", "y") {
 		t.Fatalf("DepositActions mixed = %v", dep)
 	}
+	// A bundle built by hand may be unsorted: the gives still come out
+	// in item order, from the one slice returned, and the bundle itself
+	// is left as it was.
+	e3 := Exchange{Principal: "b", Trusted: "t", Gives: Bundle{Amount: 5, Items: []ItemID{"y", "x"}}}
+	dep = DepositActions(e3)
+	if len(dep) != 3 || dep[1] != Give("b", "t", "x") || dep[2] != Give("b", "t", "y") {
+		t.Fatalf("DepositActions unsorted = %v", dep)
+	}
+	if e3.Gives.Items[0] != "y" {
+		t.Fatalf("DepositActions reordered the bundle: %v", e3.Gives.Items)
+	}
+	if dep := DepositActions(Exchange{Principal: "b", Trusted: "t"}); dep != nil {
+		t.Fatalf("DepositActions of an empty bundle = %v, want nil", dep)
+	}
+}
+
+// DepositActions and ReceiptActions run on the simulator's hot paths:
+// the decomposition costs the returned slice and nothing more. Not
+// parallel, so no other test's allocations are counted.
+func TestTransferActionsOneAlloc(t *testing.T) {
+	e := Exchange{Principal: "b", Trusted: "t", Gives: Bundle{Amount: 5, Items: []ItemID{"y", "x"}}, Gets: Goods("z")}
+	if n := testing.AllocsPerRun(100, func() { DepositActions(e) }); n != 1 {
+		t.Fatalf("DepositActions allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ReceiptActions(e) }); n != 1 {
+		t.Fatalf("ReceiptActions allocates %v times, want 1", n)
+	}
 }
 
 func completedState(p *Problem) State {

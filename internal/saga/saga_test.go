@@ -106,26 +106,26 @@ func TestExchangeSagaCooperativeVsDefecting(t *testing.T) {
 		steps := []Step{
 			{
 				Name:       "producer ships to broker",
-				Forward:    func() error { return book.Transfer("p", "b", model.Goods("d"), "ship") },
-				Compensate: func() error { return book.Transfer("b", "p", model.Goods("d"), "return") },
+				Forward:    func() error { return book.Transfer("p", "b", model.Goods("d")) },
+				Compensate: func() error { return book.Transfer("b", "p", model.Goods("d")) },
 			},
 			{
 				Name:    "broker ships to consumer",
-				Forward: func() error { return book.Transfer("b", "c", model.Goods("d"), "ship") },
+				Forward: func() error { return book.Transfer("b", "c", model.Goods("d")) },
 				Compensate: func() error {
 					if !customerReturns {
 						return ErrRefused
 					}
-					return book.Transfer("c", "b", model.Goods("d"), "return")
+					return book.Transfer("c", "b", model.Goods("d"))
 				},
 			},
 			{
 				Name: "consumer pays broker",
 				Forward: func() error {
-					return book.Transfer("c", "b", model.Cash(paperex.RetailPrice), "pay")
+					return book.Transfer("c", "b", model.Cash(paperex.RetailPrice))
 				},
 				Compensate: func() error {
-					return book.Transfer("b", "c", model.Cash(paperex.RetailPrice), "refund")
+					return book.Transfer("b", "c", model.Cash(paperex.RetailPrice))
 				},
 			},
 			{
@@ -134,7 +134,7 @@ func TestExchangeSagaCooperativeVsDefecting(t *testing.T) {
 					if !producerDelivers {
 						return ErrRefused // stand-in for a late failure
 					}
-					return book.Transfer("b", "p", model.Cash(paperex.WholesalePrice), "pay")
+					return book.Transfer("b", "p", model.Cash(paperex.WholesalePrice))
 				},
 			},
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trustseq/internal/model"
+	"trustseq/internal/paperex"
 )
 
 // tickDelays cycles timers across wheel levels 0–2 so the steady-state
@@ -59,5 +60,94 @@ func TestScheduleDeliverZeroAlloc(t *testing.T) {
 				t.Fatalf("schedule+deliver allocates %v allocs/op at steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// escrowNode returns example 1's first trusted node holding every
+// deposit of its first adjacent exchange and none of the rest, so the
+// escrow checks below take both their whole and their missing path.
+func escrowNode(t *testing.T) *TrustedNode {
+	t.Helper()
+	p := paperex.Example1()
+	n := NewTrustedNode(p, paperex.Trusted1, 1000, true)
+	if len(n.adjacent) < 2 {
+		t.Fatalf("%s mediates %d exchanges, want ≥ 2", n.Self, len(n.adjacent))
+	}
+	for _, d := range model.DepositActions(p.Exchanges[n.adjacent[0]]) {
+		n.received.add(d)
+	}
+	return n
+}
+
+// The escrow membership checks run on every transfer a trusted node
+// receives and must not allocate: they walk the exchange's Gives bundle
+// in place rather than materialising DepositActions.
+func TestEscrowChecksZeroAlloc(t *testing.T) {
+	n := escrowNode(t)
+	p := n.Problem
+	stray := model.Pay("nobody", n.Self, 1)
+	deposit := model.DepositActions(p.Exchanges[n.adjacent[1]])[0]
+	avg := testing.AllocsPerRun(1000, func() {
+		for _, ei := range n.adjacent {
+			n.exchangeWhole(ei)
+		}
+		if ei, ok := n.matchDeposit(deposit); !ok || ei != n.adjacent[1] {
+			t.Fatalf("matchDeposit(%v) = %d, %v", deposit, ei, ok)
+		}
+		if _, ok := n.matchDeposit(stray); ok {
+			t.Fatalf("matchDeposit matched a stray transfer")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("exchangeWhole+matchDeposit allocate %v allocs/op, want 0", avg)
+	}
+}
+
+// The in-place escrow checks agree with their definition over
+// DepositActions on every trusted node of the chaos corpus: a transfer
+// matches the first adjacent exchange listing it as a deposit, and an
+// exchange is whole iff every deposit is held and none refunded.
+func TestEscrowChecksMatchDepositActions(t *testing.T) {
+	t.Parallel()
+	for _, pl := range chaosCorpus(t) {
+		p := pl.Problem
+		for _, pa := range p.Parties {
+			if !pa.IsTrusted() {
+				continue
+			}
+			n := NewTrustedNode(p, pa.ID, 1000, true)
+			first := make(map[model.Action]int)
+			for _, ei := range n.adjacent {
+				for _, d := range model.DepositActions(p.Exchanges[ei]) {
+					if _, ok := first[d]; !ok {
+						first[d] = ei
+					}
+				}
+			}
+			for d, want := range first {
+				if got, ok := n.matchDeposit(d); !ok || got != want {
+					t.Fatalf("%s/%s: matchDeposit(%v) = %d, %v; want %d", p.Name, pa.ID, d, got, ok, want)
+				}
+			}
+			for _, ei := range n.adjacent {
+				deps := model.DepositActions(p.Exchanges[ei])
+				if len(deps) == 0 {
+					continue
+				}
+				if n.exchangeWhole(ei) || n.allDeposits(ei, n.received.has) {
+					t.Fatalf("%s/%s: exchange %d whole before any deposit", p.Name, pa.ID, ei)
+				}
+				for _, d := range deps {
+					n.received.add(d)
+				}
+				if !n.exchangeWhole(ei) || !n.allDeposits(ei, n.received.has) {
+					t.Fatalf("%s/%s: exchange %d not whole with every deposit held", p.Name, pa.ID, ei)
+				}
+				n.refunded.add(deps[len(deps)-1])
+				if n.exchangeWhole(ei) || !n.allDeposits(ei, n.received.has) {
+					t.Fatalf("%s/%s: exchange %d whole after a refund", p.Name, pa.ID, ei)
+				}
+			}
+		}
 	}
 }

@@ -664,10 +664,10 @@ func (rs *runtime) replayLedger(trace, pending []Message) error {
 			continue
 		}
 		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset(), a.String()); err != nil {
+		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
 		}
-		if err := rs.book.Transfer(transitAccount, a.Receiver(), a.Asset(), a.String()); err != nil {
+		if err := rs.book.Transfer(transitAccount, a.Receiver(), a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
 		}
 	}
@@ -676,7 +676,7 @@ func (rs *runtime) replayLedger(trace, pending []Message) error {
 			continue
 		}
 		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset(), a.String()); err != nil {
+		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying in-flight debits: %v", ErrCheckpointCorrupt, err)
 		}
 	}

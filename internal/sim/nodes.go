@@ -421,7 +421,7 @@ func (n *TrustedNode) onDeadline(ctx *Context) {
 func (n *TrustedNode) settleOffer(ctx *Context, oi int, off model.IndemnityOffer) {
 	n.logApply(walEntry{op: walSettled, idx: oi})
 	amount := n.offerAmount(off)
-	if n.depositAttempted(off.Covers) && !n.delivered.get(off.Covers) {
+	if n.allDeposits(off.Covers, n.received.has) && !n.delivered.get(off.Covers) {
 		_ = ctx.SendTransfer(model.Pay(n.Self, n.Problem.Exchanges[off.Covers].Principal, amount))
 		return
 	}
@@ -436,15 +436,6 @@ func (n *TrustedNode) offerAmount(off model.IndemnityOffer) model.Money {
 	return model.RequiredIndemnity(n.Problem, off.Covers)
 }
 
-func (n *TrustedNode) depositAttempted(ei int) bool {
-	for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
-		if !n.received.has(d) {
-			return false
-		}
-	}
-	return true
-}
-
 func (n *TrustedNode) anyDepositReceived() bool {
 	for _, a := range n.received.keys {
 		if a.Kind != model.ActionNotify {
@@ -455,23 +446,35 @@ func (n *TrustedNode) anyDepositReceived() bool {
 }
 
 func (n *TrustedNode) exchangeWhole(ei int) bool {
-	for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
-		if !n.received.has(d) || n.refunded.has(d) {
-			return false
-		}
-	}
-	return true
+	return n.allDeposits(ei, func(d model.Action) bool {
+		return n.received.has(d) && !n.refunded.has(d)
+	})
 }
 
 func (n *TrustedNode) matchDeposit(a model.Action) (int, bool) {
 	for _, ei := range n.adjacent {
-		for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
-			if d == a {
-				return ei, true
-			}
+		// a is one of ei's deposits unless every deposit differs from it.
+		if !n.allDeposits(ei, func(d model.Action) bool { return d != a }) {
+			return ei, true
 		}
 	}
 	return 0, false
+}
+
+// allDeposits reports whether ok holds for every deposit of exchange
+// ei, walking the Gives bundle in place: membership needs no sorted,
+// freshly allocated DepositActions slice.
+func (n *TrustedNode) allDeposits(ei int, ok func(model.Action) bool) bool {
+	e := n.Problem.Exchanges[ei]
+	if e.Gives.Amount > 0 && !ok(model.Pay(e.Principal, e.Trusted, e.Gives.Amount)) {
+		return false
+	}
+	for _, it := range e.Gives.Items {
+		if !ok(model.Give(e.Principal, e.Trusted, it)) {
+			return false
+		}
+	}
+	return true
 }
 
 func (n *TrustedNode) matchCollateral(a model.Action) (int, bool) {
@@ -509,6 +512,11 @@ type PrincipalNode struct {
 
 	script []scriptStep
 	next   int
+	// waited counts the leading waitFor entries of script[next] seen.
+	// seen only grows and each step's waitFor extends the last one's, so
+	// tryFire checks each wait once per run. Not checkpointed: a
+	// restored node re-derives it from 0.
+	waited int
 	seen   actionSet
 	// seenTags is allocated lazily: tagged control messages only flow
 	// on the indemnity and recall paths, so most principals never pay
@@ -846,8 +854,8 @@ func (n *PrincipalNode) tryFire(ctx *Context) {
 			return // defection point reached
 		}
 		st := n.script[n.next]
-		for _, w := range st.waitFor {
-			if !n.seen.has(w) {
+		for ; n.waited < len(st.waitFor); n.waited++ {
+			if !n.seen.has(st.waitFor[n.waited]) {
 				return
 			}
 		}

@@ -25,7 +25,7 @@ func ReplayBalances(p *model.Problem, trace []Message) (map[model.PartyID]*model
 		if m.Kind != MsgTransfer {
 			continue
 		}
-		if err := book.Transfer(m.Action.Mover(), m.Action.Receiver(), m.Action.Asset(), m.Action.String()); err != nil {
+		if err := book.Transfer(m.Action.Mover(), m.Action.Receiver(), m.Action.Asset()); err != nil {
 			return nil, fmt.Errorf("sim: replaying trace entry %d (%v): %w", i, m, err)
 		}
 	}

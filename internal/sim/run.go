@@ -199,13 +199,13 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	})
 	net.setHooks(
 		func(m Message) error {
-			return book.Transfer(m.Action.Mover(), transitAccount, m.Action.Asset(), m.Action.String())
+			return book.Transfer(m.Action.Mover(), transitAccount, m.Action.Asset())
 		},
 		func(m Message) error {
 			if m.Kind != MsgTransfer {
 				return nil
 			}
-			return book.Transfer(transitAccount, m.Action.Receiver(), m.Action.Asset(), m.Action.String())
+			return book.Transfer(transitAccount, m.Action.Receiver(), m.Action.Asset())
 		},
 	)
 

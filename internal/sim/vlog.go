@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/vlog"
 )
@@ -53,19 +52,18 @@ func SettlementLog(trace []Message) *vlog.Log {
 	return l
 }
 
-// ReplayBalancesVerified is ReplayBalances in proof-checked mode: in
-// addition to replaying the trace through a fresh ledger, it rebuilds
-// the settlement log from the trace, demands its root equal the root
-// the run published, and verifies a membership proof for every trace
-// entry against that root before trusting the entry. A truncated,
-// edited, or reordered trace fails before any balance is derived.
+// ReplayBalancesVerified is ReplayBalances in proof-checked mode: it
+// first rebuilds the settlement log from the trace, demands its root
+// equal the root the run published, and verifies a membership proof
+// for every trace entry against that root, then replays the trace
+// through a fresh ledger. A truncated, edited, or reordered trace fails
+// before any balance is derived.
 func ReplayBalancesVerified(p *model.Problem, trace []Message, root vlog.Hash) (map[model.PartyID]*model.Holding, error) {
 	l := SettlementLog(trace)
 	if got := l.Root(); got != root {
 		return nil, fmt.Errorf("sim: %w: trace rebuilds root %s, run published %s", vlog.ErrRootMismatch, got, root)
 	}
 	n := l.Size()
-	book := ledger.New(model.InitialHoldings(p))
 	for i, m := range trace {
 		leaf := vlog.LeafHash(AuditRecord(m))
 		path, err := l.MembershipProof(uint64(i), n)
@@ -75,21 +73,8 @@ func ReplayBalancesVerified(p *model.Problem, trace []Message, root vlog.Hash) (
 		if err := vlog.VerifyMembership(root, uint64(i), n, leaf, path); err != nil {
 			return nil, fmt.Errorf("sim: trace entry %d (%v): %w", i, m, err)
 		}
-		if m.Kind != MsgTransfer {
-			continue
-		}
-		if err := book.Transfer(m.Action.Mover(), m.Action.Receiver(), m.Action.Asset(), m.Action.String()); err != nil {
-			return nil, fmt.Errorf("sim: replaying trace entry %d (%v): %w", i, m, err)
-		}
 	}
-	if err := book.Audit(); err != nil {
-		return nil, fmt.Errorf("sim: replayed ledger fails audit: %w", err)
-	}
-	out := make(map[model.PartyID]*model.Holding, len(p.Parties))
-	for _, pa := range p.Parties {
-		out[pa.ID] = book.Balance(pa.ID)
-	}
-	return out, nil
+	return ReplayBalances(p, trace)
 }
 
 // ReplayBalancesVerified re-derives the run's final balances from its

@@ -157,7 +157,7 @@ func (e *ExchangeParticipant) Commit() error {
 		if !ok {
 			return fmt.Errorf("no counterparty for exchange %d", ei)
 		}
-		if err := e.Book.Transfer(e.Party, to, ex.Gives, fmt.Sprintf("2pc exchange %d", ei)); err != nil {
+		if err := e.Book.Transfer(e.Party, to, ex.Gives); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -211,14 +211,22 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 	}
 	stats := Coordinator(parts)
 
-	// Build the resulting state from the journal.
+	// Build the resulting state from the transfers each participant
+	// committed to the book.
 	state := model.NewState()
-	for _, tr := range book.Journal() {
-		if tr.Bundle.Amount > 0 {
-			_ = state.Add(model.Pay(tr.From, tr.To, tr.Bundle.Amount))
-		}
-		for _, it := range tr.Bundle.Items {
-			_ = state.Add(model.Give(tr.From, tr.To, it))
+	for _, part := range parts {
+		ep := part.(*ExchangeParticipant)
+		for ei, ex := range p.Exchanges {
+			if !ep.done[ei] {
+				continue
+			}
+			to, _ := counterparty(p, ei)
+			if ex.Gives.Amount > 0 {
+				_ = state.Add(model.Pay(ep.Party, to, ex.Gives.Amount))
+			}
+			for _, it := range ex.Gives.Items {
+				_ = state.Add(model.Give(ep.Party, to, it))
+			}
 		}
 	}
 	outcome := make(map[model.PartyID]bool, len(ids))

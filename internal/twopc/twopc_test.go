@@ -68,13 +68,14 @@ func TestVoteAbortIsClean(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example1()
 	book, parts := buildParts(t, p)
+	opening := book.String()
 	parts[0].(*ExchangeParticipant).RefuseVote = true
 	stats := Coordinator(parts)
 	if stats.Decision != DecisionAbort {
 		t.Fatalf("decision = %v", stats.Decision)
 	}
-	if len(book.Journal()) != 0 {
-		t.Fatalf("transfers happened despite abort: %v", book.Journal())
+	if got := book.String(); got != opening {
+		t.Fatalf("transfers happened despite abort:\n%s\nopening:\n%s", got, opening)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"trustseq/internal/cluster"
-	"trustseq/internal/model"
 	"trustseq/internal/sweep"
 )
 
@@ -49,12 +48,13 @@ const (
 	clusterServedDistrib = "distributed"
 )
 
-// routeAnalyze decides where one analyze request runs. It returns true
-// when the response has already been written (the request was proxied
-// to its ring owner); false means the caller should serve it locally,
-// with X-Trustd-Cluster already set to explain why.
-func (s *Service) routeAnalyze(w http.ResponseWriter, r *http.Request, p *model.Problem, body []byte) bool {
-	owner, ok := s.cluster.Owner(ProblemDigest(p))
+// routeAnalyze decides where one analyze request, whose problem digest
+// is digest, runs. It returns true when the response has already been
+// written (the request was proxied to its ring owner); false means the
+// caller should serve it locally, with X-Trustd-Cluster already set to
+// explain why.
+func (s *Service) routeAnalyze(w http.ResponseWriter, r *http.Request, digest [2]uint64, body []byte) bool {
+	owner, ok := s.cluster.Owner(digest)
 	if !ok || owner == s.cluster.Self() {
 		// Ownership wins over the forwarded flag: the owner of a
 		// forwarded request reports "owner", so the smoke test can

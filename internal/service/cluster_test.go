@@ -240,6 +240,42 @@ func TestClusterHopGuardNoLoop(t *testing.T) {
 	}
 }
 
+// TestClusterSourceHitProxies: a non-owner routes a repeated source by
+// its indexed digest, without parsing it, and still proxies it to the
+// owner, whose bytes are relayed unchanged.
+func TestClusterSourceHitProxies(t *testing.T) {
+	a := startClusterNode(t, Options{})
+	b := startClusterNode(t, Options{})
+	formCluster(t, a, b)
+	owner, nonOwner := a, b
+	if addr, ok := a.node.Owner(ProblemDigest(mustLoad(t, feasibleSpec))); !ok {
+		t.Fatal("no owner on a 2-node ring")
+	} else if addr == b.addr {
+		owner, nonOwner = b, a
+	}
+
+	_, want := postAnalyze(t, owner.addr, feasibleSpec, nil)
+	for i := 0; i < 2; i++ {
+		resp, body := postAnalyze(t, nonOwner.addr, feasibleSpec, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Trustd-Cluster") != "proxied" {
+			t.Fatalf("request %d: status %d, X-Trustd-Cluster %q", i, resp.StatusCode, resp.Header.Get("X-Trustd-Cluster"))
+		}
+		if !bytes.Equal(body, want) || resp.Header.Get("X-Trustd-Cache") != "hit" {
+			t.Fatalf("request %d: cache %q, relayed body differs from the owner's", i, resp.Header.Get("X-Trustd-Cache"))
+		}
+		// The first request is parsed (and indexed); the repeat is not.
+		if got := nonOwner.svc.sourceHits.Value(); got != int64(i) {
+			t.Fatalf("request %d: non-owner source_hits = %d, want %d", i, got, i)
+		}
+	}
+	if got := nonOwner.svc.clusterProxied.Value(); got != 2 {
+		t.Fatalf("non-owner proxied %d requests, want 2", got)
+	}
+	if got := nonOwner.svc.CacheLen(); got != 0 {
+		t.Fatalf("non-owner cache holds %d entries, want 0", got)
+	}
+}
+
 // TestClusterDistributedSweepByteIdentical is the tentpole property at
 // the HTTP layer: a sweep distributed over three nodes answers
 // byte-identically (elapsed_ms aside) to the same sweep on a

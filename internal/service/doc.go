@@ -10,11 +10,28 @@
 // POST /v1/analyze accepts a problem either as a raw .exch body or as a
 // JSON spec {"source": …, options…}; query parameters (?seq, ?verify,
 // ?crosscheck, ?simulate, ?seed, ?format=text) override body options.
-// The handler parses and compiles the source once (dsl.LoadReader +
-// model.Problem.Compile), derives the request's cache key, and then:
+// The handler first decodes the request form and options (cheap), then
+// looks the decoded source up in the source index:
+//
+//  1. source hit — the source has been parsed before, so the index
+//     already holds its problem's hash state, hence its digest and the
+//     request key. When that key's result is resident the stored body
+//     is replayed byte-for-byte without parsing, compiling or
+//     fingerprinting anything (X-Trustd-Cache: hit, counted in
+//     service.cache.source_hits). In cluster mode the indexed digest
+//     also routes the request, so a non-owner proxies a repeat
+//     unparsed;
+//  2. otherwise the source is parsed (dsl.LoadReader) and fingerprinted
+//     once, the index learns it (parse failures are 400s and are never
+//     indexed), and the parse path below runs. So does an indexed
+//     source whose result is not resident: the engines need the
+//     problem itself.
+//
+// On the parse path the problem is compiled (model.Problem.Compile),
+// and then:
 //
 //  1. cache hit — the stored body is replayed byte-for-byte
-//     (X-Trustd-Cache: hit);
+//     (X-Trustd-Cache: hit; a reformatted source lands here);
 //  2. an identical run is already in flight — the request parks on it
 //     instead of starting another engine run (X-Trustd-Cache:
 //     coalesced; this is the singleflight collapse);
@@ -30,38 +47,53 @@
 //
 // # Cache key
 //
-// The cache is content-addressed on the compiled problem, not the
-// source text: requestKey streams a canonical, length-prefixed encoding
-// of every verdict-relevant problem field (parties, exchanges, trust
+// Two content-addressed tables sit in front of the engines. The result
+// cache is keyed on the compiled problem, not the source text:
+// problemState streams a canonical, length-prefixed encoding of every
+// verdict-relevant problem field (parties, exchanges, trust
 // declarations, indemnities, constraints — in declaration order, which
-// is semantically meaningful) plus the option set through a two-lane
-// FNV-1a/splitmix digest into the same [2]uint64 key shape as the
-// packed-fingerprint memo in internal/search. Reformatted or
-// re-commented sources therefore share one cache slot; any change that
-// could alter the response body changes the key.
+// is semantically meaningful) through a two-lane FNV-1a accumulator;
+// finishing that state with a splitmix avalanche gives the problem
+// digest (X-Trustd-Digest), and folding the option set in first gives
+// the request key, in the same [2]uint64 shape as the packed-fingerprint
+// memo in internal/search. Reformatted or re-commented sources
+// therefore share one cache slot; any change that could alter the
+// response body changes the key.
+//
+// The source index in front of it is keyed on the source bytes: the
+// first 128 bits of SHA-256 over the decoded source (the raw body, or
+// the JSON form's "source" string, so both forms share one entry) map
+// to the problem's hash state. SHA-256 rather than FNV because a
+// crafted source must not be able to alias a resident one. Parsing and
+// fingerprinting are pure functions of the source, so an entry never
+// goes stale; the index is an LRU of CacheEntries entries under the
+// same mutex as the cache, and it changes no cache key, log leaf or
+// body.
 //
 // # Concurrency and ownership
 //
 // A Service is safe for unbounded concurrent use. One mutex guards the
-// LRU cache and the in-flight table and is never held across an engine
-// run; engine parallelism is bounded only by the MaxConcurrent
-// semaphore. Cached bodies are immutable after insertion and shared by
-// reference — handlers must never mutate them. Telemetry follows the
-// repo-wide contract: counters (service.cache.hits/misses/evictions,
-// service.flight.collapsed, service.timeouts) and per-endpoint HTTP
-// histograms are additive and nil-disabled, and response bodies are
-// identical with telemetry on or off.
+// source index, the LRU caches and the in-flight table and is never
+// held across an engine run; engine parallelism is bounded only by the
+// MaxConcurrent semaphore. Cached bodies are immutable after insertion
+// and shared by reference — handlers must never mutate them. Telemetry
+// follows the repo-wide contract: counters (service.cache.hits/misses/
+// evictions/source_hits, service.flight.collapsed, service.timeouts)
+// and per-endpoint HTTP histograms are additive and nil-disabled, and
+// response bodies are identical with telemetry on or off.
 //
 // # Request-scoped observability
 //
 // Every request carries an identity: X-Trustd-Request-Id is accepted
 // from the client when well-formed, generated otherwise, and always
-// echoed back. The handler pipeline records its stages (parse, compile,
-// cache, engine/patch, crosscheck, simulate, render) against the
-// request, surfaces them in a Server-Timing response header, and hands
-// the engine run a tracer fanning out into a bounded request-local ring
-// — so core/sequencing/search/petri spans land in the same record with
-// no process-wide sink. The slow-request log (slowlog.go) keeps a
+// echoed back. The handler pipeline records its stages against the
+// request — parse (read and decode the request), digest (hash the
+// source, probe the index), load (parse and fingerprint the source;
+// skipped on a source hit), compile, cache, engine/patch, crosscheck,
+// simulate, render — surfaces them in a Server-Timing response header,
+// and hands the engine run a tracer fanning out into a bounded
+// request-local ring, so core/sequencing/search/petri spans land in the
+// same record with no process-wide sink. The slow-request log (slowlog.go) keeps a
 // bounded recent-request table for every request and the full span tree
 // for any request crossing the SlowLogMillis threshold; GET /v1/requests
 // serves the table, GET /v1/trace/{id} the retained tree, and GET

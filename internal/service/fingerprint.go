@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -96,11 +97,15 @@ func (h *fp128) action(a model.Action) {
 	h.bool(a.Inverse)
 }
 
-// problemFingerprint digests every field of the compiled problem that
-// can influence an analysis verdict, in declaration order (declaration
+// problemState digests every field of the compiled problem that can
+// influence an analysis verdict, in declaration order (declaration
 // order is semantically meaningful: exchange indices appear in traces
-// and indemnity offers address exchanges by index).
-func problemFingerprint(h *fp128, p *model.Problem) {
+// and indemnity offers address exchanges by index). It returns the hash
+// state before any option is folded in: state.sum() is the problem
+// digest and optionsKey(state, opts) the request key, so one pass
+// yields both. The source index stores this state.
+func problemState(p *model.Problem) fp128 {
+	h := newFP()
 	h.str(p.Name)
 	h.u64(uint64(len(p.Parties)))
 	for _, pa := range p.Parties {
@@ -134,15 +139,14 @@ func problemFingerprint(h *fp128, p *model.Problem) {
 		h.action(c.Before)
 		h.action(c.After)
 	}
+	return h
 }
 
 // requestKey derives the cache key for one analysis request: the
 // problem digest plus every option that shapes the response body, so a
 // cache hit can be replayed byte-for-byte.
 func requestKey(p *model.Problem, opts AnalyzeOptions) [2]uint64 {
-	h := newFP()
-	problemFingerprint(&h, p)
-	return optionsKey(h, opts)
+	return optionsKey(problemState(p), opts)
 }
 
 // optionsKey folds the analysis options into a problem-prefixed hash
@@ -166,9 +170,17 @@ func optionsKey(h fp128, opts AnalyzeOptions) [2]uint64 {
 // candidate; model.Diff then compares the real structures, so even a
 // colliding digest cannot corrupt a result — it can only waste a diff.
 func ProblemDigest(p *model.Problem) [2]uint64 {
-	h := newFP()
-	problemFingerprint(&h, p)
+	h := problemState(p)
 	return h.sum()
+}
+
+// sourceKey addresses the source index: the first 128 bits of SHA-256
+// over the decoded .exch source. Unlike the FNV problem digest it is
+// collision-resistant, so a crafted source cannot alias a resident one
+// and be answered with another problem's result.
+func sourceKey(src []byte) [2]uint64 {
+	sum := sha256.Sum256(src)
+	return [2]uint64{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
 }
 
 // FormatDigest renders a digest as the fixed-width 32-hex-character

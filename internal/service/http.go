@@ -111,20 +111,44 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	rt := traceFrom(r.Context())
 	parse := rt.beginStage("parse")
 	// The body is read up front so the cluster path can replay it
-	// verbatim to the ring owner after parsing routed the request.
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// verbatim to the ring owner after routing the request.
+	body, err := readBody(r, 1<<20)
 	if err != nil {
 		rt.endStage(parse)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	p, opts, wantText, err := parseAnalyzeRequest(r, body)
+	src, opts, wantText, err := decodeAnalyzeRequest(r, body)
 	rt.endStage(parse)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.cluster != nil && s.routeAnalyze(w, r, p, body) {
+
+	// The source index: a body seen before already knows its problem's
+	// hash state, and with it the digest and the request key, so it is
+	// routed and (when its result is resident) answered unparsed.
+	ds := rt.beginStage("digest")
+	skey := sourceKey(src)
+	s.mu.Lock()
+	state, indexed := s.sources.get(skey)
+	s.mu.Unlock()
+	rt.endStage(ds)
+	var p *model.Problem
+	if !indexed {
+		if p, state, err = loadSource(src, rt); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.mu.Lock()
+		s.sources.put(skey, state)
+		s.mu.Unlock()
+	}
+	digest := state.sum()
+	if s.cluster != nil && s.routeAnalyze(w, r, digest, body) {
+		if indexed {
+			s.sourceHits.Inc()
+		}
 		return
 	}
 	// An If-Match-style base digest turns the request into an edit of a
@@ -139,9 +163,28 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		base = &d
 	}
+	if indexed {
+		cs := rt.beginStage("cache")
+		s.mu.Lock()
+		c, ok := s.cache.get(optionsKey(state, opts))
+		s.mu.Unlock()
+		rt.endStage(cs)
+		if ok {
+			s.cacheHits.Inc()
+			s.sourceHits.Inc()
+			s.writeAnalyze(w, rt, c, dispositionHit, "", digest, wantText)
+			return
+		}
+		// Resident source, absent result (evicted, or other options):
+		// the engines need the problem itself.
+		if p, _, err = loadSource(src, rt); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
-	res, disposition, incremental, err := s.analyzeTraced(ctx, p, opts, base, rt)
+	res, disposition, incremental, err := s.analyzeTraced(ctx, p, state, opts, base, rt)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -151,6 +194,26 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.writeAnalyze(w, rt, res, disposition, incremental, digest, wantText)
+}
+
+// readBody reads at most limit bytes of r's body into one buffer sized
+// from Content-Length when the client sent it, instead of growing a
+// buffer by doubling — a 60 KB spec would otherwise allocate twice its
+// size on every request.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(min(r.ContentLength, limit)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// writeAnalyze writes one successful analyze response: the cached body
+// in the requested form under the disposition, digest and log-anchor
+// headers.
+func (s *Service) writeAnalyze(w http.ResponseWriter, rt *reqTrace, res *cached, disposition cacheDisposition, incremental IncrementalDisposition, digest [2]uint64, wantText bool) {
 	rt.setDisposition(string(disposition), string(incremental))
 	if st := rt.serverTiming(); st != "" {
 		w.Header().Set("Server-Timing", st)
@@ -158,7 +221,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trustd-Cache", string(disposition))
 	// The problem digest is this response's base handle: replay it in
 	// X-Trustd-Base after an edit to request the incremental path.
-	w.Header().Set("X-Trustd-Digest", FormatDigest(ProblemDigest(p)))
+	w.Header().Set("X-Trustd-Digest", FormatDigest(digest))
 	// The verifiable-log anchor ("<size>:<root>"): fetch
 	// /v1/proof/{digest} and verify it offline against this root.
 	w.Header().Set(logRootHeader, s.vl.rootHeader())
@@ -174,12 +237,26 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	w.Write(res.json)
 }
 
-// parseAnalyzeRequest decodes either request form (body already read by
-// the handler, so cluster mode can replay it to the ring owner) into a
-// compiled-ready problem plus options, reporting whether the caller
-// wants the trustseq-identical text rendering.
-func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeOptions, bool, error) {
+// loadSource parses the decoded source into a problem and streams its
+// hash state, as the request's "load" stage.
+func loadSource(src []byte, rt *reqTrace) (*model.Problem, fp128, error) {
+	ls := rt.beginStage("load")
+	defer rt.endStage(ls)
+	p, err := dsl.LoadReader(bytes.NewReader(src))
+	if err != nil {
+		return nil, fp128{}, err
+	}
+	return p, problemState(p), nil
+}
+
+// decodeAnalyzeRequest decodes either request form (body already read
+// by the handler, so cluster mode can replay it to the ring owner) into
+// the .exch source plus options, reporting whether the caller wants the
+// trustseq-identical text rendering. It does not parse the source: a
+// body the source index knows is never parsed at all.
+func decodeAnalyzeRequest(r *http.Request, body []byte) ([]byte, AnalyzeOptions, bool, error) {
 	var req analyzeRequest
+	src := body
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -190,8 +267,7 @@ func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeO
 		if strings.TrimSpace(req.Source) == "" {
 			return nil, AnalyzeOptions{}, false, errors.New("JSON spec is missing \"source\"")
 		}
-	} else {
-		req.Source = string(body)
+		src = []byte(req.Source)
 	}
 	opts := req.AnalyzeOptions
 
@@ -208,23 +284,23 @@ func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeO
 	boolParam(&opts.Verify, "verify")
 	boolParam(&opts.CrossCheck, "crosscheck")
 	boolParam(&opts.Simulate, "simulate", "sim")
-	for name, dst := range map[string]*int64{"seed": &opts.SimSeed, "deadline": &opts.SimDeadline} {
-		if v := q.Get(name); v != "" {
+	// A fixed order, so a request with several malformed integers always
+	// gets the same error.
+	for _, ip := range []struct {
+		name string
+		dst  *int64
+	}{{"seed", &opts.SimSeed}, {"deadline", &opts.SimDeadline}} {
+		if v := q.Get(ip.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return nil, AnalyzeOptions{}, false, fmt.Errorf("query parameter %s: %w", name, err)
+				return nil, AnalyzeOptions{}, false, fmt.Errorf("query parameter %s: %w", ip.name, err)
 			}
-			*dst = n
+			*ip.dst = n
 		}
 	}
 	wantText := q.Get("format") == "text" ||
 		strings.Contains(r.Header.Get("Accept"), "text/plain")
-
-	p, err := dsl.LoadReader(strings.NewReader(req.Source))
-	if err != nil {
-		return nil, AnalyzeOptions{}, false, err
-	}
-	return p, opts, wantText, nil
+	return src, opts, wantText, nil
 }
 
 // sweepRequest is the JSON request schema of POST /v1/sweep, a bounded
@@ -361,11 +437,14 @@ type statsResponse struct {
 }
 
 // cacheStats details the result cache: lifetime traffic counters plus
-// the age extremes of what is resident right now.
+// the age extremes of what is resident right now. SourceHits counts the
+// requests the source index served unparsed (answered from the cache,
+// or proxied to their ring owner); the answered ones also count as Hits.
 type cacheStats struct {
 	Hits             int64   `json:"hits"`
 	Misses           int64   `json:"misses"`
 	Evictions        int64   `json:"evictions"`
+	SourceHits       int64   `json:"source_hits"`
 	OldestAgeSeconds float64 `json:"oldest_age_seconds"`
 	NewestAgeSeconds float64 `json:"newest_age_seconds"`
 }
@@ -400,9 +479,10 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		BaseCapacity:  s.opts.BaseEntries,
 		MaxConcurrent: s.opts.MaxConcurrent,
 		Cache: cacheStats{
-			Hits:      s.cacheHits.Value(),
-			Misses:    s.cacheMisses.Value(),
-			Evictions: s.cacheEvictions.Value(),
+			Hits:       s.cacheHits.Value(),
+			Misses:     s.cacheMisses.Value(),
+			Evictions:  s.cacheEvictions.Value(),
+			SourceHits: s.sourceHits.Value(),
 		},
 	}
 	now := time.Now()

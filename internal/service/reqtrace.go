@@ -17,13 +17,13 @@ import (
 
 // Request-scoped tracing: every HTTP request gets an identity and a
 // per-stage trace. The service records its own pipeline stages (parse →
-// compile → cache → engine → render) directly, and hands the engine run
-// a telemetry bundle whose tracer fans out into a request-local ring
-// sink, so core/sequencing/search/petri spans land in the same record
-// without touching any process-wide sink. The stages surface in a
-// Server-Timing response header on every answer; the full span tree is
-// retained by the slow-request log (slowlog.go) and served back at
-// /v1/trace/{id}. This is the identity ROADMAP-1's cluster mode will
+// digest → load → compile → cache → engine → render) directly, and
+// hands the engine run a telemetry bundle whose tracer fans out into a
+// request-local ring sink, so core/sequencing/search/petri spans land
+// in the same record without touching any process-wide sink. The
+// stages surface in a Server-Timing response header on every answer;
+// the full span tree is retained by the slow-request log (slowlog.go)
+// and served back at /v1/trace/{id}. This is the identity ROADMAP-1's cluster mode will
 // propagate between nodes.
 
 // requestIDHeader is the request-identity header: accepted from the

@@ -194,10 +194,16 @@ type Service struct {
 	opts Options
 	sem  chan struct{}
 
-	mu     sync.Mutex // guards cache, bases and flight — never held across an engine run
+	mu     sync.Mutex // guards sources, cache, bases and flight — never held across an engine run
 	cache  *lru[*cached]
 	bases  *lru[*core.Plan]
 	flight map[[2]uint64]*call
+	// sources is the source index in front of the result cache: the
+	// SHA-256 source key (sourceKey) of every successfully parsed body
+	// maps to its problem's hash state (problemState), so a repeated
+	// body finds its request key without being parsed again. Sized like
+	// the result cache.
+	sources *lru[fp128]
 
 	// reqlog is the request flight recorder (slowlog.go); runtime feeds
 	// the /metrics scrape with process health.
@@ -211,6 +217,7 @@ type Service struct {
 	// Pre-interned counters: the analyze path must not take the
 	// registry lock per request.
 	cacheHits, cacheMisses, cacheEvictions *obs.Counter
+	sourceHits                             *obs.Counter
 	collapsed, timeouts                    *obs.Counter
 	incPatched, incFull, incBaseMiss       *obs.Counter
 	slowRequests                           *obs.Counter
@@ -251,12 +258,14 @@ func New(opts Options) *Service {
 		cache:          newLRU[*cached](opts.CacheEntries),
 		bases:          newLRU[*core.Plan](opts.BaseEntries),
 		flight:         make(map[[2]uint64]*call),
+		sources:        newLRU[fp128](opts.CacheEntries),
 		reqlog:         newRequestLog(opts.SlowLogMillis, opts.SlowLogEntries),
 		runtime:        obs.NewRuntime(),
 		vl:             newServiceLog(reg),
 		cacheHits:      reg.Counter("service.cache.hits"),
 		cacheMisses:    reg.Counter("service.cache.misses"),
 		cacheEvictions: reg.Counter("service.cache.evictions"),
+		sourceHits:     reg.Counter("service.cache.source_hits"),
 		collapsed:      reg.Counter("service.flight.collapsed"),
 		timeouts:       reg.Counter("service.timeouts"),
 		incPatched:     reg.Counter("service.incremental.patched"),
@@ -320,22 +329,23 @@ func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOpt
 // edit (disposition full). Every successful run, incremental or not,
 // deposits its plan in the base cache for the next edit.
 func (s *Service) AnalyzeIncremental(ctx context.Context, p *model.Problem, opts AnalyzeOptions, base *[2]uint64) (*cached, cacheDisposition, IncrementalDisposition, error) {
-	return s.analyzeTraced(ctx, p, opts, base, nil)
+	return s.analyzeTraced(ctx, p, problemState(p), opts, base, nil)
 }
 
-// analyzeTraced is the traced spine of Analyze/AnalyzeIncremental: when
-// rt is non-nil it records the compile and cache stages against the
-// request and (for the miss leader) threads a fan-out tracer through
-// the engine run. A nil rt costs a handful of nil checks — the plain
-// API paths and the disabled-telemetry benchmarks stay byte-for-byte.
-func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
+// analyzeTraced is the traced spine of Analyze/AnalyzeIncremental. The
+// caller passes p's problemState (the HTTP handler already has it, for
+// the source index and cluster routing), so each request fingerprints
+// its problem once. When rt is non-nil it records the compile and cache stages
+// against the request and (for the miss leader) threads a fan-out
+// tracer through the engine run. A nil rt costs a handful of nil
+// checks — the plain API paths and the disabled-telemetry benchmarks
+// stay byte-for-byte.
+func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp128, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
 	cs := rt.beginStage("compile")
 	p.Compile() // compile once; every engine below reuses the dense tables
-	h := newFP()
-	problemFingerprint(&h, p)
-	digest := h.sum()
-	key := optionsKey(h, opts)
 	rt.endStage(cs)
+	digest := state.sum()
+	key := optionsKey(state, opts)
 
 	ls := rt.beginStage("cache")
 	s.mu.Lock()

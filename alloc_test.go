@@ -55,9 +55,9 @@ func TestReduceAllocBudget(t *testing.T) {
 	const budget = 4.0
 	for _, tc := range cases {
 		sg := allocGraph(t, tc.p)
-		sequencing.Reduce(sg) // warm the pooled reduction state
+		sequencing.Reduce(sg, nil) // warm the pooled reduction state
 		got := testing.AllocsPerRun(100, func() {
-			if !sequencing.Reduce(sg).Feasible() {
+			if !sequencing.Reduce(sg, nil).Feasible() {
 				t.Fatal("infeasible")
 			}
 		})

@@ -44,7 +44,7 @@ func BenchmarkReduceExample1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !sequencing.Reduce(sg).Feasible() {
+		if !sequencing.Reduce(sg, nil).Feasible() {
 			b.Fatal("infeasible")
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkReduceExample2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sequencing.Reduce(sg).Feasible() {
+		if sequencing.Reduce(sg, nil).Feasible() {
 			b.Fatal("feasible")
 		}
 	}
@@ -96,7 +96,7 @@ func BenchmarkReduceChain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !sequencing.Reduce(sg).Feasible() {
+				if !sequencing.Reduce(sg, nil).Feasible() {
 					b.Fatal("infeasible")
 				}
 			}
@@ -155,7 +155,7 @@ func BenchmarkSearchStrongChainParallel(b *testing.B) {
 			p := gen.Chain(k, 30)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := search.FeasibleParallel(p, search.ModeStrong, runtime.GOMAXPROCS(0))
+				v, err := search.FeasibleObs(p, search.ModeStrong, runtime.GOMAXPROCS(0), nil)
 				if err != nil || !v.Feasible {
 					b.Fatal(err)
 				}
@@ -326,19 +326,6 @@ func BenchmarkPetriCompletableFigure7(b *testing.B) {
 	}
 }
 
-func BenchmarkPetriCompletableFigure7Parallel(b *testing.B) {
-	enc, err := petri.FromProblem(paperex.Figure7())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := enc.CompletableParallel(1<<21, runtime.GOMAXPROCS(0)); !res.Found {
-			b.Fatal("not completable")
-		}
-	}
-}
-
 // --- parallel cross-validation sweep -----------------------------------------
 //
 // The serial-vs-parallel pair measures the worker-pool speedup on an
@@ -499,7 +486,7 @@ func BenchmarkEditReanalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !sequencing.Reduce(sg).Feasible() {
+			if !sequencing.Reduce(sg, nil).Feasible() {
 				b.Fatal("infeasible")
 			}
 		}

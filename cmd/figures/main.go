@@ -363,7 +363,7 @@ func runE8(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "sequencing-graph reduction on the same problem: feasible=%v (the reduction is\n", sequencing.Reduce(sg).Feasible())
+	fmt.Fprintf(w, "sequencing-graph reduction on the same problem: feasible=%v (the reduction is\n", sequencing.Reduce(sg, nil).Feasible())
 	fmt.Fprintln(w, "incomplete here — §8's protocol is a more centralized mechanism than pairwise commitments)")
 	return nil
 }
@@ -386,7 +386,7 @@ func runE9(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		want := sequencing.Reduce(sg).Feasible()
+		want := sequencing.Reduce(sg, nil).Feasible()
 		for i := 0; i < 100; i++ {
 			trials++
 			if got := sequencing.ReduceRandomOrder(sg, rng).Feasible(); got != want {
@@ -492,7 +492,7 @@ func runE13(w io.Writer) error {
 			return err
 		}
 		t0 := time.Now()
-		red := sequencing.Reduce(sg)
+		red := sequencing.Reduce(sg, nil)
 		reduceDur := time.Since(t0)
 		t1 := time.Now()
 		v, err := search.Feasible(p, search.ModeStrong)

@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("base spec %s: %w", *baseFile, err)
 		}
 		var info core.IncrementalInfo
-		plan, info, err = core.SynthesizeIncremental(basePlan, problem)
+		plan, info, err = core.SynthesizeIncremental(basePlan, problem, nil)
 		if err != nil {
 			return err
 		}

@@ -233,7 +233,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 			applied++
 			fullPlan, fullErr := core.Synthesize(edited.Clone())
-			incPlan, info, incErr := core.SynthesizeIncremental(basePlan, edited)
+			incPlan, info, incErr := core.SynthesizeIncremental(basePlan, edited, nil)
 			if (fullErr == nil) != (incErr == nil) {
 				t.Fatalf("%s/%s: error mismatch: full=%v incremental=%v", name, m.name, fullErr, incErr)
 			}
@@ -280,7 +280,7 @@ func TestIncrementalChain(t *testing.T) {
 			continue
 		}
 		fullPlan, fullErr := core.Synthesize(edited.Clone())
-		incPlan, _, incErr := core.SynthesizeIncremental(basePlan, edited)
+		incPlan, _, incErr := core.SynthesizeIncremental(basePlan, edited, nil)
 		if (fullErr == nil) != (incErr == nil) {
 			t.Fatalf("step %d (%s): error mismatch: full=%v incremental=%v", step, m.name, fullErr, incErr)
 		}

@@ -102,7 +102,9 @@ var ErrInfeasible = errors.New("core: exchange is not shown feasible by sequenci
 // be scheduled — which would falsify the paper's claim and is covered by
 // tests).
 func Synthesize(p *model.Problem) (*Plan, error) {
-	return SynthesizeWith(p, sequencing.Reduce)
+	return SynthesizeWith(p, func(g *sequencing.Graph) *sequencing.Reduction {
+		return sequencing.Reduce(g, nil)
+	})
 }
 
 // SynthesizeObs is Synthesize wrapped in a trace span, with the
@@ -118,7 +120,7 @@ func SynthesizeObs(p *model.Problem, tel *obs.Telemetry) (*Plan, error) {
 		obs.Int("parties", len(p.Parties)))
 	start := time.Now()
 	plan, err := SynthesizeWith(p, func(g *sequencing.Graph) *sequencing.Reduction {
-		return sequencing.ReduceObs(g, tel)
+		return sequencing.Reduce(g, tel)
 	})
 	reg := tel.Reg()
 	reg.Counter("core.synthesize.total").Inc()

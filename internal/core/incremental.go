@@ -50,12 +50,7 @@ type IncrementalInfo struct {
 // the service maps this to X-Trustd-Incremental: patched|full.
 func (i IncrementalInfo) Patched() bool { return i.Outcome != IncrementalFull }
 
-// SynthesizeIncremental is SynthesizeIncrementalObs without telemetry.
-func SynthesizeIncremental(base *Plan, edited *model.Problem) (*Plan, IncrementalInfo, error) {
-	return SynthesizeIncrementalObs(base, edited, nil)
-}
-
-// SynthesizeIncrementalObs analyses edited by reusing a base plan:
+// SynthesizeIncremental analyses edited by reusing a base plan:
 // model.Diff classifies the edit, sequencing.Patch rebuilds only the
 // dirtied frontier of the sequencing graph, and structural edits fall
 // back to the full pipeline. The returned plan is byte-identical to
@@ -66,8 +61,10 @@ func SynthesizeIncremental(base *Plan, edited *model.Problem) (*Plan, Incrementa
 // edited must already have passed Validate (the DSL loader and the
 // service request path both guarantee that); base must be a plan from a
 // prior Synthesize* call and is never mutated, so one resident base can
-// serve concurrent edits.
-func SynthesizeIncrementalObs(base *Plan, edited *model.Problem, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
+// serve concurrent edits. Telemetry records the per-outcome counters
+// and latency, plus SynthesizeObs's span on a full re-analysis; nil
+// disables it.
+func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
 	start := time.Now()
 	full := func(kind model.DiffKind) (*Plan, IncrementalInfo, error) {
 		plan, err := SynthesizeObs(edited, tel)

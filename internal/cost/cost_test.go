@@ -130,7 +130,7 @@ func TestUniversalMakesExample2Feasible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSplit = %v", err)
 	}
-	if sequencing.Reduce(sg).Feasible() {
+	if sequencing.Reduce(sg, nil).Feasible() {
 		t.Errorf("reduction unexpectedly proves the universal problem feasible")
 	}
 }

@@ -21,7 +21,7 @@ func centralVerdict(t testing.TB, p *model.Problem) (bool, int) {
 	if err != nil {
 		t.Fatalf("sequencing: %v", err)
 	}
-	r := sequencing.Reduce(g)
+	r := sequencing.Reduce(g, nil)
 	return r.Feasible(), len(r.Removals)
 }
 

@@ -54,7 +54,7 @@ func feasible(p *model.Problem) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return sequencing.Reduce(sg).Feasible(), nil
+	return sequencing.Reduce(sg, nil).Feasible(), nil
 }
 
 // Candidates returns the splittable exchanges of the problem: exchanges

@@ -5,16 +5,13 @@ import "sort"
 // This file is the compiled execution layer of the net: transitions
 // flattened into sorted arc arrays, markings packed into one int32 slab
 // addressed by index, and an open-addressing seen-table over that slab.
-// The exploration loops in petri.go run entirely against these forms —
+// The exploration loop in petri.go runs entirely against these forms —
 // no map lookups and no per-marking allocations — while the public
 // map-based Transition/Marking API stays the authoring surface.
 //
-// Token counts are stored as int32 (the paper's encodings carry money
-// amounts and document counts, far below 2³¹); Omega keeps its -1
-// sentinel, which sign-extends under hashing exactly like the int form.
-
-// omega32 is Omega in packed form.
-const omega32 = int32(Omega)
+// Token counts and arc weights are stored as int32. FromProblem rejects
+// problems whose money would not fit (see TokenOverflowError); a net
+// built by hand must keep its counts below 2³¹ itself.
 
 // arc is one compiled transition arc, sorted by place.
 type arc struct {
@@ -29,9 +26,9 @@ type ctrans struct {
 	out []arc
 }
 
-// compile builds (or returns) the net's compiled transitions. It must
-// run on a single goroutine before any concurrent exploration —
-// every exploration entry point calls it before fanning out.
+// compile builds (or returns) the net's compiled transitions. It caches
+// into the net, so it must run on a single goroutine before the net is
+// shared — FromProblem calls it while it still owns the net.
 func (n *Net) compile() []ctrans {
 	if n.ct != nil {
 		return n.ct
@@ -63,47 +60,41 @@ func (n *Net) compile() []ctrans {
 	return ct
 }
 
-// enabled32 is Net.Enabled over a packed marking.
+// enabled32 reports whether a transition with the given input arcs can
+// fire from the packed marking m.
 func enabled32(m []int32, in []arc) bool {
 	for _, a := range in {
-		if v := m[a.place]; v != omega32 && v < a.w {
+		if m[a.place] < a.w {
 			return false
 		}
 	}
 	return true
 }
 
-// fire32 is Net.Fire over packed markings, writing into dst (len =
-// places). The caller has already checked enabled32.
+// fire32 fires t from the packed marking m, writing the successor into
+// dst (len = places). The caller has already checked enabled32.
 func fire32(dst, m []int32, t *ctrans) {
 	copy(dst, m)
 	for _, a := range t.in {
-		if dst[a.place] != omega32 {
-			dst[a.place] -= a.w
-		}
+		dst[a.place] -= a.w
 	}
 	for _, a := range t.out {
-		if dst[a.place] != omega32 {
-			dst[a.place] += a.w
-		}
+		dst[a.place] += a.w
 	}
 }
 
-// covers32 is Marking.Covers over packed markings.
+// covers32 reports whether m ≥ target on every place target requires.
 func covers32(m, target []int32) bool {
 	for i, want := range target {
-		if want <= 0 {
-			continue
-		}
-		if m[i] != omega32 && m[i] < want {
+		if want > 0 && m[i] < want {
 			return false
 		}
 	}
 	return true
 }
 
-// hash32 matches Marking.Hash bit-for-bit: each value sign-extends to
-// uint64 (ω = -1 hashes as all-ones) under the same FNV-1a mix.
+// hash32 is an FNV-1a 64-bit hash of a packed marking. Collisions are
+// possible, so markingArena confirms every match with exact equality.
 func hash32(m []int32) uint64 {
 	const (
 		offset64 = 14695981039346656037

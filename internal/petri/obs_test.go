@@ -8,10 +8,9 @@ import (
 )
 
 // TestCoverObsMatchesPlain pins the telemetry contract for the Petri
-// engines: ReachableCoverObs returns the identical result to
-// ReachableCover (the level bookkeeping must not perturb FIFO order),
-// the parallel variant keeps its Found verdict, and per-level events
-// with frontier sizes land on the trace.
+// engine: CompletableObs with telemetry returns the identical result to
+// Completable (the level bookkeeping must not perturb FIFO order), and
+// per-level events with frontier sizes land on the trace.
 func TestCoverObsMatchesPlain(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
@@ -22,7 +21,7 @@ func TestCoverObsMatchesPlain(t *testing.T) {
 		plain := enc.Completable(1 << 16)
 		ring := obs.NewRingSink(1 << 12)
 		tel := &obs.Telemetry{Tracer: obs.NewTracer(ring), Metrics: obs.NewRegistry()}
-		traced := enc.CompletableObs(1<<16, tel)
+		traced := enc.CompletableObs(1<<16, tel, nil)
 		if traced != plain {
 			t.Errorf("%s: traced result %+v != plain %+v", name, traced, plain)
 		}
@@ -38,12 +37,6 @@ func TestCoverObsMatchesPlain(t *testing.T) {
 		}
 		if plain.Explored > 1 && levels == 0 {
 			t.Errorf("%s: no petri.level events for %d explored states", name, plain.Explored)
-		}
-
-		parTel := &obs.Telemetry{Tracer: obs.NewTracer(obs.NewRingSink(1 << 12)), Metrics: obs.NewRegistry()}
-		par := enc.Net.ReachableCoverParallelObs(enc.Initial, enc.CompletedTarget(), 1<<16, 3, parTel)
-		if par.Found != plain.Found || par.Capped != plain.Capped {
-			t.Errorf("%s: parallel traced %+v disagrees with plain %+v", name, par, plain)
 		}
 	}
 }

@@ -2,18 +2,12 @@ package petri
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"trustseq/internal/obs"
 )
 
 // PlaceID indexes a place.
 type PlaceID int
-
-// Omega is the Karp–Miller unbounded-token marker.
-const Omega = -1
 
 // Net is an immutable place/transition net.
 type Net struct {
@@ -83,185 +77,17 @@ func (n *Net) Transitions() int { return len(n.trans) }
 // TransitionName returns a transition's name.
 func (n *Net) TransitionName(i int) string { return n.trans[i].Name }
 
-// Marking is a token assignment; Omega means "arbitrarily many".
+// Marking is a token assignment, one count per place.
 type Marking []int
 
 // NewMarking returns the zero marking for the net.
 func (n *Net) NewMarking() Marking { return make(Marking, n.Places()) }
-
-// Clone copies the marking.
-func (m Marking) Clone() Marking { return append(Marking(nil), m...) }
-
-// Key is a canonical map key for the marking — the readable form, kept
-// for debugging and rendering. Exploration hot loops use the packed
-// arena (hash plus exact equality) instead, avoiding a string build per
-// marking.
-func (m Marking) Key() string {
-	var b strings.Builder
-	for i, v := range m {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if v == Omega {
-			b.WriteByte('w')
-		} else {
-			fmt.Fprintf(&b, "%d", v)
-		}
-	}
-	return b.String()
-}
-
-// Hash is an FNV-1a–style 64-bit hash of the marking (ω hashes as its
-// sentinel value). Collisions are possible, so users must confirm with
-// exact equality — markingArena does.
-func (m Marking) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range m {
-		h ^= uint64(v)
-		h *= prime64
-	}
-	return h
-}
-
-// Covers reports whether m ≥ target pointwise (ω covers everything).
-func (m Marking) Covers(target Marking) bool {
-	for i, want := range target {
-		if want <= 0 {
-			continue
-		}
-		if m[i] != Omega && m[i] < want {
-			return false
-		}
-	}
-	return true
-}
-
-// GE reports m ≥ other pointwise.
-func (m Marking) GE(other Marking) bool {
-	for i := range m {
-		if m[i] == Omega {
-			continue
-		}
-		if other[i] == Omega {
-			return false
-		}
-		if m[i] < other[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders non-zero places.
-func (n *Net) FormatMarking(m Marking) string {
-	var parts []string
-	for i, v := range m {
-		if v == 0 {
-			continue
-		}
-		if v == Omega {
-			parts = append(parts, n.placeNames[i]+":ω")
-		} else {
-			parts = append(parts, fmt.Sprintf("%s:%d", n.placeNames[i], v))
-		}
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// Enabled reports whether transition ti can fire from m.
-func (n *Net) Enabled(m Marking, ti int) bool {
-	for p, w := range n.trans[ti].In {
-		if m[p] != Omega && m[p] < w {
-			return false
-		}
-	}
-	return true
-}
-
-// Fire fires transition ti from m, returning the new marking. It panics
-// when the transition is not enabled (programming error).
-func (n *Net) Fire(m Marking, ti int) Marking {
-	if !n.Enabled(m, ti) {
-		panic(fmt.Sprintf("petri: transition %s not enabled at %s", n.trans[ti].Name, n.FormatMarking(m)))
-	}
-	out := m.Clone()
-	for p, w := range n.trans[ti].In {
-		if out[p] != Omega {
-			out[p] -= w
-		}
-	}
-	for p, w := range n.trans[ti].Out {
-		if out[p] != Omega {
-			out[p] += w
-		}
-	}
-	return out
-}
 
 // ReachabilityResult reports a bounded exploration.
 type ReachabilityResult struct {
 	Found    bool
 	Explored int
 	Capped   bool // the state budget was exhausted before a verdict
-}
-
-// ReachableCover explores the exact state space (no ω-acceleration) up
-// to maxStates markings, looking for one covering target.
-func (n *Net) ReachableCover(initial, target Marking, maxStates int) ReachabilityResult {
-	return n.ReachableCoverWith(initial, target, maxStates, nil)
-}
-
-// ReachableCoverWith is ReachableCover reusing the caller's scratch
-// buffers (nil allocates fresh ones). The search runs entirely on the
-// compiled arc/arena layer: markings live packed in one slab, the BFS
-// queue holds arena indices, and firing writes into a single reused
-// buffer — the FIFO order, verdict and Explored count are identical to
-// the previous map-based loop.
-func (n *Net) ReachableCoverWith(initial, target Marking, maxStates int, sc *CoverScratch) ReachabilityResult {
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
-	if sc == nil {
-		sc = &CoverScratch{}
-	}
-	ct := n.compile()
-	places := len(initial)
-	sc.arena.reset(places)
-	sc.init32 = packInto(sc.init32, initial)
-	sc.tgt32 = packInto(sc.tgt32, target)
-	sc.fireBuf = packInto(sc.fireBuf, initial) // sized; content overwritten
-	root, _ := sc.arena.add(sc.init32)
-	queue := append(sc.queue[:0], root)
-	res := ReachabilityResult{}
-	for head := 0; head < len(queue); head++ {
-		m := sc.arena.at(queue[head])
-		res.Explored++
-		if covers32(m, sc.tgt32) {
-			res.Found = true
-			break
-		}
-		if res.Explored >= maxStates {
-			res.Capped = true
-			break
-		}
-		for ti := range ct {
-			t := &ct[ti]
-			if !enabled32(m, t.in) {
-				continue
-			}
-			fire32(sc.fireBuf, m, t)
-			if ni, fresh := sc.arena.add(sc.fireBuf); fresh {
-				queue = append(queue, ni)
-			}
-		}
-	}
-	sc.queue = queue
-	return res
 }
 
 // coverObs carries the telemetry of one coverability exploration: a
@@ -274,10 +100,10 @@ type coverObs struct {
 	span obs.Span
 }
 
-func startCoverObs(n *Net, name string, budget int, tel *obs.Telemetry) coverObs {
+func startCoverObs(n *Net, budget int, tel *obs.Telemetry) coverObs {
 	c := coverObs{on: tel.Enabled(), tel: tel}
 	if c.on {
-		c.span = tel.Trace().StartSpan(name,
+		c.span = tel.Trace().StartSpan("petri.cover",
 			obs.Int("places", n.Places()),
 			obs.Int("transitions", len(n.trans)),
 			obs.Int("budget", budget))
@@ -318,35 +144,30 @@ func (c coverObs) finish(res ReachabilityResult, levels, collisions int) {
 		obs.Int("collisions", collisions))
 }
 
-// ReachableCoverObs is ReachableCover with telemetry: the FIFO order —
-// and therefore the verdict and the explored count — is unchanged; the
-// instrumentation only tracks where each BFS level ends so it can emit
-// per-level frontier sizes and bucket-collision counts.
-func (n *Net) ReachableCoverObs(initial, target Marking, maxStates int, tel *obs.Telemetry) ReachabilityResult {
-	return n.ReachableCoverObsWith(initial, target, maxStates, tel, nil)
-}
-
-// ReachableCoverObsWith is ReachableCoverObs reusing the caller's
-// scratch buffers (nil allocates fresh ones).
-func (n *Net) ReachableCoverObsWith(initial, target Marking, maxStates int, tel *obs.Telemetry, sc *CoverScratch) ReachabilityResult {
-	if !tel.Enabled() {
-		// The disabled path is the uninstrumented loop, byte-for-byte:
-		// the level bookkeeping below, however cheap, stays off the
-		// benchmarked hot path entirely.
-		return n.ReachableCoverWith(initial, target, maxStates, sc)
-	}
+// ReachableCover explores the exact state space breadth-first, up to
+// maxStates markings (≤ 0 means 1<<20), looking for one covering
+// target. The search runs entirely on the compiled arc/arena layer:
+// markings live packed in one slab, the queue holds arena indices, and
+// firing writes into a single reused buffer. sc supplies reusable
+// scratch buffers (nil allocates fresh ones). Telemetry adds a
+// "petri.cover" span with one "petri.level" event per BFS level
+// (frontier size, states explored, hash-bucket collisions) and the
+// petri.* counters; it only tracks where each level ends, so it never
+// changes the FIFO order, the verdict or the explored count. Nil
+// telemetry costs a boolean check per level.
+func (n *Net) ReachableCover(initial, target Marking, maxStates int, tel *obs.Telemetry, sc *CoverScratch) ReachabilityResult {
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
 	if sc == nil {
 		sc = &CoverScratch{}
 	}
-	co := startCoverObs(n, "petri.cover", maxStates, tel)
+	co := startCoverObs(n, maxStates, tel)
 	ct := n.compile()
 	sc.arena.reset(len(initial))
 	sc.init32 = packInto(sc.init32, initial)
 	sc.tgt32 = packInto(sc.tgt32, target)
-	sc.fireBuf = packInto(sc.fireBuf, initial)
+	sc.fireBuf = packInto(sc.fireBuf, initial) // sized; content overwritten
 	root, _ := sc.arena.add(sc.init32)
 	queue := append(sc.queue[:0], root)
 	res := ReachabilityResult{}
@@ -356,15 +177,11 @@ func (n *Net) ReachableCoverObsWith(initial, target Marking, maxStates int, tel 
 		res.Explored++
 		if covers32(m, sc.tgt32) {
 			res.Found = true
-			sc.queue = queue
-			co.finish(res, level, sc.arena.collisions)
-			return res
+			break
 		}
 		if res.Explored >= maxStates {
 			res.Capped = true
-			sc.queue = queue
-			co.finish(res, level, sc.arena.collisions)
-			return res
+			break
 		}
 		for ti := range ct {
 			t := &ct[ti]
@@ -386,165 +203,5 @@ func (n *Net) ReachableCoverObsWith(initial, target Marking, maxStates int, tel 
 	}
 	sc.queue = queue
 	co.finish(res, level, sc.arena.collisions)
-	return res
-}
-
-// Coverable runs the Karp–Miller coverability construction: along each
-// path, a strictly dominating successor accelerates the strictly larger
-// places to ω. It answers whether some reachable marking covers target.
-// The node budget guards against pathological growth; Capped is set when
-// it is exhausted.
-func (n *Net) Coverable(initial, target Marking, maxNodes int) ReachabilityResult {
-	if maxNodes <= 0 {
-		maxNodes = 1 << 18
-	}
-	type node struct {
-		m        Marking
-		ancestry []Marking
-	}
-	res := ReachabilityResult{}
-	seen := &markingArena{}
-	seen.reset(len(initial))
-	var pack []int32
-	stack := []node{{m: initial, ancestry: nil}}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		pack = packInto(pack, cur.m)
-		if _, fresh := seen.add(pack); !fresh {
-			continue
-		}
-		res.Explored++
-		if cur.m.Covers(target) {
-			res.Found = true
-			return res
-		}
-		if res.Explored >= maxNodes {
-			res.Capped = true
-			return res
-		}
-		for ti := range n.trans {
-			if !n.Enabled(cur.m, ti) {
-				continue
-			}
-			next := n.Fire(cur.m, ti)
-			// ω-acceleration against ancestors.
-			accelerated := next.Clone()
-			for _, anc := range cur.ancestry {
-				if accelerated.GE(anc) && !markingEqual(accelerated, anc) {
-					for i := range accelerated {
-						if anc[i] != Omega && accelerated[i] != Omega && accelerated[i] > anc[i] {
-							accelerated[i] = Omega
-						}
-					}
-				}
-			}
-			ancestry := append(append([]Marking(nil), cur.ancestry...), cur.m)
-			stack = append(stack, node{m: accelerated, ancestry: ancestry})
-		}
-	}
-	return res
-}
-
-func markingEqual(a, b Marking) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReachableCoverParallel is ReachableCover with level-synchronous
-// frontier expansion across a bounded worker pool: each BFS level is
-// split into chunks expanded concurrently, then the successors are
-// deduplicated serially against the seen set. The Found verdict matches
-// the serial search (both exhaust the same reachable set); Explored may
-// differ near the cap or the target, since a level is expanded as a
-// whole. workers ≤ 1 falls back to the serial search.
-func (n *Net) ReachableCoverParallel(initial, target Marking, maxStates, workers int) ReachabilityResult {
-	return n.ReachableCoverParallelObs(initial, target, maxStates, workers, nil)
-}
-
-// ReachableCoverParallelObs is ReachableCoverParallel with the same
-// per-level telemetry as ReachableCoverObs (the parallel search is
-// already level-synchronous, so the events fall out of the loop shape).
-func (n *Net) ReachableCoverParallelObs(initial, target Marking, maxStates, workers int, tel *obs.Telemetry) ReachabilityResult {
-	if workers <= 1 {
-		return n.ReachableCoverObs(initial, target, maxStates, tel)
-	}
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
-	co := startCoverObs(n, "petri.cover_parallel", maxStates, tel)
-	ct := n.compile()
-	places := len(initial)
-	arena := &markingArena{}
-	arena.reset(places)
-	init32 := packInto(nil, initial)
-	tgt32 := packInto(nil, target)
-	root, _ := arena.add(init32)
-	frontier := []int32{root}
-	res := ReachabilityResult{}
-	level := 0
-	for len(frontier) > 0 {
-		// Check the whole level for coverage first, so the verdict does
-		// not depend on intra-level ordering.
-		for _, mi := range frontier {
-			res.Explored++
-			if covers32(arena.at(mi), tgt32) {
-				res.Found = true
-				co.finish(res, level, arena.collisions)
-				return res
-			}
-		}
-		if res.Explored >= maxStates {
-			res.Capped = true
-			co.finish(res, level, arena.collisions)
-			return res
-		}
-		w := workers
-		if w > len(frontier) {
-			w = len(frontier)
-		}
-		// Workers only read the arena (the level barrier below orders
-		// every write after their reads); each appends packed successor
-		// markings to its own flat buffer.
-		succs := make([][]int32, w)
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				var out []int32
-				buf := make([]int32, places)
-				for fi := wi; fi < len(frontier); fi += w {
-					m := arena.at(frontier[fi])
-					for ti := range ct {
-						t := &ct[ti]
-						if !enabled32(m, t.in) {
-							continue
-						}
-						fire32(buf, m, t)
-						out = append(out, buf...)
-					}
-				}
-				succs[wi] = out
-			}(wi)
-		}
-		wg.Wait()
-		next := frontier[:0]
-		for _, out := range succs {
-			for off := 0; off < len(out); off += places {
-				if ni, fresh := arena.add(out[off : off+places]); fresh {
-					next = append(next, ni)
-				}
-			}
-		}
-		co.level(level, len(next), res.Explored, arena.collisions)
-		level++
-		frontier = next
-	}
-	co.finish(res, level, arena.collisions)
 	return res
 }

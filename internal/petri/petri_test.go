@@ -1,64 +1,48 @@
 package petri
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"trustseq/internal/gen"
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/search"
 )
 
 // A tiny producer/consumer net: p produces tokens, c consumes two at a
-// time. Exercises firing and enabledness.
+// time. Exercises the compiled firing, enabledness and cover checks.
 func TestFireAndEnabled(t *testing.T) {
 	t.Parallel()
 	n := NewNet()
 	a, b := n.Place("a"), n.Place("b")
 	n.AddTransition("move2", map[PlaceID]int{a: 2}, map[PlaceID]int{b: 1})
-	m := n.NewMarking()
-	m[a] = 3
-	if !n.Enabled(m, 0) {
+	move2 := &n.compile()[0]
+	m := []int32{3, 0}
+	if !enabled32(m, move2.in) {
 		t.Fatalf("move2 not enabled at a=3")
 	}
-	m2 := n.Fire(m, 0)
+	m2 := make([]int32, 2)
+	fire32(m2, m, move2)
 	if m2[a] != 1 || m2[b] != 1 {
-		t.Fatalf("after fire: %s", n.FormatMarking(m2))
+		t.Fatalf("after fire: %v", m2)
 	}
-	if n.Enabled(m2, 0) {
+	if m[a] != 3 {
+		t.Fatalf("fire mutated its source marking: %v", m)
+	}
+	if enabled32(m2, move2.in) {
 		t.Fatalf("move2 enabled at a=1")
 	}
-	// Fire on disabled transition panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Fire on disabled transition did not panic")
-		}
-	}()
-	n.Fire(m2, 0)
-}
-
-func TestMarkingCoversAndKey(t *testing.T) {
-	t.Parallel()
-	m := Marking{2, 0, Omega}
-	if !m.Covers(Marking{1, 0, 5}) {
-		t.Errorf("covers failed with omega")
-	}
-	if m.Covers(Marking{3, 0, 0}) {
-		t.Errorf("covers over-approximated")
-	}
-	if m.Key() != "2,0,w" {
-		t.Errorf("Key = %q", m.Key())
-	}
-	if !m.GE(Marking{2, 0, 7}) {
-		t.Errorf("GE with omega failed")
-	}
-	if (Marking{1, 0, 3}).GE(m) {
-		t.Errorf("finite GE omega succeeded")
+	if !covers32(m2, []int32{0, 1}) || covers32(m2, []int32{2, 0}) {
+		t.Fatalf("covers32 wrong at %v", m2)
 	}
 }
 
-// Karp–Miller detects unbounded growth: a generator transition gives ω,
-// making any finite target coverable.
+// An unbounded generator makes the state space infinite: the exact
+// search finds a target a few firings away and reports Capped, never a
+// false verdict, for one beyond its budget.
 func TestCoverableUnboundedGenerator(t *testing.T) {
 	t.Parallel()
 	n := NewNet()
@@ -66,14 +50,14 @@ func TestCoverableUnboundedGenerator(t *testing.T) {
 	n.AddTransition("gen", map[PlaceID]int{src: 1}, map[PlaceID]int{src: 1, sink: 1})
 	init := n.NewMarking()
 	init[src] = 1
-	target := n.NewMarking()
-	target[sink] = 1_000_000
-	res := n.Coverable(init, target, 10_000)
-	if !res.Found {
-		t.Fatalf("omega acceleration failed: %+v", res)
+	near := n.NewMarking()
+	near[sink] = 5
+	if res := n.ReachableCover(init, near, 1000, nil, nil); !res.Found || res.Explored != 6 {
+		t.Fatalf("near target: %+v", res)
 	}
-	// The exact search cannot decide this within its budget.
-	exact := n.ReachableCover(init, target, 1000)
+	far := n.NewMarking()
+	far[sink] = 1_000_000
+	exact := n.ReachableCover(init, far, 1000, nil, nil)
 	if exact.Found {
 		t.Fatalf("exact search claims coverage it cannot reach in budget")
 	}
@@ -91,10 +75,7 @@ func TestCoverableNegative(t *testing.T) {
 	init[a] = 2
 	target := n.NewMarking()
 	target[b] = 3 // only 2 tokens exist
-	if res := n.Coverable(init, target, 10_000); res.Found {
-		t.Fatalf("covered an unreachable target")
-	}
-	if res := n.ReachableCover(init, target, 10_000); res.Found || res.Capped {
+	if res := n.ReachableCover(init, target, 10_000, nil, nil); res.Found || res.Capped {
 		t.Fatalf("exact search wrong: %+v", res)
 	}
 }
@@ -189,17 +170,15 @@ func TestFromProblemRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestFormatMarkingAndNames(t *testing.T) {
+func TestPlaceAndTransitionNames(t *testing.T) {
 	t.Parallel()
 	n := NewNet()
 	a := n.Place("alpha")
 	if n.PlaceName(a) != "alpha" || n.PlaceName(PlaceID(99)) != "place(99)" {
 		t.Errorf("PlaceName wrong")
 	}
-	m := n.NewMarking()
-	m[a] = 2
-	if got := n.FormatMarking(m); got != "{alpha:2}" {
-		t.Errorf("FormatMarking = %q", got)
+	if n.Place("alpha") != a || n.Places() != 1 {
+		t.Errorf("Place does not intern: %d places", n.Places())
 	}
 	n.AddTransition("t", nil, map[PlaceID]int{a: 1})
 	if n.Transitions() != 1 || n.TransitionName(0) != "t" {
@@ -225,5 +204,61 @@ func TestEncodingStructureExample1(t *testing.T) {
 	doc := enc.Initial[enc.Net.Place("item:"+string(paperex.Producer)+":"+string(paperex.Doc))]
 	if doc != 1 {
 		t.Errorf("producer document tokens = %d", doc)
+	}
+}
+
+// twoProducerBuy has one consumer pay price to each of two producers,
+// each sale through its own trusted intermediary, so the consumer
+// starts with 2×price money tokens.
+func twoProducerBuy(price model.Money) *model.Problem {
+	p := &model.Problem{Name: "two-producer-buy", Parties: []model.Party{
+		{ID: "c", Role: model.RoleConsumer},
+	}}
+	for _, i := range []string{"1", "2"} {
+		pr, tr, doc := model.PartyID("p"+i), model.PartyID("t"+i), model.ItemID("d"+i)
+		p.Parties = append(p.Parties,
+			model.Party{ID: pr, Role: model.RoleProducer},
+			model.Party{ID: tr, Role: model.RoleTrusted})
+		p.Exchanges = append(p.Exchanges,
+			model.Exchange{Principal: "c", Trusted: tr, Gives: model.Cash(price), Gets: model.Goods(doc)},
+			model.Exchange{Principal: pr, Trusted: tr, Gives: model.Goods(doc), Gets: model.Cash(price)})
+	}
+	return p
+}
+
+// Token counts are int32: a problem whose money would wrap must be
+// rejected with a typed error rather than encoded into a net that
+// silently reports "not completable", while the largest price that
+// fits still agrees with the asset search.
+func TestFromProblemRejectsTokenOverflow(t *testing.T) {
+	t.Parallel()
+	_, err := FromProblem(twoProducerBuy(1 << 30))
+	var over *TokenOverflowError
+	if !errors.As(err, &over) {
+		t.Fatalf("FromProblem($2^30 twice) = %v, want *TokenOverflowError", err)
+	}
+	if over.Tokens != 1<<31 {
+		t.Errorf("overflow reports %d tokens, want %d", over.Tokens, int64(1)<<31)
+	}
+
+	p := twoProducerBuy(1<<30 - 1)
+	enc, err := FromProblem(p)
+	if err != nil {
+		t.Fatalf("FromProblem at the bound: %v", err)
+	}
+	v, err := search.Feasible(p, search.ModeAssets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := enc.Completable(1 << 16); !res.Found || !v.Feasible {
+		t.Errorf("at the bound: petri %+v, asset search feasible=%v", res, v.Feasible)
+	}
+
+	// A limited-funds principal can promise more than it holds: the
+	// deposit arc itself overflows even though the initial tokens fit.
+	p = twoProducerBuy(1 << 31)
+	p.Parties[0].LimitedFunds = true
+	if _, err := FromProblem(p); !errors.As(err, &over) || !strings.Contains(over.What, "arc") {
+		t.Fatalf("FromProblem(limited funds, $2^31 arcs) = %v, want an arc overflow", err)
 	}
 }

@@ -2,6 +2,7 @@ package petri
 
 import (
 	"fmt"
+	"math"
 
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
@@ -41,8 +42,51 @@ func escrowItem(n *Net, ei int, it model.ItemID) PlaceID {
 	return n.Place(fmt.Sprintf("esc-item:%d:%s", ei, it))
 }
 
+// TokenOverflowError reports a problem whose money does not fit the
+// encoding's int32 token counts.
+type TokenOverflowError struct {
+	Problem string
+	What    string // the arc or token total that overflows
+	Tokens  int64
+}
+
+// Error implements error.
+func (e *TokenOverflowError) Error() string {
+	return fmt.Sprintf("petri: problem %q: %s of %d tokens exceeds the encoding's limit of %d",
+		e.Problem, e.What, e.Tokens, math.MaxInt32)
+}
+
+// checkTokens rejects problems the int32 encoding would truncate. Every
+// transition conserves money (deposits move it into escrow, and
+// model.Validate makes each trusted component pay out exactly what it
+// takes in), so when the initial money and every arc weight fit in
+// int32, no money place can overflow. Item tokens never outnumber the
+// items the exchanges list, and a done place gains one token per
+// completion fired, so neither comes near the bound.
+func checkTokens(p *model.Problem, n *Net, holdings map[model.PartyID]*model.Holding) error {
+	var money int64
+	for _, h := range holdings {
+		money += int64(h.Cash)
+	}
+	if money > math.MaxInt32 {
+		return &TokenOverflowError{Problem: p.Name, What: "initial money", Tokens: money}
+	}
+	for _, t := range n.trans {
+		for _, arcs := range []map[PlaceID]int{t.In, t.Out} {
+			for pl, w := range arcs {
+				if int64(w) > math.MaxInt32 {
+					return &TokenOverflowError{Problem: p.Name,
+						What: fmt.Sprintf("arc %s–%s", t.Name, n.PlaceName(pl)), Tokens: int64(w)}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FromProblem encodes the problem. Money amounts become token counts, so
-// keep prices modest when exploring exhaustively.
+// keep prices modest when exploring exhaustively; a problem whose money
+// does not fit in int32 token counts gets a *TokenOverflowError.
 func FromProblem(p *model.Problem) (*Encoding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -100,6 +144,9 @@ func FromProblem(p *model.Problem) (*Encoding, error) {
 
 	// Intern every holding place before sizing the initial marking.
 	holdings := model.InitialHoldings(p)
+	if err := checkTokens(p, n, holdings); err != nil {
+		return nil, err
+	}
 	for id, h := range holdings {
 		if h.Cash > 0 {
 			cashPlace(n, id)
@@ -118,8 +165,8 @@ func FromProblem(p *model.Problem) (*Encoding, error) {
 		}
 	}
 	// The net is complete; compile the flat arc form here, on the single
-	// construction goroutine, so every later exploration (serial or
-	// parallel) starts from the cached arcs.
+	// construction goroutine, so every later exploration — on any
+	// goroutine — starts from the cached arcs.
 	n.compile()
 	return enc, nil
 }
@@ -135,31 +182,13 @@ func (e *Encoding) CompletedTarget() Marking {
 }
 
 // Completable reports whether the all-done marking is coverable, with
-// the exact bounded search (the encoding conserves tokens, so the state
-// space is finite for finite endowments).
+// the exact bounded search and no telemetry.
 func (e *Encoding) Completable(maxStates int) ReachabilityResult {
-	return e.Net.ReachableCover(e.Initial, e.CompletedTarget(), maxStates)
+	return e.CompletableObs(maxStates, nil, nil)
 }
 
-// CompletableWith is Completable reusing the caller's scratch buffers —
-// the repeat-exploration path (e.g. one scratch per sweep worker).
-func (e *Encoding) CompletableWith(maxStates int, sc *CoverScratch) ReachabilityResult {
-	return e.Net.ReachableCoverWith(e.Initial, e.CompletedTarget(), maxStates, sc)
-}
-
-// CompletableObs is Completable with per-level BFS telemetry (see
-// ReachableCoverObs). Nil telemetry makes it exactly Completable.
-func (e *Encoding) CompletableObs(maxStates int, tel *obs.Telemetry) ReachabilityResult {
-	return e.Net.ReachableCoverObs(e.Initial, e.CompletedTarget(), maxStates, tel)
-}
-
-// CompletableObsWith is CompletableObs reusing the caller's scratch.
-func (e *Encoding) CompletableObsWith(maxStates int, tel *obs.Telemetry, sc *CoverScratch) ReachabilityResult {
-	return e.Net.ReachableCoverObsWith(e.Initial, e.CompletedTarget(), maxStates, tel, sc)
-}
-
-// CompletableParallel is Completable with worker-pool frontier expansion
-// (see ReachableCoverParallel). The Found verdict matches Completable.
-func (e *Encoding) CompletableParallel(maxStates, workers int) ReachabilityResult {
-	return e.Net.ReachableCoverParallel(e.Initial, e.CompletedTarget(), maxStates, workers)
+// CompletableObs is Completable with telemetry and reusable scratch
+// buffers (see ReachableCover; either may be nil).
+func (e *Encoding) CompletableObs(maxStates int, tel *obs.Telemetry, sc *CoverScratch) ReachabilityResult {
+	return e.Net.ReachableCover(e.Initial, e.CompletedTarget(), maxStates, tel, sc)
 }

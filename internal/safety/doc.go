@@ -29,8 +29,8 @@
 //
 // An Exec is single-owner mutable state: exactly one goroutine may drive
 // it at a time, and the NewExec/Release pool means a released Exec must
-// not be touched again. Parallel searchers therefore own one Exec each
-// (search.FeasibleParallel allocates per worker). The predicates mutate
+// not be touched again. Parallel searchers therefore own their Execs
+// (each search.FeasibleObs fan-out worker clones its own). The predicates mutate
 // the Exec only through checkpoint/rollback internal to a call — they
 // restore state before returning — so interleaving predicate calls from
 // the single owner is safe. The underlying Problem is shared read-only

@@ -27,19 +27,31 @@
 //     feasible, and how many distinct states were explored.
 //   - Mode selects the safety semantics; Move is one physical action in
 //     a witness.
-//   - Feasible / FeasibleObs run the memoized depth-first search
-//     serially; FeasibleParallel / FeasibleParallelObs shard the
-//     top-level branching across a worker pool and return the identical
-//     verdict for any worker count.
+//   - Feasible runs the memoized depth-first search serially, without
+//     telemetry. FeasibleObs takes a worker count and telemetry: with
+//     workers ≤ 1 it is the same serial search, and with more it fans
+//     the root's moves out to a worker pool, returning the identical
+//     Feasible verdict for any worker count.
+//
+// # One search loop
+//
+// A single searcher type runs the DFS in both cases. The serial search
+// is one searcher with a private memo: a flat open-addressing table
+// keyed on safety.Fingerprint128 digests, with a string-keyed fallback
+// for problems over 128 bits. Each fan-out worker is the same searcher
+// pointed at a shared 32-shard memo (sharedMemo, one mutex per shard)
+// and a stop flag that prunes the remaining search once any worker
+// holds a witness.
 //
 // # Concurrency and ownership
 //
-// The serial searcher owns one safety.Exec and one seen-set keyed on
-// safety.Fingerprint128 digests; it is reentrant across calls but a
-// single call runs on one goroutine. FeasibleParallel gives each worker
-// its own Exec and seen-set shard — workers share only the immutable
-// compiled Problem and a cancellation flag, so no locks sit on the hot
-// path and verdicts are deterministic regardless of scheduling. The
-// telemetry handed to the Obs variants must be nil or concurrency-safe
-// (obs types are).
+// A call is reentrant and owns all of its state. In the fan-out, each
+// worker owns its Execs and move buffers; the workers share the
+// immutable compiled Problem, the stop flag and the sharded memo, whose
+// shard locks are taken on every memo lookup and store. An in-progress
+// entry read by another worker prunes that worker's subtree, which is
+// sound because the entry's owner still evaluates it fully, so the
+// verdict never depends on scheduling; the witness and Explored count
+// may. The telemetry handed to FeasibleObs must be nil or
+// concurrency-safe (obs types are).
 package search

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -15,8 +14,8 @@ import (
 // shared memo table low without per-state channel traffic.
 const memoShardCount = 32
 
-// sharedMemo is the concurrent memo table of the parallel search: the
-// same injective keys as the serial searcher (packed fingerprints with a
+// sharedMemo is the concurrent memo table of the root fan-out: the same
+// injective keys as the serial search (packed fingerprints with a
 // string fallback), sharded by a cheap mix of the key.
 type sharedMemo struct {
 	shards [memoShardCount]memoShard
@@ -52,7 +51,7 @@ func (t *sharedMemo) shard(k memoKey) *memoShard {
 }
 
 // lookup returns the memoized verdict, marking the state in-progress
-// (false) when absent — the same cycle cut as the serial searcher. An
+// (false) when absent — the same cycle cut as the serial search. An
 // in-progress entry read by another worker prunes that worker's subtree;
 // the owner still evaluates the state fully and propagates a positive
 // verdict to its own root, so the disjunction over root moves is exact
@@ -130,136 +129,12 @@ func (t *sharedMemo) size() int {
 	return n
 }
 
-// parSearcher is the per-worker view of a parallel search: the shared
-// memo and stop flag, plus worker-local move buffers.
-type parSearcher struct {
-	problem     *model.Problem
-	mode        Mode
-	forceString bool
-	memo        *sharedMemo
-	stop        *atomic.Bool
-	moveBufs    [][]Move
-
-	// Telemetry: worker-local expansion count, batch-flushed to the
-	// span as "search.batch" events (obsOn caches span validity).
-	obsOn   bool
-	span    obs.Span
-	worker  int
-	visited int64
-}
-
-func (s *parSearcher) key(exec *safety.Exec) memoKey {
-	if !s.forceString {
-		if fp, ok := exec.Fingerprint128(); ok {
-			return memoKey{packed: true, fp: fp}
-		}
-	}
-	return memoKey{str: exec.Fingerprint()}
-}
-
-func (s *parSearcher) safe(exec *safety.Exec) bool {
-	for _, pa := range s.problem.Parties {
-		if pa.IsTrusted() {
-			continue
-		}
-		ok := false
-		switch s.mode {
-		case ModeStrong:
-			ok = safety.SafeFor(exec, pa.ID)
-		default:
-			ok = safety.AssetSafe(exec, pa.ID)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *parSearcher) moves(exec *safety.Exec, depth int) []Move {
-	for len(s.moveBufs) <= depth {
-		s.moveBufs = append(s.moveBufs, nil)
-	}
-	out := appendMoves(s.moveBufs[depth][:0], exec, s.problem)
-	s.moveBufs[depth] = out
-	return out
-}
-
-// dfs mirrors searcher.dfs against the shared memo. A set stop flag makes
-// it bail out with false — by then another worker has recorded a witness,
-// so the pruned return value is never read.
-func (s *parSearcher) dfs(exec *safety.Exec, trail []Move, depth int) (bool, []Move) {
-	if s.stop.Load() {
-		return false, nil
-	}
-	key := s.key(exec)
-	if done, seen := s.memo.lookup(key); seen {
-		return done, nil
-	}
-	if s.obsOn {
-		s.visited++
-		if s.visited%obsBatch == 0 {
-			s.span.Event("search.batch",
-				obs.Int("worker", s.worker),
-				obs.Int64("nodes", s.visited),
-				obs.Int("depth", depth))
-		}
-	}
-	if !s.safe(exec) {
-		return false, nil
-	}
-	if safety.Completed(exec) {
-		s.memo.store(key, true)
-		return true, append([]Move(nil), trail...)
-	}
-	for _, mv := range s.moves(exec, depth) {
-		next := exec.ClonePooled()
-		if err := applyMove(next, s.problem, mv); err != nil {
-			safety.Release(next)
-			continue
-		}
-		if err := next.ForceCompletionsAll(); err != nil {
-			safety.Release(next)
-			continue
-		}
-		ok, witness := s.dfs(next, append(trail, mv), depth+1)
-		safety.Release(next)
-		if ok {
-			s.memo.store(key, true)
-			return true, witness
-		}
-	}
-	return false, nil
-}
-
-// FeasibleParallel is Feasible with the root-level moves fanned out to a
-// bounded worker pool sharing one sharded memo table. workers ≤ 0 means
-// GOMAXPROCS. The Feasible verdict always equals the serial one (the memo
-// keys are injective and every in-progress prune is backed by a full
-// evaluation elsewhere); the witness and the explored count may differ,
-// since workers race to the first witness.
-func FeasibleParallel(p *model.Problem, mode Mode, workers int) (Verdict, error) {
-	return feasibleParallelConfigured(p, mode, workers, false, nil)
-}
-
-// FeasibleParallelObs is FeasibleParallel with telemetry: a span around
-// the fan-out, per-worker batched expansion events, and per-shard memo
-// hit/miss counters flushed at the end. Nil telemetry makes it exactly
-// FeasibleParallel.
-func FeasibleParallelObs(p *model.Problem, mode Mode, workers int, tel *obs.Telemetry) (Verdict, error) {
-	return feasibleParallelConfigured(p, mode, workers, false, tel)
-}
-
-// feasibleParallelConfigured is the test seam behind FeasibleParallel;
-// see feasibleConfigured.
-
-func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceString bool, tel *obs.Telemetry) (Verdict, error) {
-	if err := p.Validate(); err != nil {
-		return Verdict{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// feasibleFanOut is the workers > 1 branch of FeasibleObs: the root's
+// safety and completion checks run serially, then its moves are fanned
+// out to a bounded pool of searchers sharing one sharded memo. The
+// verdict always equals the serial one (the memo keys are injective and
+// every in-progress prune is backed by a full evaluation elsewhere).
+func feasibleFanOut(p *model.Problem, mode Mode, workers int, forceString bool, tel *obs.Telemetry) (Verdict, error) {
 	obsOn := tel.Enabled()
 	var span obs.Span
 	if obsOn {
@@ -274,8 +149,10 @@ func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceS
 	}
 
 	memo := newSharedMemo(obsOn)
+	// stop doubles as the verdict: only a worker that found a safe
+	// completion sets it.
 	var stop atomic.Bool
-	probe := &parSearcher{problem: p, mode: mode, forceString: forceString, memo: memo, stop: &stop}
+	probe := &searcher{problem: p, mode: mode, forceString: forceString}
 
 	// finish flushes the telemetry (per-shard memo tallies, span end)
 	// on every exit path.
@@ -289,8 +166,6 @@ func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceS
 		return v, nil
 	}
 
-	// Root handling stays serial: the root's safety/completion checks and
-	// its memo entry, then the fan-out over its moves.
 	rootKey := probe.key(root)
 	memo.lookup(rootKey) // marks the root in-progress
 	if !probe.safe(root) {
@@ -312,7 +187,6 @@ func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceS
 		wg      sync.WaitGroup
 		winOnce sync.Once
 		witness []Move
-		found   atomic.Bool
 	)
 	jobs := make(chan Move, len(rootMoves))
 	for _, mv := range rootMoves {
@@ -323,29 +197,22 @@ func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceS
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := &parSearcher{
-				problem: p, mode: mode, forceString: forceString, memo: memo, stop: &stop,
-				obsOn: obsOn, span: span, worker: w,
+			s := &searcher{
+				problem: p, mode: mode, forceString: forceString,
+				shared: memo, stop: &stop, worker: w,
+				obsOn: obsOn, span: span,
 			}
 			for mv := range jobs {
 				if stop.Load() {
 					return
 				}
-				next := root.ClonePooled()
-				if err := applyMove(next, p, mv); err != nil {
-					safety.Release(next)
-					continue
-				}
-				if err := next.ForceCompletionsAll(); err != nil {
-					safety.Release(next)
-					continue
-				}
-				trail := []Move{mv}
-				ok, wseq := s.dfs(next, trail, 1)
-				safety.Release(next)
-				if ok {
-					found.Store(true)
-					winOnce.Do(func() { witness = wseq })
+				if s.expand(root, mv, nil, 0) {
+					// A worker that reached the verdict through another
+					// worker's memo entry holds no witness of its own;
+					// the worker that completed the state does.
+					if s.witness != nil {
+						winOnce.Do(func() { witness = s.witness })
+					}
 					stop.Store(true)
 					return
 				}
@@ -353,7 +220,7 @@ func feasibleParallelConfigured(p *model.Problem, mode Mode, workers int, forceS
 		}(w)
 	}
 	wg.Wait()
-	if found.Load() {
+	if stop.Load() {
 		memo.store(rootKey, true)
 		return finish(Verdict{Feasible: true, Sequence: witness, Explored: memo.size()})
 	}

@@ -16,11 +16,11 @@ func TestHashedKeysChangeNothingSerial(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
 		for _, mode := range []Mode{ModeAssets, ModeStrong} {
-			hashed, err := feasibleConfigured(p, mode, false, nil)
+			hashed, err := feasibleConfigured(p, mode, 1, false, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			str, err := feasibleConfigured(p, mode, true, nil)
+			str, err := feasibleConfigured(p, mode, 1, true, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -53,7 +53,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: serial: %v", seed, err)
 			}
-			serialStr, err := feasibleConfigured(p, mode, true, nil)
+			serialStr, err := feasibleConfigured(p, mode, 1, true, nil)
 			if err != nil {
 				t.Fatalf("seed %d: string-keyed: %v", seed, err)
 			}
@@ -61,7 +61,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Errorf("seed %d mode=%v: hashed %+v != string %+v", seed, mode, serial, serialStr)
 			}
 			for _, workers := range []int{2, 4} {
-				par, err := FeasibleParallel(p, mode, workers)
+				par, err := FeasibleObs(p, mode, workers, nil)
 				if err != nil {
 					t.Fatalf("seed %d: parallel(%d): %v", seed, workers, err)
 				}
@@ -70,7 +70,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 						seed, mode, workers, par.Feasible, serial.Feasible)
 				}
 			}
-			parStr, err := feasibleParallelConfigured(p, mode, 3, true, nil)
+			parStr, err := feasibleConfigured(p, mode, 3, true, nil)
 			if err != nil {
 				t.Fatalf("seed %d: parallel string-keyed: %v", seed, err)
 			}
@@ -96,9 +96,9 @@ func TestParallelPaperExamples(t *testing.T) {
 			for _, mode := range []Mode{ModeAssets, ModeStrong} {
 				serial := verdict(t, p, mode)
 				for _, workers := range []int{0, 1, 2, 8} {
-					par, err := FeasibleParallel(p, mode, workers)
+					par, err := FeasibleObs(p, mode, workers, nil)
 					if err != nil {
-						t.Fatalf("FeasibleParallel(%v, %d) = %v", mode, workers, err)
+						t.Fatalf("FeasibleObs(%v, %d, nil) = %v", mode, workers, err)
 					}
 					if par.Feasible != serial.Feasible {
 						t.Errorf("mode=%v workers=%d: parallel=%v serial=%v",
@@ -117,7 +117,7 @@ func TestParallelChains(t *testing.T) {
 		p := gen.Chain(k, 30)
 		for _, mode := range []Mode{ModeAssets, ModeStrong} {
 			serial := verdict(t, p, mode)
-			par, err := FeasibleParallel(p, mode, 4)
+			par, err := FeasibleObs(p, mode, 4, nil)
 			if err != nil {
 				t.Fatalf("chain %d: %v", k, err)
 			}
@@ -132,7 +132,7 @@ func TestParallelRejectsInvalidProblem(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example1() // fresh copy, safe to corrupt
 	p.Exchanges[0].Principal = "nobody"
-	if _, err := FeasibleParallel(p, ModeAssets, 2); err == nil {
+	if _, err := FeasibleObs(p, ModeAssets, 2, nil); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
@@ -62,25 +63,33 @@ type Verdict struct {
 	Explored int    // distinct states visited
 }
 
-// Feasible searches for a safe completing execution of the problem.
+// Feasible searches for a safe completing execution of the problem with
+// the serial search and no telemetry.
 func Feasible(p *model.Problem, mode Mode) (Verdict, error) {
-	return feasibleConfigured(p, mode, false, nil)
+	return feasibleConfigured(p, mode, 1, false, nil)
 }
 
-// FeasibleObs is Feasible with telemetry: a span around the search,
-// batched node-expansion events (nodes visited, memo hits/misses,
-// depth), and memo counters. Nil telemetry makes it exactly Feasible —
-// the instrumented loop pays one boolean check per node.
-func FeasibleObs(p *model.Problem, mode Mode, tel *obs.Telemetry) (Verdict, error) {
-	return feasibleConfigured(p, mode, false, tel)
+// FeasibleObs is Feasible with a worker count and telemetry. workers ≤ 1
+// runs the serial search under a "search.feasible" span; workers > 1
+// fans the root's moves out to that many searchers sharing one sharded
+// memo, under a "search.feasible_parallel" span with per-shard memo
+// counters. The Feasible verdict never depends on the worker count; the
+// witness and the explored count may, since workers race to the first
+// witness. Telemetry adds batched node-expansion events and memo
+// counters; nil telemetry costs one boolean check per node.
+func FeasibleObs(p *model.Problem, mode Mode, workers int, tel *obs.Telemetry) (Verdict, error) {
+	return feasibleConfigured(p, mode, workers, false, tel)
 }
 
-// feasibleConfigured is the test seam behind Feasible: forceStringKeys
-// disables the packed-fingerprint memo so the property tests can confirm
-// the key representation never changes a verdict.
-func feasibleConfigured(p *model.Problem, mode Mode, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
+// feasibleConfigured is the test seam behind both entry points:
+// forceStringKeys disables the packed-fingerprint memo so the property
+// tests can confirm the key representation never changes a verdict.
+func feasibleConfigured(p *model.Problem, mode Mode, workers int, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
 	if err := p.Validate(); err != nil {
 		return Verdict{}, err
+	}
+	if workers > 1 {
+		return feasibleFanOut(p, mode, workers, forceStringKeys, tel)
 	}
 	s := &searcher{
 		problem:     p,
@@ -115,7 +124,8 @@ func feasibleConfigured(p *model.Problem, mode Mode, forceStringKeys bool, tel *
 	return Verdict{Feasible: found, Sequence: s.witness, Explored: explored}, nil
 }
 
-// searcher carries the serial DFS state. The memo is keyed by the packed
+// searcher runs the memoized DFS, both as the whole serial search and as
+// one worker of the root fan-out. The serial memo is keyed by the packed
 // 128-bit fingerprint when the problem fits (the common case — two bits
 // per exchange, one per indemnity), falling back to the string
 // fingerprint for oversized problems. Both keys are injective, so the
@@ -129,6 +139,14 @@ type searcher struct {
 	memoStr     map[string]bool
 	witness     []Move
 	moveBufs    [][]Move // per-depth scratch, reused across siblings
+
+	// A fan-out worker sets shared and stop: its memo is the sharded
+	// table every worker shares (which also keeps the memo telemetry),
+	// and a set stop flag — another worker holds a witness — prunes the
+	// rest of its search.
+	shared *sharedMemo
+	stop   *atomic.Bool
+	worker int
 
 	// Telemetry (obsOn caches tel.Enabled() so the per-node cost of a
 	// disabled tracer is one boolean test).
@@ -157,8 +175,11 @@ func (s *searcher) key(exec *safety.Exec) memoKey {
 }
 
 // memoLookup returns the memoized verdict for the key, inserting the
-// in-progress value `false` when absent (cutting cycles, as before).
+// in-progress value `false` when absent (cutting cycles).
 func (s *searcher) memoLookup(k memoKey) (val, seen bool) {
+	if s.shared != nil {
+		return s.shared.lookup(k)
+	}
 	if k.packed {
 		return s.memo64.lookupOrMark(k.fp)
 	}
@@ -173,9 +194,12 @@ func (s *searcher) memoLookup(k memoKey) (val, seen bool) {
 }
 
 func (s *searcher) memoStore(k memoKey, v bool) {
-	if k.packed {
+	switch {
+	case s.shared != nil:
+		s.shared.store(k, v)
+	case k.packed:
 		s.memo64.set(k.fp, v)
-	} else {
+	default:
 		s.memoStr[k.str] = v
 	}
 }
@@ -199,10 +223,33 @@ func (s *searcher) safe(exec *safety.Exec) bool {
 	return true
 }
 
+// batchEvent records one "search.batch" trace event: a worker reports
+// its index (its memo tallies live in the shared shards), the serial
+// search its memo hits and misses.
+func (s *searcher) batchEvent(depth int) {
+	if s.shared != nil {
+		s.span.Event("search.batch",
+			obs.Int("worker", s.worker),
+			obs.Int64("nodes", s.visited),
+			obs.Int("depth", depth))
+		return
+	}
+	s.span.Event("search.batch",
+		obs.Int64("nodes", s.visited),
+		obs.Int64("memo_hits", s.hits),
+		obs.Int64("memo_misses", s.misses),
+		obs.Int("depth", depth))
+}
+
 // dfs explores from exec (already completion-saturated). Returns true if
 // a safe completing continuation exists; the witness is recorded. depth
-// selects the reusable move buffer for this level.
+// selects the reusable move buffer for this level. A worker bails out
+// with false once the stop flag is set — by then another worker has
+// recorded a witness, so the pruned return value is never read.
 func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
+	if s.stop != nil && s.stop.Load() {
+		return false
+	}
 	key := s.key(exec)
 	if done, seen := s.memoLookup(key); seen {
 		if s.obsOn {
@@ -214,11 +261,7 @@ func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
 		s.misses++
 		s.visited++
 		if s.visited%obsBatch == 0 {
-			s.span.Event("search.batch",
-				obs.Int64("nodes", s.visited),
-				obs.Int64("memo_hits", s.hits),
-				obs.Int64("memo_misses", s.misses),
-				obs.Int("depth", depth))
+			s.batchEvent(depth)
 		}
 	}
 	// memoLookup marked the state in-progress (false) to cut cycles;
@@ -234,23 +277,24 @@ func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
 	}
 
 	for _, mv := range s.moves(exec, depth) {
-		next := exec.ClonePooled()
-		if err := applyMove(next, s.problem, mv); err != nil {
-			safety.Release(next)
-			continue
-		}
-		if err := next.ForceCompletionsAll(); err != nil {
-			safety.Release(next)
-			continue
-		}
-		ok := s.dfs(next, append(trail, mv), depth+1)
-		safety.Release(next)
-		if ok {
+		if s.expand(exec, mv, trail, depth) {
 			s.memoStore(key, true)
 			return true
 		}
 	}
 	return false
+}
+
+// expand explores the successor of exec under mv, reporting whether a
+// safe completing continuation exists from it. A move that does not
+// apply leads nowhere.
+func (s *searcher) expand(exec *safety.Exec, mv Move, trail []Move, depth int) bool {
+	next := exec.ClonePooled()
+	ok := applyMove(next, s.problem, mv) == nil &&
+		next.ForceCompletionsAll() == nil &&
+		s.dfs(next, append(trail, mv), depth+1)
+	safety.Release(next)
+	return ok
 }
 
 // moves enumerates the searchable steps from exec into the depth-indexed

@@ -71,9 +71,9 @@ func TestPaperWitnessesReplay(t *testing.T) {
 				if serial.Feasible {
 					assertWitnessReplays(t, p, serial, mode)
 				}
-				par, err := FeasibleParallel(p, mode, 4)
+				par, err := FeasibleObs(p, mode, 4, nil)
 				if err != nil {
-					t.Fatalf("FeasibleParallel(%v) = %v", mode, err)
+					t.Fatalf("FeasibleObs(%v, 4 workers) = %v", mode, err)
 				}
 				if par.Feasible {
 					assertWitnessReplays(t, p, par, mode)
@@ -99,7 +99,7 @@ func TestRandomWitnessesReplay(t *testing.T) {
 			if v := verdict(t, p, mode); v.Feasible {
 				assertWitnessReplays(t, p, v, mode)
 			}
-			pv, err := FeasibleParallel(p, mode, 3)
+			pv, err := FeasibleObs(p, mode, 3, nil)
 			if err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}

@@ -15,8 +15,9 @@
 //   - Reduction records the outcome: the ordered list of Removals (each
 //     tagged with the Rule that fired), the residual edges, and the
 //     feasibility verdict derived from whether the graph emptied.
-//   - Reduce / ReduceObs / ReduceNaive / ReduceRandomOrder /
-//     ReducePreferred are alternative strategies over the same two rules;
+//   - Reduce (which takes optional telemetry) / ReduceNaive /
+//     ReduceRandomOrder / ReducePreferred are alternative strategies
+//     over the same two rules;
 //     the confluence property (any maximal reduction reaches the same
 //     verdict, Section 4.2.4) is what makes the choice a performance
 //     knob rather than a correctness one, and is property-tested.

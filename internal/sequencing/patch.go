@@ -262,5 +262,5 @@ func Patch(base *Graph, baseRed *Reduction, edited *model.Problem, delta *model.
 	// reducer is deterministic in the graph bits, and the bits match a
 	// from-scratch build, so the removal trace matches too — that, not
 	// a seeded partial replay, is what keeps reports byte-identical.
-	return &PatchResult{Graph: ng, Reduction: Reduce(ng), Outcome: PatchRereduced, Frontier: frontier}, true
+	return &PatchResult{Graph: ng, Reduction: Reduce(ng, nil), Outcome: PatchRereduced, Frontier: frontier}, true
 }

@@ -18,7 +18,7 @@ func splitAnalysis(t testing.TB, p *model.Problem) (*Graph, *Reduction) {
 	if err != nil {
 		t.Fatalf("NewSplit(%s) = %v", p.Name, err)
 	}
-	return g, Reduce(g)
+	return g, Reduce(g, nil)
 }
 
 // mustPatch diffs edited against the base graph's problem and applies

@@ -34,7 +34,7 @@ func TestConfluenceOnRandomProblems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		base := Reduce(g)
+		base := Reduce(g, nil)
 		naive := ReduceNaive(g)
 		if base.Feasible() != naive.Feasible() || len(base.Removals) != len(naive.Removals) {
 			t.Fatalf("instance %d: worklist (%v,%d) != naive (%v,%d)",
@@ -68,7 +68,7 @@ func TestReduceDoesNotMutateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSplit: %v", err)
 	}
-	a, b := Reduce(g), Reduce(g)
+	a, b := Reduce(g, nil), Reduce(g, nil)
 	if a.Feasible() != b.Feasible() || len(a.Removals) != len(b.Removals) {
 		t.Fatalf("second reduction differs")
 	}
@@ -100,7 +100,7 @@ func TestTrustMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		before := Reduce(g).Feasible()
+		before := Reduce(g, nil).Feasible()
 		if !before {
 			continue
 		}
@@ -128,7 +128,7 @@ func TestTrustMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if !Reduce(g2).Feasible() {
+		if !Reduce(g2, nil).Feasible() {
 			t.Fatalf("instance %d: adding trust made a feasible problem infeasible", i)
 		}
 	}

@@ -121,7 +121,7 @@ type state struct {
 	nstamp   []int32
 	nepoch   int32
 
-	// Worklist scratch for ReduceObs, kept here so the pool recycles it
+	// Worklist scratch for Reduce, kept here so the pool recycles it
 	// with the rest of the reduction state.
 	work   []int32
 	inWork []bool
@@ -289,14 +289,11 @@ func (s *state) addNeighbors(out []int32, indices []int32, skip []bool) []int32 
 // Reduce performs greedy reduction with a worklist, removing applicable
 // edges until none remains applicable. Section 4.2.4 licenses greediness:
 // any applicable reduction may be applied in any order without changing
-// the feasibility verdict.
-func Reduce(g *Graph) *Reduction { return ReduceObs(g, nil) }
-
-// ReduceObs is Reduce with telemetry: a span around the reduction, one
-// trace event per rule application (the replayable removal audit), and
-// per-rule counters. A nil telemetry disables everything and the cost
+// the feasibility verdict. Telemetry adds a span around the reduction,
+// one trace event per rule application (the replayable removal audit),
+// and per-rule counters; nil telemetry disables everything and the cost
 // collapses to one branch per removal.
-func ReduceObs(g *Graph, tel *obs.Telemetry) *Reduction {
+func Reduce(g *Graph, tel *obs.Telemetry) *Reduction {
 	var sp obs.Span
 	if tel.Enabled() {
 		sp = tel.Trace().StartSpan("sequencing.reduce",

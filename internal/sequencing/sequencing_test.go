@@ -90,7 +90,7 @@ func TestGraphStructureExample2(t *testing.T) {
 func TestReduceExample1Feasible(t *testing.T) {
 	t.Parallel()
 	g := buildGraph(t, paperex.Example1())
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if !r.Feasible() {
 		t.Fatalf("Example 1 not feasible:\n%s", r.String())
 	}
@@ -102,7 +102,7 @@ func TestReduceExample1Feasible(t *testing.T) {
 func TestReduceExample2Impasse(t *testing.T) {
 	t.Parallel()
 	g := buildGraph(t, paperex.Example2())
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if r.Feasible() {
 		t.Fatalf("Example 2 reported feasible:\n%s", r.String())
 	}
@@ -131,7 +131,7 @@ func TestReduceVariant1SourceTrustsBrokerFeasible(t *testing.T) {
 	if g.Commitments[paperex.Example2S1Provide].PersonaPrincipal {
 		t.Fatalf("s1–t2 commitment wrongly marked persona")
 	}
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if !r.Feasible() {
 		t.Fatalf("variant 1 not feasible:\n%s\n%s", r.String(), r.Impasse())
 	}
@@ -153,7 +153,7 @@ func TestReduceVariant2BrokerTrustsSourceInfeasible(t *testing.T) {
 	if !g.Commitments[paperex.Example2S1Provide].PersonaPrincipal {
 		t.Fatalf("s1–t2 commitment not marked persona")
 	}
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if r.Feasible() {
 		t.Fatalf("variant 2 reported feasible — trust asymmetry lost:\n%s", r.String())
 	}
@@ -171,7 +171,7 @@ func TestReducePoorBrokerInfeasible(t *testing.T) {
 	if got := g.RedCount(); got != 2 {
 		t.Fatalf("poor broker red edges = %d, want 2", got)
 	}
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if r.Feasible() {
 		t.Fatalf("poor broker reported feasible:\n%s", r.String())
 	}
@@ -185,7 +185,7 @@ func TestReducePoorBrokerInfeasible(t *testing.T) {
 			p.Parties[i].Endowment = paperex.WholesalePrice
 		}
 	}
-	if r := Reduce(buildGraph(t, p)); !r.Feasible() {
+	if r := Reduce(buildGraph(t, p), nil); !r.Feasible() {
 		t.Errorf("funded broker infeasible:\n%s", r.String())
 	}
 }
@@ -203,7 +203,7 @@ func TestReduceExample2IndemnifiedFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSplit = %v", err)
 	}
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	if !r.Feasible() {
 		t.Fatalf("indemnified Example 2 infeasible:\n%s\n%s", r.String(), r.Impasse())
 	}
@@ -230,7 +230,7 @@ func TestReductionConfluenceOnExamples(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSplit = %v", err)
 			}
-			want := Reduce(g).Feasible()
+			want := Reduce(g, nil).Feasible()
 			if got := ReduceNaive(g).Feasible(); got != want {
 				t.Errorf("naive verdict %v != worklist verdict %v", got, want)
 			}
@@ -255,7 +255,7 @@ func TestReductionRemovalCountsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSplit(%s) = %v", name, err)
 		}
-		a, b := Reduce(g), ReduceNaive(g)
+		a, b := Reduce(g, nil), ReduceNaive(g)
 		if len(a.Removals) != len(b.Removals) {
 			t.Errorf("%s: worklist removed %d, naive removed %d", name, len(a.Removals), len(b.Removals))
 		}
@@ -272,7 +272,7 @@ func TestRemovedSortedOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSplit(%s) = %v", name, err)
 		}
-		want := Reduce(g).RemovedSorted()
+		want := Reduce(g, nil).RemovedSorted()
 		for i := 1; i < len(want); i++ {
 			prev, cur := want[i-1], want[i]
 			if cur.C < prev.C || (cur.C == prev.C && cur.J < prev.J) {
@@ -304,7 +304,7 @@ func TestDOTRendering(t *testing.T) {
 			t.Errorf("DOT missing %q:\n%s", want, out)
 		}
 	}
-	r := Reduce(g)
+	r := Reduce(g, nil)
 	reduced := g.DOT(r.RemovedSet())
 	if !strings.Contains(reduced, "style=dotted") {
 		t.Errorf("reduced DOT missing dotted edges")
@@ -329,11 +329,11 @@ func TestRuleString(t *testing.T) {
 
 func TestReductionStringMentionsVerdict(t *testing.T) {
 	t.Parallel()
-	feasible := Reduce(buildGraph(t, paperex.Example1()))
+	feasible := Reduce(buildGraph(t, paperex.Example1()), nil)
 	if !strings.Contains(feasible.String(), "feasible") {
 		t.Errorf("feasible trace missing verdict:\n%s", feasible.String())
 	}
-	infeasible := Reduce(buildGraph(t, paperex.Example2()))
+	infeasible := Reduce(buildGraph(t, paperex.Example2()), nil)
 	if !strings.Contains(infeasible.String(), "IMPASSE") {
 		t.Errorf("infeasible trace missing impasse:\n%s", infeasible.String())
 	}
@@ -365,7 +365,7 @@ func TestReducePreferredFollowsPriority(t *testing.T) {
 	if first.Edge.ID.C != paperex.Example1ProducerIdx {
 		t.Fatalf("first removal = c%d, want the producer commitment", first.Edge.ID.C)
 	}
-	if len(r.Removals) != len(Reduce(g).Removals) {
+	if len(r.Removals) != len(Reduce(g, nil).Removals) {
 		t.Fatalf("preferred reducer removed a different number of edges")
 	}
 }

@@ -462,7 +462,7 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 	patched := false
 	if basePlan != nil {
 		var info core.IncrementalInfo
-		plan, info, err = core.SynthesizeIncrementalObs(basePlan, p, tel)
+		plan, info, err = core.SynthesizeIncremental(basePlan, p, tel)
 		patched = err == nil && info.Patched()
 	} else {
 		plan, err = core.SynthesizeObs(p, tel)
@@ -578,18 +578,12 @@ func (s *Service) crossCheck(p *model.Problem, graphFeasible bool, tel *obs.Tele
 		cc.Agreement = true // not evaluated
 		return cc, nil
 	}
-	feasible := func(mode search.Mode) (search.Verdict, error) {
-		if s.opts.SearchWorkers > 1 {
-			return search.FeasibleParallelObs(p, mode, s.opts.SearchWorkers, tel)
-		}
-		return search.FeasibleObs(p, mode, tel)
-	}
-	assets, err := feasible(search.ModeAssets)
+	assets, err := search.FeasibleObs(p, search.ModeAssets, s.opts.SearchWorkers, tel)
 	if err != nil {
 		return nil, fmt.Errorf("assets search: %w", err)
 	}
 	cc.AssetsFeasible = assets.Feasible
-	strong, err := feasible(search.ModeStrong)
+	strong, err := search.FeasibleObs(p, search.ModeStrong, s.opts.SearchWorkers, tel)
 	if err != nil {
 		return nil, fmt.Errorf("strong search: %w", err)
 	}
@@ -598,7 +592,7 @@ func (s *Service) crossCheck(p *model.Problem, graphFeasible bool, tel *obs.Tele
 	if err != nil {
 		return nil, fmt.Errorf("petri encoding: %w", err)
 	}
-	cov := enc.CompletableObs(s.opts.PetriBudget, tel)
+	cov := enc.CompletableObs(s.opts.PetriBudget, tel, nil)
 	cc.PetriFound = cov.Found
 	cc.PetriCapped = cov.Capped
 	cc.Agreement = !graphFeasible || cc.AssetsFeasible

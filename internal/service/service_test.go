@@ -693,3 +693,35 @@ func TestDigestRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// overflowSpec pays $2^30 to each of two producers, so the consumer
+// holds 2^31 money tokens: one more than the Petri encoding's int32
+// counts can carry.
+const overflowSpec = `problem overflow {
+    consumer c
+    producer p1
+    producer p2
+    trusted  t1
+    trusted  t2
+
+    exchange c with p1 via t1 { c gives $1073741824; p1 gives doc "d1" }
+    exchange c with p2 via t2 { c gives $1073741824; p2 gives doc "d2" }
+}
+`
+
+// A cross-check whose Petri encoding would overflow fails closed with
+// 422, not a silent petri_found=false; without crosscheck the spec is
+// analysed normally.
+func TestAnalyzeCrossCheckTokenOverflow(t *testing.T) {
+	_, ts, _ := newTestService(t, Options{})
+	resp, body := postSpec(t, ts.URL+"/v1/analyze?crosscheck=1", overflowSpec)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422; body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "exceeds the encoding's limit") {
+		t.Errorf("422 body does not name the overflow: %s", body)
+	}
+	if resp, body := postSpec(t, ts.URL+"/v1/analyze", overflowSpec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain analyze: status %d, body %s", resp.StatusCode, body)
+	}
+}

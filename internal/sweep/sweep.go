@@ -77,9 +77,10 @@ type Config struct {
 	// PetriBudget bounds the coverability exploration per problem.
 	// Default 1<<17 states.
 	PetriBudget int
-	// SearchWorkers > 1 uses search.FeasibleParallel per problem on top
-	// of the cross-problem pool. Default: serial per-problem search (the
-	// sweep already saturates the machine across problems).
+	// SearchWorkers > 1 fans each problem's search out to that many
+	// workers (search.FeasibleObs) on top of the cross-problem pool.
+	// Default: serial per-problem search (the sweep already saturates
+	// the machine across problems).
 	SearchWorkers int
 
 	// ChaosRuns > 0 adds a chaos stage to every graph-feasible problem:
@@ -434,19 +435,13 @@ func runOne(cfg Config, i int, ws *workerScratch) Result {
 		res.SearchSkipped = true
 		return res
 	}
-	feasible := func(mode search.Mode) (search.Verdict, error) {
-		if cfg.SearchWorkers > 1 {
-			return search.FeasibleParallelObs(p, mode, cfg.SearchWorkers, tel)
-		}
-		return search.FeasibleObs(p, mode, tel)
-	}
-	assets, err := feasible(search.ModeAssets)
+	assets, err := search.FeasibleObs(p, search.ModeAssets, cfg.SearchWorkers, tel)
 	if err != nil {
 		res.Err = fmt.Sprintf("assets search: %v", err)
 		return res
 	}
 	res.AssetsFeasible = assets.Feasible
-	strong, err := feasible(search.ModeStrong)
+	strong, err := search.FeasibleObs(p, search.ModeStrong, cfg.SearchWorkers, tel)
 	if err != nil {
 		res.Err = fmt.Sprintf("strong search: %v", err)
 		return res
@@ -458,7 +453,7 @@ func runOne(cfg Config, i int, ws *workerScratch) Result {
 		res.Err = fmt.Sprintf("petri encoding: %v", err)
 		return res
 	}
-	cov := enc.CompletableObsWith(cfg.PetriBudget, tel, ws.cover)
+	cov := enc.CompletableObs(cfg.PetriBudget, tel, ws.cover)
 	res.PetriFound = cov.Found
 	res.PetriCapped = cov.Capped
 	res.PetriComparable = !cov.Capped && len(p.DirectTrust) == 0 && len(p.Indemnities) == 0

@@ -1,6 +1,8 @@
 package trustseq
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"trustseq/internal/core"
@@ -10,6 +12,7 @@ import (
 	"trustseq/internal/paperex"
 	"trustseq/internal/petri"
 	"trustseq/internal/sequencing"
+	"trustseq/internal/sim"
 )
 
 // Allocation regression gates for the compiled hot paths. The budgets
@@ -138,5 +141,44 @@ func TestIncrementalPatchAllocBudget(t *testing.T) {
 			t.Errorf("%s path allocation count scales with problem size: chain-16 %.0f, chain-64 %.0f",
 				mode, got[0], got[1])
 		}
+	}
+}
+
+// TestPopulationSimAllocBudget gates the bytes one sim.Run allocates,
+// with the settlement log on, per principal of a 10^3-consumer
+// population. The budget is the measured 12.9 KB per principal plus
+// 25% headroom. Messages sit in the event queue as int32 handles into a
+// reused arena, and the trace, the settlement log's levels, the result
+// state and every trusted node's escrow log are sized from the plan up
+// front. Queueing Message values again, or growing the trace by
+// append, lands above the budget (about 18.7 and 19.8 KB).
+func TestPopulationSimAllocBudget(t *testing.T) {
+	skipIfRace(t)
+	const principals = 1000
+	const budget = 12900 * 1.25 // bytes per principal
+	plan, err := core.Synthesize(gen.Population(principals, 0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Seed: 1, Deadline: popDeadline, VLog: true}
+	// The least of three runs: a stray background allocation can only
+	// add to a sample.
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := sim.Run(plan, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed() {
+			t.Fatal("population run missed its deadline")
+		}
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/principals)
+	}
+	t.Logf("sim.Run allocates %.0f B per principal", best)
+	if best > budget {
+		t.Fatalf("sim.Run allocates %.0f B per principal, above the %.0f B budget", best, budget)
 	}
 }

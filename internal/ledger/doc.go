@@ -12,6 +12,17 @@
 //   - Transfer moves a bundle all or nothing; CanPay pre-checks funding;
 //     Balance returns defensive copies; Audit asserts that total money
 //     and goods equal the opening snapshot (property-tested).
+//   - NewIndexed builds the book over a caller's party and item slot
+//     indexes (the simulator shares its network's party index).
+//     TransferAt and HoldingAt are Transfer and Balance by slot, and
+//     ItemSlot resolves a document once: a funded TransferAt hashes no
+//     ID.
+//
+// Slots are assigned deterministically: New interns parties and items
+// in sorted order, NewIndexed keeps the caller's order and interns any
+// missing opening party or item in sorted order. Which document Audit
+// names first, when several fail conservation, is therefore the same
+// on every run.
 //
 // # Concurrency and ownership
 //

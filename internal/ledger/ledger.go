@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,7 +10,8 @@ import (
 	"trustseq/internal/slab"
 )
 
-// Ledger is the account book. Create with New.
+// Ledger is the account book. Create with New, or with NewIndexed to
+// share a caller's party and item slot space.
 //
 // Internally the book is sharded by principal: party and item IDs are
 // interned into dense slots, cash lives in one flat slab indexed by
@@ -30,25 +32,66 @@ type Ledger struct {
 }
 
 // New builds a ledger with the given opening balances. The opening
-// snapshot fixes the conservation invariants.
+// snapshot fixes the conservation invariants. Parties and items are
+// interned in sorted order, so slots — and with them which document
+// Audit names first when several fail conservation — never depend on
+// map iteration order.
 func New(initial map[model.PartyID]*model.Holding) *Ledger {
+	return NewIndexed(slab.NewIndex[model.PartyID](len(initial)), slab.NewIndex[model.ItemID](8), initial)
+}
+
+// NewIndexed builds a ledger over the caller's party and item indexes:
+// party slot p of parties is the ledger's account p, and item slot i of
+// items its document i, so a caller that resolved an ID against either
+// index once can move assets by slot (TransferAt) without hashing it
+// again. The indexes are shared, not copied: the ledger's accounts are
+// the parties interned when it is built. Opening parties or items the
+// indexes lack are interned first, in sorted order.
+func NewIndexed(parties *slab.Index[model.PartyID], items *slab.Index[model.ItemID], initial map[model.PartyID]*model.Holding) *Ledger {
+	var newParties []model.PartyID
+	var newItems []model.ItemID
+	entries := 0
+	for id, h := range initial {
+		if _, ok := parties.Lookup(id); !ok {
+			newParties = append(newParties, id)
+		}
+		for it, n := range h.Items {
+			if n == 0 {
+				continue
+			}
+			entries++
+			if _, ok := items.Lookup(it); !ok {
+				newItems = append(newItems, it)
+			}
+		}
+	}
+	slices.Sort(newParties)
+	for _, id := range newParties {
+		parties.Intern(id)
+	}
+	slices.Sort(newItems)
+	for _, it := range newItems {
+		items.Intern(it)
+	}
 	l := &Ledger{
-		parties: slab.NewIndex[model.PartyID](len(initial)),
-		items:   slab.NewIndex[model.ItemID](8),
-		cash:    make([]model.Money, 0, len(initial)),
-		held:    make([][]int32, 0, len(initial)),
-		counts:  slab.NewCounts(len(initial)),
+		parties:  parties,
+		items:    items,
+		cash:     make([]model.Money, parties.Len()),
+		held:     make([][]int32, parties.Len()),
+		counts:   slab.NewCounts(entries),
+		openDocs: make([]int64, items.Len()),
 	}
 	for id, h := range initial {
-		p := l.slot(id)
+		p, _ := parties.Lookup(id)
 		l.cash[p] = h.Cash
 		l.totalCash += h.Cash
 		for it, n := range h.Items {
 			if n == 0 {
 				continue
 			}
-			l.credit(p, l.itemSlot(it), int64(n))
-			l.openDocs[l.mustItem(it)] += int64(n)
+			i, _ := items.Lookup(it)
+			l.credit(p, i, int64(n))
+			l.openDocs[i] += int64(n)
 		}
 	}
 	return l
@@ -59,14 +102,12 @@ func ForProblem(p *model.Problem) *Ledger {
 	return New(model.InitialHoldings(p))
 }
 
-// slot interns a party ID, growing the per-party slabs in lockstep.
-func (l *Ledger) slot(id model.PartyID) int32 {
-	p := l.parties.Intern(id)
-	for int(p) >= len(l.cash) {
-		l.cash = append(l.cash, 0)
-		l.held = append(l.held, nil)
-	}
-	return p
+// account looks up a party's slot, reporting false for a party the
+// ledger has no account for — including one interned into a shared
+// index after the ledger was built.
+func (l *Ledger) account(id model.PartyID) (int32, bool) {
+	p, ok := l.parties.Lookup(id)
+	return p, ok && int(p) < len(l.cash)
 }
 
 // itemSlot interns an item ID, growing the opening-count slab.
@@ -75,12 +116,6 @@ func (l *Ledger) itemSlot(it model.ItemID) int32 {
 	for int(i) >= len(l.openDocs) {
 		l.openDocs = append(l.openDocs, 0)
 	}
-	return i
-}
-
-// mustItem looks up an item slot that itemSlot has already interned.
-func (l *Ledger) mustItem(it model.ItemID) int32 {
-	i, _ := l.items.Lookup(it)
 	return i
 }
 
@@ -128,7 +163,7 @@ func (l *Ledger) holding(p int32) *model.Holding {
 
 // Balance returns a copy of a party's holding.
 func (l *Ledger) Balance(id model.PartyID) *model.Holding {
-	p, ok := l.parties.Lookup(id)
+	p, ok := l.account(id)
 	if !ok {
 		return model.NewHolding()
 	}
@@ -137,7 +172,7 @@ func (l *Ledger) Balance(id model.PartyID) *model.Holding {
 
 // CanPay reports whether the party holds the bundle.
 func (l *Ledger) CanPay(id model.PartyID, b model.Bundle) bool {
-	p, ok := l.parties.Lookup(id)
+	p, ok := l.account(id)
 	return ok && l.contains(p, b)
 }
 
@@ -147,11 +182,11 @@ func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle) error {
 	if b.IsEmpty() {
 		return nil
 	}
-	src, ok := l.parties.Lookup(from)
+	src, ok := l.account(from)
 	if !ok {
 		return fmt.Errorf("ledger: unknown account %s", from)
 	}
-	dst, ok := l.parties.Lookup(to)
+	dst, ok := l.account(to)
 	if !ok {
 		return fmt.Errorf("ledger: unknown account %s", to)
 	}
@@ -169,6 +204,52 @@ func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle) error {
 		l.credit(dst, i, 1)
 	}
 	return nil
+}
+
+// TransferAt is Transfer for a one-action bundle between accounts
+// resolved to slots: src pays dst amount in cash plus, when item is
+// non-negative, one unit of the document at that item slot. It fails
+// without mutation, with Transfer's error text, when the payer cannot
+// fund it, and hashes no ID on its funded path.
+func (l *Ledger) TransferAt(src, dst int32, amount model.Money, item int32) error {
+	if amount == 0 && item < 0 {
+		return nil
+	}
+	for _, p := range [2]int32{src, dst} {
+		if p < 0 || int(p) >= len(l.cash) {
+			return fmt.Errorf("ledger: unknown account slot %d", p)
+		}
+	}
+	if l.cash[src] < amount || (item >= 0 && l.counts.Get(slab.PairKey(src, item)) < 1) {
+		b := model.Cash(amount)
+		if item >= 0 {
+			b.Items = []model.ItemID{l.items.Key(item)}
+		}
+		err := l.holding(src).Remove(b)
+		return fmt.Errorf("ledger: %s cannot pay %s: %w", l.parties.Key(src), b, err)
+	}
+	l.cash[src] -= amount
+	l.cash[dst] += amount
+	if item >= 0 {
+		l.counts.Add(slab.PairKey(src, item), -1)
+		l.credit(dst, item, 1)
+	}
+	return nil
+}
+
+// ItemSlot returns a document's item slot, reporting false for a
+// document the ledger has no slot for.
+func (l *Ledger) ItemSlot(it model.ItemID) (int32, bool) {
+	return l.items.Lookup(it)
+}
+
+// HoldingAt returns a copy of the holding of the account at party slot
+// p, or an empty holding when p names no account.
+func (l *Ledger) HoldingAt(p int32) *model.Holding {
+	if p < 0 || int(p) >= len(l.cash) {
+		return model.NewHolding()
+	}
+	return l.holding(p)
 }
 
 // Audit checks conservation: total money and per-document counts match
@@ -200,15 +281,14 @@ func (l *Ledger) Audit() error {
 
 // String renders all balances deterministically.
 func (l *Ledger) String() string {
-	ids := make([]string, 0, l.parties.Len())
-	for p := int32(0); p < int32(l.parties.Len()); p++ {
-		ids = append(ids, string(l.parties.Key(p)))
+	slots := make([]int32, len(l.cash))
+	for p := range slots {
+		slots[p] = int32(p)
 	}
-	sort.Strings(ids)
+	sort.Slice(slots, func(i, j int) bool { return l.parties.Key(slots[i]) < l.parties.Key(slots[j]) })
 	var b strings.Builder
-	for _, id := range ids {
-		p, _ := l.parties.Lookup(model.PartyID(id))
-		fmt.Fprintf(&b, "%s: %s\n", id, l.holding(p))
+	for _, p := range slots {
+		fmt.Fprintf(&b, "%s: %s\n", l.parties.Key(p), l.holding(p))
 	}
 	return b.String()
 }

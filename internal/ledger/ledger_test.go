@@ -7,6 +7,7 @@ import (
 
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
+	"trustseq/internal/slab"
 )
 
 func twoAccounts() *Ledger {
@@ -83,6 +84,29 @@ func TestTransferZeroAlloc(t *testing.T) {
 	}
 }
 
+// TransferAt between accounts that already hold its item allocates
+// nothing either.
+func TestTransferAtZeroAlloc(t *testing.T) {
+	l := twoAccounts()
+	a, _ := l.account("a")
+	b, _ := l.account("b")
+	d, _ := l.ItemSlot("d")
+	if err := l.TransferAt(a, b, 1, d); err != nil { // b's first d
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := l.TransferAt(b, a, 1, d); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.TransferAt(a, b, 1, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("TransferAt allocates %v allocs/op, want 0", avg)
+	}
+}
+
 func TestCanPay(t *testing.T) {
 	t.Parallel()
 	l := twoAccounts()
@@ -148,5 +172,79 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Slots are interned in sorted order, not map order: a ledger built 50
+// times from the same opening holdings, with the same several
+// documents corrupted, names the same failing document every time.
+func TestAuditNamesFailuresDeterministically(t *testing.T) {
+	t.Parallel()
+	initial := func() map[model.PartyID]*model.Holding {
+		out := make(map[model.PartyID]*model.Holding)
+		for _, id := range []model.PartyID{"p", "q", "r", "s", "t", "u"} {
+			out[id] = holdingOf(10, model.ItemID("d"+id), model.ItemID("e"+id))
+		}
+		return out
+	}
+	var want string
+	for i := 0; i < 50; i++ {
+		l := New(initial())
+		// Forge one extra unit of every document the first party holds
+		// and of every document the last one holds.
+		for _, p := range []int32{0, int32(len(l.cash) - 1)} {
+			for _, it := range l.held[p] {
+				l.counts.Add(slab.PairKey(p, it), 1)
+			}
+		}
+		err := l.Audit()
+		if err == nil {
+			t.Fatal("Audit accepted forged documents")
+		}
+		if i == 0 {
+			want = err.Error()
+			continue
+		}
+		if err.Error() != want {
+			t.Fatalf("build %d: Audit = %q, first build said %q", i, err, want)
+		}
+	}
+}
+
+// TransferAt moves exactly what Transfer moves for the same one-action
+// bundle, and fails with the same error text when the payer cannot fund
+// it.
+func TestTransferAtMatchesTransfer(t *testing.T) {
+	t.Parallel()
+	byID, bySlot := twoAccounts(), twoAccounts()
+	a, _ := bySlot.account("a")
+	b, _ := bySlot.account("b")
+	d, _ := bySlot.ItemSlot("d")
+	for _, mv := range []struct {
+		amount model.Money
+		item   int32
+	}{
+		{30, -1},
+		{0, d},
+		{0, d}, // a no longer holds d
+		{0, -1},
+		{500, -1},
+		{5, d},
+	} {
+		bundle := model.Cash(mv.amount)
+		if mv.item >= 0 {
+			bundle = bundle.With("d")
+		}
+		want := byID.Transfer("a", "b", bundle)
+		got := bySlot.TransferAt(a, b, mv.amount, mv.item)
+		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+			t.Fatalf("%v: TransferAt = %v, Transfer = %v", bundle, got, want)
+		}
+	}
+	if byID.String() != bySlot.String() {
+		t.Fatalf("balances diverge:\n%s\nvs\n%s", bySlot, byID)
+	}
+	if err := bySlot.TransferAt(a, 7, 1, -1); err == nil {
+		t.Fatal("TransferAt accepted an unknown account slot")
 	}
 }

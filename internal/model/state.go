@@ -22,6 +22,11 @@ func NewState(actions ...Action) State {
 	return s
 }
 
+// NewStateCap returns an empty state with room for about n actions.
+func NewStateCap(n int) State {
+	return State{actions: make(map[Action]struct{}, n)}
+}
+
 // Add records an action. Adding an action already present is an error:
 // the paper's set representation cannot express repeated actions, and the
 // problem validator rejects specifications that would need them.

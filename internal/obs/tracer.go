@@ -199,6 +199,17 @@ func (t *Tracer) StartSpan(name string, attrs ...Attr) Span {
 	return sp
 }
 
+// StartChild opens a span whose start record names s as its parent. A
+// child of a no-op span is a no-op.
+func (s Span) StartChild(name string, attrs ...Attr) Span {
+	if !s.t.Enabled() {
+		return Span{}
+	}
+	sp := Span{t: s.t, id: s.t.ids.Add(1), name: name, start: s.t.timestamp()}
+	s.t.sink.Emit(Event{Time: sp.start, Type: TypeSpanStart, Name: name, Span: sp.id, Parent: s.id, Attrs: attrs})
+	return sp
+}
+
 // Event emits an instantaneous record attributed to the span.
 func (s Span) Event(name string, attrs ...Attr) {
 	if !s.t.Enabled() {

@@ -54,6 +54,19 @@ func hashAction(a model.Action) uint64 {
 	return h
 }
 
+// reserve sizes an empty set for n elements without regrowth.
+func (s *actionSet) reserve(n int) {
+	if n == 0 {
+		return
+	}
+	size := 16
+	for size*7 <= n*10 {
+		size *= 2
+	}
+	s.keys = make([]model.Action, 0, n)
+	s.tab = make([]int32, size)
+}
+
 // add inserts a into the set; present elements are left alone.
 func (s *actionSet) add(a model.Action) {
 	if s.tab == nil {

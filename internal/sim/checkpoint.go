@@ -596,7 +596,8 @@ func (rs *runtime) inject(data []byte) error {
 	}
 	n.trace = trace
 	for _, m := range pending {
-		n.q.push(m) // seq already assigned; bypass schedule()
+		n.resolve(&m) // the encoding carries IDs, not slots
+		n.q.push(m)   // seq already assigned; bypass schedule()
 	}
 
 	if err := rs.replayLedger(trace, pending); err != nil {

@@ -26,6 +26,20 @@
 //   - Run (run.go) is the one-call wrapper the CLI, service and sweep
 //     use: synthesize, wire up nodes, execute, audit.
 //
+// # Cost per message
+//
+// A run pays for its messages, not for allocations and string hashes.
+// setupRun interns every party once, in the problem's order with the
+// transit account last, and every item the exchanges move; the network
+// and its ledger share those slot spaces, and each message carries its
+// resolved slots in unexported fields, so delivery and both ledger
+// movements index arrays. The event wheel queues int32 handles into a
+// Message arena, and the trace, the result state, the settlement log
+// and the nodes' working sets are sized from the plan. With
+// Options.Obs set, Run times its setup, loop, assemble and settlement
+// phases as child spans of its sim.run span and as sim.phase.*
+// histograms; without it, it reads no clock.
+//
 // # Concurrency and ownership
 //
 // The simulator is deliberately single-threaded: one goroutine owns the

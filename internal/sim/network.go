@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/slab"
@@ -59,6 +60,12 @@ type Message struct {
 	Tag string
 
 	seq int // FIFO tiebreaker for equal delivery times
+	// to is the party slot of To (-1 when unknown). A transfer sent
+	// under a ledger also carries the slot of its asset's mover and the
+	// item slot of a give's document (-1 for a pay). They are resolved
+	// once, when the message is sent, so delivery and both ledger
+	// movements index arrays instead of hashing party and item IDs.
+	to, mover, item int32
 }
 
 // String renders the message.
@@ -127,10 +134,12 @@ type Recoverable interface {
 // Node state is sharded by principal: party IDs are interned into dense
 // slots, and the node table, down flags, and crash bookkeeping are flat
 // slabs indexed by slot — no per-principal map entries, so memory per
-// principal stays flat into the 10^6 range. The event queue is the
-// hierarchical timing wheel (see wheel.go); delivery reuses one scratch
-// Context, so scheduling plus delivering a message allocates nothing at
-// steady state.
+// principal stays flat into the 10^6 range. A simulation run shares the
+// party slot space with its ledger, and every message carries its
+// resolved party and item slots, so a delivery hashes no ID. The
+// event queue is the hierarchical timing wheel (see wheel.go); delivery
+// reuses one scratch Context, so scheduling plus delivering a message
+// allocates nothing at steady state.
 type Network struct {
 	parties   *slab.Index[model.PartyID]
 	nodes     []Node // by party slot
@@ -162,11 +171,12 @@ type Network struct {
 	// retains it.
 	ctx Context
 
-	// sendHook runs when a transfer is sent (debit the sender);
-	// deliverHook runs when it is delivered (credit the receiver). The
-	// runner wires these to the ledger.
-	sendHook    func(Message) error
-	deliverHook func(Message) error
+	// book, when set, is the run's ledger over the network's party
+	// slots: a transfer debits its mover into the transit account
+	// at slot transit when sent (so in-flight assets cannot be
+	// double-spent) and credits its receiver when delivered.
+	book    *ledger.Ledger
+	transit int32
 
 	// onEvent, when set, observes every popped event after virtual time
 	// advances and before dispatch. The checkpoint writer hangs off it.
@@ -177,10 +187,29 @@ type Network struct {
 	tel *obs.Telemetry
 }
 
-// setHooks installs the asset-movement callbacks.
-func (n *Network) setHooks(onSend, onDeliver func(Message) error) {
-	n.sendHook = onSend
-	n.deliverHook = onDeliver
+// debit moves a sent transfer's asset from its mover into transit.
+func (n *Network) debit(m *Message) error {
+	if m.mover < 0 {
+		// Unresolved: the ID path names the unknown account or
+		// document in its error.
+		return n.book.Transfer(m.Action.Mover(), n.parties.Key(n.transit), m.Action.Asset())
+	}
+	return n.book.TransferAt(m.mover, n.transit, cashOf(&m.Action), m.item)
+}
+
+// credit moves a delivered transfer's asset from transit to its
+// receiver.
+func (n *Network) credit(m *Message) error {
+	return n.book.TransferAt(n.transit, m.to, cashOf(&m.Action), m.item)
+}
+
+// cashOf is the money a transfer action moves: a pay's amount, nothing
+// for a give, whose document the message's item slot names.
+func cashOf(a *model.Action) model.Money {
+	if a.Kind == model.ActionPay {
+		return a.Amount
+	}
+	return 0
 }
 
 // Config tunes the network.
@@ -243,7 +272,12 @@ func (s *countingSource) Seed(seed int64) {
 }
 
 // NewNetwork builds an empty network.
-func NewNetwork(cfg Config) *Network {
+func NewNetwork(cfg Config) *Network { return newNetwork(cfg, 16) }
+
+// newNetwork builds an empty network with its party slabs, and its
+// event queue, sized for about parties nodes: a node rarely has more
+// than one event pending.
+func newNetwork(cfg Config, parties int) *Network {
 	if cfg.BaseLatency <= 0 {
 		cfg.BaseLatency = 1
 	}
@@ -264,8 +298,12 @@ func NewNetwork(cfg Config) *Network {
 	}
 	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	n := &Network{
-		parties:   slab.NewIndex[model.PartyID](16),
-		q:         newQueue(cfg.Scheduler),
+		parties:   slab.NewIndex[model.PartyID](parties),
+		nodes:     make([]Node, 0, parties),
+		down:      make([]bool, 0, parties),
+		restartAt: make([]Time, 0, parties),
+		crashEnds: make([][]Time, 0, parties),
+		q:         newQueue(cfg.Scheduler, parties),
 		rng:       rand.New(src),
 		rsrc:      src,
 		baseLat:   cfg.BaseLatency,
@@ -291,6 +329,39 @@ func (n *Network) slot(id model.PartyID) int32 {
 		n.crashEnds = append(n.crashEnds, nil)
 	}
 	return p
+}
+
+// lookup returns a party's slot, -1 when it was never interned.
+func (n *Network) lookup(id model.PartyID) int32 {
+	if p, ok := n.parties.Lookup(id); ok {
+		return p
+	}
+	return -1
+}
+
+// resolveAsset fills a transfer message's mover and item slots. A
+// mover or a give's document the slot spaces lack leaves mover at -1,
+// sending the ledger debit down its ID path.
+func (n *Network) resolveAsset(m *Message, mover int32) {
+	m.mover, m.item = mover, -1
+	if m.Action.Kind != model.ActionGive {
+		return
+	}
+	if i, ok := n.book.ItemSlot(m.Action.Item); ok {
+		m.item = i
+	} else {
+		m.mover = -1
+	}
+}
+
+// resolve fills a message's slot fields from its IDs — the path for
+// messages that did not come through a Context, such as a checkpoint's
+// pending events.
+func (n *Network) resolve(m *Message) {
+	m.to = n.lookup(m.To)
+	if m.Kind == MsgTransfer && n.book != nil {
+		n.resolveAsset(m, n.lookup(m.Action.Mover()))
+	}
 }
 
 // AddNode registers a node.
@@ -425,26 +496,28 @@ func (n *Network) partitioned(from, to model.PartyID) (heal Time, cut bool) {
 	return heal, cut
 }
 
-// timer schedules a self-wakeup at an absolute time.
-func (n *Network) timer(to model.PartyID, at Time, tag string) {
-	n.schedule(Message{At: at, From: to, To: to, Kind: MsgTimer, Tag: tag})
+// timer schedules a self-wakeup at an absolute time for the node at
+// slot p.
+func (n *Network) timer(to model.PartyID, p int32, at Time, tag string) {
+	n.schedule(Message{At: at, From: to, To: to, Kind: MsgTimer, Tag: tag, to: p})
 }
 
 // Run initializes every node, schedules the fault plan's crash events,
 // and processes events to quiescence.
 func (n *Network) Run() error {
-	ids := make([]model.PartyID, 0, n.parties.Len())
+	slots := make([]int32, 0, n.parties.Len())
 	for p := int32(0); p < int32(n.parties.Len()); p++ {
 		if n.nodes[p] != nil {
-			ids = append(ids, n.parties.Key(p))
+			slots = append(slots, p)
 		}
 	}
-	// Deterministic init order.
-	slices.Sort(ids)
+	// Deterministic init order: by party ID.
+	slices.SortFunc(slots, func(a, b int32) int {
+		return strings.Compare(string(n.parties.Key(a)), string(n.parties.Key(b)))
+	})
 	n.scheduleCrashes()
-	for _, id := range ids {
-		p, _ := n.parties.Lookup(id)
-		n.ctx.self = id
+	for _, p := range slots {
+		n.ctx.self, n.ctx.slot = n.parties.Key(p), p
 		n.nodes[p].Init(&n.ctx)
 	}
 	return n.loop()
@@ -484,8 +557,8 @@ func (n *Network) step() (bool, error) {
 			return false, err
 		}
 	}
-	p, ok := n.parties.Lookup(m.To)
-	if !ok || n.nodes[p] == nil {
+	p := m.to
+	if p < 0 || int(p) >= len(n.nodes) || n.nodes[p] == nil {
 		return false, fmt.Errorf("sim: message to unknown node %s", m.To)
 	}
 	node := n.nodes[p]
@@ -503,8 +576,8 @@ func (n *Network) step() (bool, error) {
 	}
 	if m.Kind != MsgTimer {
 		n.trace = append(n.trace, m)
-		if n.deliverHook != nil {
-			if err := n.deliverHook(m); err != nil {
+		if m.Kind == MsgTransfer && n.book != nil {
+			if err := n.credit(&m); err != nil {
 				return false, fmt.Errorf("sim: delivering %v: %w", m, err)
 			}
 		}
@@ -514,7 +587,7 @@ func (n *Network) step() (bool, error) {
 	} else if n.tel.Enabled() {
 		n.tel.Reg().Counter("sim.timers").Inc()
 	}
-	n.ctx.self = m.To
+	n.ctx.self, n.ctx.slot = m.To, p
 	node.OnMessage(&n.ctx, m)
 	return true, nil
 }
@@ -539,8 +612,8 @@ func (n *Network) scheduleCrashes() {
 		end := ev.At + ev.Downtime
 		p := n.slot(ev.Node)
 		n.crashEnds[p] = append(n.crashEnds[p], end)
-		n.schedule(Message{At: ev.At, From: ev.Node, To: ev.Node, Kind: MsgCrash, Tag: "crash"})
-		n.schedule(Message{At: end, From: ev.Node, To: ev.Node, Kind: MsgRestart, Tag: "restart"})
+		n.schedule(Message{At: ev.At, From: ev.Node, To: ev.Node, Kind: MsgCrash, Tag: "crash", to: p})
+		n.schedule(Message{At: end, From: ev.Node, To: ev.Node, Kind: MsgRestart, Tag: "restart", to: p})
 	}
 }
 
@@ -571,7 +644,7 @@ func (n *Network) handleRestart(m Message, p int32, node Node) {
 	n.fstats.Restarts++
 	n.trace = append(n.trace, m)
 	if r, ok := node.(Recoverable); ok {
-		n.ctx.self = m.To
+		n.ctx.self, n.ctx.slot = m.To, p
 		r.Restore(&n.ctx)
 	}
 	if n.tel.Enabled() {
@@ -637,6 +710,7 @@ func (n *Network) observeDelivery(m Message) {
 type Context struct {
 	net  *Network
 	self model.PartyID
+	slot int32 // self's party slot
 }
 
 // Now returns the virtual time.
@@ -646,13 +720,19 @@ func (c *Context) Now() Time { return c.net.now }
 func (c *Context) Self() model.PartyID { return c.self }
 
 // SendTransfer performs and sends a transfer action. The sender is
-// debited immediately through the runner's ledger hook (so in-flight
+// debited immediately through the run's ledger (so in-flight
 // assets cannot be double-spent); the receiver is credited at delivery.
 // It fails when the sender cannot fund the transfer.
 func (c *Context) SendTransfer(a model.Action) error {
-	m := Message{From: c.self, To: receiverNode(a), Kind: MsgTransfer, Action: a}
-	if c.net.sendHook != nil {
-		if err := c.net.sendHook(m); err != nil {
+	to := receiverNode(a)
+	m := Message{From: c.self, To: to, Kind: MsgTransfer, Action: a, to: c.net.lookup(to)}
+	if c.net.book != nil {
+		mover := c.slot
+		if id := a.Mover(); id != c.self {
+			mover = c.net.lookup(id)
+		}
+		c.net.resolveAsset(&m, mover)
+		if err := c.net.debit(&m); err != nil {
 			return err
 		}
 	}
@@ -662,19 +742,21 @@ func (c *Context) SendTransfer(a model.Action) error {
 
 // SendNotify sends a notification action.
 func (c *Context) SendNotify(to model.PartyID) {
-	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Action: model.Notify(c.self, to)})
+	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Action: model.Notify(c.self, to),
+		to: c.net.lookup(to)})
 }
 
 // SendTagged sends a notification carrying a protocol tag (e.g. the
 // persona trustee's recall demand). Tagged notifies are control
 // messages; they do not enter the exchange state.
 func (c *Context) SendTagged(to model.PartyID, tag string) {
-	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Tag: tag, Action: model.Notify(c.self, to)})
+	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Tag: tag, Action: model.Notify(c.self, to),
+		to: c.net.lookup(to)})
 }
 
 // SetTimer schedules a wakeup after delay.
 func (c *Context) SetTimer(delay Time, tag string) {
-	c.net.timer(c.self, c.net.now+delay, tag)
+	c.net.timer(c.self, c.slot, c.net.now+delay, tag)
 }
 
 // receiverNode is the party that receives the message carrying the

@@ -164,11 +164,20 @@ func NewTrustedNode(p *model.Problem, self model.PartyID, deadline Time, honest 
 		Deadline: deadline,
 		Honest:   honest,
 	}
+	deposits := 0
 	for _, ei := range p.ExchangesOf(self) {
-		if p.Exchanges[ei].Trusted == self {
+		if e := p.Exchanges[ei]; e.Trusted == self {
 			n.adjacent = append(n.adjacent, ei)
+			deposits += len(e.Gives.Items)
+			if e.Gives.Amount > 0 {
+				deposits++
+			}
 		}
 	}
+	// The honest protocol logs one receipt per deposit, one delivery
+	// per adjacent exchange and one deadline.
+	n.received.reserve(deposits)
+	n.wal = make([]walEntry, 0, deposits+len(n.adjacent)+1)
 	if q, ok := p.PersonaOf(self); ok {
 		n.PersonaOwner = q
 	}
@@ -594,17 +603,6 @@ func NewPrincipalNode(plan *core.Plan, self model.PartyID, stopAfter int) *Princ
 	return nil
 }
 
-// BuildPrincipalNodes derives the script of every principal in one
-// pass over plan.Steps. The per-principal derivation is exactly
-// NewPrincipalNode's: each principal accumulates the actions and
-// control tags addressed to it in step order, and snapshots that
-// prefix as the wait set of each of its own deposit/post steps. Doing
-// all principals in a single pass turns an O(principals × steps)
-// build — quadratic at population scale, since steps grow with
-// principals — into O(steps × step fan-out).
-//
-// defectors maps principals to their StopAfter bound; absent
-// principals are honest (StopAfter -1).
 // snapshotPrefix freezes the current contents of an append-only slice
 // without copying: the capacity cap makes the snapshot un-appendable,
 // and since the source only ever grows past its current length, the
@@ -616,6 +614,17 @@ func snapshotPrefix[T any](s []T) []T {
 	return s[:len(s):len(s)]
 }
 
+// BuildPrincipalNodes derives the script of every principal in one
+// pass over plan.Steps. The per-principal derivation is exactly
+// NewPrincipalNode's: each principal accumulates the actions and
+// control tags addressed to it in step order, and snapshots that
+// prefix as the wait set of each of its own deposit/post steps. Doing
+// all principals in a single pass turns an O(principals × steps)
+// build — quadratic at population scale, since steps grow with
+// principals — into O(steps × step fan-out).
+//
+// defectors maps principals to their StopAfter bound; absent
+// principals are honest (StopAfter -1).
 func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*PrincipalNode {
 	p := plan.Problem
 	idx := make(map[model.PartyID]int32, len(p.Parties))
@@ -667,8 +676,9 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 			if model.SelfInsured(p, off) {
 				anyOf = securingSignals(p, st.From, off)
 			}
+			// The plan is immutable, so a step shares its actions.
 			nodes[i].script = append(nodes[i].script, scriptStep{
-				actions:  append([]model.Action(nil), st.Actions...),
+				actions:  snapshotPrefix(st.Actions),
 				waitFor:  snapshotPrefix(observed[i]),
 				waitTags: snapshotPrefix(observedTags[i]),
 				waitAny:  anyOf,
@@ -679,11 +689,21 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 				continue
 			}
 			nodes[i].script = append(nodes[i].script, scriptStep{
-				actions:  append([]model.Action(nil), st.Actions...),
+				actions:  snapshotPrefix(st.Actions),
 				waitFor:  snapshotPrefix(observed[i]),
 				waitTags: snapshotPrefix(observedTags[i]),
 			})
 		}
+	}
+	// A principal sees what the plan addresses to it and sends its
+	// script's actions: size both sets for that.
+	for i, n := range nodes {
+		n.seen.reserve(len(observed[i]))
+		sends := 0
+		for _, st := range n.script {
+			sends += len(st.actions)
+		}
+		n.sent.reserve(sends)
 	}
 	return nodes
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"trustseq/internal/core"
 	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
+	"trustseq/internal/slab"
 	"trustseq/internal/vlog"
 )
 
@@ -153,7 +155,7 @@ func (r *Result) Summary() string {
 }
 
 // runtime is one assembled simulation: the network, the ledger wired
-// into its hooks, and the node roster. Run builds it and starts from
+// into it, and the node roster. Run builds it and starts from
 // scratch; RestoreRun builds the identical roster and then injects a
 // checkpoint's state before entering the event loop.
 type runtime struct {
@@ -164,11 +166,18 @@ type runtime struct {
 	book       *ledger.Ledger
 	trusted    []*TrustedNode
 	principals []*PrincipalNode
+	ph         *phases // nil unless Run is traced
 }
 
 // setupRun validates the plan and options and assembles the runtime:
-// ledger, network, hooks, and every node, registered but not yet
+// ledger, network, and every node, registered but not yet
 // initialized.
+//
+// The network and the ledger share one party slot space, interned here
+// once in the problem's party order with the transit account last; the
+// ledger's item slots are interned once from the problem's exchanges.
+// Every message resolves its endpoints against them when it is sent, so
+// delivery and both ledger movements index arrays.
 func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	if !plan.Feasible {
 		return nil, core.ErrInfeasible
@@ -187,27 +196,28 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 		}
 	}
 
-	initial := model.InitialHoldings(p)
-	initial[transitAccount] = model.NewHolding()
-	book := ledger.New(initial)
-
-	net := NewNetwork(Config{
+	net := newNetwork(Config{
 		Seed: opts.Seed, BaseLatency: opts.BaseLatency, Jitter: opts.Jitter,
 		Scheduler: opts.Scheduler, MaxMessages: opts.MaxMessages,
 		NotifyDropRate: opts.NotifyDropRate, Faults: opts.Faults,
 		NotifyRetries: opts.NotifyRetries, RetryBase: opts.RetryBase, Obs: opts.Obs,
-	})
-	net.setHooks(
-		func(m Message) error {
-			return book.Transfer(m.Action.Mover(), transitAccount, m.Action.Asset())
-		},
-		func(m Message) error {
-			if m.Kind != MsgTransfer {
-				return nil
-			}
-			return book.Transfer(transitAccount, m.Action.Receiver(), m.Action.Asset())
-		},
-	)
+	}, len(p.Parties)+1)
+	for _, pa := range p.Parties {
+		net.slot(pa.ID)
+	}
+	transit := net.slot(transitAccount)
+	// A run delivers about one message per plan action; the livelock
+	// guard bounds it either way.
+	actions := 0
+	for _, st := range plan.Steps {
+		actions += len(st.Actions)
+	}
+	net.trace = make([]Message, 0, min(actions, opts.MaxMessages))
+
+	initial := model.InitialHoldings(p)
+	initial[transitAccount] = model.NewHolding()
+	book := ledger.NewIndexed(net.parties, problemItems(p), initial)
+	net.book, net.transit = book, transit
 
 	rs := &runtime{plan: plan, opts: opts, p: p, net: net, book: book}
 	for _, pa := range p.Parties {
@@ -231,21 +241,38 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	return rs, nil
 }
 
-// assemble builds the Result after the event loop has quiesced.
+// problemItems interns every item the problem's exchanges move, in
+// exchange order.
+func problemItems(p *model.Problem) *slab.Index[model.ItemID] {
+	n := 0
+	for _, e := range p.Exchanges {
+		n += len(e.Gives.Items)
+	}
+	items := slab.NewIndex[model.ItemID](n)
+	for _, e := range p.Exchanges {
+		for _, it := range e.Gives.Items {
+			items.Intern(it)
+		}
+		for _, it := range e.Gets.Items {
+			items.Intern(it)
+		}
+	}
+	return items
+}
+
+// assemble builds the Result after the event loop has quiesced, and
+// the settlement log when the run asked for one.
 func (rs *runtime) assemble() (*Result, error) {
-	p := rs.p
+	rs.ph.begin("sim.phase.assemble")
+	p, net := rs.p, rs.net
 	res := &Result{
 		Problem:         p,
-		State:           model.NewState(),
-		Balances:        make(map[model.PartyID]*model.Holding, len(p.Parties)),
-		Duration:        rs.net.Now(),
-		DroppedNotifies: rs.net.dropped,
-	}
-	res.Trace = rs.net.trace
-	res.FaultStats = rs.net.fstats
-	if rs.opts.VLog {
-		res.SettlementLog = SettlementLog(res.Trace)
-		res.SettlementRoot = res.SettlementLog.Root().String()
+		State:           model.NewStateCap(len(net.trace)),
+		Balances:        make(map[model.PartyID]*model.Holding, net.transit+1),
+		Duration:        net.Now(),
+		DroppedNotifies: net.dropped,
+		Trace:           net.trace,
+		FaultStats:      net.fstats,
 	}
 	for _, m := range res.Trace {
 		if m.Kind == MsgCrash || m.Kind == MsgRestart {
@@ -259,12 +286,12 @@ func (rs *runtime) assemble() (*Result, error) {
 			res.DuplicateActions++
 		}
 	}
-	for _, pa := range p.Parties {
-		res.Balances[pa.ID] = rs.book.Balance(pa.ID)
+	// Every account is a slot up to the transit account's, the last.
+	for s := int32(0); s <= net.transit; s++ {
+		res.Balances[net.parties.Key(s)] = rs.book.HoldingAt(s)
 	}
-	res.Balances[transitAccount] = rs.book.Balance(transitAccount)
-	if !res.Balances[transitAccount].IsEmpty() {
-		return nil, fmt.Errorf("sim: assets stuck in transit: %v", res.Balances[transitAccount])
+	if h := res.Balances[transitAccount]; !h.IsEmpty() {
+		return nil, fmt.Errorf("sim: assets stuck in transit: %v", h)
 	}
 	if err := rs.book.Audit(); err != nil {
 		return nil, err
@@ -272,51 +299,108 @@ func (rs *runtime) assemble() (*Result, error) {
 	for _, node := range rs.principals {
 		res.Faults = append(res.Faults, node.Faults()...)
 	}
+	rs.ph.end()
+	if rs.opts.VLog {
+		rs.ph.begin("sim.phase.settlement")
+		res.SettlementLog = SettlementLog(res.Trace)
+		res.SettlementRoot = res.SettlementLog.Root().String()
+		rs.ph.end()
+	}
 	return res, nil
 }
 
 // Run executes a synthesized plan on the simulated network. The plan
 // must be feasible.
 func Run(plan *core.Plan, opts Options) (*Result, error) {
+	ph := startPhases(opts, plan.Problem)
+	ph.begin("sim.phase.setup")
 	rs, err := setupRun(plan, opts)
 	if err != nil {
-		return nil, err
+		return nil, ph.fail(err)
 	}
-	tel := rs.opts.Obs
-	var span obs.Span
-	if tel.Enabled() {
-		span = tel.Trace().StartSpan("sim.run",
-			obs.Str("problem", rs.p.Name),
-			obs.Int64("seed", opts.Seed),
-			obs.Int("defectors", len(opts.Defectors)),
-			obs.Bool("faults", opts.Faults.Enabled()))
-	}
+	rs.ph = ph
 	if rs.opts.Checkpoint != nil {
 		rs.armCheckpoint()
 	}
-
+	ph.end()
+	ph.begin("sim.phase.loop")
 	if err := rs.net.Run(); err != nil {
-		if tel.Enabled() {
-			span.End(obs.Str("error", err.Error()))
-		}
-		return nil, err
+		return nil, ph.fail(err)
 	}
+	ph.end()
 	res, err := rs.assemble()
 	if err != nil {
-		if tel.Enabled() {
-			span.End(obs.Str("error", err.Error()))
-		}
-		return nil, err
+		return nil, ph.fail(err)
 	}
-	if tel.Enabled() {
-		tel.Reg().Counter("sim.runs").Inc()
-		span.End(
-			obs.Bool("completed", res.Completed()),
-			obs.Int("messages", res.Messages),
-			obs.Int64("duration_ticks", int64(res.Duration)),
-			obs.Int("faults", len(res.Faults)),
-			obs.Int("dropped", res.DroppedNotifies),
-			obs.Int("crashes", res.FaultStats.Crashes))
-	}
+	ph.finish(res)
 	return res, nil
+}
+
+// phases times a traced run's coarse phases — sim.phase.setup, .loop,
+// .assemble and .settlement — as child spans of its sim.run span, and as
+// duration histograms of the same names, in seconds. A nil *phases, the
+// untraced case, does nothing and reads no clock.
+type phases struct {
+	tel   *obs.Telemetry
+	run   obs.Span
+	cur   obs.Span
+	name  string // the open phase
+	start time.Time
+}
+
+// startPhases opens the sim.run span, or returns nil when opts.Obs is
+// disabled.
+func startPhases(opts Options, p *model.Problem) *phases {
+	tel := opts.Obs
+	if !tel.Enabled() {
+		return nil
+	}
+	return &phases{tel: tel, run: tel.Trace().StartSpan("sim.run",
+		obs.Str("problem", p.Name),
+		obs.Int64("seed", opts.Seed),
+		obs.Int("defectors", len(opts.Defectors)),
+		obs.Bool("faults", opts.Faults.Enabled()))}
+}
+
+// begin opens the named phase.
+func (ph *phases) begin(name string) {
+	if ph == nil {
+		return
+	}
+	ph.name, ph.start = name, time.Now()
+	ph.cur = ph.run.StartChild(name)
+}
+
+// end closes the open phase and records its duration.
+func (ph *phases) end() {
+	if ph == nil {
+		return
+	}
+	ph.cur.End()
+	ph.tel.Reg().Histogram(ph.name, obs.DurationBuckets()).Observe(time.Since(ph.start).Seconds())
+}
+
+// fail closes the open phase and the run span with the error, and
+// returns the error.
+func (ph *phases) fail(err error) error {
+	if ph != nil {
+		ph.end()
+		ph.run.End(obs.Str("error", err.Error()))
+	}
+	return err
+}
+
+// finish closes the run span with the run's outcome.
+func (ph *phases) finish(res *Result) {
+	if ph == nil {
+		return
+	}
+	ph.tel.Reg().Counter("sim.runs").Inc()
+	ph.run.End(
+		obs.Bool("completed", res.Completed()),
+		obs.Int("messages", res.Messages),
+		obs.Int64("duration_ticks", int64(res.Duration)),
+		obs.Int("faults", len(res.Faults)),
+		obs.Int("dropped", res.DroppedNotifies),
+		obs.Int("crashes", res.FaultStats.Crashes))
 }

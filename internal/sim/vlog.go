@@ -16,7 +16,11 @@ import (
 // settlement root; an offline verifier can rebuild the root from a
 // trace alone.
 func AuditRecord(m Message) []byte {
-	b := make([]byte, 0, 64)
+	return appendAuditRecord(make([]byte, 0, 64), &m)
+}
+
+// appendAuditRecord appends m's AuditRecord encoding to b.
+func appendAuditRecord(b []byte, m *Message) []byte {
 	b = binary.AppendVarint(b, int64(m.At))
 	b = binary.AppendUvarint(b, uint64(m.Kind))
 	b = appendString(b, string(m.From))
@@ -43,11 +47,15 @@ func appendString(b []byte, s string) []byte {
 
 // SettlementLog builds the verifiable log over a delivered-message
 // trace, one leaf per trace entry in delivery order. It is hash-only:
-// the trace itself already retains the records.
+// the trace itself already retains the records. The log's levels are
+// sized for the trace up front, and every record is encoded into one
+// reused buffer.
 func SettlementLog(trace []Message) *vlog.Log {
-	l := vlog.New()
-	for _, m := range trace {
-		l.Append(AuditRecord(m))
+	l := vlog.NewSized(len(trace))
+	var buf []byte
+	for i := range trace {
+		buf = appendAuditRecord(buf[:0], &trace[i])
+		l.Append(buf)
 	}
 	return l
 }

@@ -209,3 +209,42 @@ func TestAuditRecordFieldSensitivity(t *testing.T) {
 		t.Fatal("record encoding is not prefix-free across fields")
 	}
 }
+
+// SettlementLog encodes every record into one reused buffer and sizes
+// the log's levels up front. Neither may change a byte: over the chaos
+// corpus's traces the reused-buffer encoding equals AuditRecord entry
+// for entry, and the presized log's root equals the root of a plain
+// vlog.New log appended record by record, at every size around a power
+// of two.
+func TestSettlementLogMatchesAuditRecord(t *testing.T) {
+	t.Parallel()
+	var trace []Message
+	for _, pl := range chaosCorpus(t) {
+		res := vlogRun(t, pl, 7)
+		var buf []byte
+		for i := range res.Trace {
+			buf = appendAuditRecord(buf[:0], &res.Trace[i])
+			if want := AuditRecord(res.Trace[i]); string(buf) != string(want) {
+				t.Fatalf("%s: entry %d encodes to %x in the reused buffer, AuditRecord %x",
+					pl.Problem.Name, i, buf, want)
+			}
+		}
+		trace = append(trace, res.Trace...)
+	}
+	sizes := []int{0, 1}
+	for k := 1; 1<<k+1 <= len(trace); k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	if len(sizes) < 2+3*6 {
+		t.Fatalf("corpus traces hold %d entries, too few to cover sizes up to 2^6+1", len(trace))
+	}
+	for _, n := range sizes {
+		plain := vlog.New()
+		for _, m := range trace[:n] {
+			plain.Append(AuditRecord(m))
+		}
+		if got, want := SettlementLog(trace[:n]).Root(), plain.Root(); got != want {
+			t.Fatalf("%d leaves: presized root %s, appended root %s", n, got, want)
+		}
+	}
+}

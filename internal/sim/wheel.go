@@ -85,69 +85,106 @@ const (
 // same-tick events scheduled during the firing batch are spliced into
 // it to preserve the global order.
 //
+// Buckets, the overflow list and the firing batch hold int32 handles
+// into a per-queue Message arena, not Messages: a Message is copied
+// into its arena cell once at push and out once at pop, every
+// cascade moves four bytes, and the handle arrays are pointer-free, so
+// the garbage collector never scans them. A popped cell is zeroed (it
+// pins no party-ID or tag string) and recycled through a free list.
 // Every bucket's backing array stays resident in its slot: draining or
-// cascading reslices it to length zero instead of releasing it, so
-// each array grows once to its workload's high-water mark and
-// steady-state schedule+fire allocates nothing. The stale entries
-// between a drained bucket's length and capacity pin their party-ID
-// and tag strings until the slot refills, but those strings are alive
-// in the plan anyway, so the retention is free.
+// cascading reslices it to length zero instead of releasing it, so each
+// array grows once to its workload's high-water mark and steady-state
+// schedule+fire allocates nothing.
 type wheelQueue struct {
 	now   Time
-	slots [wheelLevels][wheelSlots][]Message
+	slots [wheelLevels][wheelSlots][]int32
 	occ   [wheelLevels]uint64 // per-level bucket occupancy bitmaps
 	count int                 // events in buckets + overflow, excluding the batch
 
-	overflow    []Message
+	overflow    []int32
 	overflowMin Time
 
-	// The active firing batch: a persistent buffer holding a copy of
-	// the drained level-0 bucket, sorted.
-	batch     []Message
+	arena []Message // by handle
+	free  []int32   // released handles
+
+	// The active firing batch: a persistent buffer holding the drained
+	// level-0 bucket's handles, sorted.
+	batch     []int32
 	batchIdx  int
 	batchTime Time
 	firing    bool
 }
 
-func newWheelQueue() *wheelQueue { return &wheelQueue{} }
+// newWheelQueue returns a wheel whose arena has room for n pending
+// events.
+func newWheelQueue(n int) *wheelQueue { return &wheelQueue{arena: make([]Message, 0, n)} }
 
 func (w *wheelQueue) len() int { return w.count + len(w.batch) - w.batchIdx }
 
-func (w *wheelQueue) push(m Message) {
-	if w.firing && m.At <= w.batchTime {
-		w.spliceBatch(m)
-		return
+// alloc copies a message into a free arena cell and returns its handle.
+func (w *wheelQueue) alloc(m *Message) int32 {
+	if k := len(w.free) - 1; k >= 0 {
+		h := w.free[k]
+		w.free = w.free[:k]
+		w.arena[h] = *m
+		return h
 	}
-	w.insert(&m)
+	w.arena = append(w.arena, *m)
+	return int32(len(w.arena) - 1)
 }
 
-// insert buckets one event relative to the wheel's current time. It
-// takes a pointer so the ~100-byte Message is copied once, at the
-// bucket append, rather than at every hop of the call chain.
-func (w *wheelQueue) insert(m *Message) {
+// release copies a message out of its cell, zeroes the cell and frees
+// the handle.
+func (w *wheelQueue) release(h int32) Message {
+	m := w.arena[h]
+	w.arena[h] = Message{}
+	w.free = append(w.free, h)
+	return m
+}
+
+// handleCmp orders two handles by their messages' (At, seq).
+func (w *wheelQueue) handleCmp(a, b int32) int {
+	ma, mb := &w.arena[a], &w.arena[b]
+	if ma.At != mb.At {
+		return int(ma.At - mb.At)
+	}
+	return ma.seq - mb.seq
+}
+
+func (w *wheelQueue) push(m Message) {
+	h := w.alloc(&m)
+	if w.firing && m.At <= w.batchTime {
+		w.spliceBatch(h)
+		return
+	}
+	w.insert(h)
+}
+
+// insert buckets one event relative to the wheel's current time.
+func (w *wheelQueue) insert(h int32) {
 	w.count++
-	at := m.At
+	at := w.arena[h].At
 	if at <= w.now {
 		// Late (or exactly-now) events clamp into the current bucket;
 		// the batch sort orders them correctly by their original At.
-		w.place(0, int(w.now)&wheelMask, m)
+		w.place(0, int(w.now)&wheelMask, h)
 		return
 	}
 	if at>>wheelSpanBits != w.now>>wheelSpanBits {
 		if len(w.overflow) == 0 || at < w.overflowMin {
 			w.overflowMin = at
 		}
-		w.overflow = append(w.overflow, *m)
+		w.overflow = append(w.overflow, h)
 		return
 	}
 	diff := uint64(at ^ w.now)
 	level := (63 - bits.LeadingZeros64(diff)) / wheelBits
 	slot := int(at>>(uint(level)*wheelBits)) & wheelMask
-	w.place(level, slot, m)
+	w.place(level, slot, h)
 }
 
-func (w *wheelQueue) place(level, slot int, m *Message) {
-	w.slots[level][slot] = append(w.slots[level][slot], *m)
+func (w *wheelQueue) place(level, slot int, h int32) {
+	w.slots[level][slot] = append(w.slots[level][slot], h)
 	w.occ[level] |= 1 << uint(slot)
 }
 
@@ -155,21 +192,19 @@ func (w *wheelQueue) place(level, slot int, m *Message) {
 // unconsumed tail of the active batch, keeping (At, seq) order. New
 // events carry the largest seq so far, so the common case is a plain
 // append.
-func (w *wheelQueue) spliceBatch(m Message) {
+func (w *wheelQueue) spliceBatch(h int32) {
 	i := len(w.batch)
-	for i > w.batchIdx && msgLess(m, w.batch[i-1]) {
+	for i > w.batchIdx && w.handleCmp(h, w.batch[i-1]) < 0 {
 		i--
 	}
-	w.batch = append(w.batch, Message{})
-	copy(w.batch[i+1:], w.batch[i:])
-	w.batch[i] = m
+	w.batch = slices.Insert(w.batch, i, h)
 }
 
 func (w *wheelQueue) pop() (Message, bool) {
 	if w.batchIdx < len(w.batch) {
-		m := w.batch[w.batchIdx]
+		h := w.batch[w.batchIdx]
 		w.batchIdx++
-		return m, true
+		return w.release(h), true
 	}
 	w.batch = w.batch[:0]
 	w.batchIdx = 0
@@ -197,16 +232,11 @@ func (w *wheelQueue) pop() (Message, bool) {
 			w.now = (w.now &^ wheelMask) | Time(slot)
 			w.batch = append(w.batch[:0], events...)
 			w.slots[0][slot] = events[:0]
-			slices.SortFunc(w.batch, func(a, b Message) int {
-				if a.At != b.At {
-					return int(a.At - b.At)
-				}
-				return a.seq - b.seq
-			})
+			slices.SortFunc(w.batch, w.handleCmp)
 			w.batchIdx = 1
 			w.batchTime = w.now
 			w.firing = true
-			return w.batch[0], true
+			return w.release(w.batch[0]), true
 		}
 		// Cascade: advance now to the bucket's window start and
 		// re-insert; every event lands at a strictly lower level, so
@@ -214,8 +244,8 @@ func (w *wheelQueue) pop() (Message, bool) {
 		shift := uint(level) * wheelBits
 		windowMask := Time(1)<<(shift+wheelBits) - 1
 		w.now = (w.now &^ windowMask) | Time(slot)<<shift
-		for i := range events {
-			w.insert(&events[i])
+		for _, h := range events {
+			w.insert(h)
 		}
 		w.slots[level][slot] = events[:0]
 	}
@@ -230,20 +260,25 @@ func (w *wheelQueue) migrateOverflow() {
 	w.overflow = nil
 	w.overflowMin = 0
 	w.count -= len(waiting)
-	for i := range waiting {
-		w.insert(&waiting[i])
+	for _, h := range waiting {
+		w.insert(h)
 	}
 }
 
 func (w *wheelQueue) pending() []Message {
 	out := make([]Message, 0, w.len())
-	out = append(out, w.batch[w.batchIdx:]...)
-	for l := range w.slots {
-		for s := range w.slots[l] {
-			out = append(out, w.slots[l][s]...)
+	add := func(hs []int32) {
+		for _, h := range hs {
+			out = append(out, w.arena[h])
 		}
 	}
-	out = append(out, w.overflow...)
+	add(w.batch[w.batchIdx:])
+	for l := range w.slots {
+		for s := range w.slots[l] {
+			add(w.slots[l][s])
+		}
+	}
+	add(w.overflow)
 	slices.SortFunc(out, func(a, b Message) int {
 		if a.At != b.At {
 			return int(a.At - b.At)
@@ -261,7 +296,7 @@ type heapQueue struct {
 	h []Message
 }
 
-func newHeapQueue() *heapQueue { return &heapQueue{} }
+func newHeapQueue(n int) *heapQueue { return &heapQueue{h: make([]Message, 0, n)} }
 
 func (q *heapQueue) len() int { return len(q.h) }
 
@@ -317,10 +352,11 @@ func (q *heapQueue) pending() []Message {
 	return out
 }
 
-// newQueue builds the configured scheduler.
-func newQueue(kind SchedulerKind) eventQueue {
+// newQueue builds the configured scheduler with room for n pending
+// events.
+func newQueue(kind SchedulerKind, n int) eventQueue {
 	if kind == SchedulerHeap {
-		return newHeapQueue()
+		return newHeapQueue(n)
 	}
-	return newWheelQueue()
+	return newWheelQueue(n)
 }

@@ -33,7 +33,7 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 			k    SchedulerKind
 		}{{"wheel", SchedulerWheel}, {"heap", SchedulerHeap}} {
 			b.Run(fmt.Sprintf("queue=%s/pending=%d", kind.name, pending), func(b *testing.B) {
-				q := newQueue(kind.k)
+				q := newQueue(kind.k, 0)
 				seq := 0
 				for i := 0; i < pending; i++ {
 					q.push(Message{At: deadlineBase + Time(i%1000), Kind: MsgTimer, seq: seq})

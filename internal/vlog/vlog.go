@@ -147,6 +147,9 @@ type Log struct {
 	// [j<<h, (j+1)<<h); tree[0] holds the leaf hashes. Level h+1 gains
 	// a node each time level h completes a pair.
 	tree [][]Hash
+	// spare[h] is level h's storage reserved by NewSized, taken over
+	// when the log first grows to height h+1.
+	spare [][]Hash
 	// head is the hash-chain head: SHA-256(0x02 || previous head ||
 	// leaf) over every append, the zero Hash for an empty log.
 	head    Hash
@@ -158,6 +161,26 @@ type Log struct {
 // return record bytes (Record reports ErrNotRetained). The simulator
 // uses this form — its trace already retains every record.
 func New() *Log { return &Log{} }
+
+// NewSized returns an empty hash-only log whose levels are allocated
+// up front, in one block, for leaves appends: a caller that knows its
+// leaf count pays no level regrowth. It may still append more; every
+// root and proof is byte-identical to a New log's.
+func NewSized(leaves int) *Log {
+	total, levels := 0, 0
+	for c := leaves; c > 0; c >>= 1 {
+		total += c
+		levels++
+	}
+	buf := make([]Hash, total)
+	l := &Log{tree: make([][]Hash, 0, levels), spare: make([][]Hash, levels)}
+	for h, off := 0, 0; h < levels; h++ {
+		c := leaves >> h
+		l.spare[h] = buf[off : off : off+c]
+		off += c
+	}
+	return l
+}
 
 // NewRetaining returns an empty log that additionally keeps each
 // appended record, so proof envelopes can carry the record bytes. The
@@ -180,7 +203,11 @@ func (l *Log) Append(record []byte) uint64 {
 	node := leaf
 	for h, j := 0, i; ; h, j = h+1, j>>1 {
 		if h == len(l.tree) {
-			l.tree = append(l.tree, nil)
+			var level []Hash
+			if h < len(l.spare) {
+				level = l.spare[h]
+			}
+			l.tree = append(l.tree, level)
 		}
 		l.tree[h] = append(l.tree[h], node)
 		if j&1 == 0 {

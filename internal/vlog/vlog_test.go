@@ -124,6 +124,32 @@ func TestRootIncrementalMatchesRecursive(t *testing.T) {
 	}
 }
 
+// A NewSized log is a New log with its levels allocated up front:
+// reserved for fewer, exactly as many, or more leaves than it gets, its
+// roots, leaves and proofs are byte-identical to a New log's.
+func TestNewSizedMatchesNew(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 63, 64, 65} {
+		want := buildLog(t, n, false)
+		for _, reserve := range []int{0, n / 2, n, 2*n + 1} {
+			l := NewSized(reserve)
+			for i := 0; i < n; i++ {
+				l.Append(record(i))
+			}
+			if l.Root() != want.Root() || l.ChainHead() != want.ChainHead() {
+				t.Fatalf("%d leaves reserved for %d: root or chain head differs", n, reserve)
+			}
+			for i := 0; i < n; i++ {
+				got, _ := l.MembershipProof(uint64(i), uint64(n))
+				exp, _ := want.MembershipProof(uint64(i), uint64(n))
+				if !slices.Equal(got, exp) {
+					t.Fatalf("%d leaves reserved for %d: proof %d differs", n, reserve, i)
+				}
+			}
+		}
+	}
+}
+
 // Seeded random sizes up to 5000, including every 2^k−1, 2^k and 2^k+1
 // in range: RootAt and both proof kinds must equal the recursive oracle
 // byte for byte, where the stored-node code takes different shortcuts

@@ -2,6 +2,7 @@ package trustseq
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/petri"
+	"trustseq/internal/search"
 	"trustseq/internal/sequencing"
 	"trustseq/internal/sim"
 )
@@ -180,5 +182,51 @@ func TestPopulationSimAllocBudget(t *testing.T) {
 	t.Logf("sim.Run allocates %.0f B per principal", best)
 	if best > budget {
 		t.Fatalf("sim.Run allocates %.0f B per principal, above the %.0f B budget", best, budget)
+	}
+}
+
+// TestSearchAllocBudget gates the bytes search.Feasible allocates per
+// explored state in strong mode, over the paper fixtures and 64
+// serve-cold-style markets (gen.Random with one consumer, one or two
+// brokers and producers, direct trust 0.3). The budget is the measured
+// 290 B per state plus 25% headroom. Each move — the search's own and
+// every safety mini-search's — copies three flat slices into a pooled
+// execution, and each mini-search reuses a pooled seen set. A fresh
+// clone per search move lands at about 690 B, a fresh clone per move
+// everywhere above 3 KB.
+func TestSearchAllocBudget(t *testing.T) {
+	skipIfRace(t)
+	const budget = 290 * 1.25 // bytes per explored state
+	var problems []*model.Problem
+	for _, p := range paperex.All() {
+		problems = append(problems, p)
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		problems = append(problems, gen.Random(rng, gen.Options{
+			Consumers: 1, Brokers: 1 + rng.Intn(2), Producers: 1 + rng.Intn(2),
+			MaxPrice: 50, DirectTrustProb: 0.3,
+		}))
+	}
+	// The least of three runs: a stray background allocation can only
+	// add to a sample.
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		explored := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, p := range problems {
+			v, err := search.Feasible(p, search.ModeStrong)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explored += v.Explored
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(explored))
+	}
+	t.Logf("strong search allocates %.0f B per explored state", best)
+	if best > budget {
+		t.Fatalf("strong search allocates %.0f B per explored state, above the %.0f B budget", best, budget)
 	}
 }

@@ -275,10 +275,10 @@ func (p *Plan) schedule() error {
 			if posted[oi] || off.Covers != ci {
 				continue
 			}
-			post := safety.IndemnityPostAction(p.Problem, off)
-			if err := exec.Apply(post); err != nil {
+			if err := exec.Post(oi); err != nil {
 				return fmt.Errorf("posting indemnity %d: %w", oi, err)
 			}
+			post := safety.IndemnityPostAction(p.Problem, off)
 			posted[oi] = true
 			postedVias = append(postedVias, off.Via)
 			steps = append(steps, Step{
@@ -296,10 +296,8 @@ func (p *Plan) schedule() error {
 		if len(acts) == 0 {
 			return nil
 		}
-		for _, a := range acts {
-			if err := exec.Apply(a); err != nil {
-				return fmt.Errorf("deposit for exchange %d: %w", ci, err)
-			}
+		if err := exec.ApplyDeposits(ci); err != nil {
+			return fmt.Errorf("deposit for exchange %d: %w", ci, err)
 		}
 		steps = append(steps, Step{
 			Kind: StepDeposit, Exchange: ci,
@@ -339,10 +337,8 @@ func (p *Plan) schedule() error {
 				if len(acts) == 0 {
 					continue
 				}
-				for _, a := range acts {
-					if err := exec.Apply(a); err != nil {
-						return fmt.Errorf("delivery for exchange %d: %w", ei, err)
-					}
+				if err := exec.ApplyReceipts(ei); err != nil {
+					return fmt.Errorf("delivery for exchange %d: %w", ei, err)
 				}
 				steps = append(steps, Step{
 					Kind: StepDeliver, Exchange: ei,
@@ -378,10 +374,7 @@ func (p *Plan) schedule() error {
 	isPersona := func(ci int) bool {
 		return p.Sequencing.Commitments[ci].PersonaPrincipal
 	}
-	personaWithdrawable := func(ci int) bool {
-		e := p.Problem.Exchanges[ci]
-		return exec.Holding(e.Trusted).Contains(e.Gets)
-	}
+	personaWithdrawable := exec.TrustedHoldsGets
 	withdraw := func(ci int) error {
 		e := p.Problem.Exchanges[ci]
 		if err := exec.EarlyWithdraw(ci); err != nil {
@@ -530,7 +523,7 @@ func (p *Plan) schedule() error {
 			progressed = true
 		}
 		for i, ci := range deferred {
-			if !fundable(exec, ci) || !collateralReady(ci) {
+			if !exec.HoldsGives(ci) || !collateralReady(ci) {
 				continue
 			}
 			if err := postCollateral(ci); err != nil {
@@ -599,7 +592,7 @@ func (p *Plan) schedule() error {
 func canGuaranteeDelivery(exec *safety.Exec, off model.IndemnityOffer) bool {
 	cov := exec.Problem.Exchanges[off.Covers]
 	for _, it := range cov.Gets.Items {
-		if exec.Holding(off.By).Items[it] > 0 {
+		if exec.ItemCount(off.By, it) > 0 {
 			continue
 		}
 		ok := false
@@ -608,7 +601,7 @@ func canGuaranteeDelivery(exec *safety.Exec, off model.IndemnityOffer) bool {
 			if e.Principal != off.By || !e.Gets.HasItem(it) {
 				continue
 			}
-			if exec.Holding(e.Trusted).Items[it] > 0 {
+			if exec.ItemCount(e.Trusted, it) > 0 {
 				ok = true
 				break
 			}
@@ -618,26 +611,6 @@ func canGuaranteeDelivery(exec *safety.Exec, off model.IndemnityOffer) bool {
 		}
 	}
 	return true
-}
-
-func fundable(exec *safety.Exec, ci int) bool {
-	e := exec.Problem.Exchanges[ci]
-	need := model.NewHolding()
-	for _, a := range model.DepositActions(e) {
-		need.Add(a.Asset())
-	}
-	h := exec.Holding(e.Principal)
-	return h.Contains(model.Bundle{Amount: need.Cash, Items: needItems(need)})
-}
-
-func needItems(h *model.Holding) []model.ItemID {
-	var out []model.ItemID
-	for it, n := range h.Items {
-		for i := 0; i < n; i++ {
-			out = append(out, it)
-		}
-	}
-	return out
 }
 
 // Verify replays the plan and checks the guarantees the paper promises
@@ -659,23 +632,7 @@ func (p *Plan) Verify() error {
 		return ErrInfeasible
 	}
 	exec := safety.NewExec(p.Problem)
-	committed := make(map[int]bool, len(p.Problem.Exchanges))
 	for si, st := range p.Steps {
-		if st.Kind == StepCommit {
-			committed[st.Exchange] = true
-		}
-		if st.Kind == StepIndemnityPost {
-			// Posting collateral is a financially enforced commitment
-			// ("a principal can make a credible promise by setting up an
-			// indemnity account", Section 6): the offerer's exchanges at
-			// the collateral holder become binding.
-			off := p.Problem.Indemnities[st.Offer]
-			for ei, e := range p.Problem.Exchanges {
-				if e.Principal == off.By && e.Trusted == off.Via {
-					committed[ei] = true
-				}
-			}
-		}
 		for _, a := range st.Actions {
 			if err := exec.Apply(a); err != nil {
 				return fmt.Errorf("core: step %d (%v): %w", si, st, err)
@@ -693,14 +650,15 @@ func (p *Plan) Verify() error {
 	if !safety.Completed(exec) {
 		return fmt.Errorf("core: plan does not complete every exchange")
 	}
+	final := exec.Snapshot()
 	for _, pa := range p.Problem.Parties {
 		if pa.IsTrusted() {
-			if !model.TrustedNeutral(exec.State, pa.ID) {
+			if !model.TrustedNeutral(final, pa.ID) {
 				return fmt.Errorf("core: trusted component %s not neutral at the end", pa.ID)
 			}
 			continue
 		}
-		if !model.Acceptable(p.Problem, pa.ID, exec.State) {
+		if !model.Acceptable(p.Problem, pa.ID, final) {
 			return fmt.Errorf("core: final state unacceptable to %s", pa.ID)
 		}
 	}

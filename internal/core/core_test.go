@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
+	"trustseq/internal/safety"
 )
 
 func synth(t testing.TB, p *model.Problem) *Plan {
@@ -199,6 +201,29 @@ func TestVariant1PlanUsesPersona(t *testing.T) {
 	if err := plan.Verify(); err != nil {
 		t.Fatalf("Verify = %v", err)
 	}
+}
+
+// A plan that lies about one deposit amount names an action no exchange
+// defines. Verify must refuse it as foreign instead of replaying it:
+// replaying would move assets the specification never promised.
+func TestVerifyRejectsForeignAction(t *testing.T) {
+	t.Parallel()
+	plan := synth(t, paperex.Example1())
+	for si, st := range plan.Steps {
+		if st.Kind != StepDeposit || st.Actions[0].Kind != model.ActionPay {
+			continue
+		}
+		lie := slices.Clone(st.Actions)
+		lie[0].Amount--
+		plan.Steps[si].Actions = lie
+		err := plan.Verify()
+		var foreign *safety.ForeignActionError
+		if !errors.As(err, &foreign) || foreign.Action != lie[0] {
+			t.Fatalf("Verify with %v changed to %v = %v, want a *safety.ForeignActionError", st.Actions[0], lie[0], err)
+		}
+		return
+	}
+	t.Fatal("the Example 1 plan has no cash deposit")
 }
 
 // A funded broker variant of the poor-broker problem must be feasible and

@@ -1,5 +1,7 @@
 package model
 
+import "sync/atomic"
+
 // compiledProblem is the dense, read-only view of a Problem that the
 // state-space engines run against. Every table is derived mechanically
 // from the specification fields, so the cache changes no verdict — it
@@ -19,32 +21,34 @@ type compiledProblem struct {
 	receipts [][]Action // per exchange: ReceiptActions(e)
 
 	exchangesOf  map[PartyID][]int     // party -> exchange indices (either role)
-	ownExchanges map[PartyID][]int     // principal -> its own exchange indices
 	principalsAt map[PartyID][]PartyID // trusted -> adjacent principals
 	persona      map[PartyID]PartyID   // trusted -> persona principal, when one exists
 	conjGroups   map[PartyID][][]int   // principal -> ConjunctionGroups
-	singles      map[PartyID][][]int   // principal -> one group per own exchange
+
+	// table is the ActionTable, built on first use (see ActionTable).
+	table atomic.Pointer[ActionTable]
 }
 
 // Compile builds the problem's dense derived tables if absent. It is
 // idempotent and must be called from a single goroutine before the
 // problem is shared across workers (Validate and safety.NewExec do).
 func (p *Problem) Compile() {
-	if p.comp != nil {
-		return
+	if p.comp == nil {
+		p.comp = compile(p)
 	}
+}
+
+// compile derives the tables without publishing them: every derivation
+// runs against the uncompiled accessors.
+func compile(p *Problem) *compiledProblem {
 	c := &compiledProblem{
 		deposits:     make([][]Action, len(p.Exchanges)),
 		receipts:     make([][]Action, len(p.Exchanges)),
 		exchangesOf:  make(map[PartyID][]int, len(p.Parties)),
-		ownExchanges: make(map[PartyID][]int, len(p.Parties)),
 		principalsAt: make(map[PartyID][]PartyID),
 		persona:      make(map[PartyID]PartyID),
 		conjGroups:   make(map[PartyID][][]int, len(p.Parties)),
-		singles:      make(map[PartyID][][]int, len(p.Parties)),
 	}
-	// All derivations below run against the uncompiled accessors
-	// (p.comp is still nil), then the finished table is published at once.
 	for i, e := range p.Exchanges {
 		c.deposits[i] = DepositActions(e)
 		c.receipts[i] = ReceiptActions(e)
@@ -52,11 +56,12 @@ func (p *Problem) Compile() {
 	// One pass over the exchanges builds every adjacency table; the
 	// per-party accessors would cost O(exchanges) each and make
 	// compilation quadratic in the population size.
+	ownExchanges := make(map[PartyID][]int, len(p.Parties))
 	trusteds := make(map[PartyID]bool)
 	atSeen := make(map[PartyID]map[PartyID]bool)
 	for i, e := range p.Exchanges {
 		trusteds[e.Trusted] = true
-		c.ownExchanges[e.Principal] = append(c.ownExchanges[e.Principal], i)
+		ownExchanges[e.Principal] = append(ownExchanges[e.Principal], i)
 		c.exchangesOf[e.Principal] = append(c.exchangesOf[e.Principal], i)
 		if e.Trusted != e.Principal {
 			c.exchangesOf[e.Trusted] = append(c.exchangesOf[e.Trusted], i)
@@ -78,7 +83,7 @@ func (p *Problem) Compile() {
 	}
 	// Conjunction groups, likewise in one pass: the split set per
 	// principal from the indemnities, then the group partition from the
-	// already-built ownExchanges.
+	// own exchange lists.
 	splitOf := make(map[PartyID]map[int]bool)
 	for _, off := range p.Indemnities {
 		if off.Covers >= 0 && off.Covers < len(p.Exchanges) {
@@ -89,61 +94,8 @@ func (p *Problem) Compile() {
 			splitOf[pr][off.Covers] = true
 		}
 	}
-	for id, own := range c.ownExchanges {
+	for id, own := range ownExchanges {
 		c.conjGroups[id] = groupsFrom(own, splitOf[id])
-		singles := make([][]int, len(own))
-		for i, ei := range own {
-			singles[i] = []int{ei}
-		}
-		c.singles[id] = singles
 	}
-	p.comp = c
-}
-
-// DepositActionsOf is DepositActions(p.Exchanges[ei]) served from the
-// compiled cache when present. Callers must treat the slice as read-only.
-func (p *Problem) DepositActionsOf(ei int) []Action {
-	if c := p.comp; c != nil {
-		return c.deposits[ei]
-	}
-	return DepositActions(p.Exchanges[ei])
-}
-
-// ReceiptActionsOf is ReceiptActions(p.Exchanges[ei]) served from the
-// compiled cache when present. Callers must treat the slice as read-only.
-func (p *Problem) ReceiptActionsOf(ei int) []Action {
-	if c := p.comp; c != nil {
-		return c.receipts[ei]
-	}
-	return ReceiptActions(p.Exchanges[ei])
-}
-
-// PrincipalExchanges returns the indices of the exchanges on which the
-// party is the principal, ascending. Read-only when served from cache.
-func (p *Problem) PrincipalExchanges(id PartyID) []int {
-	if c := p.comp; c != nil {
-		return c.ownExchanges[id]
-	}
-	var out []int
-	for i, e := range p.Exchanges {
-		if e.Principal == id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// singleGroups returns one conjunction group per own exchange — the
-// AcceptableAssets grouping — cached when compiled.
-func (p *Problem) singleGroups(principal PartyID) [][]int {
-	if c := p.comp; c != nil {
-		return c.singles[principal]
-	}
-	var out [][]int
-	for ei, e := range p.Exchanges {
-		if e.Principal == principal {
-			out = append(out, []int{ei})
-		}
-	}
-	return out
+	return c
 }

@@ -21,6 +21,11 @@
 //   - Action is a single transfer or notification; Bundle, Money, ItemID
 //     and Holding describe what moves; State is an unordered action set
 //     with acceptable-state predicates over it.
+//   - ActionTable is the compiled problem's action index: one slot per
+//     distinct action value, each transfer's endpoints resolved to a
+//     party slot (money) or a (party, item) cell. The acceptability rules
+//     are implemented once over its slots, reading any ActionView — a
+//     State through the table, or the safety engine's bitset.
 //
 // # Concurrency and ownership
 //
@@ -28,7 +33,9 @@
 // lifecycle is build → Validate → Compile → share: Compile is idempotent
 // but NOT safe to race with itself or with readers, so callers that share
 // a Problem across goroutines (sweep workers, the trustd service) must
-// call Compile once, before fan-out. After that single compile, the
+// call Compile once, before fan-out. ActionTable is built on first use
+// and published with an atomic compare-and-swap, so two first readers
+// never race. After that single compile, the
 // Problem and its compiled state are treated as immutable everywhere in
 // this repo, and concurrent reads are safe. Mutating a Problem after
 // Compile is a contract violation — the compiled arrays would go stale

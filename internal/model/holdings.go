@@ -12,56 +12,18 @@ package model
 //     money they could ever need — their outgoing payments plus any
 //     indemnity collateral they offer.
 //
-// Trusted components start empty: they are conduits (Section 2.5).
+// Trusted components start empty: they are conduits (Section 2.5). The
+// rules are evaluated once, into the action table's status-quo arrays;
+// this materialises them per party.
 func InitialHoldings(p *Problem) map[PartyID]*Holding {
+	t := p.readTable()
 	out := make(map[PartyID]*Holding, len(p.Parties))
-	for _, pa := range p.Parties {
-		out[pa.ID] = NewHolding()
+	for i, pa := range p.Parties {
+		out[pa.ID] = &Holding{Cash: t.InitCash[i], Items: make(map[ItemID]int)}
 	}
-
-	for _, pa := range p.Parties {
-		if pa.IsTrusted() {
-			continue
-		}
-		h := out[pa.ID]
-
-		acquires := make(map[ItemID]bool)
-		for _, ei := range p.ExchangesOf(pa.ID) {
-			e := p.Exchanges[ei]
-			if e.Principal != pa.ID {
-				continue
-			}
-			for _, it := range e.Gets.Items {
-				acquires[it] = true
-			}
-		}
-		var needed Money
-		for _, ei := range p.ExchangesOf(pa.ID) {
-			e := p.Exchanges[ei]
-			if e.Principal != pa.ID {
-				continue
-			}
-			needed += e.Gives.Amount
-			for _, it := range e.Gives.Items {
-				if !acquires[it] {
-					h.Add(Goods(it))
-				}
-			}
-		}
-		for _, off := range p.Indemnities {
-			if off.By != pa.ID {
-				continue
-			}
-			amount := off.Amount
-			if amount == 0 {
-				amount = RequiredIndemnity(p, off.Covers)
-			}
-			needed += amount
-		}
-		if pa.LimitedFunds {
-			h.Cash = pa.Endowment
-		} else {
-			h.Cash = needed
+	for ci, n := range t.InitItems {
+		if n > 0 {
+			out[p.Parties[t.cellParty[ci]].ID].Items[t.CellItem[ci]] += int(n)
 		}
 	}
 	return out

@@ -226,7 +226,7 @@ func concatActions(slices ...[]Action) []Action {
 // examples (property-tested in spec_test.go) and stays exact for problems
 // too large to enumerate.
 func Acceptable(p *Problem, principal PartyID, s State) bool {
-	return acceptable(p, principal, s, p.ConjunctionGroups(principal))
+	return acceptableState(p, principal, s, false)
 }
 
 // AcceptableAssets is the per-exchange weakening of Acceptable: each
@@ -238,77 +238,20 @@ func Acceptable(p *Problem, principal PartyID, s State) bool {
 // at every step, while conjunction preferences are a negotiation-level
 // constraint enforced by the commit order and the final state.
 func AcceptableAssets(p *Problem, principal PartyID, s State) bool {
-	return acceptable(p, principal, s, p.singleGroups(principal))
+	return acceptableState(p, principal, s, true)
 }
 
-func acceptable(p *Problem, principal PartyID, s State, groups [][]int) bool {
-	received := s.NetReceived(principal)
-	for _, g := range groups {
-		atRisk := false
-		for _, ei := range g {
-			for _, d := range p.DepositActionsOf(ei) {
-				if s.Has(d) && !s.Has(d.Compensation()) {
-					atRisk = true
-				}
-			}
-		}
-		if !atRisk {
-			continue
-		}
-		if !groupSatisfied(p, g, received) {
-			return false
-		}
+// acceptableState evaluates the rules, which ActionTable.Acceptable
+// implements once over action slots, for a State read through the table.
+// Only the problem's own actions count; a party unknown to the problem
+// has nothing at risk.
+func acceptableState(p *Problem, principal PartyID, s State, assets bool) bool {
+	t := p.readTable()
+	party, ok := t.PartySlot(principal)
+	if !ok {
+		return true
 	}
-	for _, off := range p.Indemnities {
-		if off.Covers < 0 || off.Covers >= len(p.Exchanges) {
-			continue
-		}
-		covered := p.Exchanges[off.Covers]
-		if covered.Principal != principal {
-			continue
-		}
-		if received.Contains(covered.Gets) {
-			continue // the covered piece arrived; nothing to compensate
-		}
-		siblingCommitted := false
-		for ei, e := range p.Exchanges {
-			if e.Principal != principal || ei == off.Covers {
-				continue
-			}
-			for _, d := range p.DepositActionsOf(ei) {
-				if s.Has(d) && !s.Has(d.Compensation()) {
-					siblingCommitted = true
-				}
-			}
-		}
-		if !siblingCommitted {
-			continue
-		}
-		amount := off.Amount
-		if amount == 0 {
-			amount = RequiredIndemnity(p, off.Covers)
-		}
-		if amount > 0 && !s.Has(Pay(off.Via, principal, amount)) {
-			return false
-		}
-	}
-	// Rule 3: a self-insured offerer (the seller controlling delivery of
-	// the covered goods) finds a forfeited collateral unacceptable — an
-	// honest seller can always avoid the forfeit by delivering, so a
-	// forfeit marks a genuine loss.
-	for _, off := range p.Indemnities {
-		if off.By != principal || !SelfInsured(p, off) {
-			continue
-		}
-		amount := off.Amount
-		if amount == 0 {
-			amount = RequiredIndemnity(p, off.Covers)
-		}
-		if amount > 0 && s.Has(Pay(off.Via, p.Exchanges[off.Covers].Principal, amount)) {
-			return false
-		}
-	}
-	return true
+	return t.Acceptable(party, stateView{s, t}, assets)
 }
 
 // SelfInsured reports whether the indemnity offerer is the seller-side
@@ -340,25 +283,6 @@ func SelfInsured(p *Problem, off IndemnityOffer) bool {
 		}
 	}
 	return true
-}
-
-func groupSatisfied(p *Problem, group []int, received *Holding) bool {
-	want := NewHolding()
-	for _, ei := range group {
-		want.Add(p.Exchanges[ei].Gets)
-	}
-	return received.Contains(Bundle{Amount: want.Cash, Items: flattenItems(want.Items)})
-}
-
-func flattenItems(m map[ItemID]int) []ItemID {
-	var out []ItemID
-	for it, n := range m {
-		for i := 0; i < n; i++ {
-			out = append(out, it)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // RequiredIndemnity computes the minimum collateral for an indemnity

@@ -19,6 +19,14 @@ import (
 // strong-mode search to stay fast.
 func pinCorpus() map[string]*model.Problem {
 	out := paperex.All()
+	// b1's collateral protecting s1 at t2 is exactly b1's purchase price
+	// there: the post is the same action value as b1's deposit on that
+	// purchase, and the payout the same as s1's receipt.
+	coinciding := paperex.Example2()
+	coinciding.Indemnities = []model.IndemnityOffer{{
+		By: paperex.Broker1, Covers: paperex.Example2S1Provide, Via: paperex.Trusted2, Amount: 80,
+	}}
+	out["example2-coinciding"] = coinciding
 	out["gen-pair"] = gen.Pair(10)
 	for k := 1; k <= 3; k++ {
 		out[fmt.Sprintf("gen-chain-%d", k)] = gen.Chain(k, 30)
@@ -102,6 +110,7 @@ func TestCrossCheckPinned(t *testing.T) {
 	pinned := map[string]string{
 		"example1":              "assets=true/5/4 strong=true/5/4 petri=true/13/false petri64=true/13/false levels=6 petri.collisions=0 petri.found=1 petri.states=13 search.memo.hits=0 search.memo.misses=10",
 		"example1-poor-broker":  "assets=false/4/0 strong=false/4/0 petri=false/4/false petri64=false/4/false levels=3 petri.collisions=0 petri.states=4 search.memo.hits=2 search.memo.misses=8",
+		"example2-coinciding":   "assets=true/9/8 strong=false/77/0 petri=true/466/false petri64=false/64/true levels=12 petri.collisions=0 petri.found=1 petri.states=466 search.memo.hits=120 search.memo.misses=86",
 		"example2":              "assets=true/9/8 strong=false/77/0 petri=true/287/false petri64=false/64/true levels=12 petri.collisions=0 petri.found=1 petri.states=287 search.memo.hits=92 search.memo.misses=86",
 		"example2-indemnified":  "assets=true/9/8 strong=true/9/8 petri=true/466/false petri64=false/64/true levels=12 petri.collisions=0 petri.found=1 petri.states=466 search.memo.hits=0 search.memo.misses=18",
 		"example2-universal-ti": "assets=false/32/0 strong=false/32/0 petri=false/96/false petri64=false/64/true levels=7 petri.collisions=0 petri.states=96 search.memo.hits=130 search.memo.misses=64",

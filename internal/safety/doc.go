@@ -14,13 +14,17 @@
 //
 // # Key types
 //
-//   - Exec is the mutable execution state: per-exchange deposit flags,
-//     holdings, and the dense compiled indexes it walks. NewExec builds
-//     one for a compiled Problem; Release returns it to an internal pool.
-//   - SafeFor / AssetSafe / SafeForCommitted are the two safety semantics
-//     (full conjunction acceptability vs per-exchange asset integrity)
-//     plus the binding-commitment variant; AllSafe and Completed are the
-//     whole-state aggregates the search baseline branches on.
+//   - Exec is the mutable execution state, dense over the problem's
+//     compiled model.ActionTable: an executed-action bitset by slot,
+//     cash by party slot and item counts by cell, so every predicate
+//     reads slots and none hashes an action. NewExec builds one (and the
+//     table, on first use); ClonePooled and Release recycle them through
+//     an internal pool. Apply of an action the problem does not define
+//     fails closed with a *ForeignActionError.
+//   - SafeFor / AssetSafe are the two safety semantics (full conjunction
+//     acceptability vs per-exchange asset integrity); AllSafe and
+//     Completed are the whole-state aggregates the search baseline
+//     branches on.
 //   - Fingerprint128 packs an Exec's visited state into a [2]uint64 for
 //     the search layer's seen-set — injective over the state space, which
 //     is what makes memoized search exact rather than probabilistic.
@@ -30,9 +34,9 @@
 // An Exec is single-owner mutable state: exactly one goroutine may drive
 // it at a time, and the NewExec/Release pool means a released Exec must
 // not be touched again. Parallel searchers therefore own their Execs
-// (each search.FeasibleObs fan-out worker clones its own). The predicates mutate
-// the Exec only through checkpoint/rollback internal to a call — they
-// restore state before returning — so interleaving predicate calls from
-// the single owner is safe. The underlying Problem is shared read-only
-// across all Execs.
+// (each search.FeasibleObs fan-out worker clones its own). The predicates
+// never mutate the Exec they are given — they work on pooled clones — so
+// interleaving predicate calls from the single owner is safe. The
+// underlying Problem and its action table are shared read-only across
+// all Execs.
 package safety

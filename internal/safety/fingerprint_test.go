@@ -27,7 +27,7 @@ func TestFingerprint128MatchesString(t *testing.T) {
 			next := base.Clone()
 			ok := true
 			for _, d := range model.DepositActions(p.Exchanges[ei]) {
-				if next.State.Has(d) {
+				if next.Has(d) {
 					continue
 				}
 				if err := next.Apply(d); err != nil {
@@ -46,7 +46,7 @@ func TestFingerprint128MatchesString(t *testing.T) {
 				nn := next.Clone()
 				ok := true
 				for _, d := range model.DepositActions(p.Exchanges[ej]) {
-					if nn.State.Has(d) {
+					if nn.Has(d) {
 						continue
 					}
 					if err := nn.Apply(d); err != nil {

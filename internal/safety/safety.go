@@ -2,96 +2,74 @@ package safety
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"trustseq/internal/model"
 )
 
-// Exec tracks the evolving execution of an exchange problem: the action
-// state plus derived holdings for funding checks.
+// Exec tracks the evolving execution of an exchange problem, densely over
+// the problem's action table: the executed actions are a bitset over the
+// table's slots, the holdings one cash balance per party slot and one
+// item count per cell. Every predicate below reads slots; none hashes an
+// action.
 type Exec struct {
-	Problem  *model.Problem
-	State    model.State
-	holdings map[model.PartyID]*model.Holding
+	Problem *model.Problem
+	t       *model.ActionTable
+	done    []uint64      // executed-action bitset, by slot
+	cash    []model.Money // by party slot
+	items   []int32       // by cell
+}
+
+// ForeignActionError reports an action that is not one of the problem's
+// own — no exchange, indemnity offer or notification defines it. Apply
+// fails closed on it instead of moving assets the specification never
+// promised.
+type ForeignActionError struct {
+	Action model.Action
+}
+
+func (e *ForeignActionError) Error() string {
+	return fmt.Sprintf("safety: %v is not an action of the problem", e.Action)
 }
 
 // NewExec returns the execution at the status quo, with inferred initial
-// holdings.
+// holdings. It builds the problem's action table on first use, so call it
+// before sharing the problem across goroutines.
 func NewExec(p *model.Problem) *Exec {
-	// Build the problem's dense derived tables before the execution is
-	// cloned into any search — every hot predicate below reads them.
-	p.Compile()
+	t := p.ActionTable()
 	return &Exec{
-		Problem:  p,
-		State:    model.NewState(),
-		holdings: model.InitialHoldings(p),
+		Problem: p,
+		t:       t,
+		done:    make([]uint64, (t.Len()+63)/64),
+		cash:    slices.Clone(t.InitCash),
+		items:   slices.Clone(t.InitItems),
 	}
 }
 
-// Clone returns an independent copy. The holdings are cloned into a
-// single preallocated backing array — Clone sits on the hot path of every
-// state-space search, and one bulk allocation beats one per party.
-func (x *Exec) Clone() *Exec {
-	out := &Exec{
-		Problem:  x.Problem,
-		State:    x.State.Clone(),
-		holdings: make(map[model.PartyID]*model.Holding, len(x.holdings)),
-	}
-	backing := make([]model.Holding, len(x.holdings))
-	i := 0
-	for id, h := range x.holdings {
-		backing[i] = model.Holding{Cash: h.Cash, Items: make(map[model.ItemID]int, len(h.Items))}
-		for it, n := range h.Items {
-			backing[i].Items[it] = n
-		}
-		out.holdings[id] = &backing[i]
-		i++
-	}
-	return out
-}
+// Clone returns an independent copy.
+func (x *Exec) Clone() *Exec { return x.cloneInto(new(Exec)) }
 
-// CloneInto overwrites dst with a copy of x, reusing dst's allocated
-// maps. It accepts any recycled Exec — the party sets need not match —
-// which is what lets one sync.Pool back every state-space search.
-func (x *Exec) CloneInto(dst *Exec) *Exec {
-	dst.Problem = x.Problem
-	dst.State.CopyFrom(x.State)
-	if dst.holdings == nil {
-		dst.holdings = make(map[model.PartyID]*model.Holding, len(x.holdings))
-	}
-	for id, h := range x.holdings {
-		dh := dst.holdings[id]
-		if dh == nil {
-			dh = model.NewHolding()
-			dst.holdings[id] = dh
-		} else {
-			clear(dh.Items)
-		}
-		dh.Cash = h.Cash
-		for it, n := range h.Items {
-			dh.Items[it] = n
-		}
-	}
-	if len(dst.holdings) != len(x.holdings) {
-		for id := range dst.holdings {
-			if _, ok := x.holdings[id]; !ok {
-				delete(dst.holdings, id)
-			}
-		}
-	}
+// cloneInto overwrites dst with a copy of x, reusing dst's slices. Any
+// recycled Exec will do — the problems need not match — which is what
+// lets one sync.Pool back every state-space search.
+func (x *Exec) cloneInto(dst *Exec) *Exec {
+	dst.Problem, dst.t = x.Problem, x.t
+	dst.done = append(dst.done[:0], x.done...)
+	dst.cash = append(dst.cash[:0], x.cash...)
+	dst.items = append(dst.items[:0], x.items...)
 	return dst
 }
 
 // execPool recycles Exec clones across every searcher in the process —
 // the serial and parallel exhaustive drivers and the per-node safety
-// mini-searches all draw from it. CloneInto fully overwrites a recycled
-// value, so pooled entries may hop between problems.
+// mini-searches all draw from it.
 var execPool = sync.Pool{New: func() any { return new(Exec) }}
 
 // ClonePooled is Clone backed by the shared pool; pass the result to
 // Release when it can no longer be referenced.
 func (x *Exec) ClonePooled() *Exec {
-	return x.CloneInto(execPool.Get().(*Exec))
+	return x.cloneInto(execPool.Get().(*Exec))
 }
 
 // Release returns a pooled clone for reuse. The caller must not touch x
@@ -102,27 +80,128 @@ func Release(x *Exec) {
 	}
 }
 
-// Holding returns the current holding of a party.
-func (x *Exec) Holding(id model.PartyID) *model.Holding { return x.holdings[id] }
+func (x *Exec) has(s int32) bool { return x.done[s>>6]&(1<<(uint32(s)&63)) != 0 }
 
-// Apply executes one transfer or notify action, moving assets between
-// holdings. It fails if the mover cannot fund the transfer or the action
-// already occurred.
-func (x *Exec) Apply(a model.Action) error {
-	if a.IsTransfer() {
-		mover := x.holdings[a.Mover()]
-		if mover == nil {
-			return fmt.Errorf("safety: unknown mover %s", a.Mover())
+// live reports whether forward transfer slot s occurred uncompensated.
+func (x *Exec) live(s int32) bool { return x.has(s) && !x.has(s+int32(x.t.Transfers)) }
+
+// HasAt reports whether the action in table slot slot has occurred; it
+// makes an Exec a model.ActionView.
+func (x *Exec) HasAt(slot int) bool { return x.has(int32(slot)) }
+
+// Has reports whether the action has occurred.
+func (x *Exec) Has(a model.Action) bool {
+	s, ok := x.t.Slot(a)
+	return ok && x.has(int32(s))
+}
+
+// Snapshot returns the executed actions as a State.
+func (x *Exec) Snapshot() model.State {
+	st := model.NewStateCap(16)
+	for s := 0; s < x.t.Len(); s++ {
+		if x.has(int32(s)) {
+			st.MustAdd(x.t.Action(s))
 		}
-		if err := mover.Remove(a.Asset()); err != nil {
-			return fmt.Errorf("safety: %s cannot fund %v: %w", a.Mover(), a, err)
-		}
-		x.holdings[a.Receiver()].Add(a.Asset())
 	}
-	if err := x.State.Add(a); err != nil {
-		return err
+	return st
+}
+
+// Holding returns a copy of a party's current holding, or nil for a
+// party the problem does not name.
+func (x *Exec) Holding(id model.PartyID) *model.Holding {
+	i, ok := x.t.PartySlot(id)
+	if !ok {
+		return nil
+	}
+	h := &model.Holding{Cash: x.cash[i], Items: make(map[model.ItemID]int)}
+	for _, ci := range x.t.Cells(i) {
+		if n := x.items[ci]; n != 0 {
+			h.Items[x.t.CellItem[ci]] = int(n)
+		}
+	}
+	return h
+}
+
+// ItemCount returns how many units of item the party holds.
+func (x *Exec) ItemCount(id model.PartyID, item model.ItemID) int {
+	i, ok := x.t.PartySlot(id)
+	if !ok {
+		return 0
+	}
+	ci, ok := x.t.Cell(i, item)
+	if !ok {
+		return 0
+	}
+	return int(x.items[ci])
+}
+
+// endpoints resolves transfer slot s: its forward slot and the holding
+// indices the asset leaves and enters.
+func (x *Exec) endpoints(s int32) (fwd, from, to int32) {
+	n := int32(x.t.Transfers)
+	if s < n {
+		return s, x.t.Src[s], x.t.Dst[s]
+	}
+	fwd = s - n
+	return fwd, x.t.Dst[fwd], x.t.Src[fwd]
+}
+
+// funded reports whether the mover of transfer slot s holds its asset.
+func (x *Exec) funded(s int32) bool {
+	fwd, from, _ := x.endpoints(s)
+	if !x.t.Give[fwd] {
+		return x.cash[from] >= x.t.Cash[fwd]
+	}
+	return x.items[from] > 0
+}
+
+// try executes slot s, moving a transfer's asset. It reports false, with
+// nothing changed, when the mover cannot fund the transfer or the action
+// already occurred.
+func (x *Exec) try(s int32) bool {
+	if x.has(s) {
+		return false
+	}
+	if int(s) < 2*x.t.Transfers {
+		if !x.funded(s) {
+			return false
+		}
+		fwd, from, to := x.endpoints(s)
+		if amount := x.t.Cash[fwd]; !x.t.Give[fwd] {
+			x.cash[from] -= amount
+			x.cash[to] += amount
+		} else {
+			x.items[from]--
+			x.items[to]++
+		}
+	}
+	x.done[s>>6] |= 1 << (uint32(s) & 63)
+	return true
+}
+
+// applySlot is try with the reason for a refusal.
+func (x *Exec) applySlot(s int32) error {
+	a := x.t.Action(int(s))
+	if int(s) < 2*x.t.Transfers && !x.funded(s) {
+		err := fmt.Errorf("model: holding %v does not contain %v", x.Holding(a.Mover()), a.Asset())
+		return fmt.Errorf("safety: %s cannot fund %v: %w", a.Mover(), a, err)
+	}
+	if !x.try(s) {
+		return fmt.Errorf("model: action %v already in state", a)
 	}
 	return nil
+}
+
+// Apply executes one transfer or notify action, moving assets between
+// holdings. It fails if the action is not one of the problem's own (a
+// *ForeignActionError), the mover cannot fund the transfer, or the action
+// already occurred.
+func (x *Exec) Apply(a model.Action) error {
+	s, ok := x.t.Slot(a)
+	if !ok {
+		return &ForeignActionError{Action: a}
+	}
+	return x.applySlot(int32(s))
 }
 
 // MustApply is Apply for statically valid sequences.
@@ -132,11 +211,61 @@ func (x *Exec) MustApply(a model.Action) {
 	}
 }
 
+// applyAll applies the slots in order, each of which must be new.
+func (x *Exec) applyAll(slots []int32) error {
+	for _, s := range slots {
+		if err := x.applySlot(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ApplyDeposits executes every deposit action of exchange ei in order;
+// like Apply, it fails on one that already occurred.
+func (x *Exec) ApplyDeposits(ei int) error { return x.applyAll(x.t.Deposits(ei)) }
+
+// ApplyReceipts executes every receipt action of exchange ei in order;
+// like Apply, it fails on one that already occurred.
+func (x *Exec) ApplyReceipts(ei int) error { return x.applyAll(x.t.Receipts(ei)) }
+
+// completeRest executes the slots that have not occurred yet, in order.
+func (x *Exec) completeRest(slots []int32) error {
+	for _, s := range slots {
+		if x.has(s) {
+			continue
+		}
+		if err := x.applySlot(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CompleteDeposit executes the deposit actions of exchange ei that have
+// not occurred yet.
+func (x *Exec) CompleteDeposit(ei int) error { return x.completeRest(x.t.Deposits(ei)) }
+
+// Post places indemnity offer oi's collateral.
+func (x *Exec) Post(oi int) error {
+	if s := x.t.Post[oi]; s >= 0 {
+		return x.applySlot(s)
+	}
+	return &ForeignActionError{Action: IndemnityPostAction(x.Problem, x.Problem.Indemnities[oi])}
+}
+
+// Posted reports whether offer oi's collateral has been posted (whether
+// or not it was refunded since).
+func (x *Exec) Posted(oi int) bool {
+	s := x.t.Post[oi]
+	return s >= 0 && x.has(s)
+}
+
 // Deposited reports whether every deposit action of exchange ei has
 // occurred and none has been compensated.
 func (x *Exec) Deposited(ei int) bool {
-	for _, d := range x.Problem.DepositActionsOf(ei) {
-		if !x.State.Has(d) || x.State.Has(d.Compensation()) {
+	for _, d := range x.t.Deposits(ei) {
+		if !x.live(d) {
 			return false
 		}
 	}
@@ -147,8 +276,8 @@ func (x *Exec) Deposited(ei int) bool {
 // occurred and none has been compensated (a returned early withdrawal
 // leaves the exchange undelivered).
 func (x *Exec) Delivered(ei int) bool {
-	for _, r := range x.Problem.ReceiptActionsOf(ei) {
-		if !x.State.Has(r) || x.State.Has(r.Compensation()) {
+	for _, r := range x.t.Receipts(ei) {
+		if !x.live(r) {
 			return false
 		}
 	}
@@ -159,8 +288,8 @@ func (x *Exec) Delivered(ei int) bool {
 // occurred without compensation.
 func (x *Exec) PartialDeposit(ei int) bool {
 	some, all := false, true
-	for _, d := range x.Problem.DepositActionsOf(ei) {
-		if x.State.Has(d) && !x.State.Has(d.Compensation()) {
+	for _, d := range x.t.Deposits(ei) {
+		if x.live(d) {
 			some = true
 		} else {
 			all = false
@@ -169,23 +298,95 @@ func (x *Exec) PartialDeposit(ei int) bool {
 	return some && !all
 }
 
+// DepositAttempted reports whether every deposit action of exchange ei
+// occurred, compensated or not — the paper's forfeit condition cares that
+// the protected principal "provides payment", even if the escrow was
+// later returned.
+func (x *Exec) DepositAttempted(ei int) bool {
+	for _, d := range x.t.Deposits(ei) {
+		if !x.has(d) {
+			return false
+		}
+	}
+	return true
+}
+
 // TrustedReady reports whether the trusted component holds every deposit
 // of every adjacent exchange and still has something to deliver.
 func (x *Exec) TrustedReady(t model.PartyID) bool {
-	any, undelivered := false, false
-	for _, ei := range x.Problem.ExchangesOf(t) {
-		if x.Problem.Exchanges[ei].Trusted != t {
-			continue
-		}
-		any = true
-		if !x.Deposited(ei) {
+	ti, ok := x.t.PartySlot(t)
+	return ok && x.trustedReady(int32(ti))
+}
+
+func (x *Exec) trustedReady(ti int32) bool {
+	at := x.t.At(int(ti))
+	undelivered := false
+	for _, ei := range at {
+		if !x.Deposited(int(ei)) {
 			return false
 		}
-		if !x.Delivered(ei) {
+		if !x.Delivered(int(ei)) {
 			undelivered = true
 		}
 	}
-	return any && undelivered
+	return len(at) > 0 && undelivered
+}
+
+// holds reports whether the endpoints on one side of the forward slots —
+// their movers, or with atDst their receivers — hold every asset the
+// slots move, counting an item once per slot that moves it.
+func (x *Exec) holds(slots []int32, atDst bool) bool {
+	var cash model.Money
+	payer := int32(-1)
+	for i, s := range slots {
+		at := x.t.Src[s]
+		if atDst {
+			at = x.t.Dst[s]
+		}
+		if !x.t.Give[s] {
+			cash += x.t.Cash[s]
+			payer = at
+			continue
+		}
+		if x.countGives(slots[:i], at, atDst) > 0 {
+			continue // counted at its first slot
+		}
+		if int(x.items[at]) < x.countGives(slots[i:], at, atDst) {
+			return false
+		}
+	}
+	return payer < 0 || x.cash[payer] >= cash
+}
+
+// countGives counts the give slots whose endpoint on the given side is
+// cell.
+func (x *Exec) countGives(slots []int32, cell int32, atDst bool) int {
+	n := 0
+	for _, s := range slots {
+		at := x.t.Src[s]
+		if atDst {
+			at = x.t.Dst[s]
+		}
+		if x.t.Give[s] && at == cell {
+			n++
+		}
+	}
+	return n
+}
+
+// TrustedHoldsGets reports whether exchange ei's trusted component holds
+// the exchange's Gets bundle.
+func (x *Exec) TrustedHoldsGets(ei int) bool { return x.holds(x.t.Receipts(ei), false) }
+
+// HoldsGives reports whether exchange ei's principal holds the
+// exchange's whole Gives bundle, deposited or not.
+func (x *Exec) HoldsGives(ei int) bool { return x.holds(x.t.Deposits(ei), false) }
+
+// CanWithdraw reports whether the principal of exchange ei may take its
+// goods early now: ei is at a persona trusted of that principal,
+// undelivered, and the trusted holds the goods.
+func (x *Exec) CanWithdraw(ei int) bool {
+	return x.t.AtPersona[ei] && !x.Delivered(ei) && x.TrustedHoldsGets(ei)
 }
 
 // EarlyWithdraw lets the persona principal of a trusted component take
@@ -194,18 +395,11 @@ func (x *Exec) TrustedReady(t model.PartyID) bool {
 // its persona trusted are applied without the principal's deposit; the
 // principal thereafter owes either the goods' return or its deposit.
 func (x *Exec) EarlyWithdraw(ei int) error {
-	e := x.Problem.Exchanges[ei]
-	q, ok := x.Problem.PersonaOf(e.Trusted)
-	if !ok || q != e.Principal {
+	if !x.t.AtPersona[ei] {
 		return fmt.Errorf("safety: exchange %d is not at a persona trusted of its principal", ei)
 	}
-	for _, r := range x.Problem.ReceiptActionsOf(ei) {
-		if x.State.Has(r) {
-			continue
-		}
-		if err := x.Apply(r); err != nil {
-			return fmt.Errorf("safety: early withdrawal for exchange %d: %w", ei, err)
-		}
+	if err := x.completeRest(x.t.Receipts(ei)); err != nil {
+		return fmt.Errorf("safety: early withdrawal for exchange %d: %w", ei, err)
 	}
 	return nil
 }
@@ -213,18 +407,17 @@ func (x *Exec) EarlyWithdraw(ei int) error {
 // CompleteTrusted makes the trusted component forward every adjacent
 // Gets bundle to its principal.
 func (x *Exec) CompleteTrusted(t model.PartyID) error {
-	for _, ei := range x.Problem.ExchangesOf(t) {
-		e := x.Problem.Exchanges[ei]
-		if e.Trusted != t {
-			continue
-		}
-		for _, r := range x.Problem.ReceiptActionsOf(ei) {
-			if x.State.Has(r) {
-				continue
-			}
-			if err := x.Apply(r); err != nil {
-				return err
-			}
+	ti, ok := x.t.PartySlot(t)
+	if !ok {
+		return nil
+	}
+	return x.completeTrusted(int32(ti))
+}
+
+func (x *Exec) completeTrusted(ti int32) error {
+	for _, ei := range x.t.At(int(ti)) {
+		if err := x.completeRest(x.t.Receipts(int(ei))); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -233,14 +426,17 @@ func (x *Exec) CompleteTrusted(t model.PartyID) error {
 // RefundTrusted compensates every uncompensated deposit held by the
 // trusted component for exchanges that were not delivered.
 func (x *Exec) RefundTrusted(t model.PartyID) error {
-	for _, ei := range x.Problem.ExchangesOf(t) {
-		e := x.Problem.Exchanges[ei]
-		if e.Trusted != t || x.Delivered(ei) {
+	ti, ok := x.t.PartySlot(t)
+	if !ok {
+		return nil
+	}
+	for _, ei := range x.t.At(ti) {
+		if x.Delivered(int(ei)) {
 			continue
 		}
-		for _, d := range x.Problem.DepositActionsOf(ei) {
-			if x.State.Has(d) && !x.State.Has(d.Compensation()) {
-				if err := x.Apply(d.Compensation()); err != nil {
+		for _, d := range x.t.Deposits(int(ei)) {
+			if x.live(d) {
+				if err := x.applySlot(d + int32(x.t.Transfers)); err != nil {
 					return err
 				}
 			}
@@ -268,60 +464,37 @@ func IndemnityPayoutAction(p *model.Problem, off model.IndemnityOffer) model.Act
 	return model.Pay(off.Via, p.Exchanges[off.Covers].Principal, indemnityAmount(p, off))
 }
 
-// DepositAttempted reports whether every deposit action of exchange ei
-// occurred, compensated or not — the paper's forfeit condition cares that
-// the protected principal "provides payment", even if the escrow was
-// later returned.
-func (x *Exec) DepositAttempted(ei int) bool {
-	for _, d := range x.Problem.DepositActionsOf(ei) {
-		if !x.State.Has(d) {
+// settleIndemnities resolves posted collateral at the end of a closure:
+// if the protected principal provided its payment for the covered
+// exchange and the goods were not delivered within the deadline, the
+// collateral is forfeited to the principal (Section 6); otherwise it is
+// refunded to the offerer. It reports false when a settlement cannot be
+// funded.
+func (x *Exec) settleIndemnities() bool {
+	for oi, off := range x.Problem.Indemnities {
+		post, payout := x.t.Post[oi], x.t.Payout[oi]
+		if post < 0 || !x.live(post) || x.has(payout) {
+			continue
+		}
+		if x.DepositAttempted(off.Covers) && !x.Delivered(off.Covers) {
+			if !x.try(payout) {
+				return false
+			}
+			continue
+		}
+		if !x.try(post + int32(x.t.Transfers)) {
 			return false
 		}
 	}
 	return true
 }
 
-// settleIndemnities resolves posted collateral at the end of a closure:
-// if the protected principal provided its payment for the covered
-// exchange and the goods were not delivered within the deadline, the
-// collateral is forfeited to the principal (Section 6); otherwise it is
-// refunded to the offerer.
-func (x *Exec) settleIndemnities() error {
-	for _, off := range x.Problem.Indemnities {
-		post := IndemnityPostAction(x.Problem, off)
-		if !x.State.Has(post) || x.State.Has(post.Compensation()) {
-			continue
-		}
-		payout := IndemnityPayoutAction(x.Problem, off)
-		if x.State.Has(payout) {
-			continue
-		}
-		if x.DepositAttempted(off.Covers) && !x.Delivered(off.Covers) {
-			if err := x.Apply(payout); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := x.Apply(post.Compensation()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// indemnityProtected reports whether the principal holds live collateral
-// covering exchange ei: depositing on ei is then risk-free — either the
+// indemnityProtected reports whether live collateral covers exchange ei:
+// depositing on ei is then risk-free for its principal — either the
 // exchange completes or the penalty is forfeited to the principal.
-func (x *Exec) indemnityProtected(principal model.PartyID, ei int) bool {
-	if x.Problem.Exchanges[ei].Principal != principal {
-		return false
-	}
-	for _, off := range x.Problem.Indemnities {
-		if off.Covers != ei {
-			continue
-		}
-		post := IndemnityPostAction(x.Problem, off)
-		if x.State.Has(post) && !x.State.Has(post.Compensation()) {
+func (x *Exec) indemnityProtected(ei int) bool {
+	for oi, off := range x.Problem.Indemnities {
+		if post := x.t.Post[oi]; off.Covers == ei && post >= 0 && x.live(post) {
 			return true
 		}
 	}
@@ -344,10 +517,7 @@ func (x *Exec) indemnityProtected(principal model.PartyID, ei int) bool {
 // accepts if any wind-down (refund every pending escrow, settle
 // indemnities) is acceptable to x.
 func SafeFor(x *Exec, principal model.PartyID) bool {
-	c := x.ClonePooled()
-	ok := safeSearch(c, principal, &seenSet{}, model.Acceptable)
-	Release(c)
-	return ok
+	return safeFor(x, principal, false)
 }
 
 // AssetSafe is the per-exchange asset-integrity variant of SafeFor: the
@@ -360,42 +530,73 @@ func SafeFor(x *Exec, principal model.PartyID) bool {
 // enforced here; they are commit-ordering constraints checked on final
 // states.
 func AssetSafe(x *Exec, principal model.PartyID) bool {
-	c := x.ClonePooled()
-	ok := safeSearch(c, principal, &seenSet{}, model.AcceptableAssets)
-	Release(c)
-	return ok
+	return safeFor(x, principal, true)
 }
 
-type acceptFunc func(*model.Problem, model.PartyID, model.State) bool
+// safeFor runs the mini-search under model.AcceptableAssets (assets) or
+// model.Acceptable. A party the problem does not name has nothing at
+// risk.
+func safeFor(x *Exec, principal model.PartyID, assets bool) bool {
+	pi, ok := x.t.PartySlot(principal)
+	if !ok {
+		return true
+	}
+	c := x.ClonePooled()
+	seen := seenPool.Get().(*seenSet)
+	found := safeSearch(c, int32(pi), seen, assets)
+	seen.reset()
+	seenPool.Put(seen)
+	Release(c)
+	return found
+}
 
 // seenSet memoizes the deposit patterns visited by one safety
 // mini-search. The pattern packs into a single uint64 whenever the
 // principal owns at most 32 exchanges (2 status bits each); outsized
 // problems fall back to the string depositKey. Both forms are injective
 // over the same equivalence classes, so the packing changes no verdict.
+// A mini-search visits a handful of patterns, so the packed ones are
+// scanned in a short slice and spill to a map only past seenSmall.
 type seenSet struct {
-	packed map[uint64]bool
-	str    map[string]bool
+	small []uint64
+	large map[uint64]bool
+	str   map[string]bool
+}
+
+const seenSmall = 64
+
+// seenPool recycles seen sets across mini-searches, as execPool does
+// executions.
+var seenPool = sync.Pool{New: func() any { return new(seenSet) }}
+
+func (s *seenSet) reset() {
+	s.small = s.small[:0]
+	s.large, s.str = nil, nil
 }
 
 // visit records the principal-local deposit pattern of c and reports
 // whether it had been seen before.
-func (s *seenSet) visit(c *Exec, principal model.PartyID) bool {
-	if own := c.Problem.PrincipalExchanges(principal); len(own) <= 32 {
+func (s *seenSet) visit(c *Exec, principal int32) bool {
+	own := c.t.Own(int(principal))
+	if len(own) <= 32 {
 		var k uint64
 		for i, ei := range own {
-			k |= c.exchangeStatus(ei) << (2 * i)
+			k |= c.exchangeStatus(int(ei)) << (2 * i)
 		}
-		if s.packed == nil {
-			s.packed = make(map[uint64]bool, 16)
-		}
-		if s.packed[k] {
+		if slices.Contains(s.small, k) || s.large[k] {
 			return true
 		}
-		s.packed[k] = true
+		if len(s.small) < seenSmall {
+			s.small = append(s.small, k)
+			return false
+		}
+		if s.large == nil {
+			s.large = make(map[uint64]bool)
+		}
+		s.large[k] = true
 		return false
 	}
-	key := depositKey(c, principal)
+	key := depositKey(c, own)
 	if s.str == nil {
 		s.str = make(map[string]bool)
 	}
@@ -406,56 +607,42 @@ func (s *seenSet) visit(c *Exec, principal model.PartyID) bool {
 	return false
 }
 
-func safeSearch(c *Exec, principal model.PartyID, seen *seenSet, accept acceptFunc) bool {
-	if err := c.forceCompletions(principal); err != nil {
+func safeSearch(c *Exec, principal int32, seen *seenSet, assets bool) bool {
+	if !c.forceCompletions(principal) {
 		return false
 	}
 	if seen.visit(c, principal) {
 		return false
 	}
-	if windDownAcceptable(c, principal, accept) {
+	if windDownAcceptable(c, principal, assets) {
 		return true
 	}
-	for ei, e := range c.Problem.Exchanges {
-		if e.Principal != principal || c.Deposited(ei) || c.Delivered(ei) {
+	own := c.t.Own(int(principal))
+	for _, e32 := range own {
+		ei := int(e32)
+		if c.Deposited(ei) || c.Delivered(ei) {
 			continue
 		}
-		if !c.othersDeposited(e.Trusted, ei) && !c.indemnityProtected(principal, ei) {
+		if !c.othersDeposited(c.t.Trusted[ei], ei) && !c.indemnityProtected(ei) {
 			continue
 		}
-		if !c.canFund(principal, ei) {
+		if !c.CanFund(ei) {
 			continue
 		}
 		next := c.ClonePooled()
-		ok := true
-		for _, d := range c.Problem.DepositActionsOf(ei) {
-			if next.State.Has(d) {
-				continue
-			}
-			if err := next.Apply(d); err != nil {
-				ok = false
-				break
-			}
-		}
-		hit := ok && safeSearch(next, principal, seen, accept)
+		hit := next.CompleteDeposit(ei) == nil && safeSearch(next, principal, seen, assets)
 		Release(next)
 		if hit {
 			return true
 		}
 	}
 	// Move: early withdrawal from an own persona trusted.
-	for ei, e := range c.Problem.Exchanges {
-		if e.Principal != principal || c.Delivered(ei) {
-			continue
-		}
-		if q, ok := c.Problem.PersonaOf(e.Trusted); !ok || q != principal {
-			continue
-		}
-		if !c.Holding(e.Trusted).Contains(e.Gets) {
+	for _, ei := range own {
+		if !c.CanWithdraw(int(ei)) {
 			continue
 		}
 		next := c.ClonePooled()
-		hit := next.EarlyWithdraw(ei) == nil && safeSearch(next, principal, seen, accept)
+		hit := next.EarlyWithdraw(int(ei)) == nil && safeSearch(next, principal, seen, assets)
 		Release(next)
 		if hit {
 			return true
@@ -468,36 +655,30 @@ func safeSearch(c *Exec, principal model.PartyID, seen *seenSet, accept acceptFu
 // completions are the environment's guaranteed (not optional) moves. A
 // trusted component played by the analysed principal itself is exempt:
 // its completion is that principal's own optional move.
-func (x *Exec) forceCompletions(analysed model.PartyID) error {
+func (x *Exec) forceCompletions(analysed int32) bool {
 	for {
 		progress := false
-		for _, pa := range x.Problem.Parties {
-			if !pa.IsTrusted() || !x.TrustedReady(pa.ID) {
+		for _, ti := range x.t.Trusteds {
+			if !x.trustedReady(ti) || x.t.Persona[ti] == analysed {
 				continue
 			}
-			if q, ok := x.Problem.PersonaOf(pa.ID); ok && q == analysed {
-				continue
-			}
-			if err := x.CompleteTrusted(pa.ID); err != nil {
-				return err
+			if x.completeTrusted(ti) != nil {
+				return false
 			}
 			progress = true
 		}
 		if !progress {
-			return nil
+			return true
 		}
 	}
 }
 
 // depositKey fingerprints the principal's deposit choices (forced
 // completions are a deterministic function of them during the search).
-func depositKey(x *Exec, principal model.PartyID) string {
-	var b []byte
-	for ei, e := range x.Problem.Exchanges {
-		if e.Principal != principal {
-			continue
-		}
-		b = append(b, '0'+byte(x.exchangeStatus(ei)))
+func depositKey(x *Exec, own []int32) string {
+	b := make([]byte, len(own))
+	for i, ei := range own {
+		b[i] = '0' + byte(x.exchangeStatus(int(ei)))
 	}
 	return string(b)
 }
@@ -517,30 +698,26 @@ func depositKey(x *Exec, principal model.PartyID) string {
 // escrow that could not be refunded leaves its depositor with an
 // uncompensated, undelivered deposit, which Acceptable rejects — so a
 // genuinely stuck wind-down reads as unsafe.
-func windDownAcceptable(x *Exec, principal model.PartyID, accept acceptFunc) bool {
+func windDownAcceptable(x *Exec, principal int32, assets bool) bool {
 	c := x.ClonePooled()
 	defer Release(c)
+	comp := int32(c.t.Transfers)
 	for {
 		progress := false
 
 		// Step 1: persona trustee duties.
-		for ei, e := range c.Problem.Exchanges {
-			q, ok := c.Problem.PersonaOf(e.Trusted)
-			if !ok || q != e.Principal {
+		for ei, persona := range c.t.AtPersona {
+			if !persona || !c.Delivered(ei) || c.Deposited(ei) {
 				continue
 			}
-			withdrawn := c.Delivered(ei) && !c.Deposited(ei)
-			if !withdrawn {
-				continue
-			}
-			if c.Holding(q).Contains(e.Gets) {
+			if recs := c.t.Receipts(ei); c.holds(recs, true) {
 				// Return the goods.
 				okAll := true
-				for _, r := range c.Problem.ReceiptActionsOf(ei) {
-					if c.State.Has(r.Compensation()) {
+				for _, r := range recs {
+					if c.has(r + comp) {
 						continue
 					}
-					if err := c.Apply(r.Compensation()); err != nil {
+					if !c.try(r + comp) {
 						okAll = false
 						break
 					}
@@ -551,28 +728,16 @@ func windDownAcceptable(x *Exec, principal model.PartyID, accept acceptFunc) boo
 				continue
 			}
 			// Pay instead, if fundable.
-			if c.canFund(q, ei) {
-				funded := true
-				for _, d := range c.Problem.DepositActionsOf(ei) {
-					if c.State.Has(d) {
-						continue
-					}
-					if err := c.Apply(d); err != nil {
-						funded = false
-						break
-					}
-				}
-				if funded {
-					progress = true
-				}
+			if c.CanFund(ei) && c.CompleteDeposit(ei) == nil {
+				progress = true
 			}
 		}
 
 		// Step 2: forced completions (everyone honours guarantees in a
 		// wind-down; the analysed principal has already made its choices).
-		for _, pa := range c.Problem.Parties {
-			if pa.IsTrusted() && c.TrustedReady(pa.ID) {
-				if err := c.CompleteTrusted(pa.ID); err != nil {
+		for _, ti := range c.t.Trusteds {
+			if c.trustedReady(ti) {
+				if c.completeTrusted(ti) != nil {
 					return false
 				}
 				progress = true
@@ -580,23 +745,16 @@ func windDownAcceptable(x *Exec, principal model.PartyID, accept acceptFunc) boo
 		}
 
 		// Step 3: fundable refunds.
-		for _, pa := range c.Problem.Parties {
-			if !pa.IsTrusted() {
-				continue
-			}
-			for _, ei := range c.Problem.ExchangesOf(pa.ID) {
-				e := c.Problem.Exchanges[ei]
-				if e.Trusted != pa.ID || c.Delivered(ei) {
+		for _, ti := range c.t.Trusteds {
+			for _, ei := range c.t.At(int(ti)) {
+				if c.Delivered(int(ei)) {
 					continue
 				}
-				for _, d := range c.Problem.DepositActionsOf(ei) {
-					if !c.State.Has(d) || c.State.Has(d.Compensation()) {
+				for _, d := range c.t.Deposits(int(ei)) {
+					if !c.live(d) || !c.funded(d+comp) {
 						continue
 					}
-					if !c.Holding(pa.ID).Contains(d.Asset()) {
-						continue
-					}
-					if err := c.Apply(d.Compensation()); err != nil {
+					if !c.try(d + comp) {
 						return false
 					}
 					progress = true
@@ -608,240 +766,21 @@ func windDownAcceptable(x *Exec, principal model.PartyID, accept acceptFunc) boo
 			break
 		}
 	}
-	if err := c.settleIndemnities(); err != nil {
-		return false
-	}
-	return accept(c.Problem, principal, c.State)
+	return c.settleIndemnities() && c.t.Acceptable(int(principal), c, assets)
 }
 
 // othersDeposited reports whether every exchange at the trusted component
 // other than `except` is fully deposited and undelivered.
-func (x *Exec) othersDeposited(t model.PartyID, except int) bool {
-	for _, ei := range x.Problem.ExchangesOf(t) {
-		if x.Problem.Exchanges[ei].Trusted != t || ei == except {
+func (x *Exec) othersDeposited(ti int32, except int) bool {
+	for _, ei := range x.t.At(int(ti)) {
+		if int(ei) == except {
 			continue
 		}
-		if !x.Deposited(ei) || x.Delivered(ei) {
+		if !x.Deposited(int(ei)) || x.Delivered(int(ei)) {
 			return false
 		}
 	}
 	return true
-}
-
-// canFund reports whether the principal currently holds the exchange's
-// Gives bundle (partially made deposits count as already funded). The
-// outstanding requirement is tallied in place — no scratch Holding —
-// because this check runs for every exchange at every search node.
-func (x *Exec) canFund(principal model.PartyID, ei int) bool {
-	h := x.holdings[principal]
-	deps := x.Problem.DepositActionsOf(ei)
-	var cash model.Money
-	for i, d := range deps {
-		if x.State.Has(d) {
-			continue
-		}
-		if d.Kind == model.ActionPay {
-			cash += d.Amount
-			continue
-		}
-		// The first outstanding Give of an item counts every outstanding
-		// Give of that item; later occurrences are skipped.
-		dup := false
-		for j := 0; j < i; j++ {
-			if deps[j].Kind == model.ActionGive && deps[j].Item == d.Item && !x.State.Has(deps[j]) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		need := 0
-		for j := i; j < len(deps); j++ {
-			if deps[j].Kind == model.ActionGive && deps[j].Item == d.Item && !x.State.Has(deps[j]) {
-				need++
-			}
-		}
-		if h.Items[d.Item] < need {
-			return false
-		}
-	}
-	return h.Cash >= cash
-}
-
-// SafeForCommitted evaluates safety under the paper's commitment
-// semantics (Section 4.1): a commitment, once made, is a binding promise
-// enforced through the trusted intermediaries, even if the physical
-// deposit comes later (red edges commit first, execute last — Section 5).
-//
-// The adversary model: every OTHER principal honours its commitments in
-// `committed` (deposits and persona withdrawals execute as soon as they
-// are fundable — forced environment moves, like trusted completions) and
-// takes no uncommitted action. The analysed principal chooses its own
-// moves freely (depositing under the notification guarantee, under live
-// indemnity protection, or on a committed exchange; withdrawing early
-// from its own persona trusted). The principal is safe iff some choice
-// sequence ends, after wind-down, in a state acceptable to it.
-func SafeForCommitted(x *Exec, principal model.PartyID, committed map[int]bool) bool {
-	c := x.ClonePooled()
-	ok := searchCommitted(c, principal, committed, &seenGlobal{})
-	Release(c)
-	return ok
-}
-
-// seenGlobal memoizes full deposit patterns for the committed-safety
-// search: packed into two machine words when the problem has at most 64
-// exchanges, string fallback beyond. Same equivalence classes as the
-// string globalDepositKey, so the packing changes no verdict.
-type seenGlobal struct {
-	packed map[[2]uint64]bool
-	str    map[string]bool
-}
-
-// visit records the global deposit pattern of c and reports whether it
-// had been seen before.
-func (s *seenGlobal) visit(c *Exec) bool {
-	if n := len(c.Problem.Exchanges); 2*n <= 128 {
-		var k [2]uint64
-		pos := 0
-		for ei := 0; ei < n; ei++ {
-			k[pos/64] |= c.exchangeStatus(ei) << (pos % 64)
-			pos += 2
-		}
-		if s.packed == nil {
-			s.packed = make(map[[2]uint64]bool, 16)
-		}
-		if s.packed[k] {
-			return true
-		}
-		s.packed[k] = true
-		return false
-	}
-	key := globalDepositKey(c)
-	if s.str == nil {
-		s.str = make(map[string]bool)
-	}
-	if s.str[key] {
-		return true
-	}
-	s.str[key] = true
-	return false
-}
-
-func searchCommitted(c *Exec, principal model.PartyID, committed map[int]bool, seen *seenGlobal) bool {
-	if err := c.forceEnvironment(principal, committed); err != nil {
-		return false
-	}
-	if seen.visit(c) {
-		return false
-	}
-	if windDownAcceptable(c, principal, model.Acceptable) {
-		return true
-	}
-	for ei, e := range c.Problem.Exchanges {
-		if e.Principal != principal || c.Delivered(ei) {
-			continue
-		}
-		// Move: early withdrawal from own persona trusted.
-		if q, ok := c.Problem.PersonaOf(e.Trusted); ok && q == principal {
-			if !c.Delivered(ei) && c.Holding(e.Trusted).Contains(e.Gets) {
-				next := c.ClonePooled()
-				hit := next.EarlyWithdraw(ei) == nil &&
-					searchCommitted(next, principal, committed, seen)
-				Release(next)
-				if hit {
-					return true
-				}
-			}
-		}
-		// Move: deposit.
-		if c.DepositAttempted(ei) {
-			continue
-		}
-		if !c.othersDeposited(e.Trusted, ei) && !c.indemnityProtected(principal, ei) && !committed[ei] {
-			continue
-		}
-		if !c.canFund(principal, ei) {
-			continue
-		}
-		next := c.ClonePooled()
-		ok := true
-		for _, d := range c.Problem.DepositActionsOf(ei) {
-			if next.State.Has(d) {
-				continue
-			}
-			if err := next.Apply(d); err != nil {
-				ok = false
-				break
-			}
-		}
-		hit := ok && searchCommitted(next, principal, committed, seen)
-		Release(next)
-		if hit {
-			return true
-		}
-	}
-	return false
-}
-
-// forceEnvironment runs the guaranteed moves to fixpoint: trusted
-// completions (except the analysed principal's own persona trusteds,
-// whose completion is that principal's choice) and the committed deposits
-// and persona withdrawals of every other principal.
-func (x *Exec) forceEnvironment(analysed model.PartyID, committed map[int]bool) error {
-	for {
-		progress := false
-		for _, pa := range x.Problem.Parties {
-			if !pa.IsTrusted() || !x.TrustedReady(pa.ID) {
-				continue
-			}
-			if q, ok := x.Problem.PersonaOf(pa.ID); ok && q == analysed {
-				continue
-			}
-			if err := x.CompleteTrusted(pa.ID); err != nil {
-				return err
-			}
-			progress = true
-		}
-		for ei, e := range x.Problem.Exchanges {
-			if !committed[ei] || e.Principal == analysed {
-				continue
-			}
-			if q, ok := x.Problem.PersonaOf(e.Trusted); ok && q == e.Principal {
-				if !x.Delivered(ei) && x.Holding(e.Trusted).Contains(e.Gets) {
-					if err := x.EarlyWithdraw(ei); err != nil {
-						return err
-					}
-					progress = true
-				}
-			}
-			if x.DepositAttempted(ei) || !x.canFund(e.Principal, ei) {
-				continue
-			}
-			for _, d := range x.Problem.DepositActionsOf(ei) {
-				if x.State.Has(d) {
-					continue
-				}
-				if err := x.Apply(d); err != nil {
-					return err
-				}
-			}
-			progress = true
-		}
-		if !progress {
-			return nil
-		}
-	}
-}
-
-// globalDepositKey fingerprints the full deposit/withdrawal pattern for
-// memoization during the committed-safety search.
-func globalDepositKey(x *Exec) string {
-	b := make([]byte, 0, len(x.Problem.Exchanges))
-	for ei := range x.Problem.Exchanges {
-		b = append(b, '0'+byte(x.exchangeStatus(ei)))
-	}
-	return string(b)
 }
 
 // ForceCompletionsAll completes every ready trusted component (persona or
@@ -850,9 +789,9 @@ func globalDepositKey(x *Exec) string {
 func (x *Exec) ForceCompletionsAll() error {
 	for {
 		progress := false
-		for _, pa := range x.Problem.Parties {
-			if pa.IsTrusted() && x.TrustedReady(pa.ID) {
-				if err := x.CompleteTrusted(pa.ID); err != nil {
+		for _, ti := range x.t.Trusteds {
+			if x.trustedReady(ti) {
+				if err := x.completeTrusted(ti); err != nil {
 					return err
 				}
 				progress = true
@@ -864,10 +803,46 @@ func (x *Exec) ForceCompletionsAll() error {
 	}
 }
 
-// CanFund reports whether the principal currently holds what the
-// exchange's outstanding deposit actions require.
-func (x *Exec) CanFund(principal model.PartyID, ei int) bool {
-	return x.canFund(principal, ei)
+// CanFund reports whether the principal of exchange ei currently holds
+// what the exchange's outstanding deposit actions require (partially made
+// deposits count as already funded). The requirement is tallied in place,
+// because this check runs for every exchange at every search node.
+func (x *Exec) CanFund(ei int) bool {
+	deps := x.t.Deposits(ei)
+	var cash model.Money
+	payer := int32(-1)
+	for i, d := range deps {
+		if x.has(d) {
+			continue
+		}
+		if !x.t.Give[d] {
+			cash += x.t.Cash[d]
+			payer = x.t.Src[d]
+			continue
+		}
+		// The first outstanding Give of an item counts every outstanding
+		// Give of that item; later occurrences are skipped.
+		cell := x.t.Src[d]
+		if x.outstandingGives(deps[:i], cell) > 0 {
+			continue
+		}
+		if int(x.items[cell]) < x.outstandingGives(deps[i:], cell) {
+			return false
+		}
+	}
+	return payer < 0 || x.cash[payer] >= cash
+}
+
+// outstandingGives counts the deposit gives from cell that have not
+// occurred.
+func (x *Exec) outstandingGives(deps []int32, cell int32) int {
+	n := 0
+	for _, d := range deps {
+		if x.t.Give[d] && x.t.Src[d] == cell && !x.has(d) {
+			n++
+		}
+	}
+	return n
 }
 
 // exchangeStatus is the 2-bit deposit/delivery code of exchange ei shared
@@ -892,8 +867,8 @@ func (x *Exec) Fingerprint() string {
 	for ei := range x.Problem.Exchanges {
 		b = append(b, '0'+byte(x.exchangeStatus(ei)))
 	}
-	for _, off := range x.Problem.Indemnities {
-		if x.State.Has(IndemnityPostAction(x.Problem, off)) {
+	for oi := range x.Problem.Indemnities {
+		if x.Posted(oi) {
 			b = append(b, 'P')
 		} else {
 			b = append(b, '.')
@@ -920,8 +895,8 @@ func (x *Exec) Fingerprint128() (fp [2]uint64, ok bool) {
 		fp[pos/64] |= x.exchangeStatus(ei) << (pos % 64)
 		pos += 2
 	}
-	for _, off := range x.Problem.Indemnities {
-		if x.State.Has(IndemnityPostAction(x.Problem, off)) {
+	for oi := range x.Problem.Indemnities {
+		if x.Posted(oi) {
 			fp[pos/64] |= 1 << (pos % 64)
 		}
 		pos++

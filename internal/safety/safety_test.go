@@ -195,7 +195,7 @@ func TestAllSafeAndCompleted(t *testing.T) {
 		t.Fatalf("ForceCompletionsAll = %v", err)
 	}
 	if !Completed(x) {
-		t.Fatalf("not completed after full drive: %v", x.State)
+		t.Fatalf("not completed after full drive: %v", x.Snapshot())
 	}
 	if !AllSafe(x) {
 		t.Fatalf("AllSafe false at completion")

@@ -312,40 +312,30 @@ func (s *searcher) moves(exec *safety.Exec, depth int) []Move {
 
 // appendMoves appends every searchable step from exec to buf.
 func appendMoves(buf []Move, exec *safety.Exec, p *model.Problem) []Move {
-	for ei, e := range p.Exchanges {
-		if !exec.DepositAttempted(ei) && exec.CanFund(e.Principal, ei) {
+	for ei := range p.Exchanges {
+		if !exec.DepositAttempted(ei) && exec.CanFund(ei) {
 			buf = append(buf, Move{Deposit: ei, Withdraw: -1, Post: -1})
 		}
-		if q, ok := p.PersonaOf(e.Trusted); ok && q == e.Principal &&
-			!exec.Delivered(ei) && exec.Holding(e.Trusted).Contains(e.Gets) {
+		if exec.CanWithdraw(ei) {
 			buf = append(buf, Move{Deposit: -1, Withdraw: ei, Post: -1})
 		}
 	}
-	for oi, off := range p.Indemnities {
-		post := safety.IndemnityPostAction(p, off)
-		if !exec.State.Has(post) {
+	for oi := range p.Indemnities {
+		if !exec.Posted(oi) {
 			buf = append(buf, Move{Deposit: -1, Withdraw: -1, Post: oi})
 		}
 	}
 	return buf
 }
 
-func applyMove(exec *safety.Exec, p *model.Problem, mv Move) error {
+func applyMove(exec *safety.Exec, _ *model.Problem, mv Move) error {
 	switch {
 	case mv.Deposit >= 0:
-		for _, d := range p.DepositActionsOf(mv.Deposit) {
-			if exec.State.Has(d) {
-				continue
-			}
-			if err := exec.Apply(d); err != nil {
-				return err
-			}
-		}
-		return nil
+		return exec.CompleteDeposit(mv.Deposit)
 	case mv.Withdraw >= 0:
 		return exec.EarlyWithdraw(mv.Withdraw)
 	case mv.Post >= 0:
-		return exec.Apply(safety.IndemnityPostAction(p, p.Indemnities[mv.Post]))
+		return exec.Post(mv.Post)
 	default:
 		return fmt.Errorf("search: invalid move")
 	}

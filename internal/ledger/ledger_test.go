@@ -5,34 +5,69 @@ import (
 	"testing"
 	"testing/quick"
 
+	"trustseq/internal/gen"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
-	"trustseq/internal/slab"
 )
 
-func twoAccounts() *Ledger {
-	return New(map[model.PartyID]*model.Holding{
-		"a": holdingOf(100, "d"),
-		"b": holdingOf(50),
-	})
+// example1 is the ledger of the paper's Example 1: c holds $100, b $80,
+// p the document, the trusted components nothing.
+func example1(t testing.TB) *Ledger {
+	t.Helper()
+	p := paperex.Example1()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return New(p)
 }
 
-func holdingOf(cash model.Money, items ...model.ItemID) *model.Holding {
-	h := model.NewHolding()
-	h.Add(model.Bundle{Amount: cash, Items: items})
-	return h
+// market is the ledger of a small generated market: six consumers buy
+// one document each through their own broker from two producers.
+func market(t testing.TB) *Ledger {
+	t.Helper()
+	p := gen.Population(6, 2, 10)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return New(p)
+}
+
+// slots resolves a party and, when item is non-empty, its cell for item.
+func slots(t testing.TB, l *Ledger, id model.PartyID, item model.ItemID) (party, cell int32) {
+	t.Helper()
+	p, ok := l.t.PartySlot(id)
+	if !ok {
+		t.Fatalf("no slot for %s", id)
+	}
+	if item == "" {
+		return int32(p), -1
+	}
+	c, ok := l.t.Cell(p, item)
+	if !ok {
+		t.Fatalf("no cell for %s at %s", item, id)
+	}
+	return int32(p), int32(c)
 }
 
 func TestTransferAndBalance(t *testing.T) {
 	t.Parallel()
-	l := twoAccounts()
-	if err := l.Transfer("a", "b", model.Cash(30).With("d")); err != nil {
+	l := example1(t)
+	if err := l.Transfer(paperex.Consumer, paperex.Trusted1, model.Cash(30)); err != nil {
 		t.Fatalf("Transfer = %v", err)
 	}
-	if got := l.Balance("a"); got.Cash != 70 || got.Items["d"] != 0 {
-		t.Errorf("a = %v", got)
+	if err := l.Transfer(paperex.Producer, paperex.Broker, model.Goods(paperex.Doc)); err != nil {
+		t.Fatalf("Transfer = %v", err)
 	}
-	if got := l.Balance("b"); got.Cash != 80 || got.Items["d"] != 1 {
+	if got := l.Balance(paperex.Consumer); got.Cash != 70 || len(got.Items) != 0 {
+		t.Errorf("c = %v", got)
+	}
+	if got := l.Balance(paperex.Trusted1); got.Cash != 30 {
+		t.Errorf("t1 = %v", got)
+	}
+	if got := l.Balance(paperex.Producer); got.Items[paperex.Doc] != 0 {
+		t.Errorf("p = %v", got)
+	}
+	if got := l.Balance(paperex.Broker); got.Cash != 80 || got.Items[paperex.Doc] != 1 {
 		t.Errorf("b = %v", got)
 	}
 	if err := l.Audit(); err != nil {
@@ -42,40 +77,56 @@ func TestTransferAndBalance(t *testing.T) {
 
 func TestTransferErrors(t *testing.T) {
 	t.Parallel()
-	l := twoAccounts()
-	if err := l.Transfer("a", "b", model.Cash(101)); err == nil {
-		t.Fatalf("overdraft accepted")
+	l := example1(t)
+	for _, tc := range []struct {
+		from, to model.PartyID
+		b        model.Bundle
+		want     string
+	}{
+		{paperex.Consumer, paperex.Trusted1, model.Cash(101), "ledger: c cannot pay $101: "},
+		{paperex.Broker, paperex.Trusted1, model.Goods(paperex.Doc), "ledger: b cannot pay "},
+		{"ghost", paperex.Broker, model.Cash(1), "ledger: unknown account ghost"},
+		{paperex.Consumer, "ghost", model.Cash(1), "ledger: unknown account ghost"},
+	} {
+		err := l.Transfer(tc.from, tc.to, tc.b)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Transfer(%s, %s, %v) = %v, want %q…", tc.from, tc.to, tc.b, err, tc.want)
+		}
 	}
-	if err := l.Transfer("ghost", "b", model.Cash(1)); err == nil {
-		t.Fatalf("unknown source accepted")
-	}
-	if err := l.Transfer("a", "ghost", model.Cash(1)); err == nil {
-		t.Fatalf("unknown destination accepted")
+	// No exchange moves d2 through c1: the market refuses to deliver it.
+	m := market(t)
+	if err := m.Transfer("s2", "c1", model.Goods("d2")); err == nil || err.Error() != "ledger: c1 has no account for d2" {
+		t.Errorf("Transfer to a party with no cell = %v", err)
 	}
 	// Failed transfers never mutate.
-	if got := l.Balance("a").Cash; got != 100 {
-		t.Errorf("a mutated to %v", got)
+	if got := l.Balance(paperex.Consumer).Cash; got != paperex.RetailPrice {
+		t.Errorf("c mutated to %v", got)
+	}
+	if got := m.Balance("s2").Items["d2"]; got != 1 {
+		t.Errorf("s2 mutated to %d of d2", got)
 	}
 	// Empty transfers are no-ops.
-	if err := l.Transfer("a", "b", model.Bundle{}); err != nil {
+	if err := l.Transfer(paperex.Consumer, paperex.Broker, model.Bundle{}); err != nil {
 		t.Errorf("empty transfer = %v", err)
 	}
-	if got := l.Balance("b").Cash; got != 50 {
+	if got := l.Balance(paperex.Broker).Cash; got != paperex.WholesalePrice {
 		t.Errorf("b mutated to %v", got)
 	}
 }
 
-// A funded transfer between accounts that already hold its items moves
-// counts in place: the simulator calls Transfer twice per delivered
-// transfer, so it must not allocate.
+// A funded transfer moves counts in place: replay and two-phase commit
+// call Transfer once per move, so it must not allocate.
 func TestTransferZeroAlloc(t *testing.T) {
-	l := twoAccounts()
-	b := model.Cash(1).With("d")
+	l := example1(t)
+	b := model.Cash(1).With(paperex.Doc)
+	if err := l.Transfer(paperex.Producer, paperex.Consumer, model.Goods(paperex.Doc)); err != nil {
+		t.Fatal(err)
+	}
 	avg := testing.AllocsPerRun(1000, func() {
-		if err := l.Transfer("a", "b", b); err != nil {
+		if err := l.Transfer(paperex.Consumer, paperex.Broker, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Transfer("b", "a", b); err != nil {
+		if err := l.Transfer(paperex.Broker, paperex.Consumer, b); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -84,21 +135,21 @@ func TestTransferZeroAlloc(t *testing.T) {
 	}
 }
 
-// TransferAt between accounts that already hold its item allocates
-// nothing either.
+// TransferAt allocates nothing either, in flight or not: the simulator
+// calls it twice per delivered transfer.
 func TestTransferAtZeroAlloc(t *testing.T) {
-	l := twoAccounts()
-	a, _ := l.account("a")
-	b, _ := l.account("b")
-	d, _ := l.ItemSlot("d")
-	if err := l.TransferAt(a, b, 1, d); err != nil { // b's first d
-		t.Fatal(err)
-	}
+	l := example1(t)
+	p, pd := slots(t, l, paperex.Producer, paperex.Doc)
+	t2, t2d := slots(t, l, paperex.Trusted2, paperex.Doc)
+	transit, flight := l.Transit(), l.InFlight(t2d)
 	avg := testing.AllocsPerRun(1000, func() {
-		if err := l.TransferAt(b, a, 1, d); err != nil {
+		if err := l.TransferAt(p, transit, 0, pd, flight); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.TransferAt(a, b, 1, d); err != nil {
+		if err := l.TransferAt(transit, t2, 0, flight, t2d); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.TransferAt(t2, p, 0, t2d, pd); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -107,33 +158,31 @@ func TestTransferAtZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCanPay(t *testing.T) {
-	t.Parallel()
-	l := twoAccounts()
-	if !l.CanPay("a", model.Cash(100)) || l.CanPay("a", model.Cash(101)) {
-		t.Errorf("CanPay wrong")
-	}
-	if l.CanPay("ghost", model.Cash(0).With()) {
-		t.Errorf("CanPay for unknown account")
-	}
-}
-
 func TestBalanceIsACopy(t *testing.T) {
 	t.Parallel()
-	l := twoAccounts()
-	b := l.Balance("a")
-	b.Add(model.Cash(1000))
-	if l.Balance("a").Cash != 100 {
-		t.Errorf("Balance leaked internal state")
+	l := example1(t)
+	b := l.Balance(paperex.Producer)
+	b.Add(model.Cash(1000).With(paperex.Doc))
+	if got := l.Balance(paperex.Producer); got.Cash != 0 || got.Items[paperex.Doc] != 1 {
+		t.Errorf("Balance leaked internal state: %v", got)
+	}
+	h := l.HoldingAt(l.Transit())
+	h.Add(model.Cash(5))
+	if !l.HoldingAt(l.Transit()).IsEmpty() {
+		t.Errorf("HoldingAt leaked internal state")
 	}
 	if got := l.Balance("ghost"); !got.IsEmpty() {
 		t.Errorf("ghost balance = %v", got)
 	}
+	if got := l.HoldingAt(-1); !got.IsEmpty() {
+		t.Errorf("holding at slot -1 = %v", got)
+	}
 }
 
+// The book opens at the action table's status quo.
 func TestForProblem(t *testing.T) {
 	t.Parallel()
-	l := ForProblem(paperex.Example1())
+	l := example1(t)
 	if got := l.Balance(paperex.Consumer).Cash; got != paperex.RetailPrice {
 		t.Errorf("consumer opening = %v", got)
 	}
@@ -143,30 +192,50 @@ func TestForProblem(t *testing.T) {
 	if got := l.Balance(paperex.Broker).Cash; got != paperex.WholesalePrice {
 		t.Errorf("broker opening = %v", got)
 	}
+	if got := l.Balance(paperex.Trusted1); !got.IsEmpty() {
+		t.Errorf("trusted opening = %v", got)
+	}
+	m := market(t)
+	if got := m.Balance("s1"); len(got.Items) != 3 || got.Items["d5"] != 1 {
+		t.Errorf("s1 opening = %v, want d1, d3 and d5", got)
+	}
 }
 
 func TestStringDeterministic(t *testing.T) {
 	t.Parallel()
-	l := twoAccounts()
-	if l.String() != l.String() {
+	l := example1(t)
+	if l.String() != example1(t).String() {
 		t.Errorf("String nondeterministic")
 	}
-	if !strings.Contains(l.String(), "a: $100") {
+	if !strings.Contains(l.String(), "c: $100") {
 		t.Errorf("String = %q", l.String())
 	}
 }
 
-// Property: any sequence of random transfers preserves conservation.
+// Property: any sequence of random transfers, by ID or in flight by
+// slot, preserves conservation.
 func TestConservationProperty(t *testing.T) {
 	t.Parallel()
 	f := func(moves []uint8) bool {
-		l := twoAccounts()
-		parties := []model.PartyID{"a", "b"}
+		l := market(t)
+		ids := []model.PartyID{"c1", "b1", "tr1", "tw1", "s1"}
 		for _, mv := range moves {
-			from := parties[int(mv)%2]
-			to := parties[(int(mv)+1)%2]
-			amount := model.Money(mv % 40)
-			_ = l.Transfer(from, to, model.Cash(amount))
+			from, to := ids[int(mv)%len(ids)], ids[int(mv/8)%len(ids)]
+			b := model.Cash(model.Money(mv % 7))
+			if mv%3 == 0 {
+				b = b.With("d1")
+			}
+			if mv%5 != 0 {
+				_ = l.Transfer(from, to, b)
+				continue
+			}
+			// Park the asset in flight, as a sent transfer does.
+			src, _ := l.t.PartySlot(from)
+			cell, ok := l.t.Cell(src, "d1")
+			if !ok || mv%3 != 0 {
+				cell = -1
+			}
+			_ = l.TransferAt(int32(src), l.Transit(), b.Amount, int32(cell), l.InFlight(int32(cell)))
 		}
 		return l.Audit() == nil
 	}
@@ -175,39 +244,34 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-// Slots are interned in sorted order, not map order: a ledger built 50
-// times from the same opening holdings, with the same several
-// documents corrupted, names the same failing document every time.
+// Audit checks documents in the order of their first cell, never map
+// order: a ledger built 50 times over the same market, with the same
+// several documents forged, names the same failing document every time
+// — the first one the exchanges move.
 func TestAuditNamesFailuresDeterministically(t *testing.T) {
 	t.Parallel()
-	initial := func() map[model.PartyID]*model.Holding {
-		out := make(map[model.PartyID]*model.Holding)
-		for _, id := range []model.PartyID{"p", "q", "r", "s", "t", "u"} {
-			out[id] = holdingOf(10, model.ItemID("d"+id), model.ItemID("e"+id))
-		}
-		return out
-	}
-	var want string
 	for i := 0; i < 50; i++ {
-		l := New(initial())
-		// Forge one extra unit of every document the first party holds
-		// and of every document the last one holds.
-		for _, p := range []int32{0, int32(len(l.cash) - 1)} {
-			for _, it := range l.held[p] {
-				l.counts.Add(slab.PairKey(p, it), 1)
+		l := market(t)
+		// Forge one extra unit of every document c6 and s1 can hold,
+		// and one in flight into b3's cell for d3.
+		for _, id := range []model.PartyID{"c6", "s1"} {
+			p, _ := l.t.PartySlot(id)
+			for _, c := range l.t.Cells(p) {
+				l.docs[c]++
 			}
 		}
+		_, b3 := slots(t, l, "b3", "d3")
+		l.docs[l.InFlight(b3)]++
 		err := l.Audit()
-		if err == nil {
-			t.Fatal("Audit accepted forged documents")
+		if err == nil || err.Error() != "ledger: document d1 count 2 != opening 1" {
+			t.Fatalf("build %d: Audit = %v", i, err)
 		}
-		if i == 0 {
-			want = err.Error()
-			continue
-		}
-		if err.Error() != want {
-			t.Fatalf("build %d: Audit = %q, first build said %q", i, err, want)
-		}
+	}
+	l := market(t)
+	_, c := slots(t, l, "b3", "d3")
+	l.docs[l.InFlight(c)]++
+	if err := l.Audit(); err == nil || err.Error() != "ledger: document d3 count 2 != opening 1" {
+		t.Fatalf("in-flight forgery: Audit = %v", err)
 	}
 }
 
@@ -216,27 +280,29 @@ func TestAuditNamesFailuresDeterministically(t *testing.T) {
 // it.
 func TestTransferAtMatchesTransfer(t *testing.T) {
 	t.Parallel()
-	byID, bySlot := twoAccounts(), twoAccounts()
-	a, _ := bySlot.account("a")
-	b, _ := bySlot.account("b")
-	d, _ := bySlot.ItemSlot("d")
+	byID, bySlot := example1(t), example1(t)
+	b, bd := slots(t, bySlot, paperex.Broker, paperex.Doc)
+	c, cd := slots(t, bySlot, paperex.Consumer, paperex.Doc)
+	p, pd := slots(t, bySlot, paperex.Producer, paperex.Doc)
 	for _, mv := range []struct {
-		amount model.Money
-		item   int32
+		from, to         model.PartyID
+		src, dst         int32
+		amount           model.Money
+		fromCell, toCell int32
 	}{
-		{30, -1},
-		{0, d},
-		{0, d}, // a no longer holds d
-		{0, -1},
-		{500, -1},
-		{5, d},
+		{paperex.Consumer, paperex.Broker, c, b, 30, -1, -1},
+		{paperex.Producer, paperex.Broker, p, b, 0, pd, bd},
+		{paperex.Producer, paperex.Broker, p, b, 0, pd, bd}, // p no longer holds d
+		{paperex.Broker, paperex.Consumer, b, c, 0, -1, -1},
+		{paperex.Broker, paperex.Consumer, b, c, 500, -1, -1},
+		{paperex.Broker, paperex.Consumer, b, c, 5, bd, cd},
 	} {
 		bundle := model.Cash(mv.amount)
-		if mv.item >= 0 {
-			bundle = bundle.With("d")
+		if mv.fromCell >= 0 {
+			bundle = bundle.With(paperex.Doc)
 		}
-		want := byID.Transfer("a", "b", bundle)
-		got := bySlot.TransferAt(a, b, mv.amount, mv.item)
+		want := byID.Transfer(mv.from, mv.to, bundle)
+		got := bySlot.TransferAt(mv.src, mv.dst, mv.amount, mv.fromCell, mv.toCell)
 		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
 			t.Fatalf("%v: TransferAt = %v, Transfer = %v", bundle, got, want)
 		}
@@ -244,7 +310,10 @@ func TestTransferAtMatchesTransfer(t *testing.T) {
 	if byID.String() != bySlot.String() {
 		t.Fatalf("balances diverge:\n%s\nvs\n%s", bySlot, byID)
 	}
-	if err := bySlot.TransferAt(a, 7, 1, -1); err == nil {
+	if err := bySlot.TransferAt(c, 7, 1, -1, -1); err == nil {
 		t.Fatal("TransferAt accepted an unknown account slot")
+	}
+	if err := bySlot.TransferAt(b, c, 0, bd, 99); err == nil {
+		t.Fatal("TransferAt accepted an unknown cell")
 	}
 }

@@ -63,20 +63,6 @@ func (s State) Clone() State {
 	return out
 }
 
-// CopyFrom overwrites s with the contents of src, reusing s's allocated
-// map — the recycling half of Clone that the pooled execution clones of
-// the state-space searches rely on.
-func (s *State) CopyFrom(src State) {
-	if s.actions == nil {
-		s.actions = make(map[Action]struct{}, len(src.actions))
-	} else {
-		clear(s.actions)
-	}
-	for a := range src.actions {
-		s.actions[a] = struct{}{}
-	}
-}
-
 // Superset reports whether s contains every action of other — the
 // acceptability test's "contains a superset of the actions" clause.
 func (s State) Superset(other State) bool {

@@ -66,6 +66,9 @@ type ActionTable struct {
 	inGives  rows // per cell: forward give slots received into it
 	cellsOf  rows // per party: its cells
 
+	// cells finds a cell from its party slot and item in one probe.
+	cells map[cellKey]int32
+
 	// CellItem names each cell's item (cellParty its party); InitCash and
 	// InitItems are the status-quo holdings InitialHoldings describes.
 	CellItem  []ItemID
@@ -234,12 +237,8 @@ func (t *ActionTable) Cells(party int) []int32 { return t.cellsOf.row(party) }
 // Cell returns the cell holding the party's count of item, or false when
 // no exchange moves item through the party.
 func (t *ActionTable) Cell(party int, item ItemID) (int, bool) {
-	for _, ci := range t.Cells(party) {
-		if t.CellItem[ci] == item {
-			return int(ci), true
-		}
-	}
-	return 0, false
+	ci, ok := t.cells[cellKey{int32(party), item}]
+	return int(ci), ok
 }
 
 // ActionTable returns the problem's action table, building it on first
@@ -281,18 +280,17 @@ type cellKey struct {
 // a new action with the earlier ones between its parties instead of
 // hashing it.
 type tableBuilder struct {
-	t     *ActionTable
-	cells map[cellKey]int32
+	t *ActionTable
 }
 
 func (b *tableBuilder) cell(party int32, item ItemID) int32 {
+	t := b.t
 	k := cellKey{party, item}
-	if ci, ok := b.cells[k]; ok {
+	if ci, ok := t.cells[k]; ok {
 		return ci
 	}
-	t := b.t
 	ci := int32(len(t.cellParty))
-	b.cells[k] = ci
+	t.cells[k] = ci
 	t.cellParty = append(t.cellParty, party)
 	t.CellItem = append(t.CellItem, item)
 	return ci
@@ -381,10 +379,11 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 		split:     make([]bool, nEx),
 		Persona:   make([]int32, nParty),
 		InitCash:  make([]Money, nParty),
+		cells:     make(map[cellKey]int32, nAct),
 		problem:   p,
 		parties:   parties,
 	}
-	b := &tableBuilder{t: t, cells: make(map[cellKey]int32, nAct)}
+	b := &tableBuilder{t: t}
 	for ei, e := range p.Exchanges {
 		t.Principal[ei], t.Trusted[ei] = slotOf(e.Principal), slotOf(e.Trusted)
 	}

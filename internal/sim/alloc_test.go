@@ -33,14 +33,14 @@ func (tn *tickNode) OnMessage(ctx *Context, m Message) {
 // while delivery reuses the network's scratch Context.
 func TestScheduleDeliverZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind SchedulerKind
+		name  string
+		queue func(n int) eventQueue
 	}{
-		{"wheel", SchedulerWheel},
-		{"heap", SchedulerHeap},
+		{"wheel", newQueue},
+		{"heap", newHeapQueue},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, Scheduler: tc.kind})
+			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, queue: tc.queue})
 			node := &tickNode{id: "p"}
 			net.AddNode(node)
 			net.ctx.self = node.id

@@ -41,9 +41,10 @@ import (
 // The payload opens with two FNV-1a fingerprints — one over the plan
 // (problem + steps), one over the schedule-affecting options — so a
 // checkpoint can only be restored against the run that wrote it.
-// Scheduler and MaxMessages are excluded from the options fingerprint
-// on purpose: the queue implementation never affects the schedule (the
-// (At, seq) order is total), and the livelock guard only caps length.
+// MaxMessages is excluded from the options fingerprint on purpose: the
+// livelock guard only caps length. So is the tests' queue seam: the
+// queue implementation never affects the schedule (the (At, seq) order
+// is total).
 //
 // Failure is closed: a short file, a flipped bit, or a fingerprint
 // mismatch yields ErrCheckpointCorrupt / ErrCheckpointMismatch before
@@ -295,7 +296,7 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 	e.u32(uint32(downs))
 	for p := range n.nodes {
 		if n.down[p] {
-			e.str(string(n.parties.Key(int32(p))))
+			e.str(string(n.ids[p]))
 			e.i64(int64(n.restartAt[p]))
 		}
 	}
@@ -308,7 +309,7 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 	e.u32(uint32(ends))
 	for p := range n.nodes {
 		if len(n.crashEnds[p]) > 0 {
-			e.str(string(n.parties.Key(int32(p))))
+			e.str(string(n.ids[p]))
 			e.u32(uint32(len(n.crashEnds[p])))
 			for _, t := range n.crashEnds[p] {
 				e.i64(int64(t))
@@ -580,24 +581,27 @@ func (rs *runtime) inject(data []byte) error {
 		n.rng.Int63() // fast-forward to the recorded RNG position
 	}
 	for _, r := range downRecs {
-		p, ok := n.parties.Lookup(r.id)
-		if !ok {
+		p := n.lookup(r.id)
+		if p < 0 {
 			return fmt.Errorf("%w: unknown down party %s", ErrCheckpointMismatch, r.id)
 		}
 		n.down[p] = true
 		n.restartAt[p] = r.restartAt
 	}
 	for _, r := range endsRecs {
-		p, ok := n.parties.Lookup(r.id)
-		if !ok {
+		p := n.lookup(r.id)
+		if p < 0 {
 			return fmt.Errorf("%w: unknown crash party %s", ErrCheckpointMismatch, r.id)
 		}
 		n.crashEnds[p] = r.ends
 	}
 	n.trace = trace
-	for _, m := range pending {
-		n.resolve(&m) // the encoding carries IDs, not slots
-		n.q.push(m)   // seq already assigned; bypass schedule()
+	for i := range pending {
+		// The encoding carries IDs, not slots.
+		if err := n.resolve(&pending[i]); err != nil {
+			return fmt.Errorf("%w: pending event: %v", ErrCheckpointCorrupt, err)
+		}
+		n.q.push(pending[i]) // seq already assigned; bypass schedule()
 	}
 
 	if err := rs.replayLedger(trace, pending); err != nil {
@@ -656,19 +660,24 @@ func (rs *runtime) inject(data []byte) error {
 	return nil
 }
 
-// replayLedger reconstructs the account book: each delivered transfer
-// in the trace moves mover → transit → receiver; each still-pending
-// transfer holds its in-flight debit, mover → transit.
+// replayLedger reconstructs the account book with the live run's own
+// debit and credit: each delivered transfer in the trace moves mover →
+// transit → receiver; each still-pending transfer, already resolved,
+// holds its in-flight debit, mover → transit.
 func (rs *runtime) replayLedger(trace, pending []Message) error {
+	n := rs.net
 	for _, m := range trace {
 		if m.Kind != MsgTransfer {
 			continue
 		}
-		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset()); err != nil {
-			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
+		err := n.resolve(&m)
+		if err == nil {
+			err = n.debit(&m)
 		}
-		if err := rs.book.Transfer(transitAccount, a.Receiver(), a.Asset()); err != nil {
+		if err == nil {
+			err = n.credit(&m)
+		}
+		if err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
 		}
 	}
@@ -676,8 +685,7 @@ func (rs *runtime) replayLedger(trace, pending []Message) error {
 		if m.Kind != MsgTransfer {
 			continue
 		}
-		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset()); err != nil {
+		if err := n.debit(&m); err != nil {
 			return fmt.Errorf("%w: replaying in-flight debits: %v", ErrCheckpointCorrupt, err)
 		}
 	}

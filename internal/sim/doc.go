@@ -29,11 +29,13 @@
 // # Cost per message
 //
 // A run pays for its messages, not for allocations and string hashes.
-// setupRun interns every party once, in the problem's order with the
-// transit account last, and every item the exchanges move; the network
-// and its ledger share those slot spaces, and each message carries its
-// resolved slots in unexported fields, so delivery and both ledger
-// movements index arrays. The event wheel queues int32 handles into a
+// The network numbers its party slots in the problem's order with the
+// transit account last, so it, its ledger and the problem's
+// model.ActionTable share one slot space. A transfer resolves its party
+// slots and, for a give, its two cells once, when it is sent, and
+// carries them in unexported fields, so delivery and both ledger
+// movements index arrays; a transfer the problem does not define fails
+// there with ErrUndefinedTransfer. The event wheel queues int32 handles into a
 // Message arena, and the trace, the result state, the settlement log
 // and the nodes' working sets are sized from the plan. With
 // Options.Obs set, Run times its setup, loop, assemble and settlement

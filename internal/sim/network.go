@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,7 +10,6 @@ import (
 	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
-	"trustseq/internal/slab"
 )
 
 // Time is virtual time in ticks.
@@ -61,11 +61,12 @@ type Message struct {
 
 	seq int // FIFO tiebreaker for equal delivery times
 	// to is the party slot of To (-1 when unknown). A transfer sent
-	// under a ledger also carries the slot of its asset's mover and the
-	// item slot of a give's document (-1 for a pay). They are resolved
-	// once, when the message is sent, so delivery and both ledger
-	// movements index arrays instead of hashing party and item IDs.
-	to, mover, item int32
+	// under a ledger also carries the party slot of its asset's mover
+	// and, for a give, the cells the document leaves and enters (-1 for
+	// a pay). They are resolved once, when the message is sent, so
+	// delivery and both ledger movements index arrays instead of
+	// hashing party and item IDs.
+	to, mover, src, dst int32
 }
 
 // String renders the message.
@@ -131,17 +132,19 @@ type Recoverable interface {
 
 // Network is the deterministic discrete-event simulator core.
 //
-// Node state is sharded by principal: party IDs are interned into dense
-// slots, and the node table, down flags, and crash bookkeeping are flat
-// slabs indexed by slot — no per-principal map entries, so memory per
-// principal stays flat into the 10^6 range. A simulation run shares the
-// party slot space with its ledger, and every message carries its
-// resolved party and item slots, so a delivery hashes no ID. The
-// event queue is the hierarchical timing wheel (see wheel.go); delivery
-// reuses one scratch Context, so scheduling plus delivering a message
-// allocates nothing at steady state.
+// Node state is indexed by party slot: each party ID gets the next
+// dense slot when it is first seen, and the node table, down flags, and
+// crash bookkeeping are flat arrays indexed by slot. A simulation run
+// numbers the slots in the problem's party order, so the network, its
+// ledger and the problem's action table share one slot space, and
+// every message carries its resolved party slots and cells, so a
+// delivery hashes no ID. The event queue is the hierarchical timing
+// wheel (see wheel.go); delivery reuses one scratch Context, so
+// scheduling plus delivering a message allocates nothing at steady
+// state.
 type Network struct {
-	parties   *slab.Index[model.PartyID]
+	ids       []model.PartyID // by party slot
+	slots     map[model.PartyID]int32
 	nodes     []Node // by party slot
 	q         eventQueue
 	now       Time
@@ -172,10 +175,12 @@ type Network struct {
 	ctx Context
 
 	// book, when set, is the run's ledger over the network's party
-	// slots: a transfer debits its mover into the transit account
-	// at slot transit when sent (so in-flight assets cannot be
-	// double-spent) and credits its receiver when delivered.
+	// slots and the cells of table, the problem's action table: a
+	// transfer debits its mover into the transit account at slot
+	// transit when sent (so in-flight assets cannot be double-spent)
+	// and credits its receiver when delivered.
 	book    *ledger.Ledger
+	table   *model.ActionTable
 	transit int32
 
 	// onEvent, when set, observes every popped event after virtual time
@@ -189,22 +194,17 @@ type Network struct {
 
 // debit moves a sent transfer's asset from its mover into transit.
 func (n *Network) debit(m *Message) error {
-	if m.mover < 0 {
-		// Unresolved: the ID path names the unknown account or
-		// document in its error.
-		return n.book.Transfer(m.Action.Mover(), n.parties.Key(n.transit), m.Action.Asset())
-	}
-	return n.book.TransferAt(m.mover, n.transit, cashOf(&m.Action), m.item)
+	return n.book.TransferAt(m.mover, n.transit, cashOf(&m.Action), m.src, n.book.InFlight(m.dst))
 }
 
 // credit moves a delivered transfer's asset from transit to its
 // receiver.
 func (n *Network) credit(m *Message) error {
-	return n.book.TransferAt(n.transit, m.to, cashOf(&m.Action), m.item)
+	return n.book.TransferAt(n.transit, m.to, cashOf(&m.Action), n.book.InFlight(m.dst), m.dst)
 }
 
 // cashOf is the money a transfer action moves: a pay's amount, nothing
-// for a give, whose document the message's item slot names.
+// for a give, whose document the message's cells name.
 func cashOf(a *model.Action) model.Money {
 	if a.Kind == model.ActionPay {
 		return a.Amount
@@ -218,12 +218,6 @@ type Config struct {
 	BaseLatency Time // per-message latency floor (default 1)
 	Jitter      Time // uniform extra latency in [0, Jitter] (default 3)
 	MaxMessages int  // runaway guard (default 100_000)
-	// Scheduler selects the event queue. The zero value is the timing
-	// wheel; SchedulerHeap selects the binary-heap oracle. The two are
-	// observationally identical — the equivalence property test holds
-	// traces byte-identical — so this is a benchmarking and testing
-	// knob, never a semantics knob.
-	Scheduler SchedulerKind
 	// NotifyDropRate is the probability in [0,1) that a notification
 	// (control-plane message) is lost. Transfers are never dropped: the
 	// value-transfer layer is assumed reliable, exactly as the paper
@@ -246,6 +240,10 @@ type Config struct {
 	// Telemetry is additive: it never alters scheduling, so a traced
 	// run is tick-for-tick identical to an untraced one.
 	Obs *obs.Telemetry
+
+	// queue, when set, builds the event queue in place of the timing
+	// wheel: the tests' seam for the binary-heap oracle.
+	queue func(n int) eventQueue
 }
 
 // countingSource wraps a rand.Source and counts Int63 draws so a
@@ -274,7 +272,7 @@ func (s *countingSource) Seed(seed int64) {
 // NewNetwork builds an empty network.
 func NewNetwork(cfg Config) *Network { return newNetwork(cfg, 16) }
 
-// newNetwork builds an empty network with its party slabs, and its
+// newNetwork builds an empty network with its party slots, and its
 // event queue, sized for about parties nodes: a node rarely has more
 // than one event pending.
 func newNetwork(cfg Config, parties int) *Network {
@@ -296,14 +294,18 @@ func newNetwork(cfg Config, parties int) *Network {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 8
 	}
+	if cfg.queue == nil {
+		cfg.queue = newQueue
+	}
 	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	n := &Network{
-		parties:   slab.NewIndex[model.PartyID](parties),
+		ids:       make([]model.PartyID, 0, parties),
+		slots:     make(map[model.PartyID]int32, parties),
 		nodes:     make([]Node, 0, parties),
 		down:      make([]bool, 0, parties),
 		restartAt: make([]Time, 0, parties),
 		crashEnds: make([][]Time, 0, parties),
-		q:         newQueue(cfg.Scheduler, parties),
+		q:         cfg.queue(parties),
 		rng:       rand.New(src),
 		rsrc:      src,
 		baseLat:   cfg.BaseLatency,
@@ -319,49 +321,65 @@ func newNetwork(cfg Config, parties int) *Network {
 	return n
 }
 
-// slot interns a party ID, growing the per-slot slabs in lockstep.
+// slot returns a party's slot, giving a new party the next one and
+// growing the per-slot arrays in lockstep.
 func (n *Network) slot(id model.PartyID) int32 {
-	p := n.parties.Intern(id)
-	for int(p) >= len(n.nodes) {
-		n.nodes = append(n.nodes, nil)
-		n.down = append(n.down, false)
-		n.restartAt = append(n.restartAt, 0)
-		n.crashEnds = append(n.crashEnds, nil)
+	if p, ok := n.slots[id]; ok {
+		return p
 	}
+	p := int32(len(n.ids))
+	n.slots[id] = p
+	n.ids = append(n.ids, id)
+	n.nodes = append(n.nodes, nil)
+	n.down = append(n.down, false)
+	n.restartAt = append(n.restartAt, 0)
+	n.crashEnds = append(n.crashEnds, nil)
 	return p
 }
 
-// lookup returns a party's slot, -1 when it was never interned.
+// lookup returns a party's slot, -1 when it has none.
 func (n *Network) lookup(id model.PartyID) int32 {
-	if p, ok := n.parties.Lookup(id); ok {
+	if p, ok := n.slots[id]; ok {
 		return p
 	}
 	return -1
 }
 
-// resolveAsset fills a transfer message's mover and item slots. A
-// mover or a give's document the slot spaces lack leaves mover at -1,
-// sending the ledger debit down its ID path.
-func (n *Network) resolveAsset(m *Message, mover int32) {
-	m.mover, m.item = mover, -1
-	if m.Action.Kind != model.ActionGive {
-		return
+// ErrUndefinedTransfer is the error of a transfer the problem does not
+// define: its mover or receiver is not one of the problem's parties, or
+// no exchange moves a give's document through one of them. Such a
+// transfer has no place in the ledger, so it fails closed at send,
+// before any debit.
+var ErrUndefinedTransfer = errors.New("sim: transfer the problem does not define")
+
+// place resolves a transfer message's asset against the run's action
+// table: the mover's party slot and, for a give, the cells the document
+// leaves and enters.
+func (n *Network) place(m *Message, mover int32) error {
+	m.mover, m.src, m.dst = mover, -1, -1
+	if mover < 0 || mover >= n.transit || m.to < 0 || m.to >= n.transit {
+		return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
 	}
-	if i, ok := n.book.ItemSlot(m.Action.Item); ok {
-		m.item = i
-	} else {
-		m.mover = -1
+	if m.Action.Kind == model.ActionGive {
+		src, okSrc := n.table.Cell(int(mover), m.Action.Item)
+		dst, okDst := n.table.Cell(int(m.to), m.Action.Item)
+		if !okSrc || !okDst {
+			return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
+		}
+		m.src, m.dst = int32(src), int32(dst)
 	}
+	return nil
 }
 
 // resolve fills a message's slot fields from its IDs — the path for
 // messages that did not come through a Context, such as a checkpoint's
-// pending events.
-func (n *Network) resolve(m *Message) {
+// trace and pending events.
+func (n *Network) resolve(m *Message) error {
 	m.to = n.lookup(m.To)
 	if m.Kind == MsgTransfer && n.book != nil {
-		n.resolveAsset(m, n.lookup(m.Action.Mover()))
+		return n.place(m, n.lookup(m.Action.Mover()))
 	}
+	return nil
 }
 
 // AddNode registers a node.
@@ -505,19 +523,19 @@ func (n *Network) timer(to model.PartyID, p int32, at Time, tag string) {
 // Run initializes every node, schedules the fault plan's crash events,
 // and processes events to quiescence.
 func (n *Network) Run() error {
-	slots := make([]int32, 0, n.parties.Len())
-	for p := int32(0); p < int32(n.parties.Len()); p++ {
+	slots := make([]int32, 0, len(n.ids))
+	for p := range n.nodes {
 		if n.nodes[p] != nil {
-			slots = append(slots, p)
+			slots = append(slots, int32(p))
 		}
 	}
 	// Deterministic init order: by party ID.
 	slices.SortFunc(slots, func(a, b int32) int {
-		return strings.Compare(string(n.parties.Key(a)), string(n.parties.Key(b)))
+		return strings.Compare(string(n.ids[a]), string(n.ids[b]))
 	})
 	n.scheduleCrashes()
 	for _, p := range slots {
-		n.ctx.self, n.ctx.slot = n.parties.Key(p), p
+		n.ctx.self, n.ctx.slot = n.ids[p], p
 		n.nodes[p].Init(&n.ctx)
 	}
 	return n.loop()
@@ -722,7 +740,8 @@ func (c *Context) Self() model.PartyID { return c.self }
 // SendTransfer performs and sends a transfer action. The sender is
 // debited immediately through the run's ledger (so in-flight
 // assets cannot be double-spent); the receiver is credited at delivery.
-// It fails when the sender cannot fund the transfer.
+// It fails when the sender cannot fund the transfer, and with
+// ErrUndefinedTransfer when the problem does not define it.
 func (c *Context) SendTransfer(a model.Action) error {
 	to := receiverNode(a)
 	m := Message{From: c.self, To: to, Kind: MsgTransfer, Action: a, to: c.net.lookup(to)}
@@ -731,7 +750,9 @@ func (c *Context) SendTransfer(a model.Action) error {
 		if id := a.Mover(); id != c.self {
 			mover = c.net.lookup(id)
 		}
-		c.net.resolveAsset(&m, mover)
+		if err := c.net.place(&m, mover); err != nil {
+			return err
+		}
 		if err := c.net.debit(&m); err != nil {
 			return err
 		}

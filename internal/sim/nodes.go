@@ -590,19 +590,6 @@ type scriptStep struct {
 	waitAny [][]model.Action
 }
 
-// NewPrincipalNode derives one principal's script from the plan. It is
-// a convenience for tests and single-node callers; building a whole
-// population goes through BuildPrincipalNodes, which derives every
-// script in one pass over the plan.
-func NewPrincipalNode(plan *core.Plan, self model.PartyID, stopAfter int) *PrincipalNode {
-	for _, n := range BuildPrincipalNodes(plan, map[model.PartyID]int{self: stopAfter}) {
-		if n.Self == self {
-			return n
-		}
-	}
-	return nil
-}
-
 // snapshotPrefix freezes the current contents of an append-only slice
 // without copying: the capacity cap makes the snapshot un-appendable,
 // and since the source only ever grows past its current length, the
@@ -615,8 +602,7 @@ func snapshotPrefix[T any](s []T) []T {
 }
 
 // BuildPrincipalNodes derives the script of every principal in one
-// pass over plan.Steps. The per-principal derivation is exactly
-// NewPrincipalNode's: each principal accumulates the actions and
+// pass over plan.Steps: each principal accumulates the actions and
 // control tags addressed to it in step order, and snapshots that
 // prefix as the wait set of each of its own deposit/post steps. Doing
 // all principals in a single pass turns an O(principals × steps)

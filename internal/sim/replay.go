@@ -20,7 +20,7 @@ import (
 // empty (Run errors otherwise), replaying each delivered transfer as a
 // direct sender-to-receiver movement lands on the same final holdings.
 func ReplayBalances(p *model.Problem, trace []Message) (map[model.PartyID]*model.Holding, error) {
-	book := ledger.New(model.InitialHoldings(p))
+	book := ledger.New(p)
 	for i, m := range trace {
 		if m.Kind != MsgTransfer {
 			continue

@@ -10,21 +10,14 @@ import (
 	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
-	"trustseq/internal/slab"
 	"trustseq/internal/vlog"
 )
-
-// transitAccount holds in-flight assets between send and delivery.
-const transitAccount = model.PartyID("__transit")
 
 // Options configures a simulation run.
 type Options struct {
 	Seed        int64
 	BaseLatency Time
 	Jitter      Time
-	// Scheduler selects the event-queue implementation (see
-	// Config.Scheduler). The zero value is the timing wheel.
-	Scheduler SchedulerKind
 	// MaxMessages overrides the runaway-livelock guard. The default
 	// scales with the problem: max(100_000, 256 × exchanges), so
 	// population-scale runs are not cut off by the paper-scale guard.
@@ -68,6 +61,9 @@ type Options struct {
 	// already records, so enabling it changes no schedule, verdict, or
 	// trace byte.
 	VLog bool
+
+	// queue is the tests' event-queue seam (see Config.queue).
+	queue func(n int) eventQueue
 }
 
 // Result is the outcome of a simulation.
@@ -142,7 +138,7 @@ func (r *Result) Summary() string {
 		r.Completed(), r.Messages, r.Duration, len(r.Faults))
 	ids := make([]string, 0, len(r.Balances))
 	for id := range r.Balances {
-		if id == transitAccount {
+		if id == ledger.TransitID {
 			continue
 		}
 		ids = append(ids, string(id))
@@ -173,11 +169,11 @@ type runtime struct {
 // ledger, network, and every node, registered but not yet
 // initialized.
 //
-// The network and the ledger share one party slot space, interned here
-// once in the problem's party order with the transit account last; the
-// ledger's item slots are interned once from the problem's exchanges.
-// Every message resolves its endpoints against them when it is sent, so
-// delivery and both ledger movements index arrays.
+// The network numbers its party slots in the problem's party order with
+// the transit account last, so it shares one slot space with the ledger
+// and the problem's action table. Every transfer resolves its party
+// slots and cells against them when it is sent, so delivery and both
+// ledger movements index arrays.
 func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	if !plan.Feasible {
 		return nil, core.ErrInfeasible
@@ -198,14 +194,14 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 
 	net := newNetwork(Config{
 		Seed: opts.Seed, BaseLatency: opts.BaseLatency, Jitter: opts.Jitter,
-		Scheduler: opts.Scheduler, MaxMessages: opts.MaxMessages,
-		NotifyDropRate: opts.NotifyDropRate, Faults: opts.Faults,
-		NotifyRetries: opts.NotifyRetries, RetryBase: opts.RetryBase, Obs: opts.Obs,
+		MaxMessages: opts.MaxMessages, NotifyDropRate: opts.NotifyDropRate,
+		Faults: opts.Faults, NotifyRetries: opts.NotifyRetries,
+		RetryBase: opts.RetryBase, Obs: opts.Obs, queue: opts.queue,
 	}, len(p.Parties)+1)
 	for _, pa := range p.Parties {
 		net.slot(pa.ID)
 	}
-	transit := net.slot(transitAccount)
+	net.transit = net.slot(ledger.TransitID)
 	// A run delivers about one message per plan action; the livelock
 	// guard bounds it either way.
 	actions := 0
@@ -214,10 +210,8 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	}
 	net.trace = make([]Message, 0, min(actions, opts.MaxMessages))
 
-	initial := model.InitialHoldings(p)
-	initial[transitAccount] = model.NewHolding()
-	book := ledger.NewIndexed(net.parties, problemItems(p), initial)
-	net.book, net.transit = book, transit
+	book := ledger.New(p)
+	net.book, net.table = book, p.ActionTable()
 
 	rs := &runtime{plan: plan, opts: opts, p: p, net: net, book: book}
 	for _, pa := range p.Parties {
@@ -239,25 +233,6 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 		net.AddNode(node)
 	}
 	return rs, nil
-}
-
-// problemItems interns every item the problem's exchanges move, in
-// exchange order.
-func problemItems(p *model.Problem) *slab.Index[model.ItemID] {
-	n := 0
-	for _, e := range p.Exchanges {
-		n += len(e.Gives.Items)
-	}
-	items := slab.NewIndex[model.ItemID](n)
-	for _, e := range p.Exchanges {
-		for _, it := range e.Gives.Items {
-			items.Intern(it)
-		}
-		for _, it := range e.Gets.Items {
-			items.Intern(it)
-		}
-	}
-	return items
 }
 
 // assemble builds the Result after the event loop has quiesced, and
@@ -288,9 +263,9 @@ func (rs *runtime) assemble() (*Result, error) {
 	}
 	// Every account is a slot up to the transit account's, the last.
 	for s := int32(0); s <= net.transit; s++ {
-		res.Balances[net.parties.Key(s)] = rs.book.HoldingAt(s)
+		res.Balances[net.ids[s]] = rs.book.HoldingAt(s)
 	}
-	if h := res.Balances[transitAccount]; !h.IsEmpty() {
+	if h := res.Balances[ledger.TransitID]; !h.IsEmpty() {
 		return nil, fmt.Errorf("sim: assets stuck in transit: %v", h)
 	}
 	if err := rs.book.Audit(); err != nil {

@@ -29,12 +29,12 @@ func TestWheelMatchesHeapAcrossCorpus(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			opts := ChaosOptions(rng, pl.Problem, AllFaults(), seed, 0)
 
-			opts.Scheduler = SchedulerWheel
+			opts.queue = newQueue
 			wheel, err := Run(pl, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d (wheel): %v", pl.Problem.Name, seed, err)
 			}
-			opts.Scheduler = SchedulerHeap
+			opts.queue = newHeapQueue
 			heap, err := Run(pl, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d (heap): %v", pl.Problem.Name, seed, err)

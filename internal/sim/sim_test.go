@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
+	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
@@ -295,6 +297,34 @@ func TestRunRejectsInfeasiblePlan(t *testing.T) {
 	}
 	if _, err := Run(pl, Options{}); err == nil {
 		t.Fatalf("Run accepted an infeasible plan")
+	}
+}
+
+// A transfer the problem does not define fails closed at send: the
+// typed error, no debit and nothing queued.
+func TestSendTransferUndefinedFailsClosed(t *testing.T) {
+	t.Parallel()
+	rs, err := setupRun(plan(t, paperex.Example1()), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := rs.net
+	net.ctx.self, net.ctx.slot = paperex.Producer, net.lookup(paperex.Producer)
+	opening := rs.book.String()
+	for _, a := range []model.Action{
+		model.Give(paperex.Producer, paperex.Trusted2, "ghost"), // no exchange moves the document
+		model.Give(paperex.Producer, "ghost", paperex.Doc),      // the receiver is no party
+		model.Pay(paperex.Producer, ledger.TransitID, 0),        // nor is the transit account
+	} {
+		if err := net.ctx.SendTransfer(a); !errors.Is(err, ErrUndefinedTransfer) {
+			t.Errorf("SendTransfer(%v) = %v, want ErrUndefinedTransfer", a, err)
+		}
+	}
+	if got := rs.book.String(); got != opening {
+		t.Errorf("undefined transfers moved assets:\n%s\nwant\n%s", got, opening)
+	}
+	if n := net.q.len(); n != 0 {
+		t.Errorf("undefined transfers queued %d messages", n)
 	}
 }
 

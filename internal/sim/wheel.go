@@ -5,14 +5,13 @@ import (
 	"slices"
 )
 
-// This file holds the simulator's event queues. The default is a
-// hierarchical timing wheel — O(1) schedule and amortized O(1) fire —
-// and a binary heap is kept alongside it as the oracle for the
-// heap-vs-wheel equivalence property test. Both implementations pop in
-// exactly the total order (At, seq): At is the virtual delivery tick
-// and seq the global scheduling sequence number, so equal-tick events
-// fire in FIFO order. Because that order is total, any two correct
-// queues produce byte-identical traces.
+// This file holds the simulator's event queue, a hierarchical timing
+// wheel — O(1) schedule and amortized O(1) fire. It pops in exactly the
+// total order (At, seq): At is the virtual delivery tick and seq the
+// global scheduling sequence number, so equal-tick events fire in FIFO
+// order. Because that order is total, any two correct queues produce
+// byte-identical traces; the tests hold the wheel to a binary-heap
+// oracle (heap_test.go).
 
 // msgLess is the scheduling order: delivery tick, then FIFO sequence.
 func msgLess(a, b Message) bool {
@@ -28,25 +27,6 @@ type eventQueue interface {
 	pop() (Message, bool)
 	len() int
 	pending() []Message
-}
-
-// SchedulerKind selects the event-queue implementation.
-type SchedulerKind int
-
-// Scheduler kinds. The timing wheel is the zero value and the default;
-// the binary heap is retained as the test oracle and for A/B
-// benchmarking.
-const (
-	SchedulerWheel SchedulerKind = iota
-	SchedulerHeap
-)
-
-// String names the scheduler.
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
 }
 
 const (
@@ -288,75 +268,5 @@ func (w *wheelQueue) pending() []Message {
 	return out
 }
 
-// heapQueue is a plain binary min-heap on (At, seq). It exists as the
-// oracle the wheel is property-tested against and as the baseline side
-// of the scheduler benchmarks; container/heap is avoided so neither
-// queue pays interface boxing on the hot path.
-type heapQueue struct {
-	h []Message
-}
-
-func newHeapQueue(n int) *heapQueue { return &heapQueue{h: make([]Message, 0, n)} }
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) push(m Message) {
-	q.h = append(q.h, m)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !msgLess(q.h[i], q.h[p]) {
-			break
-		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
-	}
-}
-
-func (q *heapQueue) pop() (Message, bool) {
-	if len(q.h) == 0 {
-		return Message{}, false
-	}
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = Message{}
-	q.h = q.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(q.h) && msgLess(q.h[l], q.h[min]) {
-			min = l
-		}
-		if r < len(q.h) && msgLess(q.h[r], q.h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q.h[i], q.h[min] = q.h[min], q.h[i]
-		i = min
-	}
-	return top, true
-}
-
-func (q *heapQueue) pending() []Message {
-	out := append([]Message(nil), q.h...)
-	slices.SortFunc(out, func(a, b Message) int {
-		if a.At != b.At {
-			return int(a.At - b.At)
-		}
-		return a.seq - b.seq
-	})
-	return out
-}
-
-// newQueue builds the configured scheduler with room for n pending
-// events.
-func newQueue(kind SchedulerKind, n int) eventQueue {
-	if kind == SchedulerHeap {
-		return newHeapQueue(n)
-	}
-	return newWheelQueue(n)
-}
+// newQueue builds the timing wheel with room for n pending events.
+func newQueue(n int) eventQueue { return newWheelQueue(n) }

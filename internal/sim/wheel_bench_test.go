@@ -29,11 +29,11 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 	const deadlineBase Time = 10_000_000
 	for _, pending := range []int{0, 1000, 100000} {
 		for _, kind := range []struct {
-			name string
-			k    SchedulerKind
-		}{{"wheel", SchedulerWheel}, {"heap", SchedulerHeap}} {
+			name  string
+			queue func(n int) eventQueue
+		}{{"wheel", newQueue}, {"heap", newHeapQueue}} {
 			b.Run(fmt.Sprintf("queue=%s/pending=%d", kind.name, pending), func(b *testing.B) {
-				q := newQueue(kind.k, 0)
+				q := kind.queue(0)
 				seq := 0
 				for i := 0; i < pending; i++ {
 					q.push(Message{At: deadlineBase + Time(i%1000), Kind: MsgTimer, seq: seq})

@@ -194,7 +194,7 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 	if err := p.Validate(); err != nil {
 		return Stats{}, nil, err
 	}
-	book := ledger.ForProblem(p)
+	book := ledger.New(p)
 	var parts []Participant
 	var ids []model.PartyID
 	for _, pa := range p.Parties {

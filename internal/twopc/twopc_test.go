@@ -81,7 +81,7 @@ func TestVoteAbortIsClean(t *testing.T) {
 
 func buildParts(t *testing.T, p *model.Problem) (*ledger.Ledger, []Participant) {
 	t.Helper()
-	book := ledger.ForProblem(p)
+	book := ledger.New(p)
 	var parts []Participant
 	for _, pa := range p.Parties {
 		if pa.IsTrusted() {

@@ -8,7 +8,6 @@ import (
 
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
-	"trustseq/internal/safety"
 )
 
 func synth(t testing.TB, p *model.Problem) *Plan {
@@ -217,9 +216,9 @@ func TestVerifyRejectsForeignAction(t *testing.T) {
 		lie[0].Amount--
 		plan.Steps[si].Actions = lie
 		err := plan.Verify()
-		var foreign *safety.ForeignActionError
+		var foreign *model.ForeignActionError
 		if !errors.As(err, &foreign) || foreign.Action != lie[0] {
-			t.Fatalf("Verify with %v changed to %v = %v, want a *safety.ForeignActionError", st.Actions[0], lie[0], err)
+			t.Fatalf("Verify with %v changed to %v = %v, want a *model.ForeignActionError", st.Actions[0], lie[0], err)
 		}
 		return
 	}

@@ -176,17 +176,19 @@ func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
 		return nil, fmt.Errorf("cost: no trusted component")
 	}
 
-	out := &UniversalOutcome{State: model.NewState()}
+	t := p.ActionTable()
+	out := &UniversalOutcome{State: t.NewState()}
 
 	// Phase 1: every principal deposits with the universal intermediary.
 	// Identical actions from different exchanges (two $100 payments by
 	// the same consumer to the same intermediary) collide in the paper's
-	// set-of-actions representation; the collision is harmless for the
-	// feasibility check, so duplicates are tolerated while messages are
-	// counted per logical transfer.
-	for _, e := range p.Exchanges {
-		for _, d := range model.DepositActions(e) {
-			_ = out.State.Add(d) // set semantics: duplicates collapse
+	// set-of-actions representation — they share a slot of the action
+	// table; the collision is harmless for the feasibility check, so
+	// duplicates are tolerated while messages are counted per logical
+	// transfer.
+	for ei := range p.Exchanges {
+		for _, d := range t.Deposits(ei) {
+			out.State.AddSlot(int(d))
 			out.Messages.Transfers++
 		}
 	}
@@ -196,9 +198,9 @@ func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
 	// completed state) — "if all of the exchanges are made, then all of
 	// the constraints will be satisfied".
 	hypothetical := out.State.Clone()
-	for _, e := range p.Exchanges {
-		for _, r := range model.ReceiptActions(e) {
-			_ = hypothetical.Add(r)
+	for ei := range p.Exchanges {
+		for _, r := range t.Receipts(ei) {
+			hypothetical.AddSlot(int(r))
 		}
 	}
 	feasible := true
@@ -216,14 +218,14 @@ func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
 	// Phase 3: execute atomically, or unwind.
 	if feasible {
 		out.State = hypothetical
-		for _, e := range p.Exchanges {
-			out.Messages.Transfers += len(model.ReceiptActions(e))
+		for ei := range p.Exchanges {
+			out.Messages.Transfers += len(t.Receipts(ei))
 		}
 		return out, nil
 	}
-	for _, e := range p.Exchanges {
-		for _, d := range model.DepositActions(e) {
-			_ = out.State.Add(d.Compensation())
+	for ei := range p.Exchanges {
+		for _, d := range t.Deposits(ei) {
+			out.State.AddSlot(int(d) + t.Transfers)
 			out.Messages.Transfers++
 		}
 	}

@@ -19,13 +19,16 @@
 //     components; Exchange is one pairwise swap (Principal, Trusted,
 //     Gives, Gets, RedOverride).
 //   - Action is a single transfer or notification; Bundle, Money, ItemID
-//     and Holding describe what moves; State is an unordered action set
-//     with acceptable-state predicates over it.
+//     and Holding describe what moves.
 //   - ActionTable is the compiled problem's action index: one slot per
 //     distinct action value, each transfer's endpoints resolved to a
-//     party slot (money) or a (party, item) cell. The acceptability rules
-//     are implemented once over its slots, reading any ActionView — a
-//     State through the table, or the safety engine's bitset.
+//     party slot (money) or a (party, item) cell.
+//   - State is the unordered set of executed actions, a bitset over its
+//     problem's ActionTable: it holds only actions the problem defines,
+//     and Add of any other fails with a *ForeignActionError. The
+//     acceptability rules (Acceptable, AcceptableAssets) are implemented
+//     once, over a State's slots; the safety engine's execution keeps
+//     its executed actions in a State too.
 //
 // # Concurrency and ownership
 //

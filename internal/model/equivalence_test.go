@@ -12,7 +12,7 @@ import (
 // can produce; the Section 3.1 descriptor enumeration is defined over
 // this vocabulary.
 func guaranteeState(rng *rand.Rand, p *Problem) State {
-	s := NewState()
+	s := NewState(p)
 	for _, pa := range p.Parties {
 		if !pa.IsTrusted() {
 			continue
@@ -29,7 +29,7 @@ func guaranteeState(rng *rand.Rand, p *Problem) State {
 			for _, ei := range mine {
 				if rng.Intn(2) == 0 {
 					for _, d := range DepositActions(p.Exchanges[ei]) {
-						s.MustAdd(d)
+						s.mustAdd(d)
 					}
 				}
 			}
@@ -37,18 +37,18 @@ func guaranteeState(rng *rand.Rand, p *Problem) State {
 			for _, ei := range mine {
 				if rng.Intn(2) == 0 {
 					for _, d := range DepositActions(p.Exchanges[ei]) {
-						s.MustAdd(d)
-						s.MustAdd(d.Compensation())
+						s.mustAdd(d)
+						s.mustAdd(d.Compensation())
 					}
 				}
 			}
 		case 3: // completed
 			for _, ei := range mine {
 				for _, d := range DepositActions(p.Exchanges[ei]) {
-					s.MustAdd(d)
+					s.mustAdd(d)
 				}
 				for _, r := range ReceiptActions(p.Exchanges[ei]) {
-					s.MustAdd(r)
+					s.mustAdd(r)
 				}
 			}
 		}
@@ -80,7 +80,7 @@ func TestAutoSpecEquivalentToAcceptableRandom(t *testing.T) {
 		for draw := 0; draw < 60; draw++ {
 			s := guaranteeState(rng, p)
 			for id, spec := range specs {
-				got := spec.Accepts(s)
+				got := spec.Accepts(stateSet(s))
 				want := Acceptable(p, id, s)
 				if got != want {
 					t.Fatalf("trial %d draw %d party %s: spec=%v semantic=%v\nstate=%v",
@@ -131,7 +131,7 @@ func TestAutoSpecEquivalenceExhaustiveBroker(t *testing.T) {
 			for bit, ei := range exchanges {
 				if outcome&(1<<bit) != 0 {
 					for _, d := range DepositActions(p.Exchanges[ei]) {
-						s.MustAdd(d)
+						s.mustAdd(d)
 					}
 				}
 			}
@@ -140,18 +140,18 @@ func TestAutoSpecEquivalenceExhaustiveBroker(t *testing.T) {
 			for bit, ei := range exchanges {
 				if mask&(1<<bit) != 0 {
 					for _, d := range DepositActions(p.Exchanges[ei]) {
-						s.MustAdd(d)
-						s.MustAdd(d.Compensation())
+						s.mustAdd(d)
+						s.mustAdd(d.Compensation())
 					}
 				}
 			}
 		default:
 			for _, ei := range exchanges {
 				for _, d := range DepositActions(p.Exchanges[ei]) {
-					s.MustAdd(d)
+					s.mustAdd(d)
 				}
 				for _, r := range ReceiptActions(p.Exchanges[ei]) {
-					s.MustAdd(r)
+					s.mustAdd(r)
 				}
 			}
 		}
@@ -159,11 +159,11 @@ func TestAutoSpecEquivalenceExhaustiveBroker(t *testing.T) {
 	count := 0
 	for o1 := 0; o1 <= 7; o1++ {
 		for o2 := 0; o2 <= 7; o2++ {
-			s := NewState()
+			s := NewState(p)
 			apply(s, trusteds[0], o1)
 			apply(s, trusteds[1], o2)
 			count++
-			got := spec.Accepts(s)
+			got := spec.Accepts(stateSet(s))
 			want := Acceptable(p, "b", s)
 			if got != want {
 				t.Fatalf("outcomes (%d,%d): spec=%v semantic=%v\nstate=%v", o1, o2, got, want, s)

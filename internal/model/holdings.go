@@ -23,7 +23,7 @@ func InitialHoldings(p *Problem) map[PartyID]*Holding {
 	}
 	for ci, n := range t.InitItems {
 		if n > 0 {
-			out[p.Parties[t.cellParty[ci]].ID].Items[t.CellItem[ci]] += int(n)
+			out[p.Parties[t.CellParty[ci]].ID].Items[t.CellItem[ci]] += int(n)
 		}
 	}
 	return out

@@ -2,9 +2,7 @@ package model
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"sort"
 )
 
 // DepositActions decomposes the principal's side of an exchange into the
@@ -42,171 +40,6 @@ func transferActions(from, to PartyID, b Bundle) []Action {
 	return out
 }
 
-// maxEnumExchanges bounds the descriptor enumeration: refund descriptors
-// cover every subset of a principal's exchanges, which is exponential.
-// Beyond this bound AutoSpec omits the partial-refund descriptors; the
-// semantic predicate (Acceptable) remains exact at any size.
-const maxEnumExchanges = 6
-
-// AutoSpec generates the paper-style acceptable-state specification for a
-// principal, mirroring the enumerations of Section 3.1:
-//
-//   - the status quo {};
-//   - the completed exchange (all deposits made, all receipts obtained),
-//     which is also the preferred outcome;
-//   - the windfall (all receipts without any deposit);
-//   - for each subset of the principal's exchanges: deposits made and
-//     compensated (refunds), with the other exchanges untouched.
-//
-// Conjunction groups from indemnity splits are respected: completion is
-// required per group rather than globally.
-func AutoSpec(p *Problem, principal PartyID) Spec {
-	groups := p.ConjunctionGroups(principal)
-	var mine []int
-	for _, g := range groups {
-		mine = append(mine, g...)
-	}
-	sort.Ints(mine)
-
-	var deposits, receipts []Action
-	for _, i := range mine {
-		deposits = append(deposits, DepositActions(p.Exchanges[i])...)
-		receipts = append(receipts, ReceiptActions(p.Exchanges[i])...)
-	}
-
-	spec := Spec{Party: principal}
-	add := func(name string, actions []Action) int {
-		spec.Descriptors = append(spec.Descriptors, Descriptor{Name: name, Actions: actions})
-		return len(spec.Descriptors) - 1
-	}
-
-	add("status quo", nil)
-	completed := add("exchange completed", concatActions(deposits, receipts))
-	spec.Preferred = completed
-	if len(deposits) > 0 {
-		add("windfall", append([]Action(nil), receipts...))
-	}
-
-	// Per-group mixed outcomes: each group independently completed,
-	// refunded, or untouched. Enumerate only for small problems.
-	if len(mine) <= maxEnumExchanges && len(groups) >= 1 {
-		enumerateGroupOutcomes(p, principal, groups, &spec)
-	}
-	return spec
-}
-
-// enumerateGroupOutcomes appends descriptors for every combination of
-// per-exchange outcomes (completed / refunded / untouched) that respects
-// the conjunction groups: within a group, either every exchange completes
-// or none does (refunds and untouched exchanges may mix freely — the
-// paper's broker accepts getting the document back on one side while the
-// other side never started). The all-untouched and all-completed
-// combinations are skipped: the caller already added them.
-func enumerateGroupOutcomes(p *Problem, principal PartyID, groups [][]int, spec *Spec) {
-	type outcome int
-	const (
-		untouched outcome = iota
-		refunded
-		completedOut
-	)
-	var order []int
-	groupOf := make(map[int]int)
-	for gi, g := range groups {
-		for _, ei := range g {
-			groupOf[ei] = gi
-			order = append(order, ei)
-		}
-	}
-	sort.Ints(order)
-	choices := make(map[int]outcome, len(order))
-
-	emit := func() {
-		allUntouched, allCompleted := true, true
-		for _, ei := range order {
-			if choices[ei] != untouched {
-				allUntouched = false
-			}
-			if choices[ei] != completedOut {
-				allCompleted = false
-			}
-		}
-		if allUntouched || allCompleted {
-			return
-		}
-		// Group constraint: completion is all-or-nothing per group.
-		for _, g := range groups {
-			completedCount := 0
-			for _, ei := range g {
-				if choices[ei] == completedOut {
-					completedCount++
-				}
-			}
-			if completedCount != 0 && completedCount != len(g) {
-				return
-			}
-		}
-		var acts []Action
-		name := ""
-		for _, ei := range order {
-			switch choices[ei] {
-			case untouched:
-			case refunded:
-				name += fmt.Sprintf("[e%d refunded]", ei)
-				for _, d := range DepositActions(p.Exchanges[ei]) {
-					acts = append(acts, d, d.Compensation())
-				}
-			case completedOut:
-				name += fmt.Sprintf("[e%d completed]", ei)
-				acts = append(acts, DepositActions(p.Exchanges[ei])...)
-				acts = append(acts, ReceiptActions(p.Exchanges[ei])...)
-			}
-		}
-		spec.Descriptors = append(spec.Descriptors, Descriptor{Name: name, Actions: acts})
-	}
-
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(order) {
-			emit()
-			return
-		}
-		for _, o := range []outcome{untouched, refunded, completedOut} {
-			choices[order[i]] = o
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	_ = principal
-}
-
-// GuaranteeHolds checks a trusted component's guarantee (Section 2.5):
-// unlike principal acceptability, a guarantee lists the exact states that
-// may result, so the final state restricted to actions involving the
-// component must equal one of the descriptors.
-func GuaranteeHolds(sp Spec, s State) bool {
-	var involved []Action
-	for _, a := range s.Actions() {
-		if a.Involves(sp.Party) {
-			involved = append(involved, a)
-		}
-	}
-	restricted := NewState(involved...)
-	for _, d := range sp.Descriptors {
-		if restricted.Equal(NewState(d.Actions...)) {
-			return true
-		}
-	}
-	return false
-}
-
-func concatActions(slices ...[]Action) []Action {
-	var out []Action
-	for _, s := range slices {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // Acceptable is the exact semantic acceptability predicate for a
 // principal. Two rules:
 //
@@ -223,10 +56,14 @@ func concatActions(slices ...[]Action) []Action {
 //     the payout must have been received.
 //
 // It agrees with the Section 3.1 descriptor enumeration on the paper's
-// examples (property-tested in spec_test.go) and stays exact for problems
-// too large to enumerate.
+// examples (property-tested against the test oracle in
+// descriptor_oracle_test.go) and stays exact for problems too large to
+// enumerate.
+//
+// s is a state of p. A party unknown to the problem has nothing at risk.
 func Acceptable(p *Problem, principal PartyID, s State) bool {
-	return acceptableState(p, principal, s, false)
+	party, ok := s.t.PartySlot(principal)
+	return !ok || s.t.Acceptable(party, s, false)
 }
 
 // AcceptableAssets is the per-exchange weakening of Acceptable: each
@@ -238,20 +75,8 @@ func Acceptable(p *Problem, principal PartyID, s State) bool {
 // at every step, while conjunction preferences are a negotiation-level
 // constraint enforced by the commit order and the final state.
 func AcceptableAssets(p *Problem, principal PartyID, s State) bool {
-	return acceptableState(p, principal, s, true)
-}
-
-// acceptableState evaluates the rules, which ActionTable.Acceptable
-// implements once over action slots, for a State read through the table.
-// Only the problem's own actions count; a party unknown to the problem
-// has nothing at risk.
-func acceptableState(p *Problem, principal PartyID, s State, assets bool) bool {
-	t := p.readTable()
-	party, ok := t.PartySlot(principal)
-	if !ok {
-		return true
-	}
-	return t.Acceptable(party, stateView{s, t}, assets)
+	party, ok := s.t.PartySlot(principal)
+	return !ok || s.t.Acceptable(party, s, true)
 }
 
 // SelfInsured reports whether the indemnity offerer is the seller-side
@@ -301,55 +126,6 @@ func RequiredIndemnity(p *Problem, covers int) Money {
 		}
 	}
 	return total
-}
-
-// TrustedSpec generates the guarantee specification for a trusted
-// component (Section 2.5): nothing happens; the exchange works (both
-// deposits arrive, notifications issued, both deliveries made); or each
-// one-sided prefix is compensated when the notification expires.
-//
-// The descriptors only cover degree-2 trusted components, the case the
-// paper develops; larger components are checked semantically via
-// TrustedNeutral.
-func TrustedSpec(p *Problem, trusted PartyID) (Spec, error) {
-	var edges []int
-	for i, e := range p.Exchanges {
-		if e.Trusted == trusted {
-			edges = append(edges, i)
-		}
-	}
-	spec := Spec{Party: trusted}
-	spec.Descriptors = append(spec.Descriptors, Descriptor{Name: "status quo"})
-	if len(edges) != 2 {
-		return spec, fmt.Errorf("model: trusted %s has degree %d; descriptor spec covers degree 2 only", trusted, len(edges))
-	}
-	a, b := p.Exchanges[edges[0]], p.Exchanges[edges[1]]
-
-	var works []Action
-	works = append(works, DepositActions(a)...)
-	works = append(works, Notify(trusted, b.Principal))
-	works = append(works, DepositActions(b)...)
-	works = append(works, Notify(trusted, a.Principal))
-	works = append(works, ReceiptActions(a)...)
-	works = append(works, ReceiptActions(b)...)
-	spec.Descriptors = append(spec.Descriptors, Descriptor{Name: "exchange works", Actions: works})
-	spec.Preferred = len(spec.Descriptors) - 1
-
-	for k, ei := range edges {
-		e := p.Exchanges[ei]
-		other := p.Exchanges[edges[1-k]]
-		var backout []Action
-		backout = append(backout, DepositActions(e)...)
-		backout = append(backout, Notify(trusted, other.Principal))
-		for _, d := range DepositActions(e) {
-			backout = append(backout, d.Compensation())
-		}
-		spec.Descriptors = append(spec.Descriptors, Descriptor{
-			Name:    fmt.Sprintf("notification expires, %s refunded", e.Principal),
-			Actions: backout,
-		})
-	}
-	return spec, nil
 }
 
 // TrustedNeutral is the semantic guarantee check for a trusted component

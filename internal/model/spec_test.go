@@ -1,6 +1,7 @@
 package model
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -51,13 +52,13 @@ func TestTransferActionsOneAlloc(t *testing.T) {
 }
 
 func completedState(p *Problem) State {
-	s := NewState()
+	s := NewState(p)
 	for _, e := range p.Exchanges {
 		for _, a := range DepositActions(e) {
-			s.MustAdd(a)
+			s.mustAdd(a)
 		}
 		for _, a := range ReceiptActions(e) {
-			s.MustAdd(a)
+			s.mustAdd(a)
 		}
 	}
 	return s
@@ -71,27 +72,27 @@ func TestAcceptableExample1(t *testing.T) {
 		if !Acceptable(p, id, done) {
 			t.Errorf("completed state not acceptable to %s", id)
 		}
-		if !Acceptable(p, id, NewState()) {
+		if !Acceptable(p, id, NewState(p)) {
 			t.Errorf("status quo not acceptable to %s", id)
 		}
 	}
 	// Consumer paid, got nothing: unacceptable.
-	paid := NewState(Pay("c", "t1", 100))
+	paid := NewState(p, Pay("c", "t1", 100))
 	if Acceptable(p, "c", paid) {
 		t.Errorf("paid-without-goods acceptable to c")
 	}
 	// Refund restores acceptability.
-	refunded := NewState(Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation())
+	refunded := NewState(p, Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation())
 	if !Acceptable(p, "c", refunded) {
 		t.Errorf("refund not acceptable to c")
 	}
 	// Windfall: consumer got the doc without paying.
-	windfall := NewState(Give("t1", "c", "d"))
+	windfall := NewState(p, Give("t1", "c", "d"))
 	if !Acceptable(p, "c", windfall) {
 		t.Errorf("windfall not acceptable to c")
 	}
 	// Broker bought the document but never sold it: unacceptable.
-	stuck := NewState(
+	stuck := NewState(p,
 		Pay("b", "t2", 80), Give("p", "t2", "d"),
 		Give("t2", "b", "d"), Pay("t2", "p", 80),
 	)
@@ -126,12 +127,12 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 		t.Fatalf("Validate = %v", err)
 	}
 	// Paid for and received only d1: NOT acceptable (wants both).
-	partial := NewState(Pay("c", "ta", 10), Give("ta", "c", "d1"))
+	partial := NewState(p, Pay("c", "ta", 10), Give("ta", "c", "d1"))
 	if Acceptable(p, "c", partial) {
 		t.Fatalf("partial delivery acceptable under conjunction")
 	}
 	// Both received: acceptable.
-	full := NewState(
+	full := NewState(p,
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
 		Pay("c", "tb", 20), Give("tb", "c", "d2"),
 	)
@@ -139,7 +140,7 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 		t.Fatalf("full delivery unacceptable")
 	}
 	// One paid and refunded, other untouched: acceptable.
-	refund := NewState(Pay("c", "ta", 10), Pay("c", "ta", 10).Compensation())
+	refund := NewState(p, Pay("c", "ta", 10), Pay("c", "ta", 10).Compensation())
 	if !Acceptable(p, "c", refund) {
 		t.Fatalf("refund unacceptable")
 	}
@@ -149,7 +150,7 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 	split := p.Clone()
 	split.Indemnities = append(split.Indemnities, IndemnityOffer{By: "p2", Covers: 2, Via: "tb"})
 	// d1 completed, d2 side untouched, penalty paid: acceptable.
-	compensated := NewState(
+	compensated := NewState(split,
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
 		Pay("tb", "c", RequiredIndemnity(split, 2)),
 	)
@@ -158,11 +159,11 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 	}
 	// d1 completed, d2 missing, NO penalty: unacceptable — the indemnity
 	// rule demands the payout once a sibling deposit is locked in.
-	if Acceptable(split, "c", partial) {
+	if Acceptable(split, "c", NewState(split, Pay("c", "ta", 10), Give("ta", "c", "d1"))) {
 		t.Fatalf("uncompensated split outcome acceptable")
 	}
 	// d2 deposit refunded and penalty paid alongside a completed d1.
-	full2 := NewState(
+	full2 := NewState(split,
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
 		Pay("c", "tb", 20), Pay("c", "tb", 20).Compensation(),
 		Pay("tb", "c", RequiredIndemnity(split, 2)),
@@ -172,7 +173,7 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 	}
 	// An uncompensated, undelivered deposit on the covered exchange stays
 	// unacceptable even with the payout (the escrow must also come back).
-	if Acceptable(split, "c", NewState(Pay("c", "tb", 20), Pay("tb", "c", RequiredIndemnity(split, 2)))) {
+	if Acceptable(split, "c", NewState(split, Pay("c", "tb", 20), Pay("tb", "c", RequiredIndemnity(split, 2)))) {
 		t.Fatalf("lost escrow acceptable")
 	}
 }
@@ -223,12 +224,12 @@ func TestAutoSpecAgreesWithAcceptable(t *testing.T) {
 	t.Parallel()
 	p := example1()
 	cases := []State{
-		NewState(),
+		NewState(p),
 		completedState(p),
-		NewState(Pay("c", "t1", 100)),
-		NewState(Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation()),
-		NewState(Give("t1", "c", "d")),
-		NewState(Give("b", "t1", "d"), Give("b", "t1", "d").Compensation()),
+		NewState(p, Pay("c", "t1", 100)),
+		NewState(p, Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation()),
+		NewState(p, Give("t1", "c", "d")),
+		NewState(p, Give("b", "t1", "d"), Give("b", "t1", "d").Compensation()),
 	}
 	for _, id := range []PartyID{"c", "p", "b"} {
 		spec := AutoSpec(p, id)
@@ -236,7 +237,7 @@ func TestAutoSpecAgreesWithAcceptable(t *testing.T) {
 			t.Fatalf("AutoSpec(%s) invalid: %v", id, err)
 		}
 		for _, s := range cases {
-			got := spec.Accepts(s)
+			got := spec.Accepts(stateSet(s))
 			want := Acceptable(p, id, s)
 			if got != want {
 				t.Errorf("party %s state %v: spec=%v semantic=%v", id, s, got, want)
@@ -252,7 +253,7 @@ func TestAutoSpecPreferredIsCompletion(t *testing.T) {
 	if spec.PreferredDescriptor().Name != "exchange completed" {
 		t.Fatalf("preferred = %q", spec.PreferredDescriptor().Name)
 	}
-	if !spec.Accepts(completedState(p)) {
+	if !spec.Accepts(stateSet(completedState(p))) {
 		t.Fatalf("completed state rejected by AutoSpec")
 	}
 }
@@ -268,11 +269,11 @@ func TestTrustedSpec(t *testing.T) {
 		t.Fatalf("spec invalid: %v", err)
 	}
 	// Status quo acceptable.
-	if !spec.Accepts(NewState()) {
+	if !spec.Accepts(setOf()) {
 		t.Fatalf("status quo rejected")
 	}
 	// The full "exchange works" state of Section 2.5.
-	works := NewState(
+	works := setOf(
 		Pay("c", "t1", 100), Notify("t1", "b"),
 		Give("b", "t1", "d"), Notify("t1", "c"),
 		Give("t1", "c", "d"), Pay("t1", "b", 100),
@@ -281,7 +282,7 @@ func TestTrustedSpec(t *testing.T) {
 		t.Fatalf("completed exchange rejected for t1")
 	}
 	// Back-out: consumer refunded after notification expires.
-	backout := NewState(
+	backout := setOf(
 		Pay("c", "t1", 100), Notify("t1", "b"),
 		Pay("c", "t1", 100).Compensation(),
 	)
@@ -290,16 +291,16 @@ func TestTrustedSpec(t *testing.T) {
 	}
 	// Guarantee semantics are exact: holding the money with no follow-up
 	// is not one of the promised states.
-	holding := NewState(Pay("c", "t1", 100))
+	holding := setOf(Pay("c", "t1", 100))
 	if GuaranteeHolds(spec, holding) {
 		t.Fatalf("asset retention accepted for t1")
 	}
-	if !GuaranteeHolds(spec, works) || !GuaranteeHolds(spec, backout) || !GuaranteeHolds(spec, NewState()) {
+	if !GuaranteeHolds(spec, works) || !GuaranteeHolds(spec, backout) || !GuaranteeHolds(spec, setOf()) {
 		t.Fatalf("guarantee states rejected")
 	}
 	// Actions not involving t1 are ignored by the guarantee check.
-	noisy := works.Clone()
-	noisy.MustAdd(Pay("b", "t2", 80))
+	noisy := maps.Clone(works)
+	noisy[Pay("b", "t2", 80)] = struct{}{}
 	if !GuaranteeHolds(spec, noisy) {
 		t.Fatalf("unrelated action broke the guarantee check")
 	}
@@ -312,17 +313,18 @@ func TestTrustedSpec(t *testing.T) {
 
 func TestTrustedNeutral(t *testing.T) {
 	t.Parallel()
-	works := NewState(
+	p := example1()
+	works := NewState(p,
 		Pay("c", "t1", 100), Give("b", "t1", "d"),
 		Give("t1", "c", "d"), Pay("t1", "b", 100),
 	)
 	if !TrustedNeutral(works, "t1") {
 		t.Fatalf("conduit state not neutral")
 	}
-	if TrustedNeutral(NewState(Pay("c", "t1", 100)), "t1") {
+	if TrustedNeutral(NewState(p, Pay("c", "t1", 100)), "t1") {
 		t.Fatalf("retained cash reported neutral")
 	}
-	refund := NewState(Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation())
+	refund := NewState(p, Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation())
 	if !TrustedNeutral(refund, "t1") {
 		t.Fatalf("refunded state not neutral")
 	}

@@ -2,127 +2,150 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // State is the unordered set of actions executed so far in an exchange —
-// the Section 2.3 representation. The zero value is not usable; call
-// NewState.
+// the Section 2.3 representation — kept as a bitset over the slots of its
+// problem's ActionTable. Actions equal as values share a slot, so they
+// share an entry, and a State can hold only actions the problem defines.
+// The zero value is not usable; call NewState or ActionTable.NewState.
 type State struct {
-	actions map[Action]struct{}
+	t    *ActionTable
+	bits []uint64
 }
 
-// NewState returns a state containing the given actions.
-func NewState(actions ...Action) State {
-	s := State{actions: make(map[Action]struct{}, len(actions))}
+// ForeignActionError reports an action that is not one of the problem's
+// own — no exchange, indemnity offer or notification defines it. A State
+// cannot hold it, and an execution fails closed on it instead of moving
+// assets the specification never promised.
+type ForeignActionError struct {
+	Action Action
+}
+
+func (e *ForeignActionError) Error() string {
+	return fmt.Sprintf("model: %v is not an action of the problem", e.Action)
+}
+
+// NewState returns a state of p holding the given actions, building p's
+// action table on first use; a repeated action is held once. It panics
+// with a *ForeignActionError on an action p does not define.
+func NewState(p *Problem, actions ...Action) State {
+	s := p.ActionTable().NewState()
 	for _, a := range actions {
-		s.actions[a] = struct{}{}
+		slot, ok := s.t.Slot(a)
+		if !ok {
+			panic(&ForeignActionError{Action: a})
+		}
+		s.AddSlot(slot)
 	}
 	return s
 }
 
-// NewStateCap returns an empty state with room for about n actions.
-func NewStateCap(n int) State {
-	return State{actions: make(map[Action]struct{}, n)}
+// NewState returns the empty state over the table.
+func (t *ActionTable) NewState() State {
+	return State{t: t, bits: make([]uint64, (t.Len()+63)/64)}
 }
 
-// Add records an action. Adding an action already present is an error:
+// Add records an action. It fails with a *ForeignActionError on an
+// action the problem does not define, and on an action already present:
 // the paper's set representation cannot express repeated actions, and the
 // problem validator rejects specifications that would need them.
 func (s State) Add(a Action) error {
-	if _, ok := s.actions[a]; ok {
+	slot, ok := s.t.Slot(a)
+	if !ok {
+		return &ForeignActionError{Action: a}
+	}
+	if !s.AddSlot(slot) {
 		return fmt.Errorf("model: action %v already in state", a)
 	}
-	s.actions[a] = struct{}{}
 	return nil
 }
 
-// MustAdd is Add for callers that have already validated uniqueness.
-func (s State) MustAdd(a Action) {
-	if err := s.Add(a); err != nil {
-		panic(err)
+// AddSlot records the action in a slot of the table, reporting false
+// when it was already present.
+func (s State) AddSlot(slot int) bool {
+	w, bit := slot>>6, uint64(1)<<(slot&63)
+	if s.bits[w]&bit != 0 {
+		return false
 	}
+	s.bits[w] |= bit
+	return true
 }
 
 // Has reports whether the action has occurred.
 func (s State) Has(a Action) bool {
-	_, ok := s.actions[a]
-	return ok
+	slot, ok := s.t.Slot(a)
+	return ok && s.HasSlot(slot)
 }
 
-// Len returns the number of actions executed.
-func (s State) Len() int { return len(s.actions) }
+// HasSlot reports whether the action in a slot of the table has occurred.
+func (s State) HasSlot(slot int) bool { return s.bits[slot>>6]&(1<<(slot&63)) != 0 }
 
-// Clone returns an independent copy.
-func (s State) Clone() State {
-	out := State{actions: make(map[Action]struct{}, len(s.actions))}
-	for a := range s.actions {
-		out.actions[a] = struct{}{}
-	}
-	return out
-}
+// Live reports whether forward transfer slot s occurred and was not
+// compensated.
+func (s State) Live(slot int) bool { return s.HasSlot(slot) && !s.HasSlot(slot+s.t.Transfers) }
 
-// Superset reports whether s contains every action of other — the
-// acceptability test's "contains a superset of the actions" clause.
-func (s State) Superset(other State) bool {
-	for a := range other.actions {
-		if !s.Has(a) {
+// Delivered reports whether every receipt of exchange ei occurred and
+// none was compensated.
+func (s State) Delivered(ei int) bool {
+	for _, r := range s.t.Receipts(ei) {
+		if !s.Live(int(r)) {
 			return false
 		}
 	}
 	return true
 }
 
+// Len returns the number of actions executed.
+func (s State) Len() int {
+	n := 0
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// each calls f with the slot of every executed action, ascending.
+func (s State) each(f func(slot int)) {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// Clone returns an independent copy.
+func (s State) Clone() State { return s.CloneInto(State{}) }
+
+// CloneInto returns an independent copy of s that reuses dst's storage.
+func (s State) CloneInto(dst State) State {
+	return State{t: s.t, bits: append(dst.bits[:0], s.bits...)}
+}
+
 // Equal reports whether two states hold exactly the same action set.
 func (s State) Equal(other State) bool {
-	return len(s.actions) == len(other.actions) && s.Superset(other)
+	if s.t == other.t {
+		return slices.Equal(s.bits, other.bits)
+	}
+	if s.Len() != other.Len() {
+		return false
+	}
+	same := true
+	s.each(func(slot int) { same = same && other.Has(s.t.Action(slot)) })
+	return same
 }
 
 // Actions returns the actions in a deterministic order (sorted by their
 // string rendering) — convenient for tests and display.
 func (s State) Actions() []Action {
-	out := make([]Action, 0, len(s.actions))
-	for a := range s.actions {
-		out = append(out, a)
-	}
+	out := make([]Action, 0, s.Len())
+	s.each(func(slot int) { out = append(out, s.t.Action(slot)) })
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
-}
-
-// ByParty returns the subset of actions performed by p in the Section 2.3
-// sense (see Action.Actor).
-func (s State) ByParty(p PartyID) []Action {
-	var out []Action
-	for _, a := range s.Actions() {
-		if a.Actor() == p {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Compensated reports whether the action has occurred and been undone.
-func (s State) Compensated(a Action) bool {
-	if a.Kind == ActionNotify || a.Inverse {
-		return false
-	}
-	return s.Has(a) && s.Has(a.Compensation())
-}
-
-// NetReceived returns the assets party p has irrevocably received:
-// forward transfers to p whose compensation has not occurred.
-func (s State) NetReceived(p PartyID) *Holding {
-	h := NewHolding()
-	for a := range s.actions {
-		if !a.IsTransfer() || a.Inverse {
-			continue
-		}
-		if a.To == p && !s.Has(a.Compensation()) {
-			h.Add(a.Asset())
-		}
-	}
-	return h
 }
 
 // Delta returns p's signed asset flow over the whole state: assets
@@ -132,45 +155,40 @@ func (s State) NetReceived(p PartyID) *Holding {
 func (s State) Delta(p PartyID) (Money, map[ItemID]int) {
 	var cash Money
 	items := make(map[ItemID]int)
-	for a := range s.actions {
-		if !a.IsTransfer() {
-			continue
+	t := s.t
+	party, ok := t.PartySlot(p)
+	if !ok {
+		return cash, items
+	}
+	s.each(func(slot int) {
+		if slot >= 2*t.Transfers {
+			return // notifies move nothing
+		}
+		fwd, from, to := t.Endpoints(slot)
+		give := t.Give[fwd]
+		var item ItemID
+		if give {
+			item, from, to = t.CellItem[from], t.CellParty[from], t.CellParty[to]
 		}
 		sign := 0
-		switch p {
-		case a.Receiver():
+		switch int32(party) {
+		case to:
 			sign = +1
-		case a.Mover():
+		case from:
 			sign = -1
 		default:
-			continue
+			return
 		}
-		switch a.Kind {
-		case ActionPay:
-			cash += Money(sign) * a.Amount
-		case ActionGive:
-			items[a.Item] += sign
-			if items[a.Item] == 0 {
-				delete(items, a.Item)
-			}
+		if !give {
+			cash += Money(sign) * t.Cash[fwd]
+			return
 		}
-	}
+		items[item] += sign
+		if items[item] == 0 {
+			delete(items, item)
+		}
+	})
 	return cash, items
-}
-
-// NetGiven returns the assets p has irrevocably relinquished: forward
-// transfers from p that were not compensated back to p.
-func (s State) NetGiven(p PartyID) *Holding {
-	h := NewHolding()
-	for a := range s.actions {
-		if !a.IsTransfer() || a.Inverse {
-			continue
-		}
-		if a.From == p && !s.Has(a.Compensation()) {
-			h.Add(a.Asset())
-		}
-	}
-	return h
 }
 
 // String renders the state as the paper writes it: {a₁, a₂, …}.
@@ -181,81 +199,4 @@ func (s State) String() string {
 		parts[i] = a.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// Descriptor is one partial state description from a party's
-// acceptable-state specification (Section 2.3): any state containing a
-// superset of its actions, with no further action by the party, is
-// acceptable.
-type Descriptor struct {
-	Name    string // human label, e.g. "status quo", "exchange completed"
-	Actions []Action
-}
-
-// Matches implements the Section 2.3 acceptance test for one descriptor:
-// state ⊇ descriptor, and every action performed by `party` in the state
-// already appears in the descriptor.
-func (d Descriptor) Matches(party PartyID, s State) bool {
-	in := make(map[Action]struct{}, len(d.Actions))
-	for _, a := range d.Actions {
-		if !s.Has(a) {
-			return false
-		}
-		in[a] = struct{}{}
-	}
-	for _, a := range s.ByParty(party) {
-		if _, ok := in[a]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Spec is a party's full acceptability specification: a set of
-// descriptors plus the single preferred one (Section 2.3's device that
-// prevents a seller from always refunding).
-type Spec struct {
-	Party       PartyID
-	Descriptors []Descriptor
-	Preferred   int // index into Descriptors
-}
-
-// Accepts reports whether the state is acceptable to the party: some
-// descriptor matches.
-func (sp Spec) Accepts(s State) bool {
-	for _, d := range sp.Descriptors {
-		if d.Matches(sp.Party, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// PreferredDescriptor returns the preferred outcome.
-func (sp Spec) PreferredDescriptor() Descriptor {
-	if sp.Preferred < 0 || sp.Preferred >= len(sp.Descriptors) {
-		return Descriptor{Name: "unspecified"}
-	}
-	return sp.Descriptors[sp.Preferred]
-}
-
-// Validate checks the spec is well formed.
-func (sp Spec) Validate() error {
-	if sp.Party == "" {
-		return fmt.Errorf("model: spec without party")
-	}
-	if len(sp.Descriptors) == 0 {
-		return fmt.Errorf("model: spec for %s has no descriptors", sp.Party)
-	}
-	if sp.Preferred < 0 || sp.Preferred >= len(sp.Descriptors) {
-		return fmt.Errorf("model: spec for %s has out-of-range preferred index %d", sp.Party, sp.Preferred)
-	}
-	for _, d := range sp.Descriptors {
-		for _, a := range d.Actions {
-			if err := a.Validate(); err != nil {
-				return fmt.Errorf("model: spec for %s, descriptor %q: %w", sp.Party, d.Name, err)
-			}
-		}
-	}
-	return nil
 }

@@ -1,14 +1,16 @@
 package model
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 func TestStateAddHas(t *testing.T) {
 	t.Parallel()
-	s := NewState()
-	a := Pay("c", "t", 10)
+	p := example1()
+	s := NewState(p)
+	a := Pay("c", "t1", 100)
 	if s.Has(a) {
 		t.Fatalf("empty state has action")
 	}
@@ -18,119 +20,81 @@ func TestStateAddHas(t *testing.T) {
 	if !s.Has(a) {
 		t.Fatalf("state missing added action")
 	}
-	if err := s.Add(a); err == nil {
-		t.Fatalf("duplicate Add succeeded")
+	var foreign *ForeignActionError
+	if err := s.Add(a); err == nil || errors.As(err, &foreign) {
+		t.Fatalf("duplicate Add = %v, want a duplicate error", err)
+	}
+	if err := s.Add(Pay("c", "t1", 99)); !errors.As(err, &foreign) {
+		t.Fatalf("Add of an undefined pay = %v, want a *ForeignActionError", err)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 }
 
-func TestStateSupersetEqual(t *testing.T) {
+func TestStateEqual(t *testing.T) {
 	t.Parallel()
-	a, b := Pay("c", "t", 10), Give("p", "t", "d")
-	s1 := NewState(a, b)
-	s2 := NewState(a)
-	if !s1.Superset(s2) || s2.Superset(s1) {
-		t.Fatalf("Superset wrong")
-	}
-	if !s1.Equal(NewState(b, a)) {
+	p := example1()
+	a, b := Pay("c", "t1", 100), Give("b", "t1", "d")
+	s1 := NewState(p, a, b)
+	s2 := NewState(p, a)
+	if !s1.Equal(NewState(p, b, a)) {
 		t.Fatalf("Equal should ignore order")
 	}
-	if s1.Equal(s2) {
+	if s1.Equal(s2) || s2.Equal(s1) {
 		t.Fatalf("Equal on different states")
+	}
+	// A state of a rebuilt table compares by its actions.
+	q := example1()
+	if !s1.Equal(NewState(q, a, b)) || s2.Equal(NewState(q, b)) {
+		t.Fatalf("Equal across tables compares the wrong sets")
 	}
 }
 
 func TestStateCloneIndependent(t *testing.T) {
 	t.Parallel()
-	s := NewState(Pay("c", "t", 10))
+	p := example1()
+	s := NewState(p, Pay("c", "t1", 100))
 	c := s.Clone()
-	c.MustAdd(Give("p", "t", "d"))
+	c.mustAdd(Give("b", "t1", "d"))
 	if s.Len() != 1 || c.Len() != 2 {
 		t.Fatalf("Clone shares storage: %d/%d", s.Len(), c.Len())
 	}
 }
 
-func TestStateByParty(t *testing.T) {
-	t.Parallel()
-	pay := Pay("c", "t", 10)
-	refund := pay.Compensation() // performed by t
-	s := NewState(pay, refund, Notify("t", "b"))
-	if got := s.ByParty("c"); len(got) != 1 || got[0] != pay {
-		t.Fatalf("ByParty(c) = %v", got)
-	}
-	if got := s.ByParty("t"); len(got) != 2 {
-		t.Fatalf("ByParty(t) = %v, want refund+notify", got)
-	}
-}
-
-func TestStateNetReceivedAndGiven(t *testing.T) {
-	t.Parallel()
-	pay := Pay("c", "t", 100)
-	give := Give("b", "t", "d")
-	s := NewState(pay, give, give.Compensation())
-	// t received the money (uncompensated) but not the doc (returned).
-	got := s.NetReceived("t")
-	if got.Cash != 100 || len(got.Items) != 0 {
-		t.Fatalf("NetReceived(t) = %v", got)
-	}
-	// c irrevocably gave the money; b gave nothing net.
-	if g := s.NetGiven("c"); g.Cash != 100 {
-		t.Fatalf("NetGiven(c) = %v", g)
-	}
-	if g := s.NetGiven("b"); !g.IsEmpty() {
-		t.Fatalf("NetGiven(b) = %v, want empty", g)
-	}
-}
-
 func TestStateDelta(t *testing.T) {
 	t.Parallel()
-	pay := Pay("c", "t", 100)
-	give := Give("b", "t", "d")
-	fwd := Give("t", "c", "d") // t forwards the doc (distinct action: from t)
-	s := NewState(pay, give, fwd)
-	cash, items := s.Delta("t")
+	p := example1()
+	pay := Pay("c", "t1", 100)
+	give := Give("b", "t1", "d")
+	fwd := Give("t1", "c", "d") // t1 forwards the doc (distinct action: from t1)
+	s := NewState(p, pay, give, fwd)
+	cash, items := s.Delta("t1")
 	if cash != 100 {
-		t.Errorf("Delta(t) cash = %v", cash)
+		t.Errorf("Delta(t1) cash = %v", cash)
 	}
 	if len(items) != 0 {
-		t.Errorf("Delta(t) items = %v, want net zero", items)
+		t.Errorf("Delta(t1) items = %v, want net zero", items)
 	}
 	cash, items = s.Delta("c")
 	if cash != -100 || items["d"] != 1 {
 		t.Errorf("Delta(c) = %v, %v", cash, items)
 	}
 	// Compensation nets out.
-	s2 := NewState(give, give.Compensation())
+	s2 := NewState(p, give, give.Compensation())
 	cash, items = s2.Delta("b")
 	if cash != 0 || len(items) != 0 {
 		t.Errorf("Delta(b) after compensation = %v, %v", cash, items)
 	}
-	cash, items = s2.Delta("t")
+	cash, items = s2.Delta("t1")
 	if cash != 0 || len(items) != 0 {
-		t.Errorf("Delta(t) after compensation = %v, %v", cash, items)
-	}
-}
-
-func TestStateCompensated(t *testing.T) {
-	t.Parallel()
-	pay := Pay("c", "t", 10)
-	s := NewState(pay, pay.Compensation())
-	if !s.Compensated(pay) {
-		t.Fatalf("Compensated = false")
-	}
-	if s.Compensated(pay.Compensation()) {
-		t.Fatalf("inverse reported compensated")
-	}
-	if s.Compensated(Notify("t", "b")) {
-		t.Fatalf("notify reported compensated")
+		t.Errorf("Delta(t1) after compensation = %v, %v", cash, items)
 	}
 }
 
 func TestStateString(t *testing.T) {
 	t.Parallel()
-	s := NewState(Pay("c", "t1", 100), Give("b", "t1", "d"))
+	s := NewState(example1(), Pay("c", "t1", 100), Give("b", "t1", "d"))
 	got := s.String()
 	if !strings.HasPrefix(got, "{") || !strings.HasSuffix(got, "}") {
 		t.Fatalf("String = %q", got)
@@ -141,103 +105,5 @@ func TestStateString(t *testing.T) {
 	// Deterministic ordering: give sorts before pay.
 	if strings.Index(got, "give") > strings.Index(got, "pay") {
 		t.Fatalf("String not sorted: %q", got)
-	}
-}
-
-// The four acceptable customer states of Section 2.3, checked against the
-// descriptor matcher.
-func TestDescriptorMatchesPaperSection23(t *testing.T) {
-	t.Parallel()
-	payCP := Pay("c", "p", 100)
-	givePC := Give("p", "c", "d")
-
-	completed := Descriptor{Name: "completed", Actions: []Action{givePC, payCP}}
-	refund := Descriptor{Name: "refund", Actions: []Action{payCP, payCP.Compensation()}}
-	statusQuo := Descriptor{Name: "status quo"}
-	windfall := Descriptor{Name: "windfall", Actions: []Action{givePC}}
-
-	tests := []struct {
-		name  string
-		state State
-		desc  Descriptor
-		want  bool
-	}{
-		{"completed matches", NewState(givePC, payCP), completed, true},
-		{"refund matches", NewState(payCP, payCP.Compensation()), refund, true},
-		{"status quo matches empty", NewState(), statusQuo, true},
-		{"windfall matches", NewState(givePC), windfall, true},
-		{"status quo rejects paid state", NewState(payCP), statusQuo, false},
-		{"windfall rejects paid state", NewState(givePC, payCP), windfall, false},
-		{"completed needs both", NewState(payCP), completed, false},
-	}
-	for _, tt := range tests {
-		tt := tt
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			if got := tt.desc.Matches("c", tt.state); got != tt.want {
-				t.Fatalf("Matches = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestSpecAcceptsAndPreferred(t *testing.T) {
-	t.Parallel()
-	payCP := Pay("c", "p", 100)
-	givePC := Give("p", "c", "d")
-	spec := Spec{
-		Party: "c",
-		Descriptors: []Descriptor{
-			{Name: "status quo"},
-			{Name: "completed", Actions: []Action{givePC, payCP}},
-		},
-		Preferred: 1,
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	if !spec.Accepts(NewState()) {
-		t.Fatalf("empty state rejected")
-	}
-	if !spec.Accepts(NewState(givePC, payCP)) {
-		t.Fatalf("completed state rejected")
-	}
-	if spec.Accepts(NewState(payCP)) {
-		t.Fatalf("paid-without-goods accepted")
-	}
-	if spec.PreferredDescriptor().Name != "completed" {
-		t.Fatalf("preferred = %q", spec.PreferredDescriptor().Name)
-	}
-}
-
-func TestSpecValidateErrors(t *testing.T) {
-	t.Parallel()
-	tests := []struct {
-		name string
-		spec Spec
-		want string
-	}{
-		{"no party", Spec{}, "without party"},
-		{"no descriptors", Spec{Party: "c"}, "no descriptors"},
-		{"bad preferred", Spec{Party: "c", Descriptors: []Descriptor{{}}, Preferred: 3}, "out-of-range"},
-		{"bad action", Spec{Party: "c", Descriptors: []Descriptor{{Name: "x", Actions: []Action{{From: "a", To: "b"}}}}}, "invalid kind"},
-	}
-	for _, tt := range tests {
-		tt := tt
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			err := tt.spec.Validate()
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("Validate = %v, want %q", err, tt.want)
-			}
-		})
-	}
-}
-
-func TestSpecPreferredOutOfRangeIsUnspecified(t *testing.T) {
-	t.Parallel()
-	spec := Spec{Party: "c", Descriptors: []Descriptor{{Name: "only"}}, Preferred: 5}
-	if got := spec.PreferredDescriptor().Name; got != "unspecified" {
-		t.Fatalf("PreferredDescriptor = %q", got)
 	}
 }

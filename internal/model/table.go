@@ -5,12 +5,12 @@ package model
 // and receipts, their compensations, each indemnity offer's post, payout
 // and refund, and the notify a trusted component sends the principal of
 // each of its exchanges — owns one slot, interned by value: two actions
-// that are equal as values share a slot, exactly as they share an entry
-// of a State. Each slot's asset endpoints are resolved to holding
-// indices — a party slot (the party's index in Problem.Parties) for
-// money, a cell for an item — so an execution over the table can keep
-// its executed-action set as a bitset and its holdings as flat arrays,
-// and no predicate over it hashes an Action.
+// that are equal as values share a slot, and so share an entry of a
+// State, a bitset over the slots. Each slot's asset endpoints are
+// resolved to holding indices — a party slot (the party's index in
+// Problem.Parties) for money, a cell for an item — so an execution over
+// the table keeps its holdings as flat arrays, and no predicate over it
+// hashes an Action.
 //
 // Cells are the (party, item) pairs an exchange can move: one for each
 // item of each exchange's Gives and Gets, on both the principal's and the
@@ -69,10 +69,11 @@ type ActionTable struct {
 	// cells finds a cell from its party slot and item in one probe.
 	cells map[cellKey]int32
 
-	// CellItem names each cell's item (cellParty its party); InitCash and
-	// InitItems are the status-quo holdings InitialHoldings describes.
+	// CellItem and CellParty name each cell's item and party slot;
+	// InitCash and InitItems are the status-quo holdings InitialHoldings
+	// describes.
 	CellItem  []ItemID
-	cellParty []int32
+	CellParty []int32
 	InitCash  []Money
 	InitItems []int32
 
@@ -122,10 +123,21 @@ func (t *ActionTable) Action(s int) Action {
 		return t.Action(s - t.Transfers).Compensation()
 	case t.Give[s]:
 		src, dst := t.Src[s], t.Dst[s]
-		return Give(ps[t.cellParty[src]].ID, ps[t.cellParty[dst]].ID, t.CellItem[src])
+		return Give(ps[t.CellParty[src]].ID, ps[t.CellParty[dst]].ID, t.CellItem[src])
 	default:
 		return Pay(ps[t.Src[s]].ID, ps[t.Dst[s]].ID, t.Cash[s])
 	}
+}
+
+// Endpoints resolves transfer slot s: its forward slot and the holding
+// indices (party slots for a pay, cells for a give) its asset leaves and
+// enters.
+func (t *ActionTable) Endpoints(s int) (fwd, from, to int32) {
+	if s < t.Transfers {
+		return int32(s), t.Src[s], t.Dst[s]
+	}
+	fwd = int32(s - t.Transfers)
+	return fwd, t.Dst[fwd], t.Src[fwd]
 }
 
 // Slot returns the slot of an action, or false when the action is not
@@ -139,46 +151,66 @@ func (t *ActionTable) Slot(a Action) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	if a.Kind == ActionNotify {
-		ei := t.firstBetween(int32(to), int32(from), len(t.notify))
-		if ei < 0 || t.Action(int(t.notify[ei])) != a {
-			return 0, false
+	return t.SlotAt(a, int32(from), int32(to))
+}
+
+// SlotAt is Slot for an action whose From and To are the parties in
+// slots from and to, which must be party slots of the problem: it
+// resolves the action among the exchanges between the two and the
+// indemnity offers, without probing the party index.
+func (t *ActionTable) SlotAt(a Action, from, to int32) (int, bool) {
+	switch {
+	case a.Kind == ActionNotify && !a.Inverse && a.Item == "" && a.Amount == 0:
+		if ei := t.firstBetween(to, from, len(t.notify)); ei >= 0 {
+			return int(t.notify[ei]), true
 		}
-		return int(t.notify[ei]), true
+		return 0, false
+	case a.Kind == ActionGive && a.Amount == 0, a.Kind == ActionPay && a.Item == "":
+	default:
+		return 0, false // no slot holds a malformed action
 	}
-	fwd := a
-	fwd.Inverse = false
-	s := t.match(fwd, t.Post)
+	s := int32(-1)
+	for _, ei := range t.between(from, to) {
+		if s >= 0 {
+			break
+		}
+		s = t.find(t.Deposits(int(ei)), a, from, to)
+	}
+	for _, ei := range t.between(to, from) {
+		if s >= 0 {
+			break
+		}
+		s = t.find(t.Receipts(int(ei)), a, from, to)
+	}
 	if s < 0 {
-		s = t.match(fwd, t.Payout)
+		s = t.find(t.Post, a, from, to)
 	}
-	for _, ei := range t.between(int32(from), int32(to)) {
-		if s >= 0 {
-			break
-		}
-		s = t.match(fwd, t.Deposits(int(ei)))
-	}
-	for _, ei := range t.between(int32(to), int32(from)) {
-		if s >= 0 {
-			break
-		}
-		s = t.match(fwd, t.Receipts(int(ei)))
+	if s < 0 {
+		s = t.find(t.Payout, a, from, to)
 	}
 	switch {
 	case s < 0:
 		return 0, false
 	case a.Inverse:
-		return s + t.Transfers, true
+		return int(s) + t.Transfers, true
 	default:
-		return s, true
+		return int(s), true
 	}
 }
 
-// match returns the slot among slots whose action is a, or -1.
-func (t *ActionTable) match(a Action, slots []int32) int {
+// find returns the forward slot among slots that moves what transfer a
+// moves from party slot from to party slot to, or -1.
+func (t *ActionTable) find(slots []int32, a Action, from, to int32) int32 {
 	for _, s := range slots {
-		if s >= 0 && t.Action(int(s)) == a {
-			return int(s)
+		switch {
+		case s < 0 || t.Give[s] != (a.Kind == ActionGive):
+		case t.Give[s]:
+			src, dst := t.Src[s], t.Dst[s]
+			if t.CellItem[src] == a.Item && t.CellParty[src] == from && t.CellParty[dst] == to {
+				return s
+			}
+		case t.Cash[s] == a.Amount && t.Src[s] == from && t.Dst[s] == to:
+			return s
 		}
 	}
 	return -1
@@ -289,30 +321,11 @@ func (b *tableBuilder) cell(party int32, item ItemID) int32 {
 	if ci, ok := t.cells[k]; ok {
 		return ci
 	}
-	ci := int32(len(t.cellParty))
+	ci := int32(len(t.CellParty))
 	t.cells[k] = ci
-	t.cellParty = append(t.cellParty, party)
+	t.CellParty = append(t.CellParty, party)
 	t.CellItem = append(t.CellItem, item)
 	return ci
-}
-
-// find returns the forward slot among slots that moves what a moves
-// from party slot from to party slot to, or -1.
-func (b *tableBuilder) find(slots []int32, a Action, from, to int32) int32 {
-	t := b.t
-	for _, s := range slots {
-		switch {
-		case s < 0 || t.Give[s] != (a.Kind == ActionGive):
-		case t.Give[s]:
-			src, dst := t.Src[s], t.Dst[s]
-			if t.CellItem[src] == a.Item && t.cellParty[src] == from && t.cellParty[dst] == to {
-				return s
-			}
-		case t.Cash[s] == a.Amount && t.Src[s] == from && t.Dst[s] == to:
-			return s
-		}
-	}
-	return -1
 }
 
 // intern returns the slot of transfer a from party slot from to party
@@ -325,12 +338,12 @@ func (b *tableBuilder) intern(a Action, from, to int32, r rows, principal, trust
 			break
 		}
 		if t.Principal[ej] == principal && t.Trusted[ej] == trusted {
-			if s := b.find(r.row(int(ej)), a, from, to); s >= 0 {
+			if s := t.find(r.row(int(ej)), a, from, to); s >= 0 {
 				return s
 			}
 		}
 	}
-	if s := b.find(extra, a, from, to); s >= 0 {
+	if s := t.find(extra, a, from, to); s >= 0 {
 		return s
 	}
 	s := int32(len(t.Src))
@@ -476,8 +489,8 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 		}
 	}
 	t.inPays = groupRows(nParty, pays)
-	t.inGives = groupRows(len(t.cellParty), gives)
-	t.cellsOf = groupRows(nParty, t.cellParty)
+	t.inGives = groupRows(len(t.CellParty), gives)
+	t.cellsOf = groupRows(nParty, t.CellParty)
 	t.initHoldings()
 	return t
 }
@@ -489,8 +502,8 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 // start empty (Section 2.5).
 func (t *ActionTable) initHoldings() {
 	p := t.problem
-	t.InitItems = make([]int32, len(t.cellParty))
-	acquired := make([]bool, len(t.cellParty))
+	t.InitItems = make([]int32, len(t.CellParty))
+	acquired := make([]bool, len(t.CellParty))
 	for ei := range p.Exchanges {
 		for _, r := range t.Receipts(ei) {
 			if t.Give[r] {
@@ -526,37 +539,17 @@ func (t *ActionTable) initHoldings() {
 			t.InitCash[i] = pa.Endowment
 		}
 	}
-	for ci, party := range t.cellParty {
+	for ci, party := range t.CellParty {
 		if party < 0 || p.Parties[party].IsTrusted() {
 			t.InitItems[ci] = 0 // trusted components and unknown parties start empty
 		}
 	}
 }
 
-// ActionView is what the acceptability rules read of an execution:
-// whether the action in a slot of the problem's ActionTable has occurred.
-type ActionView interface {
-	HasAt(slot int) bool
-}
-
-// stateView reads a State through the table.
-type stateView struct {
-	s State
-	t *ActionTable
-}
-
-func (v stateView) HasAt(slot int) bool { return v.s.Has(v.t.Action(slot)) }
-
-// live reports whether forward transfer slot s occurred and was not
-// compensated.
-func (t *ActionTable) live(v ActionView, s int32) bool {
-	return v.HasAt(int(s)) && !v.HasAt(int(s)+t.Transfers)
-}
-
 // atRisk reports whether some deposit of exchange ei is in place.
-func (t *ActionTable) atRisk(v ActionView, ei int32) bool {
+func (t *ActionTable) atRisk(st State, ei int32) bool {
 	for _, d := range t.deposits.row(int(ei)) {
-		if t.live(v, d) {
+		if st.Live(int(d)) {
 			return true
 		}
 	}
@@ -567,7 +560,7 @@ func (t *ActionTable) atRisk(v ActionView, ei int32) bool {
 // asset the exchanges of group promise it: their Gets, summed, against
 // the forward transfers into its holdings whose compensation has not
 // occurred.
-func (t *ActionTable) received(v ActionView, party int, group []int32) bool {
+func (t *ActionTable) received(st State, party int, group []int32) bool {
 	var want Money
 	for _, ei := range group {
 		want += t.problem.Exchanges[ei].Gets.Amount
@@ -575,7 +568,7 @@ func (t *ActionTable) received(v ActionView, party int, group []int32) bool {
 	if want > 0 {
 		var got Money
 		for _, s := range t.inPays.row(party) {
-			if t.live(v, s) {
+			if st.Live(int(s)) {
 				got += t.Cash[s]
 			}
 		}
@@ -599,7 +592,7 @@ func (t *ActionTable) received(v ActionView, party int, group []int32) bool {
 				}
 			}
 			for _, s := range t.inGives.row(int(t.Dst[r])) {
-				if t.live(v, s) {
+				if st.Live(int(s)) {
 					need--
 				}
 			}
@@ -630,23 +623,23 @@ func (t *ActionTable) seenCell(earlier, recs []int32, cell int32) bool {
 }
 
 // Acceptable is Acceptable (assets false) or AcceptableAssets (assets
-// true) for the party in slot party, over any view of the table.
-func (t *ActionTable) Acceptable(party int, v ActionView, assets bool) bool {
+// true) for the party in slot party, over a state of the table.
+func (t *ActionTable) Acceptable(party int, st State, assets bool) bool {
 	var one [1]int32
 	for _, ei := range t.own.row(party) {
 		if !assets && !t.split[ei] {
 			continue
 		}
 		one[0] = ei
-		if t.atRisk(v, ei) && !t.received(v, party, one[:]) {
+		if t.atRisk(st, ei) && !t.received(st, party, one[:]) {
 			return false
 		}
 	}
 	if !assets {
 		rest := t.rest.row(party)
 		for _, ei := range rest {
-			if t.atRisk(v, ei) {
-				if !t.received(v, party, rest) {
+			if t.atRisk(st, ei) {
+				if !t.received(st, party, rest) {
 					return false
 				}
 				break
@@ -657,8 +650,8 @@ func (t *ActionTable) Acceptable(party int, v ActionView, assets bool) bool {
 		if t.Payout[oi] < 0 || t.collateral[oi] == 0 {
 			continue
 		}
-		forfeited := v.HasAt(int(t.Payout[oi]))
-		if int(t.Principal[off.Covers]) == party && !forfeited && t.uncompensated(v, party, off.Covers) {
+		forfeited := st.HasSlot(int(t.Payout[oi]))
+		if int(t.Principal[off.Covers]) == party && !forfeited && t.uncompensated(st, party, off.Covers) {
 			return false
 		}
 		// A self-insured offerer (the seller controlling delivery of the
@@ -675,13 +668,13 @@ func (t *ActionTable) Acceptable(party int, v ActionView, assets bool) bool {
 // uncompensated reports whether the party, protected by collateral on
 // exchange covers, committed to a sibling exchange while the covered
 // piece did not arrive — the case the payout must compensate.
-func (t *ActionTable) uncompensated(v ActionView, party int, covers int) bool {
+func (t *ActionTable) uncompensated(st State, party int, covers int) bool {
 	one := [1]int32{int32(covers)}
-	if t.received(v, party, one[:]) {
+	if t.received(st, party, one[:]) {
 		return false
 	}
 	for _, ei := range t.own.row(party) {
-		if int(ei) != covers && t.atRisk(v, ei) {
+		if int(ei) != covers && t.atRisk(st, ei) {
 			return true
 		}
 	}

@@ -35,7 +35,7 @@ func TestActionTableInternsByValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := p.ActionTable()
-	seen := NewState()
+	seen := tab.NewState()
 	for s := 0; s < tab.Len(); s++ {
 		a := tab.Action(s)
 		if got, ok := tab.Slot(a); !ok || got != s {
@@ -55,7 +55,9 @@ func TestActionTableInternsByValue(t *testing.T) {
 	if comp, ok := tab.Slot(pay.Compensation()); !ok || comp != want+tab.Transfers {
 		t.Errorf("compensation slot = %d, %v; want %d", comp, ok, want+tab.Transfers)
 	}
-	for _, foreign := range []Action{Pay("c", "t", 9), Give("c", "t", "a"), Notify("t", "ghost"), Pay("c", "s1", 10)} {
+	malformed := Pay("c", "t", 10)
+	malformed.Item = "a"
+	for _, foreign := range []Action{Pay("c", "t", 9), Give("c", "t", "a"), Notify("t", "ghost"), Pay("c", "s1", 10), malformed} {
 		if s, ok := tab.Slot(foreign); ok {
 			t.Errorf("foreign %v has slot %d", foreign, s)
 		}
@@ -70,12 +72,12 @@ func TestActionTableConcurrentFirstUse(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	refunded := NewState(Pay("c", "t", 10), Pay("c", "t", 10).Compensation())
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			refunded := NewState(p, Pay("c", "t", 10), Pay("c", "t", 10).Compensation())
 			if !Acceptable(p, "c", refunded) {
 				t.Error("c's refunded deposit reads as unacceptable")
 			}

@@ -15,12 +15,13 @@
 // # Key types
 //
 //   - Exec is the mutable execution state, dense over the problem's
-//     compiled model.ActionTable: an executed-action bitset by slot,
-//     cash by party slot and item counts by cell, so every predicate
-//     reads slots and none hashes an action. NewExec builds one (and the
+//     compiled model.ActionTable: its executed actions are a
+//     model.State (a bitset by slot, which Snapshot copies), with cash
+//     by party slot and item counts by cell, so every predicate reads
+//     slots and none hashes an action. NewExec builds one (and the
 //     table, on first use); ClonePooled and Release recycle them through
 //     an internal pool. Apply of an action the problem does not define
-//     fails closed with a *ForeignActionError.
+//     fails closed with a *model.ForeignActionError.
 //   - SafeFor / AssetSafe are the two safety semantics (full conjunction
 //     acceptability vs per-exchange asset integrity); AllSafe and
 //     Completed are the whole-state aggregates the search baseline

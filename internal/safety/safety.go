@@ -9,28 +9,16 @@ import (
 )
 
 // Exec tracks the evolving execution of an exchange problem, densely over
-// the problem's action table: the executed actions are a bitset over the
-// table's slots, the holdings one cash balance per party slot and one
-// item count per cell. Every predicate below reads slots; none hashes an
-// action.
+// the problem's action table: the executed actions are a model.State, a
+// bitset over the table's slots, and the holdings one cash balance per
+// party slot and one item count per cell. Every predicate below reads
+// slots; none hashes an action.
 type Exec struct {
 	Problem *model.Problem
 	t       *model.ActionTable
-	done    []uint64      // executed-action bitset, by slot
+	done    model.State   // executed actions
 	cash    []model.Money // by party slot
 	items   []int32       // by cell
-}
-
-// ForeignActionError reports an action that is not one of the problem's
-// own — no exchange, indemnity offer or notification defines it. Apply
-// fails closed on it instead of moving assets the specification never
-// promised.
-type ForeignActionError struct {
-	Action model.Action
-}
-
-func (e *ForeignActionError) Error() string {
-	return fmt.Sprintf("safety: %v is not an action of the problem", e.Action)
 }
 
 // NewExec returns the execution at the status quo, with inferred initial
@@ -41,7 +29,7 @@ func NewExec(p *model.Problem) *Exec {
 	return &Exec{
 		Problem: p,
 		t:       t,
-		done:    make([]uint64, (t.Len()+63)/64),
+		done:    t.NewState(),
 		cash:    slices.Clone(t.InitCash),
 		items:   slices.Clone(t.InitItems),
 	}
@@ -55,7 +43,7 @@ func (x *Exec) Clone() *Exec { return x.cloneInto(new(Exec)) }
 // lets one sync.Pool back every state-space search.
 func (x *Exec) cloneInto(dst *Exec) *Exec {
 	dst.Problem, dst.t = x.Problem, x.t
-	dst.done = append(dst.done[:0], x.done...)
+	dst.done = x.done.CloneInto(dst.done)
 	dst.cash = append(dst.cash[:0], x.cash...)
 	dst.items = append(dst.items[:0], x.items...)
 	return dst
@@ -80,31 +68,16 @@ func Release(x *Exec) {
 	}
 }
 
-func (x *Exec) has(s int32) bool { return x.done[s>>6]&(1<<(uint32(s)&63)) != 0 }
+func (x *Exec) has(s int32) bool { return x.done.HasSlot(int(s)) }
 
 // live reports whether forward transfer slot s occurred uncompensated.
-func (x *Exec) live(s int32) bool { return x.has(s) && !x.has(s+int32(x.t.Transfers)) }
-
-// HasAt reports whether the action in table slot slot has occurred; it
-// makes an Exec a model.ActionView.
-func (x *Exec) HasAt(slot int) bool { return x.has(int32(slot)) }
+func (x *Exec) live(s int32) bool { return x.done.Live(int(s)) }
 
 // Has reports whether the action has occurred.
-func (x *Exec) Has(a model.Action) bool {
-	s, ok := x.t.Slot(a)
-	return ok && x.has(int32(s))
-}
+func (x *Exec) Has(a model.Action) bool { return x.done.Has(a) }
 
-// Snapshot returns the executed actions as a State.
-func (x *Exec) Snapshot() model.State {
-	st := model.NewStateCap(16)
-	for s := 0; s < x.t.Len(); s++ {
-		if x.has(int32(s)) {
-			st.MustAdd(x.t.Action(s))
-		}
-	}
-	return st
-}
+// Snapshot returns a copy of the executed actions.
+func (x *Exec) Snapshot() model.State { return x.done.Clone() }
 
 // Holding returns a copy of a party's current holding, or nil for a
 // party the problem does not name.
@@ -135,20 +108,9 @@ func (x *Exec) ItemCount(id model.PartyID, item model.ItemID) int {
 	return int(x.items[ci])
 }
 
-// endpoints resolves transfer slot s: its forward slot and the holding
-// indices the asset leaves and enters.
-func (x *Exec) endpoints(s int32) (fwd, from, to int32) {
-	n := int32(x.t.Transfers)
-	if s < n {
-		return s, x.t.Src[s], x.t.Dst[s]
-	}
-	fwd = s - n
-	return fwd, x.t.Dst[fwd], x.t.Src[fwd]
-}
-
 // funded reports whether the mover of transfer slot s holds its asset.
 func (x *Exec) funded(s int32) bool {
-	fwd, from, _ := x.endpoints(s)
+	fwd, from, _ := x.t.Endpoints(int(s))
 	if !x.t.Give[fwd] {
 		return x.cash[from] >= x.t.Cash[fwd]
 	}
@@ -166,7 +128,7 @@ func (x *Exec) try(s int32) bool {
 		if !x.funded(s) {
 			return false
 		}
-		fwd, from, to := x.endpoints(s)
+		fwd, from, to := x.t.Endpoints(int(s))
 		if amount := x.t.Cash[fwd]; !x.t.Give[fwd] {
 			x.cash[from] -= amount
 			x.cash[to] += amount
@@ -175,7 +137,7 @@ func (x *Exec) try(s int32) bool {
 			x.items[to]++
 		}
 	}
-	x.done[s>>6] |= 1 << (uint32(s) & 63)
+	x.done.AddSlot(int(s))
 	return true
 }
 
@@ -194,12 +156,12 @@ func (x *Exec) applySlot(s int32) error {
 
 // Apply executes one transfer or notify action, moving assets between
 // holdings. It fails if the action is not one of the problem's own (a
-// *ForeignActionError), the mover cannot fund the transfer, or the action
-// already occurred.
+// *model.ForeignActionError), the mover cannot fund the transfer, or the
+// action already occurred.
 func (x *Exec) Apply(a model.Action) error {
 	s, ok := x.t.Slot(a)
 	if !ok {
-		return &ForeignActionError{Action: a}
+		return &model.ForeignActionError{Action: a}
 	}
 	return x.applySlot(int32(s))
 }
@@ -251,7 +213,7 @@ func (x *Exec) Post(oi int) error {
 	if s := x.t.Post[oi]; s >= 0 {
 		return x.applySlot(s)
 	}
-	return &ForeignActionError{Action: IndemnityPostAction(x.Problem, x.Problem.Indemnities[oi])}
+	return &model.ForeignActionError{Action: IndemnityPostAction(x.Problem, x.Problem.Indemnities[oi])}
 }
 
 // Posted reports whether offer oi's collateral has been posted (whether
@@ -275,14 +237,7 @@ func (x *Exec) Deposited(ei int) bool {
 // Delivered reports whether every receipt action of exchange ei has
 // occurred and none has been compensated (a returned early withdrawal
 // leaves the exchange undelivered).
-func (x *Exec) Delivered(ei int) bool {
-	for _, r := range x.t.Receipts(ei) {
-		if !x.live(r) {
-			return false
-		}
-	}
-	return true
-}
+func (x *Exec) Delivered(ei int) bool { return x.done.Delivered(ei) }
 
 // PartialDeposit reports whether some but not all deposit actions of ei
 // occurred without compensation.
@@ -766,7 +721,7 @@ func windDownAcceptable(x *Exec, principal int32, assets bool) bool {
 			break
 		}
 	}
-	return c.settleIndemnities() && c.t.Acceptable(int(principal), c, assets)
+	return c.settleIndemnities() && c.t.Acceptable(int(principal), c.done, assets)
 }
 
 // othersDeposited reports whether every exchange at the trusted component

@@ -660,22 +660,21 @@ func (rs *runtime) inject(data []byte) error {
 	return nil
 }
 
-// replayLedger reconstructs the account book with the live run's own
-// debit and credit: each delivered transfer in the trace moves mover →
-// transit → receiver; each still-pending transfer, already resolved,
-// holds its in-flight debit, mover → transit.
+// replayLedger resolves the trace's messages and reconstructs the
+// account book with the live run's own debit and credit: each delivered
+// transfer in the trace moves mover → transit → receiver; each
+// still-pending transfer, already resolved, holds its in-flight debit,
+// mover → transit.
 func (rs *runtime) replayLedger(trace, pending []Message) error {
 	n := rs.net
-	for _, m := range trace {
-		if m.Kind != MsgTransfer {
-			continue
-		}
-		err := n.resolve(&m)
-		if err == nil {
-			err = n.debit(&m)
-		}
-		if err == nil {
-			err = n.credit(&m)
+	for i := range trace {
+		m := &trace[i]
+		err := n.resolve(m)
+		if err == nil && m.Kind == MsgTransfer {
+			err = n.debit(m)
+			if err == nil {
+				err = n.credit(m)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)

@@ -31,12 +31,13 @@
 // A run pays for its messages, not for allocations and string hashes.
 // The network numbers its party slots in the problem's order with the
 // transit account last, so it, its ledger and the problem's
-// model.ActionTable share one slot space. A transfer resolves its party
-// slots and, for a give, its two cells once, when it is sent, and
-// carries them in unexported fields, so delivery and both ledger
-// movements index arrays; a transfer the problem does not define fails
-// there with ErrUndefinedTransfer. The event wheel queues int32 handles into a
-// Message arena, and the trace, the result state, the settlement log
+// model.ActionTable share one slot space. A transfer or notify resolves
+// its receiver's party slot and its action's slot in the table once,
+// when it is sent, and carries them in unexported fields, so delivery,
+// both ledger movements and the result state index arrays; a transfer
+// the problem does not define fails there with ErrUndefinedTransfer.
+// The event wheel queues int32 handles into a Message arena, the result
+// state is a bitset over the table, and the trace, the settlement log
 // and the nodes' working sets are sized from the plan. With
 // Options.Obs set, Run times its setup, loop, assemble and settlement
 // phases as child spans of its sim.run span and as sim.phase.*

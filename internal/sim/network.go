@@ -60,13 +60,13 @@ type Message struct {
 	Tag string
 
 	seq int // FIFO tiebreaker for equal delivery times
-	// to is the party slot of To (-1 when unknown). A transfer sent
-	// under a ledger also carries the party slot of its asset's mover
-	// and, for a give, the cells the document leaves and enters (-1 for
-	// a pay). They are resolved once, when the message is sent, so
-	// delivery and both ledger movements index arrays instead of
-	// hashing party and item IDs.
-	to, mover, src, dst int32
+	// to is the party slot of To (-1 when unknown). A transfer or an
+	// untagged notify sent in a run also carries its action's slot in
+	// the problem's action table (-1 when it has none). Both are
+	// resolved once, when the message is sent, so delivery, both ledger
+	// movements and the assembled State index arrays instead of hashing
+	// party and item IDs.
+	to, slot int32
 }
 
 // String renders the message.
@@ -194,22 +194,27 @@ type Network struct {
 
 // debit moves a sent transfer's asset from its mover into transit.
 func (n *Network) debit(m *Message) error {
-	return n.book.TransferAt(m.mover, n.transit, cashOf(&m.Action), m.src, n.book.InFlight(m.dst))
+	mover, cash, src, dst := n.asset(m)
+	return n.book.TransferAt(mover, n.transit, cash, src, n.book.InFlight(dst))
 }
 
 // credit moves a delivered transfer's asset from transit to its
 // receiver.
 func (n *Network) credit(m *Message) error {
-	return n.book.TransferAt(n.transit, m.to, cashOf(&m.Action), n.book.InFlight(m.dst), m.dst)
+	_, cash, _, dst := n.asset(m)
+	return n.book.TransferAt(n.transit, m.to, cash, n.book.InFlight(dst), dst)
 }
 
-// cashOf is the money a transfer action moves: a pay's amount, nothing
-// for a give, whose document the message's cells name.
-func cashOf(a *model.Action) model.Money {
-	if a.Kind == model.ActionPay {
-		return a.Amount
+// asset reads a transfer message's slot in the action table: the party
+// slot of the asset's mover, the money it moves, and for a give the
+// cells the document leaves and enters (-1 for a pay).
+func (n *Network) asset(m *Message) (mover int32, cash model.Money, src, dst int32) {
+	t := n.table
+	fwd, from, to := t.Endpoints(int(m.slot))
+	if !t.Give[fwd] {
+		return from, t.Cash[fwd], -1, -1
 	}
-	return 0
+	return t.CellParty[from], 0, from, to
 }
 
 // Config tunes the network.
@@ -346,27 +351,36 @@ func (n *Network) lookup(id model.PartyID) int32 {
 }
 
 // ErrUndefinedTransfer is the error of a transfer the problem does not
-// define: its mover or receiver is not one of the problem's parties, or
-// no exchange moves a give's document through one of them. Such a
-// transfer has no place in the ledger, so it fails closed at send,
-// before any debit.
+// define: no exchange, indemnity offer or compensation of one is that
+// action, so it has no slot in the action table and no place in the
+// ledger. It fails closed at send, before any debit.
 var ErrUndefinedTransfer = errors.New("sim: transfer the problem does not define")
 
-// place resolves a transfer message's asset against the run's action
-// table: the mover's party slot and, for a give, the cells the document
-// leaves and enters.
-func (n *Network) place(m *Message, mover int32) error {
-	m.mover, m.src, m.dst = mover, -1, -1
-	if mover < 0 || mover >= n.transit || m.to < 0 || m.to >= n.transit {
-		return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
+// place resolves the slot of a message's action in the run's action
+// table from the party slots the message carries: to, and other, the
+// action's other party — a transfer's asset mover, a notify's sender.
+// The slot is -1 when the action has none, or the network runs without
+// a table.
+func (n *Network) place(m *Message, other int32) {
+	m.slot = -1
+	if n.table == nil || other < 0 || other >= n.transit || m.to < 0 || m.to >= n.transit {
+		return
 	}
-	if m.Action.Kind == model.ActionGive {
-		src, okSrc := n.table.Cell(int(mover), m.Action.Item)
-		dst, okDst := n.table.Cell(int(m.to), m.Action.Item)
-		if !okSrc || !okDst {
-			return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
-		}
-		m.src, m.dst = int32(src), int32(dst)
+	from, to := other, m.to
+	if m.Action.Inverse {
+		from, to = to, from
+	}
+	if s, ok := n.table.SlotAt(m.Action, from, to); ok {
+		m.slot = int32(s)
+	}
+}
+
+// placeTransfer is place for a transfer, which fails closed without a
+// slot.
+func (n *Network) placeTransfer(m *Message, mover int32) error {
+	n.place(m, mover)
+	if m.slot < 0 || !m.Action.IsTransfer() {
+		return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
 	}
 	return nil
 }
@@ -375,9 +389,13 @@ func (n *Network) place(m *Message, mover int32) error {
 // messages that did not come through a Context, such as a checkpoint's
 // trace and pending events.
 func (n *Network) resolve(m *Message) error {
-	m.to = n.lookup(m.To)
-	if m.Kind == MsgTransfer && n.book != nil {
-		return n.place(m, n.lookup(m.Action.Mover()))
+	m.to, m.slot = n.lookup(m.To), -1
+	switch {
+	case n.book == nil || m.Tag != "":
+	case m.Kind == MsgTransfer:
+		return n.placeTransfer(m, n.lookup(m.Action.Mover()))
+	case m.Kind == MsgNotify:
+		n.place(m, n.lookup(m.Action.From))
 	}
 	return nil
 }
@@ -744,13 +762,13 @@ func (c *Context) Self() model.PartyID { return c.self }
 // ErrUndefinedTransfer when the problem does not define it.
 func (c *Context) SendTransfer(a model.Action) error {
 	to := receiverNode(a)
-	m := Message{From: c.self, To: to, Kind: MsgTransfer, Action: a, to: c.net.lookup(to)}
+	m := Message{From: c.self, To: to, Kind: MsgTransfer, Action: a, to: c.net.lookup(to), slot: -1}
 	if c.net.book != nil {
 		mover := c.slot
 		if id := a.Mover(); id != c.self {
 			mover = c.net.lookup(id)
 		}
-		if err := c.net.place(&m, mover); err != nil {
+		if err := c.net.placeTransfer(&m, mover); err != nil {
 			return err
 		}
 		if err := c.net.debit(&m); err != nil {
@@ -763,8 +781,10 @@ func (c *Context) SendTransfer(a model.Action) error {
 
 // SendNotify sends a notification action.
 func (c *Context) SendNotify(to model.PartyID) {
-	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Action: model.Notify(c.self, to),
-		to: c.net.lookup(to)})
+	m := Message{From: c.self, To: to, Kind: MsgNotify, Action: model.Notify(c.self, to),
+		to: c.net.lookup(to)}
+	c.net.place(&m, c.slot)
+	c.net.send(m)
 }
 
 // SendTagged sends a notification carrying a protocol tag (e.g. the

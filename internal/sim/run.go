@@ -99,13 +99,7 @@ type Result struct {
 // Completed reports whether every exchange delivered in full.
 func (r *Result) Completed() bool {
 	for ei := range r.Problem.Exchanges {
-		done := true
-		for _, a := range model.ReceiptActions(r.Problem.Exchanges[ei]) {
-			if !r.State.Has(a) || r.State.Has(a.Compensation()) {
-				done = false
-			}
-		}
-		if !done {
+		if !r.State.Delivered(ei) {
 			return false
 		}
 	}
@@ -242,7 +236,7 @@ func (rs *runtime) assemble() (*Result, error) {
 	p, net := rs.p, rs.net
 	res := &Result{
 		Problem:         p,
-		State:           model.NewStateCap(len(net.trace)),
+		State:           net.table.NewState(),
 		Balances:        make(map[model.PartyID]*model.Holding, net.transit+1),
 		Duration:        net.Now(),
 		DroppedNotifies: net.dropped,
@@ -257,7 +251,10 @@ func (rs *runtime) assemble() (*Result, error) {
 		if m.Tag != "" {
 			continue // control messages are not exchange actions
 		}
-		if err := res.State.Add(m.Action); err != nil {
+		if m.slot < 0 {
+			return nil, fmt.Errorf("sim: delivered %w", &model.ForeignActionError{Action: m.Action})
+		}
+		if !res.State.AddSlot(int(m.slot)) {
 			res.DuplicateActions++
 		}
 	}

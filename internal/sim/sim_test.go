@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
@@ -309,15 +310,22 @@ func TestSendTransferUndefinedFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := rs.net
-	net.ctx.self, net.ctx.slot = paperex.Producer, net.lookup(paperex.Producer)
 	opening := rs.book.String()
-	for _, a := range []model.Action{
-		model.Give(paperex.Producer, paperex.Trusted2, "ghost"), // no exchange moves the document
-		model.Give(paperex.Producer, "ghost", paperex.Doc),      // the receiver is no party
-		model.Pay(paperex.Producer, ledger.TransitID, 0),        // nor is the transit account
+	for _, tc := range []struct {
+		from model.PartyID
+		a    model.Action
+	}{
+		{paperex.Producer, model.Give(paperex.Producer, paperex.Trusted2, "ghost")}, // no exchange moves the document
+		{paperex.Producer, model.Give(paperex.Producer, "ghost", paperex.Doc)},      // the receiver is no party
+		{paperex.Producer, model.Pay(paperex.Producer, ledger.TransitID, 0)},        // nor is the transit account
+		// Endpoints and cells exist, but no exchange pays $99: the
+		// action has no slot in the table.
+		{paperex.Consumer, model.Pay(paperex.Consumer, paperex.Trusted1, 99)},
+		{paperex.Producer, model.Notify(paperex.Producer, paperex.Trusted2)}, // not a transfer
 	} {
-		if err := net.ctx.SendTransfer(a); !errors.Is(err, ErrUndefinedTransfer) {
-			t.Errorf("SendTransfer(%v) = %v, want ErrUndefinedTransfer", a, err)
+		net.ctx.self, net.ctx.slot = tc.from, net.lookup(tc.from)
+		if err := net.ctx.SendTransfer(tc.a); !errors.Is(err, ErrUndefinedTransfer) {
+			t.Errorf("SendTransfer(%v) = %v, want ErrUndefinedTransfer", tc.a, err)
 		}
 	}
 	if got := rs.book.String(); got != opening {
@@ -325,6 +333,40 @@ func TestSendTransferUndefinedFailsClosed(t *testing.T) {
 	}
 	if n := net.q.len(); n != 0 {
 		t.Errorf("undefined transfers queued %d messages", n)
+	}
+}
+
+// A delivered action the problem does not define fails the run's
+// assembly instead of dropping out of the State.
+func TestAssembleRejectsUndefinedAction(t *testing.T) {
+	t.Parallel()
+	rs, err := setupRun(plan(t, paperex.Example1()), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := rs.net
+	m := Message{From: paperex.Trusted1, To: paperex.Producer, Kind: MsgNotify,
+		Action: model.Notify(paperex.Trusted1, paperex.Producer), to: net.lookup(paperex.Producer)}
+	net.place(&m, net.lookup(paperex.Trusted1))
+	if m.slot >= 0 {
+		t.Fatalf("%v has slot %d; no exchange joins them", m.Action, m.slot)
+	}
+	net.trace = append(net.trace, m)
+	var foreign *model.ForeignActionError
+	if _, err := rs.assemble(); !errors.As(err, &foreign) {
+		t.Fatalf("assemble = %v, want a *model.ForeignActionError", err)
+	}
+}
+
+// Resolving a message's action slot at send takes the place of the
+// mover and cells it used to carry: a Message does not grow.
+func TestMessageSize(t *testing.T) {
+	t.Parallel()
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Message{}); n > 160 {
+		t.Fatalf("Message is %d bytes, want at most 160", n)
 	}
 }
 

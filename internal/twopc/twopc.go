@@ -211,9 +211,10 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 	}
 	stats := Coordinator(parts)
 
-	// Build the resulting state from the transfers each participant
-	// committed to the book.
-	state := model.NewState()
+	// Build the set of transfers the participants committed to the book.
+	// Identical pays from one principal to one counterparty collapse into
+	// one entry, as in the paper's set-of-actions states.
+	sent := make(map[model.Action]bool)
 	for _, part := range parts {
 		ep := part.(*ExchangeParticipant)
 		for ei, ex := range p.Exchanges {
@@ -222,17 +223,17 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 			}
 			to, _ := counterparty(p, ei)
 			if ex.Gives.Amount > 0 {
-				_ = state.Add(model.Pay(ep.Party, to, ex.Gives.Amount))
+				sent[model.Pay(ep.Party, to, ex.Gives.Amount)] = true
 			}
 			for _, it := range ex.Gives.Items {
-				_ = state.Add(model.Give(ep.Party, to, it))
+				sent[model.Give(ep.Party, to, it)] = true
 			}
 		}
 	}
 	outcome := make(map[model.PartyID]bool, len(ids))
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		outcome[id] = acceptableDirect(p, id, state)
+		outcome[id] = acceptableDirect(p, id, sent)
 	}
 	if err := book.Audit(); err != nil {
 		return stats, outcome, err
@@ -241,12 +242,13 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 }
 
 // acceptableDirect checks per-exchange integrity for direct transfers
-// (no intermediaries): for every exchange whose Gives the principal
-// actually sent, the corresponding Gets must have arrived.
-func acceptableDirect(p *model.Problem, id model.PartyID, s model.State) bool {
+// (no intermediaries) over the set of committed transfers: for every
+// exchange whose Gives the principal actually sent, the corresponding
+// Gets must have arrived.
+func acceptableDirect(p *model.Problem, id model.PartyID, sent map[model.Action]bool) bool {
 	received := model.NewHolding()
-	for _, a := range s.Actions() {
-		if a.IsTransfer() && a.Receiver() == id {
+	for a := range sent {
+		if a.Receiver() == id {
 			received.Add(a.Asset())
 		}
 	}
@@ -258,16 +260,11 @@ func acceptableDirect(p *model.Problem, id model.PartyID, s model.State) bool {
 		if !ok {
 			continue
 		}
-		sent := true
-		if ex.Gives.Amount > 0 && !s.Has(model.Pay(id, to, ex.Gives.Amount)) {
-			sent = false
-		}
+		done := ex.Gives.Amount == 0 || sent[model.Pay(id, to, ex.Gives.Amount)]
 		for _, it := range ex.Gives.Items {
-			if !s.Has(model.Give(id, to, it)) {
-				sent = false
-			}
+			done = done && sent[model.Give(id, to, it)]
 		}
-		if !sent {
+		if !done {
 			continue
 		}
 		if !received.Contains(ex.Gets) {

@@ -148,16 +148,18 @@ func TestIncrementalPatchAllocBudget(t *testing.T) {
 
 // TestPopulationSimAllocBudget gates the bytes one sim.Run allocates,
 // with the settlement log on, per principal of a 10^3-consumer
-// population. The budget is the measured 12.9 KB per principal plus
+// population. The budget is the measured 7.35 KB per principal plus
 // 25% headroom. Messages sit in the event queue as int32 handles into a
-// reused arena, and the trace, the settlement log's levels, the result
+// reused arena; the trace, the settlement log's levels, the result
 // state and every trusted node's escrow log are sized from the plan up
-// front. Queueing Message values again, or growing the trace by
-// append, lands above the budget (about 18.7 and 19.8 KB).
+// front; and the nodes' scripts, seen, sent and escrow sets hold 4-byte
+// action-table slots. Holding 72-byte Action values in those sets
+// again lands above the budget (10.3 KB), and so does queueing Message
+// values or growing the trace by append, each of which added 6–7 KB.
 func TestPopulationSimAllocBudget(t *testing.T) {
 	skipIfRace(t)
 	const principals = 1000
-	const budget = 12900 * 1.25 // bytes per principal
+	const budget = 7350 * 1.25 // bytes per principal
 	plan, err := core.Synthesize(gen.Population(principals, 0, 10))
 	if err != nil {
 		t.Fatal(err)

@@ -50,14 +50,17 @@ func (k StepKind) String() string {
 
 // Step is one entry of the execution sequence. Exchange is set for
 // deposits and deliveries; Offer indexes Problem.Indemnities for the
-// indemnity steps. Actions holds the primitive model actions the step
-// performs, in order.
+// indemnity steps. Slots holds the primitive actions the step performs,
+// in order, as slots of the problem's model.ActionTable: a deposit or a
+// delivery shares its exchange's row of the table, so a plan stores no
+// Action values (ActionTable.Action renders one). The slices are shared
+// and read-only.
 type Step struct {
 	Kind     StepKind
 	Exchange int
 	Offer    int
 	From, To model.PartyID
-	Actions  []model.Action
+	Slots    []int32
 }
 
 // String renders the step the way Section 5 writes them.
@@ -182,16 +185,13 @@ func SynthesizeWith(p *model.Problem, reduce func(*sequencing.Graph) *sequencing
 // cannot be posted yet are blocked and retried after later events.
 func (p *Plan) schedule() error {
 	exec := safety.NewExec(p.Problem)
+	t := p.Problem.ActionTable()
 	var steps []Step
 	posted := make([]bool, len(p.Problem.Indemnities))
 	// postedVias accumulates the Via components of collateral posted
 	// since the last drain; a post action can coincide with a deposit
 	// action at the Via, so those components may have become ready.
-	var postedVias []model.PartyID
-	rosterAt := make(map[model.PartyID]int, len(p.Problem.Parties))
-	for i, pa := range p.Problem.Parties {
-		rosterAt[pa.ID] = i
-	}
+	var postedVias []int32 // party slots
 
 	remaining := make(map[int]int, len(p.Sequencing.Commitments))
 	redAt := make(map[int]bool)
@@ -242,14 +242,17 @@ func (p *Plan) schedule() error {
 				i++
 				continue
 			}
-			n := model.Notify(pn.trusted, pn.target)
-			if err := exec.Apply(n); err != nil {
+			// The notify a Rule #2 removal at the trusted conjunction
+			// plans is the one the commitment's exchange defines: its
+			// trusted component is the conjunction's agent.
+			n := t.Notify(pn.commit)
+			if err := exec.ApplySlot(int(n)); err != nil {
 				return fmt.Errorf("notify from %s: %w", pn.trusted, err)
 			}
 			steps = append(steps, Step{
 				Kind: StepNotify,
 				From: pn.trusted, To: pn.target,
-				Actions: []model.Action{n},
+				Slots: []int32{n},
 			})
 			notifies = append(notifies[:i], notifies[i+1:]...)
 			i = 0 // restart: order within pending set is by eligibility
@@ -278,13 +281,13 @@ func (p *Plan) schedule() error {
 			if err := exec.Post(oi); err != nil {
 				return fmt.Errorf("posting indemnity %d: %w", oi, err)
 			}
-			post := safety.IndemnityPostAction(p.Problem, off)
 			posted[oi] = true
-			postedVias = append(postedVias, off.Via)
+			_, via := t.Parties(int(t.Post[oi]))
+			postedVias = append(postedVias, via)
 			steps = append(steps, Step{
 				Kind: StepIndemnityPost, Offer: oi,
 				From: off.By, To: off.Via,
-				Actions: []model.Action{post},
+				Slots: []int32{t.Post[oi]},
 			})
 		}
 		return nil
@@ -292,8 +295,8 @@ func (p *Plan) schedule() error {
 
 	deposit := func(ci int) error {
 		e := p.Problem.Exchanges[ci]
-		acts := model.DepositActions(e)
-		if len(acts) == 0 {
+		slots := t.Deposits(ci)
+		if len(slots) == 0 {
 			return nil
 		}
 		if err := exec.ApplyDeposits(ci); err != nil {
@@ -302,7 +305,7 @@ func (p *Plan) schedule() error {
 		steps = append(steps, Step{
 			Kind: StepDeposit, Exchange: ci,
 			From: e.Principal, To: e.Trusted,
-			Actions: acts,
+			Slots: slots,
 		})
 		return nil
 	}
@@ -315,56 +318,45 @@ func (p *Plan) schedule() error {
 	// collateral post, whose post action can double as a deposit — can
 	// have become ready, so the hot callers pass exactly those instead
 	// of sweeping the whole roster on every deposit.
-	drain := func(cands ...model.PartyID) error {
-		slices.SortFunc(cands, func(a, b model.PartyID) int {
-			return rosterAt[a] - rosterAt[b]
-		})
-		var prev model.PartyID
-		for _, t := range cands {
-			if t == prev {
+	drain := func(cands []int32) error {
+		slices.Sort(cands) // party slots: roster order
+		prev := int32(-1)
+		for _, tr := range cands {
+			if tr == prev {
 				continue
 			}
-			prev = t
-			if !exec.TrustedReady(t) {
+			prev = tr
+			trusted := p.Problem.Parties[tr].ID
+			if !exec.TrustedReady(trusted) {
 				continue
 			}
-			for _, ei := range p.Problem.ExchangesOf(t) {
-				e := p.Problem.Exchanges[ei]
-				if e.Trusted != t || exec.Delivered(ei) {
+			for _, ei := range t.At(int(tr)) {
+				if exec.Delivered(int(ei)) {
 					continue
 				}
-				acts := model.ReceiptActions(e)
-				if len(acts) == 0 {
+				slots := t.Receipts(int(ei))
+				if len(slots) == 0 {
 					continue
 				}
-				if err := exec.ApplyReceipts(ei); err != nil {
+				if err := exec.ApplyReceipts(int(ei)); err != nil {
 					return fmt.Errorf("delivery for exchange %d: %w", ei, err)
 				}
 				steps = append(steps, Step{
-					Kind: StepDeliver, Exchange: ei,
-					From: t, To: e.Principal,
-					Actions: acts,
+					Kind: StepDeliver, Exchange: int(ei),
+					From: trusted, To: p.Problem.Exchanges[ei].Principal,
+					Slots: slots,
 				})
 			}
 		}
 		return nil
 	}
-	drainAll := func() error {
-		cands := make([]model.PartyID, 0, len(p.Problem.Parties))
-		for _, pa := range p.Problem.Parties {
-			if pa.IsTrusted() {
-				cands = append(cands, pa.ID)
-			}
-		}
-		return drain(cands...)
-	}
+	drainAll := func() error { return drain(slices.Clone(t.Trusteds)) }
 	// drainAfterDeposit drains at the components the deposit for ci (and
 	// any collateral posted with it) could have readied.
 	drainAfterDeposit := func(ci int) error {
-		hints := postedVias
+		hints := append(postedVias, t.Trusted[ci])
 		postedVias = nil
-		hints = append(hints, p.Problem.Exchanges[ci].Trusted)
-		return drain(hints...)
+		return drain(hints)
 	}
 
 	// Persona commitments (the principal plays the trusted role, Section
@@ -383,7 +375,7 @@ func (p *Plan) schedule() error {
 		steps = append(steps, Step{
 			Kind: StepDeliver, Exchange: ci,
 			From: e.Trusted, To: e.Principal,
-			Actions: model.ReceiptActions(e),
+			Slots: t.Receipts(ci),
 		})
 		deferred = append(deferred, ci)
 		return nil
@@ -557,14 +549,14 @@ func (p *Plan) schedule() error {
 		if !posted[oi] {
 			continue
 		}
-		refund := safety.IndemnityPostAction(p.Problem, off).Compensation()
-		if err := exec.Apply(refund); err != nil {
+		refund := t.Post[oi] + int32(t.Transfers) // the post's compensation
+		if err := exec.ApplySlot(int(refund)); err != nil {
 			return fmt.Errorf("refunding indemnity %d: %w", oi, err)
 		}
 		steps = append(steps, Step{
 			Kind: StepIndemnityRefund, Offer: oi,
 			From: off.Via, To: off.By,
-			Actions: []model.Action{refund},
+			Slots: []int32{refund},
 		})
 	}
 
@@ -633,8 +625,8 @@ func (p *Plan) Verify() error {
 	}
 	exec := safety.NewExec(p.Problem)
 	for si, st := range p.Steps {
-		for _, a := range st.Actions {
-			if err := exec.Apply(a); err != nil {
+		for _, s := range st.Slots {
+			if err := exec.ApplySlot(int(s)); err != nil {
 				return fmt.Errorf("core: step %d (%v): %w", si, st, err)
 			}
 		}
@@ -669,27 +661,41 @@ func (p *Plan) Verify() error {
 // problem's explicit ordering constraints (Section 2.4): for each
 // constraint, if the After action occurs in the plan, the Before action
 // must occur earlier. Constraints whose After action never occurs are
-// vacuously satisfied.
+// vacuously satisfied; an action the problem does not define never
+// occurs. A step slot outside the action table is an error.
 func (p *Plan) CheckConstraints() error {
 	if !p.Feasible {
 		return ErrInfeasible
 	}
-	position := make(map[model.Action]int)
+	if len(p.Problem.Constraints) == 0 {
+		return nil
+	}
+	t := p.Problem.ActionTable()
+	position := make([]int, t.Len()) // first position + 1 of each slot; 0 if absent
 	idx := 0
-	for _, st := range p.Steps {
-		for _, a := range st.Actions {
-			if _, ok := position[a]; !ok {
-				position[a] = idx
+	for si, st := range p.Steps {
+		for _, s := range st.Slots {
+			if s < 0 || int(s) >= len(position) {
+				return fmt.Errorf("core: step %d (%v): %w: %d", si, st, safety.ErrUnknownSlot, s)
 			}
 			idx++
+			if position[s] == 0 {
+				position[s] = idx
+			}
 		}
 	}
+	at := func(a model.Action) (int, bool) {
+		if s, ok := t.Slot(a); ok && position[s] > 0 {
+			return position[s] - 1, true
+		}
+		return 0, false
+	}
 	for _, c := range p.Problem.Constraints {
-		after, ok := position[c.After]
+		after, ok := at(c.After)
 		if !ok {
 			continue
 		}
-		before, ok := position[c.Before]
+		before, ok := at(c.Before)
 		if !ok {
 			return fmt.Errorf("core: constraint %v: the later action occurs but the earlier one never does", c)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
+	"trustseq/internal/safety"
 )
 
 func synth(t testing.TB, p *model.Problem) *Plan {
@@ -203,22 +204,38 @@ func TestVariant1PlanUsesPersona(t *testing.T) {
 }
 
 // A plan that lies about one deposit amount names an action no exchange
-// defines. Verify must refuse it as foreign instead of replaying it:
-// replaying would move assets the specification never promised.
+// defines. The action table gives it no slot, so it cannot enter a plan,
+// and replaying it is refused as foreign: it would move assets the
+// specification never promised. The nearest a plan can come is a slot
+// outside the table, which Verify must refuse instead of indexing.
 func TestVerifyRejectsForeignAction(t *testing.T) {
 	t.Parallel()
 	plan := synth(t, paperex.Example1())
+	tab := plan.Problem.ActionTable()
 	for si, st := range plan.Steps {
-		if st.Kind != StepDeposit || st.Actions[0].Kind != model.ActionPay {
+		if st.Kind != StepDeposit || tab.Action(int(st.Slots[0])).Kind != model.ActionPay {
 			continue
 		}
-		lie := slices.Clone(st.Actions)
-		lie[0].Amount--
-		plan.Steps[si].Actions = lie
-		err := plan.Verify()
+		lie := tab.Action(int(st.Slots[0]))
+		lie.Amount--
+		if s, ok := tab.Slot(lie); ok {
+			t.Fatalf("the action table gives %v slot %d", lie, s)
+		}
 		var foreign *model.ForeignActionError
-		if !errors.As(err, &foreign) || foreign.Action != lie[0] {
-			t.Fatalf("Verify with %v changed to %v = %v, want a *model.ForeignActionError", st.Actions[0], lie[0], err)
+		if err := safety.NewExec(plan.Problem).Apply(lie); !errors.As(err, &foreign) || foreign.Action != lie {
+			t.Fatalf("Apply(%v) = %v, want a *model.ForeignActionError", lie, err)
+		}
+		for _, bad := range []int32{int32(tab.Len()), -1} {
+			planted := slices.Clone(st.Slots)
+			planted[0] = bad
+			plan.Steps[si].Slots = planted
+			if err := plan.Verify(); !errors.Is(err, safety.ErrUnknownSlot) {
+				t.Fatalf("Verify with slot %d planted in step %d = %v, want safety.ErrUnknownSlot", bad, si, err)
+			}
+		}
+		plan.Steps[si].Slots = st.Slots
+		if err := plan.Verify(); err != nil {
+			t.Fatalf("Verify after restoring step %d = %v", si, err)
 		}
 		return
 	}

@@ -53,7 +53,7 @@ func PlanCost(plan *core.Plan) (Breakdown, error) {
 	for _, st := range plan.Steps {
 		switch st.Kind {
 		case core.StepDeposit, core.StepDeliver:
-			b.Transfers += len(st.Actions)
+			b.Transfers += len(st.Slots)
 		case core.StepNotify:
 			b.Notifies++
 		case core.StepIndemnityPost, core.StepIndemnityRefund:

@@ -84,7 +84,9 @@ type ActionTable struct {
 // rows is a compressed row index: row k holds vals[off[k]:off[k+1]].
 type rows struct{ off, vals []int32 }
 
-func (r rows) row(k int) []int32 { return r.vals[r.off[k]:r.off[k+1]] }
+// row returns row k, capped so that an append to it copies instead of
+// writing into row k+1.
+func (r rows) row(k int) []int32 { return r.vals[r.off[k]:r.off[k+1]:r.off[k+1]] }
 
 // groupRows groups the indices i with keys[i] ≥ 0 into one ascending
 // row per key, in a single counting pass.
@@ -140,25 +142,40 @@ func (t *ActionTable) Endpoints(s int) (fwd, from, to int32) {
 	return fwd, t.Dst[fwd], t.Src[fwd]
 }
 
-// Slot returns the slot of an action, or false when the action is not
-// one of the problem's own.
-func (t *ActionTable) Slot(a Action) (int, bool) {
-	from, ok := t.parties[a.From]
-	if !ok {
-		return 0, false
+// Parties returns the party slots of slot s's sender and receiver: the
+// mover and the receiver of a transfer's asset, the notifier and the
+// notified party of a notify.
+func (t *ActionTable) Parties(s int) (from, to int32) {
+	if k := s - 2*t.Transfers; k >= 0 {
+		return t.notifyFrom[k], t.notifyTo[k]
 	}
-	to, ok := t.parties[a.To]
-	if !ok {
-		return 0, false
+	fwd, from, to := t.Endpoints(s)
+	if t.Give[fwd] {
+		return t.CellParty[from], t.CellParty[to]
 	}
-	return t.SlotAt(a, int32(from), int32(to))
+	return from, to
 }
 
-// SlotAt is Slot for an action whose From and To are the parties in
-// slots from and to, which must be party slots of the problem: it
-// resolves the action among the exchanges between the two and the
-// indemnity offers, without probing the party index.
-func (t *ActionTable) SlotAt(a Action, from, to int32) (int, bool) {
+// Notify returns the slot of the notify exchange ei's trusted component
+// sends its principal.
+func (t *ActionTable) Notify(ei int) int32 { return t.notify[ei] }
+
+// Slot returns the slot of an action, or false when the action is not
+// one of the problem's own. It resolves the action's parties through the
+// party index, then searches the exchanges between the two and the
+// indemnity offers. It is the one way from an Action to a slot, for
+// actions that arrive from outside a plan: everything a plan or a
+// simulation derives from the table carries slots already.
+func (t *ActionTable) Slot(a Action) (int, bool) {
+	fi, ok := t.parties[a.From]
+	if !ok {
+		return 0, false
+	}
+	ti, ok := t.parties[a.To]
+	if !ok {
+		return 0, false
+	}
+	from, to := int32(fi), int32(ti)
 	switch {
 	case a.Kind == ActionNotify && !a.Inverse && a.Item == "" && a.Amount == 0:
 		if ei := t.firstBetween(to, from, len(t.notify)); ei >= 0 {

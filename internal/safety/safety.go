@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -162,6 +163,19 @@ func (x *Exec) Apply(a model.Action) error {
 	s, ok := x.t.Slot(a)
 	if !ok {
 		return &model.ForeignActionError{Action: a}
+	}
+	return x.applySlot(int32(s))
+}
+
+// ErrUnknownSlot is the error of a slot outside the problem's action
+// table.
+var ErrUnknownSlot = errors.New("safety: slot outside the problem's action table")
+
+// ApplySlot is Apply for the action in slot s of the problem's action
+// table. A slot outside the table fails with ErrUnknownSlot.
+func (x *Exec) ApplySlot(s int) error {
+	if s < 0 || s >= x.t.Len() {
+		return fmt.Errorf("%w: %d of %d", ErrUnknownSlot, s, x.t.Len())
 	}
 	return x.applySlot(int32(s))
 }

@@ -73,26 +73,25 @@ func escrowNode(t *testing.T) *TrustedNode {
 	if len(n.adjacent) < 2 {
 		t.Fatalf("%s mediates %d exchanges, want ≥ 2", n.Self, len(n.adjacent))
 	}
-	for _, d := range model.DepositActions(p.Exchanges[n.adjacent[0]]) {
+	for _, d := range n.t.Deposits(int(n.adjacent[0])) {
 		n.received.add(d)
 	}
 	return n
 }
 
 // The escrow membership checks run on every transfer a trusted node
-// receives and must not allocate: they walk the exchange's Gives bundle
-// in place rather than materialising DepositActions.
+// receives and must not allocate: they walk the exchange's deposit row
+// of the action table in place.
 func TestEscrowChecksZeroAlloc(t *testing.T) {
 	n := escrowNode(t)
-	p := n.Problem
-	stray := model.Pay("nobody", n.Self, 1)
-	deposit := model.DepositActions(p.Exchanges[n.adjacent[1]])[0]
+	deposit := n.t.Deposits(int(n.adjacent[1]))[0]
+	stray := deposit + int32(n.t.Transfers) // its refund is no deposit
 	avg := testing.AllocsPerRun(1000, func() {
 		for _, ei := range n.adjacent {
 			n.exchangeWhole(ei)
 		}
 		if ei, ok := n.matchDeposit(deposit); !ok || ei != n.adjacent[1] {
-			t.Fatalf("matchDeposit(%v) = %d, %v", deposit, ei, ok)
+			t.Fatalf("matchDeposit(%d) = %d, %v", deposit, ei, ok)
 		}
 		if _, ok := n.matchDeposit(stray); ok {
 			t.Fatalf("matchDeposit matched a stray transfer")
@@ -103,20 +102,28 @@ func TestEscrowChecksZeroAlloc(t *testing.T) {
 	}
 }
 
-// The in-place escrow checks agree with their definition over
-// DepositActions on every trusted node of the chaos corpus: a transfer
-// matches the first adjacent exchange listing it as a deposit, and an
-// exchange is whole iff every deposit is held and none refunded.
+// The escrow checks agree with their definition over DepositActions on
+// every trusted node of the chaos corpus: a transfer matches the first
+// adjacent exchange listing it as a deposit, and an exchange is whole
+// iff every deposit is held and none refunded.
 func TestEscrowChecksMatchDepositActions(t *testing.T) {
 	t.Parallel()
 	for _, pl := range chaosCorpus(t) {
 		p := pl.Problem
+		tab := p.ActionTable()
+		slot := func(a model.Action) int32 {
+			s, ok := tab.Slot(a)
+			if !ok {
+				t.Fatalf("%s: deposit %v has no slot", p.Name, a)
+			}
+			return int32(s)
+		}
 		for _, pa := range p.Parties {
 			if !pa.IsTrusted() {
 				continue
 			}
 			n := NewTrustedNode(p, pa.ID, 1000, true)
-			first := make(map[model.Action]int)
+			first := make(map[model.Action]int32)
 			for _, ei := range n.adjacent {
 				for _, d := range model.DepositActions(p.Exchanges[ei]) {
 					if _, ok := first[d]; !ok {
@@ -125,7 +132,7 @@ func TestEscrowChecksMatchDepositActions(t *testing.T) {
 				}
 			}
 			for d, want := range first {
-				if got, ok := n.matchDeposit(d); !ok || got != want {
+				if got, ok := n.matchDeposit(slot(d)); !ok || got != want {
 					t.Fatalf("%s/%s: matchDeposit(%v) = %d, %v; want %d", p.Name, pa.ID, d, got, ok, want)
 				}
 			}
@@ -138,12 +145,12 @@ func TestEscrowChecksMatchDepositActions(t *testing.T) {
 					t.Fatalf("%s/%s: exchange %d whole before any deposit", p.Name, pa.ID, ei)
 				}
 				for _, d := range deps {
-					n.received.add(d)
+					n.received.add(slot(d))
 				}
 				if !n.exchangeWhole(ei) || !n.allDeposits(ei, n.received.has) {
 					t.Fatalf("%s/%s: exchange %d not whole with every deposit held", p.Name, pa.ID, ei)
 				}
-				n.refunded.add(deps[len(deps)-1])
+				n.refunded.add(slot(deps[len(deps)-1]))
 				if n.exchangeWhole(ei) || !n.allDeposits(ei, n.received.has) {
 					t.Fatalf("%s/%s: exchange %d whole after a refund", p.Name, pa.ID, ei)
 				}

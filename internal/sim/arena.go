@@ -1,7 +1,5 @@
 package sim
 
-import "trustseq/internal/model"
-
 // This file holds the slab-style working-state containers the nodes
 // use instead of per-node maps. A paper-scale run never notices the
 // difference; a million-principal run does: every TrustedNode used to
@@ -12,50 +10,23 @@ import "trustseq/internal/model"
 // handful of entries for paper problems, ~2× fan-out for a
 // population broker.
 
-// actionSet is an open-addressing set of model.Action, hashed by
-// FNV-1a over the action's fields and compared with ==. The zero value
-// is an empty set.
-type actionSet struct {
-	keys []model.Action
+// slotSet is an open-addressing set of action-table slots that keeps
+// its members in insertion order, the order a checkpoint writes them
+// in. The zero value is an empty set.
+type slotSet struct {
+	keys []int32
 	tab  []int32 // stores index+1 into keys; 0 = empty
 }
 
-// hashAction folds every Action field through FNV-1a; a 0xff separator
-// between the string fields keeps ("ab","c") distinct from ("a","bc").
-func hashAction(a model.Action) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h ^= uint64(a.Kind)
-	h *= prime
-	for i := 0; i < len(a.From); i++ {
-		h ^= uint64(a.From[i])
-		h *= prime
-	}
-	h ^= 0xff
-	h *= prime
-	for i := 0; i < len(a.To); i++ {
-		h ^= uint64(a.To[i])
-		h *= prime
-	}
-	h ^= 0xff
-	h *= prime
-	for i := 0; i < len(a.Item); i++ {
-		h ^= uint64(a.Item[i])
-		h *= prime
-	}
-	h ^= 0xff
-	h *= prime
-	h ^= uint64(a.Amount)
-	h *= prime
-	if a.Inverse {
-		h ^= 1
-		h *= prime
-	}
-	return h
+// home returns the first probe position of slot s in a table of the
+// given mask: a multiplicative hash, folded so the high bits count.
+func home(s int32, mask uint32) uint32 {
+	h := uint32(s) * 0x9e3779b1
+	return (h ^ h>>16) & mask
 }
 
 // reserve sizes an empty set for n elements without regrowth.
-func (s *actionSet) reserve(n int) {
+func (s *slotSet) reserve(n int) {
 	if n == 0 {
 		return
 	}
@@ -63,54 +34,54 @@ func (s *actionSet) reserve(n int) {
 	for size*7 <= n*10 {
 		size *= 2
 	}
-	s.keys = make([]model.Action, 0, n)
+	s.keys = make([]int32, 0, n)
 	s.tab = make([]int32, size)
 }
 
-// add inserts a into the set; present elements are left alone.
-func (s *actionSet) add(a model.Action) {
+// add inserts slot v into the set; present elements are left alone.
+func (s *slotSet) add(v int32) {
 	if s.tab == nil {
 		s.tab = make([]int32, 16)
 	}
-	mask := uint64(len(s.tab) - 1)
-	for i := hashAction(a) & mask; ; i = (i + 1) & mask {
+	mask := uint32(len(s.tab) - 1)
+	for i := home(v, mask); ; i = (i + 1) & mask {
 		e := s.tab[i]
 		if e == 0 {
-			s.keys = append(s.keys, a)
+			s.keys = append(s.keys, v)
 			s.tab[i] = int32(len(s.keys))
 			if len(s.keys)*10 >= len(s.tab)*7 {
 				s.grow()
 			}
 			return
 		}
-		if s.keys[e-1] == a {
+		if s.keys[e-1] == v {
 			return
 		}
 	}
 }
 
 // has reports membership.
-func (s *actionSet) has(a model.Action) bool {
+func (s *slotSet) has(v int32) bool {
 	if s.tab == nil {
 		return false
 	}
-	mask := uint64(len(s.tab) - 1)
-	for i := hashAction(a) & mask; ; i = (i + 1) & mask {
+	mask := uint32(len(s.tab) - 1)
+	for i := home(v, mask); ; i = (i + 1) & mask {
 		e := s.tab[i]
 		if e == 0 {
 			return false
 		}
-		if s.keys[e-1] == a {
+		if s.keys[e-1] == v {
 			return true
 		}
 	}
 }
 
-func (s *actionSet) grow() {
+func (s *slotSet) grow() {
 	tab := make([]int32, len(s.tab)*2)
-	mask := uint64(len(tab) - 1)
-	for j, a := range s.keys {
-		for i := hashAction(a) & mask; ; i = (i + 1) & mask {
+	mask := uint32(len(tab) - 1)
+	for j, v := range s.keys {
+		for i := home(v, mask); ; i = (i + 1) & mask {
 			if tab[i] == 0 {
 				tab[i] = int32(j) + 1
 				break
@@ -121,11 +92,9 @@ func (s *actionSet) grow() {
 }
 
 // reset empties the set in place, keeping capacity — the crash wipe.
-func (s *actionSet) reset() {
+func (s *slotSet) reset() {
 	s.keys = s.keys[:0]
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
+	clear(s.tab)
 }
 
 // flagSet is a tiny index→bool association for per-exchange and
@@ -139,9 +108,9 @@ type flagSet struct {
 }
 
 // get reports the flag at index i, false when never set.
-func (f *flagSet) get(i int) bool {
+func (f *flagSet) get(i int32) bool {
 	for j, x := range f.idx {
-		if x == int32(i) {
+		if x == i {
 			return f.val[j]
 		}
 	}
@@ -149,14 +118,14 @@ func (f *flagSet) get(i int) bool {
 }
 
 // set assigns the flag at index i.
-func (f *flagSet) set(i int, v bool) {
+func (f *flagSet) set(i int32, v bool) {
 	for j, x := range f.idx {
-		if x == int32(i) {
+		if x == i {
 			f.val[j] = v
 			return
 		}
 	}
-	f.idx = append(f.idx, int32(i))
+	f.idx = append(f.idx, i)
 	f.val = append(f.val, v)
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"trustseq/internal/core"
@@ -46,9 +47,14 @@ import (
 // queue implementation never affects the schedule (the (At, seq) order
 // is total).
 //
-// Failure is closed: a short file, a flipped bit, or a fingerprint
-// mismatch yields ErrCheckpointCorrupt / ErrCheckpointMismatch before
-// any state is mutated into the result — never a partial restore.
+// The file names actions, not slots: the nodes' escrow logs, seen and
+// sent sets and recall settlements are written through
+// ActionTable.Action and resolved on restore with ActionTable.Slot.
+//
+// Failure is closed: a short file, a flipped bit, a fingerprint
+// mismatch, or an action or index the plan's nodes cannot hold yields
+// ErrCheckpointCorrupt / ErrCheckpointMismatch and no result — never a
+// partial restore.
 
 // Typed failures. Corrupt covers structural damage (truncation, CRC or
 // bounds violations); Mismatch covers a well-formed checkpoint written
@@ -326,13 +332,19 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 		e.message(m)
 	}
 
+	// Nodes hold action-table slots; the file names their actions.
+	tab := n.table
 	e.u32(uint32(len(rs.trusted)))
 	for _, tn := range rs.trusted {
 		e.str(string(tn.Self))
 		e.u32(uint32(len(tn.wal)))
 		for _, w := range tn.wal {
 			e.u8(uint8(w.op))
-			e.action(w.action)
+			var a model.Action
+			if w.op == walReceived || w.op == walRefunded {
+				a = tab.Action(int(w.slot))
+			}
+			e.action(a)
 			e.i64(int64(w.idx))
 			e.i64(int64(w.at))
 		}
@@ -344,8 +356,8 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 		e.i64(int64(pn.next))
 		e.i64(int64(pn.fired))
 		e.u32(uint32(len(pn.seen.keys)))
-		for _, a := range pn.seen.keys {
-			e.action(a)
+		for _, s := range pn.seen.keys {
+			e.action(tab.Action(int(s)))
 		}
 		tags := make([]string, 0, len(pn.seenTags))
 		for t := range pn.seenTags {
@@ -357,8 +369,8 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 			e.str(t)
 		}
 		e.u32(uint32(len(pn.sent.keys)))
-		for _, a := range pn.sent.keys {
-			e.action(a)
+		for _, s := range pn.sent.keys {
+			e.action(tab.Action(int(s)))
 		}
 		e.u32(uint32(len(pn.faults)))
 		for _, err := range pn.faults {
@@ -370,8 +382,8 @@ func (rs *runtime) encodeCheckpoint(pending []Message) []byte {
 			e.u8(uint8(rc.mode))
 			e.bool(rc.done)
 			acts := make([]model.Action, 0, len(rc.sent))
-			for a := range rc.sent {
-				acts = append(acts, a)
+			for _, s := range rc.sent {
+				acts = append(acts, tab.Action(int(s)))
 			}
 			sort.Slice(acts, func(i, j int) bool { return acts[i].String() < acts[j].String() })
 			e.u32(uint32(len(acts)))
@@ -502,76 +514,17 @@ func (rs *runtime) inject(data []byte) error {
 		pending = append(pending, d.message())
 	}
 
-	type trustedRec struct {
-		id  model.PartyID
-		wal []walEntry
-	}
-	trustedRecs := make([]trustedRec, 0, d.count(minStr+4))
-	for i := cap(trustedRecs); i > 0; i-- {
-		id := model.PartyID(d.str())
-		wal := make([]walEntry, 0, d.count(minWal))
-		for j := cap(wal); j > 0; j-- {
-			var w walEntry
-			w.op = walOp(d.u8())
-			w.action = d.action()
-			w.idx = int(d.i64())
-			w.at = Time(d.i64())
-			wal = append(wal, w)
-		}
-		trustedRecs = append(trustedRecs, trustedRec{id, wal})
+	nodesErr := rs.decodeNodes(d)
+	switch {
+	case d.bad:
+		return fmt.Errorf("%w: truncated data", ErrCheckpointCorrupt)
+	case nodesErr != nil:
+		return nodesErr
+	case d.off != len(d.b):
+		return fmt.Errorf("%w: trailing data", ErrCheckpointCorrupt)
 	}
 
-	type principalRec struct {
-		id          model.PartyID
-		next, fired int
-		seen, sent  []model.Action
-		tags        []string
-		faults      []string
-		recalls     []*recallState
-	}
-	principalRecs := make([]principalRec, 0, d.count(minStr+16))
-	for i := cap(principalRecs); i > 0; i-- {
-		var r principalRec
-		r.id = model.PartyID(d.str())
-		r.next = int(d.i64())
-		r.fired = int(d.i64())
-		r.seen = make([]model.Action, 0, d.count(minAction))
-		for j := cap(r.seen); j > 0; j-- {
-			r.seen = append(r.seen, d.action())
-		}
-		r.tags = make([]string, 0, d.count(minStr))
-		for j := cap(r.tags); j > 0; j-- {
-			r.tags = append(r.tags, d.str())
-		}
-		r.sent = make([]model.Action, 0, d.count(minAction))
-		for j := cap(r.sent); j > 0; j-- {
-			r.sent = append(r.sent, d.action())
-		}
-		r.faults = make([]string, 0, d.count(minStr))
-		for j := cap(r.faults); j > 0; j-- {
-			r.faults = append(r.faults, d.str())
-		}
-		r.recalls = make([]*recallState, 0, d.count(8+1+1+4))
-		for j := cap(r.recalls); j > 0; j-- {
-			rc := &recallState{sent: make(map[model.Action]bool)}
-			rc.ei = int(d.i64())
-			rc.mode = recallMode(d.u8())
-			rc.done = d.boolean()
-			for k := d.count(minAction); k > 0; k-- {
-				rc.sent[d.action()] = true
-			}
-			if rc.ei < 0 || rc.ei >= len(rs.p.Exchanges) || rc.mode > recallPaying {
-				d.fail()
-			}
-			r.recalls = append(r.recalls, rc)
-		}
-		principalRecs = append(principalRecs, r)
-	}
-	if d.bad || d.off != len(d.b) {
-		return fmt.Errorf("%w: truncated or trailing data", ErrCheckpointCorrupt)
-	}
-
-	// Everything decoded cleanly; load it into the runtime.
+	// Everything decoded cleanly; load the network's state.
 	n.now = now
 	n.seq = seq
 	n.processed = processed
@@ -604,60 +557,130 @@ func (rs *runtime) inject(data []byte) error {
 		n.q.push(pending[i]) // seq already assigned; bypass schedule()
 	}
 
-	if err := rs.replayLedger(trace, pending); err != nil {
-		return err
-	}
+	return rs.replayLedger(trace, pending)
+}
 
-	if len(trustedRecs) != len(rs.trusted) {
+// decodeNodes reads the trusted nodes' escrow logs and the principals'
+// cursors and sets into the node roster, which the checkpoint lists in
+// the same order, and resolves every action they name to its slot. A
+// truncated file leaves the decoder failed, which the caller checks
+// before the error returned here.
+func (rs *runtime) decodeNodes(d *cdec) error {
+	t := rs.net.table
+	if d.count(minStr+4) != len(rs.trusted) {
 		return fmt.Errorf("%w: trusted roster differs", ErrCheckpointMismatch)
 	}
-	byID := make(map[model.PartyID]*TrustedNode, len(rs.trusted))
 	for _, tn := range rs.trusted {
-		byID[tn.Self] = tn
-	}
-	for _, r := range trustedRecs {
-		tn, ok := byID[r.id]
-		if !ok {
-			return fmt.Errorf("%w: unknown trusted node %s", ErrCheckpointMismatch, r.id)
+		if id := model.PartyID(d.str()); id != tn.Self {
+			return fmt.Errorf("%w: trusted node %s in the place of %s", ErrCheckpointMismatch, id, tn.Self)
 		}
-		tn.wal = r.wal
-		for _, w := range r.wal {
+		tn.wal = make([]walEntry, 0, d.count(minWal))
+		for j := cap(tn.wal); j > 0; j-- {
+			w, ok := tn.restoreWal(walOp(d.u8()), d.action(), d.i64(), Time(d.i64()))
+			if !ok {
+				return fmt.Errorf("%w: trusted node %s: wal record %d", ErrCheckpointCorrupt, tn.Self, len(tn.wal))
+			}
+			tn.wal = append(tn.wal, w)
 			tn.apply(w)
 		}
 	}
-
-	if len(principalRecs) != len(rs.principals) {
+	if d.count(minStr+16) != len(rs.principals) {
 		return fmt.Errorf("%w: principal roster differs", ErrCheckpointMismatch)
 	}
-	pByID := make(map[model.PartyID]*PrincipalNode, len(rs.principals))
 	for _, pn := range rs.principals {
-		pByID[pn.Self] = pn
-	}
-	for _, r := range principalRecs {
-		pn, ok := pByID[r.id]
-		if !ok {
-			return fmt.Errorf("%w: unknown principal %s", ErrCheckpointMismatch, r.id)
+		if id := model.PartyID(d.str()); id != pn.Self {
+			return fmt.Errorf("%w: principal %s in the place of %s", ErrCheckpointMismatch, id, pn.Self)
 		}
-		if r.next < 0 || r.next > len(pn.script) || r.fired < 0 {
-			return fmt.Errorf("%w: principal %s cursor out of range", ErrCheckpointMismatch, r.id)
+		pn.next, pn.fired = int(d.i64()), int(d.i64())
+		if pn.next < 0 || pn.next > len(pn.script) || pn.fired < 0 {
+			return fmt.Errorf("%w: principal %s cursor out of range", ErrCheckpointMismatch, pn.Self)
 		}
-		pn.next = r.next
-		pn.fired = r.fired
-		for _, a := range r.seen {
-			pn.seen.add(a)
+		self, _ := t.PartySlot(pn.Self)
+		seen, err := readSlots(d, t, int32(self), false)
+		if err != nil {
+			return fmt.Errorf("%w: principal %s seen: %v", ErrCheckpointCorrupt, pn.Self, err)
 		}
-		for _, t := range r.tags {
-			pn.markTag(t)
+		for _, s := range seen {
+			pn.seen.add(s)
 		}
-		for _, a := range r.sent {
-			pn.sent.add(a)
+		for k := d.count(minStr); k > 0; k-- {
+			pn.markTag(d.str())
 		}
-		for _, s := range r.faults {
-			pn.faults = append(pn.faults, errors.New(s))
+		sent, err := readSlots(d, t, int32(self), true)
+		if err != nil {
+			return fmt.Errorf("%w: principal %s sent: %v", ErrCheckpointCorrupt, pn.Self, err)
 		}
-		pn.recalls = r.recalls
+		for _, s := range sent {
+			pn.sent.add(s)
+		}
+		for k := d.count(minStr); k > 0; k-- {
+			pn.faults = append(pn.faults, errors.New(d.str()))
+		}
+		for k := d.count(8 + 1 + 1 + 4); k > 0; k-- {
+			rc := &recallState{ei: int(d.i64()), mode: recallMode(d.u8()), done: d.boolean()}
+			if rc.sent, err = readSlots(d, t, int32(self), true); err != nil {
+				return fmt.Errorf("%w: principal %s recall: %v", ErrCheckpointCorrupt, pn.Self, err)
+			}
+			if rc.ei < 0 || rc.ei >= len(rs.p.Exchanges) || rc.mode > recallPaying ||
+				rs.p.Exchanges[rc.ei].Principal != pn.Self {
+				return fmt.Errorf("%w: principal %s recall on exchange %d", ErrCheckpointCorrupt, pn.Self, rc.ei)
+			}
+			pn.recalls = append(pn.recalls, rc)
+		}
 	}
 	return nil
+}
+
+// restoreWal checks a decoded escrow-log record against the node that
+// wrote it and returns it as a log entry. A received or refunded
+// transfer must be one the problem moves into the node, an exchange or
+// offer index one the node mediates or holds; every other record
+// carries no action, and only the exchange and offer records an index.
+func (n *TrustedNode) restoreWal(op walOp, a model.Action, idx int64, at Time) (walEntry, bool) {
+	w := walEntry{op: op, idx: int32(idx), at: at}
+	indexes := func(set []int32) bool { return int64(w.idx) == idx && slices.Contains(set, w.idx) }
+	none := a == (model.Action{})
+	switch op {
+	case walReceived, walRefunded:
+		s, ok := n.t.Slot(a)
+		if !ok || s >= n.t.Transfers || idx != 0 {
+			return w, false
+		}
+		w.slot = int32(s)
+		_, to := n.t.Parties(s)
+		return w, to == n.self
+	case walDelivered, walUndelivered:
+		return w, none && indexes(n.adjacent)
+	case walCollateral, walSettled:
+		return w, none && indexes(n.offers)
+	case walAborted, walDeadline:
+		return w, none && idx == 0
+	}
+	return w, false
+}
+
+// readSlots reads a counted list of actions and resolves each to its
+// slot: it must be one of the problem's actions, and a transfer the
+// principal in party slot self moves when sends is set, else one
+// addressed to it.
+func readSlots(d *cdec, t *model.ActionTable, self int32, sends bool) ([]int32, error) {
+	out := make([]int32, 0, d.count(minAction))
+	for i := cap(out); i > 0; i-- {
+		a := d.action()
+		s, ok := t.Slot(a)
+		if !ok {
+			return nil, &model.ForeignActionError{Action: a}
+		}
+		from, to := t.Parties(s)
+		switch {
+		case sends && (s >= 2*t.Transfers || from != self):
+			return nil, fmt.Errorf("%v is no transfer of the principal's", a)
+		case !sends && to != self:
+			return nil, fmt.Errorf("%v is not addressed to the principal", a)
+		}
+		out = append(out, int32(s))
+	}
+	return out, nil
 }
 
 // replayLedger resolves the trace's messages and reconstructs the

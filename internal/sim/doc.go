@@ -31,14 +31,17 @@
 // A run pays for its messages, not for allocations and string hashes.
 // The network numbers its party slots in the problem's order with the
 // transit account last, so it, its ledger and the problem's
-// model.ActionTable share one slot space. A transfer or notify resolves
-// its receiver's party slot and its action's slot in the table once,
-// when it is sent, and carries them in unexported fields, so delivery,
-// both ledger movements and the result state index arrays; a transfer
-// the problem does not define fails there with ErrUndefinedTransfer.
-// The event wheel queues int32 handles into a Message arena, the result
-// state is a bitset over the table, and the trace, the settlement log
-// and the nodes' working sets are sized from the plan. With
+// model.ActionTable share one slot space. The nodes work in the table's
+// slots, as the plan's steps do: scripts, waits, seen and sent sets and
+// escrow logs hold slots, and a node sends a slot. The send reads the
+// receiver's party slot and the message's Action from the table, and
+// the message carries both slots in unexported fields, so delivery,
+// both ledger movements and the result state index arrays and nothing
+// looks an ID or an Action up; a slot that is no transfer fails at send
+// with ErrUndefinedTransfer. The event wheel queues int32 handles into
+// a Message arena, the result state is a bitset over the table, and the
+// trace, the settlement log and the nodes' working sets are sized from
+// the plan. With
 // Options.Obs set, Run times its setup, loop, assemble and settlement
 // phases as child spans of its sim.run span and as sim.phase.*
 // histograms; without it, it reads no clock.

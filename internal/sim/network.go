@@ -61,11 +61,11 @@ type Message struct {
 
 	seq int // FIFO tiebreaker for equal delivery times
 	// to is the party slot of To (-1 when unknown). A transfer or an
-	// untagged notify sent in a run also carries its action's slot in
-	// the problem's action table (-1 when it has none). Both are
-	// resolved once, when the message is sent, so delivery, both ledger
-	// movements and the assembled State index arrays instead of hashing
-	// party and item IDs.
+	// untagged notify sent in a run is sent as slot, its action's slot
+	// in the problem's action table, and To and Action are read from the
+	// table, so delivery, both ledger movements and the assembled State
+	// index arrays instead of hashing party and item IDs. Other messages
+	// carry no action slot.
 	to, slot int32
 }
 
@@ -137,11 +137,11 @@ type Recoverable interface {
 // crash bookkeeping are flat arrays indexed by slot. A simulation run
 // numbers the slots in the problem's party order, so the network, its
 // ledger and the problem's action table share one slot space, and
-// every message carries its resolved party slots and cells, so a
-// delivery hashes no ID. The event queue is the hierarchical timing
-// wheel (see wheel.go); delivery reuses one scratch Context, so
-// scheduling plus delivering a message allocates nothing at steady
-// state.
+// every message carries its receiver's party slot and its action's
+// slot, so a delivery hashes no ID. The event queue is the
+// hierarchical timing wheel (see wheel.go); delivery reuses one scratch
+// Context, so scheduling plus delivering a message allocates nothing
+// at steady state.
 type Network struct {
 	ids       []model.PartyID // by party slot
 	slots     map[model.PartyID]int32
@@ -351,52 +351,36 @@ func (n *Network) lookup(id model.PartyID) int32 {
 }
 
 // ErrUndefinedTransfer is the error of a transfer the problem does not
-// define: no exchange, indemnity offer or compensation of one is that
-// action, so it has no slot in the action table and no place in the
-// ledger. It fails closed at send, before any debit.
+// define: its slot is outside the forward and compensation slots of the
+// action table, so it has no place in the ledger. It fails closed at
+// send, before any debit.
 var ErrUndefinedTransfer = errors.New("sim: transfer the problem does not define")
 
-// place resolves the slot of a message's action in the run's action
-// table from the party slots the message carries: to, and other, the
-// action's other party — a transfer's asset mover, a notify's sender.
-// The slot is -1 when the action has none, or the network runs without
-// a table.
-func (n *Network) place(m *Message, other int32) {
-	m.slot = -1
-	if n.table == nil || other < 0 || other >= n.transit || m.to < 0 || m.to >= n.transit {
-		return
-	}
-	from, to := other, m.to
-	if m.Action.Inverse {
-		from, to = to, from
-	}
-	if s, ok := n.table.SlotAt(m.Action, from, to); ok {
-		m.slot = int32(s)
-	}
-}
-
-// placeTransfer is place for a transfer, which fails closed without a
-// slot.
-func (n *Network) placeTransfer(m *Message, mover int32) error {
-	n.place(m, mover)
-	if m.slot < 0 || !m.Action.IsTransfer() {
-		return fmt.Errorf("%w: %v", ErrUndefinedTransfer, m.Action)
-	}
-	return nil
-}
-
-// resolve fills a message's slot fields from its IDs — the path for
-// messages that did not come through a Context, such as a checkpoint's
-// trace and pending events.
+// resolve fills a message's slot fields from its IDs and action — the
+// path for messages that did not come through a Context, such as a
+// checkpoint's trace and pending events. It fails on a message to no
+// party, on a transfer or untagged notify whose action the problem does
+// not define, and on one addressed to another party than the action's
+// receiver.
 func (n *Network) resolve(m *Message) error {
 	m.to, m.slot = n.lookup(m.To), -1
 	switch {
-	case n.book == nil || m.Tag != "":
-	case m.Kind == MsgTransfer:
-		return n.placeTransfer(m, n.lookup(m.Action.Mover()))
-	case m.Kind == MsgNotify:
-		n.place(m, n.lookup(m.Action.From))
+	case m.to < 0:
+		return fmt.Errorf("sim: message to unknown party %s", m.To)
+	case m.Kind < MsgTransfer || m.Kind > MsgRestart:
+		return fmt.Errorf("sim: message of unknown kind %d", int(m.Kind))
+	case m.Kind != MsgTransfer && (m.Kind != MsgNotify || m.Tag != ""):
+		return nil
 	}
+	t := n.table
+	s, ok := t.Slot(m.Action)
+	if !ok || (m.Kind == MsgTransfer) != (s < 2*t.Transfers) {
+		return &model.ForeignActionError{Action: m.Action}
+	}
+	if _, to := t.Parties(s); to != m.to {
+		return fmt.Errorf("sim: %v addressed to %s", m.Action, m.To)
+	}
+	m.slot = int32(s)
 	return nil
 }
 
@@ -755,56 +739,46 @@ func (c *Context) Now() Time { return c.net.now }
 // Self returns the node's ID.
 func (c *Context) Self() model.PartyID { return c.self }
 
-// SendTransfer performs and sends a transfer action. The sender is
-// debited immediately through the run's ledger (so in-flight
-// assets cannot be double-spent); the receiver is credited at delivery.
-// It fails when the sender cannot fund the transfer, and with
-// ErrUndefinedTransfer when the problem does not define it.
-func (c *Context) SendTransfer(a model.Action) error {
-	to := receiverNode(a)
-	m := Message{From: c.self, To: to, Kind: MsgTransfer, Action: a, to: c.net.lookup(to), slot: -1}
-	if c.net.book != nil {
-		mover := c.slot
-		if id := a.Mover(); id != c.self {
-			mover = c.net.lookup(id)
-		}
-		if err := c.net.placeTransfer(&m, mover); err != nil {
-			return err
-		}
-		if err := c.net.debit(&m); err != nil {
-			return err
-		}
+// sendTransfer performs and sends the transfer in slot s of the run's
+// action table. The sender is debited immediately through the run's
+// ledger (so in-flight assets cannot be double-spent); the receiver is
+// credited at delivery. It fails when the sender cannot fund the
+// transfer, and with ErrUndefinedTransfer when s is no transfer slot.
+func (c *Context) sendTransfer(s int32) error {
+	t := c.net.table
+	if t == nil || s < 0 || int(s) >= 2*t.Transfers {
+		return fmt.Errorf("%w: slot %d", ErrUndefinedTransfer, s)
+	}
+	_, to := t.Parties(int(s))
+	m := Message{From: c.self, To: c.net.ids[to], Kind: MsgTransfer, Action: t.Action(int(s)), to: to, slot: s}
+	if err := c.net.debit(&m); err != nil {
+		return err
 	}
 	c.net.send(m)
 	return nil
 }
 
-// SendNotify sends a notification action.
-func (c *Context) SendNotify(to model.PartyID) {
-	m := Message{From: c.self, To: to, Kind: MsgNotify, Action: model.Notify(c.self, to),
-		to: c.net.lookup(to)}
-	c.net.place(&m, c.slot)
-	c.net.send(m)
+// sendNotify sends the notify in slot s of the run's action table.
+func (c *Context) sendNotify(s int32) {
+	t := c.net.table
+	_, to := t.Parties(int(s))
+	c.net.send(Message{From: c.self, To: c.net.ids[to], Kind: MsgNotify, Action: t.Action(int(s)), to: to, slot: s})
 }
 
 // SendTagged sends a notification carrying a protocol tag (e.g. the
 // persona trustee's recall demand). Tagged notifies are control
 // messages; they do not enter the exchange state.
 func (c *Context) SendTagged(to model.PartyID, tag string) {
+	c.sendTagged(to, c.net.lookup(to), tag)
+}
+
+// sendTagged is SendTagged to the party in slot p.
+func (c *Context) sendTagged(to model.PartyID, p int32, tag string) {
 	c.net.send(Message{From: c.self, To: to, Kind: MsgNotify, Tag: tag, Action: model.Notify(c.self, to),
-		to: c.net.lookup(to)})
+		to: p, slot: -1})
 }
 
 // SetTimer schedules a wakeup after delay.
 func (c *Context) SetTimer(delay Time, tag string) {
 	c.net.timer(c.self, c.slot, c.net.now+delay, tag)
-}
-
-// receiverNode is the party that receives the message carrying the
-// action: the physical receiver of the asset.
-func receiverNode(a model.Action) model.PartyID {
-	if a.IsTransfer() {
-		return a.Receiver()
-	}
-	return a.To
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,6 +19,10 @@ import (
 // Honest is false when the component is a persona played by a defecting
 // principal: the node then absorbs everything and never completes nor
 // refunds — the exact risk a direct-trust declaration accepts.
+//
+// The node works in slots of the problem's action table: it matches a
+// transfer against its exchanges' deposit and receipt rows and its
+// offers' post slots, and sends the slots those rows name.
 type TrustedNode struct {
 	Problem  *model.Problem
 	Self     model.PartyID
@@ -28,13 +33,17 @@ type TrustedNode struct {
 	// risk-free access).
 	PersonaOwner model.PartyID
 
-	adjacent []int // exchange indices mediated here
+	t        *model.ActionTable
+	self     int32   // Self's party slot
+	owner    int32   // PersonaOwner's party slot, -1 when none
+	adjacent []int32 // exchanges mediated here: the table's At row
+	offers   []int32 // indemnity offers whose collateral is posted here
 
 	// Volatile working state, lost on a crash and rebuilt from the wal.
 	// The containers are slab-style (see arena.go): zero-value-ready,
 	// reset in place, no per-node map allocations.
-	received  actionSet
-	refunded  actionSet
+	received  slotSet
+	refunded  slotSet
 	delivered flagSet
 	aborted   bool
 	// deadlineAt is the earliest armed escrow expiry (0 = unarmed); a
@@ -69,14 +78,15 @@ const (
 	walDeadline
 )
 
-// walEntry is one durable log record. Action is set for walReceived and
-// walRefunded, idx for the exchange/offer records, at for walDeadline
-// (the absolute expiry tick).
+// walEntry is one durable log record. slot is set for walReceived and
+// walRefunded (the deposit or collateral transfer), idx for the
+// exchange/offer records, at for walDeadline (the absolute expiry
+// tick).
 type walEntry struct {
-	op     walOp
-	action model.Action
-	idx    int
-	at     Time
+	op   walOp
+	slot int32
+	idx  int32
+	at   Time
 }
 
 // logApply appends a record to the durable log, then applies it to the
@@ -92,9 +102,9 @@ func (n *TrustedNode) logApply(e walEntry) {
 func (n *TrustedNode) apply(e walEntry) {
 	switch e.op {
 	case walReceived:
-		n.received.add(e.action)
+		n.received.add(e.slot)
 	case walRefunded:
-		n.refunded.add(e.action)
+		n.refunded.add(e.slot)
 	case walDelivered:
 		n.delivered.set(e.idx, true)
 	case walUndelivered:
@@ -158,29 +168,35 @@ func (n *TrustedNode) Restore(ctx *Context) {
 
 // NewTrustedNode builds the node for one trusted component.
 func NewTrustedNode(p *model.Problem, self model.PartyID, deadline Time, honest bool) *TrustedNode {
+	t := p.ActionTable()
 	n := &TrustedNode{
 		Problem:  p,
 		Self:     self,
 		Deadline: deadline,
 		Honest:   honest,
+		t:        t,
+		self:     -1,
+		owner:    -1,
+	}
+	if i, ok := t.PartySlot(self); ok {
+		n.self, n.adjacent, n.owner = int32(i), t.At(i), t.Persona[i]
+	}
+	if n.owner >= 0 {
+		n.PersonaOwner = p.Parties[n.owner].ID
 	}
 	deposits := 0
-	for _, ei := range p.ExchangesOf(self) {
-		if e := p.Exchanges[ei]; e.Trusted == self {
-			n.adjacent = append(n.adjacent, ei)
-			deposits += len(e.Gives.Items)
-			if e.Gives.Amount > 0 {
-				deposits++
-			}
+	for _, ei := range n.adjacent {
+		deposits += len(t.Deposits(int(ei)))
+	}
+	for oi, off := range p.Indemnities {
+		if off.Via == self && t.Post[oi] >= 0 {
+			n.offers = append(n.offers, int32(oi))
 		}
 	}
 	// The honest protocol logs one receipt per deposit, one delivery
 	// per adjacent exchange and one deadline.
 	n.received.reserve(deposits)
 	n.wal = make([]walEntry, 0, deposits+len(n.adjacent)+1)
-	if q, ok := p.PersonaOf(self); ok {
-		n.PersonaOwner = q
-	}
 	return n
 }
 
@@ -201,35 +217,35 @@ func (n *TrustedNode) OnMessage(ctx *Context, m Message) {
 			n.onDeadline(ctx)
 		}
 	case MsgTransfer:
-		n.onTransfer(ctx, m.Action)
+		n.onTransfer(ctx, m.slot)
 	case MsgNotify:
 		// Trusted components ignore notifications.
 	}
 }
 
-func (n *TrustedNode) onTransfer(ctx *Context, a model.Action) {
+// onTransfer handles the transfer in slot s.
+func (n *TrustedNode) onTransfer(ctx *Context, s int32) {
+	t := n.t
 	// Returned goods: the compensation of a receipt this node forwarded
 	// (a persona owner answering a recall). Un-deliver and retry refunds.
-	if a.Inverse {
+	if fwd := s - int32(t.Transfers); fwd >= 0 {
 		for _, ei := range n.adjacent {
-			for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
-				if r.Compensation() == a && n.delivered.get(ei) {
-					n.logApply(walEntry{op: walUndelivered, idx: ei})
-					n.retryRefunds(ctx)
-					return
-				}
+			if n.delivered.get(ei) && slices.Contains(t.Receipts(int(ei)), fwd) {
+				n.logApply(walEntry{op: walUndelivered, idx: ei})
+				n.retryRefunds(ctx)
+				return
 			}
 		}
 		return // other inverses (stray refunds) are final
 	}
-	if oi, ok := n.matchCollateral(a); ok {
+	if oi, ok := n.matchCollateral(s); ok {
 		n.logApply(walEntry{op: walCollateral, idx: oi})
-		n.logApply(walEntry{op: walReceived, action: a})
+		n.logApply(walEntry{op: walReceived, slot: s})
 		if n.aborted {
 			// Collateral delayed past the unwind (a partition or spike
 			// held it in transit): settle it immediately under the
 			// deadline rule instead of absorbing it.
-			n.settleOffer(ctx, oi, n.Problem.Indemnities[oi])
+			n.settleOffer(ctx, oi)
 			return
 		}
 		n.armDeadline(ctx, "deadline:collateral")
@@ -237,38 +253,38 @@ func (n *TrustedNode) onTransfer(ctx *Context, a model.Action) {
 		// split-dependent deposits wait for this (Section 6 — the
 		// customer treats the transfers as separate transactions only
 		// once the collateral exists).
-		off := n.Problem.Indemnities[oi]
-		ctx.SendTagged(n.Problem.Exchanges[off.Covers].Principal, "posted:"+strconv.Itoa(oi))
+		pr := t.Principal[n.Problem.Indemnities[oi].Covers]
+		ctx.sendTagged(n.Problem.Parties[pr].ID, pr, "posted:"+strconv.Itoa(int(oi)))
 		return
 	}
-	ei, ok := n.matchDeposit(a)
+	ei, ok := n.matchDeposit(s)
 	if !ok {
 		// Unsolicited transfer: return it.
-		n.refundAction(ctx, a)
+		_ = ctx.sendTransfer(s + int32(t.Transfers))
 		return
 	}
 	if n.aborted {
 		if n.delivered.get(ei) {
 			// A persona owner settling its withdrawal with payment after
 			// the unwind: accept and finish the counterpart sides.
-			n.logApply(walEntry{op: walReceived, action: a})
+			n.logApply(walEntry{op: walReceived, slot: s})
 			n.settleAfterAbort(ctx)
 			return
 		}
 		// Late deposit to an unwound exchange: bounce it.
-		n.refundAction(ctx, a)
+		_ = ctx.sendTransfer(s + int32(t.Transfers))
 		return
 	}
-	first := !n.anyDepositReceived()
-	n.logApply(walEntry{op: walReceived, action: a})
+	first := len(n.received.keys) == 0
+	n.logApply(walEntry{op: walReceived, slot: s})
 	if first {
-		n.armDeadline(ctx, "deadline:"+strconv.Itoa(ei))
+		n.armDeadline(ctx, "deadline:"+strconv.Itoa(int(ei)))
 	}
 	if n.exchangeWhole(ei) {
 		// Notify the principals of the still-missing sides.
 		for _, ej := range n.adjacent {
 			if ej != ei && !n.exchangeWhole(ej) {
-				ctx.SendNotify(n.Problem.Exchanges[ej].Principal)
+				ctx.sendNotify(t.Notify(int(ej)))
 			}
 		}
 	}
@@ -283,10 +299,10 @@ func (n *TrustedNode) retryRefunds(ctx *Context) {
 		if n.delivered.get(ei) {
 			continue
 		}
-		for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
+		for _, d := range n.t.Deposits(int(ei)) {
 			if n.received.has(d) && !n.refunded.has(d) {
-				if err := ctx.SendTransfer(d.Compensation()); err == nil {
-					n.logApply(walEntry{op: walRefunded, action: d})
+				if err := ctx.sendTransfer(d + int32(n.t.Transfers)); err == nil {
+					n.logApply(walEntry{op: walRefunded, slot: d})
 				}
 			}
 		}
@@ -306,8 +322,8 @@ func (n *TrustedNode) settleAfterAbort(ctx *Context) {
 			continue
 		}
 		allSent := true
-		for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
-			if err := ctx.SendTransfer(r); err != nil {
+		for _, r := range n.t.Receipts(int(ei)) {
+			if err := ctx.sendTransfer(r); err != nil {
 				allSent = false
 			}
 		}
@@ -320,19 +336,19 @@ func (n *TrustedNode) settleAfterAbort(ctx *Context) {
 // maybeForwardPersona implements the honest persona's early forwarding:
 // the owner may take goods destined for it before paying.
 func (n *TrustedNode) maybeForwardPersona(ctx *Context) {
-	if n.PersonaOwner == "" {
+	if n.owner < 0 {
 		return
 	}
+	t := n.t
 	for _, ei := range n.adjacent {
-		e := n.Problem.Exchanges[ei]
-		if e.Principal != n.PersonaOwner || n.delivered.get(ei) {
+		if t.Principal[ei] != n.owner || n.delivered.get(ei) {
 			continue
 		}
 		// Forward when every item of the owner's Gets has arrived from
 		// the counterpart side.
 		ready := true
-		for _, r := range model.ReceiptActions(e) {
-			if r.Kind == model.ActionGive && !n.holdsItem(r.Item) {
+		for _, r := range t.Receipts(int(ei)) {
+			if t.Give[r] && !n.holdsItem(t.CellItem[t.Src[r]]) {
 				ready = false
 			}
 		}
@@ -340,8 +356,8 @@ func (n *TrustedNode) maybeForwardPersona(ctx *Context) {
 			continue
 		}
 		n.logApply(walEntry{op: walDelivered, idx: ei})
-		for _, r := range model.ReceiptActions(e) {
-			if err := ctx.SendTransfer(r); err != nil {
+		for _, r := range t.Receipts(int(ei)) {
+			if err := ctx.sendTransfer(r); err != nil {
 				n.logApply(walEntry{op: walUndelivered, idx: ei})
 				return
 			}
@@ -349,9 +365,11 @@ func (n *TrustedNode) maybeForwardPersona(ctx *Context) {
 	}
 }
 
+// holdsItem reports whether a received, unrefunded give moved item here.
 func (n *TrustedNode) holdsItem(item model.ItemID) bool {
-	for _, a := range n.received.keys {
-		if a.Kind == model.ActionGive && a.Item == item && !n.refunded.has(a) {
+	t := n.t
+	for _, s := range n.received.keys {
+		if t.Give[s] && t.CellItem[t.Src[s]] == item && !n.refunded.has(s) {
 			return true
 		}
 	}
@@ -369,8 +387,8 @@ func (n *TrustedNode) maybeComplete(ctx *Context) {
 			continue
 		}
 		n.logApply(walEntry{op: walDelivered, idx: ei})
-		for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
-			if err := ctx.SendTransfer(r); err != nil {
+		for _, r := range n.t.Receipts(int(ei)) {
+			if err := ctx.sendTransfer(r); err != nil {
 				// Completion failure indicates a runner bug; surface via
 				// the runner's fault channel through a refund.
 				n.logApply(walEntry{op: walUndelivered, idx: ei})
@@ -379,13 +397,12 @@ func (n *TrustedNode) maybeComplete(ctx *Context) {
 		}
 	}
 	// Everything delivered: refund live collateral to its offerers.
-	for oi, off := range n.Problem.Indemnities {
-		if off.Via != n.Self || !n.collateral.get(oi) || n.settled.get(oi) {
+	for _, oi := range n.offers {
+		if !n.collateral.get(oi) || n.settled.get(oi) {
 			continue
 		}
 		n.logApply(walEntry{op: walSettled, idx: oi})
-		post := model.Pay(off.By, n.Self, n.offerAmount(off))
-		_ = ctx.SendTransfer(post.Compensation())
+		_ = ctx.sendTransfer(n.t.Post[oi] + int32(n.t.Transfers))
 	}
 }
 
@@ -405,19 +422,18 @@ func (n *TrustedNode) onDeadline(ctx *Context) {
 	n.logApply(walEntry{op: walAborted})
 	// Settle collateral first: a covered, attempted, undelivered exchange
 	// forfeits the collateral to the protected principal.
-	for oi, off := range n.Problem.Indemnities {
-		if off.Via != n.Self || !n.collateral.get(oi) || n.settled.get(oi) {
+	for _, oi := range n.offers {
+		if !n.collateral.get(oi) || n.settled.get(oi) {
 			continue
 		}
-		n.settleOffer(ctx, oi, off)
+		n.settleOffer(ctx, oi)
 	}
 	// Refund every held, undelivered deposit the node can still fund.
 	n.retryRefunds(ctx)
 	// Withdrawn-but-unpaid persona exchanges: demand return or payment.
 	for _, ei := range n.adjacent {
-		e := n.Problem.Exchanges[ei]
-		if e.Principal == n.PersonaOwner && n.delivered.get(ei) && !n.exchangeWhole(ei) {
-			ctx.SendTagged(n.PersonaOwner, "recall:"+strconv.Itoa(ei))
+		if n.t.Principal[ei] == n.owner && n.delivered.get(ei) && !n.exchangeWhole(ei) {
+			ctx.sendTagged(n.PersonaOwner, n.owner, "recall:"+strconv.Itoa(int(ei)))
 		}
 	}
 }
@@ -427,89 +443,60 @@ func (n *TrustedNode) onDeadline(ctx *Context) {
 // collateral to the protected principal; otherwise it is refunded to
 // the offerer. Called from onDeadline for each held offer, and from the
 // transfer handler when collateral arrives after the unwind already ran.
-func (n *TrustedNode) settleOffer(ctx *Context, oi int, off model.IndemnityOffer) {
+func (n *TrustedNode) settleOffer(ctx *Context, oi int32) {
 	n.logApply(walEntry{op: walSettled, idx: oi})
-	amount := n.offerAmount(off)
-	if n.allDeposits(off.Covers, n.received.has) && !n.delivered.get(off.Covers) {
-		_ = ctx.SendTransfer(model.Pay(n.Self, n.Problem.Exchanges[off.Covers].Principal, amount))
+	covers := int32(n.Problem.Indemnities[oi].Covers)
+	if n.allDeposits(covers, n.received.has) && !n.delivered.get(covers) {
+		_ = ctx.sendTransfer(n.t.Payout[oi])
 		return
 	}
-	post := model.Pay(off.By, n.Self, amount)
-	_ = ctx.SendTransfer(post.Compensation())
+	_ = ctx.sendTransfer(n.t.Post[oi] + int32(n.t.Transfers))
 }
 
-func (n *TrustedNode) offerAmount(off model.IndemnityOffer) model.Money {
-	if off.Amount != 0 {
-		return off.Amount
-	}
-	return model.RequiredIndemnity(n.Problem, off.Covers)
-}
-
-func (n *TrustedNode) anyDepositReceived() bool {
-	for _, a := range n.received.keys {
-		if a.Kind != model.ActionNotify {
-			return true
-		}
-	}
-	return false
-}
-
-func (n *TrustedNode) exchangeWhole(ei int) bool {
-	return n.allDeposits(ei, func(d model.Action) bool {
+func (n *TrustedNode) exchangeWhole(ei int32) bool {
+	return n.allDeposits(ei, func(d int32) bool {
 		return n.received.has(d) && !n.refunded.has(d)
 	})
 }
 
-func (n *TrustedNode) matchDeposit(a model.Action) (int, bool) {
+// matchDeposit returns the first exchange mediated here that lists
+// slot s as a deposit.
+func (n *TrustedNode) matchDeposit(s int32) (int32, bool) {
 	for _, ei := range n.adjacent {
-		// a is one of ei's deposits unless every deposit differs from it.
-		if !n.allDeposits(ei, func(d model.Action) bool { return d != a }) {
+		if slices.Contains(n.t.Deposits(int(ei)), s) {
 			return ei, true
 		}
 	}
 	return 0, false
 }
 
-// allDeposits reports whether ok holds for every deposit of exchange
-// ei, walking the Gives bundle in place: membership needs no sorted,
-// freshly allocated DepositActions slice.
-func (n *TrustedNode) allDeposits(ei int, ok func(model.Action) bool) bool {
-	e := n.Problem.Exchanges[ei]
-	if e.Gives.Amount > 0 && !ok(model.Pay(e.Principal, e.Trusted, e.Gives.Amount)) {
-		return false
-	}
-	for _, it := range e.Gives.Items {
-		if !ok(model.Give(e.Principal, e.Trusted, it)) {
+// allDeposits reports whether ok holds for every deposit slot of
+// exchange ei.
+func (n *TrustedNode) allDeposits(ei int32, ok func(int32) bool) bool {
+	for _, d := range n.t.Deposits(int(ei)) {
+		if !ok(d) {
 			return false
 		}
 	}
 	return true
 }
 
-func (n *TrustedNode) matchCollateral(a model.Action) (int, bool) {
-	for oi, off := range n.Problem.Indemnities {
-		if off.Via != n.Self {
-			continue
-		}
-		if model.Pay(off.By, n.Self, n.offerAmount(off)) == a {
+// matchCollateral returns the offer whose collateral post is slot s.
+func (n *TrustedNode) matchCollateral(s int32) (int32, bool) {
+	for _, oi := range n.offers {
+		if n.t.Post[oi] == s {
 			return oi, true
 		}
 	}
 	return 0, false
 }
 
-func (n *TrustedNode) refundAction(ctx *Context, a model.Action) {
-	if !a.IsTransfer() || a.Inverse {
-		return
-	}
-	_ = ctx.SendTransfer(a.Compensation())
-}
-
 // PrincipalNode executes one principal's slice of a synthesized plan.
 // Its script is the ordered list of the principal's own action steps;
 // each step waits for the notifications and deliveries addressed to the
 // principal that precede it in the plan (the causal prerequisites), then
-// fires.
+// fires. Steps, waits and the seen and sent sets hold slots of the
+// problem's action table, as the plan's steps do.
 //
 // StopAfter bounds the number of script steps performed: a value < 0
 // means honest (no bound); 0 is a fully silent defector; k > 0 defects
@@ -519,6 +506,7 @@ type PrincipalNode struct {
 	Self      model.PartyID
 	StopAfter int
 
+	t      *model.ActionTable
 	script []scriptStep
 	next   int
 	// waited counts the leading waitFor entries of script[next] seen.
@@ -526,7 +514,7 @@ type PrincipalNode struct {
 	// tryFire checks each wait once per run. Not checkpointed: a
 	// restored node re-derives it from 0.
 	waited int
-	seen   actionSet
+	seen   slotSet
 	// seenTags is allocated lazily: tagged control messages only flow
 	// on the indemnity and recall paths, so most principals never pay
 	// for the map.
@@ -538,7 +526,7 @@ type PrincipalNode struct {
 	// settlement consults it so a deposit the script already paid is not
 	// paid again (and makes the recall moot — the owner's side is
 	// settled).
-	sent actionSet
+	sent slotSet
 }
 
 // markTag records a seen control tag, allocating the map on first use.
@@ -562,7 +550,7 @@ func (n *PrincipalNode) sawTag(tag string) bool { return n.seenTags[tag] }
 type recallState struct {
 	ei   int
 	mode recallMode
-	sent map[model.Action]bool
+	sent []int32 // the transfer slots sent towards settlement
 	done bool
 }
 
@@ -577,17 +565,17 @@ const (
 var _ Node = (*PrincipalNode)(nil)
 
 type scriptStep struct {
-	actions []model.Action
+	slots []int32
 	// waitFor are actions addressed to this principal that must have
 	// been observed before the step fires.
-	waitFor []model.Action
+	waitFor []int32
 	// waitTags are control confirmations (collateral postings) that must
 	// have been observed.
 	waitTags []string
 	// waitAny holds groups of alternatives: for each group, at least one
 	// of its actions must have been observed (e.g. "the wholesale
 	// intermediary notified me" OR "it already delivered the item").
-	waitAny [][]model.Action
+	waitAny [][]int32
 }
 
 // snapshotPrefix freezes the current contents of an append-only slice
@@ -596,26 +584,29 @@ type scriptStep struct {
 // shared prefix is immutable. The script builder leans on this — a
 // population producer observes thousands of actions across its steps,
 // and copying each step's cumulative prefix was the single largest
-// allocation in a large-population setup (~24 KB per principal).
+// allocation in a large-population setup.
 func snapshotPrefix[T any](s []T) []T {
 	return s[:len(s):len(s)]
 }
 
 // BuildPrincipalNodes derives the script of every principal in one
-// pass over plan.Steps: each principal accumulates the actions and
+// pass over plan.Steps: each principal accumulates the slots and
 // control tags addressed to it in step order, and snapshots that
 // prefix as the wait set of each of its own deposit/post steps. Doing
 // all principals in a single pass turns an O(principals × steps)
 // build — quadratic at population scale, since steps grow with
-// principals — into O(steps × step fan-out).
+// principals — into O(steps × step fan-out). Receivers are found by
+// party slot, from the action table.
 //
 // defectors maps principals to their StopAfter bound; absent
 // principals are honest (StopAfter -1).
 func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*PrincipalNode {
 	p := plan.Problem
-	idx := make(map[model.PartyID]int32, len(p.Parties))
+	t := p.ActionTable()
+	node := make([]int32, len(p.Parties)) // by party slot; -1 for a trusted component
 	nodes := make([]*PrincipalNode, 0, len(p.Parties))
-	for _, pa := range p.Parties {
+	for i, pa := range p.Parties {
+		node[i] = -1
 		if pa.IsTrusted() {
 			continue
 		}
@@ -623,34 +614,27 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 		if k, ok := defectors[pa.ID]; ok {
 			stop = k
 		}
-		idx[pa.ID] = int32(len(nodes))
-		nodes = append(nodes, &PrincipalNode{Problem: p, Self: pa.ID, StopAfter: stop})
+		node[i] = int32(len(nodes))
+		nodes = append(nodes, &PrincipalNode{Problem: p, Self: pa.ID, StopAfter: stop, t: t})
 	}
-	observed := make([][]model.Action, len(nodes))
+	observed := make([][]int32, len(nodes))
 	observedTags := make([][]string, len(nodes))
 	for _, st := range plan.Steps {
 		switch st.Kind {
 		case core.StepNotify, core.StepDeliver, core.StepIndemnityRefund:
-			for _, a := range st.Actions {
-				recv := a.Receiver()
-				if i, ok := idx[recv]; ok {
-					observed[i] = append(observed[i], a)
-				}
-				// A notify can address a party distinct from the asset
-				// receiver; both observe it (once, when they coincide).
-				if a.Kind == model.ActionNotify && a.To != recv {
-					if i, ok := idx[a.To]; ok {
-						observed[i] = append(observed[i], a)
-					}
+			for _, s := range st.Slots {
+				if _, to := t.Parties(int(s)); node[to] >= 0 {
+					observed[node[to]] = append(observed[node[to]], s)
 				}
 			}
 		case core.StepIndemnityPost:
 			off := p.Indemnities[st.Offer]
-			if i, ok := idx[p.Exchanges[off.Covers].Principal]; ok {
+			if i := node[t.Principal[off.Covers]]; i >= 0 {
 				observedTags[i] = append(observedTags[i], "posted:"+strconv.Itoa(st.Offer))
 			}
-			i, ok := idx[st.From]
-			if !ok {
+			by, _ := t.Parties(int(st.Slots[0]))
+			i := node[by]
+			if i < 0 {
 				continue
 			}
 			// A self-insured offerer posts only once it observes that the
@@ -658,36 +642,36 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 			// from the seller", Section 6): for each covered item, either
 			// the wholesale intermediary's notification or the item's
 			// actual delivery.
-			var anyOf [][]model.Action
+			var anyOf [][]int32
 			if model.SelfInsured(p, off) {
-				anyOf = securingSignals(p, st.From, off)
+				anyOf = securingSignals(p, t, by, off)
 			}
-			// The plan is immutable, so a step shares its actions.
+			// The plan is immutable, so a step shares its slots.
 			nodes[i].script = append(nodes[i].script, scriptStep{
-				actions:  snapshotPrefix(st.Actions),
+				slots:    st.Slots,
 				waitFor:  snapshotPrefix(observed[i]),
 				waitTags: snapshotPrefix(observedTags[i]),
 				waitAny:  anyOf,
 			})
 		case core.StepDeposit:
-			i, ok := idx[st.From]
-			if !ok {
+			i := node[t.Principal[st.Exchange]]
+			if i < 0 {
 				continue
 			}
 			nodes[i].script = append(nodes[i].script, scriptStep{
-				actions:  snapshotPrefix(st.Actions),
+				slots:    st.Slots,
 				waitFor:  snapshotPrefix(observed[i]),
 				waitTags: snapshotPrefix(observedTags[i]),
 			})
 		}
 	}
 	// A principal sees what the plan addresses to it and sends its
-	// script's actions: size both sets for that.
+	// script's slots: size both sets for that.
 	for i, n := range nodes {
 		n.seen.reserve(len(observed[i]))
 		sends := 0
 		for _, st := range n.script {
-			sends += len(st.actions)
+			sends += len(st.slots)
 		}
 		n.sent.reserve(sends)
 	}
@@ -695,29 +679,30 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 }
 
 // securingSignals returns, per covered item, the alternative
-// observations that tell the offerer the item is secured: the notify
-// from the trusted component of the offerer's purchase exchange for the
-// item, or the item's actual delivery to the offerer. Items bought at a
-// persona trusted played by the offerer are skipped — it observes its
-// own escrow directly.
-func securingSignals(p *model.Problem, self model.PartyID, off model.IndemnityOffer) [][]model.Action {
-	cov := p.Exchanges[off.Covers]
-	var out [][]model.Action
-	for _, it := range cov.Gets.Items {
-		var alts []model.Action
-		for _, ei := range p.ExchangesOf(self) {
-			e := p.Exchanges[ei]
-			if e.Principal != self || !e.Gets.HasItem(it) {
+// observations that tell the offerer in party slot self the item is
+// secured: the notify from the trusted component of the offerer's
+// purchase exchange for the item, or the item's actual delivery to the
+// offerer. Items bought at a persona trusted played by the offerer are
+// skipped — it observes its own escrow directly.
+func securingSignals(p *model.Problem, t *model.ActionTable, self int32, off model.IndemnityOffer) [][]int32 {
+	var out [][]int32
+	for _, it := range p.Exchanges[off.Covers].Gets.Items {
+		var alts []int32
+		for _, ei := range t.Own(int(self)) {
+			if !p.Exchanges[ei].Gets.HasItem(it) {
 				continue
 			}
-			if q, ok := p.PersonaOf(e.Trusted); ok && q == self {
+			if t.Persona[t.Trusted[ei]] == self {
 				alts = nil
 				break
 			}
-			alts = append(alts,
-				model.Notify(e.Trusted, self),
-				model.Give(e.Trusted, self, it),
-			)
+			alts = append(alts, t.Notify(int(ei)))
+			for _, r := range t.Receipts(int(ei)) {
+				if t.Give[r] && t.CellItem[t.Dst[r]] == it {
+					alts = append(alts, r)
+					break
+				}
+			}
 		}
 		if len(alts) > 0 {
 			out = append(out, alts)
@@ -743,8 +728,8 @@ func (n *PrincipalNode) OnMessage(ctx *Context, m Message) {
 	}
 	if m.Tag != "" {
 		n.markTag(m.Tag)
-	} else {
-		n.seen.add(m.Action)
+	} else if m.slot >= 0 {
+		n.seen.add(m.slot)
 	}
 	n.tryFire(ctx)
 	n.pumpRecalls(ctx)
@@ -775,7 +760,7 @@ func (n *PrincipalNode) onRecall(ctx *Context, m Message) {
 	if n.Problem.Exchanges[ei].Principal != n.Self {
 		return
 	}
-	rc := &recallState{ei: ei, sent: make(map[model.Action]bool)}
+	rc := &recallState{ei: ei}
 	n.recalls = append(n.recalls, rc)
 	n.attemptRecall(ctx, rc)
 }
@@ -798,12 +783,11 @@ func (n *PrincipalNode) pumpRecalls(ctx *Context) {
 // still be returned; only when nothing was returnable, pay the owner's
 // own side instead.
 func (n *PrincipalNode) attemptRecall(ctx *Context, rc *recallState) {
-	e := n.Problem.Exchanges[rc.ei]
-	deposits := model.DepositActions(e)
+	deposits := n.t.Deposits(rc.ei)
 	if rc.mode != recallReturning {
 		paid := true
 		for _, d := range deposits {
-			if !n.sent.has(d) && !rc.sent[d] {
+			if !n.sent.has(d) && !slices.Contains(rc.sent, d) {
 				paid = false
 			}
 		}
@@ -814,16 +798,16 @@ func (n *PrincipalNode) attemptRecall(ctx *Context, rc *recallState) {
 	}
 	if rc.mode == recallUndecided || rc.mode == recallReturning {
 		all := true
-		for _, r := range model.ReceiptActions(e) {
-			c := r.Compensation()
-			if rc.sent[c] {
+		for _, r := range n.t.Receipts(rc.ei) {
+			c := r + int32(n.t.Transfers) // the receipt's compensation
+			if slices.Contains(rc.sent, c) {
 				continue
 			}
-			if err := ctx.SendTransfer(c); err != nil {
+			if err := ctx.sendTransfer(c); err != nil {
 				all = false
 				continue
 			}
-			rc.sent[c] = true
+			rc.sent = append(rc.sent, c)
 			rc.mode = recallReturning
 		}
 		if all {
@@ -836,14 +820,14 @@ func (n *PrincipalNode) attemptRecall(ctx *Context, rc *recallState) {
 	}
 	all := true
 	for _, d := range deposits {
-		if rc.sent[d] || n.sent.has(d) {
+		if slices.Contains(rc.sent, d) || n.sent.has(d) {
 			continue
 		}
-		if err := ctx.SendTransfer(d); err != nil {
+		if err := ctx.sendTransfer(d); err != nil {
 			all = false
 			continue
 		}
-		rc.sent[d] = true
+		rc.sent = append(rc.sent, d)
 		rc.mode = recallPaying
 	}
 	if all {
@@ -872,8 +856,8 @@ func (n *PrincipalNode) tryFire(ctx *Context) {
 		}
 		for _, alts := range st.waitAny {
 			sawOne := false
-			for _, a := range alts {
-				if n.seen.has(a) {
+			for _, s := range alts {
+				if n.seen.has(s) {
 					sawOne = true
 					break
 				}
@@ -882,12 +866,12 @@ func (n *PrincipalNode) tryFire(ctx *Context) {
 				return
 			}
 		}
-		for _, a := range st.actions {
-			if err := ctx.SendTransfer(a); err != nil {
+		for _, s := range st.slots {
+			if err := ctx.sendTransfer(s); err != nil {
 				n.faults = append(n.faults, fmt.Errorf("sim: %s step %d: %w", n.Self, n.next, err))
 				return
 			}
-			n.sent.add(a)
+			n.sent.add(s)
 		}
 		n.next++
 		n.fired++

@@ -165,9 +165,9 @@ type runtime struct {
 //
 // The network numbers its party slots in the problem's party order with
 // the transit account last, so it shares one slot space with the ledger
-// and the problem's action table. Every transfer resolves its party
-// slots and cells against them when it is sent, so delivery and both
-// ledger movements index arrays.
+// and the problem's action table. Every transfer is sent as its slot in
+// the table, whose endpoints and cells delivery and both ledger
+// movements read by index.
 func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	if !plan.Feasible {
 		return nil, core.ErrInfeasible
@@ -200,7 +200,7 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	// guard bounds it either way.
 	actions := 0
 	for _, st := range plan.Steps {
-		actions += len(st.Actions)
+		actions += len(st.Slots)
 	}
 	net.trace = make([]Message, 0, min(actions, opts.MaxMessages))
 

@@ -8,7 +8,6 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
-	"trustseq/internal/ledger"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
@@ -302,7 +301,9 @@ func TestRunRejectsInfeasiblePlan(t *testing.T) {
 }
 
 // A transfer the problem does not define fails closed at send: the
-// typed error, no debit and nothing queued.
+// typed error, no debit and nothing queued. Sends name action-table
+// slots, so what the problem does not define is a slot that is no
+// transfer: a notify, one past the table, and -1.
 func TestSendTransferUndefinedFailsClosed(t *testing.T) {
 	t.Parallel()
 	rs, err := setupRun(plan(t, paperex.Example1()), Options{Seed: 1})
@@ -310,22 +311,12 @@ func TestSendTransferUndefinedFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := rs.net
+	tab := net.table
 	opening := rs.book.String()
-	for _, tc := range []struct {
-		from model.PartyID
-		a    model.Action
-	}{
-		{paperex.Producer, model.Give(paperex.Producer, paperex.Trusted2, "ghost")}, // no exchange moves the document
-		{paperex.Producer, model.Give(paperex.Producer, "ghost", paperex.Doc)},      // the receiver is no party
-		{paperex.Producer, model.Pay(paperex.Producer, ledger.TransitID, 0)},        // nor is the transit account
-		// Endpoints and cells exist, but no exchange pays $99: the
-		// action has no slot in the table.
-		{paperex.Consumer, model.Pay(paperex.Consumer, paperex.Trusted1, 99)},
-		{paperex.Producer, model.Notify(paperex.Producer, paperex.Trusted2)}, // not a transfer
-	} {
-		net.ctx.self, net.ctx.slot = tc.from, net.lookup(tc.from)
-		if err := net.ctx.SendTransfer(tc.a); !errors.Is(err, ErrUndefinedTransfer) {
-			t.Errorf("SendTransfer(%v) = %v, want ErrUndefinedTransfer", tc.a, err)
+	net.ctx.self, net.ctx.slot = paperex.Trusted1, net.lookup(paperex.Trusted1)
+	for _, s := range []int32{tab.Notify(0), int32(tab.Len()), -1} {
+		if err := net.ctx.sendTransfer(s); !errors.Is(err, ErrUndefinedTransfer) {
+			t.Errorf("sendTransfer(%d) = %v, want ErrUndefinedTransfer", s, err)
 		}
 	}
 	if got := rs.book.String(); got != opening {
@@ -347,9 +338,8 @@ func TestAssembleRejectsUndefinedAction(t *testing.T) {
 	net := rs.net
 	m := Message{From: paperex.Trusted1, To: paperex.Producer, Kind: MsgNotify,
 		Action: model.Notify(paperex.Trusted1, paperex.Producer), to: net.lookup(paperex.Producer)}
-	net.place(&m, net.lookup(paperex.Trusted1))
-	if m.slot >= 0 {
-		t.Fatalf("%v has slot %d; no exchange joins them", m.Action, m.slot)
+	if err := net.resolve(&m); err == nil || m.slot >= 0 {
+		t.Fatalf("resolve(%v) = %v with slot %d; no exchange joins them", m.Action, err, m.slot)
 	}
 	net.trace = append(net.trace, m)
 	var foreign *model.ForeignActionError
@@ -358,15 +348,16 @@ func TestAssembleRejectsUndefinedAction(t *testing.T) {
 	}
 }
 
-// Resolving a message's action slot at send takes the place of the
-// mover and cells it used to carry: a Message does not grow.
+// A message carries its action's slot and its receiver's party slot
+// beside the IDs and the Action it renders: pin today's 152 bytes so
+// the message cannot grow.
 func TestMessageSize(t *testing.T) {
 	t.Parallel()
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if n := unsafe.Sizeof(Message{}); n > 160 {
-		t.Fatalf("Message is %d bytes, want at most 160", n)
+	if n := unsafe.Sizeof(Message{}); n > 152 {
+		t.Fatalf("Message is %d bytes, want at most 152", n)
 	}
 }
 

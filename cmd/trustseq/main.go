@@ -98,10 +98,11 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// The report body is shared with the trustd service so the CLI and
-	// the daemon stay byte-identical by construction (the parity test
-	// in this package re-checks it per example spec).
-	report, err := service.RenderText(plan, service.RenderOptions{
+	// The report is derived and rendered by the trustd service's own
+	// Report and Text, so the CLI and the daemon stay byte-identical by
+	// construction (the parity test in this package re-checks it per
+	// example spec).
+	report, err := service.RenderText(plan, service.AnalyzeOptions{
 		Trace:     *showTrace,
 		Indemnify: *proposeIndemnity,
 		Verify:    *verify,

@@ -35,6 +35,7 @@ func TestServiceParity(t *testing.T) {
 		{"seq", []string{"-seq"}, "?seq=1"},
 		{"indemnify", []string{"-indemnify"}, "?indemnify=1"},
 		{"seq+verify", []string{"-seq", "-verify"}, "?seq=1&verify=1"},
+		{"seq+verify+indemnify", []string{"-seq", "-verify", "-indemnify"}, "?seq=1&verify=1&indemnify=1"},
 	}
 	for _, spec := range specs {
 		src, err := os.ReadFile(spec)

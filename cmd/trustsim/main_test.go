@@ -243,3 +243,18 @@ func TestCanceledSweepReportsPartial(t *testing.T) {
 		t.Errorf("stderr missing partial summary:\n%s", errw.String())
 	}
 }
+
+// A checkpoint tick no event reaches fails the run: the command exits
+// non-zero, names the tick, and leaves no checkpoint file behind.
+func TestCheckpointNotReachedFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "late.tsq8")
+	var out bytes.Buffer
+	err := runCLI([]string{"-principals", "10", "-deadline", "20000", "-seed", "1",
+		"-checkpoint", path, "-checkpoint-at", "100000000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint tick") {
+		t.Fatalf("run = %v, want a checkpoint-not-reached error", err)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Fatalf("unreached checkpoint left a file: %v", statErr)
+	}
+}

@@ -189,7 +189,7 @@ func requirePlansIdentical(t *testing.T, full, inc *core.Plan) {
 	if !reflect.DeepEqual(full.Steps, inc.Steps) {
 		t.Fatalf("execution steps differ:\nfull %v\ninc  %v", full.Steps, inc.Steps)
 	}
-	opts := service.RenderOptions{Trace: true, Indemnify: true, Verify: true}
+	opts := service.AnalyzeOptions{Trace: true, Indemnify: true, Verify: true}
 	fullText, err := service.RenderText(full, opts)
 	if err != nil {
 		t.Fatalf("RenderText(full) = %v", err)

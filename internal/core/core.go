@@ -459,9 +459,10 @@ func (p *Plan) schedule() error {
 		if rm.Rule == sequencing.Rule2 && conj.TrustedAgent {
 			target := p.Sequencing.Commitments[ci].Principal
 			var requires []int
-			for _, ei := range p.Problem.ExchangesOf(conj.Agent) {
-				if p.Problem.Exchanges[ei].Trusted == conj.Agent && ei != ci {
-					requires = append(requires, ei)
+			k, _ := t.PartySlot(conj.Agent)
+			for _, ei := range t.At(k) {
+				if int(ei) != ci {
+					requires = append(requires, int(ei))
 				}
 			}
 			notifies = append(notifies, pendingNotify{trusted: conj.Agent, target: target, commit: ci, requires: requires})
@@ -583,14 +584,19 @@ func (p *Plan) schedule() error {
 // the offerer has a purchase exchange for that item.
 func canGuaranteeDelivery(exec *safety.Exec, off model.IndemnityOffer) bool {
 	cov := exec.Problem.Exchanges[off.Covers]
+	t := exec.Problem.ActionTable()
+	var own []int32 // the offerer's own exchanges
+	if by, ok := t.PartySlot(off.By); ok {
+		own = t.Own(by)
+	}
 	for _, it := range cov.Gets.Items {
 		if exec.ItemCount(off.By, it) > 0 {
 			continue
 		}
 		ok := false
-		for _, ei := range exec.Problem.ExchangesOf(off.By) {
+		for _, ei := range own {
 			e := exec.Problem.Exchanges[ei]
-			if e.Principal != off.By || !e.Gets.HasItem(it) {
+			if !e.Gets.HasItem(it) {
 				continue
 			}
 			if exec.ItemCount(e.Trusted, it) > 0 {

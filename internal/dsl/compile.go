@@ -208,11 +208,17 @@ func Load(src string) (*model.Problem, error) {
 // pairwise model); Section 8's universal-intermediary constructions are
 // not expressible as exchange statements.
 func Print(p *model.Problem) (string, error) {
+	// One pass counts what each trusted component mediates: Print runs on
+	// uncompiled problems, where a per-party ExchangesOf would rescan.
+	mediated := make(map[model.PartyID]int, len(p.Parties))
+	for _, e := range p.Exchanges {
+		mediated[e.Trusted]++
+	}
 	for _, pa := range p.Parties {
 		if !pa.IsTrusted() {
 			continue
 		}
-		if n := len(p.ExchangesOf(pa.ID)); n != 2 {
+		if n := mediated[pa.ID]; n != 2 {
 			return "", fmt.Errorf("dsl: trusted %s mediates %d exchanges; only pairwise problems are expressible", pa.ID, n)
 		}
 	}

@@ -62,8 +62,10 @@ func feasible(p *model.Problem) (bool, error) {
 // conjunction with no red edges — the paper only splits "a conjunctive
 // edge of the second type") with at least two members, not yet covered by
 // an offer. For each, the counterpart seller and shared trusted
-// intermediary are resolved so a concrete offer can be formed.
+// intermediary are resolved so a concrete offer can be formed. It
+// compiles the problem if it is not already.
 func Candidates(p *model.Problem) ([]model.IndemnityOffer, error) {
+	t := p.ActionTable()
 	red := p.RedExchanges()
 	covered := make(map[int]bool, len(p.Indemnities))
 	for _, off := range p.Indemnities {
@@ -78,19 +80,9 @@ func Candidates(p *model.Problem) ([]model.IndemnityOffer, error) {
 		if len(red[principal]) > 0 {
 			continue // type-3 conjunction: ordering, not splittable
 		}
-		groups := p.ConjunctionGroups(principal)
-		inBigGroup := false
-		for _, g := range groups {
-			if len(g) < 2 {
-				continue
-			}
-			for _, gi := range g {
-				if gi == ei {
-					inBigGroup = true
-				}
-			}
-		}
-		if !inBigGroup {
+		// An uncovered exchange is in its principal's unsplit Rest row,
+		// the one group that can hold two members.
+		if pr := t.Principal[ei]; pr < 0 || len(t.Rest(int(pr))) < 2 {
 			continue
 		}
 		seller, ok := counterpartSeller(p, ei)

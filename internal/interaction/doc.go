@@ -8,18 +8,22 @@
 //
 //   - Graph carries the node sets and Edges plus derived facts the
 //     sequencing layer needs: which parties are personas (a principal
-//     playing its own trusted component, Section 4.2.3), which nodes are
-//     isolated, and whether the graph is connected.
+//     playing its own trusted component, Section 4.2.3), each party's
+//     degree and incident edges, which nodes are isolated, and whether
+//     the graph is connected. Personas, degrees and incident edges are
+//     read from the problem's model.ActionTable — the one index compiled
+//     from the problem — so the graph keeps no adjacency of its own.
 //   - Edge ties one side of one pairwise exchange to the intermediary
 //     that escrows it.
-//   - New is the only constructor; it validates the Problem first and
-//     returns an error rather than a partial graph.
+//   - FromCompiled is the one constructor, for a problem that already
+//     passed Validate; New validates the Problem first and returns an
+//     error rather than a partial graph.
 //
 // # Concurrency and ownership
 //
-// New is pure: it does not retain or mutate its Problem (beyond the
-// idempotent pre-fan-out Compile contract described in package model)
-// and each call returns a fresh Graph. Graphs are immutable after
-// construction and safe for concurrent reads; the package holds no
-// locks and starts no goroutines.
+// New and FromCompiled do not mutate their Problem beyond the
+// idempotent pre-fan-out Compile contract described in package model,
+// and each call returns a fresh Graph that reads the Problem. Graphs are
+// immutable after construction and safe for concurrent reads; the
+// package holds no locks and starts no goroutines.
 package interaction

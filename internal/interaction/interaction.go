@@ -11,20 +11,14 @@ import (
 // Graph is the interaction graph I = (P, T, E). Edges are identified by
 // the index of the model.Exchange they correspond to, so downstream
 // structures (sequencing-graph commitment nodes) share the numbering.
+// Adjacency and personas (direct trust, Section 4.2.3) are read from the
+// problem's action table, the one index compiled from the problem.
 type Graph struct {
 	Problem    *model.Problem
 	Principals []model.PartyID
 	Trusted    []model.PartyID
 	// Edges[i] is the interaction edge for Problem.Exchanges[i].
 	Edges []Edge
-	// Personas maps trusted components played by a principal (direct
-	// trust, Section 4.2.3) to that principal.
-	Personas map[model.PartyID]model.PartyID
-
-	// edgesBy caches each party's incident edge indices. FromCompiled
-	// fills it; Degree and EdgesOf fall back to a linear scan on
-	// hand-assembled graphs that lack it.
-	edgesBy map[model.PartyID][]int
 }
 
 // Edge is one element of E: principal p uses trusted intermediary t.
@@ -44,14 +38,15 @@ func New(p *model.Problem) (*Graph, error) {
 }
 
 // FromCompiled derives the interaction graph from a problem that has
-// already passed Validate, skipping re-validation. The incremental path
-// (core.SynthesizeIncremental) uses it: the edited problem arrives
-// validated from the DSL loader, and re-validating would cost more than
-// the whole graph patch. Persona lookups come from the compiled tables
-// when present.
+// already passed Validate, skipping re-validation; it is the one
+// constructor, and New is Validate followed by it. The incremental path
+// (core.SynthesizeIncremental) calls it directly: the edited problem
+// arrives validated from the DSL loader, and re-validating would cost
+// more than the whole graph patch. It compiles the problem if needed;
+// the graph keeps no adjacency of its own.
 func FromCompiled(p *model.Problem) *Graph {
 	p.Compile()
-	g := &Graph{Problem: p, Personas: make(map[model.PartyID]model.PartyID)}
+	g := &Graph{Problem: p, Edges: make([]Edge, len(p.Exchanges))}
 	for _, pa := range p.Parties {
 		if pa.IsTrusted() {
 			g.Trusted = append(g.Trusted, pa.ID)
@@ -59,34 +54,20 @@ func FromCompiled(p *model.Problem) *Graph {
 			g.Principals = append(g.Principals, pa.ID)
 		}
 	}
-	g.edgesBy = make(map[model.PartyID][]int, len(p.Parties))
 	for i, e := range p.Exchanges {
-		g.Edges = append(g.Edges, Edge{Exchange: i, Principal: e.Principal, Trusted: e.Trusted})
-		g.edgesBy[e.Principal] = append(g.edgesBy[e.Principal], i)
-		if e.Trusted != e.Principal {
-			g.edgesBy[e.Trusted] = append(g.edgesBy[e.Trusted], i)
-		}
-	}
-	for _, t := range g.Trusted {
-		if q, ok := p.PersonaOf(t); ok {
-			g.Personas[t] = q
-		}
+		g.Edges[i] = Edge{Exchange: i, Principal: e.Principal, Trusted: e.Trusted}
 	}
 	return g
 }
 
 // Degree returns the number of interaction edges incident to the party.
 func (g *Graph) Degree(id model.PartyID) int {
-	if g.edgesBy != nil {
-		return len(g.edgesBy[id])
+	t := g.Problem.ActionTable()
+	k, ok := t.PartySlot(id)
+	if !ok {
+		return 0
 	}
-	n := 0
-	for _, e := range g.Edges {
-		if e.Principal == id || e.Trusted == id {
-			n++
-		}
-	}
-	return n
+	return t.Degree(k)
 }
 
 // Internal reports whether the party is an internal node of I (more than
@@ -94,27 +75,14 @@ func (g *Graph) Degree(id model.PartyID) int {
 // the sequencing graph (Section 4.1).
 func (g *Graph) Internal(id model.PartyID) bool { return g.Degree(id) > 1 }
 
-// EdgesOf returns the indices (into g.Edges) of the edges at a party.
-// Read-only when served from the FromCompiled cache.
-func (g *Graph) EdgesOf(id model.PartyID) []int {
-	if g.edgesBy != nil {
-		return g.edgesBy[id]
-	}
-	var out []int
-	for i, e := range g.Edges {
-		if e.Principal == id || e.Trusted == id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// EdgesOf returns the indices (into g.Edges) of the edges at a party,
+// ascending: the party's exchanges, as Problem.ExchangesOf reads them
+// from the table.
+func (g *Graph) EdgesOf(id model.PartyID) []int { return g.Problem.ExchangesOf(id) }
 
 // PersonaOf reports the principal playing the trusted component's role,
 // if any.
-func (g *Graph) PersonaOf(t model.PartyID) (model.PartyID, bool) {
-	q, ok := g.Personas[t]
-	return q, ok
-}
+func (g *Graph) PersonaOf(t model.PartyID) (model.PartyID, bool) { return g.Problem.PersonaOf(t) }
 
 // Connected reports whether the interaction graph is connected (ignoring
 // isolated parties with no exchanges, which are reported separately by
@@ -175,7 +143,7 @@ func (g *Graph) DOT() string {
 	for _, t := range g.Trusted {
 		label := string(t)
 		style := "shape=square"
-		if q, ok := g.Personas[t]; ok {
+		if q, ok := g.PersonaOf(t); ok {
 			label = fmt.Sprintf("%s\n(played by %s)", t, q)
 			style = "shape=square, style=dashed"
 		}

@@ -20,9 +20,12 @@
 //     Gives, Gets, RedOverride).
 //   - Action is a single transfer or notification; Bundle, Money, ItemID
 //     and Holding describe what moves.
-//   - ActionTable is the compiled problem's action index: one slot per
-//     distinct action value, each transfer's endpoints resolved to a
-//     party slot (money) or a (party, item) cell.
+//   - ActionTable is the compiled problem's one derived index: one slot
+//     per distinct action value, each transfer's endpoints resolved to a
+//     party slot (money) or a (party, item) cell, and per-party rows of
+//     exchanges, personas and conjunction groups that the party
+//     accessors (ExchangesOf, PersonaOf, ConjunctionGroups, the red
+//     rules) read.
 //   - State is the unordered set of executed actions, a bitset over its
 //     problem's ActionTable: it holds only actions the problem defines,
 //     and Add of any other fails with a *ForeignActionError. The
@@ -36,9 +39,7 @@
 // lifecycle is build → Validate → Compile → share: Compile is idempotent
 // but NOT safe to race with itself or with readers, so callers that share
 // a Problem across goroutines (sweep workers, the trustd service) must
-// call Compile once, before fan-out. ActionTable is built on first use
-// and published with an atomic compare-and-swap, so two first readers
-// never race. After that single compile, the
+// call Compile once, before fan-out. After that single compile, the
 // Problem and its compiled state are treated as immutable everywhere in
 // this repo, and concurrent reads are safe. Mutating a Problem after
 // Compile is a contract violation — the compiled arrays would go stale

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -81,8 +82,8 @@ type Problem struct {
 	Indemnities []IndemnityOffer
 	Constraints []Constraint
 
-	partyIndex map[PartyID]int  // built by Validate / Index
-	comp       *compiledProblem // dense derived tables; see compile.go
+	partyIndex map[PartyID]int // built by Validate / Index
+	table      *ActionTable    // the compiled index; see Compile
 }
 
 // Party returns the party record for the ID.
@@ -105,37 +106,42 @@ func (p *Problem) buildIndex() {
 	}
 }
 
+// The party accessors below read the problem's action table: its Own
+// and At rows, its personas and its split flags. On an uncompiled
+// problem they read a private table built for the call, so each call
+// costs O(exchanges); compile a problem that is asked repeatedly. They
+// answer for the problem's own parties, and for an unknown ID as for a
+// party with no exchanges.
+
 // ExchangesOf returns the indices of the exchanges in which the party
 // participates (as principal or as trusted component), ascending.
 func (p *Problem) ExchangesOf(id PartyID) []int {
-	if c := p.comp; c != nil {
-		return c.exchangesOf[id]
+	t := p.readTable()
+	k, ok := t.parties[id]
+	if !ok {
+		return nil
 	}
 	var out []int
-	for i, e := range p.Exchanges {
-		if e.Principal == id || e.Trusted == id {
-			out = append(out, i)
+	for _, row := range [2][]int32{t.Own(k), t.At(k)} {
+		for _, ei := range row {
+			out = append(out, int(ei))
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out) // an exchange with the party on both sides
 }
 
 // PrincipalsAt returns the distinct principals adjacent to a trusted
 // component, in first-appearance order.
 func (p *Problem) PrincipalsAt(trusted PartyID) []PartyID {
-	if c := p.comp; c != nil {
-		return c.principalsAt[trusted]
+	t := p.readTable()
+	k, ok := t.parties[trusted]
+	if !ok {
+		return nil
 	}
-	seen := make(map[PartyID]struct{})
 	var out []PartyID
-	for _, e := range p.Exchanges {
-		if e.Trusted != trusted {
-			continue
-		}
-		if _, ok := seen[e.Principal]; !ok {
-			seen[e.Principal] = struct{}{}
-			out = append(out, e.Principal)
-		}
+	for _, q := range t.principalsAt(nil, k, make([]int32, len(p.Parties))) {
+		out = append(out, p.Parties[q].ID)
 	}
 	return out
 }
@@ -157,11 +163,12 @@ func (p *Problem) Trusts(truster, trustee PartyID) bool {
 // such principal exists, ok is false and t is a genuinely independent
 // trusted agent.
 func (p *Problem) PersonaOf(t PartyID) (persona PartyID, ok bool) {
-	if c := p.comp; c != nil {
-		persona, ok = c.persona[t]
-		return persona, ok
+	tab := p.readTable()
+	k, ok := tab.parties[t]
+	if !ok || tab.Persona[k] < 0 {
+		return "", false
 	}
-	return personaFrom(p, p.PrincipalsAt(t))
+	return p.Parties[tab.Persona[k]].ID, true
 }
 
 // personaFrom applies the persona rule to a trusted component's adjacent
@@ -203,14 +210,11 @@ func personaFrom(p *Problem, principals []PartyID) (PartyID, bool) {
 // Exchanges of a principal with a single exchange are never red (there is
 // no conjunction node to attach the edge to).
 func (p *Problem) RedExchanges() map[PartyID]map[int]bool {
+	t := p.readTable()
 	out := make(map[PartyID]map[int]bool)
-	byPrincipal := make(map[PartyID][]int)
-	for i, e := range p.Exchanges {
-		byPrincipal[e.Principal] = append(byPrincipal[e.Principal], i)
-	}
-	for principal, idxs := range byPrincipal {
-		if set := p.redOf(principal, idxs); set != nil {
-			out[principal] = set
+	for k, pa := range p.Parties {
+		if set := p.redOf(t, k); set != nil {
+			out[pa.ID] = set
 		}
 	}
 	return out
@@ -222,28 +226,29 @@ func (p *Problem) RedExchanges() map[PartyID]map[int]bool {
 // is what makes the incremental patcher's frontier local: an edit dirties
 // exactly the touched principals' sets.
 func (p *Problem) RedExchangesOf(principal PartyID) map[int]bool {
-	var idxs []int
-	for i, e := range p.Exchanges {
-		if e.Principal == principal {
-			idxs = append(idxs, i)
-		}
+	t := p.readTable()
+	k, ok := t.parties[principal]
+	if !ok {
+		return nil
 	}
-	return p.redOf(principal, idxs)
+	return p.redOf(t, k)
 }
 
-// redOf applies the three red rules to one principal's exchange indices.
-// It returns nil when nothing is red (including the single-exchange
-// guard: with one exchange there is no conjunction to attach red to).
-func (p *Problem) redOf(principal PartyID, idxs []int) map[int]bool {
-	if len(p.ExchangesOf(principal)) < 2 {
+// redOf applies the three red rules to the own exchanges of the party in
+// slot k. It returns nil when nothing is red (including the
+// single-exchange guard: with one exchange there is no conjunction to
+// attach red to).
+func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
+	idxs := t.Own(k)
+	if len(idxs) == 0 || t.Degree(k) < 2 {
 		return nil
 	}
 	var out map[int]bool
-	mark := func(idx int) {
+	mark := func(idx int32) {
 		if out == nil {
 			out = make(map[int]bool)
 		}
-		out[idx] = true
+		out[int(idx)] = true
 	}
 
 	// Rule 3: explicit override.
@@ -270,8 +275,8 @@ func (p *Problem) redOf(principal PartyID, idxs []int) map[int]bool {
 	}
 
 	// Rule 2: poor principal.
-	pa, ok := p.Party(principal)
-	if !ok || !pa.LimitedFunds {
+	pa := p.Parties[k]
+	if !pa.LimitedFunds {
 		return out
 	}
 	var outgoing Money
@@ -293,38 +298,21 @@ func (p *Problem) redOf(principal PartyID, idxs []int) map[int]bool {
 // one group (the Section 4.1 type-2 conjunction). Each accepted indemnity
 // covering one of the principal's exchanges splits that exchange into its
 // own group (Section 6: "an indemnity allows a conjunction node to be
-// split").
+// split"). Groups are ordered by first member; the unsplit group is the
+// table's Rest row.
 func (p *Problem) ConjunctionGroups(principal PartyID) [][]int {
-	if c := p.comp; c != nil {
-		return c.conjGroups[principal]
+	t := p.readTable()
+	k, ok := t.parties[principal]
+	if !ok {
+		return nil
 	}
-	var mine []int
-	for i, e := range p.Exchanges {
-		if e.Principal == principal {
-			mine = append(mine, i)
-		}
-	}
-	split := make(map[int]bool)
-	for _, off := range p.Indemnities {
-		if off.Covers >= 0 && off.Covers < len(p.Exchanges) &&
-			p.Exchanges[off.Covers].Principal == principal {
-			split[off.Covers] = true
-		}
-	}
-	return groupsFrom(mine, split)
-}
-
-// groupsFrom partitions a principal's ascending exchange indices into
-// conjunction groups: each index in split detaches into a singleton, the
-// rest stay one all-or-nothing group, ordered by first member.
-func groupsFrom(mine []int, split map[int]bool) [][]int {
-	var rest []int
 	var groups [][]int
-	for _, i := range mine {
-		if split[i] {
-			groups = append(groups, []int{i})
+	var rest []int
+	for _, ei := range t.Own(k) {
+		if t.split[ei] {
+			groups = append(groups, []int{int(ei)})
 		} else {
-			rest = append(rest, i)
+			rest = append(rest, int(ei))
 		}
 	}
 	if len(rest) > 0 {
@@ -363,7 +351,7 @@ func (p *Problem) Clone() *Problem {
 //     component adjacent to both the offerer and the protected principal.
 func (p *Problem) Validate() error {
 	p.partyIndex = nil
-	p.comp = nil // mutations since the last Validate invalidate the compiled tables
+	p.table = nil // mutations since the last Validate invalidate the compiled table
 	p.buildIndex()
 	if len(p.Parties) != len(p.partyIndex) {
 		return fmt.Errorf("model: problem %q has duplicate party IDs", p.Name)
@@ -424,7 +412,7 @@ func (p *Problem) Validate() error {
 			return err
 		}
 	}
-	// A validated problem is about to be analysed; build the dense tables
+	// A validated problem is about to be analysed; build the table
 	// here, while the problem is still owned by a single goroutine.
 	p.Compile()
 	return nil

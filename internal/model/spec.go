@@ -21,10 +21,7 @@ func ReceiptActions(e Exchange) []Action {
 // transferActions returns the pay action (if any), then one give per
 // item in item order, sorted in place in the one slice it allocates.
 func transferActions(from, to PartyID, b Bundle) []Action {
-	n := len(b.Items)
-	if b.Amount > 0 {
-		n++
-	}
+	n := transfers(b)
 	if n == 0 {
 		return nil
 	}

@@ -20,9 +20,10 @@ package model
 //
 // Slot layout: [0, Transfers) are the forward transfers, slot
 // s+Transfers is the compensation of forward slot s, and the notifies
-// follow from 2·Transfers. The table is built once per compiled problem
-// (see Problem.ActionTable) and never mutated afterwards, so any number
-// of goroutines may read it.
+// follow from 2·Transfers. Problem.Compile builds the table once per
+// problem and never mutates it afterwards, so any number of goroutines
+// may read it. It is the problem's one derived index: the party
+// accessors, the interaction graph and the engines all read its rows.
 type ActionTable struct {
 	// Transfers is the number of forward transfer slots.
 	Transfers int
@@ -61,7 +62,7 @@ type ActionTable struct {
 	Persona  []int32
 	own      rows // per party: exchanges it is the principal of, ascending
 	at       rows // per party: exchanges it is the trusted component of, ascending
-	rest     rows // per party: own exchanges no indemnity splits out
+	rest     rows // per party: own exchanges no indemnity splits out, ascending
 	inPays   rows // per party: forward pay slots it receives
 	inGives  rows // per cell: forward give slots received into it
 	cellsOf  rows // per party: its cells
@@ -78,7 +79,7 @@ type ActionTable struct {
 	InitItems []int32
 
 	problem *Problem
-	parties map[PartyID]int
+	parties map[PartyID]int // the problem's partyIndex when it is current
 }
 
 // rows is a compressed row index: row k holds vals[off[k]:off[k+1]].
@@ -280,6 +281,37 @@ func (t *ActionTable) Own(party int) []int32 { return t.own.row(party) }
 // component of.
 func (t *ActionTable) At(party int) []int32 { return t.at.row(party) }
 
+// Rest returns the own exchanges of the party in slot party that no
+// indemnity offer splits out: its unsplit all-or-nothing group, which
+// conjoins when it holds two or more (Section 6).
+func (t *ActionTable) Rest(party int) []int32 { return t.rest.row(party) }
+
+// Degree returns the number of exchanges the party in slot party takes
+// part in, on either side.
+func (t *ActionTable) Degree(party int) int {
+	n := len(t.own.row(party)) + len(t.at.row(party))
+	for _, ei := range t.own.row(party) {
+		if t.Trusted[ei] == int32(party) {
+			n-- // counted in both rows
+		}
+	}
+	return n
+}
+
+// principalsAt appends to buf the distinct principals of the exchanges
+// at party slot k, in first-appearance order. seen is a scratch array
+// over party slots: an entry equal to k+1 marks a principal already
+// appended, so one array serves every k of a pass.
+func (t *ActionTable) principalsAt(buf []int32, k int, seen []int32) []int32 {
+	for _, ei := range t.at.row(k) {
+		if pr := t.Principal[ei]; pr >= 0 && seen[pr] != int32(k+1) {
+			seen[pr] = int32(k + 1)
+			buf = append(buf, pr)
+		}
+	}
+	return buf
+}
+
 // Cells returns the party's cells.
 func (t *ActionTable) Cells(party int) []int32 { return t.cellsOf.row(party) }
 
@@ -288,34 +320,6 @@ func (t *ActionTable) Cells(party int) []int32 { return t.cellsOf.row(party) }
 func (t *ActionTable) Cell(party int, item ItemID) (int, bool) {
 	ci, ok := t.cells[cellKey{int32(party), item}]
 	return int(ci), ok
-}
-
-// ActionTable returns the problem's action table, building it on first
-// use. The problem is compiled first if it is not already; like Compile,
-// the first call must happen before the problem is shared across
-// goroutines (safety.NewExec makes it). Validate drops the table with the
-// rest of the compiled state.
-func (p *Problem) ActionTable() *ActionTable {
-	p.Compile()
-	return p.readTable()
-}
-
-// readTable returns the table for a caller that must not mutate the
-// problem: the published table when the problem is compiled (built and
-// published on first use), otherwise a private one.
-func (p *Problem) readTable() *ActionTable {
-	c := p.comp
-	if c == nil {
-		return buildActionTable(p, compile(p))
-	}
-	if t := c.table.Load(); t != nil {
-		return t
-	}
-	t := buildActionTable(p, c)
-	if !c.table.CompareAndSwap(nil, t) {
-		t = c.table.Load()
-	}
-	return t
 }
 
 // cellKey names a cell while the table is built.
@@ -375,9 +379,11 @@ func (b *tableBuilder) intern(a Action, from, to int32, r rows, principal, trust
 	return s
 }
 
-// buildActionTable builds the table in one pass over the compiled
-// deposit and receipt tables and the indemnity offers.
-func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
+// buildActionTable builds the table in one pass over the exchanges,
+// interning each one's DepositActions and ReceiptActions, and one over
+// the indemnity offers; the per-party rows, personas and status-quo
+// holdings follow from the slots.
+func buildActionTable(p *Problem) *ActionTable {
 	nEx, nParty := len(p.Exchanges), len(p.Parties)
 	parties := p.partyIndex
 	if parties == nil || len(parties) != nParty {
@@ -392,11 +398,12 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 		}
 		return -1
 	}
-	nAct := 0
-	for ei := range p.Exchanges {
-		nAct += len(c.deposits[ei]) + len(c.receipts[ei])
+	nDep, nRec := 0, 0
+	for _, e := range p.Exchanges {
+		nDep += transfers(e.Gives)
+		nRec += transfers(e.Gets)
 	}
-	nAct += 2 * len(p.Indemnities)
+	nAct := nDep + nRec + 2*len(p.Indemnities)
 	t := &ActionTable{
 		Src:       make([]int32, 0, nAct),
 		Dst:       make([]int32, 0, nAct),
@@ -420,14 +427,14 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 	t.own = groupRows(nParty, t.Principal)
 	t.at = groupRows(nParty, t.Trusted)
 
-	dep := rows{off: make([]int32, nEx+1), vals: make([]int32, 0, nAct)}
-	rec := rows{off: make([]int32, nEx+1), vals: make([]int32, 0, nAct)}
-	for ei := range p.Exchanges {
+	dep := rows{off: make([]int32, nEx+1), vals: make([]int32, 0, nDep)}
+	rec := rows{off: make([]int32, nEx+1), vals: make([]int32, 0, nRec)}
+	for ei, e := range p.Exchanges {
 		pr, tr := t.Principal[ei], t.Trusted[ei]
-		for _, a := range c.deposits[ei] {
+		for _, a := range DepositActions(e) {
 			dep.vals = append(dep.vals, b.intern(a, pr, tr, dep, pr, tr, ei, dep.vals[dep.off[ei]:]))
 		}
-		for _, a := range c.receipts[ei] {
+		for _, a := range ReceiptActions(e) {
 			rec.vals = append(rec.vals, b.intern(a, tr, pr, rec, pr, tr, ei, rec.vals[rec.off[ei]:]))
 		}
 		dep.off[ei+1], rec.off[ei+1] = int32(len(dep.vals)), int32(len(rec.vals))
@@ -482,12 +489,18 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 		}
 	}
 	t.rest = groupRows(nParty, restKeys)
-	for i := range t.Persona {
-		t.Persona[i] = -1
-	}
-	for tr, q := range c.persona {
-		if ti, ok := parties[tr]; ok {
-			t.Persona[ti] = slotOf(q)
+	seen := make([]int32, nParty)
+	var adj []int32
+	var ids []PartyID
+	for k := range t.Persona {
+		t.Persona[k] = -1
+		adj = t.principalsAt(adj[:0], k, seen)
+		ids = ids[:0]
+		for _, q := range adj {
+			ids = append(ids, p.Parties[q].ID)
+		}
+		if q, ok := personaFrom(p, ids); ok {
+			t.Persona[k] = slotOf(q)
 		}
 	}
 	for ei, tr := range t.Trusted {
@@ -510,6 +523,15 @@ func buildActionTable(p *Problem, c *compiledProblem) *ActionTable {
 	t.cellsOf = groupRows(nParty, t.CellParty)
 	t.initHoldings()
 	return t
+}
+
+// transfers returns the number of transfers that move bundle b: its pay,
+// if any, and one give per item.
+func transfers(b Bundle) int {
+	if b.Amount > 0 {
+		return len(b.Items) + 1
+	}
+	return len(b.Items)
 }
 
 // initHoldings fills InitCash and InitItems with the status quo: a

@@ -2,6 +2,7 @@ package sequencing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"trustseq/internal/dot"
@@ -96,12 +97,12 @@ func build(ig *interaction.Graph, applySplits bool) (*Graph, error) {
 		conjByAgent: make(map[model.PartyID]int),
 	}
 
+	t := p.ActionTable()
 	for _, e := range ig.Edges {
-		c := Commitment{ID: e.Exchange, Principal: e.Principal, Trusted: e.Trusted}
-		if q, ok := ig.PersonaOf(e.Trusted); ok && q == e.Principal {
-			c.PersonaPrincipal = true
-		}
-		g.Commitments = append(g.Commitments, c)
+		g.Commitments = append(g.Commitments, Commitment{
+			ID: e.Exchange, Principal: e.Principal, Trusted: e.Trusted,
+			PersonaPrincipal: t.AtPersona[e.Exchange],
+		})
 	}
 	sort.Slice(g.Commitments, func(i, j int) bool { return g.Commitments[i].ID < g.Commitments[j].ID })
 	for i, c := range g.Commitments {
@@ -110,56 +111,39 @@ func build(ig *interaction.Graph, applySplits bool) (*Graph, error) {
 		}
 	}
 
-	// For each party, the set of exchange indices that participate in a
-	// conjunction. Trusted components always conjoin all their edges
-	// (type-1). Principals conjoin per conjunction group; with splits
-	// applied (Section 6), singleton groups detach from the conjunction.
-	conjoined := make(map[model.PartyID]map[int]bool)
-	for _, pa := range p.Parties {
-		if !ig.Internal(pa.ID) {
-			continue
-		}
-		members := make(map[int]bool)
-		if pa.IsTrusted() {
-			for _, ei := range ig.EdgesOf(pa.ID) {
-				members[ig.Edges[ei].Exchange] = true
-			}
-		} else {
-			groups := p.ConjunctionGroups(pa.ID)
-			if !applySplits {
-				var all []int
-				for _, gr := range groups {
-					all = append(all, gr...)
-				}
-				groups = [][]int{all}
-			}
-			for _, gr := range groups {
-				if len(gr) < 2 {
-					continue
-				}
-				for _, ei := range gr {
-					members[ei] = true
-				}
-			}
+	// A party gets a conjunction node when at least two of its edges
+	// conjoin, read straight from the action table's rows. Trusted
+	// components conjoin all their edges (type-1). Principals conjoin all
+	// their own exchanges, or with splits applied (Section 6) only their
+	// unsplit Rest row: split exchanges are singleton groups, which never
+	// conjoin.
+	for k, pa := range p.Parties {
+		members := t.Own(k)
+		switch {
+		case pa.IsTrusted():
+			members = t.At(k)
+		case applySplits:
+			members = t.Rest(k)
 		}
 		if len(members) < 2 {
-			continue
+			continue // fewer than two edges: not an internal node of I
 		}
 		j := Conjunction{ID: len(g.Conjunctions), Agent: pa.ID, TrustedAgent: pa.IsTrusted()}
 		g.conjByAgent[pa.ID] = j.ID
 		g.Conjunctions = append(g.Conjunctions, j)
-		conjoined[pa.ID] = members
 	}
 
 	red := p.RedExchanges()
 	for _, c := range g.Commitments {
-		for _, agent := range []model.PartyID{c.Principal, c.Trusted} {
-			j, ok := g.conjByAgent[agent]
-			if !ok || !conjoined[agent][c.ID] {
-				continue
-			}
-			isRed := agent == c.Principal && red[agent][c.ID]
-			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c.ID, J: j}, Red: isRed})
+		j, ok := g.conjByAgent[c.Principal]
+		if ok && applySplits { // a split exchange is outside the Rest row
+			_, ok = slices.BinarySearch(t.Rest(int(t.Principal[c.ID])), int32(c.ID))
+		}
+		if ok {
+			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c.ID, J: j}, Red: red[c.Principal][c.ID]})
+		}
+		if j, ok := g.conjByAgent[c.Trusted]; ok {
+			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c.ID, J: j}})
 		}
 	}
 	g.finalize()

@@ -1,6 +1,8 @@
 package sequencing
 
 import (
+	"slices"
+
 	"trustseq/internal/model"
 )
 
@@ -108,40 +110,36 @@ func Patch(base *Graph, baseRed *Reduction, edited *model.Problem, delta *model.
 	}
 
 	// Persona flips on commitments at the touched trusted components.
+	t := edited.ActionTable()
 	var personaFlips []int
-	for _, t := range delta.PersonaTrusteds {
-		q, ok := edited.PersonaOf(t)
-		for _, ci := range edited.ExchangesOf(t) {
-			if edited.Exchanges[ci].Trusted != t {
-				continue
-			}
-			want := ok && q == edited.Exchanges[ci].Principal
-			if base.Commitments[ci].PersonaPrincipal != want {
-				personaFlips = append(personaFlips, ci)
+	for _, tr := range delta.PersonaTrusteds {
+		k, ok := t.PartySlot(tr)
+		if !ok {
+			continue
+		}
+		for _, ci := range t.At(k) {
+			if base.Commitments[ci].PersonaPrincipal != t.AtPersona[ci] {
+				personaFlips = append(personaFlips, int(ci))
 			}
 		}
 	}
 
 	// Conjunction membership for re-split principals (Section 6: an
 	// accepted indemnity splits the covered exchange out; groups below
-	// two members detach entirely). Membership crossing the two-member
-	// existence threshold would create or destroy a conjunction node and
-	// renumber everything after it — structural.
+	// two members detach entirely, so the members are the principal's
+	// unsplit Rest row when it holds two or more). Membership crossing
+	// the two-member existence threshold would create or destroy a
+	// conjunction node and renumber everything after it — structural.
 	type memberPatch struct {
 		j       int
-		members map[int]bool
+		members []int32 // ascending
 	}
 	var memberPatches []memberPatch
 	edgeDelta := 0
 	for _, q := range delta.SplitPrincipals {
-		members := make(map[int]bool)
-		for _, gr := range edited.ConjunctionGroups(q) {
-			if len(gr) < 2 {
-				continue
-			}
-			for _, ei := range gr {
-				members[ei] = true
-			}
+		var members []int32
+		if k, ok := t.PartySlot(q); ok && len(t.Rest(k)) >= 2 {
+			members = t.Rest(k)
 		}
 		j, exists := base.conjByAgent[q]
 		if !exists {
@@ -156,7 +154,7 @@ func Patch(base *Graph, baseRed *Reduction, edited *model.Problem, delta *model.
 		baseEdges := base.EdgesAtConjunction(j)
 		removed, added := 0, len(members)
 		for _, ei := range baseEdges {
-			if members[base.Edges[ei].ID.C] {
+			if _, in := slices.BinarySearch(members, int32(base.Edges[ei].ID.C)); in {
 				added--
 			} else {
 				removed++
@@ -216,8 +214,8 @@ func Patch(base *Graph, baseRed *Reduction, edited *model.Problem, delta *model.
 			for _, ei := range base.EdgesAtConjunction(mp.j) {
 				delete(member, base.Edges[ei].ID)
 			}
-			for ci := range mp.members {
-				member[EdgeID{C: ci, J: mp.j}] = true
+			for _, ci := range mp.members {
+				member[EdgeID{C: int(ci), J: mp.j}] = true
 			}
 		}
 		edges := make([]Edge, 0, len(member))

@@ -36,9 +36,9 @@
 //     instead of starting another engine run (X-Trustd-Cache:
 //     coalesced; this is the singleflight collapse);
 //  3. otherwise a leader goroutine takes a slot on the bounded engine
-//     semaphore, runs the pipeline, renders both bodies (JSON and the
-//     trustseq-identical text), publishes to the LRU cache and wakes
-//     every waiter (X-Trustd-Cache: miss).
+//     semaphore, runs the pipeline, derives one Report and renders both
+//     bodies from it (JSON and the trustseq-identical text), publishes
+//     to the LRU cache and wakes every waiter (X-Trustd-Cache: miss).
 //
 // Every waiter — leader's request included — honors its own per-request
 // timeout; a timed-out request returns 504 while the engine run it

@@ -11,7 +11,6 @@ import (
 
 	"trustseq/internal/cluster"
 	"trustseq/internal/core"
-	"trustseq/internal/indemnity"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/petri"
@@ -440,8 +439,8 @@ func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cac
 }
 
 // compute runs the analysis pipeline for one request — incrementally
-// against basePlan when one is resident — and renders both response
-// bodies. It is the only place engines run. The returned plan is the
+// against basePlan when one is resident — derives its Report once and
+// renders both response bodies from it. It is the only place engines run. The returned plan is the
 // request's deposit into the base cache; patched reports whether the
 // incremental path actually exploited the base. A non-nil rt (the miss
 // leader's request trace) receives the engine and render stages plus a
@@ -472,52 +471,9 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 		return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 	}
 
-	trusted := 0
-	for _, pa := range p.Parties {
-		if pa.IsTrusted() {
-			trusted++
-		}
-	}
-	res := &Result{
-		Problem: ProblemInfo{
-			Name:       p.Name,
-			Principals: len(p.Parties) - trusted,
-			Trusted:    trusted,
-			Exchanges:  len(p.Exchanges) / 2,
-		},
-		Feasible: plan.Feasible,
-	}
-	if opts.Trace {
-		res.Reduction = plan.Reduction.String()
-	}
-	if plan.Feasible {
-		res.Sequence = plan.ExecutionSequence()
-		for _, st := range plan.Steps {
-			res.Steps = append(res.Steps, st.String())
-		}
-		if opts.Verify {
-			if err := plan.Verify(); err != nil {
-				return nil, nil, patched, &StatusError{
-					Code: http.StatusInternalServerError,
-					Msg:  fmt.Sprintf("verification FAILED: %v", err),
-				}
-			}
-			ok := true
-			res.Verified = &ok
-		}
-	} else {
-		res.Impasse = plan.Reduction.Impasse()
-		if opts.Indemnify {
-			prop, err := indemnity.Greedy(p)
-			if err != nil {
-				return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
-			}
-			info := &IndemnityInfo{Feasible: prop.Feasible}
-			if prop.Feasible {
-				info.Text = prop.String()
-			}
-			res.Indemnity = info
-		}
+	res, err := Report(plan, opts)
+	if err != nil {
+		return nil, nil, patched, err
 	}
 	if opts.CrossCheck {
 		xs := rt.beginStage("crosscheck")
@@ -556,15 +512,8 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 		return nil, nil, patched, &StatusError{Code: http.StatusInternalServerError, Msg: err.Error()}
 	}
 	body = append(body, '\n')
-	text, err := RenderText(plan, RenderOptions{
-		Trace:     opts.Trace,
-		Indemnify: opts.Indemnify,
-		Verify:    opts.Verify,
-	})
+	text := res.Text(opts)
 	rt.endStage(rs)
-	if err != nil {
-		return nil, nil, patched, &StatusError{Code: http.StatusInternalServerError, Msg: err.Error()}
-	}
 	return &cached{json: body, text: []byte(text), at: time.Now()}, plan, patched, nil
 }
 

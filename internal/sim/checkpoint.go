@@ -58,14 +58,18 @@ import (
 
 // Typed failures. Corrupt covers structural damage (truncation, CRC or
 // bounds violations); Mismatch covers a well-formed checkpoint written
-// by a different plan or options.
+// by a different plan or options; NotReached is Run's answer when no
+// event reached the tick a CheckpointSpec names, so nothing was written.
 var (
-	ErrCheckpointCorrupt  = errors.New("sim: checkpoint corrupt")
-	ErrCheckpointMismatch = errors.New("sim: checkpoint does not match plan/options")
+	ErrCheckpointCorrupt    = errors.New("sim: checkpoint corrupt")
+	ErrCheckpointMismatch   = errors.New("sim: checkpoint does not match plan/options")
+	ErrCheckpointNotReached = errors.New("sim: no event reached the checkpoint tick")
 )
 
 // CheckpointSpec asks Run to snapshot the simulation to Path at the
-// first event whose delivery tick is >= At, then continue.
+// first event whose delivery tick is >= At, then continue. A run that
+// ends before any event reaches At writes no file and fails with
+// ErrCheckpointNotReached.
 type CheckpointSpec struct {
 	Path string
 	At   Time
@@ -254,12 +258,11 @@ func (d *cdec) message() Message {
 // written out before the event is dispatched.
 func (rs *runtime) armCheckpoint() {
 	spec := rs.opts.Checkpoint
-	written := false
 	rs.net.onEvent = func(m Message) error {
-		if written || m.At < spec.At {
+		if rs.checkpointed || m.At < spec.At {
 			return nil
 		}
-		written = true
+		rs.checkpointed = true
 		pending := append([]Message{m}, rs.net.q.pending()...)
 		if err := writeFileAtomic(spec.Path, rs.encodeCheckpoint(pending)); err != nil {
 			return fmt.Errorf("sim: writing checkpoint: %w", err)

@@ -209,6 +209,34 @@ func TestCheckpointMissingFile(t *testing.T) {
 	}
 }
 
+// A checkpoint tick past the run's last event writes nothing, and Run
+// says so with ErrCheckpointNotReached instead of succeeding; a tick at
+// the last event still writes.
+func TestCheckpointPastLastEventFails(t *testing.T) {
+	t.Parallel()
+	pl := chaosCorpus(t)[0]
+	opts := Options{Seed: 1}
+	base, err := Run(pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "late.ckpt")
+	opts.Checkpoint = &CheckpointSpec{Path: path, At: base.Duration + 1}
+	if res, err := Run(pl, opts); !errors.Is(err, ErrCheckpointNotReached) || res != nil {
+		t.Fatalf("Run = %v, %v; want no result and ErrCheckpointNotReached", res, err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unreached checkpoint left a file: %v", err)
+	}
+	opts.Checkpoint.At = base.Duration
+	if _, err := Run(pl, opts); err != nil {
+		t.Fatalf("checkpoint at the last event: %v", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checkpoint at the last event not written: %v", err)
+	}
+}
+
 // ckptContents counts the node state a checkpoint holds: the entries of
 // the principals' seen, sent and recall sent sets, and the trusted
 // nodes' escrow-log records by op.

@@ -157,6 +157,8 @@ type runtime struct {
 	trusted    []*TrustedNode
 	principals []*PrincipalNode
 	ph         *phases // nil unless Run is traced
+	// checkpointed is set once the armed checkpoint is written.
+	checkpointed bool
 }
 
 // setupRun validates the plan and options and assembles the runtime:
@@ -208,13 +210,13 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	net.book, net.table = book, p.ActionTable()
 
 	rs := &runtime{plan: plan, opts: opts, p: p, net: net, book: book}
-	for _, pa := range p.Parties {
+	for k, pa := range p.Parties {
 		if !pa.IsTrusted() {
 			continue
 		}
 		honest := true
-		if q, ok := p.PersonaOf(pa.ID); ok {
-			if _, defects := opts.Defectors[q]; defects {
+		if q := net.table.Persona[k]; q >= 0 {
+			if _, defects := opts.Defectors[p.Parties[q].ID]; defects {
 				honest = false
 			}
 		}
@@ -298,6 +300,10 @@ func Run(plan *core.Plan, opts Options) (*Result, error) {
 	ph.begin("sim.phase.loop")
 	if err := rs.net.Run(); err != nil {
 		return nil, ph.fail(err)
+	}
+	if spec := rs.opts.Checkpoint; spec != nil && !rs.checkpointed {
+		return nil, ph.fail(fmt.Errorf("%w: asked for tick %d, the run ended at tick %d",
+			ErrCheckpointNotReached, spec.At, rs.net.now))
 	}
 	ph.end()
 	res, err := rs.assemble()

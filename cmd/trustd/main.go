@@ -45,8 +45,8 @@
 // service listener (/cluster/gossip), routes analyze requests to the
 // digest's ring owner (relaying the owner's log anchor, so a proxied
 // result is proven against the owner), and partitions /v1/sweep across
-// live members. Every node serves the full API; point clients (or
-// trustlb) at any of them.
+// live members. Every node serves the full API; point clients, or a
+// plain balancer, at any of them.
 //
 // SIGINT/SIGTERM starts a graceful drain: the listener stops accepting,
 // in-flight requests get up to -drain to finish, then the process

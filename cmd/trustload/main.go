@@ -12,7 +12,7 @@
 //
 //	trustload [flags]
 //
-//	-target ADDR  trustd or trustlb address (default 127.0.0.1:8086)
+//	-target ADDR  trustd address, any member of a ring (default 127.0.0.1:8086)
 //	-duration D   measurement window (default 10s)
 //	-rps N        target request rate; 0 = closed loop, as fast as the
 //	              -conns workers go (default 200)
@@ -74,7 +74,7 @@ type trend struct {
 // run is the testable body of main.
 func run(ctx context.Context, args []string, errw io.Writer) error {
 	fs := flag.NewFlagSet("trustload", flag.ContinueOnError)
-	target := fs.String("target", "127.0.0.1:8086", "trustd or trustlb address")
+	target := fs.String("target", "127.0.0.1:8086", "trustd address, any member of a ring")
 	duration := fs.Duration("duration", 10*time.Second, "measurement window")
 	rps := fs.Int("rps", 200, "target request rate (0 = closed loop)")
 	conns := fs.Int("conns", 8, "concurrent connections/workers")

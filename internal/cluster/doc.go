@@ -11,10 +11,10 @@
 //   - Ring (ring.go) is a pure, immutable value: a sorted array of
 //     virtual-node points hashed from the member addresses. Any two
 //     nodes that agree on the live member set compute byte-identical
-//     rings, which is what lets every node (and the thin cmd/trustlb
-//     router) route client requests independently. Joins and leaves
-//     move only the ~1/N key range adjacent to the affected member's
-//     virtual nodes; everything else stays put.
+//     rings, which is what lets every node route client requests
+//     independently. Joins and leaves move only the ~1/N key range
+//     adjacent to the affected member's virtual nodes; everything else
+//     stays put.
 //
 //   - Node (gossip.go) is the mutable runtime: an incarnation-numbered
 //     membership table disseminated by HTTP push-pull rounds. Each

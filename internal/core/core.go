@@ -267,7 +267,7 @@ func (p *Plan) schedule() error {
 			if posted[oi] || off.Covers != ci {
 				continue
 			}
-			if model.SelfInsured(p.Problem, off) && !canGuaranteeDelivery(exec, off) {
+			if t.SelfInsured(oi) && !canGuaranteeDelivery(exec, off) {
 				return false
 			}
 		}
@@ -757,12 +757,7 @@ func describeStep(pr *model.Problem, st Step) string {
 	case StepNotify:
 		return fmt.Sprintf("%s notifies %s", st.From, st.To)
 	case StepIndemnityPost:
-		off := pr.Indemnities[st.Offer]
-		amount := off.Amount
-		if amount == 0 {
-			amount = model.RequiredIndemnity(pr, off.Covers)
-		}
-		return fmt.Sprintf("%s posts %s indemnity with %s", st.From, amount, st.To)
+		return fmt.Sprintf("%s posts %s indemnity with %s", st.From, pr.ActionTable().Collateral(st.Offer), st.To)
 	case StepIndemnityRefund:
 		return fmt.Sprintf("%s refunds indemnity to %s", st.From, st.To)
 	default:

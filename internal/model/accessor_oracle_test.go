@@ -192,6 +192,19 @@ func accessorCorpus(t *testing.T) map[string]*model.Problem {
 	out["gen-population-2"] = gen.Population(2, 1, 10)
 	out["gen-population-12-3"] = gen.Population(12, 3, 10)
 	out["gen-population-9-default"] = gen.Population(9, 0, 10)
+	// Offers whose amount the table resolves: each consumer insures its
+	// own purchase, each broker its consumer's (self-insured: it gives
+	// the document at that holder) and its own wholesale buy (not: it
+	// gives the document only at the retail holder).
+	offered := gen.Population(6, 0, 10)
+	for ei := 0; ei < len(offered.Exchanges); ei += 4 {
+		retail, wholesale := offered.Exchanges[ei], offered.Exchanges[ei+2]
+		offered.Indemnities = append(offered.Indemnities,
+			model.IndemnityOffer{By: retail.Principal, Covers: ei, Via: retail.Trusted},
+			model.IndemnityOffer{By: wholesale.Principal, Covers: ei, Via: retail.Trusted},
+			model.IndemnityOffer{By: wholesale.Principal, Covers: ei + 2, Via: wholesale.Trusted})
+	}
+	out["gen-population-6-offered"] = offered
 	for seed := int64(0); seed < 6; seed++ {
 		out[fmt.Sprintf("gen-random-%d", seed)] = gen.Random(rand.New(rand.NewSource(seed)), gen.Options{
 			Consumers: 1, Brokers: 2, Producers: 2, MaxPrice: 30, DirectTrustProb: 0.25,
@@ -311,6 +324,20 @@ func TestAccessorsMatchScanOracles(t *testing.T) {
 				q, ok := oraclePersonaOf(p, e.Trusted)
 				if want := ok && q == e.Principal; tab.AtPersona[ei] != want {
 					t.Errorf("AtPersona[%d] = %v, oracle %v", ei, tab.AtPersona[ei], want)
+				}
+			}
+			// Each offer's resolved collateral and self-insurance, against
+			// the exchange scans Greedy still prices candidates with.
+			for oi, off := range p.Indemnities {
+				want := off.Amount
+				if want == 0 {
+					want = model.RequiredIndemnity(p, off.Covers)
+				}
+				if got := tab.Collateral(oi); got != want {
+					t.Errorf("Collateral(%d) = %v, oracle %v", oi, got, want)
+				}
+				if got, want := tab.SelfInsured(oi), model.SelfInsured(p, off); got != want {
+					t.Errorf("SelfInsured(%d) = %v, oracle %v", oi, got, want)
 				}
 			}
 		})

@@ -407,9 +407,17 @@ func (p *Problem) Validate() error {
 		}
 	}
 
-	for _, off := range p.Indemnities {
-		if err := p.validateIndemnity(off); err != nil {
-			return err
+	if len(p.Indemnities) > 0 {
+		// adj holds every (trusted component, principal) pair some
+		// exchange connects, so each offer's checks are two probes.
+		adj := make(map[[2]PartyID]bool, len(p.Exchanges))
+		for _, e := range p.Exchanges {
+			adj[[2]PartyID{e.Trusted, e.Principal}] = true
+		}
+		for _, off := range p.Indemnities {
+			if err := p.validateIndemnity(off, adj); err != nil {
+				return err
+			}
 		}
 	}
 	// A validated problem is about to be analysed; build the table
@@ -460,7 +468,7 @@ func (p *Problem) validateConservation() error {
 	return nil
 }
 
-func (p *Problem) validateIndemnity(off IndemnityOffer) error {
+func (p *Problem) validateIndemnity(off IndemnityOffer, adj map[[2]PartyID]bool) error {
 	if off.Covers < 0 || off.Covers >= len(p.Exchanges) {
 		return fmt.Errorf("model: indemnity covers unknown exchange %d", off.Covers)
 	}
@@ -475,20 +483,12 @@ func (p *Problem) validateIndemnity(off IndemnityOffer) error {
 		return fmt.Errorf("model: negative indemnity amount %v", off.Amount)
 	}
 	protected := p.Exchanges[off.Covers].Principal
-	adj := func(principal PartyID) bool {
-		for _, e := range p.Exchanges {
-			if e.Trusted == off.Via && e.Principal == principal {
-				return true
-			}
-		}
-		return false
-	}
-	if !adj(protected) {
+	if !adj[[2]PartyID{off.Via, protected}] {
 		return fmt.Errorf("model: indemnity holder %s is not shared with protected principal %s", off.Via, protected)
 	}
 	// "The principal providing the indemnity must share a trusted
 	// intermediary with the one requesting the indemnification" (§6).
-	if off.By != protected && !adj(off.By) {
+	if off.By != protected && !adj[[2]PartyID{off.Via, off.By}] {
 		return fmt.Errorf("model: indemnity offerer %s does not use trusted component %s", off.By, off.Via)
 	}
 	return nil

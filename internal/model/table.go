@@ -1,5 +1,7 @@
 package model
 
+import "slices"
+
 // ActionTable is the dense, read-only action index of a compiled
 // problem. Every action the problem defines — each exchange's deposits
 // and receipts, their compensations, each indemnity offer's post, payout
@@ -262,6 +264,13 @@ func (t *ActionTable) firstBetween(principal, trusted int32, limit int) int {
 	return -1
 }
 
+// Collateral returns indemnity offer oi's amount: its stated Amount,
+// or RequiredIndemnity of the exchange it covers when that is zero.
+func (t *ActionTable) Collateral(oi int) Money { return t.collateral[oi] }
+
+// SelfInsured reports SelfInsured of indemnity offer oi.
+func (t *ActionTable) SelfInsured(oi int) bool { return t.selfInsured[oi] }
+
 // PartySlot returns the party's index in Problem.Parties.
 func (t *ActionTable) PartySlot(id PartyID) (int, bool) {
 	i, ok := t.parties[id]
@@ -423,6 +432,9 @@ func buildActionTable(p *Problem) *ActionTable {
 	b := &tableBuilder{t: t}
 	for ei, e := range p.Exchanges {
 		t.Principal[ei], t.Trusted[ei] = slotOf(e.Principal), slotOf(e.Trusted)
+		if pr := t.Principal[ei]; pr >= 0 {
+			t.InitCash[pr] += e.Gives.Amount // each principal's Gives total, for now
+		}
 	}
 	t.own = groupRows(nParty, t.Principal)
 	t.at = groupRows(nParty, t.Trusted)
@@ -452,28 +464,34 @@ func buildActionTable(p *Problem) *ActionTable {
 	t.Post, t.Payout = make([]int32, nOff), make([]int32, nOff)
 	t.collateral, t.offerBy = make([]Money, nOff), make([]int32, nOff)
 	t.selfInsured = make([]bool, nOff)
+	posts, payouts := make(map[[2]int32][]int32), make(map[[2]int32][]int32)
 	for oi, off := range p.Indemnities {
 		t.Post[oi], t.Payout[oi] = -1, -1
 		t.offerBy[oi] = slotOf(off.By)
+		t.collateral[oi] = off.Amount
 		if off.Covers < 0 || off.Covers >= nEx {
 			continue
 		}
 		t.split[off.Covers] = true
-		amount := off.Amount
-		if amount == 0 {
-			amount = RequiredIndemnity(p, off.Covers)
-		}
-		t.collateral[oi] = amount
-		t.selfInsured[oi] = SelfInsured(p, off)
 		by, via, to := t.offerBy[oi], slotOf(off.Via), t.Principal[off.Covers]
+		if off.Amount == 0 && to >= 0 {
+			// RequiredIndemnity: the protected principal's other Gives.
+			t.collateral[oi] = t.InitCash[to] - p.Exchanges[off.Covers].Gives.Amount
+		}
+		amount := t.collateral[oi]
+		t.selfInsured[oi] = t.selfInsures(by, via, p.Exchanges[off.Covers].Gets.Items)
 		if by < 0 || via < 0 || to < 0 {
 			continue
 		}
-		// A post can equal a deposit of the offerer at the holder, a
-		// payout a receipt of the protected principal there.
-		t.Post[oi] = b.intern(Pay(off.By, off.Via, amount), by, via, dep, by, via, nEx, t.Post[:oi])
+		// A post can equal a deposit of the offerer at the holder, or an
+		// earlier post between the same two parties; a payout a receipt
+		// of the protected principal there, or an earlier payout.
+		pk, xk := [2]int32{by, via}, [2]int32{via, to}
+		t.Post[oi] = b.intern(Pay(off.By, off.Via, amount), by, via, dep, by, via, nEx, posts[pk])
+		posts[pk] = append(posts[pk], t.Post[oi])
 		payout := Pay(off.Via, p.Exchanges[off.Covers].Principal, amount)
-		t.Payout[oi] = b.intern(payout, via, to, rec, to, via, nEx, t.Payout[:oi])
+		t.Payout[oi] = b.intern(payout, via, to, rec, to, via, nEx, payouts[xk])
+		payouts[xk] = append(payouts[xk], t.Payout[oi])
 	}
 	t.Transfers = len(t.Src)
 	for i := range t.notify {
@@ -525,6 +543,23 @@ func buildActionTable(p *Problem) *ActionTable {
 	return t
 }
 
+// selfInsures is SelfInsured over the rows: whether the exchanges of
+// party slot by at party slot via give every item of gets.
+func (t *ActionTable) selfInsures(by, via int32, gets []ItemID) bool {
+	if len(gets) == 0 {
+		return false
+	}
+	ps := t.problem.Exchanges
+	for _, it := range gets {
+		if !slices.ContainsFunc(t.between(by, via), func(ei int32) bool {
+			return t.Principal[ei] == by && t.Trusted[ei] == via && slices.Contains(ps[ei].Gives.Items, it)
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
 // transfers returns the number of transfers that move bundle b: its pay,
 // if any, and one give per item.
 func transfers(b Bundle) int {
@@ -538,7 +573,8 @@ func transfers(b Bundle) int {
 // principal owns each item it gives on some exchange but acquires on
 // none, a LimitedFunds party its endowment, any other principal the money
 // its deposits and indemnity offers could ever need; trusted components
-// start empty (Section 2.5).
+// start empty (Section 2.5). InitCash arrives holding each principal's
+// Gives total.
 func (t *ActionTable) initHoldings() {
 	p := t.problem
 	t.InitItems = make([]int32, len(t.CellParty))
@@ -550,10 +586,7 @@ func (t *ActionTable) initHoldings() {
 			}
 		}
 	}
-	for ei, e := range p.Exchanges {
-		if pr := t.Principal[ei]; pr >= 0 {
-			t.InitCash[pr] += e.Gives.Amount
-		}
+	for ei := range p.Exchanges {
 		for _, d := range t.Deposits(ei) {
 			if t.Give[d] && !acquired[t.Src[d]] {
 				t.InitItems[t.Src[d]]++
@@ -561,14 +594,9 @@ func (t *ActionTable) initHoldings() {
 		}
 	}
 	for oi, by := range t.offerBy {
-		if by < 0 {
-			continue
+		if by >= 0 {
+			t.InitCash[by] += t.collateral[oi]
 		}
-		amount := p.Indemnities[oi].Amount
-		if amount == 0 {
-			amount = RequiredIndemnity(p, p.Indemnities[oi].Covers)
-		}
-		t.InitCash[by] += amount
 	}
 	for i, pa := range p.Parties {
 		switch {

@@ -227,7 +227,8 @@ func (x *Exec) Post(oi int) error {
 	if s := x.t.Post[oi]; s >= 0 {
 		return x.applySlot(s)
 	}
-	return &model.ForeignActionError{Action: IndemnityPostAction(x.Problem, x.Problem.Indemnities[oi])}
+	off := x.Problem.Indemnities[oi]
+	return &model.ForeignActionError{Action: model.Pay(off.By, off.Via, x.t.Collateral(oi))}
 }
 
 // Posted reports whether offer oi's collateral has been posted (whether
@@ -412,25 +413,6 @@ func (x *Exec) RefundTrusted(t model.PartyID) error {
 		}
 	}
 	return nil
-}
-
-// indemnityAmount resolves an offer's amount.
-func indemnityAmount(p *model.Problem, off model.IndemnityOffer) model.Money {
-	if off.Amount != 0 {
-		return off.Amount
-	}
-	return model.RequiredIndemnity(p, off.Covers)
-}
-
-// IndemnityPostAction returns the pay action that places the collateral.
-func IndemnityPostAction(p *model.Problem, off model.IndemnityOffer) model.Action {
-	return model.Pay(off.By, off.Via, indemnityAmount(p, off))
-}
-
-// IndemnityPayoutAction returns the pay action that forfeits the
-// collateral to the protected principal.
-func IndemnityPayoutAction(p *model.Problem, off model.IndemnityOffer) model.Action {
-	return model.Pay(off.Via, p.Exchanges[off.Covers].Principal, indemnityAmount(p, off))
 }
 
 // settleIndemnities resolves posted collateral at the end of a closure:

@@ -247,12 +247,12 @@ func TestIndemnityActions(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate = %v", err)
 	}
-	off := p.Indemnities[0]
-	post := IndemnityPostAction(p, off)
+	tab := p.ActionTable()
+	post := tab.Action(int(tab.Post[0]))
 	if post.Amount != 100 || post.From != paperex.Broker1 || post.To != paperex.Trusted1 {
 		t.Fatalf("post = %v", post)
 	}
-	payout := IndemnityPayoutAction(p, off)
+	payout := tab.Action(int(tab.Payout[0]))
 	if payout.From != paperex.Trusted1 || payout.To != paperex.Consumer || payout.Amount != 100 {
 		t.Fatalf("payout = %v", payout)
 	}

@@ -240,6 +240,56 @@ func TestClusterHopGuardNoLoop(t *testing.T) {
 	}
 }
 
+// TestClusterAnalyzeOwnerDownFallsBackLocal: when the owner is down but
+// gossip still lists it, the node a client reached computes the answer
+// itself. The body is the one a single-node daemon gives, and the
+// fallback is counted in /v1/stats.
+func TestClusterAnalyzeOwnerDownFallsBackLocal(t *testing.T) {
+	a := startClusterNode(t, Options{})
+	b := startClusterNode(t, Options{})
+	formCluster(t, a, b)
+	owner, nonOwner := a, b
+	if addr, ok := a.node.Owner(ProblemDigest(mustLoad(t, feasibleSpec))); !ok {
+		t.Fatal("no owner on a 2-node ring")
+	} else if addr == b.addr {
+		owner, nonOwner = b, a
+	}
+	owner.srv.Close() // dead, but still on the survivor's ring
+
+	single := httptest.NewServer(New(Options{}).Handler())
+	t.Cleanup(single.Close)
+	_, want := postSpec(t, single.URL+"/v1/analyze", feasibleSpec)
+
+	resp, body := postAnalyze(t, nonOwner.addr, feasibleSpec, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Trustd-Cluster"); got != "local" {
+		t.Fatalf("X-Trustd-Cluster = %q, want local (owner unreachable)", got)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("fallback body differs from a single node's:\n got: %s\nwant: %s", body, want)
+	}
+
+	stats, err := http.Get("http://" + nonOwner.addr + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr struct {
+		Cluster *struct {
+			AnalyzeLocal int64 `json:"analyze_local"`
+		} `json:"cluster"`
+	}
+	err = json.NewDecoder(stats.Body).Decode(&sr)
+	stats.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Cluster == nil || sr.Cluster.AnalyzeLocal != 1 {
+		t.Fatalf("cluster stats = %+v, want analyze_local 1", sr.Cluster)
+	}
+}
+
 // TestClusterSourceHitProxies: a non-owner routes a repeated source by
 // its indexed digest, without parsing it, and still proxies it to the
 // owner, whose bytes are relayed unchanged.

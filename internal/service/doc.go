@@ -37,8 +37,9 @@
 //     coalesced; this is the singleflight collapse);
 //  3. otherwise a leader goroutine takes a slot on the bounded engine
 //     semaphore, runs the pipeline, derives one Report and renders both
-//     bodies from it (JSON and the trustseq-identical text), publishes
-//     to the LRU cache and wakes every waiter (X-Trustd-Cache: miss).
+//     bodies from it (JSON and the trustseq-identical text), signs them
+//     into the log, publishes to the LRU cache and wakes every waiter
+//     (X-Trustd-Cache: miss).
 //
 // Every waiter — leader's request included — honors its own per-request
 // timeout; a timed-out request returns 504 while the engine run it
@@ -90,7 +91,8 @@
 // request — parse (read and decode the request), digest (hash the
 // source, probe the index), load (parse and fingerprint the source;
 // skipped on a source hit), compile, cache, engine/patch, crosscheck,
-// simulate, render — surfaces them in a Server-Timing response header,
+// simulate, render (the Report, both bodies and the log append) —
+// surfaces them in a Server-Timing response header,
 // and hands the engine run a tracer fanning out into a bounded
 // request-local ring, so core/sequencing/search/petri spans land in the
 // same record with no process-wide sink. The slow-request log (slowlog.go) keeps a

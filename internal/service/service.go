@@ -386,7 +386,7 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp1
 	// slow-request log still explains where the time went.
 	go func() {
 		s.sem <- struct{}{}
-		val, plan, patched, err := s.compute(p, opts, basePlan, rt)
+		val, plan, patched, err := s.compute(p, opts, basePlan, digest, key, rt)
 		<-s.sem
 		if basePlan != nil {
 			if patched {
@@ -405,12 +405,6 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp1
 // publish deposits a finished engine run into the caches, retires the
 // in-flight entry, and releases the waiters.
 func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *core.Plan, err error) {
-	if err == nil {
-		// Sign the result into the verifiable log before it becomes
-		// visible: a client that reads a response can immediately demand
-		// a membership proof for it.
-		s.vl.append(digest, key, val)
-	}
 	s.mu.Lock()
 	if err == nil {
 		if s.cache.put(key, val) {
@@ -439,14 +433,16 @@ func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cac
 }
 
 // compute runs the analysis pipeline for one request — incrementally
-// against basePlan when one is resident — derives its Report once and
-// renders both response bodies from it. It is the only place engines run. The returned plan is the
-// request's deposit into the base cache; patched reports whether the
-// incremental path actually exploited the base. A non-nil rt (the miss
-// leader's request trace) receives the engine and render stages plus a
-// fan-out tracer, so core/sequencing/search/petri spans land in the
-// request's ring.
-func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.Plan, rt *reqTrace) (*cached, *core.Plan, bool, error) {
+// against basePlan when one is resident — derives its Report once,
+// renders both response bodies from it and signs them into the log
+// under digest and key. It is the only place engines run. The returned
+// plan is the request's deposit into the base cache; patched reports
+// whether the incremental path actually exploited the base. A non-nil
+// rt (the miss leader's request trace) receives the engine, crosscheck,
+// simulate and render stages plus a fan-out tracer, so
+// core/sequencing/search/petri spans land in the request's ring; the
+// render stage covers the Report, both bodies and the log append.
+func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.Plan, digest, key [2]uint64, rt *reqTrace) (*cached, *core.Plan, bool, error) {
 	if s.testComputeHook != nil {
 		s.testComputeHook()
 	}
@@ -471,19 +467,16 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 		return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 	}
 
-	res, err := Report(plan, opts)
-	if err != nil {
-		return nil, nil, patched, err
-	}
+	var cc *CrossCheckInfo
 	if opts.CrossCheck {
 		xs := rt.beginStage("crosscheck")
-		cc, err := s.crossCheck(p, plan.Feasible, tel)
+		cc, err = s.crossCheck(p, plan.Feasible, tel)
 		rt.endStage(xs)
 		if err != nil {
 			return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
-		res.CrossCheck = cc
 	}
+	var simInfo *SimulationInfo
 	if opts.Simulate && plan.Feasible {
 		ss := rt.beginStage("simulate")
 		out, err := sim.Run(plan, sim.Options{
@@ -496,7 +489,7 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 		if err != nil {
 			return nil, nil, patched, &StatusError{Code: http.StatusInternalServerError, Msg: err.Error()}
 		}
-		res.Simulation = &SimulationInfo{
+		simInfo = &SimulationInfo{
 			Completed:      out.Completed(),
 			Messages:       out.Messages,
 			Duration:       int64(out.Duration),
@@ -505,16 +498,28 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 		}
 	}
 
+	// Render derives the Report too: its verification, indemnity
+	// proposal and execution sequence are part of the body's cost.
 	rs := rt.beginStage("render")
+	res, err := Report(plan, opts)
+	if err != nil {
+		rt.endStage(rs)
+		return nil, nil, patched, err
+	}
+	res.CrossCheck, res.Simulation = cc, simInfo
 	body, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		rt.endStage(rs)
 		return nil, nil, patched, &StatusError{Code: http.StatusInternalServerError, Msg: err.Error()}
 	}
 	body = append(body, '\n')
-	text := res.Text(opts)
+	val := &cached{json: body, text: []byte(res.Text(opts)), at: time.Now()}
+	// Sign the result into the verifiable log before it becomes
+	// visible: a client that reads a response can immediately demand a
+	// membership proof for it. The leaf hashes both bodies.
+	s.vl.append(digest, key, val)
 	rt.endStage(rs)
-	return &cached{json: body, text: []byte(text), at: time.Now()}, plan, patched, nil
+	return val, plan, patched, nil
 }
 
 // crossCheck mirrors the sweep's per-problem validation stage: the two

@@ -43,18 +43,11 @@ func ChaosViolations(res *Result, defectors map[model.PartyID]int) []string {
 	var out []string
 
 	offerers := make(map[model.PartyID]bool)
-	var payouts []model.Action
-	for _, off := range p.Indemnities {
-		offerers[off.By] = true
-		amount := off.Amount
-		if amount == 0 {
-			amount = model.RequiredIndemnity(p, off.Covers)
-		}
-		payouts = append(payouts, model.Pay(off.Via, p.Exchanges[off.Covers].Principal, amount))
-	}
 	forfeited := false
-	for _, payout := range payouts {
-		if res.State.Has(payout) {
+	payouts := p.ActionTable().Payout
+	for oi, off := range p.Indemnities {
+		offerers[off.By] = true
+		if s := payouts[oi]; s >= 0 && res.State.HasSlot(int(s)) {
 			forfeited = true
 		}
 	}

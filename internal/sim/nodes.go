@@ -643,7 +643,7 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 			// the wholesale intermediary's notification or the item's
 			// actual delivery.
 			var anyOf [][]int32
-			if model.SelfInsured(p, off) {
+			if t.SelfInsured(st.Offer) {
 				anyOf = securingSignals(p, t, by, off)
 			}
 			// The plan is immutable, so a step shares its slots.

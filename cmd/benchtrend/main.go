@@ -21,6 +21,11 @@
 //	benchtrend -compare old.json new.json   # diff two trend files, non-zero exit on regression
 //	benchtrend -compare -threshold 10 a b   # tighten the regression threshold to 10%
 //
+// Every trend file records the machine it was measured on (GOMAXPROCS,
+// CPU model, Go version, GOOS/GOARCH); -compare prints both files'
+// machines and warns when they differ. Files from before the record
+// have none and still compare.
+//
 // BENCH_latest.json is the rolling, gitignored output; the committed
 // snapshots (BENCH_pr3.json, BENCH_pr6.json, BENCH_pr8.json,
 // BENCH_pr10.json) are the frozen baselines it is compared against.
@@ -36,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,11 +69,50 @@ type Delta struct {
 
 // Trend is the file schema.
 type Trend struct {
+	// Machine is the host Current was measured on; files written
+	// before it was recorded have none.
+	Machine *Machine `json:"machine,omitempty"`
 	// Baseline holds the pre-PR measurements (Intel Xeon @ 2.10GHz,
 	// -benchtime 5x) recorded before the compile pass landed.
 	Baseline map[string]Metrics `json:"baseline"`
 	Current  map[string]Metrics `json:"current"`
 	Delta    map[string]Delta   `json:"delta,omitempty"`
+}
+
+// Machine describes the host a trend was measured on, so a comparison
+// can tell a change of code from a change of machine.
+type Machine struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu,omitempty"` // the model name, where the OS reports one
+	GoVersion  string `json:"go_version"`
+	Platform   string `json:"platform"` // GOOS/GOARCH
+}
+
+// thisMachine describes the host benchtrend runs on. The CPU model is
+// read from /proc/cpuinfo, so it is empty off Linux.
+func thisMachine() *Machine {
+	m := &Machine{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return m
+}
+
+// String renders the machine on one line for -compare.
+func (m *Machine) String() string {
+	if m == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s, %s", m.CPU, m.GOMAXPROCS, m.GoVersion, m.Platform)
 }
 
 // baseline is the pre-PR tier-1 measurement set. Only benchmarks with a
@@ -156,7 +201,7 @@ func main() {
 			current[name] = m
 		}
 	}
-	trend := Trend{Baseline: baseline, Current: current, Delta: map[string]Delta{}}
+	trend := Trend{Machine: thisMachine(), Baseline: baseline, Current: current, Delta: map[string]Delta{}}
 	for name, base := range baseline {
 		cur, ok := current[name]
 		if !ok {
@@ -286,7 +331,7 @@ func proofGrowthGate(current map[string]Metrics, small, large, sizes string) {
 // threshold percent — allocation growth is reported but advisory, since
 // alloc counts are gated exactly by the alloc_test budgets.
 func runCompare(oldPath, newPath string, threshold float64) bool {
-	load := func(path string) (map[string]Metrics, bool) {
+	load := func(path string) (*Trend, bool) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtrend: %v\n", err)
@@ -301,16 +346,21 @@ func runCompare(oldPath, newPath string, threshold float64) bool {
 			fmt.Fprintf(os.Stderr, "benchtrend: %s has no current measurements\n", path)
 			return nil, false
 		}
-		return t.Current, true
+		return &t, true
 	}
-	oldM, ok := load(oldPath)
+	oldT, ok := load(oldPath)
 	if !ok {
 		return false
 	}
-	newM, ok := load(newPath)
+	newT, ok := load(newPath)
 	if !ok {
 		return false
 	}
+	fmt.Printf("old machine: %v\nnew machine: %v\n", oldT.Machine, newT.Machine)
+	if oldT.Machine.String() != newT.Machine.String() {
+		fmt.Fprintln(os.Stderr, "benchtrend: warning: the two files were measured on different machines; ns/op deltas compare hosts as well as code")
+	}
+	oldM, newM := oldT.Current, newT.Current
 
 	names := make([]string, 0, len(oldM))
 	for name := range oldM {

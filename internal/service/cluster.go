@@ -17,14 +17,15 @@ import (
 )
 
 // The cluster response headers. X-Trustd-Cluster explains where an
-// analyze request was served:
+// analyze request, or a membership proof fetch, was served:
 //
 //	owner   — this node owns the problem digest on the ring (including
 //	          the degenerate single-member ring)
 //	proxied — this node forwarded the request to the owner and relayed
 //	          its response (X-Trustd-Cluster-Owner names it); the
-//	          relayed X-Trustd-Log-Root is the owner's anchor, so the
-//	          result's proof is fetched from the owner
+//	          relayed X-Trustd-Log-Root is the owner's anchor, and the
+//	          result's membership proof, fetched through any member,
+//	          comes from the owner's log
 //	local   — served here without owning: either the request arrived
 //	          already forwarded (the hop guard allows exactly one hop,
 //	          so ring churn cannot bounce a request forever) or the
@@ -48,55 +49,68 @@ const (
 	clusterServedDistrib = "distributed"
 )
 
-// routeAnalyze decides where one analyze request, whose problem digest
-// is digest, runs. It returns true when the response has already been
-// written (the request was proxied to its ring owner); false means the
-// caller should serve it locally, with X-Trustd-Cluster already set to
-// explain why.
+// routeAnalyze routes one analyze request, whose problem digest is
+// digest, and counts the outcome in /v1/stats' analyze_* counters. It
+// returns true when the response has already been written (the request
+// was proxied to its ring owner).
 func (s *Service) routeAnalyze(w http.ResponseWriter, r *http.Request, digest [2]uint64, body []byte) bool {
+	switch s.route(w, r, digest, body) {
+	case clusterServedOwner:
+		s.clusterOwned.Inc()
+	case clusterServedProxied:
+		s.clusterProxied.Inc()
+		return true
+	default:
+		s.clusterLocal.Inc()
+	}
+	return false
+}
+
+// route decides where a request about the problem digest is served:
+// an analyze of it, or a fetch of its membership proof, which only the
+// node whose log holds the analysis can answer. It sets X-Trustd-Cluster
+// to the outcome and returns it; for clusterServedProxied the owner's
+// response has been relayed, otherwise the caller serves the request
+// here.
+func (s *Service) route(w http.ResponseWriter, r *http.Request, digest [2]uint64, body []byte) string {
+	served := clusterServedLocal
 	owner, ok := s.cluster.Owner(digest)
-	if !ok || owner == s.cluster.Self() {
+	switch {
+	case !ok || owner == s.cluster.Self():
 		// Ownership wins over the forwarded flag: the owner of a
 		// forwarded request reports "owner", so the smoke test can
 		// assert the proxy actually landed on the right node.
-		s.clusterOwned.Inc()
-		w.Header().Set(clusterHeader, clusterServedOwner)
-		return false
-	}
-	if r.Header.Get(forwardedHeader) != "" {
+		served = clusterServedOwner
+	case r.Header.Get(forwardedHeader) != "":
 		// Hop guard: a forwarded request is served where it lands even
 		// if ring churn says someone else owns it now. One hop, ever —
 		// two nodes with divergent rings must not bounce a request
 		// between them.
-		s.clusterLocal.Inc()
-		w.Header().Set(clusterHeader, clusterServedLocal)
-		return false
+	case s.proxy(w, r, owner, body):
+		return clusterServedProxied
+	default:
+		// The owner is unreachable (gossip hasn't caught up yet):
+		// serve locally rather than fail. The ring is a cache-locality
+		// optimization, never a correctness boundary.
 	}
-	if s.proxyAnalyze(w, r, owner, body) {
-		s.clusterProxied.Inc()
-		return true
-	}
-	// The owner is unreachable (gossip hasn't caught up yet): compute
-	// locally rather than fail. The ring is a cache-locality
-	// optimization, never a correctness boundary.
-	s.clusterLocal.Inc()
-	w.Header().Set(clusterHeader, clusterServedLocal)
-	return false
+	w.Header().Set(clusterHeader, served)
+	return served
 }
 
-// proxyAnalyze replays the request body to the owner and relays its
-// response verbatim, marking the hop so the owner serves it no matter
-// what its own ring says. False means the transport failed and the
-// caller should fall back to a local run; an error *response* from the
-// owner is relayed as-is (it answered — its verdict stands).
-func (s *Service) proxyAnalyze(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
+// proxy replays the request, with body (nil for a GET), to the owner
+// and relays its response verbatim, marking the hop so the owner serves
+// it no matter what its own ring says. False means the transport failed
+// and the caller should fall back to serving it locally; an error
+// *response* from the owner is relayed as-is (it answered — its verdict
+// stands).
+func (s *Service) proxy(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	u := "http://" + owner + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, u, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}

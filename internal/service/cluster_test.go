@@ -207,6 +207,96 @@ func TestClusterAnalyzeRouting(t *testing.T) {
 	}
 }
 
+// TestClusterProofThroughNonOwner: only the owner's log holds an
+// analysis, so a membership proof fetched through any other member is
+// proxied to it. The relayed envelope verifies offline against the
+// relayed anchor and the owner's key from its /v1/stats. A consistency
+// proof names no digest and stays with the member asked.
+func TestClusterProofThroughNonOwner(t *testing.T) {
+	a := startClusterNode(t, Options{})
+	b := startClusterNode(t, Options{})
+	c := startClusterNode(t, Options{})
+	formCluster(t, a, b, c)
+	ownerAddr, ok := a.node.Owner(ProblemDigest(mustLoad(t, feasibleSpec)))
+	if !ok {
+		t.Fatal("no owner on a 3-node ring")
+	}
+	resp, body := postAnalyze(t, a.addr, feasibleSpec, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: status %d: %s", resp.StatusCode, body)
+	}
+	digest := resp.Header.Get("X-Trustd-Digest")
+
+	stats, err := http.Get("http://" + ownerAddr + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr struct {
+		VLog struct {
+			PublicKey string `json:"public_key"`
+		} `json:"vlog"`
+	}
+	err = json.NewDecoder(stats.Body).Decode(&sr)
+	stats.Body.Close()
+	if err != nil || sr.VLog.PublicKey == "" {
+		t.Fatalf("owner's /v1/stats has no signing key: %+v, %v", sr, err)
+	}
+
+	proxied := 0
+	for _, n := range []*clusterTestNode{a, b, c} {
+		pr, err := http.Get("http://" + n.addr + "/v1/proof/" + digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := readAll(t, pr.Body)
+		pr.Body.Close()
+		if pr.StatusCode != http.StatusOK {
+			t.Fatalf("proof via %s: status %d: %s", n.addr, pr.StatusCode, doc)
+		}
+		want := "owner"
+		if n.addr != ownerAddr {
+			want = "proxied"
+			proxied++
+			if got := pr.Header.Get(clusterOwnerHeader); got != ownerAddr {
+				t.Fatalf("proof via %s: %s = %q, want %q", n.addr, clusterOwnerHeader, got, ownerAddr)
+			}
+		}
+		if got := pr.Header.Get(clusterHeader); got != want {
+			t.Fatalf("proof via %s: %s = %q, want %q", n.addr, clusterHeader, got, want)
+		}
+		size, root := parseRootHeader(t, pr.Header.Get(logRootHeader))
+		e, err := vlog.ParseEnvelope(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.TreeSize != size {
+			t.Fatalf("proof via %s: envelope tree size %d, relayed anchor size %d", n.addr, e.TreeSize, size)
+		}
+		if err := e.VerifyAgainst(&root, sr.VLog.PublicKey); err != nil {
+			t.Fatalf("proof via %s fails against the relayed anchor and the owner's key: %v", n.addr, err)
+		}
+	}
+	if proxied != 2 {
+		t.Fatalf("%d of 3 proof fetches proxied, want 2", proxied)
+	}
+
+	for _, n := range []*clusterTestNode{a, b, c} {
+		pr, err := http.Get("http://" + n.addr + "/v1/proof/consistency?from=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Body.Close()
+		want := http.StatusBadRequest // a non-owner's log is empty
+		if n.addr == ownerAddr {
+			want = http.StatusOK
+		}
+		if pr.StatusCode != want || pr.Header.Get(clusterHeader) != "" {
+			t.Fatalf("consistency via %s: status %d, %s %q; want %d, served locally",
+				n.addr, pr.StatusCode, clusterHeader, pr.Header.Get(clusterHeader), want)
+		}
+	}
+}
+
 // TestClusterHopGuardNoLoop: a request that already carries the
 // forwarded marker is served where it lands — even by a node that is
 // certain someone else owns it — so divergent rings can never bounce a

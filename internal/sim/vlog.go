@@ -47,46 +47,31 @@ func appendString(b []byte, s string) []byte {
 
 // SettlementLog builds the verifiable log over a delivered-message
 // trace, one leaf per trace entry in delivery order. It is hash-only:
-// the trace itself already retains the records. The log's levels are
-// sized for the trace up front, and every record is encoded into one
-// reused buffer.
+// the trace itself already retains the records. The log is built in
+// one batch, which encodes and hashes the records on every core.
 func SettlementLog(trace []Message) *vlog.Log {
-	l := vlog.NewSized(len(trace))
-	var buf []byte
-	for i := range trace {
-		buf = appendAuditRecord(buf[:0], &trace[i])
-		l.Append(buf)
-	}
+	l := vlog.New()
+	l.AppendBatch(len(trace), func(buf []byte, i int) []byte {
+		return appendAuditRecord(buf, &trace[i])
+	})
 	return l
 }
 
-// ReplayBalancesVerified is ReplayBalances in proof-checked mode: it
-// first rebuilds the settlement log from the trace, demands its root
-// equal the root the run published, and verifies a membership proof
-// for every trace entry against that root, then replays the trace
-// through a fresh ledger. A truncated, edited, or reordered trace fails
-// before any balance is derived.
+// ReplayBalancesVerified is ReplayBalances in root-checked mode: it
+// first rebuilds the settlement log from the trace and demands its root
+// equal the root the run published, then replays the trace through a
+// fresh ledger. The root binds every entry and its position, so a
+// truncated, edited, or reordered trace fails before any balance is
+// derived.
 func ReplayBalancesVerified(p *model.Problem, trace []Message, root vlog.Hash) (map[model.PartyID]*model.Holding, error) {
-	l := SettlementLog(trace)
-	if got := l.Root(); got != root {
+	if got := SettlementLog(trace).Root(); got != root {
 		return nil, fmt.Errorf("sim: %w: trace rebuilds root %s, run published %s", vlog.ErrRootMismatch, got, root)
-	}
-	n := l.Size()
-	for i, m := range trace {
-		leaf := vlog.LeafHash(AuditRecord(m))
-		path, err := l.MembershipProof(uint64(i), n)
-		if err != nil {
-			return nil, fmt.Errorf("sim: proving trace entry %d: %w", i, err)
-		}
-		if err := vlog.VerifyMembership(root, uint64(i), n, leaf, path); err != nil {
-			return nil, fmt.Errorf("sim: trace entry %d (%v): %w", i, m, err)
-		}
 	}
 	return ReplayBalances(p, trace)
 }
 
 // ReplayBalancesVerified re-derives the run's final balances from its
-// own trace under proof checking against the run's settlement root.
+// own trace, checked against the run's settlement root.
 // The run must have been made with Options.VLog set.
 func (r *Result) ReplayBalancesVerified() (map[model.PartyID]*model.Holding, error) {
 	if r.SettlementLog == nil {

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"trustseq/internal/core"
+	"trustseq/internal/gen"
 	"trustseq/internal/vlog"
 )
 
@@ -246,5 +249,62 @@ func TestSettlementLogMatchesAuditRecord(t *testing.T) {
 		if got, want := SettlementLog(trace[:n]).Root(), plain.Root(); got != want {
 			t.Fatalf("%d leaves: presized root %s, appended root %s", n, got, want)
 		}
+	}
+}
+
+// populationTraces holds the delivered-message traces of one run of
+// gen.Population(consumers, 0, 10), by consumer count: about ten trace
+// entries per consumer. Synthesis dominates their cost, so each is
+// built once per process.
+var populationTraces sync.Map
+
+func populationTrace(tb testing.TB, consumers int) []Message {
+	tb.Helper()
+	if tr, ok := populationTraces.Load(consumers); ok {
+		return tr.([]Message)
+	}
+	plan, err := core.Synthesize(gen.Population(consumers, 0, 10))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := Run(plan, Options{Seed: 1, Deadline: 20000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !res.Completed() {
+		tb.Fatalf("%d-consumer population run missed its deadline", consumers)
+	}
+	populationTraces.Store(consumers, res.Trace)
+	return res.Trace
+}
+
+// SettlementLog allocates the same few blocks at every trace length:
+// the log, its levels in one block, and the encode buffer. A per-record
+// allocation would add thousands.
+func TestSettlementLogAllocsFlat(t *testing.T) {
+	trace := populationTrace(t, 1000)
+	counts := map[int]float64{}
+	for _, n := range []int{len(trace) / 100, len(trace) / 10, len(trace)} {
+		counts[n] = testing.AllocsPerRun(5, func() { SettlementLog(trace[:n]) })
+	}
+	for n, c := range counts {
+		if c != counts[len(trace)] {
+			t.Fatalf("SettlementLog allocates %v times for %d entries, %v times for %d", c, n, counts[len(trace)], len(trace))
+		}
+	}
+}
+
+// BenchmarkSettlementLog builds the settlement log of 10^4- and
+// 10^5-entry population traces, reporting entries/s.
+func BenchmarkSettlementLog(b *testing.B) {
+	for _, consumers := range []int{1000, 10000} {
+		trace := populationTrace(b, consumers)
+		b.Run(fmt.Sprintf("entries=%d", len(trace)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SettlementLog(trace)
+			}
+			b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+		})
 	}
 }

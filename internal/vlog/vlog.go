@@ -6,15 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 )
 
 // HashSize is the byte length of every hash in the log (SHA-256).
 const HashSize = sha256.Size
 
-// Hash is one SHA-256 digest: a leaf hash, an interior node, a Merkle
-// root, or a chain head. The zero value is never a valid hash of
-// anything this package produces (even the empty tree hashes the empty
-// string), so it can safely mean "absent".
+// Hash is one SHA-256 digest: a leaf hash, an interior node, or a
+// Merkle root. The zero value is never a valid hash of anything this
+// package produces (even the empty tree hashes the empty string), so it
+// can safely mean "absent".
 type Hash [HashSize]byte
 
 // String renders the hash as lowercase hex, the wire form used in proof
@@ -58,14 +60,13 @@ func hexVal(c byte) (byte, bool) {
 	return 0, false
 }
 
-// Domain-separation prefixes (RFC 6962 §2.1 for leaves and nodes; the
-// chain prefix is ours). Leaf and interior hashes must never collide:
-// without the prefixes an attacker could present an interior node as a
-// "leaf" and prove membership of data never appended.
+// Domain-separation prefixes (RFC 6962 §2.1). Leaf and interior hashes
+// must never collide: without the prefixes an attacker could present an
+// interior node as a "leaf" and prove membership of data never
+// appended.
 const (
-	leafPrefix  = 0x00
-	nodePrefix  = 0x01
-	chainPrefix = 0x02
+	leafPrefix = 0x00
+	nodePrefix = 0x01
 )
 
 // LeafHash computes the domain-separated hash of one record:
@@ -85,18 +86,6 @@ func nodeHash(left, right Hash) Hash {
 	h.Write([]byte{nodePrefix})
 	h.Write(left[:])
 	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// chainHash extends the sequential hash chain:
-// SHA-256(0x02 || prev || leaf).
-func chainHash(prev, leaf Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{chainPrefix})
-	h.Write(prev[:])
-	h.Write(leaf[:])
 	var out Hash
 	h.Sum(out[:0])
 	return out
@@ -133,26 +122,21 @@ var (
 	ErrBadSignature = errors.New("vlog: bad root signature")
 )
 
-// Log is an append-only, hash-chained, Merkle-ized event log. It keeps
-// every complete-subtree hash (the RFC 9162 / tlog-tiles layout), so an
+// Log is an append-only, Merkle-ized event log. It keeps every
+// complete-subtree hash (the RFC 9162 / tlog-tiles layout), so an
 // append costs O(1) amortized hashes, and the root, any historical
 // root, and every membership or consistency proof read O(log n) stored
 // nodes plus at most O(log n) hashes along the tree's right spine. The
-// stored nodes cost about two hashes per leaf.
+// stored nodes cost about two hashes per leaf. The root is the whole
+// log's tamper evidence: an edit of any record changes it.
 //
 // A Log is not safe for concurrent use; owners (sim.Result, the
 // service) serialize access with their own locks.
 type Log struct {
 	// tree[h][j] is the root of the complete subtree over leaves
-	// [j<<h, (j+1)<<h); tree[0] holds the leaf hashes. Level h+1 gains
-	// a node each time level h completes a pair.
-	tree [][]Hash
-	// spare[h] is level h's storage reserved by NewSized, taken over
-	// when the log first grows to height h+1.
-	spare [][]Hash
-	// head is the hash-chain head: SHA-256(0x02 || previous head ||
-	// leaf) over every append, the zero Hash for an empty log.
-	head    Hash
+	// [j<<h, (j+1)<<h); tree[0] holds the leaf hashes. A log of n
+	// leaves holds n>>h nodes at level h.
+	tree    [][]Hash
 	records [][]byte // retained record bytes, nil unless retaining
 	retain  bool
 }
@@ -162,60 +146,114 @@ type Log struct {
 // uses this form — its trace already retains every record.
 func New() *Log { return &Log{} }
 
-// NewSized returns an empty hash-only log whose levels are allocated
-// up front, in one block, for leaves appends: a caller that knows its
-// leaf count pays no level regrowth. It may still append more; every
-// root and proof is byte-identical to a New log's.
-func NewSized(leaves int) *Log {
-	total, levels := 0, 0
-	for c := leaves; c > 0; c >>= 1 {
-		total += c
-		levels++
-	}
-	buf := make([]Hash, total)
-	l := &Log{tree: make([][]Hash, 0, levels), spare: make([][]Hash, levels)}
-	for h, off := 0, 0; h < levels; h++ {
-		c := leaves >> h
-		l.spare[h] = buf[off : off : off+c]
-		off += c
-	}
-	return l
-}
-
 // NewRetaining returns an empty log that additionally keeps each
 // appended record, so proof envelopes can carry the record bytes. The
 // service's per-daemon analysis log uses this form.
 func NewRetaining() *Log { return &Log{retain: true} }
 
-// Append adds one record and returns its index. The record bytes are
-// hashed immediately (and copied only when the log retains records), so
-// the caller may reuse the buffer.
+// Append adds one record, a batch of one, and returns its index. The
+// record bytes are hashed immediately (and copied only when the log
+// retains records), so the caller may reuse the buffer.
 func (l *Log) Append(record []byte) uint64 {
-	leaf := LeafHash(record)
 	i := l.Size()
-	l.head = chainHash(l.head, leaf)
-	if l.retain {
-		l.records = append(l.records, append([]byte(nil), record...))
-	}
-	// Merge complete subtrees like a binary counter: each node that
-	// lands at an odd position completes a pair, whose parent is the
-	// next node one level up.
-	node := leaf
-	for h, j := 0, i; ; h, j = h+1, j>>1 {
-		if h == len(l.tree) {
-			var level []Hash
-			if h < len(l.spare) {
-				level = l.spare[h]
-			}
-			l.tree = append(l.tree, level)
-		}
-		l.tree[h] = append(l.tree[h], node)
-		if j&1 == 0 {
-			break
-		}
-		node = nodeHash(l.tree[h][j-1], node)
-	}
+	l.AppendBatch(1, func(buf []byte, _ int) []byte { return append(buf, record...) })
 	return i
+}
+
+// AppendBatch appends n records, byte-identical to n Appends, hashing
+// them and the nodes they complete on up to GOMAXPROCS goroutines.
+// encode(buf, i) appends the bytes of the batch's record i to buf and
+// returns the result; each goroutine passes its own buffer, and encode
+// must be safe for concurrent use.
+func (l *Log) AppendBatch(n int, encode func(buf []byte, i int) []byte) {
+	c := l.Size()
+	l.grow(c + uint64(n))
+	if l.retain {
+		l.records = append(l.records, make([][]byte, n)...)
+	}
+	l.merge(c, func(lo, hi uint64) {
+		// After the leaf prefix, one Sum256 call hashes each record.
+		rec := append(make([]byte, 0, 256), leafPrefix)
+		for i := lo; i < hi; i++ {
+			rec = encode(rec[:1], int(i-c))
+			l.tree[0][i] = sha256.Sum256(rec)
+			if l.retain {
+				l.records[i] = append([]byte(nil), rec[1:]...)
+			}
+		}
+	})
+}
+
+// grow extends every level to a log of n leaves. A level short of room
+// moves all levels into one block sized for max(n, 2·Size()) leaves, so
+// a batch sizes its levels exactly and single appends copy O(1)
+// amortized nodes.
+func (l *Log) grow(n uint64) {
+	if len(l.tree) == 0 || uint64(cap(l.tree[0])) < n {
+		size := max(n, 2*l.Size())
+		buf := make([]Hash, 2*size-uint64(bits.OnesCount64(size)))
+		tree := make([][]Hash, bits.Len64(size))
+		for h := range tree {
+			tree[h], buf = buf[:0:size>>h], buf[size>>h:]
+			if h < len(l.tree) {
+				tree[h] = append(tree[h], l.tree[h]...)
+			}
+		}
+		l.tree = tree
+	}
+	for h := range l.tree {
+		l.tree[h] = l.tree[h][:n>>h]
+	}
+}
+
+// grain is the batch size from which merge fans out: the service's
+// single appends and short simulation traces never start a goroutine.
+const grain = 1 << 12
+
+// merge fills the cells a batch adds growing the log from c leaves to
+// Size(): leaves(lo, hi) writes tree[0][lo:hi], then when a level grows
+// from c to c' nodes, the level above gains nodes [c>>1, c'>>1), each
+// hashing nodes 2j and 2j+1. From grain leaves on, the batch is split
+// into one contiguous range per GOMAXPROCS, whose goroutine hashes the
+// range's leaves and levels; merge returns when all are done.
+func (l *Log) merge(c uint64, leaves func(lo, hi uint64)) {
+	n, from := l.Size(), 0
+	if workers := uint64(runtime.GOMAXPROCS(0)); workers > 1 && n-c >= grain {
+		// Inner range bounds fall on multiples of 2^k, at most an eighth
+		// of a range, so below level k each new node's children are in
+		// its own range: no goroutine waits for another or shares a
+		// cell. The few dozen new nodes above level k are hashed inline.
+		k := max(bits.Len64((n-c)/(8*workers))-1, 0)
+		var wg sync.WaitGroup
+		for w, lo := uint64(1), c; w <= workers; w++ {
+			hi := n
+			if w < workers {
+				hi = max(lo, (c+(n-c)*w/workers)&^(1<<k-1))
+			}
+			wg.Add(1)
+			go func(lo, hi uint64) {
+				defer wg.Done()
+				leaves(lo, hi)
+				l.climb(lo, hi, 0, k)
+			}(lo, hi)
+			lo = hi
+		}
+		wg.Wait()
+		from = k
+	} else {
+		leaves(c, n)
+	}
+	l.climb(c, n, from, len(l.tree)-1)
+}
+
+// climb hashes, for each level h in [from, to), the level-(h+1)
+// parents of the nodes over leaves [lo, hi): [lo>>(h+1), hi>>(h+1)).
+func (l *Log) climb(lo, hi uint64, from, to int) {
+	for h := from; h < to && lo>>(h+1) < hi>>(h+1); h++ {
+		for j := lo >> (h + 1); j < hi>>(h+1); j++ {
+			l.tree[h+1][j] = nodeHash(l.tree[h][2*j], l.tree[h][2*j+1])
+		}
+	}
 }
 
 // Size reports the number of appended records.
@@ -245,13 +283,6 @@ func (l *Log) RootAt(n uint64) (Hash, error) {
 	}
 	return l.rangeRoot(0, n), nil
 }
-
-// ChainHead returns the sequential hash-chain head after the last
-// append (the zero Hash for an empty log). The chain is the cheap
-// tamper-evidence primitive — any historical edit changes every later
-// head — while the Merkle tree is what makes *selective* verification
-// (one entry, or one prefix) possible without replaying the chain.
-func (l *Log) ChainHead() Hash { return l.head }
 
 // Leaf returns the leaf hash of entry i.
 func (l *Log) Leaf(i uint64) (Hash, error) {

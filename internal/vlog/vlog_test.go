@@ -5,7 +5,9 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -124,27 +126,115 @@ func TestRootIncrementalMatchesRecursive(t *testing.T) {
 	}
 }
 
-// A NewSized log is a New log with its levels allocated up front:
-// reserved for fewer, exactly as many, or more leaves than it gets, its
-// roots, leaves and proofs are byte-identical to a New log's.
-func TestNewSizedMatchesNew(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 63, 64, 65} {
-		want := buildLog(t, n, false)
-		for _, reserve := range []int{0, n / 2, n, 2*n + 1} {
-			l := NewSized(reserve)
-			for i := 0; i < n; i++ {
-				l.Append(record(i))
-			}
-			if l.Root() != want.Root() || l.ChainHead() != want.ChainHead() {
-				t.Fatalf("%d leaves reserved for %d: root or chain head differs", n, reserve)
-			}
-			for i := 0; i < n; i++ {
-				got, _ := l.MembershipProof(uint64(i), uint64(n))
-				exp, _ := want.MembershipProof(uint64(i), uint64(n))
-				if !slices.Equal(got, exp) {
-					t.Fatalf("%d leaves reserved for %d: proof %d differs", n, reserve, i)
-				}
+// encodeRecord is the AppendBatch callback for the record(i) payloads.
+func encodeRecord(buf []byte, i int) []byte { return append(buf, record(i)...) }
+
+// batchSizes are the log sizes the batch tests build: every size up to
+// 65, every 2^k−1, 2^k and 2^k+1 up to 2^17, and the sizes around the
+// fan-out grain and twice it, ascending.
+func batchSizes() []int {
+	set := map[int]bool{}
+	for n := 0; n <= 65; n++ {
+		set[n] = true
+	}
+	for p := 2; p <= 1<<17; p <<= 1 {
+		set[p-1], set[p], set[p+1] = true, true, true
+	}
+	for _, g := range []int{grain, 2 * grain} {
+		set[g-1], set[g], set[g+1] = true, true, true
+	}
+	sizes := make([]int, 0, len(set))
+	for n := range set {
+		sizes = append(sizes, n)
+	}
+	slices.Sort(sizes)
+	return sizes
+}
+
+// sameLog fails unless a and b, both of n leaves, store the same node
+// at every cell of every level and give byte-identical RootAt, every
+// MembershipProof and every ConsistencyProof at size n; and the
+// recursive oracle agrees with their root and with the proofs of the
+// first, last and middle entries.
+func sameLog(t *testing.T, what string, a, b *Log, leaves []Hash) {
+	t.Helper()
+	n := a.Size()
+	if b.Size() != n {
+		t.Fatalf("%s: sizes %d and %d", what, n, b.Size())
+	}
+	for h := 0; h < bits.Len64(n); h++ {
+		if !slices.Equal(a.tree[h], b.tree[h]) {
+			t.Fatalf("%s at %d leaves: level %d differs", what, n, h)
+		}
+	}
+	if n == 0 {
+		if a.Root() != emptyRoot() || b.Root() != emptyRoot() {
+			t.Fatalf("%s: empty root differs", what)
+		}
+		return
+	}
+	if a.Root() != subtreeRoot(leaves[:n]) || b.Root() != a.Root() {
+		t.Fatalf("%s at %d leaves: root differs from the recursive oracle", what, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		ra, _ := a.RootAt(i + 1)
+		rb, _ := b.RootAt(i + 1)
+		pa, _ := a.MembershipProof(i, n)
+		pb, _ := b.MembershipProof(i, n)
+		ca, _ := a.ConsistencyProof(i+1, n)
+		cb, _ := b.ConsistencyProof(i+1, n)
+		if ra != rb || !slices.Equal(pa, pb) || !slices.Equal(ca, cb) {
+			t.Fatalf("%s at %d leaves: root at %d, proof of entry %d or consistency from %d differs",
+				what, n, i+1, i, i+1)
+		}
+	}
+	for _, i := range []uint64{0, n / 2, n - 1} {
+		if p, _ := a.MembershipProof(i, n); !slices.Equal(p, auditPath(i, leaves[:n])) {
+			t.Fatalf("%s at %d leaves: proof of entry %d differs from the recursive oracle", what, n, i)
+		}
+		if p, _ := a.ConsistencyProof(i+1, n); i+1 < n && !slices.Equal(p, subProof(i+1, leaves[:n], true)) {
+			t.Fatalf("%s at %d leaves: consistency from %d differs from the recursive oracle", what, n, i+1)
+		}
+	}
+}
+
+// AppendBatch and Append share one level-merge, and their logs must be
+// indistinguishable: at every batch size, a log built in one batch
+// equals a log appended one record at a time, node for node and proof
+// for proof, and both equal the recursive oracle. Sizes from the grain
+// up fan out; GOMAXPROCS is pinned to 3 so they do on any host, into
+// ranges of unequal width.
+func TestAppendBatchMatchesAppend(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	sizes := batchSizes()
+	leaves := oracleLeaves(sizes[len(sizes)-1])
+	seq := New()
+	for _, n := range sizes {
+		for seq.Size() < uint64(n) {
+			seq.Append(record(int(seq.Size())))
+		}
+		batch := New()
+		batch.AppendBatch(n, encodeRecord)
+		sameLog(t, "batch vs appended", batch, seq, leaves)
+	}
+}
+
+// A batch appended onto a non-empty retaining log extends it exactly as
+// single appends do, keeping every record's bytes; a batch of zero
+// records changes nothing.
+func TestAppendBatchOntoRetainingLog(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, sz := range [][2]int{{1, 3}, {5, grain + 3}, {grain + 1, 2*grain - 1}, {7, 0}} {
+		base, add := sz[0], sz[1]
+		n := base + add
+		leaves := oracleLeaves(n)
+		want := buildLog(t, n, true)
+		l := buildLog(t, base, true)
+		l.AppendBatch(add, func(buf []byte, i int) []byte { return encodeRecord(buf, base+i) })
+		sameLog(t, fmt.Sprintf("%d+%d", base, add), l, want, leaves)
+		for i := 0; i < n; i++ {
+			if got, err := l.Record(uint64(i)); err != nil || string(got) != string(record(i)) {
+				t.Fatalf("%d+%d: record %d = %q, %v", base, add, i, got, err)
 			}
 		}
 	}
@@ -333,9 +423,10 @@ func TestConsistencyProofExhaustive(t *testing.T) {
 	}
 }
 
-// The hash chain re-derives only from the full prefix: any historical
-// edit changes every later head.
-func TestChainHeadDetectsEdits(t *testing.T) {
+// The root is the whole log's tamper evidence: one flipped bit deep in
+// history changes it, and a proof issued under the honest root fails
+// against the edited one.
+func TestRootDetectsEdits(t *testing.T) {
 	t.Parallel()
 	a := buildLog(t, 20, false)
 	b := New()
@@ -346,14 +437,19 @@ func TestChainHeadDetectsEdits(t *testing.T) {
 		}
 		b.Append(rec)
 	}
-	if a.ChainHead() == b.ChainHead() {
-		t.Fatal("chain head unchanged after a historical edit")
-	}
 	if a.Root() == b.Root() {
 		t.Fatal("root unchanged after a historical edit")
 	}
-	if (New()).ChainHead() != (Hash{}) {
-		t.Fatal("empty chain head not zero")
+	path, err := a.MembershipProof(3, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, _ := a.Leaf(3)
+	if err := VerifyMembership(a.Root(), 3, 20, leaf, path); err != nil {
+		t.Fatalf("honest proof rejected: %v", err)
+	}
+	if err := VerifyMembership(b.Root(), 3, 20, leaf, path); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("old proof against the edited root: %v, want ErrProofInvalid", err)
 	}
 }
 

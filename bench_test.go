@@ -112,7 +112,7 @@ func BenchmarkReduceNaiveChain(b *testing.B) {
 			sg := mustGraph(b, gen.Chain(k, model.Money(k+10)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !sequencing.ReduceNaive(sg).Feasible() {
+				if !sequencing.ReducePreferred(sg, func(sequencing.Edge) int { return 0 }).Feasible() {
 					b.Fatal("infeasible")
 				}
 			}

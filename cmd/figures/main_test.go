@@ -24,6 +24,21 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
+	// E10's table, row by row: problem, graph, strong-search,
+	// asset-search, petri-completable.
+	for _, row := range []string{
+		"example1                true   true           true          true",
+		"example2                false  false          true          true",
+		"example2-variant1       true   false          true          true",
+		"example2-variant2       false  false          true          true",
+		"example1-poor-broker    false  false          false         false",
+		"example2-indemnified    true   true           true          true",
+		"figure7                 false  false          true          true",
+	} {
+		if !strings.Contains(got, "\n"+row+"\n") {
+			t.Errorf("E10 row missing: %q", row)
+		}
+	}
 }
 
 func TestSingleExperiment(t *testing.T) {

@@ -15,12 +15,14 @@
 //   - Reduction records the outcome: the ordered list of Removals (each
 //     tagged with the Rule that fired), the residual edges, and the
 //     feasibility verdict derived from whether the graph emptied.
-//   - Reduce (which takes optional telemetry) / ReduceNaive /
-//     ReduceRandomOrder / ReducePreferred are alternative strategies
-//     over the same two rules;
-//     the confluence property (any maximal reduction reaches the same
-//     verdict, Section 4.2.4) is what makes the choice a performance
-//     knob rather than a correctness one, and is property-tested.
+//   - Reduce (the worklist reducer, which takes optional telemetry) and
+//     ReducePreferred (a caller-chosen removal order) are alternative
+//     strategies over the same two rules. The naive rescan and the
+//     random-order reducers are ReducePreferred priorities (constant and
+//     random), kept in the tests. The confluence property (any maximal
+//     reduction reaches the same verdict, Section 4.2.4) is what makes
+//     the choice a performance knob rather than a correctness one, and
+//     is property-tested.
 //
 // # Concurrency and ownership
 //

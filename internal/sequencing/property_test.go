@@ -9,6 +9,17 @@ import (
 	"trustseq/internal/model"
 )
 
+// reduceNaive is the rescan baseline: under a constant priority,
+// ReducePreferred removes the lowest-indexed applicable edge each round.
+func reduceNaive(g *Graph) *Reduction {
+	return ReducePreferred(g, func(Edge) int { return 0 })
+}
+
+// reduceRandomOrder removes a uniformly random applicable edge each round.
+func reduceRandomOrder(g *Graph, rng *rand.Rand) *Reduction {
+	return ReducePreferred(g, func(Edge) int { return rng.Int() })
+}
+
 // E9 over random problems: across 150 random markets (varied party
 // counts, poor brokers, direct trust), the worklist reducer, the naive
 // reducer and 10 random-order reductions all agree — on the verdict AND
@@ -35,13 +46,13 @@ func TestConfluenceOnRandomProblems(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		base := Reduce(g, nil)
-		naive := ReduceNaive(g)
+		naive := reduceNaive(g)
 		if base.Feasible() != naive.Feasible() || len(base.Removals) != len(naive.Removals) {
 			t.Fatalf("instance %d: worklist (%v,%d) != naive (%v,%d)",
 				i, base.Feasible(), len(base.Removals), naive.Feasible(), len(naive.Removals))
 		}
 		for trial := 0; trial < 10; trial++ {
-			r := ReduceRandomOrder(g, orderRng)
+			r := reduceRandomOrder(g, orderRng)
 			if r.Feasible() != base.Feasible() {
 				t.Fatalf("instance %d trial %d: random order verdict %v != %v",
 					i, trial, r.Feasible(), base.Feasible())

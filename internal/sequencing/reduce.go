@@ -2,7 +2,6 @@ package sequencing
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -360,59 +359,6 @@ func observeRemoval(tel *obs.Telemetry, sp obs.Span, e Edge, rule Rule, byPerson
 		obs.Int("conjunction", e.ID.J),
 		obs.Bool("red", e.Red),
 		obs.Bool("persona", byPersona))
-}
-
-// ReduceNaive is the O(E²) baseline reducer used by the ablation
-// benchmark: it rescans every edge after each removal instead of keeping
-// a worklist. It must produce the same verdict as Reduce.
-func ReduceNaive(g *Graph) *Reduction {
-	s := newState(g)
-	red := &Reduction{Graph: g}
-	for {
-		removedAny := false
-		for ei := range g.Edges {
-			rule, byPersona := s.applicable(ei)
-			if rule == RuleNone {
-				continue
-			}
-			s.remove(ei)
-			red.Removals = append(red.Removals, Removal{Edge: g.Edges[ei], Rule: rule, ByPersona: byPersona})
-			removedAny = true
-			break // restart the scan — deliberately naive
-		}
-		if !removedAny {
-			break
-		}
-	}
-	red.Remaining = s.remaining()
-	s.release()
-	return red
-}
-
-// ReduceRandomOrder applies applicable reductions in a random order drawn
-// from rng — the confluence property test (E9) uses it to confirm the
-// verdict is order-independent, as Section 4.2.4 asserts.
-func ReduceRandomOrder(g *Graph, rng *rand.Rand) *Reduction {
-	s := newState(g)
-	red := &Reduction{Graph: g}
-	for {
-		var candidates []int
-		for ei := range g.Edges {
-			if rule, _ := s.applicable(ei); rule != RuleNone {
-				candidates = append(candidates, ei)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		ei := candidates[rng.Intn(len(candidates))]
-		rule, byPersona := s.applicable(ei)
-		s.remove(ei)
-		red.Removals = append(red.Removals, Removal{Edge: g.Edges[ei], Rule: rule, ByPersona: byPersona})
-	}
-	red.Remaining = s.remaining()
-	s.release()
-	return red
 }
 
 // Impasse describes why a reduction stopped, for diagnostics: the fringe

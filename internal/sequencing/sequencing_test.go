@@ -231,12 +231,12 @@ func TestReductionConfluenceOnExamples(t *testing.T) {
 				t.Fatalf("NewSplit = %v", err)
 			}
 			want := Reduce(g, nil).Feasible()
-			if got := ReduceNaive(g).Feasible(); got != want {
+			if got := reduceNaive(g).Feasible(); got != want {
 				t.Errorf("naive verdict %v != worklist verdict %v", got, want)
 			}
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 50; trial++ {
-				r := ReduceRandomOrder(g, rng)
+				r := reduceRandomOrder(g, rng)
 				if r.Feasible() != want {
 					t.Fatalf("random-order verdict %v != %v (trial %d)", r.Feasible(), want, trial)
 				}
@@ -255,7 +255,7 @@ func TestReductionRemovalCountsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSplit(%s) = %v", name, err)
 		}
-		a, b := Reduce(g, nil), ReduceNaive(g)
+		a, b := Reduce(g, nil), reduceNaive(g)
 		if len(a.Removals) != len(b.Removals) {
 			t.Errorf("%s: worklist removed %d, naive removed %d", name, len(a.Removals), len(b.Removals))
 		}
@@ -280,7 +280,7 @@ func TestRemovedSortedOrderIndependent(t *testing.T) {
 			}
 		}
 		for trial := 0; trial < 5; trial++ {
-			got := ReduceRandomOrder(g, rng).RemovedSorted()
+			got := reduceRandomOrder(g, rng).RemovedSorted()
 			if len(got) != len(want) {
 				t.Fatalf("%s trial %d: %d removed IDs, want %d", name, trial, len(got), len(want))
 			}

@@ -3,15 +3,17 @@
 // of the CLIs — parse, compile, reduce, recover the execution sequence,
 // cross-check, simulate — into a cached request/response system, the
 // long-lived escrow-intermediary shape the paper's Section 2.5 trusted
-// components are meant to have in deployment.
+// components are meant to have in deployment. The ?crosscheck stage is
+// sweep.CrossCheck, the one cross-check the sweep and E10 also run.
 //
 // # Request lifecycle
 //
 // POST /v1/analyze accepts a problem either as a raw .exch body or as a
 // JSON spec {"source": …, options…}; query parameters (?seq, ?verify,
 // ?crosscheck, ?simulate, ?seed, ?format=text) override body options.
-// The handler first decodes the request form and options (cheap), then
-// looks the decoded source up in the source index:
+// A body over 1 MiB is refused with 413, never analysed as a truncated
+// prefix. The handler first decodes the request form and options
+// (cheap), then looks the decoded source up in the source index:
 //
 //  1. source hit — the source has been parsed before, so the index
 //     already holds its problem's hash state, hence its digest and the

@@ -115,7 +115,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r, 1<<20)
 	if err != nil {
 		rt.endStage(parse)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		writeStatusError(w, err)
 		return
 	}
 	src, opts, wantText, err := decodeAnalyzeRequest(r, body)
@@ -197,17 +197,24 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.writeAnalyze(w, rt, res, disposition, incremental, digest, wantText)
 }
 
-// readBody reads at most limit bytes of r's body into one buffer sized
-// from Content-Length when the client sent it, instead of growing a
-// buffer by doubling — a 60 KB spec would otherwise allocate twice its
-// size on every request.
+// readBody reads r's body into one buffer sized from Content-Length
+// when the client sent it, instead of growing a buffer by doubling — a
+// 60 KB spec would otherwise allocate twice its size on every request.
+// A body over limit bytes is a 413, never truncated: a prefix of a spec
+// can parse as a different problem.
 func readBody(r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
-		buf.Grow(int(min(r.ContentLength, limit)) + bytes.MinRead)
+		buf.Grow(int(min(r.ContentLength, limit+1)) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit))
-	return buf.Bytes(), err
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, limit+1)); err != nil {
+		return nil, &StatusError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("reading body: %v", err)}
+	}
+	if int64(buf.Len()) > limit {
+		return nil, &StatusError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request body exceeds the %d MiB cap", limit>>20)}
+	}
+	return buf.Bytes(), nil
 }
 
 // writeAnalyze writes one successful analyze response: the cached body

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -13,9 +12,8 @@ import (
 	"trustseq/internal/core"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
-	"trustseq/internal/petri"
-	"trustseq/internal/search"
 	"trustseq/internal/sim"
+	"trustseq/internal/sweep"
 )
 
 // Options configures a Service. The zero value is usable: every field
@@ -43,9 +41,9 @@ type Options struct {
 	RequestTimeout time.Duration
 	// SweepTimeout bounds one batch sweep request. Default 2m.
 	SweepTimeout time.Duration
-	// MaxSearchExchanges caps the exhaustive cross-checks exactly as in
-	// sweep.Config: larger problems report SearchSkipped instead of
-	// burning exponential time. Default 10.
+	// MaxSearchExchanges is sweep.CrossCheck's size cap: larger problems
+	// report SearchSkipped instead of burning exponential time. Default
+	// 10.
 	MaxSearchExchanges int
 	// PetriBudget bounds the coverability exploration. Default 1<<17.
 	PetriBudget int
@@ -315,30 +313,27 @@ const (
 // fresh engine run otherwise. The returned body is immutable shared
 // state — callers must not modify it.
 func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOptions) (*cached, cacheDisposition, error) {
-	res, d, _, err := s.AnalyzeIncremental(ctx, p, opts, nil)
+	res, d, _, err := s.analyzeTraced(ctx, p, problemState(p), opts, nil, nil)
 	return res, d, err
 }
 
-// AnalyzeIncremental is Analyze with an optional base digest: when the
-// digest names a plan still resident in the base cache, the request is
-// served by the incremental path — model.Diff against the base,
-// sequencing.Patch on the dirtied frontier — at near-cache speed, with
-// the body byte-identical to a full run. A digest with no resident plan
-// reports base-miss and runs the full pipeline; so does a structural
-// edit (disposition full). Every successful run, incremental or not,
-// deposits its plan in the base cache for the next edit.
-func (s *Service) AnalyzeIncremental(ctx context.Context, p *model.Problem, opts AnalyzeOptions, base *[2]uint64) (*cached, cacheDisposition, IncrementalDisposition, error) {
-	return s.analyzeTraced(ctx, p, problemState(p), opts, base, nil)
-}
-
-// analyzeTraced is the traced spine of Analyze/AnalyzeIncremental. The
-// caller passes p's problemState (the HTTP handler already has it, for
-// the source index and cluster routing), so each request fingerprints
-// its problem once. When rt is non-nil it records the compile and cache stages
-// against the request and (for the miss leader) threads a fan-out
-// tracer through the engine run. A nil rt costs a handful of nil
-// checks — the plain API paths and the disabled-telemetry benchmarks
-// stay byte-for-byte.
+// analyzeTraced is the traced spine of Analyze and the HTTP handler,
+// with an optional base digest: when the digest names a plan still
+// resident in the base cache, the request is served by the incremental
+// path — model.Diff against the base, sequencing.Patch on the dirtied
+// frontier — at near-cache speed, with the body byte-identical to a
+// full run. A digest with no resident plan reports base-miss and runs
+// the full pipeline; so does a structural edit (disposition full).
+// Every successful run, incremental or not, deposits its plan in the
+// base cache for the next edit.
+//
+// The caller passes p's problemState (the HTTP handler already has it,
+// for the source index and cluster routing), so each request
+// fingerprints its problem once. When rt is non-nil it records the
+// compile and cache stages against the request and (for the miss
+// leader) threads a fan-out tracer through the engine run. A nil rt
+// costs a handful of nil checks — the plain API paths and the
+// disabled-telemetry benchmarks stay byte-for-byte.
 func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp128, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
 	cs := rt.beginStage("compile")
 	p.Compile() // compile once; every engine below reuses the dense tables
@@ -470,10 +465,18 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 	var cc *CrossCheckInfo
 	if opts.CrossCheck {
 		xs := rt.beginStage("crosscheck")
-		cc, err = s.crossCheck(p, plan.Feasible, tel)
+		v, err := sweep.CrossCheck(p, s.opts.MaxSearchExchanges, s.opts.PetriBudget, s.opts.SearchWorkers, tel, nil)
 		rt.endStage(xs)
 		if err != nil {
 			return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
+		}
+		cc = &CrossCheckInfo{
+			SearchSkipped:  v.SearchSkipped,
+			AssetsFeasible: v.AssetsFeasible,
+			StrongFeasible: v.StrongFeasible,
+			PetriFound:     v.PetriFound,
+			PetriCapped:    v.PetriCapped,
+			Agreement:      v.SearchSkipped || !plan.Feasible || v.AssetsFeasible,
 		}
 	}
 	var simInfo *SimulationInfo
@@ -520,37 +523,6 @@ func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.
 	s.vl.append(digest, key, val)
 	rt.endStage(rs)
 	return val, plan, patched, nil
-}
-
-// crossCheck mirrors the sweep's per-problem validation stage: the two
-// exhaustive-search semantics plus the Petri coverability check, under
-// the same size caps.
-func (s *Service) crossCheck(p *model.Problem, graphFeasible bool, tel *obs.Telemetry) (*CrossCheckInfo, error) {
-	cc := &CrossCheckInfo{}
-	if len(p.Exchanges) > s.opts.MaxSearchExchanges {
-		cc.SearchSkipped = true
-		cc.Agreement = true // not evaluated
-		return cc, nil
-	}
-	assets, err := search.FeasibleObs(p, search.ModeAssets, s.opts.SearchWorkers, tel)
-	if err != nil {
-		return nil, fmt.Errorf("assets search: %w", err)
-	}
-	cc.AssetsFeasible = assets.Feasible
-	strong, err := search.FeasibleObs(p, search.ModeStrong, s.opts.SearchWorkers, tel)
-	if err != nil {
-		return nil, fmt.Errorf("strong search: %w", err)
-	}
-	cc.StrongFeasible = strong.Feasible
-	enc, err := petri.FromProblem(p)
-	if err != nil {
-		return nil, fmt.Errorf("petri encoding: %w", err)
-	}
-	cov := enc.CompletableObs(s.opts.PetriBudget, tel, nil)
-	cc.PetriFound = cov.Found
-	cc.PetriCapped = cov.Capped
-	cc.Agreement = !graphFeasible || cc.AssetsFeasible
-	return cc, nil
 }
 
 // CacheLen reports the number of cached results (for tests and the

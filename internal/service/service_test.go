@@ -9,14 +9,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"trustseq/internal/dsl"
+	"trustseq/internal/gen"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
+	"trustseq/internal/sweep"
 )
 
 func mustLoad(t *testing.T, src string) *model.Problem {
@@ -126,6 +129,115 @@ func TestAnalyzeFeasibleSpec(t *testing.T) {
 	cc := res.CrossCheck
 	if cc == nil || !cc.AssetsFeasible || !cc.StrongFeasible || !cc.PetriFound || !cc.Agreement {
 		t.Errorf("cross-checks disagree with E1: %+v", cc)
+	}
+}
+
+func readSpec(t *testing.T, name string) string {
+	t.Helper()
+	src, err := os.ReadFile("../../examples/specs/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
+}
+
+// Every crosscheck field of an analyze response is sweep.CrossCheck's
+// verdict on the same problem under the service's caps, and Agreement
+// is SearchSkipped || !feasible || AssetsFeasible — one row per way the
+// predicate can come out true.
+func TestAnalyzeCrossCheckMatchesSweep(t *testing.T) {
+	population, err := dsl.Print(gen.Population(6, 0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestService(t, Options{})
+	opts := Options{}.withDefaults()
+	for _, tc := range []struct {
+		name                      string
+		src                       string
+		feasible, skipped, assets bool
+	}{
+		{"search skipped", population, true, true, false},
+		{"graph and assets feasible", readSpec(t, "example1.exch"), true, false, true},
+		{"graph impasse, assets feasible", readSpec(t, "example2.exch"), false, false, true},
+		{"graph and assets infeasible", readSpec(t, "poorbroker.exch"), false, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postSpec(t, ts.URL+"/v1/analyze?crosscheck=1", tc.src)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, body %s", resp.StatusCode, body)
+			}
+			var res Result
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatal(err)
+			}
+			p := mustLoad(t, tc.src)
+			v, err := sweep.CrossCheck(p, opts.MaxSearchExchanges, opts.PetriBudget, opts.SearchWorkers, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := CrossCheckInfo{
+				SearchSkipped:  v.SearchSkipped,
+				AssetsFeasible: v.AssetsFeasible,
+				StrongFeasible: v.StrongFeasible,
+				PetriFound:     v.PetriFound,
+				PetriCapped:    v.PetriCapped,
+				Agreement:      v.SearchSkipped || !res.Feasible || v.AssetsFeasible,
+			}
+			if res.CrossCheck == nil || *res.CrossCheck != want {
+				t.Errorf("crosscheck = %+v, want %+v", res.CrossCheck, want)
+			}
+			if res.Feasible != tc.feasible || v.SearchSkipped != tc.skipped || v.AssetsFeasible != tc.assets || !want.Agreement {
+				t.Errorf("row (graph %v, skipped %v, assets %v, agreement %v), want (%v, %v, %v, true)",
+					res.Feasible, v.SearchSkipped, v.AssetsFeasible, want.Agreement, tc.feasible, tc.skipped, tc.assets)
+			}
+		})
+	}
+}
+
+// logSize reads the analysis log's size from /v1/stats.
+func logSize(t *testing.T, url string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.VLog.Size
+}
+
+// A body over the 1 MiB cap is refused with 413 and never analysed:
+// its 1 MiB prefix here is example1 plus an unterminated comment, which
+// would parse. A valid spec padded to exactly the cap is still served.
+func TestAnalyzeBodyCap(t *testing.T) {
+	_, ts, _ := newTestService(t, Options{})
+	example1 := readSpec(t, "example1.exch")
+	oversized := example1 + "\n// " + strings.Repeat("x", 1<<20) + "\nthis is not a spec {{{"
+	resp, body := postSpec(t, ts.URL+"/v1/analyze?format=text", oversized)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413; body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "1 MiB") {
+		t.Errorf("413 body does not name the cap: %s", body)
+	}
+	if n := logSize(t, ts.URL); n != 0 {
+		t.Errorf("log size %d after a refused body, want 0", n)
+	}
+
+	padded := example1 + "// "
+	padded += strings.Repeat("x", 1<<20-len(padded)-1) + "\n"
+	if len(padded) != 1<<20 {
+		t.Fatalf("padded spec is %d bytes", len(padded))
+	}
+	if resp, body := postSpec(t, ts.URL+"/v1/analyze?format=text", padded); resp.StatusCode != http.StatusOK {
+		t.Fatalf("spec of exactly 1 MiB: status %d, body %s", resp.StatusCode, body)
+	}
+	if n := logSize(t, ts.URL); n != 1 {
+		t.Errorf("log size %d after one analysis, want 1", n)
 	}
 }
 

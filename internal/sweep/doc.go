@@ -17,9 +17,11 @@
 //     spelling), N, Seed, Workers, the MaxSearchExchanges and
 //     PetriBudget caps that keep exhaustive baselines tractable, chaos
 //     parameters, and an optional obs.Telemetry.
-//   - Result is one problem's verdict tuple (graph, search×2, Petri,
-//     simulation); Stats counts agreements and disagreements; Report
-//     bundles Results, Stats and a human Summary.
+//   - CrossCheck is the one cross-check (both searches and Petri
+//     coverability) behind the sweep, trustd's ?crosscheck and E10.
+//   - Result is one problem's verdict tuple (graph, the embedded
+//     Verdicts, simulation); Stats counts agreements and
+//     disagreements; Report bundles Results, Stats and a human Summary.
 //   - Run executes a batch; RunContext is the cancellable variant the
 //     trustd /v1/sweep endpoint uses — on cancellation it returns
 //     completed results so far with Canceled set.

@@ -149,12 +149,7 @@ type Result struct {
 
 	GraphFeasible bool
 
-	SearchSkipped  bool // exhaustive searches skipped (too many exchanges)
-	AssetsFeasible bool
-	StrongFeasible bool
-
-	PetriFound  bool
-	PetriCapped bool
+	Verdicts
 	// PetriComparable marks instances where coverability and asset search
 	// decide the same question: no persona trust (early withdrawals are
 	// not encoded in the net) and a conclusive, uncapped exploration.
@@ -431,33 +426,59 @@ func runOne(cfg Config, i int, ws *workerScratch) Result {
 		runChaos(cfg, plan, seed, ws, &res)
 	}
 
-	if len(p.Exchanges) > cfg.MaxSearchExchanges {
-		res.SearchSkipped = true
-		return res
-	}
-	assets, err := search.FeasibleObs(p, search.ModeAssets, cfg.SearchWorkers, tel)
+	res.Verdicts, err = CrossCheck(p, cfg.MaxSearchExchanges, cfg.PetriBudget, cfg.SearchWorkers, tel, ws.cover)
 	if err != nil {
-		res.Err = fmt.Sprintf("assets search: %v", err)
+		res.Err = err.Error()
 		return res
 	}
-	res.AssetsFeasible = assets.Feasible
-	strong, err := search.FeasibleObs(p, search.ModeStrong, cfg.SearchWorkers, tel)
-	if err != nil {
-		res.Err = fmt.Sprintf("strong search: %v", err)
-		return res
-	}
-	res.StrongFeasible = strong.Feasible
+	res.PetriComparable = !res.SearchSkipped && !res.PetriCapped &&
+		len(p.DirectTrust) == 0 && len(p.Indemnities) == 0
+	return res
+}
 
+// Verdicts is the cross-check of one problem: the exhaustive search
+// under both safety semantics and Petri coverability (§7.4).
+type Verdicts struct {
+	SearchSkipped  bool // exhaustive searches skipped (too many exchanges)
+	AssetsFeasible bool
+	StrongFeasible bool
+
+	PetriFound  bool
+	PetriCapped bool
+}
+
+// CrossCheck decides p with the assets search, the strong search and
+// Petri coverability — the one cross-check behind the sweep, trustd's
+// crosscheck option and E10. A problem with more than maxExchanges
+// exchanges runs none of them and reports SearchSkipped instead of
+// burning exponential time. petriBudget bounds the coverability
+// exploration, searchWorkers > 1 fans each search out
+// (search.FeasibleObs), and scratch, when non-nil, is reused by the
+// coverability check. On an engine error the verdicts decided so far
+// come back with it.
+func CrossCheck(p *model.Problem, maxExchanges, petriBudget, searchWorkers int, tel *obs.Telemetry, scratch *petri.CoverScratch) (Verdicts, error) {
+	var v Verdicts
+	if len(p.Exchanges) > maxExchanges {
+		v.SearchSkipped = true
+		return v, nil
+	}
+	assets, err := search.FeasibleObs(p, search.ModeAssets, searchWorkers, tel)
+	if err != nil {
+		return v, fmt.Errorf("assets search: %w", err)
+	}
+	v.AssetsFeasible = assets.Feasible
+	strong, err := search.FeasibleObs(p, search.ModeStrong, searchWorkers, tel)
+	if err != nil {
+		return v, fmt.Errorf("strong search: %w", err)
+	}
+	v.StrongFeasible = strong.Feasible
 	enc, err := petri.FromProblem(p)
 	if err != nil {
-		res.Err = fmt.Sprintf("petri encoding: %v", err)
-		return res
+		return v, fmt.Errorf("petri encoding: %w", err)
 	}
-	cov := enc.CompletableObs(cfg.PetriBudget, tel, ws.cover)
-	res.PetriFound = cov.Found
-	res.PetriCapped = cov.Capped
-	res.PetriComparable = !cov.Capped && len(p.DirectTrust) == 0 && len(p.Indemnities) == 0
-	return res
+	cov := enc.CompletableObs(petriBudget, tel, scratch)
+	v.PetriFound, v.PetriCapped = cov.Found, cov.Capped
+	return v, nil
 }
 
 // chaosSeedSalt decorrelates the chaos stage's RNG stream from the

@@ -128,9 +128,9 @@ func (r *Ring) Version() uint64 {
 }
 
 // keyPoint positions a [2]uint64 content digest on the hash circle.
-// The digest is already avalanched (service fingerprints end in a
-// splitmix finalizer), but the two words are folded through one more
-// mix so structured test digests also spread.
+// The service's digests are SHA-256 prefixes and already uniform, but
+// the two words are folded through one more mix so structured test
+// digests also spread.
 func keyPoint(d [2]uint64) uint64 {
 	return mix64(d[0] ^ bits.RotateLeft64(d[1], 31))
 }
@@ -144,8 +144,7 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// mix64 is the splitmix64 finalizer, the same avalanche the service
-// digests use.
+// mix64 is the splitmix64 finalizer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

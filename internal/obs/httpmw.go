@@ -5,21 +5,25 @@ import (
 	"time"
 )
 
-// statusWriter records the status code a handler sent so the middleware
-// can bucket it after the fact. WriteHeader-less handlers imply 200.
-type statusWriter struct {
+// StatusWriter records the status code a handler sent so a middleware
+// can act on it after the fact, and forwards http.Flusher. HTTPMetrics
+// and trustd's request-identity middleware both wrap handlers in it.
+type StatusWriter struct {
 	http.ResponseWriter
 	status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+// WriteHeader records the first status code and forwards it.
+func (w *StatusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
+// Write forwards the body; a handler that writes without calling
+// WriteHeader has sent 200.
+func (w *StatusWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
@@ -29,10 +33,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // Flush forwards http.Flusher so wrapping a streaming handler does not
 // silently disable its flushes (a no-op when the underlying writer
 // cannot flush, matching http.ResponseController semantics).
-func (w *statusWriter) Flush() {
+func (w *StatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// Status reports the status code the handler sent: 200 when it wrote
+// nothing at all.
+func (w *StatusWriter) Status() int {
+	if w.status == 0 {
+		return http.StatusOK
+	}
+	return w.status
 }
 
 // HTTPMetrics wraps h with per-endpoint request accounting: a
@@ -62,17 +75,13 @@ func HTTPMetrics(reg *Registry, name string, h http.Handler) http.Handler {
 		requests.Inc()
 		inflight.Add(1)
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		h.ServeHTTP(sw, req)
 		elapsed := time.Since(start).Seconds()
 		seconds.Observe(elapsed)
 		rolling.Observe(elapsed)
 		inflight.Add(-1)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		if cls := status/100 - 1; cls >= 0 && cls < len(classes) {
+		if cls := sw.Status()/100 - 1; cls >= 0 && cls < len(classes) {
 			classes[cls].Inc()
 		}
 	})

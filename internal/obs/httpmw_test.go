@@ -100,7 +100,7 @@ func TestStatusWriterForwardsFlusher(t *testing.T) {
 // TestStatusWriterFlushOnNonFlusher pins the degenerate path: flushing
 // over a writer that cannot flush is a no-op, not a panic.
 func TestStatusWriterFlushOnNonFlusher(t *testing.T) {
-	w := &statusWriter{ResponseWriter: nonFlusher{}}
+	w := &StatusWriter{ResponseWriter: nonFlusher{}}
 	w.Flush() // must not panic
 }
 

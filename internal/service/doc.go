@@ -12,36 +12,29 @@
 // JSON spec {"source": …, options…}; query parameters (?seq, ?verify,
 // ?crosscheck, ?simulate, ?seed, ?format=text) override body options.
 // A body over 1 MiB is refused with 413, never analysed as a truncated
-// prefix. The handler first decodes the request form and options
-// (cheap), then looks the decoded source up in the source index:
-//
-//  1. source hit — the source has been parsed before, so the index
-//     already holds its problem's hash state, hence its digest and the
-//     request key. When that key's result is resident the stored body
-//     is replayed byte-for-byte without parsing, compiling or
-//     fingerprinting anything (X-Trustd-Cache: hit, counted in
-//     service.cache.source_hits). In cluster mode the indexed digest
-//     also routes the request, so a non-owner proxies a repeat
-//     unparsed;
-//  2. otherwise the source is parsed (dsl.LoadReader) and fingerprinted
-//     once, the index learns it (parse failures are 400s and are never
-//     indexed), and the parse path below runs. So does an indexed
-//     source whose result is not resident: the engines need the
-//     problem itself.
-//
-// On the parse path the problem is compiled (model.Problem.Compile),
-// and then:
+// prefix, and a JSON body holding anything but whitespace after its one
+// value is a 400. The handler first decodes the request form and options
+// (cheap), then finds the problem digest. A source seen before has it
+// in the source index; any other source is parsed (dsl.LoadReader) and
+// digested once, and the index learns it (parse failures are 400s and
+// are never indexed). In cluster mode the digest routes the request, so
+// a non-owner proxies a repeated source unparsed. Then the request key
+// (digest × options) is looked up once:
 //
 //  1. cache hit — the stored body is replayed byte-for-byte
-//     (X-Trustd-Cache: hit; a reformatted source lands here);
+//     (X-Trustd-Cache: hit). A repeated source is served without being
+//     parsed or compiled (counted in service.cache.source_hits); a
+//     reformatted source lands here through the parse;
 //  2. an identical run is already in flight — the request parks on it
 //     instead of starting another engine run (X-Trustd-Cache:
 //     coalesced; this is the singleflight collapse);
-//  3. otherwise a leader goroutine takes a slot on the bounded engine
-//     semaphore, runs the pipeline, derives one Report and renders both
-//     bodies from it (JSON and the trustseq-identical text), signs them
-//     into the log, publishes to the LRU cache and wakes every waiter
-//     (X-Trustd-Cache: miss).
+//  3. otherwise the request becomes the leader: it parses the source if
+//     it has not yet, compiles the problem (model.Problem.Compile), and
+//     a goroutine takes a slot on the bounded engine semaphore, runs the
+//     pipeline, derives one Report and renders both bodies from it (JSON
+//     and the trustseq-identical text), signs them into the log,
+//     publishes to the LRU cache and wakes every waiter (X-Trustd-Cache:
+//     miss).
 //
 // Every waiter — leader's request included — honors its own per-request
 // timeout; a timed-out request returns 504 while the engine run it
@@ -50,28 +43,27 @@
 //
 // # Cache key
 //
-// Two content-addressed tables sit in front of the engines. The result
+// Every content address is the first 128 bits of a SHA-256, in the
+// [2]uint64 shape the caches, the ring and the log share. The result
 // cache is keyed on the compiled problem, not the source text:
-// problemState streams a canonical, length-prefixed encoding of every
+// ProblemDigest hashes a canonical, length-prefixed encoding of every
 // verdict-relevant problem field (parties, exchanges, trust
 // declarations, indemnities, constraints — in declaration order, which
-// is semantically meaningful) through a two-lane FNV-1a accumulator;
-// finishing that state with a splitmix avalanche gives the problem
-// digest (X-Trustd-Digest), and folding the option set in first gives
-// the request key, in the same [2]uint64 shape as the packed-fingerprint
-// memo in internal/search. Reformatted or re-commented sources
-// therefore share one cache slot; any change that could alter the
-// response body changes the key.
+// is semantically meaningful); that is the problem digest
+// (X-Trustd-Digest), and the request key is the hash of the digest and
+// the option set. Reformatted or re-commented sources therefore share
+// one cache slot; any change that could alter the response body changes
+// the key. The hash is collision-resistant, so no crafted problem can
+// be answered with another's result, coalesce onto another's run or be
+// logged under another's leaf.
 //
-// The source index in front of it is keyed on the source bytes: the
-// first 128 bits of SHA-256 over the decoded source (the raw body, or
-// the JSON form's "source" string, so both forms share one entry) map
-// to the problem's hash state. SHA-256 rather than FNV because a
-// crafted source must not be able to alias a resident one. Parsing and
-// fingerprinting are pure functions of the source, so an entry never
-// goes stale; the index is an LRU of CacheEntries entries under the
-// same mutex as the cache, and it changes no cache key, log leaf or
-// body.
+// The source index in front of the cache is keyed on the source bytes:
+// the SHA-256 prefix of the decoded source (the raw body, or the JSON
+// form's "source" string, so both forms share one entry) maps to the
+// problem digest. Parsing and digesting are pure functions of the
+// source, so an entry never goes stale; the index is an LRU of
+// CacheEntries entries under the same mutex as the cache, and it
+// changes no cache key, log leaf or body.
 //
 // # Concurrency and ownership
 //
@@ -91,8 +83,9 @@
 // from the client when well-formed, generated otherwise, and always
 // echoed back. The handler pipeline records its stages against the
 // request — parse (read and decode the request), digest (hash the
-// source, probe the index), load (parse and fingerprint the source;
-// skipped on a source hit), compile, cache, engine/patch, crosscheck,
+// source, probe the index), load (parse and digest the source; skipped
+// for a repeated source unless it leads a run), cache, compile (the
+// leader only), engine/patch, crosscheck,
 // simulate, render (the Report, both bodies and the log append) —
 // surfaces them in a Server-Timing response header,
 // and hands the engine run a tracer fanning out into a bounded

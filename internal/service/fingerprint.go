@@ -5,183 +5,133 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"trustseq/internal/model"
 )
 
-// The result cache is content-addressed: two requests that compile to
-// the same problem and ask for the same analysis share one cache slot,
-// no matter how the source was formatted. The address is a [2]uint64 —
-// the same key shape (and final mixing) as the packed-fingerprint memo
-// in internal/search — produced by streaming a canonical encoding of
-// the compiled problem through two decorrelated FNV-1a accumulators.
-// Unlike search's Fingerprint128 (an injective packing of a bounded
-// state), this is a 128-bit digest of an unbounded input; a collision
-// is astronomically unlikely rather than impossible, which is the
-// standard contract for content-addressed caches.
+// Every content address in the service — the source key, the problem
+// digest and the request key — is the first 128 bits of a SHA-256, as a
+// [2]uint64 (big-endian words, so FormatDigest prints the hash's hex
+// prefix). SHA-256 is collision-resistant: no crafted source or problem
+// can alias a resident one, so a cache hit, a coalesced run, a ring
+// owner and a log leaf all name the problem they were computed for.
 
-// fp128 accumulates the canonical byte stream. The two lanes use the
-// FNV-1a update rule with distinct offset bases so they decorrelate
-// from the first byte; the second lane additionally rotates its input,
-// so the lanes never agree byte-for-byte.
-type fp128 struct {
-	a, b uint64
-}
-
-const (
-	fnvOffset  = 0xcbf29ce484222325
-	fnvPrime   = 0x00000100000001b3
-	fnvOffset2 = 0x9e3779b97f4a7c15 // splitmix64 increment, arbitrary ≠ lane a
-)
-
-func newFP() fp128 { return fp128{a: fnvOffset, b: fnvOffset2} }
-
-func (h *fp128) byte(c byte) {
-	h.a = (h.a ^ uint64(c)) * fnvPrime
-	h.b = (h.b ^ uint64(c)<<1 ^ uint64(c)>>7) * fnvPrime
-}
-
-func (h *fp128) str(s string) {
-	h.u64(uint64(len(s))) // length-prefix: "ab"+"c" ≠ "a"+"bc"
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-}
-
-func (h *fp128) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	for _, c := range buf {
-		h.byte(c)
-	}
-}
-
-func (h *fp128) i64(v int64) { h.u64(uint64(v)) }
-
-func (h *fp128) bool(v bool) {
-	if v {
-		h.byte(1)
-	} else {
-		h.byte(0)
-	}
-}
-
-// sum applies a final splitmix-style avalanche (the same mixing idea as
-// search.fpHash) so low-entropy tails still spread across both words.
-func (h *fp128) sum() [2]uint64 {
-	mix := func(x uint64) uint64 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		return x
-	}
-	return [2]uint64{mix(h.a ^ h.b<<1), mix(h.b ^ h.a>>1)}
-}
-
-func (h *fp128) bundle(b model.Bundle) {
-	h.i64(int64(b.Amount))
-	h.u64(uint64(len(b.Items)))
-	for _, it := range b.Items { // normalized: sorted, deduplicated
-		h.str(string(it))
-	}
-}
-
-func (h *fp128) action(a model.Action) {
-	h.u64(uint64(a.Kind))
-	h.str(string(a.From))
-	h.str(string(a.To))
-	h.str(string(a.Item))
-	h.i64(int64(a.Amount))
-	h.bool(a.Inverse)
-}
-
-// problemState digests every field of the compiled problem that can
-// influence an analysis verdict, in declaration order (declaration
-// order is semantically meaningful: exchange indices appear in traces
-// and indemnity offers address exchanges by index). It returns the hash
-// state before any option is folded in: state.sum() is the problem
-// digest and optionsKey(state, opts) the request key, so one pass
-// yields both. The source index stores this state.
-func problemState(p *model.Problem) fp128 {
-	h := newFP()
-	h.str(p.Name)
-	h.u64(uint64(len(p.Parties)))
-	for _, pa := range p.Parties {
-		h.str(string(pa.ID))
-		h.u64(uint64(pa.Role))
-		h.bool(pa.LimitedFunds)
-		h.i64(int64(pa.Endowment))
-	}
-	h.u64(uint64(len(p.Exchanges)))
-	for _, e := range p.Exchanges {
-		h.str(string(e.Principal))
-		h.str(string(e.Trusted))
-		h.bundle(e.Gives)
-		h.bundle(e.Gets)
-		h.bool(e.RedOverride)
-	}
-	h.u64(uint64(len(p.DirectTrust)))
-	for _, d := range p.DirectTrust {
-		h.str(string(d.Truster))
-		h.str(string(d.Trustee))
-	}
-	h.u64(uint64(len(p.Indemnities)))
-	for _, off := range p.Indemnities {
-		h.str(string(off.By))
-		h.u64(uint64(off.Covers))
-		h.str(string(off.Via))
-		h.i64(int64(off.Amount))
-	}
-	h.u64(uint64(len(p.Constraints)))
-	for _, c := range p.Constraints {
-		h.action(c.Before)
-		h.action(c.After)
-	}
-	return h
-}
-
-// requestKey derives the cache key for one analysis request: the
-// problem digest plus every option that shapes the response body, so a
-// cache hit can be replayed byte-for-byte.
-func requestKey(p *model.Problem, opts AnalyzeOptions) [2]uint64 {
-	return optionsKey(problemState(p), opts)
-}
-
-// optionsKey folds the analysis options into a problem-prefixed hash
-// state. Taking the state by value lets the analyze path derive the
-// problem digest and the request key from one streaming pass.
-func optionsKey(h fp128, opts AnalyzeOptions) [2]uint64 {
-	h.bool(opts.Trace)
-	h.bool(opts.Indemnify)
-	h.bool(opts.Verify)
-	h.bool(opts.CrossCheck)
-	h.bool(opts.Simulate)
-	h.i64(opts.SimSeed)
-	h.i64(int64(opts.SimDeadline))
-	return h.sum()
-}
-
-// ProblemDigest returns the 128-bit content digest of the problem alone
-// — the base handle of the incremental path. The service returns it as
-// X-Trustd-Digest, accepts it back in X-Trustd-Base, and keys the
-// base-plan cache with it. The digest only selects a cached base
-// candidate; model.Diff then compares the real structures, so even a
-// colliding digest cannot corrupt a result — it can only waste a diff.
-func ProblemDigest(p *model.Problem) [2]uint64 {
-	h := problemState(p)
-	return h.sum()
-}
-
-// sourceKey addresses the source index: the first 128 bits of SHA-256
-// over the decoded .exch source. Unlike the FNV problem digest it is
-// collision-resistant, so a crafted source cannot alias a resident one
-// and be answered with another problem's result.
-func sourceKey(src []byte) [2]uint64 {
-	sum := sha256.Sum256(src)
+// address128 is the first 128 bits of SHA-256 over b.
+func address128(b []byte) [2]uint64 {
+	sum := sha256.Sum256(b)
 	return [2]uint64{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
 }
+
+// The append functions below build the canonical encoding that
+// ProblemDigest and requestKey hash: fixed-width little-endian integers,
+// length-prefixed strings, one byte per bool. Each returns the extended
+// buffer, in the style of the append built-in.
+
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func appendStr(b []byte, s string) []byte {
+	b = appendU64(b, uint64(len(s))) // length-prefix: "ab"+"c" ≠ "a"+"bc"
+	return append(b, s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendBundle(b []byte, x model.Bundle) []byte {
+	b = appendU64(b, uint64(x.Amount))
+	b = appendU64(b, uint64(len(x.Items)))
+	for _, it := range x.Items { // normalized: sorted, deduplicated
+		b = appendStr(b, string(it))
+	}
+	return b
+}
+
+func appendAction(b []byte, a model.Action) []byte {
+	b = appendU64(b, uint64(a.Kind))
+	b = appendStr(b, string(a.From))
+	b = appendStr(b, string(a.To))
+	b = appendStr(b, string(a.Item))
+	b = appendU64(b, uint64(a.Amount))
+	return appendBool(b, a.Inverse)
+}
+
+// encodings recycles ProblemDigest's encoding buffers, so digesting a
+// problem allocates nothing once a buffer of its size exists.
+var encodings = sync.Pool{New: func() any { return new([]byte) }}
+
+// ProblemDigest returns the 128-bit content digest of the problem alone:
+// SHA-256 over a canonical encoding of every field that can influence an
+// analysis verdict, in declaration order (declaration order is
+// semantically meaningful: exchange indices appear in traces and
+// indemnity offers address exchanges by index). The service returns it
+// as X-Trustd-Digest, accepts it back in X-Trustd-Base, keys the
+// base-plan cache and the ring with it, and writes it into the log leaf.
+func ProblemDigest(p *model.Problem) [2]uint64 {
+	buf := encodings.Get().(*[]byte)
+	b := appendStr((*buf)[:0], p.Name)
+	b = appendU64(b, uint64(len(p.Parties)))
+	for _, pa := range p.Parties {
+		b = appendStr(b, string(pa.ID))
+		b = appendU64(b, uint64(pa.Role))
+		b = appendBool(b, pa.LimitedFunds)
+		b = appendU64(b, uint64(pa.Endowment))
+	}
+	b = appendU64(b, uint64(len(p.Exchanges)))
+	for _, x := range p.Exchanges {
+		b = appendStr(b, string(x.Principal))
+		b = appendStr(b, string(x.Trusted))
+		b = appendBundle(b, x.Gives)
+		b = appendBundle(b, x.Gets)
+		b = appendBool(b, x.RedOverride)
+	}
+	b = appendU64(b, uint64(len(p.DirectTrust)))
+	for _, d := range p.DirectTrust {
+		b = appendStr(b, string(d.Truster))
+		b = appendStr(b, string(d.Trustee))
+	}
+	b = appendU64(b, uint64(len(p.Indemnities)))
+	for _, off := range p.Indemnities {
+		b = appendStr(b, string(off.By))
+		b = appendU64(b, uint64(off.Covers))
+		b = appendStr(b, string(off.Via))
+		b = appendU64(b, uint64(off.Amount))
+	}
+	b = appendU64(b, uint64(len(p.Constraints)))
+	for _, c := range p.Constraints {
+		b = appendAction(b, c.Before)
+		b = appendAction(b, c.After)
+	}
+	d := address128(b)
+	*buf = b
+	encodings.Put(buf)
+	return d
+}
+
+// requestKey derives the cache key for one analysis request from its
+// problem digest and every option that shapes the response body, so a
+// cache hit can be replayed byte-for-byte.
+func requestKey(digest [2]uint64, opts AnalyzeOptions) [2]uint64 {
+	var buf [64]byte
+	b := appendU64(buf[:0], digest[0])
+	b = appendU64(b, digest[1])
+	b = appendBool(b, opts.Trace)
+	b = appendBool(b, opts.Indemnify)
+	b = appendBool(b, opts.Verify)
+	b = appendBool(b, opts.CrossCheck)
+	b = appendBool(b, opts.Simulate)
+	b = appendU64(b, uint64(opts.SimSeed))
+	b = appendU64(b, uint64(opts.SimDeadline))
+	return address128(b)
+}
+
+// sourceKey addresses the source index: the decoded .exch source's
+// content address.
+func sourceKey(src []byte) [2]uint64 { return address128(src) }
 
 // FormatDigest renders a digest as the fixed-width 32-hex-character
 // form the headers use.

@@ -79,15 +79,11 @@ func (s *Service) Handler() http.Handler {
 // record with the slow-request log.
 func (s *Service) traced(endpoint string, h http.Handler, logged bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt := newReqTrace(clientRequestID(r), endpoint, r.Method, s.opts.TraceEvents)
+		rt := newReqTrace(clientRequestID(r), endpoint, r.Method)
 		w.Header().Set(requestIDHeader, rt.id)
-		tw := &traceWriter{ResponseWriter: w}
-		h.ServeHTTP(tw, r.WithContext(context.WithValue(r.Context(), reqTraceKey{}, rt)))
-		status := tw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		rt.finish(status)
+		sw := &obs.StatusWriter{ResponseWriter: w}
+		h.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqTraceKey{}, rt)))
+		rt.finish(sw.Status())
 		if logged && s.reqlog.record(rt) {
 			s.slowRequests.Inc()
 		}
@@ -125,26 +121,25 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The source index: a body seen before already knows its problem's
-	// hash state, and with it the digest and the request key, so it is
-	// routed and (when its result is resident) answered unparsed.
+	// The source index: a body seen before already knows its problem
+	// digest, so it is routed and (when its result is resident) answered
+	// unparsed.
 	ds := rt.beginStage("digest")
 	skey := sourceKey(src)
 	s.mu.Lock()
-	state, indexed := s.sources.get(skey)
+	digest, indexed := s.sources.get(skey)
 	s.mu.Unlock()
 	rt.endStage(ds)
 	var p *model.Problem
 	if !indexed {
-		if p, state, err = loadSource(src, rt); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		if p, digest, err = loadSource(src, rt); err != nil {
+			writeStatusError(w, err)
 			return
 		}
 		s.mu.Lock()
-		s.sources.put(skey, state)
+		s.sources.put(skey, digest)
 		s.mu.Unlock()
 	}
-	digest := state.sum()
 	if s.cluster != nil && s.routeAnalyze(w, r, digest, body) {
 		if indexed {
 			s.sourceHits.Inc()
@@ -163,28 +158,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		base = &d
 	}
-	if indexed {
-		cs := rt.beginStage("cache")
-		s.mu.Lock()
-		c, ok := s.cache.get(optionsKey(state, opts))
-		s.mu.Unlock()
-		rt.endStage(cs)
-		if ok {
-			s.cacheHits.Inc()
-			s.sourceHits.Inc()
-			s.writeAnalyze(w, rt, c, dispositionHit, "", digest, wantText)
-			return
-		}
-		// Resident source, absent result (evicted, or other options):
-		// the engines need the problem itself.
-		if p, _, err = loadSource(src, rt); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	res, disposition, incremental, err := s.analyzeTraced(ctx, p, state, opts, base, rt)
+	res, disposition, incremental, err := s.analyzeTraced(r.Context(), digest, p, src, opts, base, rt)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -193,6 +167,9 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			writeStatusError(w, err)
 		}
 		return
+	}
+	if indexed && disposition == dispositionHit {
+		s.sourceHits.Inc()
 	}
 	s.writeAnalyze(w, rt, res, disposition, incremental, digest, wantText)
 }
@@ -244,16 +221,16 @@ func (s *Service) writeAnalyze(w http.ResponseWriter, rt *reqTrace, res *cached,
 	w.Write(res.json)
 }
 
-// loadSource parses the decoded source into a problem and streams its
-// hash state, as the request's "load" stage.
-func loadSource(src []byte, rt *reqTrace) (*model.Problem, fp128, error) {
+// loadSource parses the decoded source into a problem and digests it,
+// as the request's "load" stage. A parse failure is a 400.
+func loadSource(src []byte, rt *reqTrace) (*model.Problem, [2]uint64, error) {
 	ls := rt.beginStage("load")
 	defer rt.endStage(ls)
 	p, err := dsl.LoadReader(bytes.NewReader(src))
 	if err != nil {
-		return nil, fp128{}, err
+		return nil, [2]uint64{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
-	return p, problemState(p), nil
+	return p, ProblemDigest(p), nil
 }
 
 // decodeAnalyzeRequest decodes either request form (body already read
@@ -266,9 +243,7 @@ func decodeAnalyzeRequest(r *http.Request, body []byte) ([]byte, AnalyzeOptions,
 	src := body
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeJSON(body, &req); err != nil {
 			return nil, AnalyzeOptions{}, false, fmt.Errorf("decoding JSON spec: %w", err)
 		}
 		if strings.TrimSpace(req.Source) == "" {
@@ -310,6 +285,21 @@ func decodeAnalyzeRequest(r *http.Request, body []byte) ([]byte, AnalyzeOptions,
 	return src, opts, wantText, nil
 }
 
+// decodeJSON decodes body as exactly one JSON value into v: an unknown
+// field, or anything but whitespace after the value, is an error, so a
+// request is never answered for a prefix of what the client sent.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 // sweepRequest is the JSON request schema of POST /v1/sweep, a bounded
 // subset of sweep.Config.
 type sweepRequest struct {
@@ -349,10 +339,13 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	body, err := readBody(r, 1<<20)
+	if err != nil {
+		writeStatusError(w, err)
+		return
+	}
 	var req sweepRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding sweep config: %v", err))
 		return
 	}

@@ -23,8 +23,9 @@ import (
 // in the same record without touching any process-wide sink. The
 // stages surface in a Server-Timing response header on every answer;
 // the full span tree is retained by the slow-request log (slowlog.go)
-// and served back at /v1/trace/{id}. This is the identity ROADMAP-1's cluster mode will
-// propagate between nodes.
+// and served back at /v1/trace/{id}. In cluster mode a proxied request
+// carries its ID to the ring owner, so both nodes record it under one
+// identity.
 
 // requestIDHeader is the request-identity header: accepted from the
 // client when well-formed, generated otherwise, always echoed back.
@@ -92,14 +93,18 @@ type reqTrace struct {
 	inc      string
 }
 
-// newReqTrace opens a record; events bounds the span ring.
-func newReqTrace(id, endpoint, method string, events int) *reqTrace {
+// traceEvents bounds the per-request span ring: engine records past the
+// bound evict the oldest and the trace reports how many were dropped.
+const traceEvents = 256
+
+// newReqTrace opens a record.
+func newReqTrace(id, endpoint, method string) *reqTrace {
 	return &reqTrace{
 		id:       id,
 		endpoint: endpoint,
 		method:   method,
 		start:    time.Now(),
-		ring:     obs.NewRingSink(events),
+		ring:     obs.NewRingSink(traceEvents),
 	}
 }
 
@@ -424,31 +429,4 @@ type reqTraceKey struct{}
 func traceFrom(ctx context.Context) *reqTrace {
 	rt, _ := ctx.Value(reqTraceKey{}).(*reqTrace)
 	return rt
-}
-
-// traceWriter captures the handler's status code for the request log
-// and forwards http.Flusher, mirroring the obs middleware's wrapper.
-type traceWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *traceWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *traceWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *traceWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }

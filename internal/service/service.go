@@ -34,10 +34,10 @@ type Options struct {
 	// requests queue until a slot frees or their timeout fires. Default
 	// GOMAXPROCS.
 	MaxConcurrent int
-	// RequestTimeout bounds one analysis request end to end, queueing
-	// included. A request that times out returns 504 while its engine
-	// run (if already started) completes and still populates the cache.
-	// Default 30s.
+	// RequestTimeout bounds how long one analysis request waits for its
+	// engine run, queueing included; a cache hit never waits. A request
+	// that times out returns 504 while its engine run completes and
+	// still populates the cache. Default 30s.
 	RequestTimeout time.Duration
 	// SweepTimeout bounds one batch sweep request. Default 2m.
 	SweepTimeout time.Duration
@@ -64,10 +64,6 @@ type Options struct {
 	// SlowLogEntries bounds both the recent-request table and the
 	// slow-trace ring (each holds this many records). Default 128.
 	SlowLogEntries int
-	// TraceEvents bounds the per-request span ring: engine records past
-	// the bound evict the oldest and the trace reports how many were
-	// dropped. Default 256.
-	TraceEvents int
 	// Cluster, when non-nil, puts the service in cluster mode: the node's
 	// consistent-hash ring routes each analyze request to its owner
 	// (non-owners proxy, one hop max), and /v1/sweep partitions across
@@ -107,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SlowLogEntries < 1 {
 		o.SlowLogEntries = 128
-	}
-	if o.TraceEvents < 1 {
-		o.TraceEvents = 256
 	}
 	return o
 }
@@ -196,11 +189,11 @@ type Service struct {
 	bases  *lru[*core.Plan]
 	flight map[[2]uint64]*call
 	// sources is the source index in front of the result cache: the
-	// SHA-256 source key (sourceKey) of every successfully parsed body
-	// maps to its problem's hash state (problemState), so a repeated
-	// body finds its request key without being parsed again. Sized like
-	// the result cache.
-	sources *lru[fp128]
+	// source key (sourceKey) of every successfully parsed body maps to
+	// its problem digest (ProblemDigest), so a repeated body finds its
+	// request key without being parsed again. Sized like the result
+	// cache.
+	sources *lru[[2]uint64]
 
 	// reqlog is the request flight recorder (slowlog.go); runtime feeds
 	// the /metrics scrape with process health.
@@ -255,7 +248,7 @@ func New(opts Options) *Service {
 		cache:          newLRU[*cached](opts.CacheEntries),
 		bases:          newLRU[*core.Plan](opts.BaseEntries),
 		flight:         make(map[[2]uint64]*call),
-		sources:        newLRU[fp128](opts.CacheEntries),
+		sources:        newLRU[[2]uint64](opts.CacheEntries),
 		reqlog:         newRequestLog(opts.SlowLogMillis, opts.SlowLogEntries),
 		runtime:        obs.NewRuntime(),
 		vl:             newServiceLog(reg),
@@ -308,17 +301,22 @@ const (
 	IncrementalBaseMiss IncrementalDisposition = "base-miss"
 )
 
-// Analyze serves one compiled problem: from the cache when possible,
-// by joining an identical in-flight run when one exists, and by a
-// fresh engine run otherwise. The returned body is immutable shared
-// state — callers must not modify it.
+// Analyze serves one problem: from the cache when possible, by joining
+// an identical in-flight run when one exists, and by a fresh engine run
+// otherwise. The returned body is immutable shared state — callers must
+// not modify it.
 func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOptions) (*cached, cacheDisposition, error) {
-	res, d, _, err := s.analyzeTraced(ctx, p, problemState(p), opts, nil, nil)
+	res, d, _, err := s.analyzeTraced(ctx, ProblemDigest(p), p, nil, opts, nil, nil)
 	return res, d, err
 }
 
-// analyzeTraced is the traced spine of Analyze and the HTTP handler,
-// with an optional base digest: when the digest names a plan still
+// analyzeTraced is the traced spine of Analyze and the HTTP handler: the
+// one cache lookup of a request whose problem digest is digest. The
+// problem is p, or when p is nil the source src parses to; it is parsed
+// and compiled only when this request leads a fresh engine run, so a
+// repeated source is answered without either.
+//
+// A base digest names a previous problem: when its plan is still
 // resident in the base cache, the request is served by the incremental
 // path — model.Diff against the base, sequencing.Patch on the dirtied
 // frontier — at near-cache speed, with the body byte-identical to a
@@ -327,20 +325,13 @@ func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOpt
 // Every successful run, incremental or not, deposits its plan in the
 // base cache for the next edit.
 //
-// The caller passes p's problemState (the HTTP handler already has it,
-// for the source index and cluster routing), so each request
-// fingerprints its problem once. When rt is non-nil it records the
-// compile and cache stages against the request and (for the miss
-// leader) threads a fan-out tracer through the engine run. A nil rt
-// costs a handful of nil checks — the plain API paths and the
-// disabled-telemetry benchmarks stay byte-for-byte.
-func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp128, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
-	cs := rt.beginStage("compile")
-	p.Compile() // compile once; every engine below reuses the dense tables
-	rt.endStage(cs)
-	digest := state.sum()
-	key := optionsKey(state, opts)
-
+// When rt is non-nil it records the cache, load and compile stages
+// against the request and (for the miss leader) threads a fan-out
+// tracer through the engine run. A nil rt costs a handful of nil checks
+// — the plain API paths and the disabled-telemetry benchmarks stay
+// byte-for-byte.
+func (s *Service) analyzeTraced(ctx context.Context, digest [2]uint64, p *model.Problem, src []byte, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
+	key := requestKey(digest, opts)
 	ls := rt.beginStage("cache")
 	s.mu.Lock()
 	if c, ok := s.cache.get(key); ok {
@@ -372,6 +363,16 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, state fp1
 	if inc == IncrementalBaseMiss {
 		s.incBaseMiss.Inc()
 	}
+	if p == nil {
+		var err error
+		if p, _, err = loadSource(src, rt); err != nil {
+			s.publish(fl, key, digest, nil, nil, err)
+			return nil, dispositionMiss, "", err
+		}
+	}
+	cs := rt.beginStage("compile")
+	p.Compile() // compile once; every engine below reuses the dense tables
+	rt.endStage(cs)
 
 	// The leader's run is decoupled from the leader's context: once
 	// started it always finishes and publishes — a request that gives
@@ -413,11 +414,13 @@ func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *co
 	close(fl.done)
 }
 
-// await parks on an in-flight run until it publishes or the request's
-// own deadline fires. The disposition is only read on the publish path
-// (close(done) is the happens-before edge); a timed-out request reports
-// none.
+// await parks on an in-flight run until it publishes, ctx ends or
+// RequestTimeout passes. The disposition is only read on the publish
+// path (close(done) is the happens-before edge); a timed-out request
+// reports none.
 func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cached, cacheDisposition, IncrementalDisposition, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	defer cancel()
 	select {
 	case <-fl.done:
 		return fl.val, d, fl.inc, fl.err

@@ -488,6 +488,37 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// JSON request bodies fail closed: a body is one JSON value and
+// whitespace, never a prefix the server answers while ignoring the
+// rest, and an oversized sweep body is a 413 like an oversized analyze.
+func TestJSONBodiesFailClosed(t *testing.T) {
+	_, ts, _ := newTestService(t, Options{})
+	spec, _ := json.Marshal(map[string]string{"source": feasibleSpec})
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+		errText          string
+	}{
+		{"analyze, whitespace after the value", "/v1/analyze", string(spec) + "\n \t\n", http.StatusOK, ""},
+		{"analyze, a second object and junk", "/v1/analyze", string(spec) + `{"source":"garbage"} trailing junk`, http.StatusBadRequest, "decoding JSON spec"},
+		{"analyze, a stray brace", "/v1/analyze", string(spec) + "}", http.StatusBadRequest, "decoding JSON spec"},
+		{"sweep, whitespace after the value", "/v1/sweep", `{"n":2}` + "\n", http.StatusOK, ""},
+		{"sweep, junk after the value", "/v1/sweep", `{"n":2} not json at all`, http.StatusBadRequest, "decoding sweep config"},
+		{"sweep, a stray brace", "/v1/sweep", `{"n":2}}`, http.StatusBadRequest, "decoding sweep config"},
+		{"sweep, 2 MiB", "/v1/sweep", `{"n":2}` + strings.Repeat(" ", 2<<20), http.StatusRequestEntityTooLarge, "1 MiB"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.errText) {
+			t.Errorf("%s: status %d, want %d naming %q; body %s", tc.name, resp.StatusCode, tc.status, tc.errText, body)
+		}
+	}
+}
+
 func TestOpsEndpoints(t *testing.T) {
 	_, ts, _ := newTestService(t, Options{})
 	postSpec(t, ts.URL+"/v1/analyze", feasibleSpec)
@@ -616,11 +647,11 @@ func TestRequestKeyDiscriminatesOptions(t *testing.T) {
 	p1 := mustLoad(t, feasibleSpec)
 	p2 := mustLoad(t, feasibleSpecReformatted)
 	p3 := mustLoad(t, infeasibleSpec)
-	base := requestKey(p1, AnalyzeOptions{})
-	if got := requestKey(p2, AnalyzeOptions{}); got != base {
+	base := requestKey(ProblemDigest(p1), AnalyzeOptions{})
+	if got := requestKey(ProblemDigest(p2), AnalyzeOptions{}); got != base {
 		t.Errorf("reformatted source changed the key")
 	}
-	if got := requestKey(p3, AnalyzeOptions{}); got == base {
+	if got := requestKey(ProblemDigest(p3), AnalyzeOptions{}); got == base {
 		t.Errorf("different problem, same key")
 	}
 	seen := map[[2]uint64]string{{}: "zero"}
@@ -633,7 +664,7 @@ func TestRequestKeyDiscriminatesOptions(t *testing.T) {
 		"seed":       {Simulate: true, SimSeed: 1},
 		"deadline":   {Simulate: true, SimDeadline: 99},
 	} {
-		key := requestKey(p1, opts)
+		key := requestKey(ProblemDigest(p1), opts)
 		if prev, dup := seen[key]; dup {
 			t.Errorf("options %s collide with %s", name, prev)
 		}

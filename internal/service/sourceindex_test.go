@@ -53,7 +53,7 @@ func sourcesLen(svc *Service) int {
 // resident result takes the parse path to it.
 func forgetSources(svc *Service) {
 	svc.mu.Lock()
-	svc.sources = newLRU[fp128](svc.opts.CacheEntries)
+	svc.sources = newLRU[[2]uint64](svc.opts.CacheEntries)
 	svc.mu.Unlock()
 }
 

@@ -371,7 +371,7 @@ func TestTraceRingEviction(t *testing.T) {
 func TestSlowlogIndexEviction(t *testing.T) {
 	l := newRequestLog(-1, 2)
 	push := func(id string) {
-		rt := newReqTrace(id, "analyze", "POST", 8)
+		rt := newReqTrace(id, "analyze", "POST")
 		rt.finish(200)
 		l.record(rt)
 	}

@@ -57,9 +57,11 @@ func newServiceLog(reg *obs.Registry) *serviceLog {
 // a versioned prefix, the problem digest, the full cache key (problem ×
 // options), and the SHA-256 of each rendered body. Committing to body
 // hashes rather than bodies keeps leaves small while still making any
-// later byte change to a served result provable.
+// later byte change to a served result provable. Version 2 has version
+// 1's layout; its two digests are SHA-256 prefixes (fingerprint.go)
+// where version 1's were a non-cryptographic hash.
 func analysisRecord(digest, key [2]uint64, val *cached) []byte {
-	const prefix = "trustd-analysis-v1\x00"
+	const prefix = "trustd-analysis-v2\x00"
 	b := make([]byte, 0, len(prefix)+2*32+2+2*sha256.Size)
 	b = append(b, prefix...)
 	b = append(b, FormatDigest(digest)...)

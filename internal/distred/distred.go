@@ -181,7 +181,7 @@ func Reduce(p *model.Problem, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := sim.NewNetwork(sim.Config{Seed: seed, Jitter: 3})
+	net := sim.NewNetwork(sim.Config{Seed: seed, Jitter: 3}, p)
 	agents := make([]*Agent, 0, len(p.Parties))
 	for _, pa := range p.Parties {
 		ag := newAgent(pa.ID, g)

@@ -347,3 +347,39 @@ func TestAccessorsMatchScanOracles(t *testing.T) {
 			indemnified, personas, red)
 	}
 }
+
+// Each party's offer row is the scan of the indemnity offers with a
+// post whose collateral it holds, for every party of every corpus
+// problem and of populations whose consumers each cover their own
+// purchase.
+func TestOfferRowsMatchScan(t *testing.T) {
+	t.Parallel()
+	corpus := accessorCorpus(t)
+	for _, n := range []int{1, 2, 10, 100} {
+		p := gen.Population(n, 0, 10)
+		for ei := 0; ei < len(p.Exchanges); ei += 4 {
+			e := p.Exchanges[ei]
+			p.Indemnities = append(p.Indemnities, model.IndemnityOffer{By: e.Principal, Covers: ei, Via: e.Trusted})
+		}
+		corpus[fmt.Sprintf("gen-population-%d-self-offered", n)] = p
+	}
+	held := 0
+	for name, p := range corpus {
+		tab := p.ActionTable()
+		for k, pa := range p.Parties {
+			var scan []int32
+			for oi, off := range p.Indemnities {
+				if off.Via == pa.ID && tab.Post[oi] >= 0 {
+					scan = append(scan, int32(oi))
+				}
+			}
+			if row := tab.OffersVia(k); !slices.Equal(row, scan) {
+				t.Fatalf("%s: OffersVia(%s) = %v, want %v", name, pa.ID, row, scan)
+			}
+			held += len(scan)
+		}
+	}
+	if held < 100 {
+		t.Fatalf("the corpus posts only %d offers", held)
+	}
+}

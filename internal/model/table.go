@@ -57,6 +57,7 @@ type ActionTable struct {
 	collateral   []Money // the resolved amount
 	offerBy      []int32
 	selfInsured  []bool
+	via          rows // per party: offers with a post whose collateral it holds, ascending; none without offers
 
 	// Trusteds lists the trusted components' party slots in roster
 	// order, Persona each party slot's persona principal (-1 if none).
@@ -321,6 +322,15 @@ func (t *ActionTable) principalsAt(buf []int32, k int, seen []int32) []int32 {
 	return buf
 }
 
+// OffersVia returns, ascending, the indemnity offers with a post whose
+// collateral the party in slot party holds.
+func (t *ActionTable) OffersVia(party int) []int32 {
+	if t.via.off == nil { // a problem without offers builds no row
+		return nil
+	}
+	return t.via.row(party)
+}
+
 // Cells returns the party's cells.
 func (t *ActionTable) Cells(party int) []int32 { return t.cellsOf.row(party) }
 
@@ -465,8 +475,9 @@ func buildActionTable(p *Problem) *ActionTable {
 	t.collateral, t.offerBy = make([]Money, nOff), make([]int32, nOff)
 	t.selfInsured = make([]bool, nOff)
 	posts, payouts := make(map[[2]int32][]int32), make(map[[2]int32][]int32)
+	viaKeys := make([]int32, nOff)
 	for oi, off := range p.Indemnities {
-		t.Post[oi], t.Payout[oi] = -1, -1
+		t.Post[oi], t.Payout[oi], viaKeys[oi] = -1, -1, -1
 		t.offerBy[oi] = slotOf(off.By)
 		t.collateral[oi] = off.Amount
 		if off.Covers < 0 || off.Covers >= nEx {
@@ -489,6 +500,7 @@ func buildActionTable(p *Problem) *ActionTable {
 		pk, xk := [2]int32{by, via}, [2]int32{via, to}
 		t.Post[oi] = b.intern(Pay(off.By, off.Via, amount), by, via, dep, by, via, nEx, posts[pk])
 		posts[pk] = append(posts[pk], t.Post[oi])
+		viaKeys[oi] = via
 		payout := Pay(off.Via, p.Exchanges[off.Covers].Principal, amount)
 		t.Payout[oi] = b.intern(payout, via, to, rec, to, via, nEx, payouts[xk])
 		payouts[xk] = append(payouts[xk], t.Payout[oi])
@@ -539,6 +551,9 @@ func buildActionTable(p *Problem) *ActionTable {
 	t.inPays = groupRows(nParty, pays)
 	t.inGives = groupRows(len(t.CellParty), gives)
 	t.cellsOf = groupRows(nParty, t.CellParty)
+	if nOff > 0 {
+		t.via = groupRows(nParty, viaKeys)
+	}
 	t.initHoldings()
 	return t
 }

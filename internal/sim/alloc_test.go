@@ -40,7 +40,8 @@ func TestScheduleDeliverZeroAlloc(t *testing.T) {
 		{"heap", newHeapQueue},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, queue: tc.queue})
+			solo := &model.Problem{Parties: []model.Party{{ID: "p", Role: model.RoleConsumer}}}
+			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, queue: tc.queue}, solo)
 			node := &tickNode{id: "p"}
 			net.AddNode(node)
 			net.ctx.self = node.id

@@ -8,7 +8,9 @@ package sim
 // replacements are zero-value-ready (no allocation until first use),
 // reset in place for crash wipes, and sized to the node's degree — a
 // handful of entries for paper problems, ~2× fan-out for a
-// population broker.
+// population broker. A run's setup carves every node's sets from a
+// few plan-sized slabs (carve) rather than allocating them one node
+// at a time; a set that outgrows its share reallocates on its own.
 
 // slotSet is an open-addressing set of action-table slots that keeps
 // its members in insertion order, the order a checkpoint writes them
@@ -25,17 +27,30 @@ func home(s int32, mask uint32) uint32 {
 	return (h ^ h>>16) & mask
 }
 
-// reserve sizes an empty set for n elements without regrowth.
-func (s *slotSet) reserve(n int) {
+// tableSize returns the probe-table size that holds n elements without
+// regrowth, 0 for none.
+func tableSize(n int) int {
 	if n == 0 {
-		return
+		return 0
 	}
 	size := 16
 	for size*7 <= n*10 {
 		size *= 2
 	}
-	s.keys = make([]int32, 0, n)
-	s.tab = make([]int32, size)
+	return size
+}
+
+// carve sizes an empty set for n elements without regrowth, taking its
+// arrays from the fronts of the zeroed slabs keys and tab, and returns
+// the rest of both. Both arrays are capped, so a set that outgrows them
+// reallocates instead of writing into its neighbour's.
+func (s *slotSet) carve(n int, keys, tab []int32) ([]int32, []int32) {
+	size := tableSize(n)
+	if size == 0 {
+		return keys, tab
+	}
+	s.keys, s.tab = keys[:0:n], tab[:size:size]
+	return keys[n:], tab[size:]
 }
 
 // add inserts slot v into the set; present elements are left alone.

@@ -598,8 +598,7 @@ func (rs *runtime) decodeNodes(d *cdec) error {
 		if pn.next < 0 || pn.next > len(pn.script) || pn.fired < 0 {
 			return fmt.Errorf("%w: principal %s cursor out of range", ErrCheckpointMismatch, pn.Self)
 		}
-		self, _ := t.PartySlot(pn.Self)
-		seen, err := readSlots(d, t, int32(self), false)
+		seen, err := readSlots(d, t, pn.self, false)
 		if err != nil {
 			return fmt.Errorf("%w: principal %s seen: %v", ErrCheckpointCorrupt, pn.Self, err)
 		}
@@ -609,7 +608,7 @@ func (rs *runtime) decodeNodes(d *cdec) error {
 		for k := d.count(minStr); k > 0; k-- {
 			pn.markTag(d.str())
 		}
-		sent, err := readSlots(d, t, int32(self), true)
+		sent, err := readSlots(d, t, pn.self, true)
 		if err != nil {
 			return fmt.Errorf("%w: principal %s sent: %v", ErrCheckpointCorrupt, pn.Self, err)
 		}
@@ -621,7 +620,7 @@ func (rs *runtime) decodeNodes(d *cdec) error {
 		}
 		for k := d.count(8 + 1 + 1 + 4); k > 0; k-- {
 			rc := &recallState{ei: int(d.i64()), mode: recallMode(d.u8()), done: d.boolean()}
-			if rc.sent, err = readSlots(d, t, int32(self), true); err != nil {
+			if rc.sent, err = readSlots(d, t, pn.self, true); err != nil {
 				return fmt.Errorf("%w: principal %s recall: %v", ErrCheckpointCorrupt, pn.Self, err)
 			}
 			if rc.ei < 0 || rc.ei >= len(rs.p.Exchanges) || rc.mode > recallPaying ||

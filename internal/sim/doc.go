@@ -29,22 +29,25 @@
 // # Cost per message
 //
 // A run pays for its messages, not for allocations and string hashes.
-// The network numbers its party slots in the problem's order with the
-// transit account last, so it, its ledger and the problem's
-// model.ActionTable share one slot space. The nodes work in the table's
-// slots, as the plan's steps do: scripts, waits, seen and sent sets and
-// escrow logs hold slots, and a node sends a slot. The send reads the
-// receiver's party slot and the message's Action from the table, and
-// the message carries both slots in unexported fields, so delivery,
-// both ledger movements and the result state index arrays and nothing
-// looks an ID or an Action up; a slot that is no transfer fails at send
-// with ErrUndefinedTransfer. The event wheel queues int32 handles into
-// a Message arena, the result state is a bitset over the table, and the
+// The network copies its party slots from the problem's party order
+// with the transit account last, so it, its ledger and the problem's
+// model.ActionTable share one slot space; it resolves an ID through the
+// table's party index and initialises its nodes in the order of their
+// IDs, radix-sorted once as it is built, so a run registers no party by
+// ID. Its nodes and their working sets are carved from a few plan-sized
+// slabs after one counting pass over the plan's steps. The nodes work in the table's slots, as the plan's
+// steps do: scripts, waits, seen and sent sets and escrow logs hold
+// slots, and a node sends a slot. The send reads the receiver's party
+// slot and the message's Action from the table, and the message carries
+// both slots in unexported fields, so delivery, both ledger movements
+// and the result state index arrays and nothing looks an ID or an
+// Action up; a slot that is no transfer fails at send with
+// ErrUndefinedTransfer. The event wheel queues int32 handles into a
+// Message arena, the result state is a bitset over the table, and the
 // trace, the settlement log and the nodes' working sets are sized from
-// the plan. With
-// Options.Obs set, Run times its setup, loop, assemble and settlement
-// phases as child spans of its sim.run span and as sim.phase.*
-// histograms; without it, it reads no clock.
+// the plan. With Options.Obs set, Run times its setup, loop, assemble
+// and settlement phases as child spans of its sim.run span and as
+// sim.phase.* histograms; without it, it reads no clock.
 //
 // # Concurrency and ownership
 //

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -132,20 +133,20 @@ type Recoverable interface {
 
 // Network is the deterministic discrete-event simulator core.
 //
-// Node state is indexed by party slot: each party ID gets the next
-// dense slot when it is first seen, and the node table, down flags, and
-// crash bookkeeping are flat arrays indexed by slot. A simulation run
-// numbers the slots in the problem's party order, so the network, its
-// ledger and the problem's action table share one slot space, and
-// every message carries its receiver's party slot and its action's
-// slot, so a delivery hashes no ID. The event queue is the
-// hierarchical timing wheel (see wheel.go); delivery reuses one scratch
-// Context, so scheduling plus delivering a message allocates nothing
-// at steady state.
+// Node state is indexed by party slot: the node table, down flags, and
+// crash bookkeeping are flat arrays indexed by slot. The slots are the
+// problem's parties in order, the transit account last, so the network,
+// a run's ledger and the problem's action table share one slot space
+// and IDs resolve through the table's party index. Every message
+// carries its receiver's party slot and its action's slot, so a
+// delivery hashes no ID. The event queue is the hierarchical timing
+// wheel (see wheel.go); delivery reuses one scratch Context, so
+// scheduling plus delivering a message allocates nothing at steady
+// state.
 type Network struct {
 	ids       []model.PartyID // by party slot
-	slots     map[model.PartyID]int32
-	nodes     []Node // by party slot
+	order     []int32         // party slots by ID: the node init order
+	nodes     []Node          // by party slot
 	q         eventQueue
 	now       Time
 	seq       int
@@ -174,8 +175,8 @@ type Network struct {
 	// retains it.
 	ctx Context
 
-	// book, when set, is the run's ledger over the network's party
-	// slots and the cells of table, the problem's action table: a
+	// table is the problem's action table. book, when set, is a run's
+	// ledger over the network's party slots and the table's cells: a
 	// transfer debits its mover into the transit account at slot
 	// transit when sent (so in-flight assets cannot be double-spent)
 	// and credits its receiver when delivered.
@@ -274,13 +275,13 @@ func (s *countingSource) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// NewNetwork builds an empty network.
-func NewNetwork(cfg Config) *Network { return newNetwork(cfg, 16) }
-
-// newNetwork builds an empty network with its party slots, and its
-// event queue, sized for about parties nodes: a node rarely has more
-// than one event pending.
-func newNetwork(cfg Config, parties int) *Network {
+// NewNetwork builds an empty network over problem p. Its party slots
+// are p's parties in order with the transit account last, so the
+// network, a run's ledger and p's action table share one slot space,
+// and it resolves party IDs through the table's party index. Each node
+// is placed at its party's slot, and Run initialises them in the order
+// of their party IDs, which NewNetwork sorts once.
+func NewNetwork(cfg Config, p *model.Problem) *Network {
 	if cfg.BaseLatency <= 0 {
 		cfg.BaseLatency = 1
 	}
@@ -302,15 +303,18 @@ func newNetwork(cfg Config, parties int) *Network {
 	if cfg.queue == nil {
 		cfg.queue = newQueue
 	}
+	k := len(p.Parties) + 1 // the parties, then the transit account
+	ids := make([]model.PartyID, k)
+	for i, pa := range p.Parties {
+		ids[i] = pa.ID
+	}
+	ids[k-1] = ledger.TransitID
 	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	n := &Network{
-		ids:       make([]model.PartyID, 0, parties),
-		slots:     make(map[model.PartyID]int32, parties),
-		nodes:     make([]Node, 0, parties),
-		down:      make([]bool, 0, parties),
-		restartAt: make([]Time, 0, parties),
-		crashEnds: make([][]Time, 0, parties),
-		q:         cfg.queue(parties),
+		ids:       ids,
+		order:     byID(ids),
+		nodes:     make([]Node, k),
+		q:         cfg.queue(k), // a node rarely has more than one event pending
 		rng:       rand.New(src),
 		rsrc:      src,
 		baseLat:   cfg.BaseLatency,
@@ -320,32 +324,85 @@ func newNetwork(cfg Config, parties int) *Network {
 		faults:    cfg.Faults,
 		retries:   cfg.NotifyRetries,
 		retryBase: cfg.RetryBase,
+		down:      make([]bool, k),
+		restartAt: make([]Time, k),
+		crashEnds: make([][]Time, k),
+		table:     p.ActionTable(),
+		transit:   int32(k - 1),
 		tel:       cfg.Obs,
 	}
 	n.ctx = Context{net: n}
 	return n
 }
 
-// slot returns a party's slot, giving a new party the next one and
-// growing the per-slot arrays in lockstep.
-func (n *Network) slot(id model.PartyID) int32 {
-	if p, ok := n.slots[id]; ok {
-		return p
+// byID returns the slots of ids in ascending order of ID. Past a few
+// hundred IDs it radix-sorts on each ID's first eight bytes, then sorts
+// by the whole ID only the runs that tie on them, so the tens of
+// thousands of short IDs of a population sort in a few linear passes
+// rather than in n·log n string comparisons.
+func byID(ids []model.PartyID) []int32 {
+	order := make([]int32, len(ids))
+	if len(ids) < 256 {
+		// Comparisons are cheaper here than the radix passes' counts.
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return strings.Compare(string(ids[a]), string(ids[b]))
+		})
+		return order
 	}
-	p := int32(len(n.ids))
-	n.slots[id] = p
-	n.ids = append(n.ids, id)
-	n.nodes = append(n.nodes, nil)
-	n.down = append(n.down, false)
-	n.restartAt = append(n.restartAt, 0)
-	n.crashEnds = append(n.crashEnds, nil)
-	return p
+	type keyed struct {
+		key  uint64 // the ID's first eight bytes, big-endian, zero-padded
+		slot int32
+	}
+	ks, tmp := make([]keyed, len(ids)), make([]keyed, len(ids))
+	var varies uint64 // the key bits in which some ID differs from the first
+	for i, id := range ids {
+		var b [8]byte
+		copy(b[:], id)
+		ks[i] = keyed{binary.BigEndian.Uint64(b[:]), int32(i)}
+		varies |= ks[i].key ^ ks[0].key
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if varies>>shift&0xff == 0 {
+			continue // every key has this byte alike
+		}
+		var at [257]int
+		for _, k := range ks {
+			at[k.key>>shift&0xff+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, k := range ks {
+			d := k.key >> shift & 0xff
+			tmp[at[d]] = k
+			at[d]++
+		}
+		ks, tmp = tmp, ks
+	}
+	for i := 0; i < len(ks); {
+		j := i + 1
+		for j < len(ks) && ks[j].key == ks[i].key {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ks[i:j], func(a, b keyed) int {
+				return strings.Compare(string(ids[a.slot]), string(ids[b.slot]))
+			})
+		}
+		for ; i < j; i++ {
+			order[i] = ks[i].slot
+		}
+	}
+	return order
 }
 
 // lookup returns a party's slot, -1 when it has none.
 func (n *Network) lookup(id model.PartyID) int32 {
-	if p, ok := n.slots[id]; ok {
-		return p
+	if i, ok := n.table.PartySlot(id); ok {
+		return int32(i)
 	}
 	return -1
 }
@@ -384,9 +441,14 @@ func (n *Network) resolve(m *Message) error {
 	return nil
 }
 
-// AddNode registers a node.
+// AddNode places a node at its party's slot. The node must play a
+// party of the network's problem.
 func (n *Network) AddNode(node Node) {
-	n.nodes[n.slot(node.ID())] = node
+	p := n.lookup(node.ID())
+	if p < 0 {
+		panic(fmt.Sprintf("sim: node %s plays no party of the problem", node.ID()))
+	}
+	n.nodes[p] = node
 }
 
 // Now returns the current virtual time.
@@ -522,23 +584,16 @@ func (n *Network) timer(to model.PartyID, p int32, at Time, tag string) {
 	n.schedule(Message{At: at, From: to, To: to, Kind: MsgTimer, Tag: tag, to: p})
 }
 
-// Run initializes every node, schedules the fault plan's crash events,
-// and processes events to quiescence.
+// Run initializes every node in the deterministic order of their party
+// IDs, schedules the fault plan's crash events, and processes events to
+// quiescence.
 func (n *Network) Run() error {
-	slots := make([]int32, 0, len(n.ids))
-	for p := range n.nodes {
-		if n.nodes[p] != nil {
-			slots = append(slots, int32(p))
-		}
-	}
-	// Deterministic init order: by party ID.
-	slices.SortFunc(slots, func(a, b int32) int {
-		return strings.Compare(string(n.ids[a]), string(n.ids[b]))
-	})
 	n.scheduleCrashes()
-	for _, p := range slots {
-		n.ctx.self, n.ctx.slot = n.ids[p], p
-		n.nodes[p].Init(&n.ctx)
+	for _, p := range n.order {
+		if node := n.nodes[p]; node != nil {
+			n.ctx.self, n.ctx.slot = n.ids[p], p
+			node.Init(&n.ctx)
+		}
 	}
 	return n.loop()
 }
@@ -630,7 +685,7 @@ func (n *Network) scheduleCrashes() {
 	})
 	for _, ev := range evs {
 		end := ev.At + ev.Downtime
-		p := n.slot(ev.Node)
+		p := n.lookup(ev.Node)
 		n.crashEnds[p] = append(n.crashEnds[p], end)
 		n.schedule(Message{At: ev.At, From: ev.Node, To: ev.Node, Kind: MsgCrash, Tag: "crash", to: p})
 		n.schedule(Message{At: end, From: ev.Node, To: ev.Node, Kind: MsgRestart, Tag: "restart", to: p})

@@ -169,35 +169,57 @@ func (n *TrustedNode) Restore(ctx *Context) {
 // NewTrustedNode builds the node for one trusted component.
 func NewTrustedNode(p *model.Problem, self model.PartyID, deadline Time, honest bool) *TrustedNode {
 	t := p.ActionTable()
-	n := &TrustedNode{
-		Problem:  p,
-		Self:     self,
-		Deadline: deadline,
-		Honest:   honest,
-		t:        t,
-		self:     -1,
-		owner:    -1,
-	}
+	var n *TrustedNode
 	if i, ok := t.PartySlot(self); ok {
-		n.self, n.adjacent, n.owner = int32(i), t.At(i), t.Persona[i]
+		n = trustedNodes(p, []int32{int32(i)}, deadline)[0]
+	} else {
+		n = &TrustedNode{Problem: p, Self: self, Deadline: deadline, t: t, self: -1, owner: -1}
 	}
-	if n.owner >= 0 {
-		n.PersonaOwner = p.Parties[n.owner].ID
-	}
-	deposits := 0
-	for _, ei := range n.adjacent {
-		deposits += len(t.Deposits(int(ei)))
-	}
-	for oi, off := range p.Indemnities {
-		if off.Via == self && t.Post[oi] >= 0 {
-			n.offers = append(n.offers, int32(oi))
+	n.Honest = honest
+	return n
+}
+
+// trustedNodes builds the honest nodes of the trusted components in the
+// given party slots, carved from a few slabs sized in one pass. A node's
+// exchanges and offers are rows of the action table.
+func trustedNodes(p *model.Problem, slots []int32, deadline Time) []*TrustedNode {
+	t := p.ActionTable()
+	slab := make([]TrustedNode, len(slots))
+	out := make([]*TrustedNode, len(slots))
+	var keys, tabs, wals int
+	for i, k := range slots {
+		// Fields are set one by one: a whole-struct store into the
+		// zeroed slab would copy every field under a write barrier.
+		n := &slab[i]
+		out[i] = n
+		n.Problem, n.Self, n.Deadline, n.Honest, n.t = p, p.Parties[k].ID, deadline, true, t
+		n.self, n.owner, n.adjacent, n.offers = k, t.Persona[k], t.At(int(k)), t.OffersVia(int(k))
+		if n.owner >= 0 {
+			n.PersonaOwner = p.Parties[n.owner].ID
 		}
+		d := n.deposits()
+		keys, tabs, wals = keys+d, tabs+tableSize(d), wals+d+len(n.adjacent)+1
 	}
 	// The honest protocol logs one receipt per deposit, one delivery
 	// per adjacent exchange and one deadline.
-	n.received.reserve(deposits)
-	n.wal = make([]walEntry, 0, deposits+len(n.adjacent)+1)
-	return n
+	keySlab, tabSlab := make([]int32, keys), make([]int32, tabs)
+	walSlab := make([]walEntry, wals)
+	for _, n := range out {
+		d := n.deposits()
+		keySlab, tabSlab = n.received.carve(d, keySlab, tabSlab)
+		w := d + len(n.adjacent) + 1
+		n.wal, walSlab = walSlab[:0:w], walSlab[w:]
+	}
+	return out
+}
+
+// deposits counts the deposits of the exchanges mediated here.
+func (n *TrustedNode) deposits() int {
+	d := 0
+	for _, ei := range n.adjacent {
+		d += len(n.t.Deposits(int(ei)))
+	}
+	return d
 }
 
 // ID implements Node.
@@ -507,6 +529,7 @@ type PrincipalNode struct {
 	StopAfter int
 
 	t      *model.ActionTable
+	self   int32 // Self's party slot
 	script []scriptStep
 	next   int
 	// waited counts the leading waitFor entries of script[next] seen.
@@ -596,15 +619,20 @@ func snapshotPrefix[T any](s []T) []T {
 // all principals in a single pass turns an O(principals × steps)
 // build — quadratic at population scale, since steps grow with
 // principals — into O(steps × step fan-out). Receivers are found by
-// party slot, from the action table.
+// party slot, from the action table. A counting pass over the steps
+// first sizes every principal's share, so the nodes, their scripts,
+// observation prefixes and sets are carved from a few plan-sized slabs
+// instead of being grown one by one.
 //
 // defectors maps principals to their StopAfter bound; absent
 // principals are honest (StopAfter -1).
 func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*PrincipalNode {
 	p := plan.Problem
 	t := p.ActionTable()
+	slab := make([]PrincipalNode, len(p.Parties)-len(t.Trusteds))
+	nodes := make([]*PrincipalNode, len(slab))
 	node := make([]int32, len(p.Parties)) // by party slot; -1 for a trusted component
-	nodes := make([]*PrincipalNode, 0, len(p.Parties))
+	j := int32(0)
 	for i, pa := range p.Parties {
 		node[i] = -1
 		if pa.IsTrusted() {
@@ -614,45 +642,101 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 		if k, ok := defectors[pa.ID]; ok {
 			stop = k
 		}
-		node[i] = int32(len(nodes))
-		nodes = append(nodes, &PrincipalNode{Problem: p, Self: pa.ID, StopAfter: stop, t: t})
+		n := &slab[j]
+		n.Problem, n.Self, n.StopAfter, n.t, n.self = p, pa.ID, stop, t, int32(i)
+		nodes[j], node[i] = n, j
+		j++
 	}
-	observed := make([][]int32, len(nodes))
-	observedTags := make([][]string, len(nodes))
-	for _, st := range plan.Steps {
+
+	// What each principal observes and does, in step order.
+	type share struct {
+		observed                   []int32
+		tags                       []string
+		nObs, nTags, nSteps, sends int
+	}
+	shares := make([]share, len(nodes))
+	for si := range plan.Steps {
+		st := &plan.Steps[si]
 		switch st.Kind {
 		case core.StepNotify, core.StepDeliver, core.StepIndemnityRefund:
 			for _, s := range st.Slots {
 				if _, to := t.Parties(int(s)); node[to] >= 0 {
-					observed[node[to]] = append(observed[node[to]], s)
+					shares[node[to]].nObs++
+				}
+			}
+		case core.StepIndemnityPost:
+			if i := node[t.Principal[p.Indemnities[st.Offer].Covers]]; i >= 0 {
+				shares[i].nTags++
+			}
+			if by, _ := t.Parties(int(st.Slots[0])); node[by] >= 0 {
+				shares[node[by]].nSteps++
+				shares[node[by]].sends += len(st.Slots)
+			}
+		case core.StepDeposit:
+			if i := node[t.Principal[st.Exchange]]; i >= 0 {
+				shares[i].nSteps++
+				shares[i].sends += len(st.Slots)
+			}
+		}
+	}
+	var obs, tags, steps, keys, tabs int
+	for _, sh := range shares {
+		obs, tags, steps = obs+sh.nObs, tags+sh.nTags, steps+sh.nSteps
+		keys += sh.nObs + sh.sends
+		tabs += tableSize(sh.nObs) + tableSize(sh.sends)
+	}
+	obsSlab, tagSlab := make([]int32, obs), make([]string, tags)
+	stepSlab := make([]scriptStep, steps)
+	keySlab, tabSlab := make([]int32, keys), make([]int32, tabs)
+	for i, n := range nodes {
+		sh := &shares[i]
+		sh.observed, obsSlab = obsSlab[:0:sh.nObs], obsSlab[sh.nObs:]
+		sh.tags, tagSlab = tagSlab[:0:sh.nTags], tagSlab[sh.nTags:]
+		n.script, stepSlab = stepSlab[:0:sh.nSteps], stepSlab[sh.nSteps:]
+		// A principal sees what the plan addresses to it and sends its
+		// script's slots: size both sets for that.
+		keySlab, tabSlab = n.seen.carve(sh.nObs, keySlab, tabSlab)
+		keySlab, tabSlab = n.sent.carve(sh.sends, keySlab, tabSlab)
+	}
+
+	for si := range plan.Steps {
+		st := &plan.Steps[si]
+		switch st.Kind {
+		case core.StepNotify, core.StepDeliver, core.StepIndemnityRefund:
+			for _, s := range st.Slots {
+				if _, to := t.Parties(int(s)); node[to] >= 0 {
+					sh := &shares[node[to]]
+					sh.observed = append(sh.observed, s)
 				}
 			}
 		case core.StepIndemnityPost:
 			off := p.Indemnities[st.Offer]
-			if i := node[t.Principal[off.Covers]]; i >= 0 {
-				observedTags[i] = append(observedTags[i], "posted:"+strconv.Itoa(st.Offer))
-			}
 			by, _ := t.Parties(int(st.Slots[0]))
-			i := node[by]
-			if i < 0 {
-				continue
+			if i := node[by]; i >= 0 {
+				// A self-insured offerer posts only once it observes that
+				// the covered goods are secured ("once it has obtained a
+				// promise from the seller", Section 6): for each covered
+				// item, either the wholesale intermediary's notification
+				// or the item's actual delivery.
+				var anyOf [][]int32
+				if t.SelfInsured(st.Offer) {
+					anyOf = securingSignals(p, t, by, off)
+				}
+				// The plan is immutable, so a step shares its slots.
+				nodes[i].script = append(nodes[i].script, scriptStep{
+					slots:    st.Slots,
+					waitFor:  snapshotPrefix(shares[i].observed),
+					waitTags: snapshotPrefix(shares[i].tags),
+					waitAny:  anyOf,
+				})
 			}
-			// A self-insured offerer posts only once it observes that the
-			// covered goods are secured ("once it has obtained a promise
-			// from the seller", Section 6): for each covered item, either
-			// the wholesale intermediary's notification or the item's
-			// actual delivery.
-			var anyOf [][]int32
-			if t.SelfInsured(st.Offer) {
-				anyOf = securingSignals(p, t, by, off)
+			// The covered principal's later steps wait for the posting's
+			// confirmation. It joins the waits only after the post step
+			// above took its own: an offerer covering its own exchange
+			// must not wait on the confirmation of its own post.
+			if i := node[t.Principal[off.Covers]]; i >= 0 {
+				shares[i].tags = append(shares[i].tags, "posted:"+strconv.Itoa(st.Offer))
 			}
-			// The plan is immutable, so a step shares its slots.
-			nodes[i].script = append(nodes[i].script, scriptStep{
-				slots:    st.Slots,
-				waitFor:  snapshotPrefix(observed[i]),
-				waitTags: snapshotPrefix(observedTags[i]),
-				waitAny:  anyOf,
-			})
 		case core.StepDeposit:
 			i := node[t.Principal[st.Exchange]]
 			if i < 0 {
@@ -660,20 +744,10 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 			}
 			nodes[i].script = append(nodes[i].script, scriptStep{
 				slots:    st.Slots,
-				waitFor:  snapshotPrefix(observed[i]),
-				waitTags: snapshotPrefix(observedTags[i]),
+				waitFor:  snapshotPrefix(shares[i].observed),
+				waitTags: snapshotPrefix(shares[i].tags),
 			})
 		}
-	}
-	// A principal sees what the plan addresses to it and sends its
-	// script's slots: size both sets for that.
-	for i, n := range nodes {
-		n.seen.reserve(len(observed[i]))
-		sends := 0
-		for _, st := range n.script {
-			sends += len(st.slots)
-		}
-		n.sent.reserve(sends)
 	}
 	return nodes
 }

@@ -162,13 +162,13 @@ type runtime struct {
 }
 
 // setupRun validates the plan and options and assembles the runtime:
-// ledger, network, and every node, registered but not yet
-// initialized.
+// ledger, network, and every node, placed but not yet initialized.
 //
-// The network numbers its party slots in the problem's party order with
+// The network takes its party slots from the problem's party order with
 // the transit account last, so it shares one slot space with the ledger
-// and the problem's action table. Every transfer is sent as its slot in
-// the table, whose endpoints and cells delivery and both ledger
+// and the problem's action table, and each node is placed at its party
+// slot: no party is looked up by ID. Every transfer is sent as its slot
+// in the table, whose endpoints and cells delivery and both ledger
 // movements read by index.
 func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 	if !plan.Feasible {
@@ -188,45 +188,35 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 		}
 	}
 
-	net := newNetwork(Config{
+	net := NewNetwork(Config{
 		Seed: opts.Seed, BaseLatency: opts.BaseLatency, Jitter: opts.Jitter,
 		MaxMessages: opts.MaxMessages, NotifyDropRate: opts.NotifyDropRate,
 		Faults: opts.Faults, NotifyRetries: opts.NotifyRetries,
 		RetryBase: opts.RetryBase, Obs: opts.Obs, queue: opts.queue,
-	}, len(p.Parties)+1)
-	for _, pa := range p.Parties {
-		net.slot(pa.ID)
-	}
-	net.transit = net.slot(ledger.TransitID)
+	}, p)
 	// A run delivers about one message per plan action; the livelock
 	// guard bounds it either way.
 	actions := 0
-	for _, st := range plan.Steps {
-		actions += len(st.Slots)
+	for i := range plan.Steps {
+		actions += len(plan.Steps[i].Slots)
 	}
 	net.trace = make([]Message, 0, min(actions, opts.MaxMessages))
-
 	book := ledger.New(p)
-	net.book, net.table = book, p.ActionTable()
+	net.book = book
 
 	rs := &runtime{plan: plan, opts: opts, p: p, net: net, book: book}
-	for k, pa := range p.Parties {
-		if !pa.IsTrusted() {
-			continue
+	rs.trusted = trustedNodes(p, net.table.Trusteds, opts.Deadline)
+	for _, tn := range rs.trusted {
+		if tn.owner >= 0 {
+			// A defector corrupts the persona trusted it plays.
+			_, defects := opts.Defectors[tn.PersonaOwner]
+			tn.Honest = !defects
 		}
-		honest := true
-		if q := net.table.Persona[k]; q >= 0 {
-			if _, defects := opts.Defectors[p.Parties[q].ID]; defects {
-				honest = false
-			}
-		}
-		tn := NewTrustedNode(p, pa.ID, opts.Deadline, honest)
-		rs.trusted = append(rs.trusted, tn)
-		net.AddNode(tn)
+		net.nodes[tn.self] = tn
 	}
 	rs.principals = BuildPrincipalNodes(plan, opts.Defectors)
-	for _, node := range rs.principals {
-		net.AddNode(node)
+	for _, pn := range rs.principals {
+		net.nodes[pn.self] = pn
 	}
 	return rs, nil
 }

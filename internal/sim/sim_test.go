@@ -371,8 +371,6 @@ func TestMsgKindString(t *testing.T) {
 func TestRenderTrace(t *testing.T) {
 	t.Parallel()
 	pl := plan(t, paperex.Example1())
-	net := NewNetwork(Config{Seed: 1})
-	_ = net
 	res := run(t, pl, Options{Seed: 1})
 	_ = res
 	// Render from a real run by re-running with direct network access.

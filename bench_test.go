@@ -482,7 +482,11 @@ func BenchmarkEditReanalysis(b *testing.B) {
 	b.Run("mode=full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sg, err := sequencing.NewSplit(interaction.FromCompiled(retuned))
+			ig, err := interaction.New(retuned)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sg, err := sequencing.NewSplit(ig)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -360,3 +360,21 @@ func TestStepString(t *testing.T) {
 		}
 	}
 }
+
+// An edit that breaks conservation at a trusted component fails the
+// incremental path with Synthesize's error: a price retune of a valid
+// base is patchable, but the edited problem is validated first.
+func TestIncrementalRejectsInvalidEdit(t *testing.T) {
+	t.Parallel()
+	base := synth(t, paperex.Example1())
+	edited := paperex.Example1()
+	edited.Exchanges[paperex.Example1ConsumerIdx].Gives.Amount += 7
+	_, want := Synthesize(edited.Clone())
+	if want == nil || !strings.Contains(want.Error(), "receives $107 but must deliver $100") {
+		t.Fatalf("Synthesize of the edit = %v", want)
+	}
+	plan, info, err := SynthesizeIncremental(base, edited, nil)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("SynthesizeIncremental = %v (%s, plan %v); want %v", err, info.Outcome, plan != nil, want)
+	}
+}

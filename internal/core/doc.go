@@ -26,10 +26,10 @@
 //
 // # Concurrency and ownership
 //
-// Synthesis is a pure function of its inputs: it never mutates the
-// Problem (beyond the one-time idempotent Compile, which callers sharing
-// a Problem must have performed before fan-out) and allocates a fresh
-// Plan per call, so any number of Synthesize calls may run concurrently.
+// Synthesis is a pure function of its inputs: it never writes a
+// validated Problem (it validates only one that is not) and allocates a
+// fresh Plan per call, so any number of Synthesize calls on a validated
+// Problem may run concurrently.
 // A returned Plan is immutable by convention; it may be read from many
 // goroutines, as the sweep pipeline and the trustd result cache do.
 package core

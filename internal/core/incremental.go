@@ -58,11 +58,11 @@ func (i IncrementalInfo) Patched() bool { return i.Outcome != IncrementalFull }
 // trace, and execution steps — which the edit-fuzzer property suite
 // enforces across the generator families.
 //
-// edited must already have passed Validate (the DSL loader and the
-// service request path both guarantee that); base must be a plan from a
-// prior Synthesize* call and is never mutated, so one resident base can
-// serve concurrent edits. Telemetry records the per-outcome counters
-// and latency, plus SynthesizeObs's span on a full re-analysis; nil
+// edited is compiled as Synthesize compiles it, so an invalid edit
+// fails with Synthesize's error; base must be a plan from a prior
+// Synthesize* call and is never mutated, so one resident base can serve
+// concurrent edits. Telemetry records the per-outcome counters and
+// latency, plus SynthesizeObs's span on a full re-analysis; nil
 // disables it.
 func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
 	start := time.Now()
@@ -72,8 +72,9 @@ func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry
 		observeIncremental(tel, info, start, err)
 		return plan, info, err
 	}
-	if base == nil || base.Sequencing == nil || base.Reduction == nil {
-		return full(model.DiffStructural)
+	ig, err := interaction.New(edited)
+	if err != nil || base == nil || base.Sequencing == nil || base.Reduction == nil {
+		return full(model.DiffStructural) // an invalid edit fails there too
 	}
 	delta := model.Diff(base.Problem, edited)
 	if delta.Kind == model.DiffStructural {
@@ -85,7 +86,7 @@ func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry
 	}
 	plan := &Plan{
 		Problem:     edited,
-		Interaction: interaction.FromCompiled(edited),
+		Interaction: ig,
 		Sequencing:  res.Graph,
 		Reduction:   res.Reduction,
 		Feasible:    res.Reduction.Feasible(),

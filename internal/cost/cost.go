@@ -159,7 +159,7 @@ type UniversalOutcome struct {
 // trusted component (see paperex.UniversalTrust); RunUniversal verifies
 // this.
 func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Compile(); err != nil {
 		return nil, err
 	}
 	var universal model.PartyID

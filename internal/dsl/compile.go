@@ -306,10 +306,18 @@ func actionDSL(a model.Action) string {
 	case model.ActionPay:
 		return fmt.Sprintf("pay %s -> %s %s", a.From, a.To, a.Amount)
 	case model.ActionGive:
-		return fmt.Sprintf("give %s -> %s doc %q", a.From, a.To, string(a.Item))
+		return fmt.Sprintf("give %s -> %s doc %s", a.From, a.To, quote(a.Item))
 	default:
 		return fmt.Sprintf("notify %s -> %s", a.From, a.To)
 	}
+}
+
+// quoter escapes exactly the runes the lexer reads as escapes or a
+// string's end, so quote's literal lexes back to the item name.
+var quoter = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\t", `\t`)
+
+func quote(it model.ItemID) string {
+	return `"` + quoter.Replace(string(it)) + `"`
 }
 
 func bundleDSL(b model.Bundle) string {
@@ -318,7 +326,7 @@ func bundleDSL(b model.Bundle) string {
 		parts = append(parts, b.Amount.String())
 	}
 	for _, it := range b.Items {
-		parts = append(parts, fmt.Sprintf("doc %q", string(it)))
+		parts = append(parts, "doc "+quote(it))
 	}
 	if len(parts) == 0 {
 		return "nothing"

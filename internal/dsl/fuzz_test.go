@@ -2,9 +2,14 @@ package dsl
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"trustseq/internal/paperex"
 )
 
 // The lexer never panics and always terminates on arbitrary input.
@@ -95,4 +100,57 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(digits)
+}
+
+// FuzzLoad: loading never panics; an accepted source comes back
+// validated, so compiled, and Compile leaves its table alone; and where
+// Print renders the problem, loading the rendering prints the same
+// text. The seeds are the example specs and the paper's fixtures.
+func FuzzLoad(f *testing.F) {
+	specs, err := filepath.Glob("../../examples/specs/*.exch")
+	if err != nil || len(specs) == 0 {
+		f.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range specs {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	fixtures := paperex.All()
+	var names []string
+	for name := range fixtures {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if src, err := Print(fixtures[name]); err == nil {
+			f.Add(src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := LoadReader(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		tab := p.ActionTable()
+		if err := p.Compile(); err != nil {
+			t.Fatalf("Compile of a loaded problem: %v", err)
+		}
+		if p.ActionTable() != tab {
+			t.Fatal("Compile rebuilt a loaded problem's table")
+		}
+		printed, err := Print(p)
+		if err != nil {
+			return
+		}
+		q, err := Load(printed)
+		if err != nil {
+			t.Fatalf("Load(Print(p)) = %v\n%s", err, printed)
+		}
+		if again, err := Print(q); err != nil || again != printed {
+			t.Fatalf("Print(Load(Print(p))) = %v, differs:\n%s\n---\n%s", err, printed, again)
+		}
+	})
 }

@@ -18,9 +18,9 @@
 //
 // # Concurrency and ownership
 //
-// All three solvers are pure functions over an immutable (pre-compiled)
-// Problem: they build candidate orderings in local state and return
-// fresh Results, so concurrent calls — the trustd service invokes Greedy
+// All three solvers are pure functions over an immutable Problem: they
+// build candidate orderings on clones, validating a clone again after
+// appending an offer to it, and return fresh Results, so concurrent calls — the trustd service invokes Greedy
 // on every infeasible analysis — need no coordination. Optimal is
 // factorial in the candidate count and intended only for test-sized
 // instances; production paths use Greedy.

@@ -161,6 +161,9 @@ func Greedy(p *model.Problem) (Result, error) {
 		chosen := cands[0]
 		amount := model.RequiredIndemnity(work, chosen.Covers)
 		work.Indemnities = append(work.Indemnities, chosen)
+		if err := work.Validate(); err != nil {
+			return Result{}, err
+		}
 		res.Splits = append(res.Splits, Split{Covers: chosen.Covers, Offer: chosen, Amount: amount})
 		res.Total += amount
 	}
@@ -189,6 +192,9 @@ func InOrder(p *model.Problem, covers []int) (Result, error) {
 		off := model.IndemnityOffer{By: seller, Covers: ci, Via: work.Exchanges[ci].Trusted}
 		amount := model.RequiredIndemnity(work, ci)
 		work.Indemnities = append(work.Indemnities, off)
+		if err := work.Validate(); err != nil {
+			return Result{}, err
+		}
 		res.Splits = append(res.Splits, Split{Covers: ci, Offer: off, Amount: amount})
 		res.Total += amount
 	}

@@ -15,15 +15,15 @@
 //     from the problem — so the graph keeps no adjacency of its own.
 //   - Edge ties one side of one pairwise exchange to the intermediary
 //     that escrows it.
-//   - FromCompiled is the one constructor, for a problem that already
-//     passed Validate; New validates the Problem first and returns an
+//   - New is the one constructor. It compiles the Problem, validating
+//     one that has not passed model.Problem.Validate, and returns an
 //     error rather than a partial graph.
 //
 // # Concurrency and ownership
 //
-// New and FromCompiled do not mutate their Problem beyond the
-// idempotent pre-fan-out Compile contract described in package model,
-// and each call returns a fresh Graph that reads the Problem. Graphs are
+// New never writes a compiled Problem (validated ⇔ compiled, see
+// package model), so concurrent calls on one validated Problem are
+// safe; each call returns a fresh Graph that reads the Problem. Graphs are
 // immutable after construction and safe for concurrent reads; the
 // package holds no locks and starts no goroutines.
 package interaction

@@ -28,24 +28,13 @@ type Edge struct {
 	Trusted   model.PartyID
 }
 
-// New derives the interaction graph from a problem, validating it
-// first. It is Validate followed by FromCompiled.
+// New derives the interaction graph from a problem, compiling it first
+// (model.Problem.Compile), so an invalid problem is an error rather than
+// a partial graph. The graph keeps no adjacency of its own.
 func New(p *model.Problem) (*Graph, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Compile(); err != nil {
 		return nil, fmt.Errorf("interaction: %w", err)
 	}
-	return FromCompiled(p), nil
-}
-
-// FromCompiled derives the interaction graph from a problem that has
-// already passed Validate, skipping re-validation; it is the one
-// constructor, and New is Validate followed by it. The incremental path
-// (core.SynthesizeIncremental) calls it directly: the edited problem
-// arrives validated from the DSL loader, and re-validating would cost
-// more than the whole graph patch. It compiles the problem if needed;
-// the graph keeps no adjacency of its own.
-func FromCompiled(p *model.Problem) *Graph {
-	p.Compile()
 	g := &Graph{Problem: p, Edges: make([]Edge, len(p.Exchanges))}
 	for _, pa := range p.Parties {
 		if pa.IsTrusted() {
@@ -57,7 +46,7 @@ func FromCompiled(p *model.Problem) *Graph {
 	for i, e := range p.Exchanges {
 		g.Edges[i] = Edge{Exchange: i, Principal: e.Principal, Trusted: e.Trusted}
 	}
-	return g
+	return g, nil
 }
 
 // Degree returns the number of interaction edges incident to the party.

@@ -261,7 +261,10 @@ func TestAccessorsMatchScanOracles(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			g := interaction.FromCompiled(p)
+			g, err := interaction.New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			tab := p.ActionTable()
 			ids := []model.PartyID{"ghost"}
 			for _, pa := range p.Parties {

@@ -16,7 +16,7 @@ package model
 // rules are evaluated once, into the action table's status-quo arrays;
 // this materialises them per party.
 func InitialHoldings(p *Problem) map[PartyID]*Holding {
-	t := p.readTable()
+	t := p.ActionTable()
 	out := make(map[PartyID]*Holding, len(p.Parties))
 	for i, pa := range p.Parties {
 		out[pa.ID] = &Holding{Cash: t.InitCash[i], Items: make(map[ItemID]int)}

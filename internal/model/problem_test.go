@@ -136,8 +136,12 @@ func TestProblemPersonaOf(t *testing.T) {
 	if _, ok := p.PersonaOf("t2"); ok {
 		t.Fatalf("persona without trust declarations")
 	}
-	// p trusts b directly: b plays t2's role.
+	// p trusts b directly: b plays t2's role. A mutated problem is
+	// validated again before it is read.
 	p.DirectTrust = append(p.DirectTrust, TrustDecl{Truster: "p", Trustee: "b"})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := p.PersonaOf("t2")
 	if !ok || got != "b" {
 		t.Fatalf("PersonaOf(t2) = %v, %v; want b", got, ok)
@@ -226,6 +230,9 @@ func TestProblemConjunctionGroups(t *testing.T) {
 	// An indemnity covering the consumer's exchange splits c's conjunction
 	// — but c only has one exchange, so this is the 2-broker shape below.
 	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 1, Via: "t1"})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	groups = p.ConjunctionGroups("b")
 	if len(groups) != 2 {
 		t.Fatalf("split groups = %v", groups)

@@ -88,7 +88,7 @@ func checkTokens(p *model.Problem, n *Net, holdings map[model.PartyID]*model.Hol
 // keep prices modest when exploring exhaustively; a problem whose money
 // does not fit in int32 token counts gets a *TokenOverflowError.
 func FromProblem(p *model.Problem) (*Encoding, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Compile(); err != nil {
 		return nil, err
 	}
 	n := NewNet()

@@ -85,7 +85,7 @@ func FeasibleObs(p *model.Problem, mode Mode, workers int, tel *obs.Telemetry) (
 // forceStringKeys disables the packed-fingerprint memo so the property
 // tests can confirm the key representation never changes a verdict.
 func feasibleConfigured(p *model.Problem, mode Mode, workers int, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Compile(); err != nil {
 		return Verdict{}, err
 	}
 	if workers > 1 {

@@ -371,8 +371,13 @@ func (s *Service) analyzeTraced(ctx context.Context, digest [2]uint64, p *model.
 		}
 	}
 	cs := rt.beginStage("compile")
-	p.Compile() // compile once; every engine below reuses the dense tables
+	err := p.Compile() // a loaded problem arrives compiled; any other is validated once, here
 	rt.endStage(cs)
+	if err != nil {
+		err = &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
+		s.publish(fl, key, digest, nil, nil, err)
+		return nil, dispositionMiss, "", err
+	}
 
 	// The leader's run is decoupled from the leader's context: once
 	// started it always finishes and publishes — a request that gives

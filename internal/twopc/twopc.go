@@ -191,7 +191,7 @@ func counterparty(p *model.Problem, ei int) (model.PartyID, bool) {
 // principal: whether the result is acceptable to them (per-exchange
 // asset integrity on the resulting transfer state).
 func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map[model.PartyID]bool, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Compile(); err != nil {
 		return Stats{}, nil, err
 	}
 	book := ledger.New(p)

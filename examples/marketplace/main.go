@@ -77,6 +77,11 @@ func main() {
 			for _, sp := range fix.Splits {
 				market.Indemnities = append(market.Indemnities, sp.Offer)
 			}
+			// The market was analysed before the offers went in: validate
+			// it again so the synthesis reads a table that has them.
+			if err := market.Validate(); err != nil {
+				log.Fatalf("job %d: %v", job, err)
+			}
 			plan, err = core.Synthesize(market)
 			if err != nil {
 				log.Fatalf("job %d: %v", job, err)

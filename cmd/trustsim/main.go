@@ -25,10 +25,12 @@
 //
 // Checkpoint / restore (see the sim package's checkpoint format):
 //
-//	-checkpoint F  snapshot the run to F at the first event at or after
-//	               -checkpoint-at (default 0), then continue
-//	-restore F     resume a previous snapshot instead of starting fresh;
-//	               plan and options must match the checkpointed run
+//	-checkpoint F  record in F the prefix of the run delivered before
+//	               -checkpoint-at (default 0): a 150-byte record of the
+//	               tick, the entry count and its settlement-log root
+//	-restore F     re-run the plan and check that its prefix matches
+//	               F's before reporting; plan and options must match
+//	               the checkpointed run
 //
 // Fault injection (see the README's fault-injection section):
 //
@@ -112,9 +114,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 	progress := fs.Bool("progress", false, "report sweep progress on stderr")
 	principals := fs.Int("principals", 0, "simulate a generated N-consumer population instead of a spec file")
 	producers := fs.Int("producers", 0, "population producer-tier size (0 = n/256)")
-	ckptPath := fs.String("checkpoint", "", "snapshot the run to FILE at -checkpoint-at, then continue")
-	ckptAt := fs.Int64("checkpoint-at", 0, "virtual tick at or after which -checkpoint snapshots")
-	restorePath := fs.String("restore", "", "resume the run from a checkpoint FILE")
+	ckptPath := fs.String("checkpoint", "", "record in FILE the verified prefix of the run before -checkpoint-at")
+	ckptAt := fs.Int64("checkpoint-at", 0, "virtual tick before which -checkpoint records the run's prefix")
+	restorePath := fs.String("restore", "", "re-run the plan and verify its prefix against a checkpoint FILE")
 	sweepN := fs.Int("n", 0, "run a cross-validation sweep over N generated problems (0 = simulate a spec file)")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	family := fs.String("family", "random", "sweep problem family: random, chain or star")

@@ -23,17 +23,11 @@ func address128(b []byte) [2]uint64 {
 	return [2]uint64{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
 }
 
-// The append functions below build the canonical encoding that
-// ProblemDigest and requestKey hash: fixed-width little-endian integers,
-// length-prefixed strings, one byte per bool. Each returns the extended
-// buffer, in the style of the append built-in.
+// The append functions below build requestKey's encoding in the style
+// of model.AppendCanonical: fixed-width little-endian integers, one byte
+// per bool.
 
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU64(b, uint64(len(s))) // length-prefix: "ab"+"c" ≠ "a"+"bc"
-	return append(b, s...)
-}
 
 func appendBool(b []byte, v bool) []byte {
 	if v {
@@ -42,70 +36,19 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-func appendBundle(b []byte, x model.Bundle) []byte {
-	b = appendU64(b, uint64(x.Amount))
-	b = appendU64(b, uint64(len(x.Items)))
-	for _, it := range x.Items { // normalized: sorted, deduplicated
-		b = appendStr(b, string(it))
-	}
-	return b
-}
-
-func appendAction(b []byte, a model.Action) []byte {
-	b = appendU64(b, uint64(a.Kind))
-	b = appendStr(b, string(a.From))
-	b = appendStr(b, string(a.To))
-	b = appendStr(b, string(a.Item))
-	b = appendU64(b, uint64(a.Amount))
-	return appendBool(b, a.Inverse)
-}
-
 // encodings recycles ProblemDigest's encoding buffers, so digesting a
 // problem allocates nothing once a buffer of its size exists.
 var encodings = sync.Pool{New: func() any { return new([]byte) }}
 
 // ProblemDigest returns the 128-bit content digest of the problem alone:
-// SHA-256 over a canonical encoding of every field that can influence an
-// analysis verdict, in declaration order (declaration order is
-// semantically meaningful: exchange indices appear in traces and
-// indemnity offers address exchanges by index). The service returns it
-// as X-Trustd-Digest, accepts it back in X-Trustd-Base, keys the
-// base-plan cache and the ring with it, and writes it into the log leaf.
+// SHA-256 over its canonical encoding (model.AppendCanonical), which
+// covers every field that can influence an analysis verdict. The service
+// returns it as X-Trustd-Digest, accepts it back in X-Trustd-Base, keys
+// the base-plan cache and the ring with it, and writes it into the log
+// leaf.
 func ProblemDigest(p *model.Problem) [2]uint64 {
 	buf := encodings.Get().(*[]byte)
-	b := appendStr((*buf)[:0], p.Name)
-	b = appendU64(b, uint64(len(p.Parties)))
-	for _, pa := range p.Parties {
-		b = appendStr(b, string(pa.ID))
-		b = appendU64(b, uint64(pa.Role))
-		b = appendBool(b, pa.LimitedFunds)
-		b = appendU64(b, uint64(pa.Endowment))
-	}
-	b = appendU64(b, uint64(len(p.Exchanges)))
-	for _, x := range p.Exchanges {
-		b = appendStr(b, string(x.Principal))
-		b = appendStr(b, string(x.Trusted))
-		b = appendBundle(b, x.Gives)
-		b = appendBundle(b, x.Gets)
-		b = appendBool(b, x.RedOverride)
-	}
-	b = appendU64(b, uint64(len(p.DirectTrust)))
-	for _, d := range p.DirectTrust {
-		b = appendStr(b, string(d.Truster))
-		b = appendStr(b, string(d.Trustee))
-	}
-	b = appendU64(b, uint64(len(p.Indemnities)))
-	for _, off := range p.Indemnities {
-		b = appendStr(b, string(off.By))
-		b = appendU64(b, uint64(off.Covers))
-		b = appendStr(b, string(off.Via))
-		b = appendU64(b, uint64(off.Amount))
-	}
-	b = appendU64(b, uint64(len(p.Constraints)))
-	for _, c := range p.Constraints {
-		b = appendAction(b, c.Before)
-		b = appendAction(b, c.After)
-	}
+	b := model.AppendCanonical((*buf)[:0], p, nil)
 	d := address128(b)
 	*buf = b
 	encodings.Put(buf)

@@ -14,12 +14,11 @@ import (
 	"trustseq/internal/paperex"
 )
 
-// TestCheckpointBytesPinned pins the SHA-256 of the TSQ8 file three
-// fixed runs write at fixed ticks. The other checkpoint tests compare a
+// TestCheckpointBytesPinned pins the SHA-256 of the record three fixed
+// runs write at fixed ticks. The other checkpoint tests compare a
 // restore with a full run of the same build; this one fails when the
-// encoding of any field changes. Between them the cases checkpoint
-// non-empty seen, sent and recall sent sets, and received, refunded and
-// collateral records in the trusted nodes' escrow logs.
+// encoding of any field changes — the plan or options digest, the
+// prefix's count, or the settlement-log encoding under its root.
 func TestCheckpointBytesPinned(t *testing.T) {
 	t.Parallel()
 	v1 := plan(t, paperex.Example2Variant1())
@@ -35,7 +34,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			pl:   v1,
 			opts: ChaosOptions(rand.New(rand.NewSource(22)), v1.Problem, AllFaults(), 22, 0),
 			at:   130,
-			sum:  "f43bab0acbc71a08d5be03de00fc8d9472d24b13157fd1caff37110749f88c8a",
+			sum:  "9c3877d42e52709cef6801d7fb7d2a90a76f639bb4e2704db60c7c5bacd95924",
 		},
 		{
 			name: "indemnified-crash-dup-reorder",
@@ -45,19 +44,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				Crashes: []CrashEvent{{Node: paperex.Trusted1, At: 5, Downtime: 12}},
 			}},
 			at:  18,
-			sum: "7804fdf6541d353711f5f6868ffe57a4a771555ff70b6b04148dcb3ba82e6a20",
+			sum: "7661ee987986d051ccbcc1f47bae42d15144b67e846e49d3f0fe7b485af6264e",
 		},
 		{
 			name: "population-300-one-defector",
 			pl:   plan(t, gen.Population(300, 0, 10)),
 			opts: Options{Seed: 5, Deadline: 20000, Defectors: map[model.PartyID]int{"b100": 1}},
 			at:   40,
-			sum:  "a6582b20624115f758270b3dff41fc261cbe0f0db05b0594ab1a9641b7ad37dd",
+			sum:  "2a181c660e6fc2db929ec6eb7d8e789c39303e7dfcc20b519bdca02ff414fe0a",
 		},
 	}
-	total := ckptContents{wal: make(map[walOp]int)}
 	for _, tc := range cases {
-		path := filepath.Join(t.TempDir(), tc.name+".tsq8")
+		path := filepath.Join(t.TempDir(), tc.name+".ckpt")
 		ckpt := tc.opts
 		ckpt.Checkpoint = &CheckpointSpec{Path: path, At: tc.at}
 		if _, err := Run(tc.pl, ckpt); err != nil {
@@ -71,19 +69,13 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.sum {
 			t.Errorf("%s: checkpoint SHA-256 %s, pinned %s", tc.name, got, tc.sum)
 		}
-		rs, err := setupRun(tc.pl, tc.opts)
+		c, err := decodeCheckpoint(data)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rs.inject(data); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		c := checkpointContents(rs)
-		t.Logf("%s: %d bytes, %s", tc.name, len(data), c)
-		total.add(c)
-	}
-	if total.seen == 0 || total.sent == 0 || total.recallSent == 0 ||
-		total.wal[walReceived] == 0 || total.wal[walRefunded] == 0 || total.wal[walCollateral] == 0 {
-		t.Fatalf("the pinned checkpoints leave part of the node state empty: %s", total)
+		if c.count == 0 {
+			t.Errorf("%s: the checkpoint names an empty prefix", tc.name)
+		}
+		t.Logf("%s: %d bytes, %d entries before tick %d", tc.name, len(data), c.count, c.at)
 	}
 }

@@ -2,16 +2,12 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"trustseq/internal/core"
-	"trustseq/internal/model"
-	"trustseq/internal/paperex"
 )
 
 // checkpointedRun executes plan twice: once uninterrupted, once with a
@@ -146,7 +142,7 @@ func TestCheckpointTruncatedFailsClosed(t *testing.T) {
 	}
 }
 
-// Any flipped bit must trip the CRC and fail closed.
+// Any flipped bit must trip the trailer and fail closed.
 func TestCheckpointBitFlipFailsClosed(t *testing.T) {
 	t.Parallel()
 	pl, opts, path := writeChaosCheckpoint(t)
@@ -237,205 +233,104 @@ func TestCheckpointPastLastEventFails(t *testing.T) {
 	}
 }
 
-// ckptContents counts the node state a checkpoint holds: the entries of
-// the principals' seen, sent and recall sent sets, and the trusted
-// nodes' escrow-log records by op.
-type ckptContents struct {
-	seen, sent, recallSent int
-	wal                    map[walOp]int
-}
-
-func (c ckptContents) String() string {
-	return fmt.Sprintf("seen=%d sent=%d recall-sent=%d received=%d refunded=%d collateral=%d",
-		c.seen, c.sent, c.recallSent, c.wal[walReceived], c.wal[walRefunded], c.wal[walCollateral])
-}
-
-// add sums o into c.
-func (c *ckptContents) add(o ckptContents) {
-	c.seen += o.seen
-	c.sent += o.sent
-	c.recallSent += o.recallSent
-	for op, k := range o.wal {
-		c.wal[op] += k
-	}
-}
-
-// checkpointContents counts the node state of rs, a runtime a
-// checkpoint was injected into.
-func checkpointContents(rs *runtime) ckptContents {
-	c := ckptContents{wal: make(map[walOp]int)}
-	for _, pn := range rs.principals {
-		c.seen += len(pn.seen.keys)
-		c.sent += len(pn.sent.keys)
-		for _, rc := range pn.recalls {
-			c.recallSent += len(rc.sent)
-		}
-	}
-	for _, tn := range rs.trusted {
-		for _, w := range tn.wal {
-			c.wal[w.op]++
-		}
-	}
-	return c
-}
-
-// walRecord is one escrow-log record as the checkpoint file holds it.
-type walRecord struct {
-	op     walOp
-	action model.Action
-	idx    int64
-	at     Time
-}
-
-// forged is the node state forgeCheckpoint writes: one escrow log for
-// the first trusted node, and the seen and sent sets and one recall of
-// the first principal.
-type forged struct {
-	wal        []walRecord
-	seen, sent []model.Action
-	recallEi   int64
-	recallSent []model.Action
-}
-
-// forgeCheckpoint writes a well-formed checkpoint of rs's plan and
-// options, taken before any event — nothing delivered, pending, down
-// or drawn — holding the node state f names, with a valid CRC.
-func forgeCheckpoint(rs *runtime, f forged) []byte {
-	e := &cenc{}
-	e.b = append(e.b, ckptMagic...)
-	e.u16(ckptVersion)
-	e.u64(planDigest(rs.plan))
-	e.u64(optionsDigest(rs.opts))
-	for i := 0; i < 4; i++ { // now, seq, processed, dropped
-		e.i64(0)
-	}
-	e.u64(0)                 // RNG draws
-	for i := 0; i < 9; i++ { // fault stats
-		e.i64(0)
-	}
-	for i := 0; i < 4; i++ { // down parties, crash windows, trace, pending
-		e.u32(0)
-	}
-	e.u32(uint32(len(rs.trusted)))
-	for i, tn := range rs.trusted {
-		e.str(string(tn.Self))
-		var wal []walRecord
-		if i == 0 {
-			wal = f.wal
-		}
-		e.u32(uint32(len(wal)))
-		for _, w := range wal {
-			e.u8(uint8(w.op))
-			e.action(w.action)
-			e.i64(w.idx)
-			e.i64(int64(w.at))
-		}
-	}
-	actions := func(acts []model.Action) {
-		e.u32(uint32(len(acts)))
-		for _, a := range acts {
-			e.action(a)
-		}
-	}
-	e.u32(uint32(len(rs.principals)))
-	for i, pn := range rs.principals {
-		e.str(string(pn.Self))
-		e.i64(0) // next
-		e.i64(0) // fired
-		if i != 0 {
-			for j := 0; j < 5; j++ { // seen, tags, sent, faults, recalls
-				e.u32(0)
-			}
-			continue
-		}
-		actions(f.seen)
-		e.u32(0) // tags
-		actions(f.sent)
-		e.u32(0) // faults
-		if f.recallSent == nil {
-			e.u32(0)
-			continue
-		}
-		e.u32(1)
-		e.i64(f.recallEi)
-		e.u8(uint8(recallPaying))
-		e.bool(true)
-		actions(f.recallSent)
-	}
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return e.b
-}
-
-// A checkpoint whose CRC holds but whose node state names an action the
-// problem does not define, or an index outside what the node mediates,
-// fails closed instead of restoring into a state no run can reach.
-func TestRestoreRejectsForeignActions(t *testing.T) {
+// A record whose trailer holds but whose tick, count or root has been
+// edited names a prefix the run does not have: the restore re-runs the
+// plan, finds a different prefix and fails with the mismatch error, not
+// the corruption one.
+func TestCheckpointForgedPrefixMismatch(t *testing.T) {
 	t.Parallel()
-	pl := plan(t, paperex.Example1())
-	opts := Options{Seed: 1}
-	deposit := model.Pay(paperex.Consumer, paperex.Trusted1, paperex.RetailPrice)
-	receipt := model.Give(paperex.Trusted1, paperex.Consumer, paperex.Doc)
-	valid := func() forged {
-		return forged{
-			wal: []walRecord{
-				{op: walReceived, action: deposit},
-				{op: walDelivered, idx: 0},
-				{op: walDeadline, at: 1000},
-			},
-			seen:       []model.Action{receipt},
-			sent:       []model.Action{deposit},
-			recallEi:   0,
-			recallSent: []model.Action{deposit},
-		}
+	pl, opts, path := writeChaosCheckpoint(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	inject := func(f forged) error {
-		rs, err := setupRun(pl, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.trusted[0].Self != paperex.Trusted1 || rs.principals[0].Self != paperex.Consumer {
-			t.Fatalf("roster starts with %s and %s", rs.trusted[0].Self, rs.principals[0].Self)
-		}
-		return rs.inject(forgeCheckpoint(rs, f))
+	rec, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := inject(valid()); err != nil {
-		t.Fatalf("a forged checkpoint of reachable state: %v", err)
+	if rec.count == 0 {
+		t.Fatal("the checkpoint names an empty prefix")
 	}
+	forgedPath := filepath.Join(t.TempDir(), "forged.ckpt")
 	for _, tc := range []struct {
 		name  string
-		forge func(f *forged)
+		forge func(c *checkpoint)
 	}{
-		{"wal names a pay from no party", func(f *forged) {
-			f.wal[0].action = model.Pay("nobody", paperex.Trusted1, 12345)
-		}},
-		{"wal names an undefined amount", func(f *forged) {
-			f.wal[0].action = model.Pay(paperex.Consumer, paperex.Trusted1, 99)
-		}},
-		{"wal names a deposit at another node", func(f *forged) {
-			f.wal[0].action = model.Give(paperex.Producer, paperex.Trusted2, paperex.Doc)
-		}},
-		{"wal op out of range", func(f *forged) { f.wal[1].op = 99 }},
-		{"wal exchange out of range", func(f *forged) { f.wal[1].idx = 1000 }},
-		{"wal exchange mediated elsewhere", func(f *forged) { f.wal[1].idx = 3 }},
-		{"wal offer out of range", func(f *forged) { f.wal[1].op = walCollateral }},
-		{"seen names a give from no party", func(f *forged) {
-			f.seen[0] = model.Give("ghost", paperex.Consumer, "nothing")
-		}},
-		{"seen names an action addressed elsewhere", func(f *forged) { f.seen[0] = deposit }},
-		{"sent names an undefined transfer", func(f *forged) {
-			f.sent[0] = model.Pay(paperex.Consumer, paperex.Trusted1, 1)
-		}},
-		{"sent names another party's transfer", func(f *forged) { f.sent[0] = receipt }},
-		{"recall sent names a foreign action", func(f *forged) {
-			f.recallSent[0] = model.Pay("ghost", paperex.Trusted1, 5)
-		}},
-		{"recall on another principal's exchange", func(f *forged) { f.recallEi = 1 }},
+		{"count one short", func(c *checkpoint) { c.count-- }},
+		{"count one long", func(c *checkpoint) { c.count++ }},
+		{"root of another prefix", func(c *checkpoint) { c.root[0] ^= 1 }},
+		{"tick before any delivery", func(c *checkpoint) { c.at = 0 }},
+		{"tick past the run's end", func(c *checkpoint) { c.at = 1 << 40 }},
 	} {
-		f := valid()
-		tc.forge(&f)
-		err := inject(f)
-		if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s: inject = %v, want ErrCheckpointCorrupt or ErrCheckpointMismatch", tc.name, err)
+		c := rec
+		tc.forge(&c)
+		if err := os.WriteFile(forgedPath, c.encode(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		res, err := RestoreRun(pl, opts, forgedPath)
+		if !errors.Is(err, ErrCheckpointMismatch) || errors.Is(err, ErrCheckpointCorrupt) || res != nil {
+			t.Errorf("%s: RestoreRun = %v, %v; want no result and ErrCheckpointMismatch", tc.name, res, err)
+		}
+	}
+}
+
+// With the settlement log on, the record's root is the log's root at
+// the record's count, and the count is the number of trace entries
+// delivered before the tick. The log is not part of the options, so a
+// run without it writes the same record.
+func TestCheckpointRootIsSettlementLogRoot(t *testing.T) {
+	t.Parallel()
+	pl := chaosCorpus(t)[0]
+	seed := int64(7)
+	opts := ChaosOptions(rand.New(rand.NewSource(seed)), pl.Problem, AllFaults(), seed, 0)
+	opts.VLog = true
+	base, err := Run(pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := base.Trace[len(base.Trace)/2].At
+	path := filepath.Join(t.TempDir(), "vlog.ckpt")
+	opts.Checkpoint = &CheckpointSpec{Path: path, At: at}
+	res, err := Run(pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := 0
+	for _, m := range res.Trace {
+		if m.At < at {
+			before++
+		}
+	}
+	if c.at != at || c.count != uint64(before) {
+		t.Fatalf("record names tick %d count %d, want tick %d count %d", c.at, c.count, at, before)
+	}
+	want, err := res.SettlementLog.RootAt(c.count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.root != want {
+		t.Fatalf("record root %s, settlement log root at %d is %s", c.root, c.count, want)
+	}
+	// Without the log, the run hashes the prefix itself: the record is
+	// the same.
+	opts.VLog = false
+	opts.Checkpoint.Path = filepath.Join(t.TempDir(), "bare.ckpt")
+	if _, err := Run(pl, opts); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := os.ReadFile(opts.Checkpoint.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(bare) != string(data) {
+		t.Fatalf("the record differs without the settlement log:\n%x\n%x", bare, data)
 	}
 }

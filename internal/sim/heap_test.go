@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // heapQueue is a plain binary min-heap on (At, seq). It is the oracle
 // the timing wheel is property-tested against and the baseline side of
 // the scheduler benchmarks, reached through the queue seam of Config
@@ -54,15 +52,4 @@ func (q *heapQueue) pop() (Message, bool) {
 		i = min
 	}
 	return top, true
-}
-
-func (q *heapQueue) pending() []Message {
-	out := append([]Message(nil), q.h...)
-	slices.SortFunc(out, func(a, b Message) int {
-		if a.At != b.At {
-			return int(a.At - b.At)
-		}
-		return a.seq - b.seq
-	})
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -152,7 +153,6 @@ type Network struct {
 	seq       int
 	processed int
 	rng       *rand.Rand
-	rsrc      *countingSource
 	baseLat   Time
 	jitter    Time
 	trace     []Message
@@ -183,10 +183,6 @@ type Network struct {
 	book    *ledger.Ledger
 	table   *model.ActionTable
 	transit int32
-
-	// onEvent, when set, observes every popped event after virtual time
-	// advances and before dispatch. The checkpoint writer hangs off it.
-	onEvent func(Message) error
 
 	// tel receives one trace event per delivered message (the
 	// replayable audit log) plus drop events; nil disables.
@@ -252,29 +248,6 @@ type Config struct {
 	queue func(n int) eventQueue
 }
 
-// countingSource wraps a rand.Source and counts Int63 draws so a
-// checkpoint can record the RNG position and a restore can fast-forward
-// to it. It deliberately does NOT implement rand.Source64: math/rand's
-// Uint64 fallback makes two Int63 calls per Uint64, so hiding the
-// Source64 fast path keeps the count exact — and every generator method
-// the network uses (Int63n, Float64) is defined purely in terms of
-// Int63, so the emitted stream is bit-identical to the unwrapped
-// source's.
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.n = 0
-	s.src.Seed(seed)
-}
-
 // NewNetwork builds an empty network over problem p. Its party slots
 // are p's parties in order with the transit account last, so the
 // network, a run's ledger and p's action table share one slot space,
@@ -309,14 +282,12 @@ func NewNetwork(cfg Config, p *model.Problem) *Network {
 		ids[i] = pa.ID
 	}
 	ids[k-1] = ledger.TransitID
-	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	n := &Network{
 		ids:       ids,
 		order:     byID(ids),
 		nodes:     make([]Node, k),
 		q:         cfg.queue(k), // a node rarely has more than one event pending
-		rng:       rand.New(src),
-		rsrc:      src,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		baseLat:   cfg.BaseLatency,
 		jitter:    cfg.Jitter,
 		maxMsgs:   cfg.MaxMessages,
@@ -412,34 +383,6 @@ func (n *Network) lookup(id model.PartyID) int32 {
 // action table, so it has no place in the ledger. It fails closed at
 // send, before any debit.
 var ErrUndefinedTransfer = errors.New("sim: transfer the problem does not define")
-
-// resolve fills a message's slot fields from its IDs and action — the
-// path for messages that did not come through a Context, such as a
-// checkpoint's trace and pending events. It fails on a message to no
-// party, on a transfer or untagged notify whose action the problem does
-// not define, and on one addressed to another party than the action's
-// receiver.
-func (n *Network) resolve(m *Message) error {
-	m.to, m.slot = n.lookup(m.To), -1
-	switch {
-	case m.to < 0:
-		return fmt.Errorf("sim: message to unknown party %s", m.To)
-	case m.Kind < MsgTransfer || m.Kind > MsgRestart:
-		return fmt.Errorf("sim: message of unknown kind %d", int(m.Kind))
-	case m.Kind != MsgTransfer && (m.Kind != MsgNotify || m.Tag != ""):
-		return nil
-	}
-	t := n.table
-	s, ok := t.Slot(m.Action)
-	if !ok || (m.Kind == MsgTransfer) != (s < 2*t.Transfers) {
-		return &model.ForeignActionError{Action: m.Action}
-	}
-	if _, to := t.Parties(s); to != m.to {
-		return fmt.Errorf("sim: %v addressed to %s", m.Action, m.To)
-	}
-	m.slot = int32(s)
-	return nil
-}
 
 // AddNode places a node at its party's slot. The node must play a
 // party of the network's problem.
@@ -588,6 +531,16 @@ func (n *Network) timer(to model.PartyID, p int32, at Time, tag string) {
 // IDs, schedules the fault plan's crash events, and processes events to
 // quiescence.
 func (n *Network) Run() error {
+	n.start()
+	return n.runUntil(endOfTime)
+}
+
+// endOfTime is a tick no event reaches.
+const endOfTime = Time(math.MaxInt64)
+
+// start schedules the fault plan's crash events and initializes every
+// node in the deterministic order of their party IDs.
+func (n *Network) start() {
 	n.scheduleCrashes()
 	for _, p := range n.order {
 		if node := n.nodes[p]; node != nil {
@@ -595,21 +548,19 @@ func (n *Network) Run() error {
 			node.Init(&n.ctx)
 		}
 	}
-	return n.loop()
 }
 
-// loop processes queued events to quiescence. Both the fresh-run and
-// the restored-from-checkpoint paths end up here.
-func (n *Network) loop() error {
-	for {
+// runUntil processes events until it has delivered one at or after tick
+// t, or to quiescence. Events pop in nondecreasing At, so once it
+// returns, every event before t has been delivered.
+func (n *Network) runUntil(t Time) error {
+	for n.now < t {
 		more, err := n.step()
-		if err != nil {
+		if err != nil || !more {
 			return err
 		}
-		if !more {
-			return nil
-		}
 	}
+	return nil
 }
 
 // step pops and delivers exactly one event, reporting false once the
@@ -626,11 +577,6 @@ func (n *Network) step() (bool, error) {
 	n.processed++
 	if n.processed > n.maxMsgs {
 		return false, fmt.Errorf("sim: exceeded %d messages; likely livelock", n.maxMsgs)
-	}
-	if n.onEvent != nil {
-		if err := n.onEvent(m); err != nil {
-			return false, err
-		}
 	}
 	p := m.to
 	if p < 0 || int(p) >= len(n.nodes) || n.nodes[p] == nil {

@@ -49,10 +49,10 @@ type Options struct {
 	// network counters (see Config.Obs). Nil disables; telemetry never
 	// changes the simulated schedule.
 	Obs *obs.Telemetry
-	// Checkpoint, when set, makes Run snapshot the whole simulation to
-	// Checkpoint.Path at the first event at or after Checkpoint.At and
-	// then continue normally. RestoreRun resumes such a snapshot and
-	// replays the remainder of the run tick-for-tick (see checkpoint.go).
+	// Checkpoint, when set, makes Run record at Checkpoint.Path the
+	// prefix of the run delivered before the first event at or after
+	// Checkpoint.At. RestoreRun re-runs the plan and checks that prefix
+	// before it returns the result (see checkpoint.go).
 	Checkpoint *CheckpointSpec
 	// VLog builds the verifiable settlement log over the delivered
 	// trace after quiescence (see internal/vlog): Result gains a
@@ -145,9 +145,7 @@ func (r *Result) Summary() string {
 }
 
 // runtime is one assembled simulation: the network, the ledger wired
-// into it, and the node roster. Run builds it and starts from
-// scratch; RestoreRun builds the identical roster and then injects a
-// checkpoint's state before entering the event loop.
+// into it, and the node roster.
 type runtime struct {
 	plan       *core.Plan
 	opts       Options // normalized (defaults applied)
@@ -157,8 +155,6 @@ type runtime struct {
 	trusted    []*TrustedNode
 	principals []*PrincipalNode
 	ph         *phases // nil unless Run is traced
-	// checkpointed is set once the armed checkpoint is written.
-	checkpointed bool
 }
 
 // setupRun validates the plan and options and assembles the runtime:
@@ -274,34 +270,75 @@ func (rs *runtime) assemble() (*Result, error) {
 }
 
 // Run executes a synthesized plan on the simulated network. The plan
-// must be feasible.
+// must be feasible. With opts.Checkpoint set it also writes the run's
+// checkpoint (see checkpoint.go).
 func Run(plan *core.Plan, opts Options) (*Result, error) {
+	spec := opts.Checkpoint
+	if spec == nil {
+		res, _, err := execute(plan, opts, nil)
+		return res, err
+	}
+	res, c, err := execute(plan, opts, &spec.At)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeFileAtomic(spec.Path, c.encode()); err != nil {
+		return nil, fmt.Errorf("sim: writing checkpoint: %w", err)
+	}
+	return res, nil
+}
+
+// execute runs the plan. With at set it also returns the run's
+// checkpoint at tick *at, or fails with ErrCheckpointNotReached when no
+// event reached the tick. The checkpoint's digests are hashed on another
+// goroutine beside the event loop, and its prefix beside the rest of the
+// loop and the assembly once the loop has passed the tick.
+func execute(plan *core.Plan, opts Options, at *Time) (*Result, checkpoint, error) {
+	var c checkpoint
 	ph := startPhases(opts, plan.Problem)
 	ph.begin("sim.phase.setup")
 	rs, err := setupRun(plan, opts)
 	if err != nil {
-		return nil, ph.fail(err)
+		return nil, c, ph.fail(err)
 	}
 	rs.ph = ph
-	if rs.opts.Checkpoint != nil {
-		rs.armCheckpoint()
+	var digests chan checkpoint
+	if at != nil {
+		digests = make(chan checkpoint, 1)
+		go func() { digests <- checkpoint{plan: planDigest(plan), opts: optionsDigest(rs.opts)} }()
 	}
 	ph.end()
 	ph.begin("sim.phase.loop")
-	if err := rs.net.Run(); err != nil {
-		return nil, ph.fail(err)
+	net, stop := rs.net, endOfTime
+	if at != nil {
+		stop = *at
 	}
-	if spec := rs.opts.Checkpoint; spec != nil && !rs.checkpointed {
-		return nil, ph.fail(fmt.Errorf("%w: asked for tick %d, the run ended at tick %d",
-			ErrCheckpointNotReached, spec.At, rs.net.now))
+	net.start()
+	err = net.runUntil(stop)
+	var finish func(*Result) prefix
+	if err == nil && at != nil && net.now >= *at {
+		// The prefix is complete: hash it beside the rest of the run.
+		finish = startPrefix(net.trace, *at, rs.opts.VLog)
+		err = net.runUntil(endOfTime)
+	}
+	if err != nil {
+		return nil, c, ph.fail(err)
+	}
+	if at != nil && (finish == nil || net.processed == 0) {
+		return nil, c, ph.fail(fmt.Errorf("%w: asked for tick %d, the run ended at tick %d",
+			ErrCheckpointNotReached, *at, net.now))
 	}
 	ph.end()
 	res, err := rs.assemble()
 	if err != nil {
-		return nil, ph.fail(err)
+		return nil, c, ph.fail(err)
+	}
+	if at != nil {
+		c = <-digests
+		c.prefix = finish(res)
 	}
 	ph.finish(res)
-	return res, nil
+	return res, c, nil
 }
 
 // phases times a traced run's coarse phases — sim.phase.setup, .loop,

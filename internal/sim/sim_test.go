@@ -337,9 +337,9 @@ func TestAssembleRejectsUndefinedAction(t *testing.T) {
 	}
 	net := rs.net
 	m := Message{From: paperex.Trusted1, To: paperex.Producer, Kind: MsgNotify,
-		Action: model.Notify(paperex.Trusted1, paperex.Producer), to: net.lookup(paperex.Producer)}
-	if err := net.resolve(&m); err == nil || m.slot >= 0 {
-		t.Fatalf("resolve(%v) = %v with slot %d; no exchange joins them", m.Action, err, m.slot)
+		Action: model.Notify(paperex.Trusted1, paperex.Producer), to: net.lookup(paperex.Producer), slot: -1}
+	if s, ok := net.table.Slot(m.Action); ok {
+		t.Fatalf("%v has slot %d; no exchange joins them", m.Action, s)
 	}
 	net.trace = append(net.trace, m)
 	var foreign *model.ForeignActionError

@@ -20,13 +20,10 @@ func msgLess(a, b Message) bool {
 
 // eventQueue is the scheduler behind Network. push accepts a message
 // whose seq is already assigned; pop returns events in (At, seq) order.
-// pending snapshots every queued event in pop order without consuming
-// it — the checkpoint writer uses it.
 type eventQueue interface {
 	push(m Message)
 	pop() (Message, bool)
 	len() int
-	pending() []Message
 }
 
 const (
@@ -243,29 +240,6 @@ func (w *wheelQueue) migrateOverflow() {
 	for _, h := range waiting {
 		w.insert(h)
 	}
-}
-
-func (w *wheelQueue) pending() []Message {
-	out := make([]Message, 0, w.len())
-	add := func(hs []int32) {
-		for _, h := range hs {
-			out = append(out, w.arena[h])
-		}
-	}
-	add(w.batch[w.batchIdx:])
-	for l := range w.slots {
-		for s := range w.slots[l] {
-			add(w.slots[l][s])
-		}
-	}
-	add(w.overflow)
-	slices.SortFunc(out, func(a, b Message) int {
-		if a.At != b.At {
-			return int(a.At - b.At)
-		}
-		return a.seq - b.seq
-	})
-	return out
 }
 
 // newQueue builds the timing wheel with room for n pending events.

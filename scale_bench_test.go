@@ -2,6 +2,8 @@ package trustseq
 
 import (
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,9 +24,10 @@ const popDeadline = 20000
 
 // popPlans caches one synthesized plan per population size so the
 // benchmark loop times only the simulation. Synthesis is measured
-// separately (it is linear after the compile-pass fixes; see
-// BENCH_pr8.json) and at 10^5 principals takes longer than a single
-// simulated run — folding it in would drown the metric under test.
+// separately: it is still superlinear at population scale (2.5–3x per
+// doubling from 10^4 to 8·10^4 principals, see ROADMAP.md), and at 10^5
+// principals takes longer than a single simulated run — folding it in
+// would drown the metric under test.
 var popPlans sync.Map
 
 func popPlan(b *testing.B, n int) *core.Plan {
@@ -70,4 +73,41 @@ func BenchmarkPopulationSim(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "principals/s")
 		})
 	}
+}
+
+// BenchmarkPopulationCheckpoint times the CI population soak three
+// ways at 10^4 principals: a plain run, a run that writes its
+// checkpoint at tick 10000, and a restore from that checkpoint. The
+// options are trustsim's for `-principals 10000 -deadline 20000 -seed 1
+// -faults all`. A checkpoint names a verified prefix of the run, so
+// write and restore each cost about one run.
+func BenchmarkPopulationCheckpoint(b *testing.B) {
+	const n, seed, at = 10000, 1, 10000
+	b.Run(fmt.Sprintf("principals=%d", n), func(b *testing.B) {
+		plan := popPlan(b, n)
+		rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D)) // trustsim's fault-plan stream
+		opts := sim.Options{Seed: seed, Jitter: 3, Deadline: popDeadline,
+			Faults: sim.SampleFaultPlan(rng, plan.Problem, sim.AllFaults(), popDeadline)}
+		write := opts
+		write.Checkpoint = &sim.CheckpointSpec{Path: filepath.Join(b.TempDir(), "soak.ckpt"), At: at}
+		if _, err := sim.Run(plan, write); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			run  func() (*sim.Result, error)
+		}{
+			{"run", func() (*sim.Result, error) { return sim.Run(plan, opts) }},
+			{"write", func() (*sim.Result, error) { return sim.Run(plan, write) }},
+			{"restore", func() (*sim.Result, error) { return sim.RestoreRun(plan, opts, write.Checkpoint.Path) }},
+		} {
+			b.Run(mode.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := mode.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }

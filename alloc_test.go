@@ -37,10 +37,7 @@ func skipIfRace(t *testing.T) {
 
 func allocGraph(t *testing.T, p *model.Problem) *sequencing.Graph {
 	t.Helper()
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	sg, err := sequencing.NewSplit(ig)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +106,11 @@ func TestIncrementalPatchAllocBudget(t *testing.T) {
 		retuned.Exchanges[1].Gets.Amount++
 		redflip := base.Clone()
 		redflip.Exchanges[2].RedOverride = true
-		for _, p := range []*model.Problem{retuned, redflip} {
-			if err := p.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		retunedC, redflipC := model.MustCompile(retuned), model.MustCompile(redflip)
 
 		reuse := testing.AllocsPerRun(100, func() {
 			d := model.Diff(base, retuned)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retuned, &d)
+			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retunedC, &d)
 			if !ok || res.Outcome != sequencing.PatchReused {
 				t.Fatal("patch did not reuse")
 			}
@@ -127,7 +120,7 @@ func TestIncrementalPatchAllocBudget(t *testing.T) {
 		}
 		rereduce := testing.AllocsPerRun(100, func() {
 			d := model.Diff(base, redflip)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflip, &d)
+			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflipC, &d)
 			if !ok || res.Outcome != sequencing.PatchRereduced {
 				t.Fatal("patch did not rereduce")
 			}

@@ -26,10 +26,7 @@ import (
 
 func mustGraph(b *testing.B, p *model.Problem) *sequencing.Graph {
 	b.Helper()
-	ig, err := interaction.New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	sg, err := sequencing.NewSplit(ig)
 	if err != nil {
 		b.Fatal(err)
@@ -62,11 +59,11 @@ func BenchmarkReduceExample2(b *testing.B) {
 }
 
 func BenchmarkSynthesizeExample1(b *testing.B) {
-	p := paperex.Example1()
+	p := model.MustCompile(paperex.Example1())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := core.Synthesize(p)
+		plan, err := core.SynthesizeObs(p, nil)
 		if err != nil || !plan.Feasible {
 			b.Fatal(err)
 		}
@@ -152,7 +149,7 @@ func BenchmarkSearchStrongChainParallel(b *testing.B) {
 	for _, k := range []int{2, 3} {
 		k := k
 		b.Run(fmt.Sprintf("brokers=%d", k), func(b *testing.B) {
-			p := gen.Chain(k, 30)
+			p := model.MustCompile(gen.Chain(k, 30))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := search.FeasibleObs(p, search.ModeStrong, runtime.GOMAXPROCS(0), nil)
@@ -167,7 +164,7 @@ func BenchmarkSearchStrongChainParallel(b *testing.B) {
 // --- E5: indemnity ordering ------------------------------------------------
 
 func BenchmarkIndemnityGreedyFigure7(b *testing.B) {
-	p := paperex.Figure7()
+	p := model.MustCompile(paperex.Figure7())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := indemnity.Greedy(p)
@@ -185,7 +182,7 @@ func BenchmarkIndemnityGreedyStar(b *testing.B) {
 			for i := range prices {
 				prices[i] = model.Money(10 * (i + 1))
 			}
-			p := gen.Star(prices)
+			p := model.MustCompile(gen.Star(prices))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := indemnity.Greedy(p)
@@ -199,7 +196,7 @@ func BenchmarkIndemnityGreedyStar(b *testing.B) {
 
 // Ablation: greedy vs brute-force optimal.
 func BenchmarkIndemnityOptimalFigure7(b *testing.B) {
-	p := paperex.Figure7()
+	p := model.MustCompile(paperex.Figure7())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := indemnity.Optimal(p)
@@ -214,14 +211,14 @@ func BenchmarkIndemnityOptimalFigure7(b *testing.B) {
 func BenchmarkChainTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cost.ChainTable(5, 100, core.Synthesize); err != nil {
+		if _, err := cost.ChainTable(5, 100); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkUniversalProtocol(b *testing.B) {
-	p := paperex.UniversalTrust(paperex.Example2())
+	p := model.MustCompile(paperex.UniversalTrust(paperex.Example2()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := cost.RunUniversal(p)
@@ -365,7 +362,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // --- E12: 2PC baseline ----------------------------------------------------------
 
 func BenchmarkTwoPCExample1(b *testing.B) {
-	p := paperex.Example1()
+	p := model.MustCompile(paperex.Example1())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats, _, err := twopc.RunExchange(p, nil)
@@ -395,13 +392,13 @@ func BenchmarkDSLLoad(b *testing.B) {
 
 func BenchmarkSynthesizeRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	problems := make([]*model.Problem, 32)
+	problems := make([]*model.Compiled, 32)
 	for i := range problems {
-		problems[i] = gen.Random(rng, gen.Options{Consumers: 2, Brokers: 2, Producers: 3, MaxPrice: 50})
+		problems[i] = model.MustCompile(gen.Random(rng, gen.Options{Consumers: 2, Brokers: 2, Producers: 3, MaxPrice: 50}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Synthesize(problems[i%len(problems)]); err != nil {
+		if _, err := core.SynthesizeObs(problems[i%len(problems)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -413,7 +410,7 @@ func BenchmarkDistributedReduce(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
 		k := k
 		b.Run(fmt.Sprintf("brokers=%d", k), func(b *testing.B) {
-			p := gen.Chain(k, model.Money(k+10))
+			p := model.MustCompile(gen.Chain(k, model.Money(k+10)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := distred.Reduce(p, int64(i))
@@ -442,7 +439,7 @@ func BenchmarkHierarchyEnableAndSynthesize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan, err := core.Synthesize(p)
+		plan, err := core.SynthesizeObs(p, nil)
 		if err != nil || !plan.Feasible {
 			b.Fatal(err)
 		}
@@ -454,7 +451,7 @@ func BenchmarkHierarchyEnableAndSynthesize(b *testing.B) {
 // BenchmarkEditReanalysis measures the analysis stage of a one-line edit
 // of the 256-broker chain: a from-scratch graph build + reduction versus
 // diff-and-patch against the resident base plan. Both modes start from a
-// validated, compiled problem — exactly what the service holds after
+// compiled problem — exactly what the service holds after
 // parsing a request — so the ratio isolates the incremental machinery.
 // Scheduling is identical on both paths (it replays the same removal
 // trace) and is excluded.
@@ -473,20 +470,12 @@ func BenchmarkEditReanalysis(b *testing.B) {
 	// A red override on the first broker's purchase: one edge flips.
 	redflip := base.Clone()
 	redflip.Exchanges[2].RedOverride = true
-	for _, p := range []*model.Problem{retuned, redflip} {
-		if err := p.Validate(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	retunedC, redflipC := model.MustCompile(retuned), model.MustCompile(redflip)
 
 	b.Run("mode=full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ig, err := interaction.New(retuned)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sg, err := sequencing.NewSplit(ig)
+			sg, err := sequencing.NewSplit(interaction.New(retunedC))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -499,7 +488,7 @@ func BenchmarkEditReanalysis(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := model.Diff(base, retuned)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retuned, &d)
+			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retunedC, &d)
 			if !ok || res.Outcome != sequencing.PatchReused {
 				b.Fatal("patch did not reuse")
 			}
@@ -512,7 +501,7 @@ func BenchmarkEditReanalysis(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := model.Diff(base, redflip)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflip, &d)
+			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflipC, &d)
 			if !ok || res.Outcome != sequencing.PatchRereduced {
 				b.Fatal("patch did not rereduce")
 			}

@@ -74,7 +74,14 @@ func run(only, dotDir string, w io.Writer) error {
 	return nil
 }
 
-func synth(p *model.Problem) (*core.Plan, error) { return core.Synthesize(p) }
+// synth compiles a problem and synthesizes its plan.
+func synth(p *model.Problem) (*core.Plan, error) {
+	c, err := model.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return core.SynthesizeObs(c, nil)
+}
 
 func experiments() []experiment {
 	return []experiment{
@@ -164,12 +171,11 @@ func runE15(w io.Writer) error {
 	names := []string{"example1", "example2", "example2-variant1", "example1-poor-broker", "figure7"}
 	all := paperex.All()
 	for _, name := range names {
-		p := all[name]
-		plan, err := synth(p)
+		plan, err := synth(all[name])
 		if err != nil {
 			return err
 		}
-		res, err := distred.Reduce(p, 1)
+		res, err := distred.Reduce(plan.Problem, 1)
 		if err != nil {
 			return err
 		}
@@ -197,7 +203,7 @@ func runE16(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	plan, err := synth(p)
+	plan, err := core.SynthesizeObs(p, nil)
 	if err != nil {
 		return err
 	}
@@ -218,7 +224,7 @@ func runE1(w io.Writer) error {
 	// Drive the reduction in the paper's own Section 4.2.2 edge order so
 	// the recovered sequence matches Section 5 line by line.
 	rank := map[sequencing.EdgeID]int{}
-	plan, err := core.SynthesizeWith(paperex.Example1(), func(g *sequencing.Graph) *sequencing.Reduction {
+	plan, err := core.SynthesizeWith(model.MustCompile(paperex.Example1()), func(g *sequencing.Graph) *sequencing.Reduction {
 		order := [][2]interface{}{
 			{3, "t2"}, {2, "t2"}, {0, "t1"}, {1, "t1"}, {1, "b"}, {2, "b"},
 		}
@@ -295,7 +301,7 @@ func runE4(w io.Writer) error {
 }
 
 func runE5(w io.Writer) error {
-	p := paperex.Figure7()
+	p := model.MustCompile(paperex.Figure7())
 	order1, err := indemnity.InOrder(p, []int{paperex.Figure7ConsumerDoc1, paperex.Figure7ConsumerDoc2})
 	if err != nil {
 		return err
@@ -324,9 +330,8 @@ func runE6(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	off := plan.Problem.Indemnities[0]
 	fmt.Fprintf(w, "broker1 posts %v with t1 (price of the other document): feasible=%v\n",
-		model.RequiredIndemnity(plan.Problem, off.Covers), plan.Feasible)
+		plan.Problem.ActionTable().Collateral(0), plan.Feasible)
 	if err := plan.Verify(); err != nil {
 		return err
 	}
@@ -335,7 +340,7 @@ func runE6(w io.Writer) error {
 }
 
 func runE7(w io.Writer) error {
-	rows, err := cost.ChainTable(5, 100, synth)
+	rows, err := cost.ChainTable(5, 100)
 	if err != nil {
 		return err
 	}
@@ -349,17 +354,13 @@ func runE7(w io.Writer) error {
 }
 
 func runE8(w io.Writer) error {
-	p := paperex.UniversalTrust(paperex.Example2())
+	p := model.MustCompile(paperex.UniversalTrust(paperex.Example2()))
 	out, err := cost.RunUniversal(p)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "universal protocol on example 2: feasible=%v, %s\n", out.Feasible, out.Messages)
-	ig, err := interaction.New(p)
-	if err != nil {
-		return err
-	}
-	sg, err := sequencing.NewSplit(ig)
+	sg, err := sequencing.NewSplit(interaction.New(p))
 	if err != nil {
 		return err
 	}
@@ -379,11 +380,7 @@ func runE9(w io.Writer) error {
 	sort.Strings(names)
 	trials := 0
 	for _, name := range names {
-		ig, err := interaction.New(all[name])
-		if err != nil {
-			return err
-		}
-		sg, err := sequencing.NewSplit(ig)
+		sg, err := sequencing.NewSplit(interaction.New(model.MustCompile(all[name])))
 		if err != nil {
 			return err
 		}
@@ -406,11 +403,11 @@ func runE10(w io.Writer) error {
 		"example1-poor-broker", "example2-indemnified", "figure7"}
 	all := paperex.All()
 	for _, name := range names {
-		p := all[name]
-		plan, err := synth(p)
+		plan, err := synth(all[name])
 		if err != nil {
 			return err
 		}
+		p := plan.Problem
 		v, err := sweep.CrossCheck(p, len(p.Exchanges), 1<<20, 1, nil, nil)
 		if err != nil {
 			return err
@@ -474,12 +471,8 @@ func runE12(w io.Writer) error {
 func runE13(w io.Writer) error {
 	fmt.Fprintln(w, "parallel k   reduction edges  reduce time   strong-search states  search time")
 	for _, k := range []int{1, 2, 3, 4, 5} {
-		p := gen.Parallel(k, 10)
-		ig, err := interaction.New(p)
-		if err != nil {
-			return err
-		}
-		sg, err := sequencing.NewSplit(ig)
+		p := model.MustCompile(gen.Parallel(k, 10))
+		sg, err := sequencing.NewSplit(interaction.New(p))
 		if err != nil {
 			return err
 		}
@@ -487,7 +480,7 @@ func runE13(w io.Writer) error {
 		red := sequencing.Reduce(sg, nil)
 		reduceDur := time.Since(t0)
 		t1 := time.Now()
-		v, err := search.Feasible(p, search.ModeStrong)
+		v, err := search.FeasibleObs(p, search.ModeStrong, 1, nil)
 		if err != nil {
 			return err
 		}
@@ -537,5 +530,5 @@ func allTrue(m map[model.PartyID]bool) bool {
 
 // twopcRun isolates the twopc import.
 func twopcRun(defectors map[model.PartyID]bool) (twopc.Stats, map[model.PartyID]bool, error) {
-	return twopc.RunExchange(paperex.Example1(), defectors)
+	return twopc.RunExchange(model.MustCompile(paperex.Example1()), defectors)
 }

@@ -32,6 +32,7 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/dsl"
+	"trustseq/internal/model"
 	"trustseq/internal/service"
 )
 
@@ -58,11 +59,7 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: trustseq [flags] problem.exch")
 	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	problem, err := dsl.Load(string(src))
+	problem, err := loadSpec(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -72,15 +69,11 @@ func run(args []string, out io.Writer) error {
 		// spec by diff-and-patch. The report bytes are identical to a
 		// from-scratch run either way; the outcome note goes to stderr so
 		// stdout parity is preserved.
-		baseSrc, err := os.ReadFile(*baseFile)
-		if err != nil {
-			return err
-		}
-		baseProblem, err := dsl.Load(string(baseSrc))
+		baseProblem, err := loadSpec(*baseFile)
 		if err != nil {
 			return fmt.Errorf("base spec %s: %w", *baseFile, err)
 		}
-		basePlan, err := core.Synthesize(baseProblem)
+		basePlan, err := core.SynthesizeObs(baseProblem, nil)
 		if err != nil {
 			return fmt.Errorf("base spec %s: %w", *baseFile, err)
 		}
@@ -92,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "trustseq: incremental analysis %s (edit %s, frontier %d)\n",
 			info.Outcome, info.Kind, info.Frontier)
 	} else {
-		plan, err = core.Synthesize(problem)
+		plan, err = core.SynthesizeObs(problem, nil)
 		if err != nil {
 			return err
 		}
@@ -130,4 +123,17 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// loadSpec reads, parses and compiles a .exch file.
+func loadSpec(path string) (*model.Compiled, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	p, err := dsl.Load(string(src))
+	if err != nil {
+		return nil, err
+	}
+	return model.Compile(p)
 }

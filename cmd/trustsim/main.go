@@ -19,8 +19,9 @@
 // Population scale (see gen.Population):
 //
 //	-principals N  simulate a generated N-consumer retail market instead
-//	               of a spec file; timing (principals/sec) goes to
-//	               stderr, the deterministic outcome to stdout
+//	               of a spec file; timing (synthesis and simulation in
+//	               milliseconds, principals/sec) goes to stderr, the
+//	               deterministic outcome to stdout
 //	-producers P   size of the shared producer tier (default n/256)
 //
 // Checkpoint / restore (see the sim package's checkpoint format):
@@ -193,19 +194,19 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 	if *ckptPath != "" && *restorePath != "" {
 		return fmt.Errorf("-checkpoint and -restore are mutually exclusive")
 	}
-	var problem *model.Problem
+	var builder *model.Problem
 	switch {
 	case *principals > 0:
 		if fs.NArg() != 0 {
 			return fmt.Errorf("-principals generates its own problem; drop the spec file")
 		}
-		problem = gen.Population(*principals, *producers, 10)
+		builder = gen.Population(*principals, *producers, 10)
 	case fs.NArg() == 1:
 		src, rerr := os.ReadFile(fs.Arg(0))
 		if rerr != nil {
 			return rerr
 		}
-		problem, err = dsl.Load(string(src))
+		builder, err = dsl.Load(string(src))
 		if err != nil {
 			return err
 		}
@@ -213,6 +214,10 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 		return fmt.Errorf("usage: trustsim [flags] problem.exch (or -principals N)")
 	}
 	synthStart := time.Now()
+	problem, err := model.Compile(builder)
+	if err != nil {
+		return err
+	}
 	plan, err := core.SynthesizeObs(problem, tel)
 	if err != nil {
 		return err
@@ -258,8 +263,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 		// Timing goes to stderr so stdout stays a deterministic record
 		// that checkpoint-restore diffs can compare byte-for-byte.
 		simDur := time.Since(simStart)
-		fmt.Fprintf(errw, "trustsim: %d parties: synthesis %.2fs, simulation %.2fs (%.0f principals/sec)\n",
-			len(problem.Parties), synthDur.Seconds(), simDur.Seconds(),
+		fmt.Fprintf(errw, "trustsim: %d parties: synthesis %.1fms, simulation %.1fms (%.0f principals/sec)\n",
+			len(problem.Parties), synthDur.Seconds()*1e3, simDur.Seconds()*1e3,
 			float64(len(problem.Parties))/simDur.Seconds())
 	}
 	if *timeline {
@@ -370,7 +375,7 @@ func setupTelemetry(traceFile, metricsFile, metricsAddr string, errw io.Writer) 
 // sampled from the seed for the enabled families (if any), with the
 // explicitly specified crashes and partitions layered on top. Returns
 // nil when nothing was requested.
-func assembleFaultPlan(menu sim.FaultMenu, crashSpec, partSpec string, p *model.Problem, seed int64, deadline sim.Time) (*sim.FaultPlan, error) {
+func assembleFaultPlan(menu sim.FaultMenu, crashSpec, partSpec string, p *model.Compiled, seed int64, deadline sim.Time) (*sim.FaultPlan, error) {
 	var fp *sim.FaultPlan
 	if menu.Any() {
 		rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))

@@ -3,6 +3,7 @@ package trustseq
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"trustseq/internal/core"
@@ -14,10 +15,11 @@ import (
 	"trustseq/internal/sweep"
 )
 
-// A validated problem is compiled once. Synthesis, the cross-check and
-// a simulation of the plan all read the table Validate published, on
-// the paper's fixtures and every generator family; none of them
-// validates the problem again.
+// A compiled problem is read, never rebuilt: synthesis, the
+// cross-check and a simulation of the plan, run on goroutines that share
+// one *model.Compiled, all read its one table, on the paper's fixtures
+// and every generator family. Under -race this also pins that no engine
+// writes the shared value.
 func TestEnginesReadOneTable(t *testing.T) {
 	t.Parallel()
 	corpus := paperex.All()
@@ -33,51 +35,58 @@ func TestEnginesReadOneTable(t *testing.T) {
 		})
 	}
 	for name, p := range corpus {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		tab := p.ActionTable()
-		same := func(stage string) {
-			t.Helper()
-			if p.ActionTable() != tab {
-				t.Fatalf("%s: %s rebuilt the action table", name, stage)
-			}
-		}
-		plan, err := core.Synthesize(p)
+		c, err := model.Compile(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		same("core.Synthesize")
-		if _, err := sweep.CrossCheck(p, 12, 20_000, 1, nil, nil); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		same("sweep.CrossCheck")
-		if plan.Feasible {
-			if _, err := sim.Run(plan, sim.Options{Seed: 1}); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		tab := c.ActionTable()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			plan, err := core.SynthesizeObs(c, nil)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
 			}
-			same("sim.Run")
+			if plan.Problem != c {
+				t.Errorf("%s: the plan reads another problem", name)
+			}
+			if plan.Feasible {
+				if _, err := sim.Run(plan, sim.Options{Seed: 1}); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := sweep.CrossCheck(c, 12, 20_000, 1, nil, nil); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+		wg.Wait()
+		if c.ActionTable() != tab {
+			t.Fatalf("%s: an engine rebuilt the action table", name)
 		}
 	}
 }
 
-// A caller may analyse a problem, append the offers indemnity.Greedy
-// found and analyse it again without calling Validate in between: the
-// appended offers change the problem's shape, so the second synthesis
-// validates it again and reads them. This is the flow of
+// A caller that analysed a problem and wants the offers
+// indemnity.Greedy found takes a builder copy, appends the offers,
+// compiles the copy and synthesises it. This is the flow of
 // examples/marketplace, on its market.
 func TestRepairAfterAnalysis(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(2026))
 	repaired := 0
 	for job := 0; job < 20; job++ {
-		market := gen.Random(rng, gen.Options{
+		market := model.MustCompile(gen.Random(rng, gen.Options{
 			Consumers: 1,
 			Brokers:   1 + rng.Intn(2),
 			Producers: 1 + rng.Intn(3),
 			MaxPrice:  60,
-		})
-		plan, err := core.Synthesize(market)
+		}))
+		plan, err := core.SynthesizeObs(market, nil)
 		if err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
@@ -91,14 +100,19 @@ func TestRepairAfterAnalysis(t *testing.T) {
 		if !fix.Feasible {
 			continue
 		}
+		edited := market.Clone()
 		for _, sp := range fix.Splits {
-			market.Indemnities = append(market.Indemnities, sp.Offer)
+			edited.Indemnities = append(edited.Indemnities, sp.Offer)
 		}
-		if plan, err = core.Synthesize(market); err != nil {
+		c, err := model.Compile(edited)
+		if err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		if plan, err = core.SynthesizeObs(c, nil); err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
 		if !plan.Feasible {
-			t.Fatalf("job %d: the repaired market synthesised from a stale table", job)
+			t.Fatalf("job %d: the repaired market is infeasible", job)
 		}
 		res, err := sim.Run(plan, sim.Options{Seed: int64(job), Jitter: 4})
 		if err != nil {

@@ -24,7 +24,7 @@ func main() {
 }
 
 func demoIndemnified() {
-	plan, err := core.Synthesize(paperex.Example2Indemnified())
+	plan, err := core.SynthesizeObs(model.MustCompile(paperex.Example2Indemnified()), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func demoIndemnified() {
 }
 
 func demoPersonaBreach() {
-	plan, err := core.Synthesize(paperex.Example2Variant1())
+	plan, err := core.SynthesizeObs(model.MustCompile(paperex.Example2Variant1()), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"trustseq/internal/cost"
 	"trustseq/internal/gen"
 	"trustseq/internal/indemnity"
+	"trustseq/internal/model"
 	"trustseq/internal/sim"
 )
 
@@ -51,12 +52,16 @@ func main() {
 		})
 		market.Name = fmt.Sprintf("job-%d", job)
 
-		plan, err := core.Synthesize(market)
+		compiled, err := model.Compile(market)
+		if err != nil {
+			log.Fatalf("job %d: %v", job, err)
+		}
+		plan, err := core.SynthesizeObs(compiled, nil)
 		if err != nil {
 			log.Fatalf("job %d: %v", job, err)
 		}
 		if !plan.Feasible {
-			fix, err := indemnity.Greedy(market)
+			fix, err := indemnity.Greedy(compiled)
 			if err != nil {
 				log.Fatalf("job %d: %v", job, err)
 			}
@@ -77,12 +82,10 @@ func main() {
 			for _, sp := range fix.Splits {
 				market.Indemnities = append(market.Indemnities, sp.Offer)
 			}
-			// The market was analysed before the offers went in: validate
-			// it again so the synthesis reads a table that has them.
-			if err := market.Validate(); err != nil {
+			if compiled, err = model.Compile(market); err != nil {
 				log.Fatalf("job %d: %v", job, err)
 			}
-			plan, err = core.Synthesize(market)
+			plan, err = core.SynthesizeObs(compiled, nil)
 			if err != nil {
 				log.Fatalf("job %d: %v", job, err)
 			}

@@ -12,13 +12,15 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/indemnity"
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
 func main() {
 	// 1. The deadlock: a consumer wants two documents, each resold by a
 	//    different broker; neither broker will buy first.
-	deadlock, err := core.Synthesize(paperex.Example2())
+	example2 := model.MustCompile(paperex.Example2())
+	deadlock, err := core.SynthesizeObs(example2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,17 +29,17 @@ func main() {
 	fmt.Println(deadlock.Reduction.Impasse())
 
 	// 2. Resolution: let the indemnity engine find the minimal collateral.
-	fix, err := indemnity.Greedy(paperex.Example2())
+	fix, err := indemnity.Greedy(example2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ngreedy indemnification: %s\n", fix)
 
-	repaired := paperex.Example2()
+	repaired := example2.Clone()
 	for _, sp := range fix.Splits {
 		repaired.Indemnities = append(repaired.Indemnities, sp.Offer)
 	}
-	plan, err := core.Synthesize(repaired)
+	plan, err := core.SynthesizeObs(model.MustCompile(repaired), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 	}
 
 	// 3. Figure 7: the order in which indemnities are offered matters.
-	fig7 := paperex.Figure7()
+	fig7 := model.MustCompile(paperex.Figure7())
 	order1, err := indemnity.InOrder(fig7, []int{paperex.Figure7ConsumerDoc1, paperex.Figure7ConsumerDoc2})
 	if err != nil {
 		log.Fatal(err)

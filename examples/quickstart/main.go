@@ -11,6 +11,7 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/dsl"
+	"trustseq/internal/model"
 	"trustseq/internal/sim"
 )
 
@@ -31,12 +32,16 @@ problem quickstart {
 `
 
 func main() {
-	problem, err := dsl.Load(spec)
+	builder, err := dsl.Load(spec)
 	if err != nil {
 		log.Fatalf("parse: %v", err)
 	}
+	problem, err := model.Compile(builder)
+	if err != nil {
+		log.Fatalf("compile: %v", err)
+	}
 
-	plan, err := core.Synthesize(problem)
+	plan, err := core.SynthesizeObs(problem, nil)
 	if err != nil {
 		log.Fatalf("synthesize: %v", err)
 	}

@@ -225,7 +225,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if !m.apply(rng, edited) {
 				continue
 			}
-			if err := edited.Validate(); err != nil {
+			if _, err := model.Compile(edited); err != nil {
 				// The mutation produced an invalid problem (e.g. an
 				// indemnity whose offerer lacks the required adjacency);
 				// such inputs never reach the analysis pipeline.
@@ -233,7 +233,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 			applied++
 			fullPlan, fullErr := core.Synthesize(edited.Clone())
-			incPlan, info, incErr := core.SynthesizeIncremental(basePlan, edited, nil)
+			incPlan, info, incErr := core.SynthesizeIncremental(basePlan, model.MustCompile(edited), nil)
 			if (fullErr == nil) != (incErr == nil) {
 				t.Fatalf("%s/%s: error mismatch: full=%v incremental=%v", name, m.name, fullErr, incErr)
 			}
@@ -276,11 +276,11 @@ func TestIncrementalChain(t *testing.T) {
 		if !m.apply(rng, edited) {
 			continue
 		}
-		if err := edited.Validate(); err != nil {
+		if _, err := model.Compile(edited); err != nil {
 			continue
 		}
 		fullPlan, fullErr := core.Synthesize(edited.Clone())
-		incPlan, _, incErr := core.SynthesizeIncremental(basePlan, edited, nil)
+		incPlan, _, incErr := core.SynthesizeIncremental(basePlan, model.MustCompile(edited), nil)
 		if (fullErr == nil) != (incErr == nil) {
 			t.Fatalf("step %d (%s): error mismatch: full=%v incremental=%v", step, m.name, fullErr, incErr)
 		}

@@ -87,7 +87,7 @@ func (s Step) String() string {
 // reduction trace, the feasibility verdict, and — when feasible — the
 // execution sequence.
 type Plan struct {
-	Problem     *model.Problem
+	Problem     *model.Compiled
 	Interaction *interaction.Graph
 	Sequencing  *sequencing.Graph
 	Reduction   *sequencing.Reduction
@@ -98,33 +98,36 @@ type Plan struct {
 // ErrInfeasible is reported by APIs that require a feasible plan.
 var ErrInfeasible = errors.New("core: exchange is not shown feasible by sequencing-graph reduction")
 
-// Synthesize analyses the problem end to end. An infeasible exchange is
-// not an error: the returned plan carries Feasible=false, the reduction
-// trace and the impasse diagnosis. Errors indicate invalid problems or
-// internal inconsistencies (a feasible reduction whose execution cannot
-// be scheduled — which would falsify the paper's claim and is covered by
-// tests).
+// Synthesize compiles the problem and analyses it (SynthesizeObs with no
+// telemetry); a problem that does not compile is an error. Callers that
+// hold a compiled problem call SynthesizeObs.
 func Synthesize(p *model.Problem) (*Plan, error) {
-	return SynthesizeWith(p, func(g *sequencing.Graph) *sequencing.Reduction {
-		return sequencing.Reduce(g, nil)
-	})
+	c, err := model.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return SynthesizeObs(c, nil)
 }
 
-// SynthesizeObs is Synthesize wrapped in a trace span, with the
+// SynthesizeObs analyses the problem end to end. An infeasible exchange
+// is not an error: the returned plan carries Feasible=false, the
+// reduction trace and the impasse diagnosis. Errors indicate internal
+// inconsistencies (a feasible reduction whose execution cannot be
+// scheduled — which would falsify the paper's claim and is covered by
+// tests). With telemetry, the synthesis runs in a trace span, with the
 // reduction's per-rule audit events and synthesis counters/latency
-// recorded against tel. Nil telemetry makes it exactly Synthesize.
-func SynthesizeObs(p *model.Problem, tel *obs.Telemetry) (*Plan, error) {
+// recorded against tel; nil telemetry records nothing.
+func SynthesizeObs(p *model.Compiled, tel *obs.Telemetry) (*Plan, error) {
+	reduce := func(g *sequencing.Graph) *sequencing.Reduction { return sequencing.Reduce(g, tel) }
 	if !tel.Enabled() {
-		return Synthesize(p)
+		return SynthesizeWith(p, reduce)
 	}
 	sp := tel.Trace().StartSpan("core.synthesize",
 		obs.Str("problem", p.Name),
 		obs.Int("exchanges", len(p.Exchanges)),
 		obs.Int("parties", len(p.Parties)))
 	start := time.Now()
-	plan, err := SynthesizeWith(p, func(g *sequencing.Graph) *sequencing.Reduction {
-		return sequencing.Reduce(g, tel)
-	})
+	plan, err := SynthesizeWith(p, reduce)
 	reg := tel.Reg()
 	reg.Counter("core.synthesize.total").Inc()
 	reg.Histogram("core.synthesize.seconds", obs.DurationBuckets()).Observe(time.Since(start).Seconds())
@@ -140,15 +143,12 @@ func SynthesizeObs(p *model.Problem, tel *obs.Telemetry) (*Plan, error) {
 	return plan, nil
 }
 
-// SynthesizeWith is Synthesize with a caller-chosen reducer — e.g.
+// SynthesizeWith is SynthesizeObs with a caller-chosen reducer — e.g.
 // sequencing.ReducePreferred with a priority reproducing a published
 // reduction order. The verdict is reducer-independent (Section 4.2.4);
 // the recovered execution sequence follows the reducer's removal order.
-func SynthesizeWith(p *model.Problem, reduce func(*sequencing.Graph) *sequencing.Reduction) (*Plan, error) {
-	ig, err := interaction.New(p)
-	if err != nil {
-		return nil, err
-	}
+func SynthesizeWith(p *model.Compiled, reduce func(*sequencing.Graph) *sequencing.Reduction) (*Plan, error) {
+	ig := interaction.New(p)
 	sg, err := sequencing.NewSplit(ig)
 	if err != nil {
 		return nil, err
@@ -656,7 +656,7 @@ func (p *Plan) Verify() error {
 			}
 			continue
 		}
-		if !model.Acceptable(p.Problem, pa.ID, final) {
+		if !model.Acceptable(pa.ID, final) {
 			return fmt.Errorf("core: final state unacceptable to %s", pa.ID)
 		}
 	}
@@ -746,7 +746,7 @@ func (p *Plan) ExecutionSequence() string {
 	return b.String()
 }
 
-func describeStep(pr *model.Problem, st Step) string {
+func describeStep(pr *model.Compiled, st Step) string {
 	switch st.Kind {
 	case StepDeposit:
 		e := pr.Exchanges[st.Exchange]

@@ -176,7 +176,7 @@ func TestIndemnifiedPlanOrdersCollateral(t *testing.T) {
 	}
 	// The collateral equals the price of the other document (Section 6).
 	off := plan.Problem.Indemnities[0]
-	if got := model.RequiredIndemnity(plan.Problem, off.Covers); got != 100 {
+	if got := model.RequiredIndemnity(&plan.Problem.Problem, off.Covers); got != 100 {
 		t.Errorf("required indemnity = %v, want $100 (price of doc2)", got)
 	}
 }
@@ -361,20 +361,18 @@ func TestStepString(t *testing.T) {
 	}
 }
 
-// An edit that breaks conservation at a trusted component fails the
-// incremental path with Synthesize's error: a price retune of a valid
-// base is patchable, but the edited problem is validated first.
+// An edit that breaks conservation at a trusted component never reaches
+// the incremental path: a price retune of a valid base is patchable, but
+// the edited problem fails to compile, with Synthesize's error.
 func TestIncrementalRejectsInvalidEdit(t *testing.T) {
 	t.Parallel()
-	base := synth(t, paperex.Example1())
 	edited := paperex.Example1()
 	edited.Exchanges[paperex.Example1ConsumerIdx].Gives.Amount += 7
 	_, want := Synthesize(edited.Clone())
 	if want == nil || !strings.Contains(want.Error(), "receives $107 but must deliver $100") {
 		t.Fatalf("Synthesize of the edit = %v", want)
 	}
-	plan, info, err := SynthesizeIncremental(base, edited, nil)
-	if err == nil || err.Error() != want.Error() {
-		t.Fatalf("SynthesizeIncremental = %v (%s, plan %v); want %v", err, info.Outcome, plan != nil, want)
+	if _, err := model.Compile(edited); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Compile of the edit = %v; want %v", err, want)
 	}
 }

@@ -1,5 +1,5 @@
 // Package core is the public orchestration layer of the library: it takes
-// a commercial-exchange problem (model.Problem), derives the interaction
+// a compiled commercial-exchange problem (model.Compiled), derives the interaction
 // and sequencing graphs, reduces the sequencing graph, and — when the
 // exchange is feasible — recovers a concrete execution sequence (Section
 // 5): the total order of deposits, notifications and deliveries that
@@ -19,17 +19,18 @@
 //     safety machinery.
 //   - Step / StepKind are the units of the sequence: deposits,
 //     completions, notifications, persona withdrawals.
-//   - Synthesize / SynthesizeObs / SynthesizeWith are the entry points;
-//     the Obs variant threads an obs.Telemetry through the stages, and
-//     SynthesizeWith swaps the reduction strategy (used by the
-//     reduction-order property tests).
+//   - SynthesizeObs and SynthesizeWith are the entry points: the first
+//     threads an obs.Telemetry through the stages, and SynthesizeWith
+//     swaps the reduction strategy (used by the reduction-order property
+//     tests). Synthesize compiles a builder first, for callers that hold
+//     one.
 //
 // # Concurrency and ownership
 //
-// Synthesis is a pure function of its inputs: it never writes a
-// validated Problem (it validates only one that is not) and allocates a
-// fresh Plan per call, so any number of Synthesize calls on a validated
-// Problem may run concurrently.
+// Synthesis is a pure function of its inputs: it only reads the
+// compiled problem, which nothing writes, and allocates a fresh Plan per
+// call, so any number of syntheses of one compiled problem may run
+// concurrently.
 // A returned Plan is immutable by convention; it may be read from many
 // goroutines, as the sweep pipeline and the trustd result cache do.
 package core

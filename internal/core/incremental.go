@@ -58,13 +58,11 @@ func (i IncrementalInfo) Patched() bool { return i.Outcome != IncrementalFull }
 // trace, and execution steps — which the edit-fuzzer property suite
 // enforces across the generator families.
 //
-// edited is compiled as Synthesize compiles it, so an invalid edit
-// fails with Synthesize's error; base must be a plan from a prior
-// Synthesize* call and is never mutated, so one resident base can serve
-// concurrent edits. Telemetry records the per-outcome counters and
-// latency, plus SynthesizeObs's span on a full re-analysis; nil
-// disables it.
-func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
+// base must be a plan from a prior Synthesize* call and is never
+// mutated, so one resident base can serve concurrent edits. Telemetry
+// records the per-outcome counters and latency, plus SynthesizeObs's
+// span on a full re-analysis; nil disables it.
+func SynthesizeIncremental(base *Plan, edited *model.Compiled, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
 	start := time.Now()
 	full := func(kind model.DiffKind) (*Plan, IncrementalInfo, error) {
 		plan, err := SynthesizeObs(edited, tel)
@@ -72,11 +70,10 @@ func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry
 		observeIncremental(tel, info, start, err)
 		return plan, info, err
 	}
-	ig, err := interaction.New(edited)
-	if err != nil || base == nil || base.Sequencing == nil || base.Reduction == nil {
-		return full(model.DiffStructural) // an invalid edit fails there too
+	if base == nil || base.Sequencing == nil || base.Reduction == nil {
+		return full(model.DiffStructural)
 	}
-	delta := model.Diff(base.Problem, edited)
+	delta := model.Diff(&base.Problem.Problem, &edited.Problem)
 	if delta.Kind == model.DiffStructural {
 		return full(delta.Kind)
 	}
@@ -86,7 +83,7 @@ func SynthesizeIncremental(base *Plan, edited *model.Problem, tel *obs.Telemetry
 	}
 	plan := &Plan{
 		Problem:     edited,
-		Interaction: ig,
+		Interaction: interaction.New(edited),
 		Sequencing:  res.Graph,
 		Reduction:   res.Reduction,
 		Feasible:    res.Reduction.Feasible(),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/sequencing"
 )
@@ -35,7 +36,7 @@ func TestPaperOrderReproducesSection5Exactly(t *testing.T) {
 		{"1", "b"}:  5, // the red edge at ⋀B
 		{"2", "b"}:  6, // Broker—Trusted2 at ⋀B
 	}
-	plan, err := SynthesizeWith(p, func(g *sequencing.Graph) *sequencing.Reduction {
+	plan, err := SynthesizeWith(model.MustCompile(p), func(g *sequencing.Graph) *sequencing.Reduction {
 		return sequencing.ReducePreferred(g, func(e sequencing.Edge) int {
 			key := [2]string{itoa(e.ID.C), string(g.Conjunctions[e.ID.J].Agent)}
 			if r, ok := rank[key]; ok {

@@ -26,20 +26,20 @@ func (b Breakdown) String() string {
 // PairwiseExchanges counts the logical pairwise exchanges of a problem:
 // trusted components each mediate one (degree-2) exchange; a universal
 // intermediary mediates several.
-func PairwiseExchanges(p *model.Problem) int {
+func PairwiseExchanges(p *model.Compiled) int {
 	return len(p.Exchanges) / 2
 }
 
 // DirectTrustCost is the Section 8 floor: two parties that trust each
 // other exchange with two messages — each sending what the other wants.
-func DirectTrustCost(p *model.Problem) Breakdown {
+func DirectTrustCost(p *model.Compiled) Breakdown {
 	return Breakdown{Transfers: 2 * PairwiseExchanges(p)}
 }
 
 // IntermediatedFloor is the Section 8 count for mutually distrusting
 // parties: four messages per pairwise exchange — two into the trusted
 // intermediary, two out.
-func IntermediatedFloor(p *model.Problem) Breakdown {
+func IntermediatedFloor(p *model.Compiled) Breakdown {
 	return Breakdown{Transfers: 4 * PairwiseExchanges(p)}
 }
 
@@ -78,11 +78,14 @@ type ChainRow struct {
 // ChainTable computes the cost-of-mistrust table for resale chains of
 // depths 0..maxBrokers (E7). The synthesizer must find every chain
 // feasible.
-func ChainTable(maxBrokers int, retail model.Money, synth func(*model.Problem) (*core.Plan, error)) ([]ChainRow, error) {
+func ChainTable(maxBrokers int, retail model.Money) ([]ChainRow, error) {
 	var rows []ChainRow
 	for k := 0; k <= maxBrokers; k++ {
-		p := chainProblem(k, retail)
-		plan, err := synth(p)
+		p, err := model.Compile(chainProblem(k, retail))
+		if err != nil {
+			return nil, fmt.Errorf("cost: chain %d: %w", k, err)
+		}
+		plan, err := core.SynthesizeObs(p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cost: chain %d: %w", k, err)
 		}
@@ -158,10 +161,7 @@ type UniversalOutcome struct {
 // The problem passed in should already route every exchange through one
 // trusted component (see paperex.UniversalTrust); RunUniversal verifies
 // this.
-func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
-	if err := p.Compile(); err != nil {
-		return nil, err
-	}
+func RunUniversal(p *model.Compiled) (*UniversalOutcome, error) {
 	var universal model.PartyID
 	for _, pa := range p.Parties {
 		if !pa.IsTrusted() {
@@ -208,7 +208,7 @@ func RunUniversal(p *model.Problem) (*UniversalOutcome, error) {
 		if pa.IsTrusted() {
 			continue
 		}
-		if !model.Acceptable(p, pa.ID, hypothetical) {
+		if !model.Acceptable(pa.ID, hypothetical) {
 			feasible = false
 			break
 		}

@@ -30,10 +30,10 @@ func TestSection8Floors(t *testing.T) {
 			{Principal: "p", Trusted: "t", Gives: model.Goods("d"), Gets: model.Cash(10)},
 		},
 	}
-	if got := DirectTrustCost(p).Total(); got != 2 {
+	if got := DirectTrustCost(model.MustCompile(p)).Total(); got != 2 {
 		t.Errorf("direct = %d, want 2", got)
 	}
-	if got := IntermediatedFloor(p).Total(); got != 4 {
+	if got := IntermediatedFloor(model.MustCompile(p)).Total(); got != 4 {
 		t.Errorf("intermediated = %d, want 4", got)
 	}
 	plan, err := core.Synthesize(p)
@@ -58,7 +58,7 @@ func TestSection8Floors(t *testing.T) {
 // floor is exactly double the direct cost everywhere.
 func TestChainTable(t *testing.T) {
 	t.Parallel()
-	rows, err := ChainTable(4, 100, core.Synthesize)
+	rows, err := ChainTable(4, 100)
 	if err != nil {
 		t.Fatalf("ChainTable = %v", err)
 	}
@@ -95,7 +95,7 @@ func TestChainTable(t *testing.T) {
 func TestUniversalMakesExample2Feasible(t *testing.T) {
 	t.Parallel()
 	p := paperex.UniversalTrust(paperex.Example2())
-	out, err := RunUniversal(p)
+	out, err := RunUniversal(model.MustCompile(p))
 	if err != nil {
 		t.Fatalf("RunUniversal = %v", err)
 	}
@@ -112,7 +112,7 @@ func TestUniversalMakesExample2Feasible(t *testing.T) {
 		if pa.IsTrusted() {
 			continue
 		}
-		if !model.Acceptable(p, pa.ID, out.State) {
+		if !model.Acceptable(pa.ID, out.State) {
 			t.Errorf("unacceptable to %s", pa.ID)
 		}
 	}
@@ -122,10 +122,7 @@ func TestUniversalMakesExample2Feasible(t *testing.T) {
 	}
 
 	// The graph reduction on the same problem reaches an impasse.
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatalf("interaction.New = %v", err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	sg, err := sequencing.NewSplit(ig)
 	if err != nil {
 		t.Fatalf("NewSplit = %v", err)
@@ -159,7 +156,7 @@ func TestUniversalAlwaysFeasibleProperty(t *testing.T) {
 			// The structural claim holds for collision-free problems.
 			continue
 		}
-		out, err := RunUniversal(u)
+		out, err := RunUniversal(model.MustCompile(u))
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -170,7 +167,7 @@ func TestUniversalAlwaysFeasibleProperty(t *testing.T) {
 			if pa.IsTrusted() {
 				continue
 			}
-			if !model.Acceptable(u, pa.ID, out.State) {
+			if !model.Acceptable(pa.ID, out.State) {
 				t.Errorf("instance %d: unacceptable to %s", i, pa.ID)
 			}
 		}
@@ -179,7 +176,7 @@ func TestUniversalAlwaysFeasibleProperty(t *testing.T) {
 
 func TestRunUniversalRejectsMultipleTrusted(t *testing.T) {
 	t.Parallel()
-	if _, err := RunUniversal(paperex.Example2()); err == nil {
+	if _, err := RunUniversal(model.MustCompile(paperex.Example2())); err == nil {
 		t.Fatalf("accepted multi-intermediary problem")
 	}
 }

@@ -20,6 +20,5 @@
 //
 // Everything here is a pure function over immutable inputs returning
 // fresh values; there is no package state, no locking and no goroutine
-// use. ChainTable accepts the synthesis function as a parameter so tests
-// can inject instrumented or alternative synthesizers.
+// use.
 package cost

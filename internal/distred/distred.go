@@ -172,12 +172,8 @@ type Result struct {
 
 // Reduce runs the distributed reduction for a problem and reports the
 // collective verdict.
-func Reduce(p *model.Problem, seed int64) (*Result, error) {
-	ig, err := interaction.New(p)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sequencing.NewSplit(ig)
+func Reduce(p *model.Compiled, seed int64) (*Result, error) {
+	g, err := sequencing.NewSplit(interaction.New(p))
 	if err != nil {
 		return nil, err
 	}

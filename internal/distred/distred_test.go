@@ -13,10 +13,7 @@ import (
 
 func centralVerdict(t testing.TB, p *model.Problem) (bool, int) {
 	t.Helper()
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatalf("interaction: %v", err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	g, err := sequencing.NewSplit(ig)
 	if err != nil {
 		t.Fatalf("sequencing: %v", err)
@@ -35,8 +32,9 @@ func TestAgreesWithCentralizedOnFixtures(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			wantFeasible, wantRemovals := centralVerdict(t, p)
+			c := model.MustCompile(p)
 			for seed := int64(0); seed < 10; seed++ {
-				res, err := Reduce(p, seed)
+				res, err := Reduce(c, seed)
 				if err != nil {
 					t.Fatalf("Reduce = %v", err)
 				}
@@ -70,7 +68,7 @@ func TestAgreesWithCentralizedOnRandom(t *testing.T) {
 			DirectTrustProb: 0.3,
 		})
 		wantFeasible, wantRemovals := centralVerdict(t, p)
-		res, err := Reduce(p, int64(i))
+		res, err := Reduce(model.MustCompile(p), int64(i))
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -92,12 +90,8 @@ func TestAgreesWithCentralizedOnRandom(t *testing.T) {
 func TestMessageComplexityBoundedByEdges(t *testing.T) {
 	t.Parallel()
 	for _, k := range []int{1, 4, 16, 64} {
-		p := gen.Chain(k, model.Money(k+10))
-		ig, err := interaction.New(p)
-		if err != nil {
-			t.Fatalf("interaction: %v", err)
-		}
-		g, err := sequencing.NewSplit(ig)
+		p := model.MustCompile(gen.Chain(k, model.Money(k+10)))
+		g, err := sequencing.NewSplit(interaction.New(p))
 		if err != nil {
 			t.Fatalf("sequencing: %v", err)
 		}
@@ -118,7 +112,7 @@ func TestMessageComplexityBoundedByEdges(t *testing.T) {
 // residual edges.
 func TestPoorBrokerImpasseDistributed(t *testing.T) {
 	t.Parallel()
-	res, err := Reduce(paperex.PoorBroker(), 5)
+	res, err := Reduce(model.MustCompile(paperex.PoorBroker()), 5)
 	if err != nil {
 		t.Fatalf("Reduce = %v", err)
 	}
@@ -134,7 +128,7 @@ func TestRejectsInvalidProblem(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example1()
 	p.Exchanges[0].Principal = "ghost"
-	if _, err := Reduce(p, 0); err == nil {
+	if _, err := model.Compile(p); err == nil {
 		t.Fatalf("invalid problem accepted")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Compile performs semantic analysis on a parsed file and builds the
-// model problem. The returned problem is already validated.
+// model problem: the builder, which model.Compile validates.
 func Compile(f *File) (*model.Problem, error) {
 	p := &model.Problem{Name: f.Name}
 	declared := make(map[string]model.Role)
@@ -188,13 +188,10 @@ func Compile(f *File) (*model.Problem, error) {
 		}
 	}
 
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("dsl: %s: %w", f.Name, err)
-	}
 	return p, nil
 }
 
-// Load parses and compiles DSL source in one step.
+// Load parses DSL source and lowers it to a problem in one step.
 func Load(src string) (*model.Problem, error) {
 	f, err := Parse(src)
 	if err != nil {

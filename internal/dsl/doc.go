@@ -28,10 +28,11 @@
 //   - File is the parsed AST root; Stmt is the statement interface with
 //     one concrete type per clause (PartyStmt, ExchangeStmt, TrustStmt,
 //     RedStmt, EndowmentStmt, IndemnifyStmt, RequireStmt, ...).
-//   - Load lexes, parses and compiles source in one call; LoadReader
+//   - Load lexes, parses and lowers source in one call; LoadReader
 //     does the same from an io.Reader with a 1 MiB cap (the trustd
-//     request path); Compile lowers a File to a model.Problem; Print
-//     renders a Problem back to canonical source.
+//     request path); Compile lowers a File to a model.Problem, a builder
+//     its caller checks with model.Compile; Print renders a Problem back
+//     to canonical source.
 //   - Errors carry line/column positions; the lexer and parser are
 //     fuzz-tested to never panic on arbitrary bytes.
 //

@@ -147,7 +147,7 @@ problem full {
 	if err != nil {
 		t.Fatalf("Load = %v", err)
 	}
-	pa, _ := p.Party("b")
+	pa, _ := model.MustCompile(p).Party("b")
 	if !pa.LimitedFunds || pa.Endowment != 80 {
 		t.Errorf("endowment not applied: %+v", pa)
 	}
@@ -198,9 +198,12 @@ func TestCompileErrors(t *testing.T) {
 		tt := tt
 		t.Run(tt.name, func(t *testing.T) {
 			t.Parallel()
-			_, err := Load(tt.src)
+			p, err := Load(tt.src)
+			if err == nil {
+				_, err = model.Compile(p)
+			}
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("Load = %v, want error containing %q", err, tt.want)
+				t.Fatalf("Load and Compile = %v, want error containing %q", err, tt.want)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
@@ -66,7 +67,7 @@ func TestParseNeverPanics(t *testing.T) {
 }
 
 // Loading random valid-ish programs either fails cleanly or yields a
-// validated problem.
+// problem that compiles.
 func TestLoadAlwaysValidOrError(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -84,7 +85,7 @@ problem fuzz {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if err := p.Validate(); err != nil {
+		if _, err := model.Compile(p); err != nil {
 			t.Fatalf("instance %d: compiled problem invalid: %v", i, err)
 		}
 	}
@@ -102,10 +103,10 @@ func itoa(n int) string {
 	return string(digits)
 }
 
-// FuzzLoad: loading never panics; an accepted source comes back
-// validated, so compiled, and Compile leaves its table alone; and where
-// Print renders the problem, loading the rendering prints the same
-// text. The seeds are the example specs and the paper's fixtures.
+// FuzzLoad: loading never panics; and where a loaded problem compiles
+// and Print renders it, loading the rendering prints the same text and,
+// when it compiles too, has the same digest. The seeds are the example
+// specs and the paper's fixtures.
 func FuzzLoad(f *testing.F) {
 	specs, err := filepath.Glob("../../examples/specs/*.exch")
 	if err != nil || len(specs) == 0 {
@@ -134,12 +135,9 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tab := p.ActionTable()
-		if err := p.Compile(); err != nil {
-			t.Fatalf("Compile of a loaded problem: %v", err)
-		}
-		if p.ActionTable() != tab {
-			t.Fatal("Compile rebuilt a loaded problem's table")
+		c, err := model.Compile(p)
+		if err != nil {
+			return
 		}
 		printed, err := Print(p)
 		if err != nil {
@@ -151,6 +149,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		if again, err := Print(q); err != nil || again != printed {
 			t.Fatalf("Print(Load(Print(p))) = %v, differs:\n%s\n---\n%s", err, printed, again)
+		}
+		if d, err := model.Compile(q); err == nil && d.Digest() != c.Digest() {
+			t.Fatalf("Load(Print(p)) has another digest than p:\n%s", printed)
 		}
 	})
 }

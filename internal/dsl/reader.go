@@ -12,7 +12,7 @@ import (
 // network-facing caller (cmd/trustd) cannot be fed an unbounded body.
 const maxSourceBytes = 1 << 20
 
-// LoadReader parses and compiles DSL source streamed from r, the
+// LoadReader parses and lowers DSL source streamed from r, the
 // reusable entry point shared by the CLIs (reading files) and the
 // trustd service (reading HTTP request bodies). It reads at most 1 MiB;
 // longer inputs fail rather than truncate.

@@ -11,7 +11,7 @@ import (
 func TestPairValidFeasible(t *testing.T) {
 	t.Parallel()
 	p := Pair(42)
-	if err := p.Validate(); err != nil {
+	if _, err := model.Compile(p); err != nil {
 		t.Fatalf("Validate = %v", err)
 	}
 	plan, err := core.Synthesize(p)
@@ -27,7 +27,7 @@ func TestChainShapes(t *testing.T) {
 	t.Parallel()
 	for k := 0; k <= 5; k++ {
 		p := Chain(k, 100)
-		if err := p.Validate(); err != nil {
+		if _, err := model.Compile(p); err != nil {
 			t.Fatalf("Chain(%d) invalid: %v", k, err)
 		}
 		wantExchanges := 2 * (k + 1)
@@ -41,7 +41,7 @@ func TestChainShapes(t *testing.T) {
 	}
 	// Tiny retail prices are adjusted to keep every hop positive.
 	p := Chain(5, 1)
-	if err := p.Validate(); err != nil {
+	if _, err := model.Compile(p); err != nil {
 		t.Fatalf("adjusted chain invalid: %v", err)
 	}
 }
@@ -49,7 +49,7 @@ func TestChainShapes(t *testing.T) {
 func TestStarShape(t *testing.T) {
 	t.Parallel()
 	p := Star([]model.Money{10, 20, 30})
-	if err := p.Validate(); err != nil {
+	if _, err := model.Compile(p); err != nil {
 		t.Fatalf("Star invalid: %v", err)
 	}
 	if len(p.Exchanges) != 12 {
@@ -67,7 +67,7 @@ func TestStarShape(t *testing.T) {
 	}
 	// Wholesale price floor of $1.
 	tiny := Star([]model.Money{1})
-	if err := tiny.Validate(); err != nil {
+	if _, err := model.Compile(tiny); err != nil {
 		t.Fatalf("tiny star invalid: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestRandomAlwaysValid(t *testing.T) {
 			Consumers: 1 + i%3, Brokers: 1 + i%2, Producers: 1 + i%4,
 			MaxPrice: 30, PoorBroker: i%5 == 0, DirectTrustProb: 0.4,
 		})
-		if err := p.Validate(); err != nil {
+		if _, err := model.Compile(p); err != nil {
 			t.Fatalf("instance %d invalid: %v", i, err)
 		}
 		// Synthesis never errors (feasibility may vary).
@@ -94,7 +94,7 @@ func TestRandomDefaultsApplied(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(1))
 	p := Random(rng, Options{})
-	if err := p.Validate(); err != nil {
+	if _, err := model.Compile(p); err != nil {
 		t.Fatalf("defaulted instance invalid: %v", err)
 	}
 	if len(p.Exchanges) == 0 {
@@ -120,7 +120,7 @@ func TestParallelShape(t *testing.T) {
 	t.Parallel()
 	for k := 1; k <= 4; k++ {
 		p := Parallel(k, 10)
-		if err := p.Validate(); err != nil {
+		if _, err := model.Compile(p); err != nil {
 			t.Fatalf("Parallel(%d) invalid: %v", k, err)
 		}
 		if len(p.Exchanges) != 2*k || len(p.Parties) != 3*k {
@@ -137,7 +137,7 @@ func TestPopulationFeasible(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{1, 3, 8, 40} {
 		p := Population(n, 0, 10)
-		if err := p.Validate(); err != nil {
+		if _, err := model.Compile(p); err != nil {
 			t.Fatalf("Population(%d).Validate = %v", n, err)
 		}
 		plan, err := core.Synthesize(p)

@@ -23,8 +23,8 @@
 //     Topology.Path finds the shortest chain of intermediaries
 //     connecting two principals' trust sets.
 //   - Topology.Enable rewrites a two-principal purchase into a standard
-//     model.Problem whose brokers and personas encode that chain, ready
-//     for core.Synthesize.
+//     compiled problem whose brokers and personas encode that chain,
+//     ready for core.SynthesizeObs.
 //
 // # Concurrency and ownership
 //

@@ -113,8 +113,8 @@ func (t *Topology) neighbors(a IntermediaryID) []IntermediaryID {
 // seller to buyer at `price`, through the composite escrow chain the
 // topology admits. Intermediaries charge no margin: every hop moves the
 // same price and the same document. It fails when no chain connects the
-// two trust sets.
-func (t *Topology) Enable(buyer, seller model.PartyID, item model.ItemID, price model.Money) (*model.Problem, error) {
+// two trust sets. The problem comes back compiled.
+func (t *Topology) Enable(buyer, seller model.PartyID, item model.ItemID, price model.Money) (*model.Compiled, error) {
 	if price <= 0 {
 		return nil, fmt.Errorf("hierarchy: price must be positive")
 	}
@@ -177,8 +177,9 @@ func (t *Topology) Enable(buyer, seller model.PartyID, item model.ItemID, price 
 		p.DirectTrust = append(p.DirectTrust, model.TrustDecl{Truster: truster, Trustee: persona})
 	}
 
-	if err := p.Validate(); err != nil {
+	c, err := model.Compile(p)
+	if err != nil {
 		return nil, fmt.Errorf("hierarchy: built invalid problem: %w", err)
 	}
-	return p, nil
+	return c, nil
 }

@@ -50,7 +50,7 @@ func TestEnableCompositeEscrow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enable = %v", err)
 	}
-	plan, err := core.Synthesize(p)
+	plan, err := core.SynthesizeObs(p, nil)
 	if err != nil {
 		t.Fatalf("Synthesize = %v", err)
 	}
@@ -111,7 +111,7 @@ func TestSharedIntermediaryShortPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enable = %v", err)
 	}
-	plan, err := core.Synthesize(p)
+	plan, err := core.SynthesizeObs(p, nil)
 	if err != nil || !plan.Feasible {
 		t.Fatalf("plan: %v feasible=%v", err, plan != nil && plan.Feasible)
 	}
@@ -131,7 +131,7 @@ func TestDefectingClearingHouse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enable = %v", err)
 	}
-	plan, err := core.Synthesize(p)
+	plan, err := core.SynthesizeObs(p, nil)
 	if err != nil || !plan.Feasible {
 		t.Fatalf("plan: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestLongerChains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enable = %v", err)
 	}
-	plan, err := core.Synthesize(p)
+	plan, err := core.SynthesizeObs(p, nil)
 	if err != nil {
 		t.Fatalf("Synthesize = %v", err)
 	}

@@ -18,10 +18,11 @@
 //
 // # Concurrency and ownership
 //
-// All three solvers are pure functions over an immutable Problem: they
-// build candidate orderings on clones, validating a clone again after
-// appending an offer to it, and return fresh Results, so concurrent calls — the trustd service invokes Greedy
-// on every infeasible analysis — need no coordination. Optimal is
+// All three solvers are pure functions over an immutable compiled
+// problem: they append offers to a builder clone of it and compile the
+// clone again, and return fresh Results, so concurrent calls — the
+// trustd service invokes Greedy on every infeasible analysis — need no
+// coordination. Optimal is
 // factorial in the candidate count and intended only for test-sized
 // instances; production paths use Greedy.
 package indemnity

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"trustseq/internal/indemnity"
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
@@ -11,7 +12,7 @@ import (
 // most expensive pieces are covered, the cheapest never is, and the $70
 // total beats the $90 of the naive ordering.
 func ExampleGreedy() {
-	res, err := indemnity.Greedy(paperex.Figure7())
+	res, err := indemnity.Greedy(model.MustCompile(paperex.Figure7()))
 	if err != nil {
 		panic(err)
 	}

@@ -45,12 +45,8 @@ func (r Result) String() string {
 }
 
 // feasible reduces the problem's (split-aware) sequencing graph.
-func feasible(p *model.Problem) (bool, error) {
-	ig, err := interaction.New(p)
-	if err != nil {
-		return false, err
-	}
-	sg, err := sequencing.NewSplit(ig)
+func feasible(p *model.Compiled) (bool, error) {
+	sg, err := sequencing.NewSplit(interaction.New(p))
 	if err != nil {
 		return false, err
 	}
@@ -62,9 +58,8 @@ func feasible(p *model.Problem) (bool, error) {
 // conjunction with no red edges — the paper only splits "a conjunctive
 // edge of the second type") with at least two members, not yet covered by
 // an offer. For each, the counterpart seller and shared trusted
-// intermediary are resolved so a concrete offer can be formed. It
-// compiles the problem if it is not already.
-func Candidates(p *model.Problem) ([]model.IndemnityOffer, error) {
+// intermediary are resolved so a concrete offer can be formed.
+func Candidates(p *model.Compiled) []model.IndemnityOffer {
 	t := p.ActionTable()
 	red := p.RedExchanges()
 	covered := make(map[int]bool, len(p.Indemnities))
@@ -95,12 +90,12 @@ func Candidates(p *model.Problem) ([]model.IndemnityOffer, error) {
 			Via:    e.Trusted,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // counterpartSeller finds the principal on the other side of the covered
 // exchange's trusted component that provides the covered goods.
-func counterpartSeller(p *model.Problem, covers int) (model.PartyID, bool) {
+func counterpartSeller(p *model.Compiled, covers int) (model.PartyID, bool) {
 	cov := p.Exchanges[covers]
 	for _, e := range p.Exchanges {
 		if e.Trusted != cov.Trusted || e.Principal == cov.Principal {
@@ -122,7 +117,7 @@ func counterpartSeller(p *model.Problem, covers int) (model.PartyID, bool) {
 
 // subtreeCost is the cost the protected principal pays on the exchange —
 // the paper orders indemnities by "the subtree with the highest cost".
-func subtreeCost(p *model.Problem, covers int) model.Money {
+func subtreeCost(p *model.Compiled, covers int) model.Money {
 	return p.Exchanges[covers].Gives.Amount
 }
 
@@ -131,12 +126,13 @@ func subtreeCost(p *model.Problem, covers int) model.Money {
 // (ties broken by exchange index for determinism). Because the indemnity
 // for a piece is the total of all OTHER pieces, indemnifying expensive
 // pieces first leaves the cheapest piece — which would need the largest
-// collateral — uncovered, minimizing the total.
-func Greedy(p *model.Problem) (Result, error) {
+// collateral — uncovered, minimizing the total. Each split compiles the
+// problem with the chosen offers appended.
+func Greedy(p *model.Compiled) (Result, error) {
 	work := p.Clone()
 	var res Result
 	for {
-		ok, err := feasible(work)
+		ok, err := feasible(p)
 		if err != nil {
 			return Result{}, err
 		}
@@ -144,15 +140,12 @@ func Greedy(p *model.Problem) (Result, error) {
 			res.Feasible = true
 			return res, nil
 		}
-		cands, err := Candidates(work)
-		if err != nil {
-			return Result{}, err
-		}
+		cands := Candidates(p)
 		if len(cands) == 0 {
 			return res, nil
 		}
 		sort.Slice(cands, func(i, j int) bool {
-			ci, cj := subtreeCost(work, cands[i].Covers), subtreeCost(work, cands[j].Covers)
+			ci, cj := subtreeCost(p, cands[i].Covers), subtreeCost(p, cands[j].Covers)
 			if ci != cj {
 				return ci > cj
 			}
@@ -161,7 +154,7 @@ func Greedy(p *model.Problem) (Result, error) {
 		chosen := cands[0]
 		amount := model.RequiredIndemnity(work, chosen.Covers)
 		work.Indemnities = append(work.Indemnities, chosen)
-		if err := work.Validate(); err != nil {
+		if p, err = model.Compile(work); err != nil {
 			return Result{}, err
 		}
 		res.Splits = append(res.Splits, Split{Covers: chosen.Covers, Offer: chosen, Amount: amount})
@@ -173,11 +166,11 @@ func Greedy(p *model.Problem) (Result, error) {
 // order, stopping as soon as the problem becomes feasible. It returns
 // the resulting total — the device of Figure 7, which contrasts order
 // (doc1, doc2) at $90 with order (doc3, doc2) at $70.
-func InOrder(p *model.Problem, covers []int) (Result, error) {
+func InOrder(p *model.Compiled, covers []int) (Result, error) {
 	work := p.Clone()
 	var res Result
 	for _, ci := range covers {
-		ok, err := feasible(work)
+		ok, err := feasible(p)
 		if err != nil {
 			return Result{}, err
 		}
@@ -185,20 +178,20 @@ func InOrder(p *model.Problem, covers []int) (Result, error) {
 			res.Feasible = true
 			return res, nil
 		}
-		seller, found := counterpartSeller(work, ci)
+		seller, found := counterpartSeller(p, ci)
 		if !found {
 			return Result{}, fmt.Errorf("indemnity: no counterpart seller for exchange %d", ci)
 		}
 		off := model.IndemnityOffer{By: seller, Covers: ci, Via: work.Exchanges[ci].Trusted}
 		amount := model.RequiredIndemnity(work, ci)
 		work.Indemnities = append(work.Indemnities, off)
-		if err := work.Validate(); err != nil {
+		if p, err = model.Compile(work); err != nil {
 			return Result{}, err
 		}
 		res.Splits = append(res.Splits, Split{Covers: ci, Offer: off, Amount: amount})
 		res.Total += amount
 	}
-	ok, err := feasible(work)
+	ok, err := feasible(p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -211,11 +204,8 @@ func InOrder(p *model.Problem, covers []int) (Result, error) {
 // Greedy on small instances. Because the required amount of each split
 // is order-independent (always the sum of the other pieces' costs), it
 // suffices to enumerate subsets.
-func Optimal(p *model.Problem) (Result, error) {
-	cands, err := Candidates(p)
-	if err != nil {
-		return Result{}, err
-	}
+func Optimal(p *model.Compiled) (Result, error) {
+	cands := Candidates(p)
 	if ok, err := feasible(p); err != nil {
 		return Result{}, err
 	} else if ok {
@@ -240,7 +230,11 @@ func Optimal(p *model.Problem) (Result, error) {
 			res.Splits = append(res.Splits, Split{Covers: off.Covers, Offer: off, Amount: amount})
 			res.Total += amount
 		}
-		ok, err := feasible(work)
+		c, err := model.Compile(work)
+		if err != nil {
+			return Result{}, err
+		}
+		ok, err := feasible(c)
 		if err != nil {
 			return Result{}, err
 		}

@@ -16,7 +16,7 @@ func TestFigure7Orderings(t *testing.T) {
 	t.Parallel()
 	p := paperex.Figure7()
 
-	order1, err := InOrder(p, []int{paperex.Figure7ConsumerDoc1, paperex.Figure7ConsumerDoc2})
+	order1, err := InOrder(model.MustCompile(p), []int{paperex.Figure7ConsumerDoc1, paperex.Figure7ConsumerDoc2})
 	if err != nil {
 		t.Fatalf("InOrder(doc1,doc2) = %v", err)
 	}
@@ -27,7 +27,7 @@ func TestFigure7Orderings(t *testing.T) {
 		t.Errorf("order #1 amounts = %v, want $50 then $40", order1.Splits)
 	}
 
-	order2, err := InOrder(p, []int{paperex.Figure7ConsumerDoc3, paperex.Figure7ConsumerDoc2})
+	order2, err := InOrder(model.MustCompile(p), []int{paperex.Figure7ConsumerDoc3, paperex.Figure7ConsumerDoc2})
 	if err != nil {
 		t.Fatalf("InOrder(doc3,doc2) = %v", err)
 	}
@@ -43,7 +43,7 @@ func TestFigure7Orderings(t *testing.T) {
 // last/never) attains the $70 minimum on Figure 7.
 func TestGreedyFigure7(t *testing.T) {
 	t.Parallel()
-	res, err := Greedy(paperex.Figure7())
+	res, err := Greedy(model.MustCompile(paperex.Figure7()))
 	if err != nil {
 		t.Fatalf("Greedy = %v", err)
 	}
@@ -77,11 +77,11 @@ func TestGreedyMatchesOptimal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			p := paperex.All()[name]
-			g, err := Greedy(p)
+			g, err := Greedy(model.MustCompile(p))
 			if err != nil {
 				t.Fatalf("Greedy = %v", err)
 			}
-			o, err := Optimal(p)
+			o, err := Optimal(model.MustCompile(p))
 			if err != nil {
 				t.Fatalf("Optimal = %v", err)
 			}
@@ -99,7 +99,7 @@ func TestGreedyMatchesOptimal(t *testing.T) {
 // ($100, the price of the other document) and the result is feasible.
 func TestGreedyExample2(t *testing.T) {
 	t.Parallel()
-	res, err := Greedy(paperex.Example2())
+	res, err := Greedy(model.MustCompile(paperex.Example2()))
 	if err != nil {
 		t.Fatalf("Greedy = %v", err)
 	}
@@ -116,7 +116,7 @@ func TestGreedyExample2(t *testing.T) {
 func TestGreedyResultSynthesizes(t *testing.T) {
 	t.Parallel()
 	p := paperex.Figure7()
-	res, err := Greedy(p)
+	res, err := Greedy(model.MustCompile(p))
 	if err != nil || !res.Feasible {
 		t.Fatalf("Greedy = %v, %v", res, err)
 	}
@@ -139,7 +139,7 @@ func TestGreedyResultSynthesizes(t *testing.T) {
 // Feasible problems need no indemnities.
 func TestGreedyFeasibleProblemNoSplits(t *testing.T) {
 	t.Parallel()
-	res, err := Greedy(paperex.Example1())
+	res, err := Greedy(model.MustCompile(paperex.Example1()))
 	if err != nil {
 		t.Fatalf("Greedy = %v", err)
 	}
@@ -155,17 +155,14 @@ func TestGreedyFeasibleProblemNoSplits(t *testing.T) {
 // candidates exist and greedy reports no solution.
 func TestGreedyPoorBrokerNoCandidates(t *testing.T) {
 	t.Parallel()
-	res, err := Greedy(paperex.PoorBroker())
+	res, err := Greedy(model.MustCompile(paperex.PoorBroker()))
 	if err != nil {
 		t.Fatalf("Greedy = %v", err)
 	}
 	if res.Feasible {
 		t.Fatalf("poor broker indemnified to feasibility: %v", res)
 	}
-	cands, err := Candidates(paperex.PoorBroker())
-	if err != nil {
-		t.Fatalf("Candidates = %v", err)
-	}
+	cands := Candidates(model.MustCompile(paperex.PoorBroker()))
 	for _, c := range cands {
 		if model := paperex.PoorBroker().Exchanges[c.Covers].Principal; model == paperex.Broker {
 			t.Errorf("broker exchange offered as splittable: %v", c)
@@ -176,10 +173,7 @@ func TestGreedyPoorBrokerNoCandidates(t *testing.T) {
 // Candidates resolve the counterpart seller and shared intermediary.
 func TestCandidatesResolveSellers(t *testing.T) {
 	t.Parallel()
-	cands, err := Candidates(paperex.Figure7())
-	if err != nil {
-		t.Fatalf("Candidates = %v", err)
-	}
+	cands := Candidates(model.MustCompile(paperex.Figure7()))
 	if len(cands) != 3 {
 		t.Fatalf("candidates = %d, want 3 (the consumer's three pieces)", len(cands))
 	}
@@ -200,13 +194,13 @@ func TestCandidatesResolveSellers(t *testing.T) {
 func TestAllPiecesCostMoreThanGreedy(t *testing.T) {
 	t.Parallel()
 	p := paperex.Figure7()
-	all, err := InOrder(p, []int{
+	all, err := InOrder(model.MustCompile(p), []int{
 		paperex.Figure7ConsumerDoc1, paperex.Figure7ConsumerDoc2, paperex.Figure7ConsumerDoc3,
 	})
 	if err != nil {
 		t.Fatalf("InOrder = %v", err)
 	}
-	greedy, err := Greedy(p)
+	greedy, err := Greedy(model.MustCompile(p))
 	if err != nil {
 		t.Fatalf("Greedy = %v", err)
 	}

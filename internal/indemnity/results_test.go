@@ -43,10 +43,7 @@ func TestResultsPinned(t *testing.T) {
 	slices.Sort(names)
 	for _, name := range names {
 		p := corpus[name]
-		cands, err := Candidates(p.Clone())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		cands := Candidates(model.MustCompile(p))
 		var covers []int
 		for _, c := range cands {
 			covers = append(covers, c.Covers)
@@ -66,13 +63,13 @@ func TestResultsPinned(t *testing.T) {
 			}
 			fmt.Fprintf(&b, " total %v feasible=%v\n", res.Total, res.Feasible)
 		}
-		res, err := Greedy(p)
+		res, err := Greedy(model.MustCompile(p))
 		row("greedy", res, err)
-		res, err = InOrder(p, covers)
+		res, err = InOrder(model.MustCompile(p), covers)
 		row(fmt.Sprintf("in-order%v", covers), res, err)
-		res, err = InOrder(p, reversed)
+		res, err = InOrder(model.MustCompile(p), reversed)
 		row(fmt.Sprintf("in-order%v", reversed), res, err)
-		res, err = Optimal(p)
+		res, err = Optimal(model.MustCompile(p))
 		row("optimal", res, err)
 	}
 	const golden = "testdata/results.golden"

@@ -2,7 +2,7 @@
 // the bipartite graph I = (P, T, E) of principals, trusted components,
 // and the edges between principals and the intermediaries that carry one
 // side of their exchanges. The graph is derived mechanically from a
-// model.Problem and is the input to sequencing-graph construction.
+// model.Compiled and is the input to sequencing-graph construction.
 //
 // # Key types
 //
@@ -15,15 +15,14 @@
 //     from the problem — so the graph keeps no adjacency of its own.
 //   - Edge ties one side of one pairwise exchange to the intermediary
 //     that escrows it.
-//   - New is the one constructor. It compiles the Problem, validating
-//     one that has not passed model.Problem.Validate, and returns an
-//     error rather than a partial graph.
+//   - New is the one constructor; it takes a compiled problem, so it
+//     cannot meet an invalid one.
 //
 // # Concurrency and ownership
 //
-// New never writes a compiled Problem (validated ⇔ compiled, see
-// package model), so concurrent calls on one validated Problem are
-// safe; each call returns a fresh Graph that reads the Problem. Graphs are
+// A compiled problem is immutable (see package model), so concurrent
+// calls of New on one are safe; each call returns a fresh Graph that
+// reads it. Graphs are
 // immutable after construction and safe for concurrent reads; the
 // package holds no locks and starts no goroutines.
 package interaction

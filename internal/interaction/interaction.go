@@ -14,7 +14,7 @@ import (
 // Adjacency and personas (direct trust, Section 4.2.3) are read from the
 // problem's action table, the one index compiled from the problem.
 type Graph struct {
-	Problem    *model.Problem
+	Problem    *model.Compiled
 	Principals []model.PartyID
 	Trusted    []model.PartyID
 	// Edges[i] is the interaction edge for Problem.Exchanges[i].
@@ -28,13 +28,9 @@ type Edge struct {
 	Trusted   model.PartyID
 }
 
-// New derives the interaction graph from a problem, compiling it first
-// (model.Problem.Compile), so an invalid problem is an error rather than
-// a partial graph. The graph keeps no adjacency of its own.
-func New(p *model.Problem) (*Graph, error) {
-	if err := p.Compile(); err != nil {
-		return nil, fmt.Errorf("interaction: %w", err)
-	}
+// New derives the interaction graph from a compiled problem. The graph
+// keeps no adjacency of its own.
+func New(p *model.Compiled) *Graph {
 	g := &Graph{Problem: p, Edges: make([]Edge, len(p.Exchanges))}
 	for _, pa := range p.Parties {
 		if pa.IsTrusted() {
@@ -46,7 +42,7 @@ func New(p *model.Problem) (*Graph, error) {
 	for i, e := range p.Exchanges {
 		g.Edges[i] = Edge{Exchange: i, Principal: e.Principal, Trusted: e.Trusted}
 	}
-	return g, nil
+	return g
 }
 
 // Degree returns the number of interaction edges incident to the party.
@@ -65,7 +61,7 @@ func (g *Graph) Degree(id model.PartyID) int {
 func (g *Graph) Internal(id model.PartyID) bool { return g.Degree(id) > 1 }
 
 // EdgesOf returns the indices (into g.Edges) of the edges at a party,
-// ascending: the party's exchanges, as Problem.ExchangesOf reads them
+// ascending: the party's exchanges, as Compiled.ExchangesOf reads them
 // from the table.
 func (g *Graph) EdgesOf(id model.PartyID) []int { return g.Problem.ExchangesOf(id) }
 

@@ -10,10 +10,7 @@ import (
 
 func TestNewExample1Structure(t *testing.T) {
 	t.Parallel()
-	g, err := New(paperex.Example1())
-	if err != nil {
-		t.Fatalf("New = %v", err)
-	}
+	g := New(model.MustCompile(paperex.Example1()))
 	if len(g.Principals) != 3 || len(g.Trusted) != 2 {
 		t.Fatalf("partition wrong: %v / %v", g.Principals, g.Trusted)
 	}
@@ -43,10 +40,7 @@ func TestNewExample1Structure(t *testing.T) {
 
 func TestPersonaDetection(t *testing.T) {
 	t.Parallel()
-	g, err := New(paperex.Example2Variant1())
-	if err != nil {
-		t.Fatalf("New = %v", err)
-	}
+	g := New(model.MustCompile(paperex.Example2Variant1()))
 	q, ok := g.PersonaOf(paperex.Trusted2)
 	if !ok || q != paperex.Broker1 {
 		t.Fatalf("PersonaOf(t2) = %v, %v", q, ok)
@@ -61,10 +55,7 @@ func TestIsolatedAndDisconnected(t *testing.T) {
 	p := paperex.Example1()
 	p.Parties = append(p.Parties, p.Parties[0])
 	p.Parties[len(p.Parties)-1].ID = "lonely"
-	g, err := New(p)
-	if err != nil {
-		t.Fatalf("New = %v", err)
-	}
+	g := New(model.MustCompile(p))
 	iso := g.Isolated()
 	if len(iso) != 1 || iso[0] != "lonely" {
 		t.Fatalf("Isolated = %v", iso)
@@ -81,30 +72,25 @@ func TestConnectedOnSplitMarket(t *testing.T) {
 	// Two disjoint pair exchanges.
 	p := paperex.Example1()
 	p.Exchanges = p.Exchanges[2:] // keep only the b–p exchange via t2
-	g, err := New(p)
-	if err != nil {
-		t.Fatalf("New = %v", err)
-	}
+	g := New(model.MustCompile(p))
 	if !g.Connected() { // c and t1 are isolated, not disconnected islands
 		t.Fatalf("single remaining component reported disconnected")
 	}
 }
 
+// New takes only a compiled problem; an invalid one never compiles.
 func TestNewRejectsInvalidProblem(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example1()
 	p.Exchanges[0].Principal = "ghost"
-	if _, err := New(p); err == nil {
+	if _, err := model.Compile(p); err == nil {
 		t.Fatalf("invalid problem accepted")
 	}
 }
 
 func TestDOTOutput(t *testing.T) {
 	t.Parallel()
-	g, err := New(paperex.Example2Variant1())
-	if err != nil {
-		t.Fatalf("New = %v", err)
-	}
+	g := New(model.MustCompile(paperex.Example2Variant1()))
 	out := g.DOT()
 	for _, want := range []string{"shape=circle", "shape=square", "played by b1", "style=dashed", "gives $100"} {
 		if !strings.Contains(out, want) {

@@ -33,7 +33,7 @@ type Ledger struct {
 // New opens the book of a problem at its status quo: the action table's
 // InitCash per party and InitItems per cell, the transit account empty.
 // The opening fixes the conservation invariants Audit checks.
-func New(p *model.Problem) *Ledger {
+func New(p *model.Compiled) *Ledger {
 	t := p.ActionTable()
 	cells := len(t.CellItem)
 	l := &Ledger{

@@ -15,10 +15,7 @@ import (
 func example1(t testing.TB) *Ledger {
 	t.Helper()
 	p := paperex.Example1()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return New(p)
+	return New(model.MustCompile(p))
 }
 
 // market is the ledger of a small generated market: six consumers buy
@@ -26,10 +23,7 @@ func example1(t testing.TB) *Ledger {
 func market(t testing.TB) *Ledger {
 	t.Helper()
 	p := gen.Population(6, 2, 10)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return New(p)
+	return New(model.MustCompile(p))
 }
 
 // slots resolves a party and, when item is non-empty, its cell for item.

@@ -140,10 +140,11 @@ func oracleRedExchangesOf(p *model.Problem, principal model.PartyID) map[int]boo
 			}
 		}
 	}
-	pa, ok := p.Party(principal)
-	if !ok || !pa.LimitedFunds {
+	k := slices.IndexFunc(p.Parties, func(pa model.Party) bool { return pa.ID == principal })
+	if k < 0 || !p.Parties[k].LimitedFunds {
 		return out
 	}
+	pa := p.Parties[k]
 	var outgoing model.Money
 	for _, i := range idxs {
 		outgoing += p.Exchanges[i].Gives.Amount
@@ -216,7 +217,7 @@ func accessorCorpus(t *testing.T) map[string]*model.Problem {
 		}
 	}
 	for name, p := range maps.Clone(out) {
-		res, err := indemnity.Greedy(p)
+		res, err := indemnity.Greedy(model.MustCompile(p))
 		if err != nil {
 			t.Fatalf("%s: Greedy: %v", name, err)
 		}
@@ -234,8 +235,7 @@ func accessorCorpus(t *testing.T) map[string]*model.Problem {
 
 // The table-backed party accessors and interaction graph answer exactly
 // what the scans over the specification fields answer, for every party
-// (and an unknown one) of every corpus problem — compiled, and through
-// the private table an uncompiled copy reads.
+// (and an unknown one) of every corpus problem.
 func TestAccessorsMatchScanOracles(t *testing.T) {
 	t.Parallel()
 	corpus := accessorCorpus(t)
@@ -257,43 +257,38 @@ func TestAccessorsMatchScanOracles(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			uncompiled := p.Clone()
-			if err := p.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			g, err := interaction.New(p)
+			q, err := model.Compile(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab := p.ActionTable()
+			g := interaction.New(q)
+			tab := q.ActionTable()
 			ids := []model.PartyID{"ghost"}
 			for _, pa := range p.Parties {
 				ids = append(ids, pa.ID)
 			}
-			for _, q := range []*model.Problem{p, uncompiled} {
-				wholeRed := q.RedExchanges()
-				for _, id := range ids {
-					if got, want := q.ExchangesOf(id), oracleExchangesOf(p, id); !slices.Equal(got, want) {
-						t.Errorf("ExchangesOf(%s) = %v, oracle %v", id, got, want)
-					}
-					if got, want := q.PrincipalsAt(id), oraclePrincipalsAt(p, id); !slices.Equal(got, want) {
-						t.Errorf("PrincipalsAt(%s) = %v, oracle %v", id, got, want)
-					}
-					gq, gok := q.PersonaOf(id)
-					wq, wok := oraclePersonaOf(p, id)
-					if gq != wq || gok != wok {
-						t.Errorf("PersonaOf(%s) = %s, %v; oracle %s, %v", id, gq, gok, wq, wok)
-					}
-					if got, want := q.ConjunctionGroups(id), oracleConjunctionGroups(p, id); !slices.EqualFunc(got, want, slices.Equal) {
-						t.Errorf("ConjunctionGroups(%s) = %v, oracle %v", id, got, want)
-					}
-					want := oracleRedExchangesOf(p, id)
-					if got := q.RedExchangesOf(id); !maps.Equal(got, want) {
-						t.Errorf("RedExchangesOf(%s) = %v, oracle %v", id, got, want)
-					}
-					if got := wholeRed[id]; !maps.Equal(got, want) {
-						t.Errorf("RedExchanges()[%s] = %v, oracle %v", id, got, want)
-					}
+			wholeRed := q.RedExchanges()
+			for _, id := range ids {
+				if got, want := q.ExchangesOf(id), oracleExchangesOf(p, id); !slices.Equal(got, want) {
+					t.Errorf("ExchangesOf(%s) = %v, oracle %v", id, got, want)
+				}
+				if got, want := q.PrincipalsAt(id), oraclePrincipalsAt(p, id); !slices.Equal(got, want) {
+					t.Errorf("PrincipalsAt(%s) = %v, oracle %v", id, got, want)
+				}
+				gq, gok := q.PersonaOf(id)
+				wq, wok := oraclePersonaOf(p, id)
+				if gq != wq || gok != wok {
+					t.Errorf("PersonaOf(%s) = %s, %v; oracle %s, %v", id, gq, gok, wq, wok)
+				}
+				if got, want := q.ConjunctionGroups(id), oracleConjunctionGroups(p, id); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("ConjunctionGroups(%s) = %v, oracle %v", id, got, want)
+				}
+				want := oracleRedExchangesOf(p, id)
+				if got := q.RedExchangesOf(id); !maps.Equal(got, want) {
+					t.Errorf("RedExchangesOf(%s) = %v, oracle %v", id, got, want)
+				}
+				if got := wholeRed[id]; !maps.Equal(got, want) {
+					t.Errorf("RedExchanges()[%s] = %v, oracle %v", id, got, want)
 				}
 			}
 			for _, id := range ids {
@@ -368,7 +363,7 @@ func TestOfferRowsMatchScan(t *testing.T) {
 	}
 	held := 0
 	for name, p := range corpus {
-		tab := p.ActionTable()
+		tab := model.MustCompile(p).ActionTable()
 		for k, pa := range p.Parties {
 			var scan []int32
 			for oi, off := range p.Indemnities {

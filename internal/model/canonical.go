@@ -1,22 +1,29 @@
 package model
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
 
-// AppendCanonical appends the canonical encoding of p to b and returns
-// the extended buffer, in the style of the append built-in: every field
+// Digest returns the SHA-256 of p's canonical encoding: every field
 // that can influence an analysis verdict, in declaration order, as
 // fixed-width little-endian integers, length-prefixed strings and one
 // byte per bool. Declaration order is semantically meaningful: exchange
 // indices appear in traces, and indemnity offers address exchanges by
-// index. The service's problem digest and the simulator's checkpoint
-// hash this encoding.
-//
-// When spill is not nil, AppendCanonical hands it the buffer each time
-// the buffer holds SpillSize bytes or more, and continues with the
-// buffer spill returns. A caller that hashes the encoding passes a spill that writes
-// to the hash and returns b[:0], so a population's megabytes of
-// encoding never sit in memory at once.
-func AppendCanonical(b []byte, p *Problem, spill func([]byte) []byte) []byte {
+// index. The encoding streams into the hash through a small buffer, so
+// a population's megabytes of it never sit in memory at once. A
+// compiled problem memoises it as Compiled.Digest; the service's problem
+// digest and the simulator's checkpoint both name a problem by it.
+func Digest(p *Problem) [sha256.Size]byte {
+	h := sha256.New()
+	b := make([]byte, 0, 4<<10)
+	// flush hands the buffer to the hash once it holds 2 KiB.
+	flush := func() {
+		if len(b) >= 2<<10 {
+			h.Write(b)
+			b = b[:0]
+		}
+	}
 	b = appendStr(b, p.Name)
 	b = appendU64(b, uint64(len(p.Parties)))
 	for _, pa := range p.Parties {
@@ -24,7 +31,7 @@ func AppendCanonical(b []byte, p *Problem, spill func([]byte) []byte) []byte {
 		b = appendU64(b, uint64(pa.Role))
 		b = appendBool(b, pa.LimitedFunds)
 		b = appendU64(b, uint64(pa.Endowment))
-		b = spillFull(b, spill)
+		flush()
 	}
 	b = appendU64(b, uint64(len(p.Exchanges)))
 	for _, x := range p.Exchanges {
@@ -33,13 +40,13 @@ func AppendCanonical(b []byte, p *Problem, spill func([]byte) []byte) []byte {
 		b = appendBundle(b, x.Gives)
 		b = appendBundle(b, x.Gets)
 		b = appendBool(b, x.RedOverride)
-		b = spillFull(b, spill)
+		flush()
 	}
 	b = appendU64(b, uint64(len(p.DirectTrust)))
 	for _, d := range p.DirectTrust {
 		b = appendStr(b, string(d.Truster))
 		b = appendStr(b, string(d.Trustee))
-		b = spillFull(b, spill)
+		flush()
 	}
 	b = appendU64(b, uint64(len(p.Indemnities)))
 	for _, off := range p.Indemnities {
@@ -47,27 +54,18 @@ func AppendCanonical(b []byte, p *Problem, spill func([]byte) []byte) []byte {
 		b = appendU64(b, uint64(off.Covers))
 		b = appendStr(b, string(off.Via))
 		b = appendU64(b, uint64(off.Amount))
-		b = spillFull(b, spill)
+		flush()
 	}
 	b = appendU64(b, uint64(len(p.Constraints)))
 	for _, c := range p.Constraints {
 		b = appendAction(b, c.Before)
 		b = appendAction(b, c.After)
-		b = spillFull(b, spill)
+		flush()
 	}
-	return b
-}
-
-// SpillSize is the buffered length past which AppendCanonical calls
-// its spill function.
-const SpillSize = 2 << 10
-
-// spillFull hands b to spill once it holds SpillSize bytes.
-func spillFull(b []byte, spill func([]byte) []byte) []byte {
-	if spill != nil && len(b) >= SpillSize {
-		return spill(b)
-	}
-	return b
+	h.Write(b)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }

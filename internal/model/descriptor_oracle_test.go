@@ -129,7 +129,7 @@ const maxEnumExchanges = 6
 //
 // Conjunction groups from indemnity splits are respected: completion is
 // required per group rather than globally.
-func AutoSpec(p *Problem, principal PartyID) Spec {
+func AutoSpec(p *Compiled, principal PartyID) Spec {
 	groups := p.ConjunctionGroups(principal)
 	var mine []int
 	for _, g := range groups {
@@ -171,7 +171,7 @@ func AutoSpec(p *Problem, principal PartyID) Spec {
 // paper's broker accepts getting the document back on one side while the
 // other side never started). The all-untouched and all-completed
 // combinations are skipped: the caller already added them.
-func enumerateGroupOutcomes(p *Problem, principal PartyID, groups [][]int, spec *Spec) {
+func enumerateGroupOutcomes(p *Compiled, principal PartyID, groups [][]int, spec *Spec) {
 	type outcome int
 	const (
 		untouched outcome = iota
@@ -283,7 +283,7 @@ func concatActions(slices ...[]Action) []Action {
 // The descriptors only cover degree-2 trusted components, the case the
 // paper develops; larger components are checked semantically via
 // TrustedNeutral.
-func TrustedSpec(p *Problem, trusted PartyID) (Spec, error) {
+func TrustedSpec(p *Compiled, trusted PartyID) (Spec, error) {
 	var edges []int
 	for i, e := range p.Exchanges {
 		if e.Trusted == trusted {

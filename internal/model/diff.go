@@ -77,9 +77,9 @@ type Delta struct {
 	NameChanged        bool
 }
 
-// Diff classifies edited against base. Both problems should have passed
-// Validate; the differ itself only reads the declaration-level fields,
-// so stale compiled tables cannot skew the classification.
+// Diff classifies edited against base. Both should be the problems of
+// compiled values; the differ itself only reads the declaration-level
+// fields.
 func Diff(base, edited *Problem) Delta {
 	if base == nil || edited == nil {
 		return Delta{Kind: DiffStructural, Reason: "missing problem"}

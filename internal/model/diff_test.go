@@ -12,8 +12,8 @@ func diffBase(t *testing.T) *Problem {
 	p := example1()
 	p.DirectTrust = []TrustDecl{{Truster: "c", Trustee: "b"}}
 	p.Indemnities = []IndemnityOffer{{By: "b", Covers: 2, Via: "t2", Amount: 5}}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("base Validate = %v", err)
+	if _, err := Compile(p); err != nil {
+		t.Fatalf("base Compile = %v", err)
 	}
 	return p
 }
@@ -155,15 +155,13 @@ func TestRedExchangesOfMatchesRedExchanges(t *testing.T) {
 	p := example1()
 	p.Exchanges[2].RedOverride = true
 	p.Parties[1].LimitedFunds = true // broker: resale + poor principal
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	whole := p.RedExchanges()
+	c := MustCompile(p)
+	whole := c.RedExchanges()
 	for _, pa := range p.Parties {
 		if pa.IsTrusted() {
 			continue
 		}
-		got := p.RedExchangesOf(pa.ID)
+		got := c.RedExchangesOf(pa.ID)
 		want := whole[pa.ID]
 		if len(got) != len(want) {
 			t.Fatalf("%s: RedExchangesOf = %v, RedExchanges slice = %v", pa.ID, got, want)

@@ -11,10 +11,12 @@
 //
 // # Key types
 //
-//   - Problem is the root aggregate: Parties, Exchanges, DirectTrust,
+//   - Problem is the builder: Parties, Exchanges, DirectTrust,
 //     Indemnities and Constraints, exactly as a .exch file declares them.
-//     Validate checks structural invariants and compiles the dense
-//     working state the engines iterate over (the ActionTable).
+//   - Compiled is what the engines take: Compile checks a private copy
+//     of a builder's structural invariants and builds the dense working
+//     state the engines iterate over (the ActionTable) and, on first
+//     use, its content address (Digest).
 //   - Party / PartyID / Role distinguish principals from trusted
 //     components; Exchange is one pairwise swap (Principal, Trusted,
 //     Gives, Gets, RedOverride).
@@ -24,9 +26,8 @@
 //     per distinct action value, each transfer's endpoints resolved to a
 //     party slot (money) or a (party, item) cell, and per-party rows of
 //     exchanges, personas and conjunction groups that the party
-//     accessors (ExchangesOf, PersonaOf, ConjunctionGroups, the red
-//     rules) read. The first accessor call on a problem never validated
-//     validates it, and so fixes its table as Validate does.
+//     accessors of a Compiled (ExchangesOf, PersonaOf,
+//     ConjunctionGroups, the red rules) read.
 //   - State is the unordered set of executed actions, a bitset over its
 //     problem's ActionTable: it holds only actions the problem defines,
 //     and Add of any other fails with a *ForeignActionError. The
@@ -36,15 +37,13 @@
 //
 // # Concurrency and ownership
 //
-// A Problem is plain data with no interior locking. Validated and
-// compiled are one state: Validate checks the problem and publishes its
-// action table, and nothing else writes the table. Engines never write a
-// compiled problem — their entry points call Compile, which on a
-// compiled problem only reads — so a problem validated once (dsl.Load,
-// or Validate by its builder) may be shared by any number of goroutines
-// (sweep workers, the trustd service). A builder that mutates a problem
-// calls Validate again before the next analysis: mutate, then Validate.
-// Compile and the accessors see an append to any of the problem's slices
-// and validate again; an edit in place, such as a changed price, is read
-// through the stale table until Validate.
+// The lifecycle is build → Compile → analyse; to edit: Clone, edit,
+// Compile. A Problem is plain data with no interior locking, owned by
+// whoever builds it. Compile deep-copies it, so a Compiled shares no
+// memory with its builder: an edit of the builder, in place or by
+// append, never reaches a compiled value, its table or its digest.
+// Nothing writes a Compiled after Compile (its digest is computed once,
+// under a sync.Once), so one compiled problem may be shared by any
+// number of goroutines (sweep workers, the trustd service), and every
+// engine entry point takes one by type.
 package model

@@ -11,7 +11,7 @@ import (
 // completed. These are exactly the final states honest intermediaries
 // can produce; the Section 3.1 descriptor enumeration is defined over
 // this vocabulary.
-func guaranteeState(rng *rand.Rand, p *Problem) State {
+func guaranteeState(rng *rand.Rand, p *Compiled) State {
 	s := NewState(p)
 	for _, pa := range p.Parties {
 		if !pa.IsTrusted() {
@@ -67,8 +67,8 @@ func TestAutoSpecEquivalentToAcceptableRandom(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(2718))
 	for trial := 0; trial < 40; trial++ {
-		p := randomSmallProblem(rng)
-		if err := p.Validate(); err != nil {
+		p, err := Compile(randomSmallProblem(rng))
+		if err != nil {
 			t.Fatalf("trial %d: invalid problem: %v", trial, err)
 		}
 		specs := make(map[PartyID]Spec)
@@ -81,7 +81,7 @@ func TestAutoSpecEquivalentToAcceptableRandom(t *testing.T) {
 			s := guaranteeState(rng, p)
 			for id, spec := range specs {
 				got := spec.Accepts(stateSet(s))
-				want := Acceptable(p, id, s)
+				want := Acceptable(id, s)
 				if got != want {
 					t.Fatalf("trial %d draw %d party %s: spec=%v semantic=%v\nstate=%v",
 						trial, draw, id, got, want, s)
@@ -119,7 +119,7 @@ func randomSmallProblem(rng *rand.Rand) *Problem {
 // with per-exchange escrow subsets) yields identical verdicts.
 func TestAutoSpecEquivalenceExhaustiveBroker(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	spec := AutoSpec(p, "b")
 	trusteds := [][]int{{0, 1}, {2, 3}} // exchange indices at t1, t2
 	// Outcome encodings per trusted: 0 untouched; 1..3 escrow subsets
@@ -164,7 +164,7 @@ func TestAutoSpecEquivalenceExhaustiveBroker(t *testing.T) {
 			apply(s, trusteds[1], o2)
 			count++
 			got := spec.Accepts(stateSet(s))
-			want := Acceptable(p, "b", s)
+			want := Acceptable("b", s)
 			if got != want {
 				t.Fatalf("outcomes (%d,%d): spec=%v semantic=%v\nstate=%v", o1, o2, got, want, s)
 			}

@@ -15,15 +15,15 @@ package model
 // Trusted components start empty: they are conduits (Section 2.5). The
 // rules are evaluated once, into the action table's status-quo arrays;
 // this materialises them per party.
-func InitialHoldings(p *Problem) map[PartyID]*Holding {
-	t := p.ActionTable()
-	out := make(map[PartyID]*Holding, len(p.Parties))
-	for i, pa := range p.Parties {
+func InitialHoldings(c *Compiled) map[PartyID]*Holding {
+	t := c.table
+	out := make(map[PartyID]*Holding, len(c.Parties))
+	for i, pa := range c.Parties {
 		out[pa.ID] = &Holding{Cash: t.InitCash[i], Items: make(map[ItemID]int)}
 	}
 	for ci, n := range t.InitItems {
 		if n > 0 {
-			out[p.Parties[t.CellParty[ci]].ID].Items[t.CellItem[ci]] += int(n)
+			out[c.Parties[t.CellParty[ci]].ID].Items[t.CellItem[ci]] += int(n)
 		}
 	}
 	return out

@@ -81,31 +81,26 @@ type Problem struct {
 	DirectTrust []TrustDecl
 	Indemnities []IndemnityOffer
 	Constraints []Constraint
-
-	table *ActionTable // the compiled index, written only by Validate; see Compile
 }
 
 // Party returns the party record for the ID.
-func (p *Problem) Party(id PartyID) (Party, bool) { return p.partyIn(p.ActionTable(), id) }
-
-// partyIn looks the ID up in table t's party index.
-func (p *Problem) partyIn(t *ActionTable, id PartyID) (Party, bool) {
-	k, ok := t.parties[id]
+func (c *Compiled) Party(id PartyID) (Party, bool) {
+	k, ok := c.table.parties[id]
 	if !ok {
 		return Party{}, false
 	}
-	return p.Parties[k], true
+	return c.Parties[k], true
 }
 
-// The party accessors below read the problem's action table: its Own
-// and At rows, its personas and its split flags (see ActionTable for an
-// unvalidated problem). They answer for the problem's own parties, and
-// for an unknown ID as for a party with no exchanges.
+// The party accessors below read the compiled action table: its Own
+// and At rows, its personas and its split flags. They answer for the
+// problem's own parties, and for an unknown ID as for a party with no
+// exchanges.
 
 // ExchangesOf returns the indices of the exchanges in which the party
 // participates (as principal or as trusted component), ascending.
-func (p *Problem) ExchangesOf(id PartyID) []int {
-	t := p.ActionTable()
+func (c *Compiled) ExchangesOf(id PartyID) []int {
+	t := c.table
 	k, ok := t.parties[id]
 	if !ok {
 		return nil
@@ -122,15 +117,15 @@ func (p *Problem) ExchangesOf(id PartyID) []int {
 
 // PrincipalsAt returns the distinct principals adjacent to a trusted
 // component, in first-appearance order.
-func (p *Problem) PrincipalsAt(trusted PartyID) []PartyID {
-	t := p.ActionTable()
+func (c *Compiled) PrincipalsAt(trusted PartyID) []PartyID {
+	t := c.table
 	k, ok := t.parties[trusted]
 	if !ok {
 		return nil
 	}
 	var out []PartyID
-	for _, q := range t.principalsAt(nil, k, make([]int32, len(p.Parties))) {
-		out = append(out, p.Parties[q].ID)
+	for _, q := range t.principalsAt(nil, k, make([]int32, len(c.Parties))) {
+		out = append(out, c.Parties[q].ID)
 	}
 	return out
 }
@@ -151,13 +146,12 @@ func (p *Problem) Trusts(truster, trustee PartyID) bool {
 // principal adjacent to t directly trusts q (Section 4.2.3). When no
 // such principal exists, ok is false and t is a genuinely independent
 // trusted agent.
-func (p *Problem) PersonaOf(t PartyID) (persona PartyID, ok bool) {
-	tab := p.ActionTable()
-	k, ok := tab.parties[t]
-	if !ok || tab.Persona[k] < 0 {
+func (c *Compiled) PersonaOf(t PartyID) (persona PartyID, ok bool) {
+	k, ok := c.table.parties[t]
+	if !ok || c.table.Persona[k] < 0 {
 		return "", false
 	}
-	return p.Parties[tab.Persona[k]].ID, true
+	return c.Parties[c.table.Persona[k]].ID, true
 }
 
 // personaFrom applies the persona rule to a trusted component's adjacent
@@ -198,11 +192,10 @@ func personaFrom(p *Problem, principals []PartyID) (PartyID, bool) {
 //
 // Exchanges of a principal with a single exchange are never red (there is
 // no conjunction node to attach the edge to).
-func (p *Problem) RedExchanges() map[PartyID]map[int]bool {
-	t := p.ActionTable()
+func (c *Compiled) RedExchanges() map[PartyID]map[int]bool {
 	out := make(map[PartyID]map[int]bool)
-	for k, pa := range p.Parties {
-		if set := p.redOf(t, k); set != nil {
+	for k, pa := range c.Parties {
+		if set := c.redOf(k); set != nil {
 			out[pa.ID] = set
 		}
 	}
@@ -214,20 +207,20 @@ func (p *Problem) RedExchanges() map[PartyID]map[int]bool {
 // rules only read the principal's own exchanges and party record, which
 // is what makes the incremental patcher's frontier local: an edit dirties
 // exactly the touched principals' sets.
-func (p *Problem) RedExchangesOf(principal PartyID) map[int]bool {
-	t := p.ActionTable()
-	k, ok := t.parties[principal]
+func (c *Compiled) RedExchangesOf(principal PartyID) map[int]bool {
+	k, ok := c.table.parties[principal]
 	if !ok {
 		return nil
 	}
-	return p.redOf(t, k)
+	return c.redOf(k)
 }
 
 // redOf applies the three red rules to the own exchanges of the party in
 // slot k. It returns nil when nothing is red (including the
 // single-exchange guard: with one exchange there is no conjunction to
 // attach red to).
-func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
+func (c *Compiled) redOf(k int) map[int]bool {
+	t := c.table
 	idxs := t.Own(k)
 	if len(idxs) == 0 || t.Degree(k) < 2 {
 		return nil
@@ -242,7 +235,7 @@ func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
 
 	// Rule 3: explicit override.
 	for _, i := range idxs {
-		if p.Exchanges[i].RedOverride {
+		if c.Exchanges[i].RedOverride {
 			mark(i)
 		}
 	}
@@ -251,12 +244,12 @@ func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
 	// another.
 	acquired := make(map[ItemID]bool)
 	for _, i := range idxs {
-		for _, it := range p.Exchanges[i].Gets.Items {
+		for _, it := range c.Exchanges[i].Gets.Items {
 			acquired[it] = true
 		}
 	}
 	for _, i := range idxs {
-		for _, it := range p.Exchanges[i].Gives.Items {
+		for _, it := range c.Exchanges[i].Gives.Items {
 			if acquired[it] {
 				mark(i)
 			}
@@ -264,17 +257,17 @@ func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
 	}
 
 	// Rule 2: poor principal.
-	pa := p.Parties[k]
+	pa := c.Parties[k]
 	if !pa.LimitedFunds {
 		return out
 	}
 	var outgoing Money
 	for _, i := range idxs {
-		outgoing += p.Exchanges[i].Gives.Amount
+		outgoing += c.Exchanges[i].Gives.Amount
 	}
 	if pa.Endowment < outgoing {
 		for _, i := range idxs {
-			if p.Exchanges[i].Gives.Amount > 0 {
+			if c.Exchanges[i].Gives.Amount > 0 {
 				mark(i)
 			}
 		}
@@ -289,8 +282,8 @@ func (p *Problem) redOf(t *ActionTable, k int) map[int]bool {
 // own group (Section 6: "an indemnity allows a conjunction node to be
 // split"). Groups are ordered by first member; the unsplit group is the
 // table's Rest row.
-func (p *Problem) ConjunctionGroups(principal PartyID) [][]int {
-	t := p.ActionTable()
+func (c *Compiled) ConjunctionGroups(principal PartyID) [][]int {
+	t := c.table
 	k, ok := t.parties[principal]
 	if !ok {
 		return nil
@@ -311,8 +304,9 @@ func (p *Problem) ConjunctionGroups(principal PartyID) [][]int {
 	return groups
 }
 
-// Clone returns a deep copy of the problem, safe to mutate independently
-// (used by the indemnity search and the generators).
+// Clone returns a deep copy of the problem, safe to mutate
+// independently. On a compiled problem it is the way to edit: Clone,
+// edit the copy, Compile it.
 func (p *Problem) Clone() *Problem {
 	out := &Problem{Name: p.Name}
 	out.Parties = append([]Party(nil), p.Parties...)
@@ -326,98 +320,77 @@ func (p *Problem) Clone() *Problem {
 	return out
 }
 
-// Validate checks the structural invariants the rest of the system relies
-// on:
-//
-//   - parties well formed, IDs unique;
-//   - every exchange connects a principal to a trusted component
-//     (bipartite interaction graph) and moves something;
-//   - conservation at each trusted component: the multiset of assets
-//     deposited by its principals equals the multiset they collectively
-//     receive (the trusted is a conduit, Section 2.5);
-//   - direct-trust declarations and indemnity offers reference known
-//     parties/exchanges, and indemnity collateral is held by a trusted
-//     component adjacent to both the offerer and the protected principal.
-func (p *Problem) Validate() error { _, err := p.validate(); return err }
-
-// validate is Validate, returning the table it built: the published one
-// on success, and on failure a private one the caller may still read.
-func (p *Problem) validate() (*ActionTable, error) {
-	p.table = nil // mutations since the last Validate invalidate the compiled table
-	// The table is built first, for its party index; it is published
-	// only once every check passes.
-	t := buildActionTable(p)
-	if len(p.Parties) != len(t.parties) {
-		return t, fmt.Errorf("model: problem %q has duplicate party IDs", p.Name)
+// validate checks the structural invariants Compile documents, reading
+// the party index of the table Compile built.
+func (c *Compiled) validate() error {
+	if len(c.Parties) != len(c.table.parties) {
+		return fmt.Errorf("model: problem %q has duplicate party IDs", c.Name)
 	}
-	for _, pa := range p.Parties {
+	for _, pa := range c.Parties {
 		if err := pa.Validate(); err != nil {
-			return t, err
+			return err
 		}
 		if pa.LimitedFunds && pa.Endowment < 0 {
-			return t, fmt.Errorf("model: party %s has negative endowment", pa.ID)
+			return fmt.Errorf("model: party %s has negative endowment", pa.ID)
 		}
 	}
 
-	for i, e := range p.Exchanges {
-		pr, ok := p.partyIn(t, e.Principal)
+	for i, e := range c.Exchanges {
+		pr, ok := c.Party(e.Principal)
 		if !ok {
-			return t, fmt.Errorf("model: exchange %d references unknown principal %s", i, e.Principal)
+			return fmt.Errorf("model: exchange %d references unknown principal %s", i, e.Principal)
 		}
 		if !pr.Role.IsPrincipal() {
-			return t, fmt.Errorf("model: exchange %d: %s is not a principal", i, e.Principal)
+			return fmt.Errorf("model: exchange %d: %s is not a principal", i, e.Principal)
 		}
-		tr, ok := p.partyIn(t, e.Trusted)
+		tr, ok := c.Party(e.Trusted)
 		if !ok {
-			return t, fmt.Errorf("model: exchange %d references unknown trusted component %s", i, e.Trusted)
+			return fmt.Errorf("model: exchange %d references unknown trusted component %s", i, e.Trusted)
 		}
 		if !tr.IsTrusted() {
-			return t, fmt.Errorf("model: exchange %d: %s is not a trusted component", i, e.Trusted)
+			return fmt.Errorf("model: exchange %d: %s is not a trusted component", i, e.Trusted)
 		}
 		if e.Gives.IsEmpty() && e.Gets.IsEmpty() {
-			return t, fmt.Errorf("model: exchange %d between %s and %s moves nothing", i, e.Principal, e.Trusted)
+			return fmt.Errorf("model: exchange %d between %s and %s moves nothing", i, e.Principal, e.Trusted)
 		}
 		if e.Gives.Amount < 0 || e.Gets.Amount < 0 {
-			return t, fmt.Errorf("model: exchange %d has negative money", i)
+			return fmt.Errorf("model: exchange %d has negative money", i)
 		}
 	}
 
-	if err := p.validateConservation(); err != nil {
-		return t, err
+	if err := c.validateConservation(); err != nil {
+		return err
 	}
 
-	for _, d := range p.DirectTrust {
+	for _, d := range c.DirectTrust {
 		for _, id := range []PartyID{d.Truster, d.Trustee} {
-			pa, ok := p.partyIn(t, id)
+			pa, ok := c.Party(id)
 			if !ok {
-				return t, fmt.Errorf("model: trust declaration references unknown party %s", id)
+				return fmt.Errorf("model: trust declaration references unknown party %s", id)
 			}
 			if !pa.Role.IsPrincipal() {
-				return t, fmt.Errorf("model: trust declaration references non-principal %s", id)
+				return fmt.Errorf("model: trust declaration references non-principal %s", id)
 			}
 		}
 		if d.Truster == d.Trustee {
-			return t, fmt.Errorf("model: party %s declared to trust itself", d.Truster)
+			return fmt.Errorf("model: party %s declared to trust itself", d.Truster)
 		}
 	}
 
-	if len(p.Indemnities) > 0 {
+	if len(c.Indemnities) > 0 {
 		// adj holds every (trusted component, principal) pair some
 		// exchange connects, so each offer's checks are two probes.
-		adj := make(map[[2]PartyID]bool, len(p.Exchanges))
-		for _, e := range p.Exchanges {
+		adj := make(map[[2]PartyID]bool, len(c.Exchanges))
+		for _, e := range c.Exchanges {
 			adj[[2]PartyID{e.Trusted, e.Principal}] = true
 		}
-		for _, off := range p.Indemnities {
-			if err := p.validateIndemnity(t, off, adj); err != nil {
-				return t, err
+		for _, off := range c.Indemnities {
+			if err := c.validateIndemnity(off, adj); err != nil {
+				return err
 			}
 		}
 	}
-	// A validated problem is about to be analysed; publish the table
-	// here, while the problem is still owned by a single goroutine.
-	p.table = t
-	return t, nil
+	return nil
 }
 
 func (p *Problem) validateConservation() error {
@@ -462,21 +435,21 @@ func (p *Problem) validateConservation() error {
 	return nil
 }
 
-func (p *Problem) validateIndemnity(t *ActionTable, off IndemnityOffer, adj map[[2]PartyID]bool) error {
-	if off.Covers < 0 || off.Covers >= len(p.Exchanges) {
+func (c *Compiled) validateIndemnity(off IndemnityOffer, adj map[[2]PartyID]bool) error {
+	if off.Covers < 0 || off.Covers >= len(c.Exchanges) {
 		return fmt.Errorf("model: indemnity covers unknown exchange %d", off.Covers)
 	}
-	if _, ok := p.partyIn(t, off.By); !ok {
+	if _, ok := c.Party(off.By); !ok {
 		return fmt.Errorf("model: indemnity offered by unknown party %s", off.By)
 	}
-	via, ok := p.partyIn(t, off.Via)
+	via, ok := c.Party(off.Via)
 	if !ok || !via.IsTrusted() {
 		return fmt.Errorf("model: indemnity collateral holder %s is not a trusted component", off.Via)
 	}
 	if off.Amount < 0 {
 		return fmt.Errorf("model: negative indemnity amount %v", off.Amount)
 	}
-	protected := p.Exchanges[off.Covers].Principal
+	protected := c.Exchanges[off.Covers].Principal
 	if !adj[[2]PartyID{off.Via, protected}] {
 		return fmt.Errorf("model: indemnity holder %s is not shared with protected principal %s", off.Via, protected)
 	}

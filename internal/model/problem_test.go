@@ -28,8 +28,8 @@ func example1() *Problem {
 
 func TestProblemValidateExample1(t *testing.T) {
 	t.Parallel()
-	if err := example1().Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
+	if _, err := Compile(example1()); err != nil {
+		t.Fatalf("Compile = %v", err)
 	}
 }
 
@@ -102,9 +102,9 @@ func TestProblemValidateErrors(t *testing.T) {
 			t.Parallel()
 			p := example1()
 			tt.mutate(p)
-			err := p.Validate()
+			_, err := Compile(p)
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("Validate = %v, want error containing %q", err, tt.want)
+				t.Fatalf("Compile = %v, want error containing %q", err, tt.want)
 			}
 		})
 	}
@@ -113,19 +113,19 @@ func TestProblemValidateErrors(t *testing.T) {
 func TestProblemLookups(t *testing.T) {
 	t.Parallel()
 	p := example1()
-	if _, ok := p.Party("c"); !ok {
+	if _, ok := MustCompile(p).Party("c"); !ok {
 		t.Fatalf("Party(c) missing")
 	}
-	if _, ok := p.Party("ghost"); ok {
+	if _, ok := MustCompile(p).Party("ghost"); ok {
 		t.Fatalf("Party(ghost) found")
 	}
-	if got := p.ExchangesOf("b"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := MustCompile(p).ExchangesOf("b"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("ExchangesOf(b) = %v", got)
 	}
-	if got := p.ExchangesOf("t1"); len(got) != 2 {
+	if got := MustCompile(p).ExchangesOf("t1"); len(got) != 2 {
 		t.Fatalf("ExchangesOf(t1) = %v", got)
 	}
-	if got := p.PrincipalsAt("t1"); len(got) != 2 || got[0] != "c" || got[1] != "b" {
+	if got := MustCompile(p).PrincipalsAt("t1"); len(got) != 2 || got[0] != "c" || got[1] != "b" {
 		t.Fatalf("PrincipalsAt(t1) = %v", got)
 	}
 }
@@ -133,27 +133,24 @@ func TestProblemLookups(t *testing.T) {
 func TestProblemPersonaOf(t *testing.T) {
 	t.Parallel()
 	p := example1()
-	if _, ok := p.PersonaOf("t2"); ok {
+	if _, ok := MustCompile(p).PersonaOf("t2"); ok {
 		t.Fatalf("persona without trust declarations")
 	}
 	// p trusts b directly: b plays t2's role. A mutated problem is
-	// validated again before it is read.
+	// compiled again before it is read.
 	p.DirectTrust = append(p.DirectTrust, TrustDecl{Truster: "p", Trustee: "b"})
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := p.PersonaOf("t2")
+	got, ok := MustCompile(p).PersonaOf("t2")
 	if !ok || got != "b" {
 		t.Fatalf("PersonaOf(t2) = %v, %v; want b", got, ok)
 	}
 	// t1 unaffected.
-	if _, ok := p.PersonaOf("t1"); ok {
+	if _, ok := MustCompile(p).PersonaOf("t1"); ok {
 		t.Fatalf("PersonaOf(t1) unexpectedly set")
 	}
 	// Asymmetry: b trusting p makes p the persona instead.
 	p2 := example1()
 	p2.DirectTrust = append(p2.DirectTrust, TrustDecl{Truster: "b", Trustee: "p"})
-	got, ok = p2.PersonaOf("t2")
+	got, ok = MustCompile(p2).PersonaOf("t2")
 	if !ok || got != "p" {
 		t.Fatalf("PersonaOf(t2) = %v, %v; want p", got, ok)
 	}
@@ -162,7 +159,7 @@ func TestProblemPersonaOf(t *testing.T) {
 func TestProblemRedExchangesResale(t *testing.T) {
 	t.Parallel()
 	p := example1()
-	red := p.RedExchanges()
+	red := MustCompile(p).RedExchanges()
 	// The broker resells d: the sale (exchange 1, via t1) is red.
 	if !red["b"][1] {
 		t.Fatalf("broker sale not red: %v", red)
@@ -184,7 +181,7 @@ func TestProblemRedExchangesPoorBroker(t *testing.T) {
 			p.Parties[i].Endowment = 79 // one short of the $80 purchase
 		}
 	}
-	red := p.RedExchanges()
+	red := MustCompile(p).RedExchanges()
 	if !red["b"][1] || !red["b"][2] {
 		t.Fatalf("poor broker should have two red exchanges: %v", red)
 	}
@@ -194,7 +191,7 @@ func TestProblemRedExchangesPoorBroker(t *testing.T) {
 			p.Parties[i].Endowment = 80
 		}
 	}
-	red = p.RedExchanges()
+	red = MustCompile(p).RedExchanges()
 	if red["b"][2] {
 		t.Fatalf("funded broker purchase red: %v", red)
 	}
@@ -204,7 +201,7 @@ func TestProblemRedExchangesOverride(t *testing.T) {
 	t.Parallel()
 	p := example1()
 	p.Exchanges[2].RedOverride = true
-	red := p.RedExchanges()
+	red := MustCompile(p).RedExchanges()
 	if !red["b"][2] {
 		t.Fatalf("override ignored: %v", red)
 	}
@@ -214,7 +211,7 @@ func TestProblemRedExchangesSingleExchangePrincipalNeverRed(t *testing.T) {
 	t.Parallel()
 	p := example1()
 	p.Exchanges[0].RedOverride = true // consumer has only one exchange
-	red := p.RedExchanges()
+	red := MustCompile(p).RedExchanges()
 	if len(red["c"]) != 0 {
 		t.Fatalf("degree-1 principal marked red: %v", red)
 	}
@@ -223,17 +220,14 @@ func TestProblemRedExchangesSingleExchangePrincipalNeverRed(t *testing.T) {
 func TestProblemConjunctionGroups(t *testing.T) {
 	t.Parallel()
 	p := example1()
-	groups := p.ConjunctionGroups("b")
+	groups := MustCompile(p).ConjunctionGroups("b")
 	if len(groups) != 1 || len(groups[0]) != 2 {
 		t.Fatalf("groups = %v", groups)
 	}
 	// An indemnity covering the consumer's exchange splits c's conjunction
 	// — but c only has one exchange, so this is the 2-broker shape below.
 	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 1, Via: "t1"})
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	groups = p.ConjunctionGroups("b")
+	groups = MustCompile(p).ConjunctionGroups("b")
 	if len(groups) != 2 {
 		t.Fatalf("split groups = %v", groups)
 	}

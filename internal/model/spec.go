@@ -57,8 +57,9 @@ func transferActions(from, to PartyID, b Bundle) []Action {
 // descriptor_oracle_test.go) and stays exact for problems too large to
 // enumerate.
 //
-// s is a state of p. A party unknown to the problem has nothing at risk.
-func Acceptable(p *Problem, principal PartyID, s State) bool {
+// s is a state of the problem. A party unknown to it has nothing at
+// risk.
+func Acceptable(principal PartyID, s State) bool {
 	party, ok := s.t.PartySlot(principal)
 	return !ok || s.t.Acceptable(party, s, false)
 }
@@ -71,7 +72,7 @@ func Acceptable(p *Problem, principal PartyID, s State) bool {
 // in exchange" (Section 1): asset integrity holds per pairwise exchange
 // at every step, while conjunction preferences are a negotiation-level
 // constraint enforced by the commit order and the final state.
-func AcceptableAssets(p *Problem, principal PartyID, s State) bool {
+func AcceptableAssets(principal PartyID, s State) bool {
 	party, ok := s.t.PartySlot(principal)
 	return !ok || s.t.Acceptable(party, s, true)
 }

@@ -51,7 +51,7 @@ func TestTransferActionsOneAlloc(t *testing.T) {
 	}
 }
 
-func completedState(p *Problem) State {
+func completedState(p *Compiled) State {
 	s := NewState(p)
 	for _, e := range p.Exchanges {
 		for _, a := range DepositActions(e) {
@@ -66,29 +66,29 @@ func completedState(p *Problem) State {
 
 func TestAcceptableExample1(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	done := completedState(p)
 	for _, id := range []PartyID{"c", "b", "p"} {
-		if !Acceptable(p, id, done) {
+		if !Acceptable(id, done) {
 			t.Errorf("completed state not acceptable to %s", id)
 		}
-		if !Acceptable(p, id, NewState(p)) {
+		if !Acceptable(id, NewState(p)) {
 			t.Errorf("status quo not acceptable to %s", id)
 		}
 	}
 	// Consumer paid, got nothing: unacceptable.
 	paid := NewState(p, Pay("c", "t1", 100))
-	if Acceptable(p, "c", paid) {
+	if Acceptable("c", paid) {
 		t.Errorf("paid-without-goods acceptable to c")
 	}
 	// Refund restores acceptability.
 	refunded := NewState(p, Pay("c", "t1", 100), Pay("c", "t1", 100).Compensation())
-	if !Acceptable(p, "c", refunded) {
+	if !Acceptable("c", refunded) {
 		t.Errorf("refund not acceptable to c")
 	}
 	// Windfall: consumer got the doc without paying.
 	windfall := NewState(p, Give("t1", "c", "d"))
-	if !Acceptable(p, "c", windfall) {
+	if !Acceptable("c", windfall) {
 		t.Errorf("windfall not acceptable to c")
 	}
 	// Broker bought the document but never sold it: unacceptable.
@@ -96,10 +96,10 @@ func TestAcceptableExample1(t *testing.T) {
 		Pay("b", "t2", 80), Give("p", "t2", "d"),
 		Give("t2", "b", "d"), Pay("t2", "p", 80),
 	)
-	if Acceptable(p, "b", stuck) {
+	if Acceptable("b", stuck) {
 		t.Errorf("broker stuck with unsold document acceptable")
 	}
-	if !Acceptable(p, "p", stuck) {
+	if !Acceptable("p", stuck) {
 		t.Errorf("producer's completed sale unacceptable")
 	}
 }
@@ -107,7 +107,7 @@ func TestAcceptableExample1(t *testing.T) {
 func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 	t.Parallel()
 	// A consumer buying two documents via two trusteds, all-or-nothing.
-	p := &Problem{
+	p := MustCompile(&Problem{
 		Name: "two-docs",
 		Parties: []Party{
 			{ID: "c", Role: RoleConsumer},
@@ -122,13 +122,10 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 			{Principal: "c", Trusted: "tb", Gives: Cash(20), Gets: Goods("d2")},
 			{Principal: "p2", Trusted: "tb", Gives: Goods("d2"), Gets: Cash(20)},
 		},
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
+	})
 	// Paid for and received only d1: NOT acceptable (wants both).
 	partial := NewState(p, Pay("c", "ta", 10), Give("ta", "c", "d1"))
-	if Acceptable(p, "c", partial) {
+	if Acceptable("c", partial) {
 		t.Fatalf("partial delivery acceptable under conjunction")
 	}
 	// Both received: acceptable.
@@ -136,44 +133,45 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
 		Pay("c", "tb", 20), Give("tb", "c", "d2"),
 	)
-	if !Acceptable(p, "c", full) {
+	if !Acceptable("c", full) {
 		t.Fatalf("full delivery unacceptable")
 	}
 	// One paid and refunded, other untouched: acceptable.
 	refund := NewState(p, Pay("c", "ta", 10), Pay("c", "ta", 10).Compensation())
-	if !Acceptable(p, "c", refund) {
+	if !Acceptable("c", refund) {
 		t.Fatalf("refund unacceptable")
 	}
 
 	// After an indemnity split covering d2, buying d1 alone becomes
 	// acceptable only when the d2 failure is compensated.
-	split := p.Clone()
-	split.Indemnities = append(split.Indemnities, IndemnityOffer{By: "p2", Covers: 2, Via: "tb"})
+	builder := p.Clone()
+	builder.Indemnities = append(builder.Indemnities, IndemnityOffer{By: "p2", Covers: 2, Via: "tb"})
+	split := MustCompile(builder)
 	// d1 completed, d2 side untouched, penalty paid: acceptable.
 	compensated := NewState(split,
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
-		Pay("tb", "c", RequiredIndemnity(split, 2)),
+		Pay("tb", "c", RequiredIndemnity(builder, 2)),
 	)
-	if !Acceptable(split, "c", compensated) {
+	if !Acceptable("c", compensated) {
 		t.Fatalf("compensated split outcome unacceptable")
 	}
 	// d1 completed, d2 missing, NO penalty: unacceptable — the indemnity
 	// rule demands the payout once a sibling deposit is locked in.
-	if Acceptable(split, "c", NewState(split, Pay("c", "ta", 10), Give("ta", "c", "d1"))) {
+	if Acceptable("c", NewState(split, Pay("c", "ta", 10), Give("ta", "c", "d1"))) {
 		t.Fatalf("uncompensated split outcome acceptable")
 	}
 	// d2 deposit refunded and penalty paid alongside a completed d1.
 	full2 := NewState(split,
 		Pay("c", "ta", 10), Give("ta", "c", "d1"),
 		Pay("c", "tb", 20), Pay("c", "tb", 20).Compensation(),
-		Pay("tb", "c", RequiredIndemnity(split, 2)),
+		Pay("tb", "c", RequiredIndemnity(builder, 2)),
 	)
-	if !Acceptable(split, "c", full2) {
+	if !Acceptable("c", full2) {
 		t.Fatalf("refund+payout outcome unacceptable")
 	}
 	// An uncompensated, undelivered deposit on the covered exchange stays
 	// unacceptable even with the payout (the escrow must also come back).
-	if Acceptable(split, "c", NewState(split, Pay("c", "tb", 20), Pay("tb", "c", RequiredIndemnity(split, 2)))) {
+	if Acceptable("c", NewState(split, Pay("c", "tb", 20), Pay("tb", "c", RequiredIndemnity(builder, 2)))) {
 		t.Fatalf("lost escrow acceptable")
 	}
 }
@@ -181,7 +179,7 @@ func TestAcceptableAllOrNothingConjunction(t *testing.T) {
 func TestRequiredIndemnity(t *testing.T) {
 	t.Parallel()
 	// Figure 7 shape: consumer exchanges priced 10/20/30.
-	p := &Problem{
+	p := MustCompile(&Problem{
 		Name: "fig7-consumer",
 		Parties: []Party{
 			{ID: "c", Role: RoleConsumer},
@@ -196,10 +194,7 @@ func TestRequiredIndemnity(t *testing.T) {
 			{Principal: "c", Trusted: "u3", Gives: Cash(30), Gets: Goods("d3")},
 			{Principal: "x3", Trusted: "u3", Gives: Goods("d3"), Gets: Cash(30)},
 		},
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
+	})
 	tests := []struct {
 		covers int
 		want   Money
@@ -209,11 +204,11 @@ func TestRequiredIndemnity(t *testing.T) {
 		{4, 30}, // doc3 ($30): protect 10+20
 	}
 	for _, tt := range tests {
-		if got := RequiredIndemnity(p, tt.covers); got != tt.want {
+		if got := RequiredIndemnity(&p.Problem, tt.covers); got != tt.want {
 			t.Errorf("RequiredIndemnity(%d) = %v, want %v", tt.covers, got, tt.want)
 		}
 	}
-	if got := RequiredIndemnity(p, -1); got != 0 {
+	if got := RequiredIndemnity(&p.Problem, -1); got != 0 {
 		t.Errorf("RequiredIndemnity(-1) = %v", got)
 	}
 }
@@ -222,7 +217,7 @@ func TestRequiredIndemnity(t *testing.T) {
 // predicate) on the paper's Section 3.1 cases.
 func TestAutoSpecAgreesWithAcceptable(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	cases := []State{
 		NewState(p),
 		completedState(p),
@@ -238,7 +233,7 @@ func TestAutoSpecAgreesWithAcceptable(t *testing.T) {
 		}
 		for _, s := range cases {
 			got := spec.Accepts(stateSet(s))
-			want := Acceptable(p, id, s)
+			want := Acceptable(id, s)
 			if got != want {
 				t.Errorf("party %s state %v: spec=%v semantic=%v", id, s, got, want)
 			}
@@ -248,7 +243,7 @@ func TestAutoSpecAgreesWithAcceptable(t *testing.T) {
 
 func TestAutoSpecPreferredIsCompletion(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	spec := AutoSpec(p, "c")
 	if spec.PreferredDescriptor().Name != "exchange completed" {
 		t.Fatalf("preferred = %q", spec.PreferredDescriptor().Name)
@@ -260,7 +255,7 @@ func TestAutoSpecPreferredIsCompletion(t *testing.T) {
 
 func TestTrustedSpec(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	spec, err := TrustedSpec(p, "t1")
 	if err != nil {
 		t.Fatalf("TrustedSpec = %v", err)
@@ -313,7 +308,7 @@ func TestTrustedSpec(t *testing.T) {
 
 func TestTrustedNeutral(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	works := NewState(p,
 		Pay("c", "t1", 100), Give("b", "t1", "d"),
 		Give("t1", "c", "d"), Pay("t1", "b", 100),
@@ -349,14 +344,12 @@ func TestAutoSpecLargeProblemSkipsEnumeration(t *testing.T) {
 			Exchange{Principal: src, Trusted: tr, Gives: Goods(doc), Gets: Cash(10)},
 		)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	spec := AutoSpec(p, "c")
+	c := MustCompile(p)
+	spec := AutoSpec(c, "c")
 	if len(spec.Descriptors) > 10 {
 		t.Fatalf("enumeration not bounded: %d descriptors", len(spec.Descriptors))
 	}
-	if !Acceptable(p, "c", completedState(p)) {
+	if !Acceptable("c", completedState(c)) {
 		t.Fatalf("semantic predicate rejected completion")
 	}
 }

@@ -30,11 +30,11 @@ func (e *ForeignActionError) Error() string {
 	return fmt.Sprintf("model: %v is not an action of the problem", e.Action)
 }
 
-// NewState returns a state of p holding the given actions, building p's
-// action table on first use; a repeated action is held once. It panics
-// with a *ForeignActionError on an action p does not define.
-func NewState(p *Problem, actions ...Action) State {
-	s := p.ActionTable().NewState()
+// NewState returns a state of c holding the given actions; a repeated
+// action is held once. It panics with a *ForeignActionError on an
+// action c does not define.
+func NewState(c *Compiled, actions ...Action) State {
+	s := c.table.NewState()
 	for _, a := range actions {
 		slot, ok := s.t.Slot(a)
 		if !ok {

@@ -154,10 +154,11 @@ func TestStateMatchesMapOracle(t *testing.T) {
 	for name, p := range stateCorpus() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if err := p.Validate(); err != nil {
+			c, err := model.Compile(p)
+			if err != nil {
 				t.Fatal(err)
 			}
-			tab := p.ActionTable()
+			tab := c.ActionTable()
 			vocab := vocabulary(p)
 			if tab.Len() != len(vocab) {
 				t.Fatalf("table has %d slots, the problem defines %d actions", tab.Len(), len(vocab))
@@ -201,7 +202,7 @@ func TestStateMatchesMapOracle(t *testing.T) {
 						m[a] = true
 					}
 				}
-				checkAgainstOracle(t, p, s, m, all, parties, rng)
+				checkAgainstOracle(t, c, s, m, all, parties, rng)
 			}
 		})
 	}
@@ -215,7 +216,7 @@ func slicesOf(v map[model.Action]bool) []model.Action {
 	return out
 }
 
-func checkAgainstOracle(t *testing.T, p *model.Problem, s model.State, m map[model.Action]bool,
+func checkAgainstOracle(t *testing.T, p *model.Compiled, s model.State, m map[model.Action]bool,
 	all []model.Action, parties []model.PartyID, rng *rand.Rand) {
 	t.Helper()
 	for _, a := range all {

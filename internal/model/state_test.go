@@ -8,7 +8,7 @@ import (
 
 func TestStateAddHas(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	s := NewState(p)
 	a := Pay("c", "t1", 100)
 	if s.Has(a) {
@@ -34,7 +34,7 @@ func TestStateAddHas(t *testing.T) {
 
 func TestStateEqual(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	a, b := Pay("c", "t1", 100), Give("b", "t1", "d")
 	s1 := NewState(p, a, b)
 	s2 := NewState(p, a)
@@ -45,7 +45,7 @@ func TestStateEqual(t *testing.T) {
 		t.Fatalf("Equal on different states")
 	}
 	// A state of a rebuilt table compares by its actions.
-	q := example1()
+	q := MustCompile(example1())
 	if !s1.Equal(NewState(q, a, b)) || s2.Equal(NewState(q, b)) {
 		t.Fatalf("Equal across tables compares the wrong sets")
 	}
@@ -53,7 +53,7 @@ func TestStateEqual(t *testing.T) {
 
 func TestStateCloneIndependent(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	s := NewState(p, Pay("c", "t1", 100))
 	c := s.Clone()
 	c.mustAdd(Give("b", "t1", "d"))
@@ -64,7 +64,7 @@ func TestStateCloneIndependent(t *testing.T) {
 
 func TestStateDelta(t *testing.T) {
 	t.Parallel()
-	p := example1()
+	p := MustCompile(example1())
 	pay := Pay("c", "t1", 100)
 	give := Give("b", "t1", "d")
 	fwd := Give("t1", "c", "d") // t1 forwards the doc (distinct action: from t1)
@@ -94,7 +94,7 @@ func TestStateDelta(t *testing.T) {
 
 func TestStateString(t *testing.T) {
 	t.Parallel()
-	s := NewState(example1(), Pay("c", "t1", 100), Give("b", "t1", "d"))
+	s := NewState(MustCompile(example1()), Pay("c", "t1", 100), Give("b", "t1", "d"))
 	got := s.String()
 	if !strings.HasPrefix(got, "{") || !strings.HasSuffix(got, "}") {
 		t.Fatalf("String = %q", got)

@@ -22,8 +22,8 @@ import "slices"
 //
 // Slot layout: [0, Transfers) are the forward transfers, slot
 // s+Transfers is the compensation of forward slot s, and the notifies
-// follow from 2·Transfers. Problem.Validate builds the table once per
-// validation and nothing mutates it afterwards, so any number of
+// follow from 2·Transfers. Compile builds the table once per compiled
+// problem and nothing mutates it afterwards, so any number of
 // goroutines may read it. It is the problem's one derived index: the party
 // accessors, the interaction graph and the engines all read its rows.
 type ActionTable struct {
@@ -83,12 +83,6 @@ type ActionTable struct {
 
 	problem *Problem
 	parties map[PartyID]int // party slot by ID
-	shape   [5]int          // shapeOf the problem at build
-}
-
-// shapeOf returns the lengths of the problem's five slices.
-func shapeOf(p *Problem) [5]int {
-	return [5]int{len(p.Parties), len(p.Exchanges), len(p.DirectTrust), len(p.Indemnities), len(p.Constraints)}
 }
 
 // rows is a compressed row index: row k holds vals[off[k]:off[k+1]].
@@ -427,7 +421,6 @@ func buildActionTable(p *Problem) *ActionTable {
 	}
 	nAct := nDep + nRec + 2*len(p.Indemnities)
 	t := &ActionTable{
-		shape:     shapeOf(p),
 		Src:       make([]int32, 0, nAct),
 		Dst:       make([]int32, 0, nAct),
 		Give:      make([]bool, 0, nAct),

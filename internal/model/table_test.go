@@ -30,11 +30,7 @@ func coincidingProblem() *Problem {
 // values share one slot, as they share one entry of a State.
 func TestActionTableInternsByValue(t *testing.T) {
 	t.Parallel()
-	p := coincidingProblem()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tab := p.ActionTable()
+	tab := MustCompile(coincidingProblem()).ActionTable()
 	seen := tab.NewState()
 	for s := 0; s < tab.Len(); s++ {
 		a := tab.Action(s)
@@ -64,128 +60,61 @@ func TestActionTableInternsByValue(t *testing.T) {
 	}
 }
 
-// The table is built on first use; readers that race to build it must
-// all end up reading the one published copy.
+// One compiled problem is read by any number of goroutines: every
+// reader reads its one table.
 func TestActionTableConcurrentFirstUse(t *testing.T) {
 	t.Parallel()
-	p := coincidingProblem()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	c := MustCompile(coincidingProblem())
+	tab := c.ActionTable()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			refunded := NewState(p, Pay("c", "t", 10), Pay("c", "t", 10).Compensation())
-			if !Acceptable(p, "c", refunded) {
+			refunded := NewState(c, Pay("c", "t", 10), Pay("c", "t", 10).Compensation())
+			if !Acceptable("c", refunded) {
 				t.Error("c's refunded deposit reads as unacceptable")
 			}
-			if h := InitialHoldings(p)["c"]; h.Cash != 30 {
+			if h := InitialHoldings(c)["c"]; h.Cash != 30 {
 				t.Errorf("c starts with %v, want $30", h.Cash)
 			}
+			c.Digest()
 		}()
 	}
 	wg.Wait()
-	if p.ActionTable() != p.ActionTable() {
-		t.Error("the published table changed")
+	if c.ActionTable() != tab {
+		t.Error("the compiled table changed")
 	}
 }
 
-// Validated and compiled are one state. Compile on a validated problem
-// writes nothing; a problem mutated and validated again reads a fresh
-// table that sees the mutation.
+// Each Compile builds a fresh table from its own copy: a builder edited
+// and compiled again yields a table that sees the edit, and the first
+// compiled value keeps its own.
 func TestValidatePublishesFreshTable(t *testing.T) {
 	t.Parallel()
 	p := coincidingProblem()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tab := p.ActionTable()
-	if err := p.Compile(); err != nil || p.ActionTable() != tab {
-		t.Fatalf("Compile of a validated problem = %v, table kept %v", err, p.ActionTable() == tab)
-	}
+	c := MustCompile(p)
+	tab := c.ActionTable()
 	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "c", Covers: 1, Via: "t"})
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := p.ActionTable()
-	if fresh == tab {
-		t.Fatal("Validate after a mutation kept the old table")
+	fresh := MustCompile(p).ActionTable()
+	if fresh == tab || c.ActionTable() != tab {
+		t.Fatal("a second Compile shared a table with the first")
 	}
 	if len(fresh.Post) != 2 || len(tab.Post) != 1 {
 		t.Errorf("offer posts: fresh %d, old %d; want 2 and 1", len(fresh.Post), len(tab.Post))
 	}
 }
 
-// Compile of an invalid problem fails as Validate does and leaves the
-// problem uncompiled: no table is published, and each ActionTable call
-// builds a private one.
+// Compile of an invalid problem fails and returns no compiled value.
 func TestCompileInvalidPublishesNothing(t *testing.T) {
 	t.Parallel()
-	broken := func() *Problem {
-		p := coincidingProblem()
-		p.Exchanges[0].Gives = Cash(17) // t now receives more than it pays out
-		return p
-	}
-	want := broken().Validate()
-	if want == nil {
-		t.Fatal("the broken problem validates")
-	}
-	p := broken()
-	if err := p.Compile(); err == nil || err.Error() != want.Error() {
-		t.Fatalf("Compile = %v, want %v", err, want)
-	}
-	if p.table != nil {
-		t.Fatal("Compile published a table for an invalid problem")
-	}
-	if a, b := p.ActionTable(), p.ActionTable(); a == nil || a == b || p.table != nil {
-		t.Fatal("ActionTable of an invalid problem published its table")
-	}
-}
-
-// A table read through after an append is stale. Compile and
-// ActionTable see the new length of any of the problem's five slices
-// and validate the problem again, so an edit that skips Validate still
-// fails closed: an invalid edit is rejected as Validate rejects it.
-func TestCompileSeesAppend(t *testing.T) {
-	t.Parallel()
-	edits := map[string]func(p *Problem){
-		"party": func(p *Problem) { p.Parties = append(p.Parties, Party{ID: "s3", Role: RoleProducer}) },
-		"exchange": func(p *Problem) {
-			p.Exchanges = append(p.Exchanges, Exchange{Principal: "s1", Trusted: "t", Gives: Goods("x")})
-		},
-		"trust":      func(p *Problem) { p.DirectTrust = append(p.DirectTrust, TrustDecl{Truster: "c", Trustee: "s1"}) },
-		"indemnity":  func(p *Problem) { p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "c", Covers: 1, Via: "t"}) },
-		"constraint": func(p *Problem) { p.Constraints = append(p.Constraints, Constraint{}) },
-	}
-	for name, edit := range edits {
-		p := coincidingProblem()
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		tab := p.ActionTable()
-		edit(p)
-		if p.ActionTable() == tab {
-			t.Errorf("%s: ActionTable read the stale table", name)
-		}
-		want := p.Clone().Validate()
-		if err := p.Compile(); (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
-			t.Errorf("%s: Compile = %v, want %v", name, err, want)
-		}
-		if (p.table != nil) != (want == nil) {
-			t.Errorf("%s: published %v, valid %v", name, p.table != nil, want == nil)
-		}
-	}
 	p := coincidingProblem()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	p.Exchanges[0].Gives = Cash(17) // t now receives more than it pays out
+	c, err := Compile(p)
+	if err == nil || c != nil {
+		t.Fatalf("Compile of an unbalanced problem = %v, %v", c, err)
 	}
-	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "c", Covers: 1, Via: "t"})
-	if err := p.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(p.ActionTable().Post); n != 2 {
-		t.Errorf("after the appended offer the table has %d posts, want 2", n)
+	if want := "model: trusted t receives $27 but must deliver $20"; err.Error() != want {
+		t.Fatalf("Compile = %v, want %q", err, want)
 	}
 }

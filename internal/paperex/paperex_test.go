@@ -13,7 +13,7 @@ func TestAllFixturesValid(t *testing.T) {
 		name, p := name, p
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if err := p.Validate(); err != nil {
+			if _, err := model.Compile(p); err != nil {
 				t.Fatalf("Validate = %v", err)
 			}
 		})
@@ -108,7 +108,7 @@ func TestUniversalTrustRewiring(t *testing.T) {
 			t.Errorf("exchange %d still routed via %s", i, e.Trusted)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if _, err := model.Compile(p); err != nil {
 		t.Fatalf("Validate = %v", err)
 	}
 	// The original is untouched.
@@ -120,7 +120,7 @@ func TestUniversalTrustRewiring(t *testing.T) {
 func TestPoorBrokerEndowment(t *testing.T) {
 	t.Parallel()
 	p := PoorBroker()
-	b, ok := p.Party(Broker)
+	b, ok := model.MustCompile(p).Party(Broker)
 	if !ok || !b.LimitedFunds || b.Endowment != 0 {
 		t.Fatalf("broker = %+v", b)
 	}

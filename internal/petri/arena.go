@@ -9,7 +9,7 @@ import "sort"
 // no map lookups and no per-marking allocations — while the public
 // map-based Transition/Marking API stays the authoring surface.
 //
-// Token counts and arc weights are stored as int32. FromProblem rejects
+// Token counts and arc weights are stored as int32. Encode rejects
 // problems whose money would not fit (see TokenOverflowError); a net
 // built by hand must keep its counts below 2³¹ itself.
 
@@ -28,7 +28,7 @@ type ctrans struct {
 
 // compile builds (or returns) the net's compiled transitions. It caches
 // into the net, so it must run on a single goroutine before the net is
-// shared — FromProblem calls it while it still owns the net.
+// shared — Encode calls it while it still owns the net.
 func (n *Net) compile() []ctrans {
 	if n.ct != nil {
 		return n.ct

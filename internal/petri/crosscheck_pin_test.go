@@ -75,7 +75,7 @@ func crossCheckFingerprint(t *testing.T, p *model.Problem) string {
 	ring := obs.NewRingSink(1 << 14)
 	tel := &obs.Telemetry{Tracer: obs.NewTracer(ring), Metrics: obs.NewRegistry()}
 	for _, mode := range []search.Mode{search.ModeAssets, search.ModeStrong} {
-		if _, err := search.FeasibleObs(p, mode, 1, tel); err != nil {
+		if _, err := search.FeasibleObs(model.MustCompile(p), mode, 1, tel); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@
 // covers a target. Section 7.4 of the
 // paper relates exchange feasibility to subset coverability of a Petri
 // net in which "consumable resources (such as money) are modeled very
-// naturally in the tokens"; FromProblem performs that encoding and
+// naturally in the tokens"; Encode performs that encoding and
 // CompletedTarget gives the "exchange completed" sub-marking whose
 // coverability witnesses a completing execution.
 //
@@ -15,7 +15,7 @@
 //     initial and target markings.
 //   - Encoding is the problem→net translation: the Net, the initial
 //     Marking, the completed-target sub-marking, and the place/party
-//     correspondence used in diagnostics. FromProblem rejects problems
+//     correspondence used in diagnostics. Encode rejects problems
 //     whose money would overflow the int32 token counts with a
 //     TokenOverflowError.
 //   - CoverScratch is reusable working memory (arena, queue, seen-set)

@@ -19,7 +19,7 @@ import (
 // that is exactly the gap Section 7.4 leaves open).
 type Encoding struct {
 	Net     *Net
-	Problem *model.Problem
+	Problem *model.Compiled
 	Initial Marking
 	// Done[ei] is the done-place of exchange ei.
 	Done []PlaceID
@@ -58,12 +58,12 @@ func (e *TokenOverflowError) Error() string {
 
 // checkTokens rejects problems the int32 encoding would truncate. Every
 // transition conserves money (deposits move it into escrow, and
-// model.Validate makes each trusted component pay out exactly what it
+// model.Compile makes each trusted component pay out exactly what it
 // takes in), so when the initial money and every arc weight fit in
 // int32, no money place can overflow. Item tokens never outnumber the
 // items the exchanges list, and a done place gains one token per
 // completion fired, so neither comes near the bound.
-func checkTokens(p *model.Problem, n *Net, holdings map[model.PartyID]*model.Holding) error {
+func checkTokens(p *model.Compiled, n *Net, holdings map[model.PartyID]*model.Holding) error {
 	var money int64
 	for _, h := range holdings {
 		money += int64(h.Cash)
@@ -84,13 +84,20 @@ func checkTokens(p *model.Problem, n *Net, holdings map[model.PartyID]*model.Hol
 	return nil
 }
 
-// FromProblem encodes the problem. Money amounts become token counts, so
-// keep prices modest when exploring exhaustively; a problem whose money
-// does not fit in int32 token counts gets a *TokenOverflowError.
+// FromProblem compiles the problem and encodes it (Encode). Callers
+// that hold a compiled problem call Encode.
 func FromProblem(p *model.Problem) (*Encoding, error) {
-	if err := p.Compile(); err != nil {
+	c, err := model.Compile(p)
+	if err != nil {
 		return nil, err
 	}
+	return Encode(c)
+}
+
+// Encode encodes the problem. Money amounts become token counts, so
+// keep prices modest when exploring exhaustively; a problem whose money
+// does not fit in int32 token counts gets a *TokenOverflowError.
+func Encode(p *model.Compiled) (*Encoding, error) {
 	n := NewNet()
 	enc := &Encoding{Net: n, Problem: p, Done: make([]PlaceID, len(p.Exchanges))}
 

@@ -16,7 +16,7 @@ func TestFingerprint128MatchesString(t *testing.T) {
 	for name, p := range paperex.All() {
 		execs := []*Exec{}
 		seenStr := map[string][2]uint64{}
-		base := NewExec(p)
+		base := NewExec(model.MustCompile(p))
 		if err := base.ForceCompletionsAll(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,7 +93,7 @@ func TestFingerprint128MatchesString(t *testing.T) {
 func TestFingerprint128Overflow(t *testing.T) {
 	t.Parallel()
 	p := gen.Parallel(65, 5) // 130 exchanges: 260 bits, far past the packing limit
-	x := NewExec(p)
+	x := NewExec(model.MustCompile(p))
 	if _, ok := x.Fingerprint128(); ok {
 		t.Fatal("expected overflow for a 130-exchange problem")
 	}

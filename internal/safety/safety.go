@@ -15,7 +15,7 @@ import (
 // party slot and one item count per cell. Every predicate below reads
 // slots; none hashes an action.
 type Exec struct {
-	Problem *model.Problem
+	Problem *model.Compiled
 	t       *model.ActionTable
 	done    model.State   // executed actions
 	cash    []model.Money // by party slot
@@ -23,9 +23,8 @@ type Exec struct {
 }
 
 // NewExec returns the execution at the status quo, with inferred initial
-// holdings. It builds the problem's action table on first use, so call it
-// before sharing the problem across goroutines.
-func NewExec(p *model.Problem) *Exec {
+// holdings.
+func NewExec(p *model.Compiled) *Exec {
 	t := p.ActionTable()
 	return &Exec{
 		Problem: p,

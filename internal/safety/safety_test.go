@@ -10,10 +10,7 @@ import (
 func exec1(t testing.TB) *Exec {
 	t.Helper()
 	p := paperex.Example1()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	return NewExec(p)
+	return NewExec(model.MustCompile(p))
 }
 
 func TestApplyMovesAssets(t *testing.T) {
@@ -210,10 +207,7 @@ func TestEarlyWithdrawRequiresPersona(t *testing.T) {
 	}
 	// Variant 1 has broker1 as persona of t2.
 	p := paperex.Example2Variant1()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	y := NewExec(p)
+	y := NewExec(model.MustCompile(p))
 	y.MustApply(model.Give(paperex.Source1, paperex.Trusted2, paperex.Doc1))
 	if err := y.EarlyWithdraw(paperex.Example2B1Purchase); err != nil {
 		t.Fatalf("EarlyWithdraw = %v", err)
@@ -244,10 +238,7 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 func TestIndemnityActions(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example2Indemnified()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	tab := p.ActionTable()
+	tab := model.MustCompile(p).ActionTable()
 	post := tab.Action(int(tab.Post[0]))
 	if post.Amount != 100 || post.From != paperex.Broker1 || post.To != paperex.Trusted1 {
 		t.Fatalf("post = %v", post)
@@ -265,10 +256,7 @@ func TestPartialDeposit(t *testing.T) {
 	p.Exchanges[0].Gives = model.Cash(100).With("coupon")
 	p.Exchanges[1].Gets = model.Cash(100).With("coupon")
 	// Keep conservation: broker now receives the coupon too.
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate = %v", err)
-	}
-	x := NewExec(p)
+	x := NewExec(model.MustCompile(p))
 	x.Holding(paperex.Consumer).Add(model.Goods("coupon"))
 	x.MustApply(model.Pay(paperex.Consumer, paperex.Trusted1, 100))
 	if !x.PartialDeposit(0) {

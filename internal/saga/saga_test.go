@@ -102,7 +102,7 @@ func TestExchangeSagaCooperativeVsDefecting(t *testing.T) {
 	t.Parallel()
 	build := func(customerReturns bool, producerDelivers bool) Outcome {
 		p := paperex.Example1()
-		book := ledger.New(p)
+		book := ledger.New(model.MustCompile(p))
 		steps := []Step{
 			{
 				Name:       "producer ships to broker",

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/paperex"
 )
@@ -22,7 +23,7 @@ func TestObsDoesNotChangeVerdicts(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			tel := &obs.Telemetry{Tracer: obs.NewTracer(obs.NewRingSink(1 << 14)), Metrics: obs.NewRegistry()}
-			traced, err := FeasibleObs(p, mode, 1, tel)
+			traced, err := FeasibleObs(model.MustCompile(p), mode, 1, tel)
 			if err != nil {
 				t.Fatalf("%s traced: %v", name, err)
 			}
@@ -35,7 +36,7 @@ func TestObsDoesNotChangeVerdicts(t *testing.T) {
 			}
 
 			parTel := &obs.Telemetry{Tracer: obs.NewTracer(obs.NewRingSink(1 << 14)), Metrics: obs.NewRegistry()}
-			par, err := FeasibleObs(p, mode, 3, parTel)
+			par, err := FeasibleObs(model.MustCompile(p), mode, 3, parTel)
 			if err != nil {
 				t.Fatalf("%s parallel traced: %v", name, err)
 			}
@@ -71,7 +72,7 @@ func TestObsSpansEmitted(t *testing.T) {
 	t.Parallel()
 	ring := obs.NewRingSink(1 << 12)
 	tel := &obs.Telemetry{Tracer: obs.NewTracer(ring), Metrics: obs.NewRegistry()}
-	if _, err := FeasibleObs(paperex.Example1(), ModeAssets, 1, tel); err != nil {
+	if _, err := FeasibleObs(model.MustCompile(paperex.Example1()), ModeAssets, 1, tel); err != nil {
 		t.Fatal(err)
 	}
 	var start, end bool

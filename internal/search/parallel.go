@@ -134,7 +134,7 @@ func (t *sharedMemo) size() int {
 // out to a bounded pool of searchers sharing one sharded memo. The
 // verdict always equals the serial one (the memo keys are injective and
 // every in-progress prune is backed by a full evaluation elsewhere).
-func feasibleFanOut(p *model.Problem, mode Mode, workers int, forceString bool, tel *obs.Telemetry) (Verdict, error) {
+func feasibleFanOut(p *model.Compiled, mode Mode, workers int, forceString bool, tel *obs.Telemetry) (Verdict, error) {
 	obsOn := tel.Enabled()
 	var span obs.Span
 	if obsOn {

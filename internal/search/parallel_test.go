@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trustseq/internal/gen"
+	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
@@ -16,11 +17,11 @@ func TestHashedKeysChangeNothingSerial(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
 		for _, mode := range []Mode{ModeAssets, ModeStrong} {
-			hashed, err := feasibleConfigured(p, mode, 1, false, nil)
+			hashed, err := feasibleConfigured(model.MustCompile(p), mode, 1, false, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			str, err := feasibleConfigured(p, mode, 1, true, nil)
+			str, err := feasibleConfigured(model.MustCompile(p), mode, 1, true, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -53,7 +54,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: serial: %v", seed, err)
 			}
-			serialStr, err := feasibleConfigured(p, mode, 1, true, nil)
+			serialStr, err := feasibleConfigured(model.MustCompile(p), mode, 1, true, nil)
 			if err != nil {
 				t.Fatalf("seed %d: string-keyed: %v", seed, err)
 			}
@@ -61,7 +62,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Errorf("seed %d mode=%v: hashed %+v != string %+v", seed, mode, serial, serialStr)
 			}
 			for _, workers := range []int{2, 4} {
-				par, err := FeasibleObs(p, mode, workers, nil)
+				par, err := FeasibleObs(model.MustCompile(p), mode, workers, nil)
 				if err != nil {
 					t.Fatalf("seed %d: parallel(%d): %v", seed, workers, err)
 				}
@@ -70,7 +71,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 						seed, mode, workers, par.Feasible, serial.Feasible)
 				}
 			}
-			parStr, err := feasibleConfigured(p, mode, 3, true, nil)
+			parStr, err := feasibleConfigured(model.MustCompile(p), mode, 3, true, nil)
 			if err != nil {
 				t.Fatalf("seed %d: parallel string-keyed: %v", seed, err)
 			}
@@ -96,7 +97,7 @@ func TestParallelPaperExamples(t *testing.T) {
 			for _, mode := range []Mode{ModeAssets, ModeStrong} {
 				serial := verdict(t, p, mode)
 				for _, workers := range []int{0, 1, 2, 8} {
-					par, err := FeasibleObs(p, mode, workers, nil)
+					par, err := FeasibleObs(model.MustCompile(p), mode, workers, nil)
 					if err != nil {
 						t.Fatalf("FeasibleObs(%v, %d, nil) = %v", mode, workers, err)
 					}
@@ -117,7 +118,7 @@ func TestParallelChains(t *testing.T) {
 		p := gen.Chain(k, 30)
 		for _, mode := range []Mode{ModeAssets, ModeStrong} {
 			serial := verdict(t, p, mode)
-			par, err := FeasibleObs(p, mode, 4, nil)
+			par, err := FeasibleObs(model.MustCompile(p), mode, 4, nil)
 			if err != nil {
 				t.Fatalf("chain %d: %v", k, err)
 			}
@@ -128,11 +129,13 @@ func TestParallelChains(t *testing.T) {
 	}
 }
 
+// The fan-out takes only a compiled problem; an invalid one never
+// compiles.
 func TestParallelRejectsInvalidProblem(t *testing.T) {
 	t.Parallel()
 	p := paperex.Example1() // fresh copy, safe to corrupt
 	p.Exchanges[0].Principal = "nobody"
-	if _, err := FeasibleObs(p, ModeAssets, 2, nil); err == nil {
+	if _, err := model.Compile(p); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }

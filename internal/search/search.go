@@ -63,13 +63,19 @@ type Verdict struct {
 	Explored int    // distinct states visited
 }
 
-// Feasible searches for a safe completing execution of the problem with
-// the serial search and no telemetry.
+// Feasible compiles the problem and searches it with the serial search
+// and no telemetry. Callers that hold a compiled problem call
+// FeasibleObs.
 func Feasible(p *model.Problem, mode Mode) (Verdict, error) {
-	return feasibleConfigured(p, mode, 1, false, nil)
+	c, err := model.Compile(p)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return FeasibleObs(c, mode, 1, nil)
 }
 
-// FeasibleObs is Feasible with a worker count and telemetry. workers ≤ 1
+// FeasibleObs searches for a safe completing execution of the problem
+// with a worker count and telemetry. workers ≤ 1
 // runs the serial search under a "search.feasible" span; workers > 1
 // fans the root's moves out to that many searchers sharing one sharded
 // memo, under a "search.feasible_parallel" span with per-shard memo
@@ -77,17 +83,14 @@ func Feasible(p *model.Problem, mode Mode) (Verdict, error) {
 // witness and the explored count may, since workers race to the first
 // witness. Telemetry adds batched node-expansion events and memo
 // counters; nil telemetry costs one boolean check per node.
-func FeasibleObs(p *model.Problem, mode Mode, workers int, tel *obs.Telemetry) (Verdict, error) {
+func FeasibleObs(p *model.Compiled, mode Mode, workers int, tel *obs.Telemetry) (Verdict, error) {
 	return feasibleConfigured(p, mode, workers, false, tel)
 }
 
 // feasibleConfigured is the test seam behind both entry points:
 // forceStringKeys disables the packed-fingerprint memo so the property
 // tests can confirm the key representation never changes a verdict.
-func feasibleConfigured(p *model.Problem, mode Mode, workers int, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
-	if err := p.Compile(); err != nil {
-		return Verdict{}, err
-	}
+func feasibleConfigured(p *model.Compiled, mode Mode, workers int, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
 	if workers > 1 {
 		return feasibleFanOut(p, mode, workers, forceStringKeys, tel)
 	}
@@ -132,7 +135,7 @@ func feasibleConfigured(p *model.Problem, mode Mode, workers int, forceStringKey
 // representation cannot change a verdict; the packed form lives in a
 // flat open-addressing table (fpTable) with no per-state allocation.
 type searcher struct {
-	problem     *model.Problem
+	problem     *model.Compiled
 	mode        Mode
 	forceString bool
 	memo64      fpTable
@@ -290,7 +293,7 @@ func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
 // apply leads nowhere.
 func (s *searcher) expand(exec *safety.Exec, mv Move, trail []Move, depth int) bool {
 	next := exec.ClonePooled()
-	ok := applyMove(next, s.problem, mv) == nil &&
+	ok := applyMove(next, mv) == nil &&
 		next.ForceCompletionsAll() == nil &&
 		s.dfs(next, append(trail, mv), depth+1)
 	safety.Release(next)
@@ -311,7 +314,7 @@ func (s *searcher) moves(exec *safety.Exec, depth int) []Move {
 }
 
 // appendMoves appends every searchable step from exec to buf.
-func appendMoves(buf []Move, exec *safety.Exec, p *model.Problem) []Move {
+func appendMoves(buf []Move, exec *safety.Exec, p *model.Compiled) []Move {
 	for ei := range p.Exchanges {
 		if !exec.DepositAttempted(ei) && exec.CanFund(ei) {
 			buf = append(buf, Move{Deposit: ei, Withdraw: -1, Post: -1})
@@ -328,7 +331,7 @@ func appendMoves(buf []Move, exec *safety.Exec, p *model.Problem) []Move {
 	return buf
 }
 
-func applyMove(exec *safety.Exec, _ *model.Problem, mv Move) error {
+func applyMove(exec *safety.Exec, mv Move) error {
 	switch {
 	case mv.Deposit >= 0:
 		return exec.CompleteDeposit(mv.Deposit)

@@ -21,7 +21,7 @@ func assertWitnessReplays(t *testing.T, p *model.Problem, v Verdict, mode Mode) 
 	if !v.Feasible {
 		t.Fatalf("witness replay requested for infeasible verdict")
 	}
-	exec := safety.NewExec(p)
+	exec := safety.NewExec(model.MustCompile(p))
 	if err := exec.ForceCompletionsAll(); err != nil {
 		t.Fatalf("initial completions: %v", err)
 	}
@@ -45,7 +45,7 @@ func assertWitnessReplays(t *testing.T, p *model.Problem, v Verdict, mode Mode) 
 	}
 	checkSafe(0)
 	for i, mv := range v.Sequence {
-		if err := applyMove(exec, p, mv); err != nil {
+		if err := applyMove(exec, mv); err != nil {
 			t.Fatalf("%s: witness step %d (%v) does not apply: %v", p.Name, i, mv, err)
 		}
 		if err := exec.ForceCompletionsAll(); err != nil {
@@ -71,7 +71,7 @@ func TestPaperWitnessesReplay(t *testing.T) {
 				if serial.Feasible {
 					assertWitnessReplays(t, p, serial, mode)
 				}
-				par, err := FeasibleObs(p, mode, 4, nil)
+				par, err := FeasibleObs(model.MustCompile(p), mode, 4, nil)
 				if err != nil {
 					t.Fatalf("FeasibleObs(%v, 4 workers) = %v", mode, err)
 				}
@@ -99,7 +99,7 @@ func TestRandomWitnessesReplay(t *testing.T) {
 			if v := verdict(t, p, mode); v.Feasible {
 				assertWitnessReplays(t, p, v, mode)
 			}
-			pv, err := FeasibleObs(p, mode, 3, nil)
+			pv, err := FeasibleObs(model.MustCompile(p), mode, 3, nil)
 			if err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}

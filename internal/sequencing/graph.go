@@ -59,7 +59,7 @@ type Conjunction struct {
 // indices live in one flat array per side, sliced by offsets, so the
 // reduction's adjacency hops are contiguous reads with no map lookups.
 type Graph struct {
-	Problem      *model.Problem
+	Problem      *model.Compiled
 	Commitments  []Commitment
 	Conjunctions []Conjunction
 	Edges        []Edge

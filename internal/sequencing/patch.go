@@ -68,9 +68,8 @@ type PatchResult struct {
 // frontier. It returns ok=false when the edit is structural at the
 // graph level — the delta says structural, or a conjunction node would
 // appear or disappear — in which case the caller must run the full
-// pipeline. edited must have passed Validate (it is compiled); base
-// must come from NewSplit on the base problem.
-func Patch(base *Graph, baseRed *Reduction, edited *model.Problem, delta *model.Delta) (*PatchResult, bool) {
+// pipeline. base must come from NewSplit on the base problem.
+func Patch(base *Graph, baseRed *Reduction, edited *model.Compiled, delta *model.Delta) (*PatchResult, bool) {
 	if base == nil || baseRed == nil || delta == nil || delta.Kind == model.DiffStructural {
 		return nil, false
 	}

@@ -8,12 +8,9 @@ import (
 	"trustseq/internal/paperex"
 )
 
-// splitAnalysis validates p and runs the from-scratch split pipeline.
+// splitAnalysis compiles p and runs the from-scratch split pipeline.
 func splitAnalysis(t testing.TB, p *model.Problem) (*Graph, *Reduction) {
 	t.Helper()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate(%s) = %v", p.Name, err)
-	}
 	g, err := NewSplit(mustInteraction(t, p))
 	if err != nil {
 		t.Fatalf("NewSplit(%s) = %v", p.Name, err)
@@ -21,15 +18,16 @@ func splitAnalysis(t testing.TB, p *model.Problem) (*Graph, *Reduction) {
 	return g, Reduce(g, nil)
 }
 
-// mustPatch diffs edited against the base graph's problem and applies
-// the patch, failing the test when the patcher falls back.
+// mustPatch compiles edited, diffs it against the base graph's problem
+// and applies the patch, failing the test when the patcher falls back.
 func mustPatch(t *testing.T, base *Graph, baseRed *Reduction, edited *model.Problem) *PatchResult {
 	t.Helper()
-	if err := edited.Validate(); err != nil {
-		t.Fatalf("Validate(edited %s) = %v", edited.Name, err)
+	c, err := model.Compile(edited)
+	if err != nil {
+		t.Fatalf("Compile(edited %s) = %v", edited.Name, err)
 	}
-	d := model.Diff(base.Problem, edited)
-	res, ok := Patch(base, baseRed, edited, &d)
+	d := model.Diff(&base.Problem.Problem, edited)
+	res, ok := Patch(base, baseRed, c, &d)
 	if !ok {
 		t.Fatalf("Patch fell back (delta %v, reason %q)", d.Kind, d.Reason)
 	}
@@ -80,13 +78,13 @@ func TestPatchRetuneReusesReduction(t *testing.T) {
 	if res.Frontier != 0 {
 		t.Errorf("frontier = %d, want 0", res.Frontier)
 	}
-	if res.Graph.Problem != edited {
+	if res.Graph.Problem.Digest() != model.Digest(edited) {
 		t.Errorf("patched graph is not bound to the edited problem")
 	}
 	if res.Graph == g || res.Reduction == r {
 		t.Errorf("reuse must rebind copies, not hand back the base pointers")
 	}
-	if g.Problem != base {
+	if g.Problem.Digest() != model.Digest(base) {
 		t.Errorf("base graph was rebound to the edited problem")
 	}
 	requirePatchMatchesScratch(t, res, edited)
@@ -169,11 +167,11 @@ func TestPatchStructuralFallback(t *testing.T) {
 		edited.Exchanges = append(edited.Exchanges,
 			model.Exchange{Principal: paperex.Consumer, Trusted: paperex.Trusted2,
 				Gives: model.Cash(1), Gets: model.Cash(1)})
-		d := model.Diff(g.Problem, edited)
+		d := model.Diff(&g.Problem.Problem, edited)
 		if d.Kind != model.DiffStructural {
 			t.Fatalf("delta = %v, want structural", d.Kind)
 		}
-		if _, ok := Patch(g, r, edited, &d); ok {
+		if _, ok := Patch(g, r, model.MustCompile(edited), &d); ok {
 			t.Errorf("Patch accepted a structural delta")
 		}
 	})
@@ -182,31 +180,25 @@ func TestPatchStructuralFallback(t *testing.T) {
 		// one dissolves ⋀C.
 		g, r := splitAnalysis(t, paperex.Example2())
 		edited := paperex.Example2Indemnified()
-		if err := edited.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		d := model.Diff(g.Problem, edited)
+		d := model.Diff(&g.Problem.Problem, edited)
 		if d.Kind != model.DiffPatchable {
 			t.Fatalf("delta = %v, want patchable", d.Kind)
 		}
-		if _, ok := Patch(g, r, edited, &d); ok {
+		if _, ok := Patch(g, r, model.MustCompile(edited), &d); ok {
 			t.Errorf("Patch accepted a conjunction-destroying edit")
 		}
 	})
 	t.Run("conjunction appears", func(t *testing.T) {
 		g, r := splitAnalysis(t, paperex.Example2Indemnified())
 		edited := paperex.Example2()
-		if err := edited.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		d := model.Diff(g.Problem, edited)
-		if _, ok := Patch(g, r, edited, &d); ok {
+		d := model.Diff(&g.Problem.Problem, edited)
+		if _, ok := Patch(g, r, model.MustCompile(edited), &d); ok {
 			t.Errorf("Patch accepted a conjunction-creating edit")
 		}
 	})
 	t.Run("nil inputs", func(t *testing.T) {
 		g, r := splitAnalysis(t, paperex.Example1())
-		d := model.Diff(g.Problem, g.Problem)
+		d := model.Diff(&g.Problem.Problem, &g.Problem.Problem)
 		if _, ok := Patch(nil, r, g.Problem, &d); ok {
 			t.Errorf("Patch accepted a nil base graph")
 		}

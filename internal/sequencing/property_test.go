@@ -37,10 +37,7 @@ func TestConfluenceOnRandomProblems(t *testing.T) {
 			PoorBroker:      i%4 == 0,
 			DirectTrustProb: 0.3,
 		})
-		ig, err := interaction.New(p)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
+		ig := interaction.New(model.MustCompile(p))
 		g, err := NewSplit(ig)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
@@ -71,10 +68,7 @@ func TestReduceDoesNotMutateGraph(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(77))
 	p := gen.Random(rng, gen.Options{Consumers: 2, Brokers: 2, Producers: 2, MaxPrice: 40})
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatalf("interaction: %v", err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	g, err := NewSplit(ig)
 	if err != nil {
 		t.Fatalf("NewSplit: %v", err)
@@ -103,11 +97,8 @@ func TestTrustMonotonicity(t *testing.T) {
 			Consumers: 1 + rng.Intn(2), Brokers: 1 + rng.Intn(2), Producers: 1 + rng.Intn(2),
 			MaxPrice: 40,
 		})
-		ig, err := interaction.New(p)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		g, err := NewSplit(ig)
+		c := model.MustCompile(p)
+		g, err := NewSplit(interaction.New(c))
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -123,19 +114,19 @@ func TestTrustMonotonicity(t *testing.T) {
 					continue
 				}
 				// producer trusts the counterparty broker
-				pa, _ := p.Party(e.Principal)
-				pb, _ := p.Party(other.Principal)
+				pa, _ := c.Party(e.Principal)
+				pb, _ := c.Party(other.Principal)
 				if pa.Role.String() == "producer" && pb.Role.String() == "broker" {
 					trusted.DirectTrust = append(trusted.DirectTrust,
 						trustDecl(e.Principal, other.Principal))
 				}
 			}
 		}
-		ig2, err := interaction.New(trusted)
+		c2, err := model.Compile(trusted)
 		if err != nil {
 			continue // duplicate declarations etc.
 		}
-		g2, err := NewSplit(ig2)
+		g2, err := NewSplit(interaction.New(c2))
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}

@@ -12,10 +12,7 @@ import (
 
 func buildGraph(t testing.TB, p *model.Problem) *Graph {
 	t.Helper()
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatalf("interaction.New(%s) = %v", p.Name, err)
-	}
+	ig := interaction.New(model.MustCompile(p))
 	g, err := New(ig)
 	if err != nil {
 		t.Fatalf("sequencing.New(%s) = %v", p.Name, err)
@@ -211,11 +208,7 @@ func TestReduceExample2IndemnifiedFeasible(t *testing.T) {
 
 func mustInteraction(t testing.TB, p *model.Problem) *interaction.Graph {
 	t.Helper()
-	ig, err := interaction.New(p)
-	if err != nil {
-		t.Fatalf("interaction.New = %v", err)
-	}
-	return ig
+	return interaction.New(model.MustCompile(p))
 }
 
 // --- E9: confluence of the reduction (Section 4.2.4) -----------------------

@@ -13,23 +13,23 @@ import (
 	"trustseq/internal/search"
 )
 
-// A loaded problem is validated, so compiled, once: concurrent misses
-// under every option set, and the cross-check engines run beside them,
-// only read it. Each option set is one miss, and the table dsl.Load
-// published is the one every engine reads afterwards; run under -race
-// this also pins that no engine writes the shared problem.
+// A compiled problem is read, never written: concurrent misses under
+// every option set, and the cross-check engines run beside them, share
+// one *model.Compiled. Each option set is one miss, and every engine
+// reads the table Compile built; run under -race this also pins that no
+// engine writes the shared value.
 func TestConcurrentAnalyzeReadsOneTable(t *testing.T) {
 	t.Parallel()
-	p := mustLoad(t, feasibleSpec)
-	tab := p.ActionTable()
+	c := model.MustCompile(mustLoad(t, feasibleSpec))
+	tab := c.ActionTable()
 	svc := New(Options{})
 	var wg sync.WaitGroup
 	for _, opts := range []AnalyzeOptions{{}, {Simulate: true}, {CrossCheck: true}, {Simulate: true, CrossCheck: true}} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, d, err := svc.Analyze(context.Background(), p, opts); err != nil || d != dispositionMiss {
-				t.Errorf("Analyze(%+v) = %s, %v; want a miss", opts, d, err)
+			if _, d, _, err := svc.analyzeTraced(context.Background(), problemDigest(c), c, nil, opts, nil, nil); err != nil || d != dispositionMiss {
+				t.Errorf("analyze(%+v) = %s, %v; want a miss", opts, d, err)
 			}
 		}()
 	}
@@ -37,7 +37,7 @@ func TestConcurrentAnalyzeReadsOneTable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v, err := search.FeasibleObs(p, mode, 1, nil); err != nil || !v.Feasible {
+			if v, err := search.FeasibleObs(c, mode, 1, nil); err != nil || !v.Feasible {
 				t.Errorf("FeasibleObs(%v) = %+v, %v", mode, v, err)
 			}
 		}()
@@ -45,19 +45,19 @@ func TestConcurrentAnalyzeReadsOneTable(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := petri.FromProblem(p); err != nil {
-			t.Errorf("petri.FromProblem = %v", err)
+		if _, err := petri.Encode(c); err != nil {
+			t.Errorf("petri.Encode = %v", err)
 		}
 	}()
 	wg.Wait()
-	if p.ActionTable() != tab {
-		t.Fatal("an engine rebuilt the loaded problem's table")
+	if c.ActionTable() != tab {
+		t.Fatal("an engine rebuilt the compiled problem's table")
 	}
 }
 
-// An unvalidated problem handed to Analyze is compiled in the compile
-// stage; one that fails Validate is a 422 carrying Validate's error,
-// caches nothing and leaves no run in flight.
+// A problem handed to Analyze is compiled first; one that does not
+// compile is a 422 carrying Compile's error, caches nothing and leaves
+// no run in flight.
 func TestAnalyzeInvalidProblemIs422(t *testing.T) {
 	t.Parallel()
 	broken := func() *model.Problem {
@@ -65,7 +65,7 @@ func TestAnalyzeInvalidProblemIs422(t *testing.T) {
 		p.Exchanges[paperex.Example1ConsumerIdx].Gives.Amount += 7
 		return p
 	}
-	want := broken().Validate()
+	_, want := model.Compile(broken())
 	svc := New(Options{})
 	for i := 0; i < 2; i++ {
 		_, _, err := svc.Analyze(context.Background(), broken(), AnalyzeOptions{})

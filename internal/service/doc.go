@@ -15,9 +15,10 @@
 // prefix, and a JSON body holding anything but whitespace after its one
 // value is a 400. The handler first decodes the request form and options
 // (cheap), then finds the problem digest. A source seen before has it
-// in the source index; any other source is parsed (dsl.LoadReader) and
-// digested once, and the index learns it (parse failures are 400s and
-// are never indexed). In cluster mode the digest routes the request, so
+// in the source index; any other source is parsed (dsl.LoadReader),
+// compiled (model.Compile) and digested once, and the index learns it
+// (sources that do not parse or compile are 400s and are never
+// indexed). In cluster mode the digest routes the request, so
 // a non-owner proxies a repeated source unparsed. Then the request key
 // (digest × options) is looked up once:
 //
@@ -28,9 +29,9 @@
 //  2. an identical run is already in flight — the request parks on it
 //     instead of starting another engine run (X-Trustd-Cache:
 //     coalesced; this is the singleflight collapse);
-//  3. otherwise the request becomes the leader: it parses the source if
-//     it has not yet, compiles the problem (model.Problem.Compile), and
-//     a goroutine takes a slot on the bounded engine semaphore, runs the
+//  3. otherwise the request becomes the leader: it parses and compiles
+//     the source (model.Compile) if it has not yet, and a goroutine
+//     takes a slot on the bounded engine semaphore, runs the
 //     pipeline, derives one Report and renders both bodies from it (JSON
 //     and the trustseq-identical text), signs them into the log,
 //     publishes to the LRU cache and wakes every waiter (X-Trustd-Cache:
@@ -45,13 +46,17 @@
 //
 // Every content address is the first 128 bits of a SHA-256, in the
 // [2]uint64 shape the caches, the ring and the log share. The result
-// cache is keyed on the compiled problem, not the source text:
-// ProblemDigest hashes a canonical, length-prefixed encoding of every
-// verdict-relevant problem field (parties, exchanges, trust
+// cache is keyed on the compiled problem, not the source text. The
+// lifecycle is build → model.Compile → analyse (to edit: Clone, edit,
+// Compile), and a compiled problem carries its own content address:
+// Compiled.Digest, SHA-256 over a canonical, length-prefixed encoding of
+// every verdict-relevant problem field (parties, exchanges, trust
 // declarations, indemnities, constraints — in declaration order, which
-// is semantically meaningful); that is the problem digest
-// (X-Trustd-Digest), and the request key is the hash of the digest and
-// the option set. Reformatted or re-commented sources therefore share
+// is semantically meaningful), computed once. Its first 128 bits are the
+// problem digest (X-Trustd-Digest), so the digest names exactly the
+// value the engines read; the request key is the hash of the digest and
+// the option set. ProblemDigest computes the same digest for a builder
+// without compiling it. Reformatted or re-commented sources therefore share
 // one cache slot; any change that could alter the response body changes
 // the key. The hash is collision-resistant, so no crafted problem can
 // be answered with another's result, coalesce onto another's run or be
@@ -83,9 +88,9 @@
 // from the client when well-formed, generated otherwise, and always
 // echoed back. The handler pipeline records its stages against the
 // request — parse (read and decode the request), digest (hash the
-// source, probe the index), load (parse and digest the source; skipped
-// for a repeated source unless it leads a run), cache, compile (the
-// leader only), engine/patch, crosscheck,
+// source, probe the index), load (parse the source) and compile
+// (compile and digest it; both skipped for a repeated source unless it
+// leads a run), cache, engine/patch, crosscheck,
 // simulate, render (the Report, both bodies and the log append) —
 // surfaces them in a Server-Timing response header,
 // and hands the engine run a tracer fanning out into a bounded

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"trustseq/internal/model"
 )
@@ -18,14 +17,16 @@ import (
 // owner and a log leaf all name the problem they were computed for.
 
 // address128 is the first 128 bits of SHA-256 over b.
-func address128(b []byte) [2]uint64 {
-	sum := sha256.Sum256(b)
+func address128(b []byte) [2]uint64 { return prefix128(sha256.Sum256(b)) }
+
+// prefix128 is the first 128 bits of a SHA-256.
+func prefix128(sum [sha256.Size]byte) [2]uint64 {
 	return [2]uint64{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
 }
 
 // The append functions below build requestKey's encoding in the style
-// of model.AppendCanonical: fixed-width little-endian integers, one byte
-// per bool.
+// of model.Digest's canonical encoding: fixed-width little-endian
+// integers, one byte per bool.
 
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
@@ -36,24 +37,16 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// encodings recycles ProblemDigest's encoding buffers, so digesting a
-// problem allocates nothing once a buffer of its size exists.
-var encodings = sync.Pool{New: func() any { return new([]byte) }}
+// problemDigest returns the 128-bit content digest of a compiled
+// problem alone: the first 128 bits of its content address
+// (model.Compiled's Digest), which covers every field that can
+// influence an analysis verdict. The service returns it as
+// X-Trustd-Digest, accepts it back in X-Trustd-Base, keys the base-plan
+// cache and the ring with it, and writes it into the log leaf.
+func problemDigest(c *model.Compiled) [2]uint64 { return prefix128(c.Digest()) }
 
-// ProblemDigest returns the 128-bit content digest of the problem alone:
-// SHA-256 over its canonical encoding (model.AppendCanonical), which
-// covers every field that can influence an analysis verdict. The service
-// returns it as X-Trustd-Digest, accepts it back in X-Trustd-Base, keys
-// the base-plan cache and the ring with it, and writes it into the log
-// leaf.
-func ProblemDigest(p *model.Problem) [2]uint64 {
-	buf := encodings.Get().(*[]byte)
-	b := model.AppendCanonical((*buf)[:0], p, nil)
-	d := address128(b)
-	*buf = b
-	encodings.Put(buf)
-	return d
-}
+// ProblemDigest is problemDigest of a builder, without compiling it.
+func ProblemDigest(p *model.Problem) [2]uint64 { return prefix128(model.Digest(p)) }
 
 // requestKey derives the cache key for one analysis request from its
 // problem digest and every option that shapes the response body, so a

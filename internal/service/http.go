@@ -130,7 +130,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	digest, indexed := s.sources.get(skey)
 	s.mu.Unlock()
 	rt.endStage(ds)
-	var p *model.Problem
+	var p *model.Compiled
 	if !indexed {
 		if p, digest, err = loadSource(src, rt); err != nil {
 			writeStatusError(w, err)
@@ -221,16 +221,23 @@ func (s *Service) writeAnalyze(w http.ResponseWriter, rt *reqTrace, res *cached,
 	w.Write(res.json)
 }
 
-// loadSource parses the decoded source into a problem and digests it,
-// as the request's "load" stage. A parse failure is a 400.
-func loadSource(src []byte, rt *reqTrace) (*model.Problem, [2]uint64, error) {
+// loadSource parses the decoded source into a problem, as the request's
+// "load" stage, then compiles and digests it, as its "compile" stage.
+// A source that does not parse or compile is a 400.
+func loadSource(src []byte, rt *reqTrace) (*model.Compiled, [2]uint64, error) {
 	ls := rt.beginStage("load")
-	defer rt.endStage(ls)
 	p, err := dsl.LoadReader(bytes.NewReader(src))
+	rt.endStage(ls)
 	if err != nil {
 		return nil, [2]uint64{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
-	return p, ProblemDigest(p), nil
+	cs := rt.beginStage("compile")
+	defer rt.endStage(cs)
+	c, err := model.Compile(p)
+	if err != nil {
+		return nil, [2]uint64{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+	}
+	return c, problemDigest(c), nil
 }
 
 // decodeAnalyzeRequest decodes either request form (body already read

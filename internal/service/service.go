@@ -190,7 +190,7 @@ type Service struct {
 	flight map[[2]uint64]*call
 	// sources is the source index in front of the result cache: the
 	// source key (sourceKey) of every successfully parsed body maps to
-	// its problem digest (ProblemDigest), so a repeated body finds its
+	// its problem digest (problemDigest), so a repeated body finds its
 	// request key without being parsed again. Sized like the result
 	// cache.
 	sources *lru[[2]uint64]
@@ -301,20 +301,25 @@ const (
 	IncrementalBaseMiss IncrementalDisposition = "base-miss"
 )
 
-// Analyze serves one problem: from the cache when possible, by joining
-// an identical in-flight run when one exists, and by a fresh engine run
-// otherwise. The returned body is immutable shared state — callers must
-// not modify it.
+// Analyze compiles one problem and serves it: from the cache when
+// possible, by joining an identical in-flight run when one exists, and
+// by a fresh engine run otherwise. A problem that does not compile is a
+// 422 carrying Compile's error. The returned body is immutable shared
+// state — callers must not modify it.
 func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOptions) (*cached, cacheDisposition, error) {
-	res, d, _, err := s.analyzeTraced(ctx, ProblemDigest(p), p, nil, opts, nil, nil)
+	c, err := model.Compile(p)
+	if err != nil {
+		return nil, dispositionMiss, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
+	}
+	res, d, _, err := s.analyzeTraced(ctx, problemDigest(c), c, nil, opts, nil, nil)
 	return res, d, err
 }
 
 // analyzeTraced is the traced spine of Analyze and the HTTP handler: the
 // one cache lookup of a request whose problem digest is digest. The
-// problem is p, or when p is nil the source src parses to; it is parsed
-// and compiled only when this request leads a fresh engine run, so a
-// repeated source is answered without either.
+// problem is p, or when p is nil the source src compiles to; it is
+// parsed and compiled only when this request leads a fresh engine run,
+// so a repeated source is answered without either.
 //
 // A base digest names a previous problem: when its plan is still
 // resident in the base cache, the request is served by the incremental
@@ -330,7 +335,7 @@ func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOpt
 // tracer through the engine run. A nil rt costs a handful of nil checks
 // — the plain API paths and the disabled-telemetry benchmarks stay
 // byte-for-byte.
-func (s *Service) analyzeTraced(ctx context.Context, digest [2]uint64, p *model.Problem, src []byte, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
+func (s *Service) analyzeTraced(ctx context.Context, digest [2]uint64, p *model.Compiled, src []byte, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
 	key := requestKey(digest, opts)
 	ls := rt.beginStage("cache")
 	s.mu.Lock()
@@ -369,14 +374,6 @@ func (s *Service) analyzeTraced(ctx context.Context, digest [2]uint64, p *model.
 			s.publish(fl, key, digest, nil, nil, err)
 			return nil, dispositionMiss, "", err
 		}
-	}
-	cs := rt.beginStage("compile")
-	err := p.Compile() // a loaded problem arrives compiled; any other is validated once, here
-	rt.endStage(cs)
-	if err != nil {
-		err = &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
-		s.publish(fl, key, digest, nil, nil, err)
-		return nil, dispositionMiss, "", err
 	}
 
 	// The leader's run is decoupled from the leader's context: once
@@ -445,7 +442,7 @@ func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cac
 // simulate and render stages plus a fan-out tracer, so
 // core/sequencing/search/petri spans land in the request's ring; the
 // render stage covers the Report, both bodies and the log append.
-func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.Plan, digest, key [2]uint64, rt *reqTrace) (*cached, *core.Plan, bool, error) {
+func (s *Service) compute(p *model.Compiled, opts AnalyzeOptions, basePlan *core.Plan, digest, key [2]uint64, rt *reqTrace) (*cached, *core.Plan, bool, error) {
 	if s.testComputeHook != nil {
 		s.testComputeHook()
 	}

@@ -172,7 +172,7 @@ func TestAnalyzeCrossCheckMatchesSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := mustLoad(t, tc.src)
-			v, err := sweep.CrossCheck(p, opts.MaxSearchExchanges, opts.PetriBudget, opts.SearchWorkers, nil, nil)
+			v, err := sweep.CrossCheck(model.MustCompile(p), opts.MaxSearchExchanges, opts.PetriBudget, opts.SearchWorkers, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,7 @@ func TestScheduleDeliverZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			solo := &model.Problem{Parties: []model.Party{{ID: "p", Role: model.RoleConsumer}}}
-			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, queue: tc.queue}, solo)
+			net := NewNetwork(Config{Seed: 1, MaxMessages: 1 << 30, queue: tc.queue}, model.MustCompile(solo))
 			node := &tickNode{id: "p"}
 			net.AddNode(node)
 			net.ctx.self = node.id
@@ -70,7 +70,7 @@ func TestScheduleDeliverZeroAlloc(t *testing.T) {
 func escrowNode(t *testing.T) *TrustedNode {
 	t.Helper()
 	p := paperex.Example1()
-	n := NewTrustedNode(p, paperex.Trusted1, 1000, true)
+	n := NewTrustedNode(model.MustCompile(p), paperex.Trusted1, 1000, true)
 	if len(n.adjacent) < 2 {
 		t.Fatalf("%s mediates %d exchanges, want ≥ 2", n.Self, len(n.adjacent))
 	}

@@ -11,7 +11,7 @@ import (
 // component played by the defector — the accepted risk a direct-trust
 // declaration carries (Section 2.5): losses to a directly trusted
 // defector are outside the protection claim.
-func TrustsDefectorPersona(p *model.Problem, victim, defector model.PartyID) bool {
+func TrustsDefectorPersona(p *model.Compiled, victim, defector model.PartyID) bool {
 	for _, e := range p.Exchanges {
 		if e.Principal != victim {
 			continue

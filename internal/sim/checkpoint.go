@@ -105,17 +105,15 @@ func startPrefix(trace []Message, at Time, logged bool) func(*Result) prefix {
 }
 
 // planDigest is the SHA-256 of everything the node roster and scripts
-// are derived from: the problem's canonical encoding, then each step's
-// kind, exchange, offer, endpoints and action slots. Both reach the
-// hash through a small buffer: a population's plan encodes to
-// megabytes.
+// are derived from: the problem's content address (model.Compiled's
+// Digest), then each step's kind, exchange, offer, endpoints and action
+// slots. The steps reach the hash through a small buffer: a
+// population's plan encodes to megabytes.
 func planDigest(plan *core.Plan) [sha256.Size]byte {
 	h := sha256.New()
-	spill := func(b []byte) []byte {
-		h.Write(b)
-		return b[:0]
-	}
-	b := model.AppendCanonical(make([]byte, 0, 2*model.SpillSize), plan.Problem, spill)
+	d := plan.Problem.Digest()
+	h.Write(d[:])
+	b := make([]byte, 0, 4<<10)
 	b = binary.AppendUvarint(b, uint64(len(plan.Steps)))
 	for _, st := range plan.Steps {
 		b = binary.AppendUvarint(b, uint64(st.Kind))
@@ -127,8 +125,9 @@ func planDigest(plan *core.Plan) [sha256.Size]byte {
 		for _, s := range st.Slots {
 			b = binary.AppendUvarint(b, uint64(s))
 		}
-		if len(b) >= model.SpillSize {
-			b = spill(b)
+		if len(b) >= 2<<10 {
+			h.Write(b)
+			b = b[:0]
 		}
 	}
 	h.Write(b)

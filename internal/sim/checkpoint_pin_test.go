@@ -34,7 +34,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			pl:   v1,
 			opts: ChaosOptions(rand.New(rand.NewSource(22)), v1.Problem, AllFaults(), 22, 0),
 			at:   130,
-			sum:  "9c3877d42e52709cef6801d7fb7d2a90a76f639bb4e2704db60c7c5bacd95924",
+			sum:  "c4d54751fa2bfe4fbfec0122754bc9ed882021285f23b65aa658cabbe95861b5",
 		},
 		{
 			name: "indemnified-crash-dup-reorder",
@@ -44,14 +44,14 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				Crashes: []CrashEvent{{Node: paperex.Trusted1, At: 5, Downtime: 12}},
 			}},
 			at:  18,
-			sum: "7661ee987986d051ccbcc1f47bae42d15144b67e846e49d3f0fe7b485af6264e",
+			sum: "62670acec3e652660eb816c6487cfebeae2edce218b776154283f29a1955fa4b",
 		},
 		{
 			name: "population-300-one-defector",
 			pl:   plan(t, gen.Population(300, 0, 10)),
 			opts: Options{Seed: 5, Deadline: 20000, Defectors: map[model.PartyID]int{"b100": 1}},
 			at:   40,
-			sum:  "2a181c660e6fc2db929ec6eb7d8e789c39303e7dfcc20b519bdca02ff414fe0a",
+			sum:  "c1e2fb0b7a29896ddbd937c32a2214a32f0595a0bdca87111295f01e358fd253",
 		},
 	}
 	for _, tc := range cases {

@@ -63,7 +63,7 @@ func TestDeadlineSweepNeverLosesAssets(t *testing.T) {
 				offerers[off.By] = true
 				amount := off.Amount
 				if amount == 0 {
-					amount = model.RequiredIndemnity(pl.Problem, off.Covers)
+					amount = model.RequiredIndemnity(&pl.Problem.Problem, off.Covers)
 				}
 				payouts = append(payouts,
 					model.Pay(off.Via, pl.Problem.Exchanges[off.Covers].Principal, amount))

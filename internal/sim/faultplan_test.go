@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/paperex"
 )
@@ -172,7 +173,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			err := tc.fp.Validate(p)
+			err := tc.fp.Validate(model.MustCompile(p))
 			if tc.ok && err != nil {
 				t.Errorf("Validate = %v, want nil", err)
 			}
@@ -243,7 +244,7 @@ func TestFaultMenuString(t *testing.T) {
 // validates against the problem it was sampled for.
 func TestSampleFaultPlanRespectsMenu(t *testing.T) {
 	t.Parallel()
-	p := paperex.Example1()
+	p := model.MustCompile(paperex.Example1())
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 50; i++ {
 		fp := SampleFaultPlan(rng, p, FaultMenu{Dup: true, Crash: true}, 60)

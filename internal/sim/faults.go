@@ -88,7 +88,7 @@ func (f *FaultPlan) Enabled() bool {
 // Validate checks the plan against a problem: rates in [0,1), positive
 // windows, partition endpoints that exist, and crashes that target
 // trusted nodes with non-overlapping windows per node.
-func (f *FaultPlan) Validate(p *model.Problem) error {
+func (f *FaultPlan) Validate(p *model.Compiled) error {
 	if f == nil {
 		return nil
 	}
@@ -221,7 +221,7 @@ func ParseFaultMenu(spec string) (FaultMenu, error) {
 // so a caller that seeds rng deterministically gets a reproducible
 // plan. Deadline scales the time-domain faults (spikes, partition
 // windows, crash windows) so they actually straddle the escrow expiry.
-func SampleFaultPlan(rng *rand.Rand, p *model.Problem, menu FaultMenu, deadline Time) *FaultPlan {
+func SampleFaultPlan(rng *rand.Rand, p *model.Compiled, menu FaultMenu, deadline Time) *FaultPlan {
 	if deadline < 8 {
 		deadline = 8
 	}
@@ -282,7 +282,7 @@ func SampleFaultPlan(rng *rand.Rand, p *model.Problem, menu FaultMenu, deadline 
 // derived from rng. Deadline ≤ 0 samples one in [40, 200) so some runs
 // complete and others are forced through the unwind. Callers add
 // Defectors and Obs on top.
-func ChaosOptions(rng *rand.Rand, p *model.Problem, menu FaultMenu, seed int64, deadline Time) Options {
+func ChaosOptions(rng *rand.Rand, p *model.Compiled, menu FaultMenu, seed int64, deadline Time) Options {
 	if deadline <= 0 {
 		deadline = 40 + Time(rng.Int63n(160))
 	}

@@ -254,7 +254,7 @@ type Config struct {
 // and it resolves party IDs through the table's party index. Each node
 // is placed at its party's slot, and Run initialises them in the order
 // of their party IDs, which NewNetwork sorts once.
-func NewNetwork(cfg Config, p *model.Problem) *Network {
+func NewNetwork(cfg Config, p *model.Compiled) *Network {
 	if cfg.BaseLatency <= 0 {
 		cfg.BaseLatency = 1
 	}

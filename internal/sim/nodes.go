@@ -24,7 +24,7 @@ import (
 // transfer against its exchanges' deposit and receipt rows and its
 // offers' post slots, and sends the slots those rows name.
 type TrustedNode struct {
-	Problem  *model.Problem
+	Problem  *model.Compiled
 	Self     model.PartyID
 	Deadline Time
 	Honest   bool
@@ -168,7 +168,7 @@ func (n *TrustedNode) Restore(ctx *Context) {
 }
 
 // NewTrustedNode builds the node for one trusted component.
-func NewTrustedNode(p *model.Problem, self model.PartyID, deadline Time, honest bool) *TrustedNode {
+func NewTrustedNode(p *model.Compiled, self model.PartyID, deadline Time, honest bool) *TrustedNode {
 	t := p.ActionTable()
 	var n *TrustedNode
 	if i, ok := t.PartySlot(self); ok {
@@ -183,7 +183,7 @@ func NewTrustedNode(p *model.Problem, self model.PartyID, deadline Time, honest 
 // trustedNodes builds the honest nodes of the trusted components in the
 // given party slots, carved from a few slabs sized in one pass. A node's
 // exchanges and offers are rows of the action table.
-func trustedNodes(p *model.Problem, slots []int32, deadline Time) []*TrustedNode {
+func trustedNodes(p *model.Compiled, slots []int32, deadline Time) []*TrustedNode {
 	t := p.ActionTable()
 	slab := make([]TrustedNode, len(slots))
 	out := make([]*TrustedNode, len(slots))
@@ -536,7 +536,7 @@ func (n *TrustedNode) matchCollateral(s int32) (int32, bool) {
 // means honest (no bound); 0 is a fully silent defector; k > 0 defects
 // after k steps.
 type PrincipalNode struct {
-	Problem   *model.Problem
+	Problem   *model.Compiled
 	Self      model.PartyID
 	StopAfter int
 
@@ -770,7 +770,7 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 // purchase exchange for the item, or the item's actual delivery to the
 // offerer. Items bought at a persona trusted played by the offerer are
 // skipped — it observes its own escrow directly.
-func securingSignals(p *model.Problem, t *model.ActionTable, self int32, off model.IndemnityOffer) [][]int32 {
+func securingSignals(p *model.Compiled, t *model.ActionTable, self int32, off model.IndemnityOffer) [][]int32 {
 	var out [][]int32
 	for _, it := range p.Exchanges[off.Covers].Gets.Items {
 		var alts []int32

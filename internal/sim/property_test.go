@@ -42,7 +42,7 @@ func TestRandomFeasibleProblemsSimulate(t *testing.T) {
 			}
 			for _, pa := range p.Parties {
 				if pa.IsTrusted() {
-					if _, isPersona := p.PersonaOf(pa.ID); !isPersona && !res.TrustedNeutral(pa.ID) {
+					if _, isPersona := pl.Problem.PersonaOf(pa.ID); !isPersona && !res.TrustedNeutral(pa.ID) {
 						t.Errorf("instance %d: %s not neutral", i, pa.ID)
 					}
 					continue
@@ -92,7 +92,7 @@ func TestRandomDefectionFuzz(t *testing.T) {
 				if other.IsTrusted() || other.ID == defector {
 					continue
 				}
-				if TrustsDefectorPersona(p, other.ID, defector) {
+				if TrustsDefectorPersona(pl.Problem, other.ID, defector) {
 					continue // accepted risk: direct trust in the defector
 				}
 				if !res.AssetsSafeFor(other.ID) {

@@ -19,7 +19,7 @@ import (
 // between send and delivery; since a quiescent run's transit account is
 // empty (Run errors otherwise), replaying each delivered transfer as a
 // direct sender-to-receiver movement lands on the same final holdings.
-func ReplayBalances(p *model.Problem, trace []Message) (map[model.PartyID]*model.Holding, error) {
+func ReplayBalances(p *model.Compiled, trace []Message) (map[model.PartyID]*model.Holding, error) {
 	book := ledger.New(p)
 	for i, m := range trace {
 		if m.Kind != MsgTransfer {

@@ -68,7 +68,7 @@ type Options struct {
 
 // Result is the outcome of a simulation.
 type Result struct {
-	Problem *model.Problem
+	Problem *model.Compiled
 	// State is the exchange state assembled from every delivered message.
 	State model.State
 	// Final per-party balances.
@@ -109,13 +109,13 @@ func (r *Result) Completed() bool {
 // AcceptableTo reports whether the final state satisfies the principal's
 // full conjunction acceptability.
 func (r *Result) AcceptableTo(id model.PartyID) bool {
-	return model.Acceptable(r.Problem, id, r.State)
+	return model.Acceptable(id, r.State)
 }
 
 // AssetsSafeFor reports whether the final state preserves the
 // principal's per-exchange asset integrity.
 func (r *Result) AssetsSafeFor(id model.PartyID) bool {
-	return model.AcceptableAssets(r.Problem, id, r.State)
+	return model.AcceptableAssets(id, r.State)
 }
 
 // TrustedNeutral reports whether a trusted component ended holding
@@ -149,7 +149,7 @@ func (r *Result) Summary() string {
 type runtime struct {
 	plan       *core.Plan
 	opts       Options // normalized (defaults applied)
-	p          *model.Problem
+	p          *model.Compiled
 	net        *Network
 	book       *ledger.Ledger
 	trusted    []*TrustedNode
@@ -355,7 +355,7 @@ type phases struct {
 
 // startPhases opens the sim.run span, or returns nil when opts.Obs is
 // disabled.
-func startPhases(opts Options, p *model.Problem) *phases {
+func startPhases(opts Options, p *model.Compiled) *phases {
 	tel := opts.Obs
 	if !tel.Enabled() {
 		return nil

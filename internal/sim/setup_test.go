@@ -88,7 +88,7 @@ func TestByIDMatchesSort(t *testing.T) {
 	idSets = append(idSets, random)
 	problems := []*model.Problem{gen.Population(1000, 0, 10), gen.Population(40, 3, 10)}
 	for _, pl := range chaosCorpus(t) {
-		problems = append(problems, pl.Problem)
+		problems = append(problems, &pl.Problem.Problem)
 	}
 	for _, p := range problems {
 		ids := make([]model.PartyID, 0, len(p.Parties))

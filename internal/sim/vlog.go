@@ -63,7 +63,7 @@ func SettlementLog(trace []Message) *vlog.Log {
 // fresh ledger. The root binds every entry and its position, so a
 // truncated, edited, or reordered trace fails before any balance is
 // derived.
-func ReplayBalancesVerified(p *model.Problem, trace []Message, root vlog.Hash) (map[model.PartyID]*model.Holding, error) {
+func ReplayBalancesVerified(p *model.Compiled, trace []Message, root vlog.Hash) (map[model.PartyID]*model.Holding, error) {
 	if got := SettlementLog(trace).Root(); got != root {
 		return nil, fmt.Errorf("sim: %w: trace rebuilds root %s, run published %s", vlog.ErrRootMismatch, got, root)
 	}

@@ -412,10 +412,15 @@ func familyOf(name string) string {
 
 // runOne cross-validates a single generated problem.
 func runOne(cfg Config, i int, ws *workerScratch) Result {
-	p, seed := problemFor(cfg, i, ws)
-	res := Result{Index: i, Seed: seed, Name: p.Name, Exchanges: len(p.Exchanges)}
+	b, seed := problemFor(cfg, i, ws)
+	res := Result{Index: i, Seed: seed, Name: b.Name, Exchanges: len(b.Exchanges)}
 	tel := cfg.Obs
 
+	p, err := model.Compile(b)
+	if err != nil {
+		res.Err = fmt.Sprintf("compile: %v", err)
+		return res
+	}
 	plan, err := core.SynthesizeObs(p, tel)
 	if err != nil {
 		res.Err = fmt.Sprintf("synthesize: %v", err)
@@ -456,7 +461,7 @@ type Verdicts struct {
 // (search.FeasibleObs), and scratch, when non-nil, is reused by the
 // coverability check. On an engine error the verdicts decided so far
 // come back with it.
-func CrossCheck(p *model.Problem, maxExchanges, petriBudget, searchWorkers int, tel *obs.Telemetry, scratch *petri.CoverScratch) (Verdicts, error) {
+func CrossCheck(p *model.Compiled, maxExchanges, petriBudget, searchWorkers int, tel *obs.Telemetry, scratch *petri.CoverScratch) (Verdicts, error) {
 	var v Verdicts
 	if len(p.Exchanges) > maxExchanges {
 		v.SearchSkipped = true
@@ -472,7 +477,7 @@ func CrossCheck(p *model.Problem, maxExchanges, petriBudget, searchWorkers int, 
 		return v, fmt.Errorf("strong search: %w", err)
 	}
 	v.StrongFeasible = strong.Feasible
-	enc, err := petri.FromProblem(p)
+	enc, err := petri.Encode(p)
 	if err != nil {
 		return v, fmt.Errorf("petri encoding: %w", err)
 	}

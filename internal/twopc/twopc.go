@@ -115,7 +115,7 @@ func Coordinator(parts []Participant) Stats {
 // intermediaries — 2PC presumes everyone follows the protocol).
 type ExchangeParticipant struct {
 	Party   model.PartyID
-	Problem *model.Problem
+	Problem *model.Compiled
 	Book    *ledger.Ledger
 	// Defect makes the participant vote commit and then silently skip
 	// its transfers.
@@ -173,7 +173,7 @@ func (e *ExchangeParticipant) Abort() {}
 
 // counterparty resolves who receives the principal's Gives: the other
 // principal at the same trusted component.
-func counterparty(p *model.Problem, ei int) (model.PartyID, bool) {
+func counterparty(p *model.Compiled, ei int) (model.PartyID, bool) {
 	ex := p.Exchanges[ei]
 	for ej, other := range p.Exchanges {
 		if ej == ei || other.Trusted != ex.Trusted {
@@ -190,10 +190,7 @@ func counterparty(p *model.Problem, ei int) (model.PartyID, bool) {
 // defector set, returning the protocol stats and the final outcome per
 // principal: whether the result is acceptable to them (per-exchange
 // asset integrity on the resulting transfer state).
-func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map[model.PartyID]bool, error) {
-	if err := p.Compile(); err != nil {
-		return Stats{}, nil, err
-	}
+func RunExchange(p *model.Compiled, defectors map[model.PartyID]bool) (Stats, map[model.PartyID]bool, error) {
 	book := ledger.New(p)
 	var parts []Participant
 	var ids []model.PartyID
@@ -245,7 +242,7 @@ func RunExchange(p *model.Problem, defectors map[model.PartyID]bool) (Stats, map
 // (no intermediaries) over the set of committed transfers: for every
 // exchange whose Gives the principal actually sent, the corresponding
 // Gets must have arrived.
-func acceptableDirect(p *model.Problem, id model.PartyID, sent map[model.Action]bool) bool {
+func acceptableDirect(p *model.Compiled, id model.PartyID, sent map[model.Action]bool) bool {
 	received := model.NewHolding()
 	for a := range sent {
 		if a.Receiver() == id {

@@ -13,7 +13,7 @@ import (
 // Example 1 with fewer messages than the trust protocol needs.
 func TestHonest2PCCompletesExample1(t *testing.T) {
 	t.Parallel()
-	stats, outcome, err := RunExchange(paperex.Example1(), nil)
+	stats, outcome, err := RunExchange(model.MustCompile(paperex.Example1()), nil)
 	if err != nil {
 		t.Fatalf("RunExchange = %v", err)
 	}
@@ -41,7 +41,7 @@ func TestHonest2PCCompletesExample1(t *testing.T) {
 // ("commit protocols rely on trust among all parties", Section 1).
 func TestDefector2PCHarmsHonestParties(t *testing.T) {
 	t.Parallel()
-	stats, outcome, err := RunExchange(paperex.Example1(),
+	stats, outcome, err := RunExchange(model.MustCompile(paperex.Example1()),
 		map[model.PartyID]bool{paperex.Broker: true})
 	if err != nil {
 		t.Fatalf("RunExchange = %v", err)
@@ -66,7 +66,7 @@ func TestDefector2PCHarmsHonestParties(t *testing.T) {
 // A refused vote aborts cleanly: nothing moves, everyone stays whole.
 func TestVoteAbortIsClean(t *testing.T) {
 	t.Parallel()
-	p := paperex.Example1()
+	p := model.MustCompile(paperex.Example1())
 	book, parts := buildParts(t, p)
 	opening := book.String()
 	parts[0].(*ExchangeParticipant).RefuseVote = true
@@ -79,7 +79,7 @@ func TestVoteAbortIsClean(t *testing.T) {
 	}
 }
 
-func buildParts(t *testing.T, p *model.Problem) (*ledger.Ledger, []Participant) {
+func buildParts(t *testing.T, p *model.Compiled) (*ledger.Ledger, []Participant) {
 	t.Helper()
 	book := ledger.New(p)
 	var parts []Participant
@@ -104,7 +104,7 @@ func TestDecisionString(t *testing.T) {
 // on Example 2 (two chains) must also settle fully.
 func TestCommitRetriesResolveResaleOrder(t *testing.T) {
 	t.Parallel()
-	stats, outcome, err := RunExchange(paperex.Example2(), nil)
+	stats, outcome, err := RunExchange(model.MustCompile(paperex.Example2()), nil)
 	if err != nil {
 		t.Fatalf("RunExchange = %v", err)
 	}
@@ -122,7 +122,7 @@ func TestCommitRetriesResolveResaleOrder(t *testing.T) {
 // leaves the broker's sale permanently unfundable.
 func TestStuckCommitReported(t *testing.T) {
 	t.Parallel()
-	stats, _, err := RunExchange(paperex.Example1(),
+	stats, _, err := RunExchange(model.MustCompile(paperex.Example1()),
 		map[model.PartyID]bool{paperex.Producer: true})
 	if err != nil {
 		t.Fatalf("RunExchange = %v", err)

@@ -8,7 +8,6 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/petri"
@@ -37,12 +36,7 @@ func skipIfRace(t *testing.T) {
 
 func allocGraph(t *testing.T, p *model.Problem) *sequencing.Graph {
 	t.Helper()
-	ig := interaction.New(model.MustCompile(p))
-	sg, err := sequencing.NewSplit(ig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sg
+	return sequencing.Build(model.MustCompile(p))
 }
 
 func TestReduceAllocBudget(t *testing.T) {
@@ -86,14 +80,15 @@ func TestPetriCompletableAllocBudget(t *testing.T) {
 	}
 }
 
-// The incremental edit path must allocate O(frontier), not O(problem):
-// the per-run allocation count stays under a small fixed budget and —
-// the sharper property — does not grow with the chain length. (Byte
-// sizes do grow where a copy-on-write slice is cloned; the count gates
-// against reintroducing per-edge or per-node allocations.)
+// The incremental edit path allocates a fixed number of times, not
+// O(problem): reusing the base (the row comparison plus the rebind) and
+// rebuilding for a graph-changing edit (Build plus Reduce) each stay
+// under a small fixed budget and — the sharper property — do not grow
+// with the chain length. (Byte sizes grow with the problem; the count
+// gates against reintroducing per-edge or per-node allocations.)
 func TestIncrementalPatchAllocBudget(t *testing.T) {
 	skipIfRace(t)
-	const reuseBudget, rereduceBudget = 20.0, 24.0
+	const reuseBudget, rebuildBudget = 20.0, 24.0
 	counts := map[string][]float64{}
 	for _, k := range []int{16, 64} {
 		base := gen.Chain(k, model.Money(k+10))
@@ -109,27 +104,25 @@ func TestIncrementalPatchAllocBudget(t *testing.T) {
 		retunedC, redflipC := model.MustCompile(retuned), model.MustCompile(redflip)
 
 		reuse := testing.AllocsPerRun(100, func() {
-			d := model.Diff(base, retuned)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retunedC, &d)
-			if !ok || res.Outcome != sequencing.PatchReused {
-				t.Fatal("patch did not reuse")
+			if !sequencing.SameGraph(basePlan.Problem, retunedC) {
+				t.Fatal("retune changed the graph")
 			}
+			reusedReduction = basePlan.Reduction.Rebind(retunedC)
 		})
 		if reuse > reuseBudget {
 			t.Errorf("chain-%d: reuse path allocates %.0f/run, budget %.0f", k, reuse, reuseBudget)
 		}
-		rereduce := testing.AllocsPerRun(100, func() {
-			d := model.Diff(base, redflip)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflipC, &d)
-			if !ok || res.Outcome != sequencing.PatchRereduced {
-				t.Fatal("patch did not rereduce")
+		rebuild := testing.AllocsPerRun(100, func() {
+			if sequencing.SameGraph(basePlan.Problem, redflipC) {
+				t.Fatal("red flip kept the graph")
 			}
+			sequencing.Reduce(sequencing.Build(redflipC), nil)
 		})
-		if rereduce > rereduceBudget {
-			t.Errorf("chain-%d: rereduce path allocates %.0f/run, budget %.0f", k, rereduce, rereduceBudget)
+		if rebuild > rebuildBudget {
+			t.Errorf("chain-%d: rebuild path allocates %.0f/run, budget %.0f", k, rebuild, rebuildBudget)
 		}
 		counts["reuse"] = append(counts["reuse"], reuse)
-		counts["rereduce"] = append(counts["rereduce"], rereduce)
+		counts["rebuild"] = append(counts["rebuild"], rebuild)
 	}
 	for mode, got := range counts {
 		if got[0] != got[1] {

@@ -13,7 +13,6 @@ import (
 	"trustseq/internal/gen"
 	"trustseq/internal/hierarchy"
 	"trustseq/internal/indemnity"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/petri"
@@ -26,12 +25,7 @@ import (
 
 func mustGraph(b *testing.B, p *model.Problem) *sequencing.Graph {
 	b.Helper()
-	ig := interaction.New(model.MustCompile(p))
-	sg, err := sequencing.NewSplit(ig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sg
+	return sequencing.Build(model.MustCompile(p))
 }
 
 // --- E1/E2/E5: reduction and synthesis on the paper's figures ------------
@@ -448,11 +442,17 @@ func BenchmarkHierarchyEnableAndSynthesize(b *testing.B) {
 
 // --- E-incremental: edit-workload reanalysis -----------------------------
 
+// reusedReduction keeps each rebound reduction alive, as a served plan
+// does, so the compiler cannot elide the rebind's copies.
+var reusedReduction *sequencing.Reduction
+
 // BenchmarkEditReanalysis measures the analysis stage of a one-line edit
-// of the 256-broker chain: a from-scratch graph build + reduction versus
-// diff-and-patch against the resident base plan. Both modes start from a
-// compiled problem — exactly what the service holds after
-// parsing a request — so the ratio isolates the incremental machinery.
+// of the 256-broker chain, a price retune that leaves every row the
+// sequencing graph reads unchanged: a from-scratch graph build +
+// reduction versus the row comparison against the resident base plan
+// plus the rebind of its graph and reduction. Both modes start from a
+// compiled problem — exactly what the service holds after parsing a
+// request — so the ratio isolates the incremental machinery.
 // Scheduling is identical on both paths (it replays the same removal
 // trace) and is excluded.
 func BenchmarkEditReanalysis(b *testing.B) {
@@ -462,24 +462,16 @@ func BenchmarkEditReanalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-
 	// A conservation-preserving price retune: graph bits unchanged.
 	retuned := base.Clone()
 	retuned.Exchanges[0].Gives.Amount++
 	retuned.Exchanges[1].Gets.Amount++
-	// A red override on the first broker's purchase: one edge flips.
-	redflip := base.Clone()
-	redflip.Exchanges[2].RedOverride = true
-	retunedC, redflipC := model.MustCompile(retuned), model.MustCompile(redflip)
+	retunedC := model.MustCompile(retuned)
 
 	b.Run("mode=full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sg, err := sequencing.NewSplit(interaction.New(retunedC))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !sequencing.Reduce(sg, nil).Feasible() {
+			if !sequencing.Reduce(sequencing.Build(retunedC), nil).Feasible() {
 				b.Fatal("infeasible")
 			}
 		}
@@ -487,27 +479,35 @@ func BenchmarkEditReanalysis(b *testing.B) {
 	b.Run("mode=patched-reuse", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d := model.Diff(base, retuned)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, retunedC, &d)
-			if !ok || res.Outcome != sequencing.PatchReused {
-				b.Fatal("patch did not reuse")
+			if !sequencing.SameGraph(basePlan.Problem, retunedC) {
+				b.Fatal("retune changed the graph")
 			}
-			if !res.Reduction.Feasible() {
-				b.Fatal("infeasible")
-			}
+			reusedReduction = basePlan.Reduction.Rebind(retunedC)
 		}
 	})
-	b.Run("mode=patched-rereduce", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d := model.Diff(base, redflip)
-			res, ok := sequencing.Patch(basePlan.Sequencing, basePlan.Reduction, redflipC, &d)
-			if !ok || res.Outcome != sequencing.PatchRereduced {
-				b.Fatal("patch did not rereduce")
-			}
-			if res.Reduction.Feasible() {
-				b.Fatal("red-flipped chain should be infeasible")
-			}
+}
+
+// BenchmarkImpasse measures the impasse diagnosis of an infeasible
+// population: with every exchange of gen.Population(n, 0, 10) red, the
+// reduction stops early and Impasse replays its removals, then scans the
+// remaining edges.
+func BenchmarkImpasse(b *testing.B) {
+	for _, n := range []int{1000, 2000} {
+		p := gen.Population(n, 0, 10)
+		for i := range p.Exchanges {
+			p.Exchanges[i].RedOverride = true
 		}
-	})
+		red := sequencing.Reduce(sequencing.Build(model.MustCompile(p)), nil)
+		if red.Feasible() {
+			b.Fatal("an all-red population reduced feasibly")
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if red.Impasse() == "" {
+					b.Fatal("no diagnosis")
+				}
+			}
+		})
+	}
 }

@@ -27,7 +27,6 @@ import (
 	"trustseq/internal/gen"
 	"trustseq/internal/hierarchy"
 	"trustseq/internal/indemnity"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/search"
@@ -360,10 +359,7 @@ func runE8(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "universal protocol on example 2: feasible=%v, %s\n", out.Feasible, out.Messages)
-	sg, err := sequencing.NewSplit(interaction.New(p))
-	if err != nil {
-		return err
-	}
+	sg := sequencing.Build(p)
 	fmt.Fprintf(w, "sequencing-graph reduction on the same problem: feasible=%v (the reduction is\n", sequencing.Reduce(sg, nil).Feasible())
 	fmt.Fprintln(w, "incomplete here — §8's protocol is a more centralized mechanism than pairwise commitments)")
 	return nil
@@ -380,10 +376,7 @@ func runE9(w io.Writer) error {
 	sort.Strings(names)
 	trials := 0
 	for _, name := range names {
-		sg, err := sequencing.NewSplit(interaction.New(model.MustCompile(all[name])))
-		if err != nil {
-			return err
-		}
+		sg := sequencing.Build(model.MustCompile(all[name]))
 		want := sequencing.Reduce(sg, nil).Feasible()
 		for i := 0; i < 100; i++ {
 			trials++
@@ -472,10 +465,7 @@ func runE13(w io.Writer) error {
 	fmt.Fprintln(w, "parallel k   reduction edges  reduce time   strong-search states  search time")
 	for _, k := range []int{1, 2, 3, 4, 5} {
 		p := model.MustCompile(gen.Parallel(k, 10))
-		sg, err := sequencing.NewSplit(interaction.New(p))
-		if err != nil {
-			return err
-		}
+		sg := sequencing.Build(p)
 		t0 := time.Now()
 		red := sequencing.Reduce(sg, nil)
 		reduceDur := time.Since(t0)
@@ -505,7 +495,7 @@ func writeDots(dir string, w io.Writer) error {
 			return err
 		}
 		files := map[string]string{
-			name + "-interaction.dot":        plan.Interaction.DOT(),
+			name + "-interaction.dot":        sequencing.InteractionDOT(plan.Problem),
 			name + "-sequencing.dot":         plan.Sequencing.DOT(nil),
 			name + "-sequencing-reduced.dot": plan.Sequencing.DOT(plan.Reduction.RemovedSet()),
 		}

@@ -33,6 +33,7 @@ import (
 	"trustseq/internal/core"
 	"trustseq/internal/dsl"
 	"trustseq/internal/model"
+	"trustseq/internal/sequencing"
 	"trustseq/internal/service"
 )
 
@@ -66,9 +67,9 @@ func run(args []string, out io.Writer) error {
 	var plan *core.Plan
 	if *baseFile != "" {
 		// Edit workloads: synthesize the base spec, then serve the main
-		// spec by diff-and-patch. The report bytes are identical to a
-		// from-scratch run either way; the outcome note goes to stderr so
-		// stdout parity is preserved.
+		// spec incrementally against it. The report bytes are identical to
+		// a from-scratch run either way; the outcome note goes to stderr
+		// so stdout parity is preserved.
 		baseProblem, err := loadSpec(*baseFile)
 		if err != nil {
 			return fmt.Errorf("base spec %s: %w", *baseFile, err)
@@ -82,8 +83,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "trustseq: incremental analysis %s (edit %s, frontier %d)\n",
-			info.Outcome, info.Kind, info.Frontier)
+		fmt.Fprintf(os.Stderr, "trustseq: incremental analysis %s\n", info.Outcome)
 	} else {
 		plan, err = core.SynthesizeObs(problem, nil)
 		if err != nil {
@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		writes := map[string]string{
-			problem.Name + "-interaction.dot":        plan.Interaction.DOT(),
+			problem.Name + "-interaction.dot":        sequencing.InteractionDOT(plan.Problem),
 			problem.Name + "-sequencing.dot":         plan.Sequencing.DOT(nil),
 			problem.Name + "-sequencing-reduced.dot": plan.Sequencing.DOT(plan.Reduction.RemovedSet()),
 		}

@@ -337,7 +337,7 @@ func setupTelemetry(traceFile, metricsFile, metricsAddr string, errw io.Writer) 
 			return nil, noop, fmt.Errorf("metrics listener: %w", err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", tel.Metrics.Handler())
+		mux.Handle("/metrics", obs.MetricsHandler(tel.Metrics, nil))
 		srv := &http.Server{Handler: mux}
 		go func() {
 			if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {

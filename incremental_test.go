@@ -3,12 +3,14 @@ package trustseq
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
+	"trustseq/internal/sequencing"
 	"trustseq/internal/service"
 )
 
@@ -204,8 +206,8 @@ func requirePlansIdentical(t *testing.T, full, inc *core.Plan) {
 }
 
 // TestIncrementalMatchesFromScratch is the property gate: random single
-// edits across every family, incremental == from-scratch, all three
-// outcomes exercised.
+// edits across every family, incremental == from-scratch, both outcomes
+// exercised.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(61))
@@ -250,7 +252,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	if applied < trials/2 {
 		t.Fatalf("only %d/%d trials applied a mutation; fuzzer coverage collapsed", applied, trials)
 	}
-	for _, want := range []string{"reused", "rereduced", "full"} {
+	for _, want := range []string{"reused", "full"} {
 		if seenOutcome[want] == 0 {
 			t.Errorf("outcome %q never observed (distribution %v)", want, seenOutcome)
 		}
@@ -290,4 +292,114 @@ func TestIncrementalChain(t *testing.T) {
 		requirePlansIdentical(t, fullPlan, incPlan)
 		basePlan = incPlan
 	}
+}
+
+// renameParty renames the principal of the problem's first exchange
+// everywhere it appears: a change to a row the sequencing graph reads.
+func renameParty(_ *rand.Rand, p *model.Problem) bool {
+	from := p.Exchanges[0].Principal
+	to := from + "-renamed"
+	rename := func(id *model.PartyID) {
+		if *id == from {
+			*id = to
+		}
+	}
+	for i := range p.Parties {
+		rename(&p.Parties[i].ID)
+	}
+	for i := range p.Exchanges {
+		rename(&p.Exchanges[i].Principal)
+	}
+	for i := range p.DirectTrust {
+		rename(&p.DirectTrust[i].Truster)
+		rename(&p.DirectTrust[i].Trustee)
+	}
+	for i := range p.Indemnities {
+		rename(&p.Indemnities[i].By)
+	}
+	for i := range p.Constraints {
+		for _, a := range []*model.Action{&p.Constraints[i].Before, &p.Constraints[i].After} {
+			rename(&a.From)
+			rename(&a.To)
+		}
+	}
+	return true
+}
+
+// sameGraphFields reports whether two graphs are equal field for field,
+// unexported fields included, but for the problem they are bound to.
+func sameGraphFields(a, b *sequencing.Graph) bool {
+	ac, bc := *a, *b
+	ac.Problem, bc.Problem = nil, nil
+	return reflect.DeepEqual(ac, bc)
+}
+
+// TestReuseCheckMatchesBuild runs every generator family through every
+// edit of the menu, an unchanged clone and a party rename. On each edit
+// the reuse check (sequencing.SameGraph) holds exactly when Build of the
+// edited problem equals the base graph field for field; the base graph
+// and reduction are never mutated; and the incremental plan equals the
+// full plan.
+func TestReuseCheckMatchesBuild(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(33))
+	edits := append(editMutations(),
+		editMutation{"clone", func(*rand.Rand, *model.Problem) bool { return true }},
+		editMutation{"party-rename", renameParty})
+	families := fuzzFamilies()
+	names := make([]string, 0, len(families))
+	for name := range families {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	reused, full := 0, 0
+	for _, name := range names {
+		for _, m := range edits {
+			for trial := 0; trial < 3; trial++ {
+				baseP := families[name](rng)
+				basePlan, err := core.Synthesize(baseP)
+				if err != nil {
+					t.Fatalf("%s: base Synthesize = %v", name, err)
+				}
+				edited := baseP.Clone()
+				if !m.apply(rng, edited) {
+					continue
+				}
+				c, err := model.Compile(edited)
+				if err != nil {
+					continue
+				}
+				same := sequencing.SameGraph(basePlan.Problem, c)
+				if built := sameGraphFields(basePlan.Sequencing, sequencing.Build(c)); same != built {
+					t.Fatalf("%s/%s: SameGraph = %v, but Build equals the base graph: %v", name, m.name, same, built)
+				}
+				wantGraph := sequencing.Build(basePlan.Problem)
+				wantRed := sequencing.Reduce(wantGraph, nil)
+				incPlan, info, incErr := core.SynthesizeIncremental(basePlan, c, nil)
+				fullPlan, fullErr := core.SynthesizeObs(c, nil)
+				if (fullErr == nil) != (incErr == nil) {
+					t.Fatalf("%s/%s: error mismatch: full=%v incremental=%v", name, m.name, fullErr, incErr)
+				}
+				if !reflect.DeepEqual(basePlan.Sequencing, wantGraph) || !reflect.DeepEqual(basePlan.Reduction, wantRed) {
+					t.Fatalf("%s/%s: the incremental run mutated the base graph or reduction", name, m.name)
+				}
+				if info.Patched() != same {
+					t.Fatalf("%s/%s: served as %v, SameGraph = %v", name, m.name, info.Outcome, same)
+				}
+				if fullErr != nil {
+					continue
+				}
+				requirePlansIdentical(t, fullPlan, incPlan)
+				if same {
+					reused++
+				} else {
+					full++
+				}
+			}
+		}
+	}
+	if reused == 0 || full == 0 {
+		t.Fatalf("corpus exercised only one outcome: %d reused, %d full", reused, full)
+	}
+	t.Logf("reused=%d full=%d", reused, full)
 }

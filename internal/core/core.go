@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/safety"
@@ -83,16 +82,15 @@ func (s Step) String() string {
 	}
 }
 
-// Plan is the result of analysing a problem: the derived graphs, the
+// Plan is the result of analysing a problem: the sequencing graph, the
 // reduction trace, the feasibility verdict, and — when feasible — the
 // execution sequence.
 type Plan struct {
-	Problem     *model.Compiled
-	Interaction *interaction.Graph
-	Sequencing  *sequencing.Graph
-	Reduction   *sequencing.Reduction
-	Feasible    bool
-	Steps       []Step
+	Problem    *model.Compiled
+	Sequencing *sequencing.Graph
+	Reduction  *sequencing.Reduction
+	Feasible   bool
+	Steps      []Step
 }
 
 // ErrInfeasible is reported by APIs that require a feasible plan.
@@ -148,21 +146,16 @@ func SynthesizeObs(p *model.Compiled, tel *obs.Telemetry) (*Plan, error) {
 // reduction order. The verdict is reducer-independent (Section 4.2.4);
 // the recovered execution sequence follows the reducer's removal order.
 func SynthesizeWith(p *model.Compiled, reduce func(*sequencing.Graph) *sequencing.Reduction) (*Plan, error) {
-	ig := interaction.New(p)
-	sg, err := sequencing.NewSplit(ig)
-	if err != nil {
-		return nil, err
-	}
+	sg := sequencing.Build(p)
 	if err := sg.Validate(); err != nil {
 		return nil, err
 	}
 	red := reduce(sg)
 	plan := &Plan{
-		Problem:     p,
-		Interaction: ig,
-		Sequencing:  sg,
-		Reduction:   red,
-		Feasible:    red.Feasible(),
+		Problem:    p,
+		Sequencing: sg,
+		Reduction:  red,
+		Feasible:   red.Feasible(),
 	}
 	if !plan.Feasible {
 		return plan, nil

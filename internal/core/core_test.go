@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -374,5 +375,28 @@ func TestIncrementalRejectsInvalidEdit(t *testing.T) {
 	}
 	if _, err := model.Compile(edited); err == nil || err.Error() != want.Error() {
 		t.Fatalf("Compile of the edit = %v; want %v", err, want)
+	}
+}
+
+// Without a base plan, or with one missing its reduction, the
+// incremental path runs the full pipeline.
+func TestIncrementalWithoutBaseRunsFull(t *testing.T) {
+	t.Parallel()
+	c := model.MustCompile(paperex.Example1())
+	want, err := SynthesizeObs(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []*Plan{nil, {Problem: c}} {
+		got, info, err := SynthesizeIncremental(base, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Outcome != IncrementalFull || info.Patched() {
+			t.Errorf("base %v served as %v", base, info.Outcome)
+		}
+		if !reflect.DeepEqual(got.Steps, want.Steps) || !reflect.DeepEqual(got.Reduction.Removals, want.Reduction.Removals) {
+			t.Errorf("base %v: plan differs from a full synthesis", base)
+		}
 	}
 }

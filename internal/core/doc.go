@@ -1,6 +1,6 @@
 // Package core is the public orchestration layer of the library: it takes
-// a compiled commercial-exchange problem (model.Compiled), derives the interaction
-// and sequencing graphs, reduces the sequencing graph, and — when the
+// a compiled commercial-exchange problem (model.Compiled), builds its
+// sequencing graph from the compiled table, reduces it, and — when the
 // exchange is feasible — recovers a concrete execution sequence (Section
 // 5): the total order of deposits, notifications and deliveries that
 // protects every participant at every step.
@@ -23,7 +23,10 @@
 //     threads an obs.Telemetry through the stages, and SynthesizeWith
 //     swaps the reduction strategy (used by the reduction-order property
 //     tests). Synthesize compiles a builder first, for callers that hold
-//     one.
+//     one. SynthesizeIncremental analyses an edit against a base plan:
+//     it rebinds the base's graph and reduction when the rows the graph
+//     reads are equal (sequencing.SameGraph) and runs the full pipeline
+//     otherwise.
 //
 // # Concurrency and ownership
 //

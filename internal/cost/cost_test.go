@@ -8,7 +8,6 @@ import (
 
 	"trustseq/internal/core"
 	"trustseq/internal/gen"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/sequencing"
@@ -122,12 +121,7 @@ func TestUniversalMakesExample2Feasible(t *testing.T) {
 	}
 
 	// The graph reduction on the same problem reaches an impasse.
-	ig := interaction.New(model.MustCompile(p))
-	sg, err := sequencing.NewSplit(ig)
-	if err != nil {
-		t.Fatalf("NewSplit = %v", err)
-	}
-	if sequencing.Reduce(sg, nil).Feasible() {
+	if sequencing.Reduce(sequencing.Build(model.MustCompile(p)), nil).Feasible() {
 		t.Errorf("reduction unexpectedly proves the universal problem feasible")
 	}
 }

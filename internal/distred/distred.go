@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/sequencing"
 	"trustseq/internal/sim"
@@ -173,10 +172,7 @@ type Result struct {
 // Reduce runs the distributed reduction for a problem and reports the
 // collective verdict.
 func Reduce(p *model.Compiled, seed int64) (*Result, error) {
-	g, err := sequencing.NewSplit(interaction.New(p))
-	if err != nil {
-		return nil, err
-	}
+	g := sequencing.Build(p)
 	net := sim.NewNetwork(sim.Config{Seed: seed, Jitter: 3}, p)
 	agents := make([]*Agent, 0, len(p.Parties))
 	for _, pa := range p.Parties {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"trustseq/internal/gen"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/sequencing"
@@ -13,12 +12,7 @@ import (
 
 func centralVerdict(t testing.TB, p *model.Problem) (bool, int) {
 	t.Helper()
-	ig := interaction.New(model.MustCompile(p))
-	g, err := sequencing.NewSplit(ig)
-	if err != nil {
-		t.Fatalf("sequencing: %v", err)
-	}
-	r := sequencing.Reduce(g, nil)
+	r := sequencing.Reduce(sequencing.Build(model.MustCompile(p)), nil)
 	return r.Feasible(), len(r.Removals)
 }
 
@@ -91,10 +85,7 @@ func TestMessageComplexityBoundedByEdges(t *testing.T) {
 	t.Parallel()
 	for _, k := range []int{1, 4, 16, 64} {
 		p := model.MustCompile(gen.Chain(k, model.Money(k+10)))
-		g, err := sequencing.NewSplit(interaction.New(p))
-		if err != nil {
-			t.Fatalf("sequencing: %v", err)
-		}
+		g := sequencing.Build(p)
 		res, err := Reduce(p, 1)
 		if err != nil {
 			t.Fatalf("Reduce = %v", err)

@@ -2,9 +2,9 @@ package indemnity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/sequencing"
 )
@@ -45,12 +45,8 @@ func (r Result) String() string {
 }
 
 // feasible reduces the problem's (split-aware) sequencing graph.
-func feasible(p *model.Compiled) (bool, error) {
-	sg, err := sequencing.NewSplit(interaction.New(p))
-	if err != nil {
-		return false, err
-	}
-	return sequencing.Reduce(sg, nil).Feasible(), nil
+func feasible(p *model.Compiled) bool {
+	return sequencing.Reduce(sequencing.Build(p), nil).Feasible()
 }
 
 // Candidates returns the splittable exchanges of the problem: exchanges
@@ -61,7 +57,6 @@ func feasible(p *model.Compiled) (bool, error) {
 // intermediary are resolved so a concrete offer can be formed.
 func Candidates(p *model.Compiled) []model.IndemnityOffer {
 	t := p.ActionTable()
-	red := p.RedExchanges()
 	covered := make(map[int]bool, len(p.Indemnities))
 	for _, off := range p.Indemnities {
 		covered[off.Covers] = true
@@ -71,13 +66,13 @@ func Candidates(p *model.Compiled) []model.IndemnityOffer {
 		if covered[ei] {
 			continue
 		}
-		principal := e.Principal
-		if len(red[principal]) > 0 {
+		pr := t.Principal[ei]
+		if slices.ContainsFunc(t.Own(int(pr)), func(ej int32) bool { return t.Red[ej] }) {
 			continue // type-3 conjunction: ordering, not splittable
 		}
 		// An uncovered exchange is in its principal's unsplit Rest row,
 		// the one group that can hold two members.
-		if pr := t.Principal[ei]; pr < 0 || len(t.Rest(int(pr))) < 2 {
+		if len(t.Rest(int(pr))) < 2 {
 			continue
 		}
 		seller, ok := counterpartSeller(p, ei)
@@ -132,11 +127,7 @@ func Greedy(p *model.Compiled) (Result, error) {
 	work := p.Clone()
 	var res Result
 	for {
-		ok, err := feasible(p)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
+		if feasible(p) {
 			res.Feasible = true
 			return res, nil
 		}
@@ -154,6 +145,7 @@ func Greedy(p *model.Compiled) (Result, error) {
 		chosen := cands[0]
 		amount := model.RequiredIndemnity(work, chosen.Covers)
 		work.Indemnities = append(work.Indemnities, chosen)
+		var err error
 		if p, err = model.Compile(work); err != nil {
 			return Result{}, err
 		}
@@ -170,11 +162,7 @@ func InOrder(p *model.Compiled, covers []int) (Result, error) {
 	work := p.Clone()
 	var res Result
 	for _, ci := range covers {
-		ok, err := feasible(p)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
+		if feasible(p) {
 			res.Feasible = true
 			return res, nil
 		}
@@ -185,17 +173,14 @@ func InOrder(p *model.Compiled, covers []int) (Result, error) {
 		off := model.IndemnityOffer{By: seller, Covers: ci, Via: work.Exchanges[ci].Trusted}
 		amount := model.RequiredIndemnity(work, ci)
 		work.Indemnities = append(work.Indemnities, off)
+		var err error
 		if p, err = model.Compile(work); err != nil {
 			return Result{}, err
 		}
 		res.Splits = append(res.Splits, Split{Covers: ci, Offer: off, Amount: amount})
 		res.Total += amount
 	}
-	ok, err := feasible(p)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Feasible = ok
+	res.Feasible = feasible(p)
 	return res, nil
 }
 
@@ -206,9 +191,7 @@ func InOrder(p *model.Compiled, covers []int) (Result, error) {
 // suffices to enumerate subsets.
 func Optimal(p *model.Compiled) (Result, error) {
 	cands := Candidates(p)
-	if ok, err := feasible(p); err != nil {
-		return Result{}, err
-	} else if ok {
+	if feasible(p) {
 		return Result{Feasible: true}, nil
 	}
 	best := Result{}
@@ -234,11 +217,7 @@ func Optimal(p *model.Compiled) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		ok, err := feasible(c)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
+		if !feasible(c) {
 			continue
 		}
 		res.Feasible = true

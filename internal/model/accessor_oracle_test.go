@@ -10,13 +10,12 @@ import (
 
 	"trustseq/internal/gen"
 	"trustseq/internal/indemnity"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
 // The oracles below are the linear scans the party accessors and the
-// interaction graph used before they read the action table's rows. They
+// graph inputs used before they read the action table's rows. They
 // derive each answer straight from the specification fields.
 
 func oracleExchangesOf(p *model.Problem, id model.PartyID) []int {
@@ -159,14 +158,24 @@ func oracleRedExchangesOf(p *model.Problem, principal model.PartyID) map[int]boo
 	return out
 }
 
-func oracleEdgesOf(g *interaction.Graph, id model.PartyID) []int {
-	var out []int
-	for i, e := range g.Edges {
-		if e.Principal == id || e.Trusted == id {
-			out = append(out, i)
+// rowGroups partitions the party's Own row into conjunction groups,
+// ordered by first member: its Rest row, and each exchange outside it
+// alone.
+func rowGroups(tab *model.ActionTable, k int) [][]int {
+	var groups [][]int
+	var rest []int
+	for _, ei := range tab.Own(k) {
+		if slices.Contains(tab.Rest(k), ei) {
+			rest = append(rest, int(ei))
+		} else {
+			groups = append(groups, []int{int(ei)})
 		}
 	}
-	return out
+	if len(rest) > 0 {
+		groups = append(groups, rest)
+	}
+	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
+	return groups
 }
 
 // accessorCorpus is every paper fixture and the cross-check pin corpus
@@ -233,9 +242,9 @@ func accessorCorpus(t *testing.T) map[string]*model.Problem {
 	return out
 }
 
-// The table-backed party accessors and interaction graph answer exactly
-// what the scans over the specification fields answer, for every party
-// (and an unknown one) of every corpus problem.
+// The table-backed party accessors and the rows the sequencing graph
+// reads answer exactly what the scans over the specification fields
+// answer, for every party (and an unknown one) of every corpus problem.
 func TestAccessorsMatchScanOracles(t *testing.T) {
 	t.Parallel()
 	corpus := accessorCorpus(t)
@@ -261,47 +270,56 @@ func TestAccessorsMatchScanOracles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := interaction.New(q)
 			tab := q.ActionTable()
 			ids := []model.PartyID{"ghost"}
 			for _, pa := range p.Parties {
 				ids = append(ids, pa.ID)
 			}
-			wholeRed := q.RedExchanges()
 			for _, id := range ids {
 				if got, want := q.ExchangesOf(id), oracleExchangesOf(p, id); !slices.Equal(got, want) {
 					t.Errorf("ExchangesOf(%s) = %v, oracle %v", id, got, want)
-				}
-				if got, want := q.PrincipalsAt(id), oraclePrincipalsAt(p, id); !slices.Equal(got, want) {
-					t.Errorf("PrincipalsAt(%s) = %v, oracle %v", id, got, want)
 				}
 				gq, gok := q.PersonaOf(id)
 				wq, wok := oraclePersonaOf(p, id)
 				if gq != wq || gok != wok {
 					t.Errorf("PersonaOf(%s) = %s, %v; oracle %s, %v", id, gq, gok, wq, wok)
 				}
-				if got, want := q.ConjunctionGroups(id), oracleConjunctionGroups(p, id); !slices.EqualFunc(got, want, slices.Equal) {
-					t.Errorf("ConjunctionGroups(%s) = %v, oracle %v", id, got, want)
+				// The rows the sequencing graph reads, by party slot: the
+				// At row and its principals, the degree, the conjunction
+				// groups of the Own and Rest rows, and the Red entries of
+				// the party's own exchanges.
+				var principals []model.PartyID
+				var groups [][]int
+				var red map[int]bool
+				degree := 0
+				if k, ok := tab.PartySlot(id); ok {
+					for _, ei := range tab.At(k) {
+						if pr := p.Parties[tab.Principal[ei]].ID; !slices.Contains(principals, pr) {
+							principals = append(principals, pr)
+						}
+					}
+					degree = tab.Degree(k)
+					groups = rowGroups(tab, k)
+					for _, ei := range tab.Own(k) {
+						if tab.Red[ei] {
+							if red == nil {
+								red = make(map[int]bool)
+							}
+							red[int(ei)] = true
+						}
+					}
 				}
-				want := oracleRedExchangesOf(p, id)
-				if got := q.RedExchangesOf(id); !maps.Equal(got, want) {
-					t.Errorf("RedExchangesOf(%s) = %v, oracle %v", id, got, want)
+				if want := oraclePrincipalsAt(p, id); !slices.Equal(principals, want) {
+					t.Errorf("principals at %s = %v, oracle %v", id, principals, want)
 				}
-				if got := wholeRed[id]; !maps.Equal(got, want) {
-					t.Errorf("RedExchanges()[%s] = %v, oracle %v", id, got, want)
+				if want := len(oracleExchangesOf(p, id)); degree != want {
+					t.Errorf("Degree(%s) = %d, oracle %d", id, degree, want)
 				}
-			}
-			for _, id := range ids {
-				want := oracleEdgesOf(g, id)
-				if got := g.EdgesOf(id); !slices.Equal(got, want) {
-					t.Errorf("graph EdgesOf(%s) = %v, oracle %v", id, got, want)
+				if want := oracleConjunctionGroups(p, id); !slices.EqualFunc(groups, want, slices.Equal) {
+					t.Errorf("conjunction groups of %s = %v, oracle %v", id, groups, want)
 				}
-				if got := g.Degree(id); got != len(want) {
-					t.Errorf("graph Degree(%s) = %d, oracle %d", id, got, len(want))
-				}
-				gq, gok := g.PersonaOf(id)
-				if wq, wok := oraclePersonaOf(p, id); gq != wq || gok != wok {
-					t.Errorf("graph PersonaOf(%s) = %s, %v; oracle %s, %v", id, gq, gok, wq, wok)
+				if want := oracleRedExchangesOf(p, id); !maps.Equal(red, want) {
+					t.Errorf("red exchanges of %s = %v, oracle %v", id, red, want)
 				}
 			}
 			// The rows the analysis path reads directly: a principal's

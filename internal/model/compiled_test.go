@@ -51,7 +51,7 @@ func TestCompiledIgnoresBuilderEdits(t *testing.T) {
 		{name: "bundle item", edit: func(p *model.Problem) { p.Exchanges[s1Provide].Gives.Items[0] = "d9" },
 			err: "model: trusted t2 must deliver item d1 ×1 but receives ×0"},
 		{name: "red override", edit: func(p *model.Problem) { p.Exchanges[c2].RedOverride = true },
-			sees: func(c *model.Compiled) bool { return c.RedExchangesOf(paperex.Consumer)[c2] }},
+			sees: func(c *model.Compiled) bool { return c.ActionTable().Red[c2] }},
 		{name: "offer amount", edit: func(p *model.Problem) { p.Indemnities[0].Amount = 55 },
 			sees: func(c *model.Compiled) bool { return c.ActionTable().Collateral(0) == 55 }},
 		{name: "append party", edit: func(p *model.Problem) {

@@ -130,7 +130,7 @@ const maxEnumExchanges = 6
 // Conjunction groups from indemnity splits are respected: completion is
 // required per group rather than globally.
 func AutoSpec(p *Compiled, principal PartyID) Spec {
-	groups := p.ConjunctionGroups(principal)
+	groups := conjunctionGroups(p, principal)
 	var mine []int
 	for _, g := range groups {
 		mine = append(mine, g...)
@@ -162,6 +162,32 @@ func AutoSpec(p *Compiled, principal PartyID) Spec {
 		enumerateGroupOutcomes(p, principal, groups, &spec)
 	}
 	return spec
+}
+
+// conjunctionGroups partitions a principal's exchange indices into
+// all-or-nothing groups, ordered by first member: each exchange an
+// indemnity offer splits out is a group of its own, and the unsplit rest
+// is the table's Rest row (Section 6).
+func conjunctionGroups(p *Compiled, principal PartyID) [][]int {
+	t := p.table
+	k, ok := t.parties[principal]
+	if !ok {
+		return nil
+	}
+	var groups [][]int
+	var rest []int
+	for _, ei := range t.Own(k) {
+		if t.split[ei] {
+			groups = append(groups, []int{int(ei)})
+		} else {
+			rest = append(rest, int(ei))
+		}
+	}
+	if len(rest) > 0 {
+		groups = append(groups, rest)
+	}
+	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
+	return groups
 }
 
 // enumerateGroupOutcomes appends descriptors for every combination of

@@ -5,9 +5,9 @@
 // exchange states as unordered action sets, acceptable-state predicates,
 // and ordering constraints.
 //
-// Everything downstream — interaction graphs, sequencing graphs, protocol
-// synthesis, the simulator, and the baselines — is expressed in terms of
-// this package.
+// Everything downstream — sequencing graphs, protocol synthesis, the
+// simulator, and the baselines — is expressed in terms of this package;
+// the Section 3 interaction graph is the compiled table's rows.
 //
 // # Key types
 //
@@ -24,10 +24,12 @@
 //     and Holding describe what moves.
 //   - ActionTable is the compiled problem's one derived index: one slot
 //     per distinct action value, each transfer's endpoints resolved to a
-//     party slot (money) or a (party, item) cell, and per-party rows of
-//     exchanges, personas and conjunction groups that the party
-//     accessors of a Compiled (ExchangesOf, PersonaOf,
-//     ConjunctionGroups, the red rules) read.
+//     party slot (money) or a (party, item) cell, per-party rows of
+//     exchanges, personas and unsplit conjunction groups (Rest), and
+//     per-exchange rows of party slots, persona flags and red marks
+//     (Red, the red rules of Section 4.1, derived once). The party
+//     accessors of a Compiled (ExchangesOf, PersonaOf) and the
+//     sequencing graph read them.
 //   - State is the unordered set of executed actions, a bitset over its
 //     problem's ActionTable: it holds only actions the problem defines,
 //     and Add of any other fails with a *ForeignActionError. The

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Exchange is one pairwise commitment between a principal and a trusted
@@ -93,7 +92,7 @@ func (c *Compiled) Party(id PartyID) (Party, bool) {
 }
 
 // The party accessors below read the compiled action table: its Own
-// and At rows, its personas and its split flags. They answer for the
+// and At rows and its personas. They answer for the
 // problem's own parties, and for an unknown ID as for a party with no
 // exchanges.
 
@@ -113,21 +112,6 @@ func (c *Compiled) ExchangesOf(id PartyID) []int {
 	}
 	slices.Sort(out)
 	return slices.Compact(out) // an exchange with the party on both sides
-}
-
-// PrincipalsAt returns the distinct principals adjacent to a trusted
-// component, in first-appearance order.
-func (c *Compiled) PrincipalsAt(trusted PartyID) []PartyID {
-	t := c.table
-	k, ok := t.parties[trusted]
-	if !ok {
-		return nil
-	}
-	var out []PartyID
-	for _, q := range t.principalsAt(nil, k, make([]int32, len(c.Parties))) {
-		out = append(out, c.Parties[q].ID)
-	}
-	return out
 }
 
 // Trusts reports whether truster directly trusts trustee per the
@@ -174,134 +158,6 @@ func personaFrom(p *Problem, principals []PartyID) (PartyID, bool) {
 		}
 	}
 	return "", false
-}
-
-// RedExchanges returns, per principal, the set of that principal's
-// exchange indices whose commitment must be secured before the
-// principal's other commitments — the red edges of Section 4.1. Three
-// rules produce red markings:
-//
-//  1. Resale: the principal gives an item on exchange e that it only
-//     obtains via another exchange — the *sale* e is red ("a broker will
-//     commit to obtain a document only if it has a committed buyer").
-//  2. Poor principal (Section 5's poor broker): a LimitedFunds principal
-//     whose endowment cannot cover its total outgoing payments must
-//     secure its incoming payments first, so its paying exchanges are
-//     red too.
-//  3. Explicit RedOverride on the exchange.
-//
-// Exchanges of a principal with a single exchange are never red (there is
-// no conjunction node to attach the edge to).
-func (c *Compiled) RedExchanges() map[PartyID]map[int]bool {
-	out := make(map[PartyID]map[int]bool)
-	for k, pa := range c.Parties {
-		if set := c.redOf(k); set != nil {
-			out[pa.ID] = set
-		}
-	}
-	return out
-}
-
-// RedExchangesOf returns one principal's red exchange set — the
-// per-principal slice of RedExchanges, recomputed in isolation. The
-// rules only read the principal's own exchanges and party record, which
-// is what makes the incremental patcher's frontier local: an edit dirties
-// exactly the touched principals' sets.
-func (c *Compiled) RedExchangesOf(principal PartyID) map[int]bool {
-	k, ok := c.table.parties[principal]
-	if !ok {
-		return nil
-	}
-	return c.redOf(k)
-}
-
-// redOf applies the three red rules to the own exchanges of the party in
-// slot k. It returns nil when nothing is red (including the
-// single-exchange guard: with one exchange there is no conjunction to
-// attach red to).
-func (c *Compiled) redOf(k int) map[int]bool {
-	t := c.table
-	idxs := t.Own(k)
-	if len(idxs) == 0 || t.Degree(k) < 2 {
-		return nil
-	}
-	var out map[int]bool
-	mark := func(idx int32) {
-		if out == nil {
-			out = make(map[int]bool)
-		}
-		out[int(idx)] = true
-	}
-
-	// Rule 3: explicit override.
-	for _, i := range idxs {
-		if c.Exchanges[i].RedOverride {
-			mark(i)
-		}
-	}
-
-	// Rule 1: resale — items given on one exchange but acquired on
-	// another.
-	acquired := make(map[ItemID]bool)
-	for _, i := range idxs {
-		for _, it := range c.Exchanges[i].Gets.Items {
-			acquired[it] = true
-		}
-	}
-	for _, i := range idxs {
-		for _, it := range c.Exchanges[i].Gives.Items {
-			if acquired[it] {
-				mark(i)
-			}
-		}
-	}
-
-	// Rule 2: poor principal.
-	pa := c.Parties[k]
-	if !pa.LimitedFunds {
-		return out
-	}
-	var outgoing Money
-	for _, i := range idxs {
-		outgoing += c.Exchanges[i].Gives.Amount
-	}
-	if pa.Endowment < outgoing {
-		for _, i := range idxs {
-			if c.Exchanges[i].Gives.Amount > 0 {
-				mark(i)
-			}
-		}
-	}
-	return out
-}
-
-// ConjunctionGroups partitions a principal's exchange indices into
-// all-or-nothing groups. By default every exchange of the principal is in
-// one group (the Section 4.1 type-2 conjunction). Each accepted indemnity
-// covering one of the principal's exchanges splits that exchange into its
-// own group (Section 6: "an indemnity allows a conjunction node to be
-// split"). Groups are ordered by first member; the unsplit group is the
-// table's Rest row.
-func (c *Compiled) ConjunctionGroups(principal PartyID) [][]int {
-	t := c.table
-	k, ok := t.parties[principal]
-	if !ok {
-		return nil
-	}
-	var groups [][]int
-	var rest []int
-	for _, ei := range t.Own(k) {
-		if t.split[ei] {
-			groups = append(groups, []int{int(ei)})
-		} else {
-			rest = append(rest, int(ei))
-		}
-	}
-	if len(rest) > 0 {
-		groups = append(groups, rest)
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
-	return groups
 }
 
 // Clone returns a deep copy of the problem, safe to mutate

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,8 +126,14 @@ func TestProblemLookups(t *testing.T) {
 	if got := MustCompile(p).ExchangesOf("t1"); len(got) != 2 {
 		t.Fatalf("ExchangesOf(t1) = %v", got)
 	}
-	if got := MustCompile(p).PrincipalsAt("t1"); len(got) != 2 || got[0] != "c" || got[1] != "b" {
-		t.Fatalf("PrincipalsAt(t1) = %v", got)
+	tab := MustCompile(p).ActionTable()
+	k, _ := tab.PartySlot("t1")
+	var at []PartyID
+	for _, ei := range tab.At(k) {
+		at = append(at, p.Parties[tab.Principal[ei]].ID)
+	}
+	if len(at) != 2 || at[0] != "c" || at[1] != "b" {
+		t.Fatalf("principals at t1 = %v", at)
 	}
 }
 
@@ -156,19 +163,19 @@ func TestProblemPersonaOf(t *testing.T) {
 	}
 }
 
+// redRow returns the Red row of the compiled problem.
+func redRow(p *Problem) []bool { return MustCompile(p).ActionTable().Red }
+
+// Example 1's exchanges: 0 c via t1, 1 the broker's sale via t1, 2 the
+// broker's purchase via t2, 3 p via t2.
+
 func TestProblemRedExchangesResale(t *testing.T) {
 	t.Parallel()
-	p := example1()
-	red := MustCompile(p).RedExchanges()
-	// The broker resells d: the sale (exchange 1, via t1) is red.
-	if !red["b"][1] {
-		t.Fatalf("broker sale not red: %v", red)
-	}
-	if red["b"][2] {
-		t.Fatalf("broker purchase red for funded broker: %v", red)
-	}
-	if len(red["c"]) != 0 || len(red["p"]) != 0 {
-		t.Fatalf("consumer/producer red: %v", red)
+	red := redRow(example1())
+	// The broker resells d: the sale (exchange 1, via t1) is red; the
+	// purchase, the consumer's and the producer's exchanges are not.
+	if want := []bool{false, true, false, false}; !slices.Equal(red, want) {
+		t.Fatalf("Red = %v, want %v", red, want)
 	}
 }
 
@@ -181,8 +188,7 @@ func TestProblemRedExchangesPoorBroker(t *testing.T) {
 			p.Parties[i].Endowment = 79 // one short of the $80 purchase
 		}
 	}
-	red := MustCompile(p).RedExchanges()
-	if !red["b"][1] || !red["b"][2] {
+	if red := redRow(p); !red[1] || !red[2] {
 		t.Fatalf("poor broker should have two red exchanges: %v", red)
 	}
 	// A sufficient endowment removes the second red edge.
@@ -191,8 +197,7 @@ func TestProblemRedExchangesPoorBroker(t *testing.T) {
 			p.Parties[i].Endowment = 80
 		}
 	}
-	red = MustCompile(p).RedExchanges()
-	if red["b"][2] {
+	if red := redRow(p); red[2] {
 		t.Fatalf("funded broker purchase red: %v", red)
 	}
 }
@@ -201,8 +206,7 @@ func TestProblemRedExchangesOverride(t *testing.T) {
 	t.Parallel()
 	p := example1()
 	p.Exchanges[2].RedOverride = true
-	red := MustCompile(p).RedExchanges()
-	if !red["b"][2] {
+	if red := redRow(p); !red[2] {
 		t.Fatalf("override ignored: %v", red)
 	}
 }
@@ -211,30 +215,30 @@ func TestProblemRedExchangesSingleExchangePrincipalNeverRed(t *testing.T) {
 	t.Parallel()
 	p := example1()
 	p.Exchanges[0].RedOverride = true // consumer has only one exchange
-	red := MustCompile(p).RedExchanges()
-	if len(red["c"]) != 0 {
+	if red := redRow(p); red[0] {
 		t.Fatalf("degree-1 principal marked red: %v", red)
 	}
 }
 
+// The broker's exchanges form one all-or-nothing group, its Rest row;
+// an indemnity covering one splits it out of the row (Section 6).
 func TestProblemConjunctionGroups(t *testing.T) {
 	t.Parallel()
 	p := example1()
-	groups := MustCompile(p).ConjunctionGroups("b")
-	if len(groups) != 1 || len(groups[0]) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-	// An indemnity covering the consumer's exchange splits c's conjunction
-	// — but c only has one exchange, so this is the 2-broker shape below.
-	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 1, Via: "t1"})
-	groups = MustCompile(p).ConjunctionGroups("b")
-	if len(groups) != 2 {
-		t.Fatalf("split groups = %v", groups)
-	}
-	for _, g := range groups {
-		if len(g) != 1 {
-			t.Fatalf("split groups = %v", groups)
+	rest := func(p *Problem) []int32 {
+		tab := MustCompile(p).ActionTable()
+		k, _ := tab.PartySlot("b")
+		if own := tab.Own(k); !slices.Equal(own, []int32{1, 2}) {
+			t.Fatalf("Own(b) = %v", own)
 		}
+		return tab.Rest(k)
+	}
+	if got := rest(p); !slices.Equal(got, []int32{1, 2}) {
+		t.Fatalf("Rest(b) = %v", got)
+	}
+	p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 1, Via: "t1"})
+	if got := rest(p); !slices.Equal(got, []int32{2}) {
+		t.Fatalf("split Rest(b) = %v", got)
 	}
 }
 

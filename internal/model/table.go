@@ -25,7 +25,7 @@ import "slices"
 // follow from 2·Transfers. Compile builds the table once per compiled
 // problem and nothing mutates it afterwards, so any number of
 // goroutines may read it. It is the problem's one derived index: the party
-// accessors, the interaction graph and the engines all read its rows.
+// accessors, the sequencing graph and the engines all read its rows.
 type ActionTable struct {
 	// Transfers is the number of forward transfer slots.
 	Transfers int
@@ -39,12 +39,13 @@ type ActionTable struct {
 	// notifyFrom and notifyTo are each notify slot's party slots.
 	notifyFrom, notifyTo []int32
 
-	// Per exchange: Principal and Trusted are its party slots, and
+	// Per exchange: Principal and Trusted are its party slots,
 	// AtPersona marks the exchanges whose trusted component is played by
 	// their own principal (Section 4.2.3) — the ones that principal may
-	// withdraw from early.
+	// withdraw from early — and Red the exchanges the red rules of
+	// Section 4.1 make their principal secure first (see redRow).
 	Principal, Trusted []int32
-	AtPersona          []bool
+	AtPersona, Red     []bool
 	notify             []int32 // the notify its trusted sends its principal
 	deposits           rows    // slots in DepositActions order
 	receipts           rows    // slots in ReceiptActions order
@@ -551,8 +552,56 @@ func buildActionTable(p *Problem) *ActionTable {
 	if nOff > 0 {
 		t.via = groupRows(nParty, viaKeys)
 	}
-	t.initHoldings()
+	acquired := t.acquiredCells()
+	t.redRow(acquired)
+	t.initHoldings(acquired)
 	return t
+}
+
+// acquiredCells marks the cells some exchange delivers an item into.
+func (t *ActionTable) acquiredCells() []bool {
+	acquired := make([]bool, len(t.CellParty))
+	for ei := range t.problem.Exchanges {
+		for _, r := range t.Receipts(ei) {
+			if t.Give[r] {
+				acquired[t.Dst[r]] = true
+			}
+		}
+	}
+	return acquired
+}
+
+// redRow fills Red by the three red rules of Section 4.1, over the own
+// exchanges of every principal with at least two exchanges (with one
+// there is no conjunction to attach a red edge to):
+//
+//  1. Resale: the principal gives an item on the exchange that it
+//     obtains on one of its exchanges — the sale is red ("a broker will
+//     commit to obtain a document only if it has a committed buyer").
+//     An item's cell at the principal is in acquired exactly then.
+//  2. Poor principal (Section 5's poor broker): a LimitedFunds principal
+//     whose endowment cannot cover its total outgoing payments must
+//     secure its incoming payments first, so its paying exchanges are
+//     red too. InitCash still holds each principal's Gives total here.
+//  3. Explicit RedOverride on the exchange.
+func (t *ActionTable) redRow(acquired []bool) {
+	p := t.problem
+	t.Red = make([]bool, len(p.Exchanges))
+	for k, pa := range p.Parties {
+		own := t.own.row(k)
+		if len(own) == 0 || t.Degree(k) < 2 {
+			continue
+		}
+		poor := pa.LimitedFunds && pa.Endowment < t.InitCash[k]
+		for _, ei := range own {
+			e := &p.Exchanges[ei]
+			red := e.RedOverride || (poor && e.Gives.Amount > 0)
+			for _, d := range t.deposits.row(int(ei)) {
+				red = red || (t.Give[d] && acquired[t.Src[d]])
+			}
+			t.Red[ei] = red
+		}
+	}
 }
 
 // selfInsures is SelfInsured over the rows: whether the exchanges of
@@ -587,17 +636,9 @@ func transfers(b Bundle) int {
 // its deposits and indemnity offers could ever need; trusted components
 // start empty (Section 2.5). InitCash arrives holding each principal's
 // Gives total.
-func (t *ActionTable) initHoldings() {
+func (t *ActionTable) initHoldings(acquired []bool) {
 	p := t.problem
 	t.InitItems = make([]int32, len(t.CellParty))
-	acquired := make([]bool, len(t.CellParty))
-	for ei := range p.Exchanges {
-		for _, r := range t.Receipts(ei) {
-			if t.Give[r] {
-				acquired[t.Dst[r]] = true
-			}
-		}
-	}
 	for ei := range p.Exchanges {
 		for _, d := range t.Deposits(ei) {
 			if t.Give[d] && !acquired[t.Src[d]] {

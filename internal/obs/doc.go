@@ -15,7 +15,7 @@
 //
 //   - Registry interns named Counter, Gauge and Histogram instruments;
 //     NewRegistry is the only constructor. Snapshot / HistogramSnapshot
-//     are point-in-time copies for rendering; Registry.Handler serves
+//     are point-in-time copies for rendering; MetricsHandler serves
 //     them over HTTP (the trustd /metrics endpoint).
 //   - Tracer emits spans and events to a Sink; Attr is the typed
 //     key/value attribute; Telemetry bundles a Registry and Tracer so

@@ -3,7 +3,6 @@ package obs
 import (
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -286,11 +285,4 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Handler serves the registry snapshot: JSON by default, Prometheus
-// exposition under content negotiation — MetricsHandler without a
-// runtime collector. Safe on a nil registry.
-func (r *Registry) Handler() http.Handler {
-	return MetricsHandler(r, nil)
 }

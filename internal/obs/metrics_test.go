@@ -121,7 +121,7 @@ func TestSnapshotJSONAndText(t *testing.T) {
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(MetricsHandler(r, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

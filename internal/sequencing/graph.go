@@ -3,10 +3,8 @@ package sequencing
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"trustseq/internal/dot"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 )
 
@@ -25,8 +23,7 @@ type Edge struct {
 
 // Commitment is a commitment node: the decision to commit to one
 // pairwise exchange between a principal and a trusted component. Its ID
-// equals the index of the model.Exchange / interaction edge it
-// represents.
+// equals the index of the model.Exchange it represents.
 type Commitment struct {
 	ID        int
 	Principal model.PartyID
@@ -55,166 +52,157 @@ type Conjunction struct {
 }
 
 // Graph is the sequencing graph SG = (C, J, R, B). The adjacency is
-// compiled once, after construction, into CSR form: per-node edge
-// indices live in one flat array per side, sliced by offsets, so the
-// reduction's adjacency hops are contiguous reads with no map lookups.
+// kept in CSR form: per-node edge indices live in one flat array per
+// side, sliced by offsets, so the reduction's adjacency hops are
+// contiguous reads with no map lookups.
 type Graph struct {
 	Problem      *model.Compiled
 	Commitments  []Commitment
 	Conjunctions []Conjunction
 	Edges        []Edge
 
-	conjByAgent map[model.PartyID]int
-	offC        []int32 // commitment i's edges: edgeIdxC[offC[i]:offC[i+1]]
-	edgeIdxC    []int32
-	offJ        []int32 // conjunction j's edges: edgeIdxJ[offJ[j]:offJ[j+1]]
-	edgeIdxJ    []int32
+	conjOf   []int32 // per party slot: its conjunction node, or -1
+	offC     []int32 // commitment i's edges: edgeIdxC[offC[i]:offC[i+1]]
+	edgeIdxC []int32
+	offJ     []int32 // conjunction j's edges: edgeIdxJ[offJ[j]:offJ[j+1]]
+	edgeIdxJ []int32
 }
 
-// New derives the plain Definition-4.1 sequencing graph from an
-// interaction graph, applying the red-edge rules (resale, poor principal,
-// explicit override) and the persona flags from direct-trust
-// declarations. Indemnity offers are ignored; use NewSplit to apply the
-// Section 6 conjunction splitting.
-func New(ig *interaction.Graph) (*Graph, error) {
-	return build(ig, false)
-}
-
-// NewSplit derives the sequencing graph with the problem's indemnity
-// offers applied: each accepted indemnity splits the covered exchange out
-// of its principal's conjunction (Section 6 — "an indemnity allows a
-// conjunction node to be split"), detaching that commitment's edge. A
-// principal's conjunction survives only for groups that still hold at
-// least two commitments.
-func NewSplit(ig *interaction.Graph) (*Graph, error) {
-	return build(ig, true)
-}
-
-func build(ig *interaction.Graph, applySplits bool) (*Graph, error) {
-	p := ig.Problem
-	g := &Graph{
-		Problem:     p,
-		conjByAgent: make(map[model.PartyID]int),
-	}
-
+// Build derives the sequencing graph of Definition 4.1 from the rows of
+// the compiled problem's action table, with the indemnity offers applied
+// (Section 6). Each exchange is a commitment node, carrying the persona
+// flag of its AtPersona entry (Section 4.2.3). A party gets a conjunction
+// node when at least two of its exchanges conjoin: a trusted component
+// conjoins all of its exchanges (type 1), a principal those no indemnity
+// splits out — its Rest row — so an accepted offer detaches the covered
+// commitment from the principal's conjunction. A principal's edge is red
+// when its exchange's Red entry is (the red rules of Section 4.1).
+//
+// Edges are numbered by commitment, the principal's edge before the
+// trusted component's, which fixes the reduction's removal order. Build
+// reads nothing but the rows SameGraph compares.
+func Build(p *model.Compiled) *Graph {
 	t := p.ActionTable()
-	for _, e := range ig.Edges {
-		g.Commitments = append(g.Commitments, Commitment{
-			ID: e.Exchange, Principal: e.Principal, Trusted: e.Trusted,
-			PersonaPrincipal: t.AtPersona[e.Exchange],
-		})
-	}
-	sort.Slice(g.Commitments, func(i, j int) bool { return g.Commitments[i].ID < g.Commitments[j].ID })
-	for i, c := range g.Commitments {
-		if c.ID != i {
-			return nil, fmt.Errorf("sequencing: non-contiguous exchange indices (%d at %d)", c.ID, i)
-		}
-	}
-
-	// A party gets a conjunction node when at least two of its edges
-	// conjoin, read straight from the action table's rows. Trusted
-	// components conjoin all their edges (type-1). Principals conjoin all
-	// their own exchanges, or with splits applied (Section 6) only their
-	// unsplit Rest row: split exchanges are singleton groups, which never
-	// conjoin.
+	g := &Graph{Problem: p, conjOf: make([]int32, len(p.Parties))}
+	nj, ne := 0, 0
 	for k, pa := range p.Parties {
-		members := t.Own(k)
-		switch {
-		case pa.IsTrusted():
+		g.conjOf[k] = -1
+		members := t.Rest(k)
+		if pa.IsTrusted() {
 			members = t.At(k)
-		case applySplits:
-			members = t.Rest(k)
 		}
-		if len(members) < 2 {
-			continue // fewer than two edges: not an internal node of I
-		}
-		j := Conjunction{ID: len(g.Conjunctions), Agent: pa.ID, TrustedAgent: pa.IsTrusted()}
-		g.conjByAgent[pa.ID] = j.ID
-		g.Conjunctions = append(g.Conjunctions, j)
-	}
-
-	red := p.RedExchanges()
-	for _, c := range g.Commitments {
-		j, ok := g.conjByAgent[c.Principal]
-		if ok && applySplits { // a split exchange is outside the Rest row
-			_, ok = slices.BinarySearch(t.Rest(int(t.Principal[c.ID])), int32(c.ID))
-		}
-		if ok {
-			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c.ID, J: j}, Red: red[c.Principal][c.ID]})
-		}
-		if j, ok := g.conjByAgent[c.Trusted]; ok {
-			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c.ID, J: j}})
+		if n := len(members); n >= 2 {
+			g.conjOf[k] = int32(nj)
+			nj++
+			ne += n
 		}
 	}
-	g.finalize()
-	return g, nil
-}
+	g.Conjunctions = make([]Conjunction, 0, nj)
+	for k, pa := range p.Parties {
+		if g.conjOf[k] >= 0 {
+			g.Conjunctions = append(g.Conjunctions, Conjunction{ID: len(g.Conjunctions), Agent: pa.ID, TrustedAgent: pa.IsTrusted()})
+		}
+	}
 
-// finalize compiles the CSR adjacency from g.Edges by counting sort.
-// Filling in ascending edge-index order reproduces the append order of
-// the previous map-of-slices form exactly, so every removal trace that
-// depends on neighbor enumeration order is unchanged.
-func (g *Graph) finalize() {
-	nc, nj, ne := len(g.Commitments), len(g.Conjunctions), len(g.Edges)
+	nc := len(p.Exchanges)
+	g.Commitments = make([]Commitment, nc)
+	g.Edges = make([]Edge, 0, ne)
 	g.offC = make([]int32, nc+1)
+	for c := range g.Commitments {
+		pr, tr := t.Principal[c], t.Trusted[c]
+		g.Commitments[c] = Commitment{
+			ID: c, Principal: p.Parties[pr].ID, Trusted: p.Parties[tr].ID,
+			PersonaPrincipal: t.AtPersona[c],
+		}
+		if j := g.conjOf[pr]; j >= 0 {
+			if _, in := slices.BinarySearch(t.Rest(int(pr)), int32(c)); in {
+				g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c, J: int(j)}, Red: t.Red[c]})
+			}
+		}
+		if j := g.conjOf[tr]; j >= 0 {
+			g.Edges = append(g.Edges, Edge{ID: EdgeID{C: c, J: int(j)}})
+		}
+		g.offC[c+1] = int32(len(g.Edges))
+	}
+
+	// A commitment's edges are consecutive; a conjunction's are gathered
+	// by counting sort, in ascending edge order, with offJ[j] serving as
+	// conjunction j's fill cursor and then shifted back into place.
+	g.edgeIdxC = make([]int32, ne)
 	g.offJ = make([]int32, nj+1)
-	for _, e := range g.Edges {
-		g.offC[e.ID.C+1]++
+	for i, e := range g.Edges {
+		g.edgeIdxC[i] = int32(i)
 		g.offJ[e.ID.J+1]++
 	}
-	for i := 0; i < nc; i++ {
-		g.offC[i+1] += g.offC[i]
+	for j := 0; j < nj; j++ {
+		g.offJ[j+1] += g.offJ[j]
 	}
-	for i := 0; i < nj; i++ {
-		g.offJ[i+1] += g.offJ[i]
-	}
-	g.edgeIdxC = make([]int32, ne)
 	g.edgeIdxJ = make([]int32, ne)
-	curC := make([]int32, nc)
-	curJ := make([]int32, nj)
-	copy(curC, g.offC[:nc])
-	copy(curJ, g.offJ[:nj])
 	for i, e := range g.Edges {
-		g.edgeIdxC[curC[e.ID.C]] = int32(i)
-		curC[e.ID.C]++
-		g.edgeIdxJ[curJ[e.ID.J]] = int32(i)
-		curJ[e.ID.J]++
+		g.edgeIdxJ[g.offJ[e.ID.J]] = int32(i)
+		g.offJ[e.ID.J]++
 	}
+	copy(g.offJ[1:], g.offJ[:nj])
+	g.offJ[0] = 0
+	return g
+}
+
+// SameGraph reports whether Build(a) and Build(b) are equal but for
+// their Problem, by comparing the rows Build reads: each party's ID and
+// trusted-ness, each exchange's Principal, Trusted and AtPersona
+// entries, and each principal's Rest row together with the Red entries
+// of its members — wherever the row holds at least two exchanges, for a
+// shorter one forms no conjunction. Equal Trusted rows make equal At
+// rows. It allocates nothing.
+func SameGraph(a, b *model.Compiled) bool {
+	if len(a.Parties) != len(b.Parties) || len(a.Exchanges) != len(b.Exchanges) {
+		return false
+	}
+	for k, pa := range a.Parties {
+		if pb := b.Parties[k]; pa.ID != pb.ID || pa.IsTrusted() != pb.IsTrusted() {
+			return false
+		}
+	}
+	ta, tb := a.ActionTable(), b.ActionTable()
+	if !slices.Equal(ta.Principal, tb.Principal) || !slices.Equal(ta.Trusted, tb.Trusted) ||
+		!slices.Equal(ta.AtPersona, tb.AtPersona) {
+		return false
+	}
+	for k, pa := range a.Parties {
+		if pa.IsTrusted() {
+			continue
+		}
+		ra, rb := ta.Rest(k), tb.Rest(k)
+		if len(ra) < 2 && len(rb) < 2 {
+			continue
+		}
+		if !slices.Equal(ra, rb) {
+			return false
+		}
+		for _, ei := range ra {
+			if ta.Red[ei] != tb.Red[ei] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // EdgesAtCommitment returns indices into g.Edges of the edges at c — a
 // read-only slice of the CSR arrays.
-func (g *Graph) EdgesAtCommitment(c int) []int32 {
-	if g.offC == nil {
-		g.finalize()
-	}
-	return g.edgeIdxC[g.offC[c]:g.offC[c+1]]
-}
+func (g *Graph) EdgesAtCommitment(c int) []int32 { return g.edgeIdxC[g.offC[c]:g.offC[c+1]] }
 
 // EdgesAtConjunction returns indices into g.Edges of the edges at j — a
 // read-only slice of the CSR arrays.
-func (g *Graph) EdgesAtConjunction(j int) []int32 {
-	if g.offJ == nil {
-		g.finalize()
-	}
-	return g.edgeIdxJ[g.offJ[j]:g.offJ[j+1]]
-}
+func (g *Graph) EdgesAtConjunction(j int) []int32 { return g.edgeIdxJ[g.offJ[j]:g.offJ[j+1]] }
 
 // ConjunctionOf returns the conjunction node ID for an agent.
 func (g *Graph) ConjunctionOf(agent model.PartyID) (int, bool) {
-	j, ok := g.conjByAgent[agent]
-	return j, ok
-}
-
-// RedCount returns the number of red edges.
-func (g *Graph) RedCount() int {
-	n := 0
-	for _, e := range g.Edges {
-		if e.Red {
-			n++
-		}
+	k, ok := g.Problem.ActionTable().PartySlot(agent)
+	if !ok || g.conjOf[k] < 0 {
+		return 0, false
 	}
-	return n
+	return int(g.conjOf[k]), true
 }
 
 // Validate checks the structural invariants of Definition 4.1: the graph
@@ -240,7 +228,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Count degrees straight from the edge list: the IDs were range-checked
-	// above, so this stays safe even on graphs the CSR was never built for.
+	// above, so this stays safe even on an edge list the CSR does not match.
 	degC := make([]int, len(g.Commitments))
 	for _, e := range g.Edges {
 		degC[e.ID.C]++
@@ -283,6 +271,38 @@ func (g *Graph) DOT(removed map[EdgeID]bool) string {
 			attrs += ", style=dotted, color=grey"
 		}
 		d.Edge(fmt.Sprintf("c%d", e.ID.C), fmt.Sprintf("j%d", e.ID.J), attrs)
+	}
+	return d.String()
+}
+
+// InteractionDOT renders the interaction graph I = (P, T, E) of Section
+// 3 in the paper's visual language: principals as circles, trusted
+// components as squares (personas get a dashed border and a "played by"
+// label), and one edge per exchange, labelled with what the principal
+// gives.
+func InteractionDOT(p *model.Compiled) string {
+	d := dot.New("interaction:"+p.Name, false)
+	d.SetAttr("rankdir=LR")
+	for _, pa := range p.Parties {
+		if !pa.IsTrusted() {
+			d.Node(string(pa.ID), fmt.Sprintf("shape=circle, label=%s", dot.Quote(string(pa.ID))))
+		}
+	}
+	for _, pa := range p.Parties {
+		if !pa.IsTrusted() {
+			continue
+		}
+		label := string(pa.ID)
+		style := "shape=square"
+		if q, ok := p.PersonaOf(pa.ID); ok {
+			label = fmt.Sprintf("%s\n(played by %s)", pa.ID, q)
+			style = "shape=square, style=dashed"
+		}
+		d.Node(string(pa.ID), fmt.Sprintf("%s, label=%s", style, dot.Quote(label)))
+	}
+	for _, e := range p.Exchanges {
+		d.Edge(string(e.Principal), string(e.Trusted),
+			fmt.Sprintf("label=%s", dot.Quote(fmt.Sprintf("gives %s", e.Gives))))
 	}
 	return d.String()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"trustseq/internal/gen"
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 )
 
@@ -37,11 +36,7 @@ func TestConfluenceOnRandomProblems(t *testing.T) {
 			PoorBroker:      i%4 == 0,
 			DirectTrustProb: 0.3,
 		})
-		ig := interaction.New(model.MustCompile(p))
-		g, err := NewSplit(ig)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
+		g := Build(model.MustCompile(p))
 		base := Reduce(g, nil)
 		naive := reduceNaive(g)
 		if base.Feasible() != naive.Feasible() || len(base.Removals) != len(naive.Removals) {
@@ -68,11 +63,7 @@ func TestReduceDoesNotMutateGraph(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(77))
 	p := gen.Random(rng, gen.Options{Consumers: 2, Brokers: 2, Producers: 2, MaxPrice: 40})
-	ig := interaction.New(model.MustCompile(p))
-	g, err := NewSplit(ig)
-	if err != nil {
-		t.Fatalf("NewSplit: %v", err)
-	}
+	g := Build(model.MustCompile(p))
 	a, b := Reduce(g, nil), Reduce(g, nil)
 	if a.Feasible() != b.Feasible() || len(a.Removals) != len(b.Removals) {
 		t.Fatalf("second reduction differs")
@@ -98,10 +89,7 @@ func TestTrustMonotonicity(t *testing.T) {
 			MaxPrice: 40,
 		})
 		c := model.MustCompile(p)
-		g, err := NewSplit(interaction.New(c))
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
+		g := Build(c)
 		before := Reduce(g, nil).Feasible()
 		if !before {
 			continue
@@ -126,11 +114,7 @@ func TestTrustMonotonicity(t *testing.T) {
 		if err != nil {
 			continue // duplicate declarations etc.
 		}
-		g2, err := NewSplit(interaction.New(c2))
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		if !Reduce(g2, nil).Feasible() {
+		if !Reduce(Build(c2), nil).Feasible() {
 			t.Fatalf("instance %d: adding trust made a feasible problem infeasible", i)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"trustseq/internal/model"
 	"trustseq/internal/obs"
 )
 
@@ -49,6 +50,17 @@ type Reduction struct {
 	Removals []Removal
 	// Remaining holds the edges left when no further reduction applies.
 	Remaining []Edge
+}
+
+// Rebind returns the reduction bound to p, a problem whose graph equals
+// r.Graph but for its Problem (SameGraph): shallow copies of r and its
+// graph that share every slice with them, so r is never written.
+func (r *Reduction) Rebind(p *model.Compiled) *Reduction {
+	g := *r.Graph
+	g.Problem = p
+	out := *r
+	out.Graph = &g
+	return &out
 }
 
 // Feasible implements the Section 4.2.4 feasibility test: the reduced
@@ -369,15 +381,16 @@ func (r *Reduction) Impasse() string {
 		return ""
 	}
 	s := newState(r.Graph)
+	defer s.release()
 	for _, rm := range r.Removals {
-		for i, e := range r.Graph.Edges {
-			if e.ID == rm.Edge.ID && s.present[i] {
-				s.remove(i)
+		// The removed edge is one of its commitment's (at most two).
+		for _, i := range r.Graph.EdgesAtCommitment(rm.Edge.ID.C) {
+			if r.Graph.Edges[i].ID == rm.Edge.ID && s.present[i] {
+				s.remove(int(i))
 				break
 			}
 		}
 	}
-	defer s.release()
 	var lines []string
 	for j := range r.Graph.Conjunctions {
 		if s.redAtJ[j] >= 2 {

@@ -5,22 +5,28 @@ import (
 	"strings"
 	"testing"
 
-	"trustseq/internal/interaction"
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 )
 
 func buildGraph(t testing.TB, p *model.Problem) *Graph {
 	t.Helper()
-	ig := interaction.New(model.MustCompile(p))
-	g, err := New(ig)
-	if err != nil {
-		t.Fatalf("sequencing.New(%s) = %v", p.Name, err)
-	}
+	g := Build(model.MustCompile(p))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate(%s) = %v", p.Name, err)
 	}
 	return g
+}
+
+// redCount returns the number of red edges.
+func redCount(g *Graph) int {
+	n := 0
+	for _, e := range g.Edges {
+		if e.Red {
+			n++
+		}
+	}
+	return n
 }
 
 // --- Structure of the paper's graphs -------------------------------------
@@ -40,7 +46,7 @@ func TestGraphStructureExample1(t *testing.T) {
 	if got := len(g.Edges); got != 6 {
 		t.Errorf("edges = %d, want 6", got)
 	}
-	if got := g.RedCount(); got != 1 {
+	if got := redCount(g); got != 1 {
 		t.Errorf("red edges = %d, want 1", got)
 	}
 	jb, ok := g.ConjunctionOf(paperex.Broker)
@@ -77,7 +83,7 @@ func TestGraphStructureExample2(t *testing.T) {
 	if got := len(g.Edges); got != 14 {
 		t.Errorf("edges = %d, want 14", got)
 	}
-	if got := g.RedCount(); got != 2 {
+	if got := redCount(g); got != 2 {
 		t.Errorf("red edges = %d, want 2", got)
 	}
 }
@@ -165,7 +171,7 @@ func TestReduceVariant2BrokerTrustsSourceInfeasible(t *testing.T) {
 func TestReducePoorBrokerInfeasible(t *testing.T) {
 	t.Parallel()
 	g := buildGraph(t, paperex.PoorBroker())
-	if got := g.RedCount(); got != 2 {
+	if got := redCount(g); got != 2 {
 		t.Fatalf("poor broker red edges = %d, want 2", got)
 	}
 	r := Reduce(g, nil)
@@ -194,21 +200,12 @@ func TestReduceExample2IndemnifiedFeasible(t *testing.T) {
 	p := paperex.Example2Indemnified()
 	// The split removes the consumer conjunction entirely (its two
 	// exchanges fall into singleton groups), which in graph terms deletes
-	// ⋀C's edges. Conjunction groups drive graph construction through
-	// SplitGraph below.
-	g, err := NewSplit(mustInteraction(t, p))
-	if err != nil {
-		t.Fatalf("NewSplit = %v", err)
-	}
+	// ⋀C's edges: Build conjoins only a principal's Rest row.
+	g := buildGraph(t, p)
 	r := Reduce(g, nil)
 	if !r.Feasible() {
 		t.Fatalf("indemnified Example 2 infeasible:\n%s\n%s", r.String(), r.Impasse())
 	}
-}
-
-func mustInteraction(t testing.TB, p *model.Problem) *interaction.Graph {
-	t.Helper()
-	return interaction.New(model.MustCompile(p))
 }
 
 // --- E9: confluence of the reduction (Section 4.2.4) -----------------------
@@ -219,10 +216,7 @@ func TestReductionConfluenceOnExamples(t *testing.T) {
 		name, p := name, p
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			g, err := NewSplit(mustInteraction(t, p))
-			if err != nil {
-				t.Fatalf("NewSplit = %v", err)
-			}
+			g := buildGraph(t, p)
 			want := Reduce(g, nil).Feasible()
 			if got := reduceNaive(g).Feasible(); got != want {
 				t.Errorf("naive verdict %v != worklist verdict %v", got, want)
@@ -244,10 +238,7 @@ func TestReductionConfluenceOnExamples(t *testing.T) {
 func TestReductionRemovalCountsAgree(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
-		g, err := NewSplit(mustInteraction(t, p))
-		if err != nil {
-			t.Fatalf("NewSplit(%s) = %v", name, err)
-		}
+		g := buildGraph(t, p)
 		a, b := Reduce(g, nil), reduceNaive(g)
 		if len(a.Removals) != len(b.Removals) {
 			t.Errorf("%s: worklist removed %d, naive removed %d", name, len(a.Removals), len(b.Removals))
@@ -261,10 +252,7 @@ func TestRemovedSortedOrderIndependent(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
 	for name, p := range paperex.All() {
-		g, err := NewSplit(mustInteraction(t, p))
-		if err != nil {
-			t.Fatalf("NewSplit(%s) = %v", name, err)
-		}
+		g := buildGraph(t, p)
 		want := Reduce(g, nil).RemovedSorted()
 		for i := 1; i < len(want); i++ {
 			prev, cur := want[i-1], want[i]

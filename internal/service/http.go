@@ -148,7 +148,8 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	// An If-Match-style base digest turns the request into an edit of a
 	// previously analyzed problem: when that base's plan is still
-	// resident, the analysis is served by diff-and-patch.
+	// resident, an edit that leaves the sequencing graph unchanged reuses
+	// its analysis.
 	var base *[2]uint64
 	if v := r.Header.Get("X-Trustd-Base"); v != "" {
 		d, err := ParseDigest(v)

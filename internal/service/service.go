@@ -26,7 +26,8 @@ type Options struct {
 	// BaseEntries bounds the base-plan cache serving incremental
 	// analysis (X-Trustd-Base): every successful run deposits its plan
 	// here under the problem digest, and an edit naming a resident
-	// digest is served by diff-and-patch instead of a full pipeline run.
+	// digest reuses the base analysis when the edit leaves the sequencing
+	// graph unchanged, instead of a full pipeline run.
 	// Default 64 entries; minimum 1. Plans are heavier than rendered
 	// bodies, hence the smaller default.
 	BaseEntries int
@@ -323,10 +324,12 @@ func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOpt
 //
 // A base digest names a previous problem: when its plan is still
 // resident in the base cache, the request is served by the incremental
-// path — model.Diff against the base, sequencing.Patch on the dirtied
-// frontier — at near-cache speed, with the body byte-identical to a
-// full run. A digest with no resident plan reports base-miss and runs
-// the full pipeline; so does a structural edit (disposition full).
+// path — when the rows of the compiled table the sequencing graph reads
+// equal the base's, the base graph and reduction are reused at
+// near-cache speed (disposition patched), with the body byte-identical
+// to a full run. A digest with no resident plan reports base-miss and
+// runs the full pipeline; so does an edit that changes the graph
+// (disposition full).
 // Every successful run, incremental or not, deposits its plan in the
 // base cache for the next edit.
 //

@@ -138,23 +138,6 @@ func BenchmarkSearchAssetsExample2(b *testing.B) {
 	}
 }
 
-// Root-level fan-out vs the serial DFS on the same instances.
-func BenchmarkSearchStrongChainParallel(b *testing.B) {
-	for _, k := range []int{2, 3} {
-		k := k
-		b.Run(fmt.Sprintf("brokers=%d", k), func(b *testing.B) {
-			p := model.MustCompile(gen.Chain(k, 30))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := search.FeasibleObs(p, search.ModeStrong, runtime.GOMAXPROCS(0), nil)
-				if err != nil || !v.Feasible {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- E5: indemnity ordering ------------------------------------------------
 
 func BenchmarkIndemnityGreedyFigure7(b *testing.B) {

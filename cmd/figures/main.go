@@ -401,7 +401,7 @@ func runE10(w io.Writer) error {
 			return err
 		}
 		p := plan.Problem
-		v, err := sweep.CrossCheck(p, len(p.Exchanges), 1<<20, 1, nil, nil)
+		v, err := sweep.CrossCheck(p, len(p.Exchanges), 1<<20, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -470,7 +470,7 @@ func runE13(w io.Writer) error {
 		red := sequencing.Reduce(sg, nil)
 		reduceDur := time.Since(t0)
 		t1 := time.Now()
-		v, err := search.FeasibleObs(p, search.ModeStrong, 1, nil)
+		v, err := search.FeasibleObs(p, search.ModeStrong, nil)
 		if err != nil {
 			return err
 		}

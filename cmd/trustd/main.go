@@ -18,7 +18,6 @@
 //	-timeout D          per-request analysis timeout (default 30s)
 //	-sweep-timeout D    per-request sweep timeout (default 2m)
 //	-drain D            shutdown drain budget after SIGINT/SIGTERM (default 10s)
-//	-search-workers N   workers per exhaustive cross-check search (default 1)
 //	-petri-budget N     coverability state budget (default 131072)
 //	-max-search N       skip exhaustive cross-checks above N exchanges (default 10)
 //	-slowlog-ms N       slow-request threshold in ms; negative retains every
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request analysis timeout")
 	sweepTimeout := fs.Duration("sweep-timeout", 2*time.Minute, "per-request sweep timeout")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget")
-	searchWorkers := fs.Int("search-workers", 1, "workers per exhaustive cross-check search")
 	petriBudget := fs.Int("petri-budget", 1<<17, "coverability state budget")
 	maxSearch := fs.Int("max-search", 10, "skip exhaustive cross-checks above this many exchanges")
 	slowlogMS := fs.Int("slowlog-ms", 250, "slow-request threshold in milliseconds (negative retains every request)")
@@ -172,7 +170,6 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		SweepTimeout:       *sweepTimeout,
 		MaxSearchExchanges: *maxSearch,
 		PetriBudget:        *petriBudget,
-		SearchWorkers:      *searchWorkers,
 		Telemetry:          tel,
 		SlowLogMillis:      *slowlogMS,
 		SlowLogEntries:     *slowlogEntries,

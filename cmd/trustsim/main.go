@@ -121,7 +121,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 	sweepN := fs.Int("n", 0, "run a cross-validation sweep over N generated problems (0 = simulate a spec file)")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	family := fs.String("family", "random", "sweep problem family: random, chain or star")
-	searchWorkers := fs.Int("search-workers", 0, "per-problem parallel search workers (0/1 = serial search)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -156,12 +155,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) (err error) {
 			return err
 		}
 		cfg := sweep.Config{
-			N:             *sweepN,
-			Workers:       *workers,
-			Seed:          *seed,
-			Family:        fam,
-			SearchWorkers: *searchWorkers,
-			Obs:           tel,
+			N:       *sweepN,
+			Workers: *workers,
+			Seed:    *seed,
+			Family:  fam,
+			Obs:     tel,
 		}
 		if menu.Any() {
 			cfg.ChaosRuns = *chaosRuns

@@ -60,7 +60,7 @@ func TestEnginesReadOneTable(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := sweep.CrossCheck(c, 12, 20_000, 1, nil, nil); err != nil {
+			if _, err := sweep.CrossCheck(c, 12, 20_000, nil, nil); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 		}()

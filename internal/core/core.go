@@ -91,6 +91,10 @@ type Plan struct {
 	Reduction  *sequencing.Reduction
 	Feasible   bool
 	Steps      []Step
+
+	// customOrder marks a plan from SynthesizeWith: its removal order is
+	// the caller's, so SynthesizeIncremental never reuses it.
+	customOrder bool
 }
 
 // ErrInfeasible is reported by APIs that require a feasible plan.
@@ -118,14 +122,14 @@ func Synthesize(p *model.Problem) (*Plan, error) {
 func SynthesizeObs(p *model.Compiled, tel *obs.Telemetry) (*Plan, error) {
 	reduce := func(g *sequencing.Graph) *sequencing.Reduction { return sequencing.Reduce(g, tel) }
 	if !tel.Enabled() {
-		return SynthesizeWith(p, reduce)
+		return synthesize(p, reduce)
 	}
 	sp := tel.Trace().StartSpan("core.synthesize",
 		obs.Str("problem", p.Name),
 		obs.Int("exchanges", len(p.Exchanges)),
 		obs.Int("parties", len(p.Parties)))
 	start := time.Now()
-	plan, err := SynthesizeWith(p, reduce)
+	plan, err := synthesize(p, reduce)
 	reg := tel.Reg()
 	reg.Counter("core.synthesize.total").Inc()
 	reg.Histogram("core.synthesize.seconds", obs.DurationBuckets()).Observe(time.Since(start).Seconds())
@@ -144,8 +148,19 @@ func SynthesizeObs(p *model.Compiled, tel *obs.Telemetry) (*Plan, error) {
 // SynthesizeWith is SynthesizeObs with a caller-chosen reducer — e.g.
 // sequencing.ReducePreferred with a priority reproducing a published
 // reduction order. The verdict is reducer-independent (Section 4.2.4);
-// the recovered execution sequence follows the reducer's removal order.
+// the recovered execution sequence follows the reducer's removal order,
+// so the plan is never a base SynthesizeIncremental reuses.
 func SynthesizeWith(p *model.Compiled, reduce func(*sequencing.Graph) *sequencing.Reduction) (*Plan, error) {
+	plan, err := synthesize(p, reduce)
+	if plan != nil {
+		plan.customOrder = true
+	}
+	return plan, err
+}
+
+// synthesize builds the sequencing graph, reduces it with reduce and
+// schedules a feasible reduction.
+func synthesize(p *model.Compiled, reduce func(*sequencing.Graph) *sequencing.Reduction) (*Plan, error) {
 	sg := sequencing.Build(p)
 	if err := sg.Validate(); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"trustseq/internal/model"
 	"trustseq/internal/paperex"
 	"trustseq/internal/safety"
+	"trustseq/internal/sequencing"
 )
 
 func synth(t testing.TB, p *model.Problem) *Plan {
@@ -375,6 +376,47 @@ func TestIncrementalRejectsInvalidEdit(t *testing.T) {
 	}
 	if _, err := model.Compile(edited); err == nil || err.Error() != want.Error() {
 		t.Fatalf("Compile of the edit = %v; want %v", err, want)
+	}
+}
+
+// A base from SynthesizeWith carries its caller's removal order, so an
+// edit against it runs the full pipeline: the plan equals
+// SynthesizeObs(edited), not the base's order rebound to the edit.
+func TestIncrementalSynthesizeWithBaseRunsFull(t *testing.T) {
+	t.Parallel()
+	base, err := SynthesizeWith(model.MustCompile(paperex.Example1()), func(g *sequencing.Graph) *sequencing.Reduction {
+		// Producer first: edges at commitments of the producer's
+		// exchange go before every other edge.
+		return sequencing.ReducePreferred(g, func(e sequencing.Edge) int {
+			if g.Commitments[e.ID.C].Principal == paperex.Producer {
+				return 0
+			}
+			return 1
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retuned := paperex.Example1()
+	retuned.Exchanges[paperex.Example1ConsumerIdx].Gives.Amount++
+	retuned.Exchanges[paperex.Example1SaleIdx].Gets.Amount++
+	c := model.MustCompile(retuned)
+	want, err := SynthesizeObs(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(base.Reduction.Removals, want.Reduction.Removals) {
+		t.Fatal("the base's removal order equals the worklist's; the test needs one that differs")
+	}
+	got, info, err := SynthesizeIncremental(base, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Outcome != IncrementalFull {
+		t.Errorf("served as %v, want full", info.Outcome)
+	}
+	if !reflect.DeepEqual(got.Reduction.Removals, want.Reduction.Removals) || !reflect.DeepEqual(got.Steps, want.Steps) {
+		t.Errorf("plan differs from SynthesizeObs(edited):\n%s\nwant:\n%s", got.ExecutionSequence(), want.ExecutionSequence())
 	}
 }
 

@@ -26,7 +26,7 @@
 //     one. SynthesizeIncremental analyses an edit against a base plan:
 //     it rebinds the base's graph and reduction when the rows the graph
 //     reads are equal (sequencing.SameGraph) and runs the full pipeline
-//     otherwise.
+//     otherwise, or when the base came from SynthesizeWith.
 //
 // # Concurrency and ownership
 //

@@ -43,10 +43,11 @@ func (i IncrementalInfo) Patched() bool { return i.Outcome == IncrementalReused 
 // sequencing.SameGraph finds the rows the sequencing graph reads equal
 // to the base problem's, the graph — and so the reduction, which is a
 // function of it — is the base's, and both are rebound to edited;
-// otherwise the full pipeline runs. The returned plan is byte-identical
-// to what SynthesizeObs(edited, tel) would produce — verdict, removal
-// trace, and execution steps — which the edit-fuzzer property suite
-// enforces across the generator families.
+// otherwise the full pipeline runs. It also runs for a base from
+// SynthesizeWith, whose removal order is its caller's. The returned
+// plan is byte-identical to what SynthesizeObs(edited, tel) would
+// produce — verdict, removal trace, and execution steps — which the
+// edit-fuzzer property suite enforces across the generator families.
 //
 // base must be a plan from a prior Synthesize* call and is never
 // mutated, so one resident base can serve concurrent edits. Telemetry
@@ -54,7 +55,7 @@ func (i IncrementalInfo) Patched() bool { return i.Outcome == IncrementalReused 
 // span on a full re-analysis; nil disables it.
 func SynthesizeIncremental(base *Plan, edited *model.Compiled, tel *obs.Telemetry) (*Plan, IncrementalInfo, error) {
 	start := time.Now()
-	if base == nil || base.Reduction == nil || !sequencing.SameGraph(base.Problem, edited) {
+	if base == nil || base.Reduction == nil || base.customOrder || !sequencing.SameGraph(base.Problem, edited) {
 		plan, err := SynthesizeObs(edited, tel)
 		info := IncrementalInfo{Outcome: IncrementalFull}
 		observeIncremental(tel, info, start, err)

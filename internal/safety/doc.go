@@ -34,8 +34,8 @@
 //
 // An Exec is single-owner mutable state: exactly one goroutine may drive
 // it at a time, and the NewExec/Release pool means a released Exec must
-// not be touched again. Parallel searchers therefore own their Execs
-// (each search.FeasibleObs fan-out worker clones its own). The predicates
+// not be touched again. Concurrent searches therefore own their Execs
+// (each search.FeasibleObs call clones its own). The predicates
 // never mutate the Exec they are given — they work on pooled clones — so
 // interleaving predicate calls from the single owner is safe. The
 // underlying Problem and its action table are shared read-only across

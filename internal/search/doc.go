@@ -27,31 +27,24 @@
 //     feasible, and how many distinct states were explored.
 //   - Mode selects the safety semantics; Move is one physical action in
 //     a witness.
-//   - Feasible runs the memoized depth-first search serially, without
-//     telemetry. FeasibleObs takes a worker count and telemetry: with
-//     workers ≤ 1 it is the same serial search, and with more it fans
-//     the root's moves out to a worker pool, returning the identical
-//     Feasible verdict for any worker count.
+//   - Feasible compiles a problem and runs the memoized depth-first
+//     search without telemetry; FeasibleObs runs the same search on a
+//     compiled problem with telemetry.
 //
 // # One search loop
 //
-// A single searcher type runs the DFS in both cases. The serial search
-// is one searcher with a private memo: a flat open-addressing table
-// keyed on safety.Fingerprint128 digests, with a string-keyed fallback
-// for problems over 128 bits. Each fan-out worker is the same searcher
-// pointed at a shared 32-shard memo (sharedMemo, one mutex per shard)
-// and a stop flag that prunes the remaining search once any worker
-// holds a witness.
+// The search is one deterministic depth-first loop with a private memo:
+// a flat open-addressing table keyed on safety.Fingerprint128 digests,
+// with a string-keyed fallback for problems over 128 bits. The verdict,
+// the witness and the Explored count depend only on the problem and the
+// mode.
 //
 // # Concurrency and ownership
 //
-// A call is reentrant and owns all of its state. In the fan-out, each
-// worker owns its Execs and move buffers; the workers share the
-// immutable compiled Problem, the stop flag and the sharded memo, whose
-// shard locks are taken on every memo lookup and store. An in-progress
-// entry read by another worker prunes that worker's subtree, which is
-// sound because the entry's owner still evaluates it fully, so the
-// verdict never depends on scheduling; the witness and Explored count
-// may. The telemetry handed to FeasibleObs must be nil or
+// A call is reentrant and owns all of its state: its Execs, move
+// buffers and memo. Concurrent calls share only the immutable compiled
+// Problem, so callers parallelize across problems and requests (the
+// sweep's worker pool, the service's engine slots), never inside one
+// search. The telemetry handed to FeasibleObs must be nil or
 // concurrency-safe (obs types are).
 package search

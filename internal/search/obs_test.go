@@ -2,7 +2,6 @@ package search
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"trustseq/internal/model"
@@ -11,9 +10,9 @@ import (
 )
 
 // TestObsDoesNotChangeVerdicts pins the telemetry contract: the obs
-// variants must return exactly the plain verdicts (witness and explored
-// count included for the serial search), and the memo counters must add
-// up — every serial lookup is either a hit or a fresh expansion.
+// variant must return exactly the plain verdict (witness and explored
+// count included), and the memo counters must add up — every lookup is
+// either a hit or a fresh expansion.
 func TestObsDoesNotChangeVerdicts(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
@@ -23,7 +22,7 @@ func TestObsDoesNotChangeVerdicts(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			tel := &obs.Telemetry{Tracer: obs.NewTracer(obs.NewRingSink(1 << 14)), Metrics: obs.NewRegistry()}
-			traced, err := FeasibleObs(model.MustCompile(p), mode, 1, tel)
+			traced, err := FeasibleObs(model.MustCompile(p), mode, tel)
 			if err != nil {
 				t.Fatalf("%s traced: %v", name, err)
 			}
@@ -33,34 +32,6 @@ func TestObsDoesNotChangeVerdicts(t *testing.T) {
 			misses := tel.Metrics.Counter("search.memo.misses").Value()
 			if int(misses) != traced.Explored {
 				t.Errorf("%s mode=%v: misses %d != explored %d", name, mode, misses, traced.Explored)
-			}
-
-			parTel := &obs.Telemetry{Tracer: obs.NewTracer(obs.NewRingSink(1 << 14)), Metrics: obs.NewRegistry()}
-			par, err := FeasibleObs(model.MustCompile(p), mode, 3, parTel)
-			if err != nil {
-				t.Fatalf("%s parallel traced: %v", name, err)
-			}
-			if par.Feasible != plain.Feasible {
-				t.Errorf("%s mode=%v: parallel traced feasible %v != %v", name, mode, par.Feasible, plain.Feasible)
-			}
-			// Per-shard tallies must sum to the aggregates.
-			snap := parTel.Metrics.Snapshot()
-			var shardHits, shardMisses int64
-			for cname, v := range snap.Counters {
-				if !strings.HasPrefix(cname, "search.memo.shard") {
-					continue
-				}
-				switch {
-				case strings.HasSuffix(cname, ".hits"):
-					shardHits += v
-				case strings.HasSuffix(cname, ".misses"):
-					shardMisses += v
-				}
-			}
-			if shardHits != snap.Counters["search.memo.hits"] || shardMisses != snap.Counters["search.memo.misses"] {
-				t.Errorf("%s mode=%v: shard tallies (%d,%d) != aggregates (%d,%d)",
-					name, mode, shardHits, shardMisses,
-					snap.Counters["search.memo.hits"], snap.Counters["search.memo.misses"])
 			}
 		}
 	}
@@ -72,7 +43,7 @@ func TestObsSpansEmitted(t *testing.T) {
 	t.Parallel()
 	ring := obs.NewRingSink(1 << 12)
 	tel := &obs.Telemetry{Tracer: obs.NewTracer(ring), Metrics: obs.NewRegistry()}
-	if _, err := FeasibleObs(model.MustCompile(paperex.Example1()), ModeAssets, 1, tel); err != nil {
+	if _, err := FeasibleObs(model.MustCompile(paperex.Example1()), ModeAssets, tel); err != nil {
 		t.Fatal(err)
 	}
 	var start, end bool

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
@@ -11,7 +10,7 @@ import (
 
 // obsBatch is how many node expansions accumulate between trace events:
 // per-node events would swamp the sink on exponential searches, so the
-// searchers emit one "search.batch" record per obsBatch visited states.
+// search emits one "search.batch" record per obsBatch visited states.
 const obsBatch = 4096
 
 // Mode selects the per-prefix safety predicate.
@@ -63,42 +62,33 @@ type Verdict struct {
 	Explored int    // distinct states visited
 }
 
-// Feasible compiles the problem and searches it with the serial search
-// and no telemetry. Callers that hold a compiled problem call
-// FeasibleObs.
+// Feasible compiles the problem and searches it without telemetry.
+// Callers that hold a compiled problem call FeasibleObs.
 func Feasible(p *model.Problem, mode Mode) (Verdict, error) {
 	c, err := model.Compile(p)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return FeasibleObs(c, mode, 1, nil)
+	return FeasibleObs(c, mode, nil)
 }
 
 // FeasibleObs searches for a safe completing execution of the problem
-// with a worker count and telemetry. workers ≤ 1
-// runs the serial search under a "search.feasible" span; workers > 1
-// fans the root's moves out to that many searchers sharing one sharded
-// memo, under a "search.feasible_parallel" span with per-shard memo
-// counters. The Feasible verdict never depends on the worker count; the
-// witness and the explored count may, since workers race to the first
-// witness. Telemetry adds batched node-expansion events and memo
-// counters; nil telemetry costs one boolean check per node.
-func FeasibleObs(p *model.Compiled, mode Mode, workers int, tel *obs.Telemetry) (Verdict, error) {
-	return feasibleConfigured(p, mode, workers, false, tel)
+// under a "search.feasible" span. The search is one deterministic loop:
+// the verdict, the witness and the explored count depend only on the
+// problem and the mode. Telemetry adds batched node-expansion events
+// and memo counters; nil telemetry costs one boolean check per node.
+func FeasibleObs(p *model.Compiled, mode Mode, tel *obs.Telemetry) (Verdict, error) {
+	return feasibleConfigured(p, mode, false, tel)
 }
 
 // feasibleConfigured is the test seam behind both entry points:
 // forceStringKeys disables the packed-fingerprint memo so the property
 // tests can confirm the key representation never changes a verdict.
-func feasibleConfigured(p *model.Compiled, mode Mode, workers int, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
-	if workers > 1 {
-		return feasibleFanOut(p, mode, workers, forceStringKeys, tel)
-	}
+func feasibleConfigured(p *model.Compiled, mode Mode, forceStringKeys bool, tel *obs.Telemetry) (Verdict, error) {
 	s := &searcher{
 		problem:     p,
 		mode:        mode,
 		forceString: forceStringKeys,
-		tel:         tel,
 		obsOn:       tel.Enabled(),
 	}
 	if s.obsOn {
@@ -127,8 +117,7 @@ func feasibleConfigured(p *model.Compiled, mode Mode, workers int, forceStringKe
 	return Verdict{Feasible: found, Sequence: s.witness, Explored: explored}, nil
 }
 
-// searcher runs the memoized DFS, both as the whole serial search and as
-// one worker of the root fan-out. The serial memo is keyed by the packed
+// searcher runs the memoized DFS. The memo is keyed by the packed
 // 128-bit fingerprint when the problem fits (the common case — two bits
 // per exchange, one per indemnity), falling back to the string
 // fingerprint for oversized problems. Both keys are injective, so the
@@ -143,17 +132,8 @@ type searcher struct {
 	witness     []Move
 	moveBufs    [][]Move // per-depth scratch, reused across siblings
 
-	// A fan-out worker sets shared and stop: its memo is the sharded
-	// table every worker shares (which also keeps the memo telemetry),
-	// and a set stop flag — another worker holds a witness — prunes the
-	// rest of its search.
-	shared *sharedMemo
-	stop   *atomic.Bool
-	worker int
-
 	// Telemetry (obsOn caches tel.Enabled() so the per-node cost of a
 	// disabled tracer is one boolean test).
-	tel          *obs.Telemetry
 	obsOn        bool
 	span         obs.Span
 	visited      int64
@@ -180,9 +160,6 @@ func (s *searcher) key(exec *safety.Exec) memoKey {
 // memoLookup returns the memoized verdict for the key, inserting the
 // in-progress value `false` when absent (cutting cycles).
 func (s *searcher) memoLookup(k memoKey) (val, seen bool) {
-	if s.shared != nil {
-		return s.shared.lookup(k)
-	}
 	if k.packed {
 		return s.memo64.lookupOrMark(k.fp)
 	}
@@ -197,12 +174,9 @@ func (s *searcher) memoLookup(k memoKey) (val, seen bool) {
 }
 
 func (s *searcher) memoStore(k memoKey, v bool) {
-	switch {
-	case s.shared != nil:
-		s.shared.store(k, v)
-	case k.packed:
+	if k.packed {
 		s.memo64.set(k.fp, v)
-	default:
+	} else {
 		s.memoStr[k.str] = v
 	}
 }
@@ -226,33 +200,10 @@ func (s *searcher) safe(exec *safety.Exec) bool {
 	return true
 }
 
-// batchEvent records one "search.batch" trace event: a worker reports
-// its index (its memo tallies live in the shared shards), the serial
-// search its memo hits and misses.
-func (s *searcher) batchEvent(depth int) {
-	if s.shared != nil {
-		s.span.Event("search.batch",
-			obs.Int("worker", s.worker),
-			obs.Int64("nodes", s.visited),
-			obs.Int("depth", depth))
-		return
-	}
-	s.span.Event("search.batch",
-		obs.Int64("nodes", s.visited),
-		obs.Int64("memo_hits", s.hits),
-		obs.Int64("memo_misses", s.misses),
-		obs.Int("depth", depth))
-}
-
 // dfs explores from exec (already completion-saturated). Returns true if
 // a safe completing continuation exists; the witness is recorded. depth
-// selects the reusable move buffer for this level. A worker bails out
-// with false once the stop flag is set — by then another worker has
-// recorded a witness, so the pruned return value is never read.
+// selects the reusable move buffer for this level.
 func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
-	if s.stop != nil && s.stop.Load() {
-		return false
-	}
 	key := s.key(exec)
 	if done, seen := s.memoLookup(key); seen {
 		if s.obsOn {
@@ -264,7 +215,11 @@ func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
 		s.misses++
 		s.visited++
 		if s.visited%obsBatch == 0 {
-			s.batchEvent(depth)
+			s.span.Event("search.batch",
+				obs.Int64("nodes", s.visited),
+				obs.Int64("memo_hits", s.hits),
+				obs.Int64("memo_misses", s.misses),
+				obs.Int("depth", depth))
 		}
 	}
 	// memoLookup marked the state in-progress (false) to cut cycles;
@@ -280,24 +235,18 @@ func (s *searcher) dfs(exec *safety.Exec, trail []Move, depth int) bool {
 	}
 
 	for _, mv := range s.moves(exec, depth) {
-		if s.expand(exec, mv, trail, depth) {
+		// A move that does not apply leads nowhere.
+		next := exec.ClonePooled()
+		ok := applyMove(next, mv) == nil &&
+			next.ForceCompletionsAll() == nil &&
+			s.dfs(next, append(trail, mv), depth+1)
+		safety.Release(next)
+		if ok {
 			s.memoStore(key, true)
 			return true
 		}
 	}
 	return false
-}
-
-// expand explores the successor of exec under mv, reporting whether a
-// safe completing continuation exists from it. A move that does not
-// apply leads nowhere.
-func (s *searcher) expand(exec *safety.Exec, mv Move, trail []Move, depth int) bool {
-	next := exec.ClonePooled()
-	ok := applyMove(next, mv) == nil &&
-		next.ForceCompletionsAll() == nil &&
-		s.dfs(next, append(trail, mv), depth+1)
-	safety.Release(next)
-	return ok
 }
 
 // moves enumerates the searchable steps from exec into the depth-indexed
@@ -308,14 +257,8 @@ func (s *searcher) moves(exec *safety.Exec, depth int) []Move {
 	for len(s.moveBufs) <= depth {
 		s.moveBufs = append(s.moveBufs, nil)
 	}
-	out := appendMoves(s.moveBufs[depth][:0], exec, s.problem)
-	s.moveBufs[depth] = out
-	return out
-}
-
-// appendMoves appends every searchable step from exec to buf.
-func appendMoves(buf []Move, exec *safety.Exec, p *model.Compiled) []Move {
-	for ei := range p.Exchanges {
+	buf := s.moveBufs[depth][:0]
+	for ei := range s.problem.Exchanges {
 		if !exec.DepositAttempted(ei) && exec.CanFund(ei) {
 			buf = append(buf, Move{Deposit: ei, Withdraw: -1, Post: -1})
 		}
@@ -323,11 +266,12 @@ func appendMoves(buf []Move, exec *safety.Exec, p *model.Compiled) []Move {
 			buf = append(buf, Move{Deposit: -1, Withdraw: ei, Post: -1})
 		}
 	}
-	for oi := range p.Indemnities {
+	for oi := range s.problem.Indemnities {
 		if !exec.Posted(oi) {
 			buf = append(buf, Move{Deposit: -1, Withdraw: -1, Post: oi})
 		}
 	}
+	s.moveBufs[depth] = buf
 	return buf
 }
 

@@ -58,8 +58,7 @@ func assertWitnessReplays(t *testing.T, p *model.Problem, v Verdict, mode Mode) 
 	}
 }
 
-// Every feasible paper example must yield a replayable witness, from the
-// serial and the parallel search alike.
+// Every feasible paper example must yield a replayable witness.
 func TestPaperWitnessesReplay(t *testing.T) {
 	t.Parallel()
 	for name, p := range paperex.All() {
@@ -67,16 +66,8 @@ func TestPaperWitnessesReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, mode := range []Mode{ModeAssets, ModeStrong} {
-				serial := verdict(t, p, mode)
-				if serial.Feasible {
-					assertWitnessReplays(t, p, serial, mode)
-				}
-				par, err := FeasibleObs(model.MustCompile(p), mode, 4, nil)
-				if err != nil {
-					t.Fatalf("FeasibleObs(%v, 4 workers) = %v", mode, err)
-				}
-				if par.Feasible {
-					assertWitnessReplays(t, p, par, mode)
+				if v := verdict(t, p, mode); v.Feasible {
+					assertWitnessReplays(t, p, v, mode)
 				}
 			}
 		})
@@ -98,13 +89,6 @@ func TestRandomWitnessesReplay(t *testing.T) {
 		for _, mode := range []Mode{ModeAssets, ModeStrong} {
 			if v := verdict(t, p, mode); v.Feasible {
 				assertWitnessReplays(t, p, v, mode)
-			}
-			pv, err := FeasibleObs(model.MustCompile(p), mode, 3, nil)
-			if err != nil {
-				t.Fatalf("instance %d: %v", i, err)
-			}
-			if pv.Feasible {
-				assertWitnessReplays(t, p, pv, mode)
 			}
 		}
 	}

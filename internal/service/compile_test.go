@@ -37,7 +37,7 @@ func TestConcurrentAnalyzeReadsOneTable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v, err := search.FeasibleObs(c, mode, 1, nil); err != nil || !v.Feasible {
+			if v, err := search.FeasibleObs(c, mode, nil); err != nil || !v.Feasible {
 				t.Errorf("FeasibleObs(%v) = %+v, %v", mode, v, err)
 			}
 		}()

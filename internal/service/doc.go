@@ -90,7 +90,7 @@
 // request — parse (read and decode the request), digest (hash the
 // source, probe the index), load (parse the source) and compile
 // (compile and digest it; both skipped for a repeated source unless it
-// leads a run), cache, engine/patch, crosscheck,
+// leads a run), cache, engine, crosscheck,
 // simulate, render (the Report, both bodies and the log append) —
 // surfaces them in a Server-Timing response header,
 // and hands the engine run a tracer fanning out into a bounded

@@ -48,7 +48,9 @@ type Options struct {
 	MaxSearchExchanges int
 	// PetriBudget bounds the coverability exploration. Default 1<<17.
 	PetriBudget int
-	// SearchWorkers > 1 parallelizes each exhaustive search. Default 1.
+	// SearchWorkers is ignored: every exhaustive search runs serially,
+	// and requests run in parallel across the MaxConcurrent engine
+	// slots. It is kept only because perfbench sets it.
 	SearchWorkers int
 	// Telemetry receives the service counters (cache hits/misses/
 	// evictions, collapsed duplicates, timeouts), the per-endpoint HTTP
@@ -95,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PetriBudget <= 0 {
 		o.PetriBudget = 1 << 17
-	}
-	if o.SearchWorkers < 1 {
-		o.SearchWorkers = 1
 	}
 	if o.SlowLogMillis == 0 {
 		o.SlowLogMillis = 250
@@ -450,11 +449,7 @@ func (s *Service) compute(p *model.Compiled, opts AnalyzeOptions, basePlan *core
 		s.testComputeHook()
 	}
 	tel := rt.engineTelemetry(s.opts.Telemetry)
-	engineStage := "engine"
-	if basePlan != nil {
-		engineStage = "patch"
-	}
-	es := rt.beginStage(engineStage)
+	es := rt.beginStage("engine")
 	var plan *core.Plan
 	var err error
 	patched := false
@@ -473,7 +468,7 @@ func (s *Service) compute(p *model.Compiled, opts AnalyzeOptions, basePlan *core
 	var cc *CrossCheckInfo
 	if opts.CrossCheck {
 		xs := rt.beginStage("crosscheck")
-		v, err := sweep.CrossCheck(p, s.opts.MaxSearchExchanges, s.opts.PetriBudget, s.opts.SearchWorkers, tel, nil)
+		v, err := sweep.CrossCheck(p, s.opts.MaxSearchExchanges, s.opts.PetriBudget, tel, nil)
 		rt.endStage(xs)
 		if err != nil {
 			return nil, nil, patched, &StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}

@@ -172,7 +172,7 @@ func TestAnalyzeCrossCheckMatchesSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := mustLoad(t, tc.src)
-			v, err := sweep.CrossCheck(model.MustCompile(p), opts.MaxSearchExchanges, opts.PetriBudget, opts.SearchWorkers, nil, nil)
+			v, err := sweep.CrossCheck(model.MustCompile(p), opts.MaxSearchExchanges, opts.PetriBudget, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,7 +676,7 @@ func TestRequestKeyDiscriminatesOptions(t *testing.T) {
 
 // feasibleSpecRetuned is feasibleSpec with the retail price retuned: the
 // sequencing graph is bit-identical, so analysis against the base digest
-// is served by diff-and-patch.
+// reuses the base's graph and reduction.
 const feasibleSpecRetuned = `problem example1 {
     consumer c
     broker   b
@@ -726,6 +726,35 @@ func postSpecWithBase(t *testing.T, url, spec, base string) (*http.Response, []b
 	return resp, body
 }
 
+// Every engine run is timed as the engine stage, whatever the
+// incremental path made of the base; X-Trustd-Incremental alone tells
+// the outcomes apart.
+func TestIncrementalEngineStageName(t *testing.T) {
+	_, ts, _ := newTestService(t, Options{})
+	const q = "/v1/analyze?seq=1&format=text"
+	resp, _ := postSpec(t, ts.URL+q, feasibleSpec)
+	digest := resp.Header.Get("X-Trustd-Digest")
+	for _, tc := range []struct {
+		name, spec, base string
+		want             IncrementalDisposition
+	}{
+		{"reused edit", feasibleSpecRetuned, digest, IncrementalPatched},
+		{"graph-changing edit", feasibleSpecGrown, digest, IncrementalFullRun},
+		{"base miss", infeasibleSpec, strings.Repeat("0", 32), IncrementalBaseMiss},
+	} {
+		resp, body := postSpecWithBase(t, ts.URL+q, tc.spec, tc.base)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.name, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Trustd-Incremental"); got != string(tc.want) {
+			t.Errorf("%s: X-Trustd-Incremental = %q, want %q", tc.name, got, tc.want)
+		}
+		if st := resp.Header.Get("Server-Timing"); !strings.Contains(st, "engine;dur=") || strings.Contains(st, "patch") {
+			t.Errorf("%s: Server-Timing = %q, want an engine stage and no patch stage", tc.name, st)
+		}
+	}
+}
+
 func TestAnalyzeIncrementalHTTP(t *testing.T) {
 	_, ts, reg := newTestService(t, Options{})
 	const q = "/v1/analyze?seq=1&verify=1&format=text"
@@ -739,7 +768,7 @@ func TestAnalyzeIncrementalHTTP(t *testing.T) {
 		t.Fatalf("first analysis has no base but X-Trustd-Incremental = %q", got)
 	}
 
-	// The edited spec against the resident base: served by patch, and the
+	// The edited spec against the resident base reuses it, and the
 	// body must be byte-identical to a cold service's full analysis.
 	resp, body := postSpecWithBase(t, ts.URL+q, feasibleSpecRetuned, digest)
 	if resp.StatusCode != http.StatusOK {

@@ -218,7 +218,7 @@ func (n *Network) asset(m *Message) (mover int32, cash model.Money, src, dst int
 type Config struct {
 	Seed        int64
 	BaseLatency Time // per-message latency floor (default 1)
-	Jitter      Time // uniform extra latency in [0, Jitter] (default 3)
+	Jitter      Time // uniform extra latency in [0, Jitter]; zero (or negative) means none
 	MaxMessages int  // runaway guard (default 100_000)
 	// NotifyDropRate is the probability in [0,1) that a notification
 	// (control-plane message) is lost. Transfers are never dropped: the

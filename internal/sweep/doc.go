@@ -31,7 +31,9 @@
 // Run owns its worker pool: workers pull indexes from a shared channel,
 // write only to their own slot in the pre-sized results slice, and keep
 // per-worker scratch (safety Execs, petri.CoverScratch), so no locks are
-// held during analysis. The Config is read-only during the run; the
+// held during analysis. The pool is the sweep's only parallelism: each
+// problem's searches and coverability check run serially on the worker
+// that drew it. The Config is read-only during the run; the
 // returned Report is immutable. Telemetry is additive by the obs
 // contract — enabling it cannot change any verdict (property-tested).
 package sweep

@@ -77,11 +77,6 @@ type Config struct {
 	// PetriBudget bounds the coverability exploration per problem.
 	// Default 1<<17 states.
 	PetriBudget int
-	// SearchWorkers > 1 fans each problem's search out to that many
-	// workers (search.FeasibleObs) on top of the cross-problem pool.
-	// Default: serial per-problem search (the sweep already saturates
-	// the machine across problems).
-	SearchWorkers int
 
 	// ChaosRuns > 0 adds a chaos stage to every graph-feasible problem:
 	// that many fault-injected simulations, each with a fault plan,
@@ -431,7 +426,7 @@ func runOne(cfg Config, i int, ws *workerScratch) Result {
 		runChaos(cfg, plan, seed, ws, &res)
 	}
 
-	res.Verdicts, err = CrossCheck(p, cfg.MaxSearchExchanges, cfg.PetriBudget, cfg.SearchWorkers, tel, ws.cover)
+	res.Verdicts, err = CrossCheck(p, cfg.MaxSearchExchanges, cfg.PetriBudget, tel, ws.cover)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -457,22 +452,21 @@ type Verdicts struct {
 // crosscheck option and E10. A problem with more than maxExchanges
 // exchanges runs none of them and reports SearchSkipped instead of
 // burning exponential time. petriBudget bounds the coverability
-// exploration, searchWorkers > 1 fans each search out
-// (search.FeasibleObs), and scratch, when non-nil, is reused by the
-// coverability check. On an engine error the verdicts decided so far
-// come back with it.
-func CrossCheck(p *model.Compiled, maxExchanges, petriBudget, searchWorkers int, tel *obs.Telemetry, scratch *petri.CoverScratch) (Verdicts, error) {
+// exploration, and scratch, when non-nil, is reused by the coverability
+// check. On an engine error the verdicts decided so far come back with
+// it.
+func CrossCheck(p *model.Compiled, maxExchanges, petriBudget int, tel *obs.Telemetry, scratch *petri.CoverScratch) (Verdicts, error) {
 	var v Verdicts
 	if len(p.Exchanges) > maxExchanges {
 		v.SearchSkipped = true
 		return v, nil
 	}
-	assets, err := search.FeasibleObs(p, search.ModeAssets, searchWorkers, tel)
+	assets, err := search.FeasibleObs(p, search.ModeAssets, tel)
 	if err != nil {
 		return v, fmt.Errorf("assets search: %w", err)
 	}
 	v.AssetsFeasible = assets.Feasible
-	strong, err := search.FeasibleObs(p, search.ModeStrong, searchWorkers, tel)
+	strong, err := search.FeasibleObs(p, search.ModeStrong, tel)
 	if err != nil {
 		return v, fmt.Errorf("strong search: %w", err)
 	}

@@ -52,22 +52,6 @@ func TestRandomSweepHasNoViolations(t *testing.T) {
 	}
 }
 
-// Per-problem parallel search must not change any verdict.
-func TestSweepParallelSearchAgrees(t *testing.T) {
-	t.Parallel()
-	base := Config{N: 15, Seed: 9}
-	serial := Run(base)
-	par := base
-	par.SearchWorkers = 4
-	rep := Run(par)
-	for i := range serial.Results {
-		a, b := serial.Results[i], rep.Results[i]
-		if a.AssetsFeasible != b.AssetsFeasible || a.StrongFeasible != b.StrongFeasible {
-			t.Fatalf("instance %d: serial search %+v, parallel search %+v", i, a, b)
-		}
-	}
-}
-
 // Chains are feasible at every depth; stars with ≥2 conjoined pieces are
 // graph-infeasible without indemnities (Figure 7).
 func TestFamilies(t *testing.T) {
